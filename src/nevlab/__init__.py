@@ -9,7 +9,7 @@ Nevanlinna functionals with the main-inequality harness (nevanlinna).
 
 from .fields import GaussRat, RatFunc, ZPoly, zpoly_gcd
 from .hpoly import HPoly, monomials
-from .expfunc import ExpPoly
+from .expfunc import ExpPoly, wronskian
 from .resultant import (AdmissibilityReport, HypersurfaceFamily,
                         NotAdmissibleError, PowerCertificate, is_admissible,
                         macaulay_resultant, power_certificate,
@@ -26,7 +26,7 @@ from .nevanlinna import (AdmissibilityError, DegeneracyError, EntireCurve,
                          characteristic, counting_function, defect_estimate,
                          divisor_bound_check, jensen_check,
                          log_derivative_diagnostic, nondegeneracy_check,
-                         smt_verify, wronskian)
+                         smt_verify)
 from .parsing import (InputError, ParseError, SchemaError, curve_from_json,
                       family_from_json, hpoly_from_json, load_json_file,
                       parse_ratfunc, parse_scalar, parse_zpoly)

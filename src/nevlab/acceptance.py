@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .bounds import compute_truncation_levels
+from .bounds import a_lower_bound, compute_truncation_levels
 from .expfunc import ExpPoly
 from .fields import GaussRat, RatFunc, ZPoly
 from .filtration import (build_filtration, construct_psi_basis,
@@ -212,7 +212,7 @@ def check_filtration_identities() -> tuple[bool, str]:
                     for idx, m in zip(table.tuples, table.multiplicities):
                         if big_n - d * sum(idx) >= n * (d - 1) and m != d ** n:
                             bad += 1
-                    if table.a_constant < table.a_lower_bound():
+                    if table.a_constant < a_lower_bound(table.n, table.d, table.big_n):
                         bad += 1
                     prev = a_seen.setdefault(big_n, table.a_constant)
                     if prev != table.a_constant:

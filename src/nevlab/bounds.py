@@ -126,7 +126,7 @@ def bound_t(p: int, n: int, big_n: int, q: int,
 
     Values longer than the digit budget come back as None with the log10
     estimate still filled in.  When both materialize, binomial <= power is
-    asserted exactly.
+    checked exactly; a failed check raises ArithmeticError.
     """
     if p < 1:
         raise ValueError("need p >= 1")
@@ -137,9 +137,11 @@ def bound_t(p: int, n: int, big_n: int, q: int,
     binom = comb(b + p, b - 1) if binom_log10 < budget else None
     power = (b + p) ** (b - 1) if power_log10 < budget else None
     if binom is not None and power is not None:
-        assert binom <= power
+        holds = binom <= power
     else:
-        assert binom_log10 <= power_log10 + 1e-6
+        holds = binom_log10 <= power_log10 + 1e-6
+    if not holds:
+        raise ArithmeticError(f"C({b + p}, {b - 1}) exceeds ({b + p})^{b - 1}")
     return binom, power, binom_log10, power_log10
 
 
@@ -232,7 +234,9 @@ def compute_truncation_levels(n: int, q: int, eps: RationalLike,
     if fixed:
         # t_p = 1 for every p; the selection property t_{p+1}/t_p < 1 + eps/(2MN)
         # then holds already at p = 1, strictly.
-        assert Fraction(1) < 1 + eps_used / (2 * m_count * big_n)
+        if not Fraction(1) < 1 + eps_used / (2 * m_count * big_n):
+            raise ArithmeticError("the fixed-target selection property t_2/t_1 "
+                                  "< 1 + eps/(2MN) fails")
         t, t_power, t_log10, t_power_log10 = 1, 1, 0.0, 0.0
     else:
         t, t_power, t_log10, t_power_log10 = bound_t(p0, n, big_n, q, digit_budget)

@@ -2,9 +2,10 @@
 
 Every subcommand reads exact inputs (JSON files or expression strings),
 runs one pipeline stage, and emits a deterministic JSON report: keys are
-sorted, exact scalars are rendered as strings, and writing with -o goes
-through a temp file and os.replace so a crash never leaves a half-written
-report.
+sorted, exact scalars are rendered as strings, and writing with -o to a
+regular or new file goes through a temp file and os.replace so a crash never
+leaves a half-written report.  -o follows symlinks and writes straight into
+devices and FIFOs, which must not be replaced.
 
 Exit codes: 0 the computation ran (verdicts like "not admissible" are data,
 not failures), 1 a mathematical obstruction (degenerate curve, inadmissible
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .acceptance import CHECKS, run_all
-from .bounds import compute_truncation_levels
+from .bounds import a_lower_bound, compute_truncation_levels
 from .expfunc import ExpPoly
 from .fields import GaussRat, RatFunc, ZPoly
 from .filtration import build_filtration
@@ -74,7 +75,11 @@ def _emit(doc: dict, path: Optional[str]) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    target = os.path.abspath(path)
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w") as fh:
+            fh.write(text)
+        return
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".part")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -170,7 +175,7 @@ def cmd_filtration(args) -> int:
            "multiplicities": table.multiplicities,
            "m_total": table.m_total, "block_count": table.k_count,
            "a_constant": table.a_constant,
-           "a_lower_bound": table.a_lower_bound()}, args.output)
+           "a_lower_bound": a_lower_bound(table.n, table.d, table.big_n)}, args.output)
     return 0
 
 

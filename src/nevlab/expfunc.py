@@ -4,13 +4,16 @@ p ranges over polynomials with Gaussian-rational coefficients and c over
 Gaussian rationals.  The class is closed under ring operations and d/dz, the
 zero test is exact (terms are keyed by frequency, so the canonical form of 0
 is the empty sum), and evaluation at a complex point is the only approximate
-operation.
+operation.  Every float view of the exact data (values, phase noise floors,
+rate bounds) reads one cached image built here.
 """
 
 from __future__ import annotations
 
 import cmath
-from typing import Iterable, Union
+from typing import Iterable, Optional, Sequence, Union
+
+import numpy as np
 
 from .fields import GaussRat, ZPoly, format_zpoly, scalar_str
 from .linalg import det_cofactor
@@ -25,7 +28,7 @@ def _freq_key(c: GaussRat):
 class ExpPoly:
     """sum over c of p_c(z) * exp(c*z), stored as {c: p_c} with p_c != 0."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_image", "_derivative")
 
     def __init__(self, terms=None):
         clean = {}
@@ -40,6 +43,8 @@ class ExpPoly:
                     if clean[c].is_zero():
                         del clean[c]
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_image", None)
+        object.__setattr__(self, "_derivative", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExpPoly is immutable")
@@ -81,7 +86,8 @@ class ExpPoly:
                 return p
         return ZPoly()
 
-    def _coerce(self, other):
+    @staticmethod
+    def _coerce(other):
         if isinstance(other, ExpPoly):
             return other
         if isinstance(other, ZPoly):
@@ -143,19 +149,42 @@ class ExpPoly:
         return result
 
     def derivative(self) -> "ExpPoly":
-        """(p e^{cz})' = (p' + c p) e^{cz}, termwise."""
-        out = {}
-        for c, p in self.terms.items():
-            q = p.derivative() + p * c
-            if not q.is_zero():
-                out[c] = q
-        return ExpPoly(out)
+        """(p e^{cz})' = (p' + c p) e^{cz}, termwise; built once per object."""
+        if self._derivative is None:
+            out = {}
+            for c, p in self.terms.items():
+                q = p.derivative() + p * c
+                if not q.is_zero():
+                    out[c] = q
+            object.__setattr__(self, "_derivative", ExpPoly(out))
+        return self._derivative
 
-    def __call__(self, z0: complex) -> complex:
-        z0 = complex(z0)
+    @property
+    def float_image(self) -> tuple:
+        """((c, (a_k, ..., a_0)), ...): each frequency as a complex with its
+        coefficients from the top degree down; built once, the only float
+        view of the exact terms."""
+        if self._image is None:
+            image = tuple((complex(c), tuple(complex(a) for a in reversed(p.coeffs)))
+                          for c, p in self.terms.items())
+            object.__setattr__(self, "_image", image)
+        return self._image
+
+    def __call__(self, z):
+        """Value at a complex point, or elementwise over a numpy array."""
+        if isinstance(z, np.ndarray):
+            exp = np.exp
+        else:
+            z, exp = complex(z), cmath.exp
+        # Horner from 0 through the top coefficient, as np.polyval does.  A
+        # frequency-0 term skips the factor exp(0) = 1 + 0j, which could only
+        # flip the sign of a zero part, and a sum started at +0 erases that.
         total = 0j
-        for c, p in self.terms.items():
-            total += complex(p(z0)) * cmath.exp(complex(c) * z0)
+        for c, coeffs in self.float_image:
+            acc = 0j
+            for a in coeffs:
+                acc = acc * z + a
+            total += acc * exp(c * z) if c else acc
         return total
 
     def __eq__(self, other):
@@ -192,18 +221,27 @@ class ExpPoly:
         return " + ".join(parts)
 
 
-def wronskian(fns: Iterable) -> object:
-    """W(F_0,...,F_n) = det of the consecutive-derivative matrix.
+def wronskian(fns: Iterable, orders: Optional[Sequence[int]] = None) -> object:
+    """Determinant of the derivative matrix with one row per requested order.
 
+    orders defaults to (0, 1, ..., len(fns)-1), the classical W(F_0,...,F_n).
     Elements need +, -, *, derivative(), and a zero test; exponential
-    polynomials and rational functions both qualify.  An identically zero
-    result is the dependence flag: the caller decides whether that is an
-    error.
+    polynomials and rational functions both qualify, and scalars and ZPoly
+    inputs are read as exponential polynomials.  An identically zero result
+    is the dependence flag: it is returned, not raised, so callers decide
+    severity.
     """
-    fns = list(fns)
+    fns = [f if e is None else e for f, e in ((f, ExpPoly._coerce(f)) for f in fns)]
     if not fns:
         raise ValueError("need at least one function")
+    if orders is None:
+        orders = range(len(fns))
+    orders = tuple(orders)
+    if len(orders) != len(fns):
+        raise ValueError("need as many derivative orders as functions")
+    if len(set(orders)) != len(orders) or any(k < 0 for k in orders):
+        raise ValueError("orders must be distinct and nonnegative")
     rows = [fns]
-    for _ in range(len(fns) - 1):
+    for _ in range(max(orders)):
         rows.append([g.derivative() for g in rows[-1]])
-    return det_cofactor(rows)
+    return det_cofactor([rows[k] for k in orders])

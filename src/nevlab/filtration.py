@@ -144,11 +144,6 @@ class FiltrationTable:
     def m_total(self) -> int:
         return sum(self.multiplicities)
 
-    def a_lower_bound(self) -> Fraction:
-        """(d^n/(n+1)) * C(N/d, n) * (N/d - n); meaningful once N/d > n."""
-        t = self.big_n // self.d
-        return Fraction(self.d ** self.n, self.n + 1) * comb(t, self.n) * (t - self.n)
-
 
 def _subset_polys(fam: HypersurfaceFamily, subset: Sequence[int]) -> tuple[HPoly, ...]:
     lifted = fam.lifted()

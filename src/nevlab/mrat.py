@@ -346,5 +346,7 @@ def admissible_derivative_set(fns: Sequence[MRat]) -> AdmissibleSet:
     if w.is_zero():
         raise AssertionError("admissible set produced a vanishing determinant")
     result = AdmissibleSet(alphas=tuple(chosen), p0=p0, wronskian=w)
-    assert result.weight <= n * (n + 1) // 2 and p0 <= n
+    if result.weight > n * (n + 1) // 2 or p0 > n:
+        raise ArithmeticError(f"admissible set of weight {result.weight} and "
+                              f"order {p0} exceeds the bounds n(n+1)/2 and n")
     return result

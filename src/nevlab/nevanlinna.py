@@ -28,10 +28,9 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .bounds import compute_truncation_levels
-from .expfunc import ExpPoly
+from .expfunc import ExpPoly, wronskian
 from .fields import GaussRat, RatFunc, ZPoly, zpoly_gcd
 from .hpoly import HPoly, monomials
-from .linalg import det_cofactor
 from .quadrature import QuadResult, circle_average, default_target
 from .resultant import HypersurfaceFamily, is_admissible
 from .zeros import Divisor, exppoly_zeros, ratfunc_divisors, zpoly_zeros
@@ -142,33 +141,13 @@ def as_curve(f: CurveLike) -> EntireCurve:
     return f if isinstance(f, EntireCurve) else EntireCurve(f)
 
 
-# ---------------------------------------------------------------------------
-# vectorized evaluation
-
-def _vector_eval(e: ExpPoly):
-    """Array-in, array-out evaluator for one exponential polynomial."""
-    data = [(complex(c), np.array([complex(a) for a in reversed(p.coeffs)]))
-            for c, p in e.terms.items()]
-
-    def ev(zs: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(zs, dtype=complex)
-        for c, desc in data:
-            term = np.polyval(desc, zs)
-            if c:
-                term = term * np.exp(c * zs)
-            out += term
-        return out
-
-    return ev
-
-
 def _log_norm_integrand(curve: EntireCurve):
-    evs = [_vector_eval(c) for c in curve.components]
+    first, *rest = curve.components
 
     def fn(zs: np.ndarray) -> np.ndarray:
-        mags = np.abs(evs[0](zs))
-        for ev in evs[1:]:
-            np.maximum(mags, np.abs(ev(zs)), out=mags)
+        mags = np.abs(first(zs))
+        for comp in rest:
+            np.maximum(mags, np.abs(comp(zs)), out=mags)
         return np.log(mags)
 
     fn.vectorized = True
@@ -317,7 +296,7 @@ def jensen_check(phi, r: float, target: Optional[float] = None) -> float:
             return np.polyval(num, zs) / np.polyval(den, zs)
     elif isinstance(phi, ExpPoly):
         zer, pol = exppoly_zeros(phi, big), None
-        ev = _vector_eval(phi)
+        ev = phi
     else:
         raise TypeError(f"no divisor support for {type(phi).__name__}")
     pts = list(zer.points)
@@ -332,29 +311,6 @@ def jensen_check(phi, r: float, target: Optional[float] = None) -> float:
 
 # ---------------------------------------------------------------------------
 # wronskians and the divisor bound
-
-
-def wronskian(fns: Sequence, orders: Optional[Sequence[int]] = None) -> ExpPoly:
-    """Determinant of the derivative matrix with one row per requested order.
-
-    orders defaults to (0, 1, ..., len(fns)-1).  An identically zero result
-    is the linear dependence flag; it is returned, not raised, so callers
-    decide severity.
-    """
-    fns = [_as_exppoly(f) for f in fns]
-    if not fns:
-        raise ValueError("need at least one function")
-    if orders is None:
-        orders = range(len(fns))
-    orders = tuple(orders)
-    if len(orders) != len(fns):
-        raise ValueError("need as many derivative orders as functions")
-    if len(set(orders)) != len(orders) or any(k < 0 for k in orders):
-        raise ValueError("orders must be distinct and nonnegative")
-    rows = [list(fns)]
-    for _ in range(max(orders)):
-        rows.append([g.derivative() for g in rows[-1]])
-    return det_cofactor([rows[k] for k in orders])
 
 
 @dataclass(frozen=True)
@@ -428,12 +384,11 @@ def nondegeneracy_check(f: CurveLike, max_degree: int = 4,
     curve = as_curve(f)
     n = curve.n
     rng = np.random.default_rng(seed)
-    evs = [_vector_eval(c) for c in curve.components]
     for e in range(1, max_degree + 1):
         exps = monomials(n, e)
         rows = 3 * len(exps)
         zs = (0.4 + 2.3 * rng.random(rows)) * np.exp(2j * np.pi * rng.random(rows))
-        vals = np.column_stack([ev(zs) for ev in evs])
+        vals = np.column_stack([comp(zs) for comp in curve.components])
         mat = np.empty((rows, len(exps)), dtype=complex)
         for j, exp in enumerate(exps):
             col = np.ones(rows, dtype=complex)
@@ -773,13 +728,12 @@ def log_derivative_diagnostic(f: CurveLike, radii: Sequence[float],
     if w.is_zero():
         raise DegeneracyError("components are linearly dependent")
     prod = reduce(operator.mul, curve.components)
-    wev, pev = _vector_eval(w), _vector_eval(prod)
     rs = tuple(float(r) for r in radii)
     pdiv = exppoly_zeros(prod, max(rs) * 1.01)
     moduli = [abs(a) for a, _ in pdiv.points]
 
     def integrand(zs: np.ndarray) -> np.ndarray:
-        ratio = np.abs(wev(zs)) / np.abs(pev(zs))
+        ratio = np.abs(w(zs)) / np.abs(prod(zs))
         return np.log(np.maximum(ratio, 1.0))
 
     integrand.vectorized = True

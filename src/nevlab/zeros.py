@@ -25,7 +25,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .expfunc import ExpPoly
-from .fields import GaussRat, RatFunc, ZPoly, zpoly_gcd
+from .fields import RatFunc, ZPoly, zpoly_gcd
 
 BOUNDARY_BAND = 1e-12
 
@@ -144,16 +144,15 @@ def phase_noise_floor(f):
     contour counts zeros of the true function (Rouche), not of the noise.
     """
     if isinstance(f, ExpPoly):
-        data = [(complex(c), [abs(complex(a)) for a in p.coeffs])
-                for c, p in f.terms.items()]
+        image = f.float_image
 
         def floor(z: complex) -> float:
             s = 0.0
             az = abs(z)
-            for c, mags in data:
+            for c, coeffs in image:
                 t, pw = 0.0, 1.0
-                for m in mags:
-                    t += m * pw
+                for a in reversed(coeffs):
+                    t += abs(a) * pw
                     pw *= az
                 s += math.exp(min((c * z).real, 700.0)) * t
             return 1024 * _EPS * s
@@ -253,8 +252,8 @@ def phase_rate_bound(f) -> float:
     """Crude bound on |f'/f| on contours staying away from zeros."""
     if isinstance(f, ExpPoly):
         rate = 1.0
-        for c, p in f.terms.items():
-            rate += abs(complex(c)) + p.degree
+        for c, coeffs in f.float_image:
+            rate += abs(c) + (len(coeffs) - 1)
         return rate
     return 4.0
 

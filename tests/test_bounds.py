@@ -6,6 +6,7 @@ from math import comb
 import mpmath
 import pytest
 
+from nevlab import bounds
 from nevlab.bounds import (BoundReport, MarginViolation, a_lower_bound,
                            bound_t, clamp_eps, compute_constants, compute_p0,
                            compute_truncation_levels, verify_error_margin)
@@ -64,6 +65,14 @@ def test_bound_t_binomial_below_power():
         assert binom <= power
         assert bl <= pl + 1e-9
         assert abs(math.log10(binom) - bl) < 1e-6
+
+
+def test_bound_t_failed_check_raises(monkeypatch):
+    # a binomial above the power must surface as an exception that
+    # python -O cannot strip, not as an assert
+    monkeypatch.setattr(bounds, "comb", lambda top, bottom: top ** bottom + 1)
+    with pytest.raises(ArithmeticError):
+        bound_t(1, 1, 6, 3)
 
 
 def test_bound_t_respects_digit_budget():

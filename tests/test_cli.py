@@ -2,6 +2,9 @@
 atomic output, and the documented input formats."""
 
 import json
+import os
+import stat
+import threading
 
 import pytest
 
@@ -79,6 +82,32 @@ def test_output_file_is_written_atomically(paths, capsys):
     assert doc["power"] <= 3
     leftovers = [p for p in paths["tmp"].iterdir() if p.suffix == ".part"]
     assert not leftovers
+
+
+def test_output_writes_through_symlink(paths, capsys):
+    real = paths["tmp"] / "real.json"
+    real.write_text("old")
+    link = paths["tmp"] / "link.json"
+    link.symlink_to(real)
+    assert main(["certificate", paths["pair"], "--index", "0",
+                 "-o", str(link)]) == 0
+    assert link.is_symlink()
+    assert json.loads(real.read_text())["verified"] is True
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_output_writes_into_fifo(paths, capsys):
+    fifo = paths["tmp"] / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()),
+                              daemon=True)
+    reader.start()
+    assert main(["certificate", paths["pair"], "--index", "0",
+                 "-o", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert json.loads(got[0])["verified"] is True
 
 
 def test_filtration_command(paths, capsys):

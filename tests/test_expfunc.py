@@ -1,6 +1,7 @@
 import cmath
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -40,6 +41,54 @@ def test_evaluation_matches_cmath():
         assert f(z0) == pytest.approx(cmath.exp(z0) - z0)
     g = ExpPoly.exp(GaussRat(0, 1))             # e^{iz}
     assert g(cmath.pi) == pytest.approx(-1.0)
+
+
+def _mixed():
+    # frequency-0 term, a zero middle coefficient, complex frequencies
+    return (ExpPoly.poly(ZPoly((2, 0, GaussRat(-1, 3))))
+            + ExpPoly({GaussRat(1, 1): ZPoly((1, 0, 0, 3))})
+            + ExpPoly.exp(GaussRat(-1, 2)))
+
+
+def _grid():
+    zs = [r * cmath.exp(2j * cmath.pi * k / 37)
+          for r in (0.3, 1.0, 2.5, 7.0, 20.0) for k in range(37)]
+    return np.array(zs + [0, 1, -1, 1j, -2.5, 3.75j])
+
+
+def test_float_image_is_built_once(monkeypatch):
+    f = _mixed()
+    f(0.5)
+    calls = []
+    original = GaussRat.__complex__
+    monkeypatch.setattr(GaussRat, "__complex__",
+                        lambda self: calls.append(1) or original(self))
+    for z0 in (0.3 + 0.1j, -1.2j, 2.0):
+        f(z0)
+    f(_grid())
+    assert not calls
+
+
+def test_scalar_and_array_evaluation_agree():
+    f = _mixed()
+    zs = _grid()
+    arr = f(zs)
+    # both run the same Horner steps and exp calls on the same image; the
+    # only gap is numpy's complex array product, which may fuse
+    # multiply-add where CPython's complex product rounds twice
+    eps = np.finfo(float).eps
+    for z0, va in zip(zs, arr):
+        vs = f(complex(z0))
+        scale = sum(abs(p(complex(z0))) * abs(cmath.exp(complex(c) * z0))
+                    for c, p in f.terms.items())
+        assert abs(vs - va) <= 16 * eps * scale
+
+
+def test_derivative_is_cached():
+    f = _mixed()
+    assert f.derivative() is f.derivative()
+    assert f.derivative() == ExpPoly(
+        {c: p.derivative() + p * c for c, p in f.terms.items()})
 
 
 def test_polynomial_part_and_predicates():

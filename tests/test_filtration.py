@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from nevlab.bounds import a_lower_bound
 from nevlab.fields import GaussRat
 from nevlab.filtration import (FiltrationTable, basis_is_independent,
                                build_filtration, construct_psi_basis,
@@ -100,7 +101,7 @@ def test_filtration_table_identities():
     for idx, m in zip(table.tuples, table.multiplicities):
         assert m == quotient_dim([fam.lifted()[0], fam.lifted()[1]],
                                  4 - 2 * sum(idx))
-    assert table.a_constant >= table.a_lower_bound()
+    assert table.a_constant >= a_lower_bound(table.n, table.d, table.big_n)
 
 
 def test_block_dims_equal_span_rank_drops():
