@@ -4,8 +4,9 @@ Every subcommand reads exact inputs (JSON files or expression strings),
 runs one pipeline stage, and emits a deterministic JSON report: keys are
 sorted, exact scalars are rendered as strings, and writing with -o to a
 regular or new file goes through a temp file and os.replace so a crash never
-leaves a half-written report.  -o follows symlinks and writes straight into
-devices and FIFOs, which must not be replaced.
+leaves a half-written report; the report keeps an existing file's mode, and a
+new one gets the umask's.  -o follows symlinks and writes straight into
+devices and FIFOs (/dev/stdout included), which must not be replaced.
 
 Exit codes: 0 the computation ran (verdicts like "not admissible" are data,
 not failures), 1 a mathematical obstruction (degenerate curve, inadmissible
@@ -19,6 +20,7 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 from fractions import Fraction
@@ -75,15 +77,24 @@ def _emit(doc: dict, path: Optional[str]) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target):
-        with open(target, "w") as fh:
+    # stat follows links, so /dev/stdout (a link to a pipe) is written in place;
+    # realpath would turn /proc/self/fd/1 into a "pipe:[N]" non-path
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w") as fh:
             fh.write(text)
         return
+    target = os.path.realpath(path)
+    if os.path.exists(target):
+        mode = stat.S_IMODE(os.stat(target).st_mode)
+    else:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".part")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        os.chmod(tmp, mode)          # mkstemp makes 0600
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
@@ -165,6 +176,10 @@ def cmd_certificate(args) -> int:
 def cmd_filtration(args) -> int:
     fam = _load_family(args.system)
     subset = _parse_ints(args.subset, "--subset")
+    if (len(subset) != fam.n or len(set(subset)) != fam.n
+            or not all(0 <= j < fam.q for j in subset)):
+        raise InputError(f"--subset must name {fam.n} distinct form indices "
+                         f"in 0..{fam.q - 1}, got {args.subset!r}")
     d = fam.common_degree()
     if args.level % d:
         raise InputError(f"--level must be a multiple of the common degree {d}")

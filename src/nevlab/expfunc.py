@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .fields import GaussRat, ZPoly, format_zpoly, scalar_str
+from .fields import GaussRat, ZPoly, _pow_by_squaring, format_zpoly, scalar_str
 from .linalg import det_cofactor
 
 ScalarLike = Union[int, "GaussRat"]
@@ -139,14 +139,7 @@ class ExpPoly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers leave the ring")
-        result = ExpPoly.const(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _pow_by_squaring(self, k, ExpPoly.const(1))
 
     def derivative(self) -> "ExpPoly":
         """(p e^{cz})' = (p' + c p) e^{cz}, termwise; built once per object."""

@@ -36,6 +36,21 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+def _pow_by_squaring(base, k: int, one):
+    """base ** k for an int k >= 0 by repeated squaring; `one` when k == 0.
+
+    The one square-and-multiply loop of every ring in the package.
+    """
+    out = None
+    while k:
+        if k & 1:
+            out = base if out is None else out * base
+        k >>= 1
+        if k:
+            base = base * base
+    return one if out is None else out
+
+
 class GaussRat:
     """Gaussian rational a + b*i, components stored as Fractions."""
 
@@ -125,17 +140,7 @@ class GaussRat:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        out = GaussRat(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def conjugate(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
+        return _pow_by_squaring(self, k, GaussRat(1))
 
     # -- structure ---------------------------------------------------------
 
@@ -285,14 +290,7 @@ class ZPoly:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        out = ZPoly((1,))
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _pow_by_squaring(self, k, ZPoly((1,)))
 
     def __divmod__(self, other: "ZPoly"):
         o = self._coerce(other)
@@ -584,13 +582,3 @@ def scalar_str(x) -> str:
     if isinstance(x, RatFunc):
         return str(x)
     return format_rational_like(x)
-
-
-def scalar_complex(x) -> complex:
-    """Float image of a constant scalar (RatFunc must be constant)."""
-    x = simplify_scalar(x)
-    if isinstance(x, Fraction):
-        return complex(float(x), 0.0)
-    if isinstance(x, GaussRat):
-        return complex(x)
-    raise ValueError(f"{x} is not a constant scalar")

@@ -18,7 +18,7 @@ from math import comb
 from typing import Optional, Sequence
 
 from .hpoly import HPoly, monomials
-from .linalg import RowReducer, solve_system
+from .linalg import RowReducer
 from .resultant import HypersurfaceFamily
 
 
@@ -43,78 +43,23 @@ def _poly_vector(p: HPoly, col_index: dict) -> dict:
     return {col_index[e]: c for e, c in p.coeffs.items()}
 
 
-def _ideal_rows(gens: Sequence[HPoly], big_n: int, col_index: dict):
-    """Vectors spanning the degree-N piece of the ideal (g_1,...,g_k)."""
-    nvars = gens[0].nvars
-    for g in gens:
-        shift = big_n - g.degree
-        if shift < 0:
-            continue
-        for m in monomials(nvars - 1, shift):
-            yield _poly_vector(HPoly.monomial(nvars, m) * g, col_index)
-
-
-def graded_ideal_dim(gens: Sequence[HPoly], big_n: int) -> int:
-    """dim of the degree-N graded piece of the ideal generated by gens."""
-    if big_n < 0:
-        raise ValueError("degree must be nonnegative")
+def _ideal_reducer(gens: Sequence[HPoly], big_n: int):
+    """Row reducer fed the degree-N piece of the ideal (g_1,...,g_k), and the
+    column index of each degree-N monomial."""
     nvars = gens[0].nvars
     col_index = {m: k for k, m in enumerate(monomials(nvars - 1, big_n))}
     red = RowReducer()
-    for row in _ideal_rows(gens, big_n, col_index):
-        red.add(row)
-    return red.rank
+    for g in gens:
+        if g.degree <= big_n:
+            for m in monomials(nvars - 1, big_n - g.degree):
+                red.add(_poly_vector(HPoly.monomial(nvars, m) * g, col_index))
+    return red, col_index
 
 
 def quotient_dim(gens: Sequence[HPoly], big_n: int) -> int:
     """dim V_N / (gens) cap V_N; equals tuple_count for admissible families."""
-    nvars = gens[0].nvars
-    return comb(big_n + nvars - 1, nvars - 1) - graded_ideal_dim(gens, big_n)
-
-
-def ideal_membership(p: HPoly, gens: Sequence[HPoly]):
-    """Exact membership of p in the ideal piece of its own degree.
-
-    Returns (True, cofactors) with sum(cofactor_i * g_i) == p verified, or
-    (False, None).
-    """
-    nvars = p.nvars
-    big_n = p.degree
-    var_of = {}
-    for j, g in enumerate(gens):
-        shift = big_n - g.degree
-        if shift < 0:
-            continue
-        for m in monomials(nvars - 1, shift):
-            var_of[(j, m)] = len(var_of)
-    rows: dict[tuple, dict] = {}
-    for (j, m), v in var_of.items():
-        for exp, c in (HPoly.monomial(nvars, m) * gens[j]).coeffs.items():
-            row = rows.setdefault(exp, {})
-            row[v] = row.get(v, Fraction(0)) + c
-    eqs = []
-    for mono in monomials(nvars - 1, big_n):
-        eqs.append((rows.get(mono, {}), p.coeffs.get(mono, Fraction(0))))
-    sol = solve_system(eqs)
-    if sol is None:
-        return False, None
-    cofs = []
-    for j, g in enumerate(gens):
-        shift = big_n - g.degree
-        coeffs = {}
-        if shift >= 0:
-            for m in monomials(nvars - 1, shift):
-                v = var_of[(j, m)]
-                if v in sol and sol[v]:
-                    coeffs[m] = sol[v]
-        cofs.append(HPoly(nvars, max(shift, 0), coeffs))
-    acc = HPoly.zero(nvars, big_n)
-    for cf, g in zip(cofs, gens):
-        if not cf.is_zero():
-            acc = acc + cf * g
-    if acc != p:
-        raise AssertionError("membership cofactors failed re-expansion")
-    return True, tuple(cofs)
+    red, col_index = _ideal_reducer(gens, big_n)
+    return len(col_index) - red.rank
 
 
 def filtration_tuples(t: int, n: int) -> tuple[tuple, ...]:
@@ -213,10 +158,7 @@ def construct_psi_basis(fam: HypersurfaceFamily, subset: Sequence[int], big_n: i
     facts = []
     for k, (idx, mk) in enumerate(zip(table.tuples, table.multiplicities)):
         level = table.big_n - d * sum(idx)
-        col_index = {m: c for c, m in enumerate(monomials(nvars - 1, level))}
-        red = RowReducer()
-        for row in _ideal_rows(gens, level, col_index):
-            red.add(row)
+        red, col_index = _ideal_reducer(gens, level)
         qpower = HPoly(nvars, 0, {(0,) * nvars: 1})
         for g, e in zip(gens, idx):
             if e:
@@ -247,20 +189,3 @@ def basis_is_independent(basis: PsiBasis) -> bool:
         if not red.add(_poly_vector(p, col_index)):
             return False
     return True
-
-
-def stage_span_rows(fam: HypersurfaceFamily, table: FiltrationTable, k: int):
-    """Spanning vectors of V_N^{I_k} = sum over I >= I_k of Q_J^I * V_{N-d|I|}."""
-    gens = _subset_polys(fam, table.subset)
-    nvars = fam.n + 1
-    col_index = {m: c for c, m in enumerate(monomials(nvars - 1, table.big_n))}
-    rows = []
-    for idx in table.tuples[k:]:
-        level = table.big_n - table.d * sum(idx)
-        qpower = HPoly(nvars, 0, {(0,) * nvars: 1})
-        for g, e in zip(gens, idx):
-            if e:
-                qpower = qpower * g ** e
-        for m in monomials(nvars - 1, level):
-            rows.append(_poly_vector(qpower * HPoly.monomial(nvars, m), col_index))
-    return rows, col_index

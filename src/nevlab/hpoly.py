@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 from typing import Mapping, Sequence
 
-from .fields import Fraction as _F  # noqa: F401  (re-export convenience)
-from .fields import GaussRat, PoleError, RatFunc, scalar_str, simplify_scalar
+from .fields import (GaussRat, PoleError, RatFunc, _pow_by_squaring, scalar_str,
+                     simplify_scalar)
 
 ExponentTuple = tuple
 
@@ -35,10 +34,6 @@ def monomials(n: int, d: int) -> tuple[ExponentTuple, ...]:
         for rest in monomials(n - 1, d - i0):
             out.append((i0,) + rest)
     return tuple(out)
-
-
-def monomial_count(n: int, d: int) -> int:
-    return comb(n + d, n)
 
 
 def _is_scalar(x) -> bool:
@@ -159,14 +154,7 @@ class HPoly:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        out = HPoly(self.nvars, 0, {(0,) * self.nvars: 1})
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _pow_by_squaring(self, k, HPoly(self.nvars, 0, {(0,) * self.nvars: 1}))
 
     # -- evaluation and calculus ----------------------------------------------
 
@@ -198,16 +186,6 @@ class HPoly:
                 prev = out.get(nexp)
                 out[nexp] = nc if prev is None else prev + nc
         return HPoly(self.nvars, self.degree - 1, out)
-
-    def param_derivative(self) -> "HPoly":
-        """Coefficient-wise d/dz (moving coefficients only; constants die)."""
-        out = {}
-        for exp, c in self.coeffs.items():
-            if isinstance(c, RatFunc):
-                dc = c.derivative()
-                if dc:
-                    out[exp] = dc
-        return HPoly(self.nvars, self.degree, out)
 
     def specialize(self, z0) -> "HPoly":
         """Evaluate every moving coefficient at z = z0."""
@@ -302,11 +280,3 @@ class HPoly:
             else:
                 parts.append(body)
         return "".join(parts)
-
-
-def euler_defect(p: HPoly) -> HPoly:
-    """sum_k x_k * dP/dx_k - d*P; identically zero for homogeneous P."""
-    acc = HPoly.zero(p.nvars, p.degree)
-    for k in range(p.nvars):
-        acc = acc + HPoly.coordinate(p.nvars, k) * p.partial(k)
-    return acc - p * Fraction(p.degree)

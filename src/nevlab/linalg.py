@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .fields import GaussRat, RatFunc, ZPoly, zpoly_gcd
+from .fields import GaussRat, RatFunc, zpoly_gcd
 
 
 def _inv(s):
@@ -140,25 +140,11 @@ class RowReducer:
             self.rhs[col] = rhs
         return True
 
-    def contains(self, vec: dict) -> bool:
-        """Membership of vec in the row span (no mutation)."""
-        vec = {c: v for c, v in vec.items() if v}
-        vec, _ = clear_denominators(vec, None)
-        res, _ = self.reduce(vec)
-        return not res
-
     def solution(self) -> dict:
         """Pivot-variable values solving the fed equations (free vars = 0)."""
         if not self.track_rhs:
             raise ValueError("reducer was built without rhs tracking")
         return dict(self.rhs)
-
-
-def matrix_rank(rows: Iterable[dict]) -> int:
-    red = RowReducer()
-    for r in rows:
-        red.add(r)
-    return red.rank
 
 
 def solve_system(rows: Iterable[tuple[dict, object]]) -> Optional[dict]:

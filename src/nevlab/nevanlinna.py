@@ -29,7 +29,7 @@ import numpy as np
 
 from .bounds import compute_truncation_levels
 from .expfunc import ExpPoly, wronskian
-from .fields import GaussRat, RatFunc, ZPoly, zpoly_gcd
+from .fields import RatFunc, ZPoly, zpoly_gcd
 from .hpoly import HPoly, monomials
 from .quadrature import QuadResult, circle_average, default_target
 from .resultant import HypersurfaceFamily, is_admissible
@@ -37,7 +37,7 @@ from .zeros import Divisor, exppoly_zeros, ratfunc_divisors, zpoly_zeros
 
 __all__ = [
     "AdmissibilityError", "DegeneracyError", "EntireCurve", "as_curve",
-    "characteristic", "zeros_in_disk", "counting_function",
+    "characteristic", "counting_function",
     "log_modulus_average", "jensen_check", "wronskian",
     "DivisorBoundReport", "divisor_bound_check", "nondegeneracy_check",
     "normalize_target", "compose_target", "quotient_zeros",
@@ -59,14 +59,6 @@ class AdmissibilityError(ValueError):
 # curves
 
 
-def _as_exppoly(c) -> ExpPoly:
-    if isinstance(c, ExpPoly):
-        return c
-    if isinstance(c, ZPoly):
-        return ExpPoly.poly(c)
-    return ExpPoly.const(c)
-
-
 _SCREEN_RADII = (0.713, 1.618, 3.374)
 _SCREEN_ANGLES = 24
 
@@ -83,7 +75,10 @@ class EntireCurve:
     __slots__ = ("components",)
 
     def __init__(self, components: Iterable):
-        comps = tuple(_as_exppoly(c) for c in components)
+        comps = tuple(ExpPoly._coerce(c) for c in components)
+        if None in comps:
+            raise TypeError(f"component {comps.index(None)} is not an exponential "
+                            "polynomial, a polynomial or an exact constant")
         if len(comps) < 2:
             raise ValueError("a projective curve needs at least two components")
         if all(c.is_zero() for c in comps):
@@ -190,22 +185,6 @@ def characteristic(f: CurveLike, r: float, target: Optional[float] = None) -> fl
 
 # ---------------------------------------------------------------------------
 # divisors and counting
-
-
-def zeros_in_disk(f, r: float) -> Divisor:
-    """Divisor of zeros in |z| <= r.
-
-    Accepts a polynomial, a rational function (poles are dropped; use
-    ratfunc_divisors when both halves matter), or an exponential polynomial.
-    """
-    if isinstance(f, ZPoly):
-        return zpoly_zeros(f, r)
-    if isinstance(f, RatFunc):
-        zer, _ = ratfunc_divisors(f, r)
-        return zer
-    if isinstance(f, ExpPoly):
-        return exppoly_zeros(f, r)
-    raise TypeError(f"no zero finder for {type(f).__name__}")
 
 
 def counting_function(div: Divisor, r: float,
@@ -411,22 +390,6 @@ def nondegeneracy_check(f: CurveLike, max_degree: int = 4,
 # targets along the curve
 
 
-def _coeff_parts(c) -> tuple[ZPoly, ZPoly]:
-    if isinstance(c, RatFunc):
-        return c.num, c.den
-    if isinstance(c, ZPoly):
-        return c, ZPoly((1,))
-    return ZPoly((c,)), ZPoly((1,))
-
-
-def _scalar_inverse(c):
-    if isinstance(c, RatFunc):
-        return c.inverse()
-    if isinstance(c, GaussRat):
-        return c.inverse()
-    return Fraction(1) / Fraction(c)
-
-
 def normalize_target(qf: HPoly) -> HPoly:
     """Scale the form so one coefficient is exactly 1.
 
@@ -445,7 +408,7 @@ def normalize_target(qf: HPoly) -> HPoly:
             break
     if pick is None:
         pick = items[0][1]
-    return qf * _scalar_inverse(pick)
+    return qf * (1 / pick)
 
 
 def compose_target(qf: HPoly, f: CurveLike) -> tuple[ExpPoly, ZPoly]:
@@ -459,15 +422,14 @@ def compose_target(qf: HPoly, f: CurveLike) -> tuple[ExpPoly, ZPoly]:
     if qf.nvars != curve.n + 1:
         raise ValueError(
             f"form in {qf.nvars} variables against a curve in {curve.n + 1}")
-    items = qf.terms_desc()
-    parts = [(exp,) + _coeff_parts(c) for exp, c in items]
-    d_total = reduce(operator.mul, (den for _, _, den in parts), ZPoly((1,)))
+    parts = [(exp, RatFunc.coerce(c)) for exp, c in qf.terms_desc()]
+    d_total = reduce(operator.mul, (c.den for _, c in parts), ZPoly((1,)))
     total = ExpPoly.zero()
-    for j, (exp, num, _) in enumerate(parts):
-        cof = num
-        for k, (_, _, den) in enumerate(parts):
+    for j, (exp, c) in enumerate(parts):
+        cof = c.num
+        for k, (_, other) in enumerate(parts):
             if k != j:
-                cof = cof * den
+                cof = cof * other.den
         mono = ExpPoly.const(1)
         for i, k in enumerate(exp):
             if k:

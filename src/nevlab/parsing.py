@@ -11,7 +11,7 @@ rather than hunted for.
 from __future__ import annotations
 
 import json
-from typing import Optional, Sequence
+from typing import Optional
 
 from .expfunc import ExpPoly
 from .fields import GaussRat, RatFunc, ZPoly
@@ -86,19 +86,7 @@ def _tokenize(src: str):
     return toks
 
 
-_ONE = ZPoly((1,))
 _I = GaussRat(0, 1)
-
-
-def _ipow(v: RatFunc, k: int) -> RatFunc:
-    out = RatFunc(_ONE)
-    base = v
-    while k:
-        if k & 1:
-            out = out * base
-        base = base * base
-        k >>= 1
-    return out
 
 
 class _Parser:
@@ -158,7 +146,7 @@ class _Parser:
             if kind != "int":
                 self.fail("expected a nonnegative integer exponent")
             self.take()
-            v = _ipow(v, int(text))
+            v = v ** int(text)
         return v
 
     def atom(self) -> RatFunc:

@@ -11,8 +11,9 @@ Three layers:
                         parameter point where all subset resultants are
                         simultaneously nonzero, or the failing subset
 
-plus power_certificate: the minimal s with x_i^s * R in the degree-s graded
-piece of the ideal generated by the family, with exact cofactors.
+plus graded ideal membership with exact cofactors (ideal_membership), and
+power_certificate on top of it: the minimal s with x_i^s * R in the degree-s
+graded piece of the ideal generated by the family.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Optional, Sequence
 
-from .fields import GaussRat, PoleError, RatFunc, simplify_scalar
+from .fields import GaussRat, PoleError, simplify_scalar
 from .hpoly import HPoly, monomials
 from .linalg import det_sparse, solve_system
 
@@ -266,6 +267,48 @@ def is_admissible(fam: HypersurfaceFamily, max_points: Optional[int] = None) -> 
     raise RuntimeError(f"admissibility undecided within {tried} parameter points")
 
 
+def _combination(cofactors: Sequence[HPoly], gens: Sequence[HPoly], nvars: int,
+                 degree: int) -> HPoly:
+    """sum_j b_j * g_j, skipping zero cofactors."""
+    acc = HPoly.zero(nvars, degree)
+    for b, g in zip(cofactors, gens):
+        if not b.is_zero():
+            acc = acc + b * g
+    return acc
+
+
+def ideal_membership(p: HPoly, gens: Sequence[HPoly]) -> Optional[tuple[HPoly, ...]]:
+    """Cofactors b_j with sum_j b_j * g_j == p, in the graded piece of the
+    ideal (gens) of degree deg p; None when p is not in that piece.
+
+    Each unknown is a coefficient of some b_j; its equation column is g_j with
+    exponents shifted by the cofactor monomial, so no polynomial is multiplied.
+    A generator of degree above deg p gets the zero cofactor.  The identity is
+    re-expanded exactly before it is returned.
+    """
+    nvars, big_n = p.nvars, p.degree
+    var_of = {}
+    rows: dict[tuple, dict] = {}
+    for j, g in enumerate(gens):
+        if g.degree > big_n:
+            continue
+        for m in monomials(nvars - 1, big_n - g.degree):
+            v = var_of[(j, m)] = len(var_of)
+            for exp, c in g.coeffs.items():     # distinct exps: one entry each
+                rows.setdefault(tuple(a + b for a, b in zip(exp, m)), {})[v] = c
+    sol = solve_system((rows.get(mono, {}), p.coeffs.get(mono, Fraction(0)))
+                       for mono in monomials(nvars - 1, big_n))
+    if sol is None:
+        return None
+    cofactors = tuple(HPoly(nvars, max(big_n - g.degree, 0),
+                            {m: sol[v] for (i, m), v in var_of.items()
+                             if i == j and sol.get(v)})
+                      for j, g in enumerate(gens))
+    if _combination(cofactors, gens, nvars, big_n) != p:
+        raise ArithmeticError("membership cofactors failed re-expansion")
+    return cofactors
+
+
 @dataclass(frozen=True)
 class PowerCertificate:
     """Exact identity x_i^s * R = sum_j b_j * Q_j for the family."""
@@ -280,11 +323,7 @@ class PowerCertificate:
         nvars = self.polys[0].nvars
         lhs = HPoly.monomial(nvars, tuple(self.s if k == self.index else 0
                                           for k in range(nvars)), self.resultant)
-        acc = HPoly.zero(nvars, self.s)
-        for b, q in zip(self.cofactors, self.polys):
-            if not b.is_zero():
-                acc = acc + b * q
-        return acc == lhs
+        return _combination(self.cofactors, self.polys, nvars, self.s) == lhs
 
 
 def power_certificate(polys: Sequence[HPoly], index: int,
@@ -295,7 +334,7 @@ def power_certificate(polys: Sequence[HPoly], index: int,
     resultant (top socle degree of the complete-intersection quotient), so
     failure up to the bound signals non-admissibility.
     """
-    polys = list(polys)
+    polys = tuple(polys)
     nvars = polys[0].nvars
     n = nvars - 1
     d = polys[0].degree
@@ -308,34 +347,10 @@ def power_certificate(polys: Sequence[HPoly], index: int,
         raise NotAdmissibleError("family resultant vanishes; no certificate exists")
     s_max = (n + 1) * (d - 1) + 1
     for s in range(d, s_max + 1):
-        shifts = monomials(n, s - d)
-        var_of = {}
-        for j in range(nvars):
-            for m in shifts:
-                var_of[(j, m)] = len(var_of)
-        eq_rows: dict[tuple, dict] = {}
-        for (j, m), v in var_of.items():
-            for exp, c in polys[j].coeffs.items():
-                target = tuple(a + b for a, b in zip(exp, m))
-                row = eq_rows.setdefault(target, {})
-                row[v] = row.get(v, Fraction(0)) + c
-        target_exp = tuple(s if k == index else 0 for k in range(nvars))
-        eqs = []
-        for mono in monomials(n, s):
-            rhs = r if mono == target_exp else Fraction(0)
-            eqs.append((eq_rows.get(mono, {}), rhs))
-        sol = solve_system(eqs)
-        if sol is None:
-            continue
-        cof = []
-        for j in range(nvars):
-            coeffs = {m: sol[var_of[(j, m)]] for m in shifts
-                      if var_of[(j, m)] in sol and sol[var_of[(j, m)]]}
-            cof.append(HPoly(nvars, s - d, coeffs))
-        cert = PowerCertificate(index, s, r, tuple(cof), tuple(polys))
-        if not cert.verify():
-            raise AssertionError("certificate verification failed after solve")
-        return cert
+        lhs = HPoly.monomial(nvars, tuple(s if k == index else 0 for k in range(nvars)), r)
+        cofactors = ideal_membership(lhs, polys)
+        if cofactors is not None:
+            return PowerCertificate(index, s, r, cofactors, polys)
     raise NotAdmissibleError(
         f"no power certificate up to the Macaulay bound s={s_max}; "
         "family is not in general position")

@@ -4,6 +4,8 @@ atomic output, and the documented input formats."""
 import json
 import os
 import stat
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -110,6 +112,31 @@ def test_output_writes_into_fifo(paths, capsys):
     assert json.loads(got[0])["verified"] is True
 
 
+def test_output_keeps_file_mode(paths, capsys):
+    kept = paths["tmp"] / "kept.json"
+    kept.write_text("old")
+    kept.chmod(0o644)
+    fresh = paths["tmp"] / "fresh.json"
+    for target in (kept, fresh):
+        assert main(["resultant", paths["pair"], "-o", str(target)]) == 0
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o644
+    assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~umask
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_output_into_dev_stdout():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "nevlab.cli", "schema", "system",
+                          "-o", "/dev/stdout"], stdout=subprocess.PIPE,
+                         stderr=subprocess.PIPE, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["required"] == ["n", "polynomials"]
+
+
 def test_filtration_command(paths, capsys):
     assert main(["filtration", paths["system"], "--subset", "0",
                  "--level", "3"]) == 0
@@ -148,6 +175,14 @@ def test_exit_code_input_error(paths, capsys):
     assert main(["resultant", paths["system"]]) == 2     # wrong arity
     assert main(["filtration", paths["pair"], "--subset", "0",
                  "--level", "3"]) == 2                   # 3 not a multiple of d=2
+
+
+def test_filtration_rejects_bad_subset(paths, capsys):
+    # n = 1 and q = 3: a repeat, too many indices, an index past q, a negative one
+    for subset in ("0,0", "0,1", "5", "-1"):
+        assert main(["filtration", paths["system"], "--subset", subset,
+                     "--level", "1"]) == 2
+        assert "--subset" in capsys.readouterr().err
 
 
 def test_exit_code_math_failure(paths, capsys):

@@ -8,16 +8,37 @@ from nevlab.bounds import a_lower_bound
 from nevlab.fields import GaussRat
 from nevlab.filtration import (FiltrationTable, basis_is_independent,
                                build_filtration, construct_psi_basis,
-                               filtration_tuples, graded_ideal_dim,
-                               ideal_membership, quotient_dim,
-                               stage_span_rows, tuple_count)
+                               filtration_tuples, quotient_dim, tuple_count)
 from nevlab.hpoly import HPoly, monomials
-from nevlab.linalg import matrix_rank
+from nevlab.linalg import RowReducer
 from nevlab.resultant import HypersurfaceFamily
 
 
 def _coords(n):
     return [HPoly.coordinate(n + 1, k) for k in range(n + 1)]
+
+
+def stage_span_rows(fam, table, k):
+    """Spanning vectors of V_N^{I_k} = sum over I >= I_k of Q_J^I * V_{N-d|I|}.
+
+    Built from the definition, independently of the quotient dimensions that
+    build_filtration uses, so their rank drops are an oracle for the blocks.
+    """
+    lifted = fam.lifted()
+    gens = [lifted[j] for j in table.subset]
+    nvars = fam.n + 1
+    col_index = {m: c for c, m in enumerate(monomials(nvars - 1, table.big_n))}
+    rows = []
+    for idx in table.tuples[k:]:
+        level = table.big_n - table.d * sum(idx)
+        qpower = HPoly(nvars, 0, {(0,) * nvars: 1})
+        for g, e in zip(gens, idx):
+            if e:
+                qpower = qpower * g ** e
+        for m in monomials(nvars - 1, level):
+            p = qpower * HPoly.monomial(nvars, m)
+            rows.append({col_index[e]: c for e, c in p.coeffs.items()})
+    return rows
 
 
 def _fermat(n, d, q=None):
@@ -63,30 +84,6 @@ def test_quotient_dim_complete_intersection():
     assert quotient_dim(gens, 6) == 4
 
 
-def test_graded_dims_are_complementary():
-    x0, x1 = _coords(1)
-    gens = [x0 + x1]
-    for big_n in range(0, 6):
-        total = comb(big_n + 1, 1)
-        assert graded_ideal_dim(gens, big_n) + quotient_dim(gens, big_n) == total
-
-
-def test_ideal_membership_positive_and_negative():
-    x0, x1, x2 = _coords(2)
-    gens = [x0, x1 * x1]
-    inside = x0 * x2 + x1 * x1
-    ok, cofs = ideal_membership(inside, gens)
-    assert ok
-    acc = HPoly.zero(3, 2)
-    for cf, g in zip(cofs, gens):
-        if not cf.is_zero():
-            acc = acc + cf * g
-    assert acc == inside
-    outside = x2 * x2
-    ok, cofs = ideal_membership(outside, gens)
-    assert not ok and cofs is None
-
-
 def test_build_filtration_level_must_be_multiple():
     fam = _fermat(1, 2, q=3)
     with pytest.raises(ValueError):
@@ -110,8 +107,10 @@ def test_block_dims_equal_span_rank_drops():
     table = build_filtration(fam, (0,), 4)
     ranks = []
     for k in range(table.k_count):
-        rows, _ = stage_span_rows(fam, table, k)
-        ranks.append(matrix_rank(rows))
+        red = RowReducer()
+        for row in stage_span_rows(fam, table, k):
+            red.add(row)
+        ranks.append(red.rank)
     ranks.append(0)
     drops = [a - b for a, b in zip(ranks, ranks[1:])]
     assert drops == list(table.multiplicities)

@@ -1,0 +1,34 @@
+"""Every module-level import of the package is used by its module.
+
+Names listed in a module's __all__ count as used (re-exports); __future__
+imports and the package __init__, which exists to re-export, are exempt.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "nevlab"
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used |= {elt.value for elt in node.value.elts}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert len(modules) > 10
+    unused = {p.name: _unused_imports(ast.parse(p.read_text(), str(p))) for p in modules}
+    assert {name: names for name, names in unused.items() if names} == {}

@@ -43,6 +43,11 @@ def test_curve_needs_substance():
     EntireCurve((ONE, Z, Z * Z))                 # fine: gcd is constant
 
 
+def test_curve_rejects_unreadable_component():
+    with pytest.raises(TypeError):
+        EntireCurve((ExpPoly.const(1), RatFunc(ZPoly((1,)), ZPoly((1, 1)))))
+
+
 def test_curve_value_equality():
     a = EntireCurve((ONE, Z))
     b = EntireCurve((ZPoly((1,)), ZPoly((0, 1))))

@@ -4,12 +4,13 @@ import random
 import numpy as np
 import pytest
 
+from nevlab import resultant
 from nevlab.fields import GaussRat, RatFunc, ZPoly
 from nevlab.hpoly import HPoly, monomials
 from nevlab.resultant import (HypersurfaceFamily, NotAdmissibleError,
-                              gaussian_point_stream, is_admissible,
-                              macaulay_resultant, power_certificate,
-                              sylvester_resultant)
+                              gaussian_point_stream, ideal_membership,
+                              is_admissible, macaulay_resultant,
+                              power_certificate, sylvester_resultant)
 from nevlab.zeros import zpoly_roots
 
 
@@ -136,6 +137,44 @@ def test_power_certificate_verifies_and_detects_degeneracy():
     assert cert.s <= 2 * (2 - 1) + 1
     with pytest.raises(NotAdmissibleError):
         power_certificate([x0, x0 * 2], 0)
+
+
+def test_ideal_membership_positive_and_negative():
+    x0, x1, x2 = (HPoly.coordinate(3, k) for k in range(3))
+    gens = [x0, x1 * x1, x2 ** 3]       # mixed degrees; x2^3 lies above degree 2
+    inside = x0 * x2 + x1 * x1
+    cofs = ideal_membership(inside, gens)
+    assert cofs is not None
+    acc = HPoly.zero(3, 2)
+    for cf, g in zip(cofs, gens):
+        if not cf.is_zero():
+            acc = acc + cf * g
+    assert acc == inside
+    assert cofs[2].is_zero() and cofs[2].degree == 0
+    assert ideal_membership(x2 * x2, gens) is None
+
+
+def test_ideal_membership_failed_reexpansion_raises(monkeypatch):
+    x0, x1, x2 = (HPoly.coordinate(3, k) for k in range(3))
+    solve = resultant.solve_system
+    monkeypatch.setattr(resultant, "solve_system",
+                        lambda eqs: {v: 2 * c for v, c in solve(eqs).items()})
+    with pytest.raises(ArithmeticError):
+        ideal_membership(x0 * x2 + x1 * x1, [x0, x1 * x1])
+
+
+def test_power_certificate_over_moving_family():
+    # x0^2 + x1^2/(z+1) and x0*x1 + z*x1^2 over Q(i)(z)
+    mover = RatFunc(ZPoly((1,)), ZPoly((1, 1)))
+    p = HPoly(2, 2, {(2, 0): 1, (0, 2): mover})
+    q = HPoly(2, 2, {(1, 1): 1, (0, 2): RatFunc(ZPoly((0, 1)))})
+    n, d = 1, 2
+    for index in range(n + 1):
+        cert = power_certificate([p, q], index)
+        assert isinstance(cert.resultant, RatFunc)
+        assert not cert.resultant.is_constant()
+        assert cert.verify()
+        assert d <= cert.s <= (n + 1) * (d - 1) + 1
 
 
 def test_gaussian_point_stream_is_injective_prefix():
