@@ -6,11 +6,15 @@ sorted, exact scalars are rendered as strings, and writing with -o to a
 regular or new file goes through a temp file and os.replace so a crash never
 leaves a half-written report; the report keeps an existing file's mode, and a
 new one gets the umask's.  -o follows symlinks and writes straight into
-devices and FIFOs (/dev/stdout included), which must not be replaced.
+devices and FIFOs, which must not be replaced; a path that names standard
+output itself (/dev/stdout, even when that is redirected to a regular file)
+is written through standard output.
 
 Exit codes: 0 the computation ran (verdicts like "not admissible" are data,
 not failures), 1 a mathematical obstruction (degenerate curve, inadmissible
-family where admissibility is required, violated margin), 2 malformed input.
+family where admissibility is required, violated margin), 2 malformed input,
+3 a numerical failure (a zero-finder contour that cannot avoid a zero,
+floating-point overflow).
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .parsing import (CURVE_SCHEMA, InputError, ParseError, POLY_SCHEMA,
                       SCALAR_GRAMMAR, SYSTEM_SCHEMA, curve_from_json,
                       family_from_json, load_json_file)
 from .resultant import NotAdmissibleError, is_admissible, macaulay_resultant, power_certificate
+from .zeros import ContourThroughZero
 
 
 def _raise_digit_limit() -> None:
@@ -72,13 +77,26 @@ def _plain(obj):
     return str(obj)
 
 
+def _is_stdout(path: str) -> bool:
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):       # no such file, or stdout has no fd
+        return False
+
+
 def _emit(doc: dict, path: Optional[str]) -> None:
-    text = json.dumps(_plain(doc), indent=2, sort_keys=True) + "\n"
-    if path is None or path == "-":
+    _write(json.dumps(_plain(doc), indent=2, sort_keys=True) + "\n", path)
+
+
+def _write(text: str, path: Optional[str]) -> None:
+    # replacing the file behind standard output would drop what the shell
+    # had written to it before (>> appends)
+    if path is None or path == "-" or _is_stdout(path):
         sys.stdout.write(text)
         return
-    # stat follows links, so /dev/stdout (a link to a pipe) is written in place;
-    # realpath would turn /proc/self/fd/1 into a "pipe:[N]" non-path
+    # stat follows links, so a device or FIFO, or a link to one such as
+    # /dev/stderr, is written in place; realpath would turn /proc/self/fd/2
+    # into a "pipe:[N]" non-path
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w") as fh:
             fh.write(text)
@@ -318,7 +336,7 @@ def cmd_characteristic(args) -> int:
 
 def cmd_schema(args) -> int:
     if args.kind == "scalar":
-        sys.stdout.write(SCALAR_GRAMMAR.rstrip() + "\n")
+        _write(SCALAR_GRAMMAR.rstrip() + "\n", args.output)
         return 0
     table = {"polynomial": POLY_SCHEMA, "system": SYSTEM_SCHEMA,
              "curve": CURVE_SCHEMA}
@@ -439,6 +457,9 @@ def main(argv=None) -> int:
     except (DegeneracyError, AdmissibilityError, NotAdmissibleError) as e:
         print(f"nevlab: {e}", file=sys.stderr)
         return 1
+    except (ContourThroughZero, OverflowError) as e:    # before ArithmeticError
+        print(f"nevlab: numerical failure: {e}", file=sys.stderr)
+        return 3
     except ArithmeticError as e:          # includes violated margins
         print(f"nevlab: {e}", file=sys.stderr)
         return 1

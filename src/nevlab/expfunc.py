@@ -11,6 +11,7 @@ rate bounds) reads one cached image built here.
 from __future__ import annotations
 
 import cmath
+import math
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -19,6 +20,17 @@ from .fields import GaussRat, ZPoly, _pow_by_squaring, format_zpoly, scalar_str
 from .linalg import det_cofactor
 
 ScalarLike = Union[int, "GaussRat"]
+
+# below this exponent exp cannot overflow a double (log of its max is 709.78)
+_EXP_SAFE = 700.0
+
+
+def _log_term_bound(c: complex, coeffs, radius: float) -> float:
+    """log of a bound on |p(z) e^{cz}| over |z| <= radius."""
+    acc = 0.0
+    for a in coeffs:
+        acc = acc * radius + abs(a)
+    return abs(c) * radius + math.log(acc)
 
 
 def _freq_key(c: GaussRat):
@@ -179,6 +191,33 @@ class ExpPoly:
                 acc = acc * z + a
             total += acc * exp(c * z) if c else acc
         return total
+
+    def log_abs(self, zs: np.ndarray) -> np.ndarray:
+        """log|f| elementwise over a numpy array of points, finite wherever
+        f is nonzero: e^{cz} is never formed where it could overflow."""
+        image = self.float_image
+        if not image:
+            return np.full(zs.shape, -np.inf)
+        if len(image) == 1:
+            # log|p e^{cz}| = log|p| + Re(cz), exactly
+            (c, coeffs), = image
+            if len(coeffs) == 1:
+                out = np.full(zs.shape, math.log(abs(coeffs[0])))
+            else:
+                out = np.log(np.abs(np.polyval(coeffs, zs)))
+            if c:
+                out += c.real * zs.real - c.imag * zs.imag
+            return out
+        radius = float(np.max(np.abs(zs)))
+        if max(_log_term_bound(c, coeffs, radius) for c, coeffs in image) <= _EXP_SAFE:
+            return np.log(np.abs(self(zs)))
+        # factor out the per-point largest growth M = max_k Re(c_k z), so
+        # every exp has modulus at most 1
+        shift = np.maximum.reduce([c.real * zs.real - c.imag * zs.imag
+                                   for c, _ in image])
+        total = sum(np.polyval(coeffs, zs) * np.exp(c * zs - shift)
+                    for c, coeffs in image)
+        return shift + np.log(np.abs(total))
 
     def __eq__(self, other):
         other = self._coerce(other)

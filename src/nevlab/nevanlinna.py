@@ -9,9 +9,11 @@ truncated main inequality on a radius grid, with truncation levels taken
 from the certified bound chain and general position checked by resultants.
 
 Floats enter only through quadrature and through zero locations; divisor
-multiplicities, truncation levels, and admissibility stay exact.  Components
-are evaluated directly, so radii beyond the overflow range of exp (around
-700 for unit frequencies) are out of scope.
+multiplicities, truncation levels, and admissibility stay exact.  Circle
+integrands read log|f_i| from ExpPoly.log_abs, which never overflows, so
+the characteristic has no radius limit; the zero finder evaluates the
+components themselves and fails numerically beyond the overflow range of exp
+(around 700 for unit frequencies).
 """
 
 from __future__ import annotations
@@ -139,13 +141,13 @@ def as_curve(f: CurveLike) -> EntireCurve:
 def _log_norm_integrand(curve: EntireCurve):
     first, *rest = curve.components
 
+    # the log of the largest modulus is the largest log-modulus
     def fn(zs: np.ndarray) -> np.ndarray:
-        mags = np.abs(first(zs))
+        out = first.log_abs(zs)
         for comp in rest:
-            np.maximum(mags, np.abs(comp(zs)), out=mags)
-        return np.log(mags)
+            np.maximum(out, comp.log_abs(zs), out=out)
+        return out
 
-    fn.vectorized = True
     return fn
 
 
@@ -229,25 +231,24 @@ def _nudge_radius(r: float, pts) -> float:
     return rr
 
 
-def log_modulus_average(ev, r: float, subtract=(),
+def log_modulus_average(log_ev, r: float, subtract=(),
                         target: Optional[float] = None) -> tuple[float, bool]:
     """Mean of log|fn| over |z| = r with listed (point, mult) factors removed.
 
     Each factor (z - a)^m is divided out of the integrand and its exact mean
     m * log max(r, |a|) added back, so zeros and poles near (or on) the
-    circle cost nothing in accuracy.  ev must be an array evaluator.  Returns
-    (value, converged).
+    circle cost nothing in accuracy.  log_ev maps a numpy array of points to
+    log|fn| there, such as ExpPoly.log_abs.  Returns (value, converged).
     """
     pts = tuple(subtract)
     base = math.fsum(m * math.log(max(r, abs(a))) for a, m in pts)
 
     def g(zs: np.ndarray) -> np.ndarray:
-        out = np.log(np.abs(ev(zs)))
+        out = log_ev(zs)
         for a, m in pts:
             out -= m * np.log(np.abs(zs - a))
         return out
 
-    g.vectorized = True
     res = circle_average(g, r, target=target)
     return base + res.value, res.converged
 
@@ -271,11 +272,11 @@ def jensen_check(phi, r: float, target: Optional[float] = None) -> float:
         num = np.array([complex(a) for a in reversed(phi.num.coeffs)])
         den = np.array([complex(a) for a in reversed(phi.den.coeffs)])
 
-        def ev(zs):
-            return np.polyval(num, zs) / np.polyval(den, zs)
+        def log_ev(zs):
+            return np.log(np.abs(np.polyval(num, zs) / np.polyval(den, zs)))
     elif isinstance(phi, ExpPoly):
         zer, pol = exppoly_zeros(phi, big), None
-        ev = phi
+        log_ev = phi.log_abs
     else:
         raise TypeError(f"no divisor support for {type(phi).__name__}")
     pts = list(zer.points)
@@ -283,8 +284,8 @@ def jensen_check(phi, r: float, target: Optional[float] = None) -> float:
     if pol is not None:
         pts += [(a, -m) for a, m in pol.points]
         n_count -= counting_function(pol, r)
-    hi, _ = log_modulus_average(ev, _nudge_radius(r, pts), pts, target)
-    lo, _ = log_modulus_average(ev, _nudge_radius(1.0, pts), pts, target)
+    hi, _ = log_modulus_average(log_ev, _nudge_radius(r, pts), pts, target)
+    lo, _ = log_modulus_average(log_ev, _nudge_radius(1.0, pts), pts, target)
     return abs(n_count - (hi - lo))
 
 
@@ -695,10 +696,8 @@ def log_derivative_diagnostic(f: CurveLike, radii: Sequence[float],
     moduli = [abs(a) for a, _ in pdiv.points]
 
     def integrand(zs: np.ndarray) -> np.ndarray:
-        ratio = np.abs(w(zs)) / np.abs(prod(zs))
-        return np.log(np.maximum(ratio, 1.0))
+        return np.maximum(w.log_abs(zs) - prod.log_abs(zs), 0.0)
 
-    integrand.vectorized = True
     ratios, ok = [], True
     out_radii = []
     for r in rs:

@@ -2,6 +2,7 @@
 atomic output, and the documented input formats."""
 
 import json
+import math
 import os
 import stat
 import subprocess
@@ -125,16 +126,39 @@ def test_output_keeps_file_mode(paths, capsys):
     assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~umask
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
-def test_output_into_dev_stdout():
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+def _run_cli(args, stdout=subprocess.PIPE, cwd=None):
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-m", "nevlab.cli", "schema", "system",
-                          "-o", "/dev/stdout"], stdout=subprocess.PIPE,
-                         stderr=subprocess.PIPE, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-m", "nevlab.cli", *args], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, cwd=cwd, timeout=120)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_output_into_dev_stdout():
+    run = _run_cli(["schema", "system", "-o", "/dev/stdout"])
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout)["required"] == ["n", "polynomials"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_output_into_dev_stdout_appends_to_redirected_file(tmp_path):
+    # nevlab schema system -o /dev/stdout >> log.txt keeps what log.txt held
+    log = tmp_path / "log.txt"
+    log.write_text("line1\n")
+    with open(log, "a") as fh:
+        run = _run_cli(["schema", "system", "-o", "/dev/stdout"], stdout=fh)
+    assert run.returncode == 0, run.stderr
+    head, _, rest = log.read_text().partition("\n")
+    assert head == "line1"
+    assert json.loads(rest)["required"] == ["n", "polynomials"]
+
+
+def test_scalar_schema_honours_output(tmp_path):
+    run = _run_cli(["schema", "scalar", "-o", "out.txt"], cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == b""
+    assert (tmp_path / "out.txt").read_text().strip()
 
 
 def test_filtration_command(paths, capsys):
@@ -196,6 +220,26 @@ def test_exit_code_math_failure(paths, capsys):
     }))
     assert main(["certificate", str(degen), "--index", "0"]) == 1
     assert "resultant" in capsys.readouterr().err
+
+
+def test_exit_code_numerical_failure(paths, capsys, monkeypatch):
+    from nevlab import nevanlinna
+    from nevlab.zeros import ContourThroughZero
+
+    for err in (ContourThroughZero("contour hit a zero"),
+                OverflowError("math range error")):
+        def fail(*args, **kwargs):
+            raise err
+        monkeypatch.setattr(nevanlinna, "exppoly_zeros", fail)
+        assert main(["smt", paths["curve"], paths["system"], "--rmin", "10",
+                     "--rmax", "20", "--steps", "2"]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+
+def test_characteristic_past_the_overflow_radius(paths, capsys):
+    assert main(["characteristic", paths["curve"], "--radii", "700,800"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert all(isinstance(v, float) and math.isfinite(v) for v in doc["values"])
 
 
 def test_schema_commands(paths, capsys):

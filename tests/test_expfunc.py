@@ -131,3 +131,29 @@ def test_wronskian_generic_ring():
     one = RatFunc(ZPoly((1,)))
     w = wronskian([one / z, z])
     assert w == 2 / z                  # det [[1/z, z], [-1/z^2, 1]]
+
+
+def test_log_abs_matches_direct_log_modulus():
+    z = ExpPoly.var()
+    cases = (ExpPoly.const(1), z * z + 1, ExpPoly.exp(GaussRat(1, 2)),
+             z * ExpPoly.exp(-1), ExpPoly.exp(1) - 2 * z)
+    # radii off the zeros of z^2 + 1 and z e^{-z}
+    zs = np.concatenate([r * np.exp(2j * np.pi * (np.arange(64) + 0.3) / 64)
+                         for r in (0.5, 3.0, 17.0, 50.0)])
+    for f in cases:
+        direct = np.log(np.abs(f(zs)))
+        got = f.log_abs(zs)
+        assert got.shape == zs.shape
+        assert np.all(np.abs(got - direct) <= 1e-12 * (1 + np.abs(direct))), f
+
+
+def test_log_abs_past_the_overflow_radius():
+    mpmath = pytest.importorskip("mpmath")
+    f = ExpPoly.exp(1) - 2 * ExpPoly.var()         # e^z - 2z
+    zs = 800.0 * np.exp(2j * np.pi * (np.arange(32) + 0.25) / 32)
+    got = f.log_abs(zs)
+    assert np.all(np.isfinite(got))
+    for z0, v in zip(zs, got):
+        z0 = mpmath.mpc(z0)
+        assert float(mpmath.log(abs(mpmath.exp(z0) - 2 * z0))) == pytest.approx(v, rel=1e-12)
+    assert np.all(ExpPoly.zero().log_abs(zs) == -np.inf)

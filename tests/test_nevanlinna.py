@@ -4,6 +4,7 @@ target (1e-9) except where a genuine transcendental estimate is involved.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -74,12 +75,27 @@ def test_characteristic_exponential_growth():
         assert abs(characteristic(fe, r) - r / math.pi) < 1.0
 
 
+def test_characteristic_beyond_the_overflow_radius():
+    # T(r) = (r - 1)/pi for (1 : e^z); the kinks at +-i r cost the two largest
+    # radii the sample cap, with an error near 1e-8 and a warning
+    fe = _exp_curve()
+    for r in (800.0, 2e3, 1e4):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            t = characteristic(fe, r)
+        assert t == pytest.approx((r - 1) / math.pi, rel=1e-6)
+    assert characteristic(fe, 800.0) == pytest.approx(799 / math.pi, abs=1e-9)
+
+
 def test_characteristic_normalization_and_domain():
     assert characteristic(_exp_curve(), 1.0) == 0.0
     with pytest.raises(ValueError):
         characteristic(_exp_curve(), 0.5)
     const = EntireCurve((ONE, ZPoly((GaussRat(2, 1),))))
     assert abs(characteristic(const, 9.0)) < 1e-12
+    # a zero component adds nothing to the norm, wherever it stands
+    padded = EntireCurve((ExpPoly.zero(), ExpPoly.const(1), ExpPoly.exp(1)))
+    assert characteristic(padded, 10.0) == pytest.approx(9 / math.pi, abs=1e-9)
 
 
 def test_characteristic_scaling_invariance():
