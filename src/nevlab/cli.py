@@ -250,6 +250,13 @@ def cmd_wronskian(args) -> int:
 
 
 def cmd_defects(args) -> int:
+    # the radius grid starts at max(2, sqrt(rmax)), so rmax below 2 has none
+    if not 2.0 <= args.rmax < math.inf:
+        raise InputError(f"--rmax must be a finite number >= 2, got {args.rmax}")
+    if args.grid < 1:
+        raise InputError(f"--grid must be a positive integer, got {args.grid}")
+    if args.level is not None and args.level < 1:
+        raise InputError(f"--level must be a positive integer, got {args.level}")
     curve = _load_curve(args.curve)
     fam = _load_family(args.system)
     if fam.n != curve.n:
@@ -307,7 +314,9 @@ def cmd_smt(args) -> int:
         raise InputError(
             f"system lives in dimension {fam.n} but the curve maps into {curve.n}")
     eps = _parse_fraction(args.eps)
-    if args.rmin <= 1.0 or args.rmax <= args.rmin or args.steps < 2:
+    if eps <= 0:
+        raise InputError(f"--eps must be positive, got {args.eps}")
+    if not 1.0 < args.rmin < args.rmax < math.inf or args.steps < 2:
         raise InputError("need 1 < rmin < rmax and at least 2 steps")
     radii = [float(r) for r in np.linspace(args.rmin, args.rmax, args.steps)]
     rep = smt_verify(curve, fam.polys, eps, radii,

@@ -10,6 +10,16 @@ quadtree of boxes until each surviving box isolates one zero cluster, then
 multiplicity-aware Newton polish.  The disk winding number equals the sum of
 located multiplicities or the computation refuses the radius.
 
+Each contour is first walked as arrays: f, f' and the noise floor at every
+sampling point and segment midpoint in one call each, and the segment test of
+the scalar walk applied to all segments at once; only the segments that test
+rejects are refined point by point.  A box of winding count 1 larger than the
+tolerance tries a Newton exit: plain Newton from its centre, accepted only
+when it converges inside the box and the square of side tol centred at the
+limit lies in the box with winding count 1, which certifies one simple zero
+within tol of the reported point, as a quadtree leaf would.  Otherwise the box
+is subdivided as before; boxes holding two or more zeros always are.
+
 Zeros within 1e-12 (relative) of the boundary circle: the radius is nudged
 outward by that amount and the divisor is flagged, so boundary zeros count
 as inside deterministically.
@@ -31,7 +41,9 @@ BOUNDARY_BAND = 1e-12
 
 
 class ContourThroughZero(ArithmeticError):
-    """A contour walk hit a (near-)zero of the function; retry jiggled."""
+    """The argument-principle computation broke down: a contour walk hit a
+    (near-)zero of the function, or the located zeros do not add up to the
+    winding count."""
 
 
 @dataclass(frozen=True)
@@ -141,20 +153,21 @@ def phase_noise_floor(f):
 
     The sum of term magnitudes bounds the rounding perturbation of the computed
     value, so a winding accepted with |f| above this floor everywhere on the
-    contour counts zeros of the true function (Rouche), not of the noise.
+    contour counts zeros of the true function (Rouche), not of the noise.  The
+    returned evaluator takes a complex point or a numpy array of them.
     """
     if isinstance(f, ExpPoly):
         image = f.float_image
 
-        def floor(z: complex) -> float:
+        def floor(z):
             s = 0.0
-            az = abs(z)
+            az = np.abs(z)
             for c, coeffs in image:
                 t, pw = 0.0, 1.0
                 for a in reversed(coeffs):
                     t += abs(a) * pw
                     pw *= az
-                s += math.exp(min((c * z).real, 700.0)) * t
+                s += np.exp(np.minimum((c * z).real, 700.0)) * t
             return 1024 * _EPS * s
 
         return floor
@@ -162,14 +175,15 @@ def phase_noise_floor(f):
 
 
 def _local_rate(f):
-    """Pointwise |f'/f| evaluator, or None when f has no derivative method."""
+    """Pointwise |f'/f| evaluator (scalars or arrays), or None when f has no
+    derivative method."""
     deriv = getattr(f, "derivative", None)
     if deriv is None:
         return None
     df = deriv()
 
-    def rate_at(z: complex, fz: complex) -> float:
-        return abs(df(z)) / abs(fz)
+    def rate_at(z, fz):
+        return np.abs(df(z)) / np.abs(fz)
 
     return rate_at
 
@@ -209,38 +223,76 @@ def _arg_walk(f, a: complex, b: complex, fa: complex, fb: complex,
             + _arg_walk(f, mid, b, fm, fb, midfn, floor, ratefn, depth + 1))
 
 
-def _contour_winding(f, vertices: list[complex], rate: float,
+def _contour_points(vertices, rate: float, midfn) -> np.ndarray:
+    """The closed contour's sampling points, in order, as one array.
+
+    Each edge is halved through midfn until it has at least
+    |b - a| * rate / 0.5 pieces, so no piece can hide a full phase turn.
+    """
+    a = np.asarray(vertices, dtype=complex)
+    b = np.roll(a, -1)
+    steps = np.maximum(1.0, np.ceil(np.abs(b - a) * rate / 0.5))
+    halvings = np.frexp(steps - 1.0)[1]       # least k with 2^k >= steps
+    pieces = [None] * len(a)
+    for k in np.unique(halvings):
+        idx = np.flatnonzero(halvings == k)
+        sub, end = a[idx, None], b[idx, None]
+        for _ in range(k):
+            right = np.concatenate((sub[:, 1:], end), axis=1)
+            nxt = np.empty((len(idx), 2 * sub.shape[1]), dtype=complex)
+            nxt[:, 0::2] = sub
+            nxt[:, 1::2] = midfn(sub, right)
+            sub = nxt
+        for i, row in zip(idx, sub):
+            pieces[i] = row
+    return np.concatenate(pieces)
+
+
+def _contour_winding(f, vertices, rate: float,
                      midfn=_chord_mid, floor=None) -> int:
     """Winding number of f over the closed contour through vertices.
 
     rate is an upper bound for |(log f)'| away from zeros, used to pick the
     initial sampling so no segment can hide a full phase turn.  Refinement
     between consecutive vertices goes through midfn, so a circular contour is
-    walked along the true arc.
+    walked along the true arc.  f, floor and midfn take numpy arrays: the
+    first pass evaluates every sampling point and segment midpoint at once and
+    applies _arg_walk's depth-0 test to all segments together; only segments
+    it rejects are walked point by point, from their halves on.
     """
     if floor is None:
         floor = phase_noise_floor(f)
     ratefn = _local_rate(f)
-    pts: list[complex] = []
-    k = len(vertices)
-    for i in range(k):
-        a, b = vertices[i], vertices[(i + 1) % k]
-        steps = max(1, math.ceil(abs(b - a) * rate / 0.5))
-        sub = [a]
-        while len(sub) < steps:
-            nxt = []
-            for j in range(len(sub)):
-                nxt.append(sub[j])
-                right = sub[j + 1] if j + 1 < len(sub) else b
-                nxt.append(midfn(sub[j], right))
-            sub = nxt
-        pts.extend(sub)
-    vals = [f(z) for z in pts]
-    total = 0.0
-    for i in range(len(pts)):
-        j = (i + 1) % len(pts)
-        total += _arg_walk(f, pts[i], pts[j], vals[i], vals[j], midfn, floor,
-                           ratefn)
+    pts = _contour_points(vertices, rate, midfn)
+    nxt = np.roll(pts, -1)
+    mid = midfn(pts, nxt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals, fmid = f(pts), f(mid)
+    for zs, fz in ((pts, vals), (mid, fmid)):
+        bad = ~np.isfinite(fz)
+        if bad.any():
+            # as cmath.exp in the scalar walk would
+            raise OverflowError(f"math range error on contour near {zs[bad.argmax()]}")
+        bad = np.abs(fz) <= floor(zs)
+        if bad.any():
+            raise ContourThroughZero(
+                f"|f| below noise on contour near {zs[bad.argmax()]}")
+    fnxt = np.roll(vals, -1)
+    delta = np.angle(fnxt / vals)
+    d1 = np.angle(fmid / vals)
+    d2 = np.angle(fnxt / fmid)
+    ok = ((np.abs(delta) < 1.0) & (np.abs(d1) < 1.0) & (np.abs(d2) < 1.0)
+          & (np.abs(d1 + d2 - delta) < 1e-9))
+    if ratefn is not None:
+        rates = ratefn(pts, vals)
+        worst = np.maximum(np.maximum(rates, ratefn(mid, fmid)), np.roll(rates, -1))
+        ok &= np.abs(nxt - pts) * worst <= 1.0
+    total = float(delta[ok].sum())
+    for i in np.flatnonzero(~ok):
+        a, m, b = complex(pts[i]), complex(mid[i]), complex(nxt[i])
+        fa, fm, fb = complex(vals[i]), complex(fmid[i]), complex(fnxt[i])
+        total += (_arg_walk(f, a, m, fa, fm, midfn, floor, ratefn, 1)
+                  + _arg_walk(f, m, b, fm, fb, midfn, floor, ratefn, 1))
     w = total / (2 * math.pi)
     wi = round(w)
     if abs(w - wi) > 0.25:
@@ -259,11 +311,15 @@ def phase_rate_bound(f) -> float:
 
 
 def disk_winding(f, r: float, rate: float = None) -> int:
-    """Zero count (with multiplicity) of f in |z| < r by the argument principle."""
+    """Zero count (with multiplicity) of f in |z| < r by the argument principle.
+
+    f must evaluate elementwise over a numpy array of points (an ExpPoly,
+    np.exp, a polynomial lambda) as well as at a single complex point.
+    """
     if rate is None:
         rate = phase_rate_bound(f)
     samples = max(64, math.ceil(2 * math.pi * r * rate / 0.5))
-    verts = [r * cmath.exp(2j * math.pi * k / samples) for k in range(samples)]
+    verts = r * np.exp(2j * np.pi * np.arange(samples) / samples)
 
     def arc_mid(a: complex, b: complex) -> complex:
         c = (a + b) / 2
@@ -277,7 +333,38 @@ def _box_winding(f, x0: float, x1: float, y0: float, y1: float, rate: float = 4.
     return _contour_winding(f, verts, rate)
 
 
-def _subdivide(f, x0, x1, y0, y1, count, tol, found, rate, depth=0):
+def _newton_exit(f, df, x0, x1, y0, y1, tol, rate) -> Optional[complex]:
+    """The simple zero of a box of winding count 1, or None.
+
+    Plain Newton from the box centre must converge inside the box, and the
+    square of side tol centred at its limit must lie in the box and have
+    winding count 1.  That square then holds the box's one zero, so the limit
+    is within tol of it, as a quadtree leaf's centre would be.
+    """
+    x = complex((x0 + x1) / 2, (y0 + y1) / 2)
+    for _ in range(40):
+        dfx = df(x)
+        if dfx == 0:
+            return None
+        step = f(x) / dfx
+        x -= step
+        if not (x0 <= x.real <= x1 and y0 <= x.imag <= y1):
+            return None
+        if abs(step) <= 1e-15 * max(1.0, abs(x)):
+            break
+    else:
+        return None
+    h = tol / 2
+    sx0, sx1, sy0, sy1 = x.real - h, x.real + h, x.imag - h, x.imag + h
+    if not (x0 <= sx0 and sx1 <= x1 and y0 <= sy0 and sy1 <= y1):
+        return None
+    try:
+        return x if _box_winding(f, sx0, sx1, sy0, sy1, rate) == 1 else None
+    except ContourThroughZero:
+        return None
+
+
+def _subdivide(f, df, x0, x1, y0, y1, count, tol, found, rate, depth=0):
     if count == 0:
         return
     w, h = x1 - x0, y1 - y0
@@ -285,6 +372,11 @@ def _subdivide(f, x0, x1, y0, y1, count, tol, found, rate, depth=0):
     if max(w, h) <= tol or depth > 64:
         found.append((center, count))
         return
+    if count == 1:
+        z = _newton_exit(f, df, x0, x1, y0, y1, tol, rate)
+        if z is not None:
+            found.append((z, 1))
+            return
     if count >= 2 and max(w, h) <= 3e-8 * (1 + abs(center)):
         # below sqrt(eps) a multiple zero cannot be told from a tight pair in
         # double precision; a "successful" split here is sampling luck
@@ -304,7 +396,7 @@ def _subdivide(f, x0, x1, y0, y1, count, tol, found, rate, depth=0):
         if sum(winds) != count:
             continue
         for qd, wq in zip(quads, winds):
-            _subdivide(f, *qd, wq, tol, found, rate, depth + 1)
+            _subdivide(f, df, *qd, wq, tol, found, rate, depth + 1)
         return
     if max(w, h) <= 1e-5 * (1 + abs(center)):
         # double-precision cancellation floor: below this scale the phase of
@@ -376,7 +468,7 @@ def exppoly_zeros(f: ExpPoly, r: float, tol: float = None) -> Divisor:
         try:
             count = _box_winding(f, -pad, pad, -pad, pad, rate)
             found = []
-            _subdivide(f, -pad, pad, -pad, pad, count, tol, found, rate)
+            _subdivide(f, df, -pad, pad, -pad, pad, count, tol, found, rate)
             break
         except ContourThroughZero:
             continue
@@ -389,6 +481,6 @@ def exppoly_zeros(f: ExpPoly, r: float, tol: float = None) -> Divisor:
             pts.append((z, mult))
     got = sum(m for _, m in pts)
     if got != total:
-        raise ArithmeticError(
+        raise ContourThroughZero(
             f"located {got} zeros but the disk winding number is {total}")
     return Divisor(points=tuple(pts), r=r, boundary_nudged=nudged)

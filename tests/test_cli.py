@@ -201,6 +201,23 @@ def test_exit_code_input_error(paths, capsys):
                  "--level", "3"]) == 2                   # 3 not a multiple of d=2
 
 
+@pytest.mark.parametrize("cmd, extra", [
+    ("defects", ["--rmax", "0"]),
+    ("defects", ["--rmax", "-5"]),
+    ("defects", ["--rmax", "1.5"]),
+    ("defects", ["--rmax", "nan"]),
+    ("defects", ["--grid", "0"]),
+    ("defects", ["--level", "0"]),
+    ("defects", ["--level", "-1"]),
+    ("smt", ["--eps", "0"]),
+    ("smt", ["--eps=-1/2"]),
+    ("smt", ["--rmax", "nan"]),
+])
+def test_malformed_numbers_are_input_errors(paths, capsys, cmd, extra):
+    assert main([cmd, paths["curve"], paths["system"], *extra]) == 2
+    assert "nevlab: input error" in capsys.readouterr().err
+
+
 def test_filtration_rejects_bad_subset(paths, capsys):
     # n = 1 and q = 3: a repeat, too many indices, an index past q, a negative one
     for subset in ("0,0", "0,1", "5", "-1"):
@@ -234,6 +251,29 @@ def test_exit_code_numerical_failure(paths, capsys, monkeypatch):
         assert main(["smt", paths["curve"], paths["system"], "--rmin", "10",
                      "--rmax", "20", "--steps", "2"]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+def test_zero_count_mismatch_is_numerical_failure(paths, capsys, monkeypatch):
+    from nevlab import zeros
+    from nevlab.expfunc import ExpPoly
+
+    polish = zeros._polish_cluster
+    pushed = []
+
+    def push_one_out(f, df, z, mult, box_tol):
+        z = polish(f, df, z, mult, box_tol)
+        if not pushed:
+            pushed.append(z)
+            z += 1e6                          # outside every disk in play
+        return z
+
+    monkeypatch.setattr(zeros, "_polish_cluster", push_one_out)
+    with pytest.raises(zeros.ContourThroughZero, match="located"):
+        zeros.exppoly_zeros(ExpPoly.exp(1) - 1, 7.0)
+    pushed.clear()
+    assert main(["smt", paths["curve"], paths["system"], "--rmin", "10",
+                 "--rmax", "20", "--steps", "2"]) == 3
+    assert "numerical failure: located" in capsys.readouterr().err
 
 
 def test_characteristic_past_the_overflow_radius(paths, capsys):

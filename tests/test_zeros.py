@@ -3,9 +3,12 @@ argument-principle walks for exponential sums."""
 
 import cmath
 import math
+import warnings
 
+import numpy as np
 import pytest
 
+from nevlab import zeros
 from nevlab.expfunc import ExpPoly
 from nevlab.fields import GaussRat, RatFunc, ZPoly
 from nevlab.zeros import (Divisor, disk_winding, exppoly_zeros,
@@ -56,9 +59,26 @@ def test_ratfunc_divisors_split_zeros_and_poles():
 
 def test_disk_winding_counts_zeros():
     assert disk_winding(lambda z: z ** 3, 1.5) == 3
-    assert disk_winding(lambda z: cmath.exp(z), 4.0) == 0
+    assert disk_winding(np.exp, 4.0) == 0
     assert disk_winding(lambda z: z - 2, 1.0) == 0
     assert disk_winding(lambda z: z - 2, 3.0) == 1
+
+
+def _dense_box_winding(f, x0, x1, y0, y1, per_edge=4000):
+    corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
+    pts = [a + (b - a) * k / per_edge
+           for a, b in zip(corners, corners[1:] + corners[:1]) for k in range(per_edge)]
+    vals = [f(z) for z in pts]
+    turn = sum(cmath.phase(vals[(i + 1) % len(vals)] / vals[i]) for i in range(len(vals)))
+    return round(turn / (2 * math.pi))
+
+
+@pytest.mark.parametrize("box", [(-1.0, 1.0, -1.0, 1.0), (-0.3, 0.9, 0.5, 2.0),
+                                 (-2.5, 2.5, -8.0, 8.0), (0.1, 3.0, -3.3, 4.1)])
+def test_array_box_winding_matches_dense_scalar_walk(box):
+    f = ExpPoly.exp(1) - ExpPoly.var()        # zeros 0.318 +- 1.337i, 2.06 +- 7.59i, ...
+    assert zeros._box_winding(f, *box, zeros.phase_rate_bound(f)) == \
+        _dense_box_winding(f, *box)
 
 
 def test_exppoly_zeros_of_shifted_exponential():
@@ -87,3 +107,68 @@ def test_exppoly_zeros_polynomial_route():
     div = exppoly_zeros(f, 3.0)
     assert div.total() == 2
     assert {round(p.real) for p, _ in div.points} == {-1, 1}
+
+
+def _same_divisor(a, b, tol=1e-9):
+    assert a.total() == b.total() and len(a) == len(b)
+    for point, m in a.points:
+        near = min(b.points, key=lambda q: abs(q[0] - point))
+        assert near[1] == m and abs(near[0] - point) <= tol
+
+
+REFERENCE_CASES = [(ExpPoly.exp(1) + 1, 50.0),
+                   (ExpPoly.exp(1) - ExpPoly.var(), 30.0),
+                   (ExpPoly.var() + 10 + ExpPoly.var() * ExpPoly.exp(1), 50.0)]
+
+
+@pytest.mark.parametrize("f, r", REFERENCE_CASES)
+def test_newton_exit_matches_full_quadtree(f, r, monkeypatch):
+    fast = exppoly_zeros(f, r)
+    monkeypatch.setattr(zeros, "_newton_exit", lambda *args: None)
+    _same_divisor(fast, exppoly_zeros(f, r))
+
+
+def test_refused_newton_certificate_falls_back_to_subdivision(monkeypatch):
+    f, r = ExpPoly.exp(1) + 1, 20.0
+    tol = 1e-10 * r
+    monkeypatch.setattr(zeros, "_newton_exit", lambda *args: None)
+    reference = exppoly_zeros(f, r)
+    monkeypatch.undo()
+    box_winding = zeros._box_winding
+    refused = []
+
+    def no_certificate(f, x0, x1, y0, y1, rate=4.0):
+        if math.isclose(x1 - x0, tol, rel_tol=1e-6):
+            refused.append((x0, y0))
+            raise zeros.ContourThroughZero("certificate refused")
+        return box_winding(f, x0, x1, y0, y1, rate)
+
+    monkeypatch.setattr(zeros, "_box_winding", no_certificate)
+    _same_divisor(exppoly_zeros(f, r), reference)
+    assert len(refused) >= reference.total()
+
+
+@pytest.mark.parametrize("r", [7.0, 50.0, 300.0])
+def test_exp_minus_one_closed_form_count(r):
+    div = exppoly_zeros(ExpPoly.exp(1) - 1, r)
+    assert div.total() == 2 * math.floor(r / (2 * math.pi)) + 1
+    for point, m in div.points:
+        k = round(point.imag / (2 * math.pi))
+        assert m == 1 and abs(point - 2j * math.pi * k) < 1e-9 * r
+
+
+def test_double_zeros_keep_multiplicity():
+    div = exppoly_zeros((ExpPoly.exp(1) - 1) ** 2, 20.0)
+    assert len(div) == 7
+    ks = sorted(round(point.imag / (2 * math.pi)) for point, _ in div.points)
+    assert ks == list(range(-3, 4))
+    for point, m in div.points:
+        k = round(point.imag / (2 * math.pi))
+        assert m == 2 and abs(point - 2j * math.pi * k) < 1e-6
+
+
+def test_contour_overflow_is_a_range_error_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="math range error"):
+            exppoly_zeros(ExpPoly.exp(1) + 1, 720.0)
