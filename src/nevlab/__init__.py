@@ -10,10 +10,10 @@ Nevanlinna functionals with the main-inequality harness (nevanlinna).
 from .fields import GaussRat, RatFunc, ZPoly, zpoly_gcd
 from .hpoly import HPoly, monomials
 from .expfunc import ExpPoly, wronskian
-from .resultant import (AdmissibilityReport, HypersurfaceFamily,
-                        NotAdmissibleError, PowerCertificate, is_admissible,
-                        macaulay_resultant, power_certificate,
-                        sylvester_resultant)
+from .resultant import (AdmissibilityReport, AdmissibilityUndecided,
+                        HypersurfaceFamily, NotAdmissibleError,
+                        PowerCertificate, is_admissible, macaulay_resultant,
+                        power_certificate, sylvester_resultant)
 from .filtration import (FiltrationTable, PsiBasis, basis_is_independent,
                          build_filtration, construct_psi_basis,
                          filtration_tuples, quotient_dim, tuple_count)
@@ -37,7 +37,8 @@ __all__ = [
     "GaussRat", "RatFunc", "ZPoly", "zpoly_gcd",
     "HPoly", "monomials",
     "ExpPoly",
-    "AdmissibilityReport", "HypersurfaceFamily", "NotAdmissibleError",
+    "AdmissibilityReport", "AdmissibilityUndecided", "HypersurfaceFamily",
+    "NotAdmissibleError",
     "PowerCertificate", "is_admissible", "macaulay_resultant",
     "power_certificate", "sylvester_resultant",
     "FiltrationTable", "PsiBasis", "basis_is_independent", "build_filtration",

@@ -14,7 +14,8 @@ Exit codes: 0 the computation ran (verdicts like "not admissible" are data,
 not failures), 1 a mathematical obstruction (degenerate curve, inadmissible
 family where admissibility is required, violated margin), 2 malformed input,
 3 a numerical failure (a zero-finder contour that cannot avoid a zero,
-floating-point overflow).
+floating-point overflow) or an undecided exact computation (an admissibility
+search capped by --max-points, a Macaulay minor vanishing in every frame).
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ from .nevanlinna import (AdmissibilityError, DegeneracyError, characteristic,
 from .parsing import (CURVE_SCHEMA, InputError, ParseError, POLY_SCHEMA,
                       SCALAR_GRAMMAR, SYSTEM_SCHEMA, curve_from_json,
                       family_from_json, load_json_file)
-from .resultant import NotAdmissibleError, is_admissible, macaulay_resultant, power_certificate
+from .resultant import (AdmissibilityUndecided, DegenerateResultantError, NotAdmissibleError,
+                        is_admissible, macaulay_resultant, power_certificate)
 from .zeros import ContourThroughZero
 
 
@@ -166,6 +168,8 @@ def cmd_resultant(args) -> int:
 
 
 def cmd_admissible(args) -> int:
+    if args.max_points is not None and args.max_points < 1:
+        raise InputError(f"--max-points must be a positive integer, got {args.max_points}")
     fam = _load_family(args.system)
     rep = is_admissible(fam, max_points=args.max_points)
     doc = {"tool": "admissible", "version": __version__,
@@ -187,6 +191,7 @@ def cmd_certificate(args) -> int:
            "n": fam.n, "index": cert.index, "power": cert.s,
            "resultant": cert.resultant,
            "cofactor_terms": [len(c.coeffs) for c in cert.cofactors],
+           "rank_paths": cert.rank_paths,
            "verified": cert.verify()}, args.output)
     return 0
 
@@ -207,7 +212,7 @@ def cmd_filtration(args) -> int:
            "subset": table.subset, "tuples": table.tuples,
            "multiplicities": table.multiplicities,
            "m_total": table.m_total, "block_count": table.k_count,
-           "a_constant": table.a_constant,
+           "a_constant": table.a_constant, "rank_paths": table.rank_paths,
            "a_lower_bound": a_lower_bound(table.n, table.d, table.big_n)}, args.output)
     return 0
 
@@ -390,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("admissible", cmd_admissible, "general-position check for a family")
     sp.add_argument("system")
     sp.add_argument("--max-points", type=int, default=None,
-                    help="cap on specialization attempts per subset")
+                    help="cap (>= 1) on parameter points tried; exit 3 when no verdict "
+                         "is proved within it")
 
     sp = add("certificate", cmd_certificate,
              "express a power of one coordinate inside the ideal of the family")
@@ -469,12 +475,11 @@ def main(argv=None) -> int:
     except (ContourThroughZero, OverflowError) as e:    # before ArithmeticError
         print(f"nevlab: numerical failure: {e}", file=sys.stderr)
         return 3
+    except (AdmissibilityUndecided, DegenerateResultantError) as e:
+        print(f"nevlab: undecided: {e}", file=sys.stderr)
+        return 3
     except ArithmeticError as e:          # includes violated margins
         print(f"nevlab: {e}", file=sys.stderr)
-        return 1
-    except AssertionError:
-        print("nevlab: internal invariant violated (is the family admissible?)",
-              file=sys.stderr)
         return 1
 
 

@@ -6,7 +6,9 @@ by the n-tuples I with |I| <= N/d in ascending lexicographic order; the block
 multiplicities m_k are complete-intersection quotient dimensions, their
 weighted sum A = sum_k m_k i_sk is independent of the coordinate s, and the
 psi basis realizes the blocks as Q_J^{I_k}-multiples of greedy monomial
-representatives.
+representatives.  Quotient dimensions and the independence check of a psi
+basis take certified modular ranks with exact fallback (linalg); the greedy
+basis itself is found by exact elimination.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
 
-from .hpoly import HPoly, monomials
-from .linalg import RowReducer
-from .resultant import HypersurfaceFamily
+from .hpoly import HPoly, monomial_index, monomials
+from .linalg import RankPaths, RowReducer, certified_rank
+from .resultant import HypersurfaceFamily, complete_intersection_rank, ideal_rows
 
 
 def tuple_count(big_n: int, d: int, n: int) -> int:
@@ -39,27 +41,25 @@ def tuple_count(big_n: int, d: int, n: int) -> int:
     return total
 
 
-def _poly_vector(p: HPoly, col_index: dict) -> dict:
-    return {col_index[e]: c for e, c in p.coeffs.items()}
+def quotient_dim(gens: Sequence[HPoly], big_n: int, paths: Optional[list] = None) -> int:
+    """dim V_N / (gens) cap V_N, by certified modular rank with exact fallback.
 
-
-def _ideal_reducer(gens: Sequence[HPoly], big_n: int):
-    """Row reducer fed the degree-N piece of the ideal (g_1,...,g_k), and the
-    column index of each degree-N monomial."""
+    With at most nvars generators the complete-intersection rank bounds the
+    rank of the ideal's degree-N piece, and a modular rank reaching it is
+    exact; that is the case for admissible families, where the dimension is
+    tuple_count.  Otherwise (an inadmissible subset, more generators, or a
+    short modular rank) exact elimination decides.  `paths`, when given,
+    gets True appended when the modular rank decided and False otherwise.
+    """
     nvars = gens[0].nvars
-    col_index = {m: k for k, m in enumerate(monomials(nvars - 1, big_n))}
-    red = RowReducer()
-    for g in gens:
-        if g.degree <= big_n:
-            for m in monomials(nvars - 1, big_n - g.degree):
-                red.add(_poly_vector(HPoly.monomial(nvars, m) * g, col_index))
-    return red, col_index
-
-
-def quotient_dim(gens: Sequence[HPoly], big_n: int) -> int:
-    """dim V_N / (gens) cap V_N; equals tuple_count for admissible families."""
-    red, col_index = _ideal_reducer(gens, big_n)
-    return len(col_index) - red.rank
+    rows = ideal_rows(gens, big_n)[1]
+    bound = len(rows)
+    if len(gens) <= nvars:
+        bound = complete_intersection_rank([g.degree for g in gens], nvars, big_n)
+    rank, modular = certified_rank(rows, bound)
+    if paths is not None:
+        paths.append(modular)
+    return len(monomials(nvars - 1, big_n)) - rank
 
 
 def filtration_tuples(t: int, n: int) -> tuple[tuple, ...]:
@@ -80,6 +80,7 @@ class FiltrationTable:
     tuples: tuple[tuple, ...]
     multiplicities: tuple[int, ...]
     a_constant: int
+    rank_paths: RankPaths        # one quotient dimension per distinct level
 
     @property
     def k_count(self) -> int:
@@ -99,8 +100,11 @@ def build_filtration(fam: HypersurfaceFamily, subset: Sequence[int], big_n: int)
     """Filtration table for the n-subset `subset` (0-based indices) at level N.
 
     Requires d | N where d is the family's common degree.  The family is
-    assumed admissible (multiplicities are quotient dimensions of a regular
-    sequence; inadmissible input surfaces as a failed A-consistency check).
+    assumed admissible, so that multiplicities are quotient dimensions of a
+    regular sequence.  An inadmissible subset is not detected here: its
+    multiplicities are the larger exact quotient dimensions, and A stays
+    coordinate-independent because m_k depends on |I_k| alone.  Check
+    admissibility with resultant.is_admissible.
     """
     n = fam.n
     subset = tuple(subset)
@@ -113,19 +117,23 @@ def build_filtration(fam: HypersurfaceFamily, subset: Sequence[int], big_n: int)
     t = big_n // d
     tuples = filtration_tuples(t, n)
     if len(tuples) != comb(t + n, n):
-        raise AssertionError("tuple enumeration does not match C(N/d+n, n)")
+        raise ArithmeticError("tuple enumeration does not match C(N/d+n, n) "
+                              "(is the family admissible?)")
     dims_by_level: dict[int, int] = {}
+    paths: list = []
     mults = []
     for idx in tuples:
         level = big_n - d * sum(idx)
         if level not in dims_by_level:
-            dims_by_level[level] = quotient_dim(gens, level)
+            dims_by_level[level] = quotient_dim(gens, level, paths)
         mults.append(dims_by_level[level])
     a_by_coord = [sum(m * idx[s] for m, idx in zip(mults, tuples)) for s in range(n)]
     if len(set(a_by_coord)) != 1:
-        raise AssertionError(f"A is coordinate-dependent: {a_by_coord}")
+        raise ArithmeticError(f"A is coordinate-dependent: {a_by_coord} "
+                              "(is the family admissible?)")
     return FiltrationTable(n=n, d=d, big_n=big_n, subset=subset, tuples=tuples,
-                           multiplicities=tuple(mults), a_constant=a_by_coord[0])
+                           multiplicities=tuple(mults), a_constant=a_by_coord[0],
+                           rank_paths=RankPaths.count(paths))
 
 
 @dataclass(frozen=True)
@@ -158,7 +166,10 @@ def construct_psi_basis(fam: HypersurfaceFamily, subset: Sequence[int], big_n: i
     facts = []
     for k, (idx, mk) in enumerate(zip(table.tuples, table.multiplicities)):
         level = table.big_n - d * sum(idx)
-        red, col_index = _ideal_reducer(gens, level)
+        red = RowReducer()
+        for row in ideal_rows(gens, level)[1]:
+            red.add(row)
+        col_index = monomial_index(nvars - 1, level)
         qpower = HPoly(nvars, 0, {(0,) * nvars: 1})
         for g, e in zip(gens, idx):
             if e:
@@ -172,20 +183,19 @@ def construct_psi_basis(fam: HypersurfaceFamily, subset: Sequence[int], big_n: i
                 facts.append((k, m))
                 taken += 1
         if taken != mk:
-            raise AssertionError(f"block {k} found {taken} representatives, expected {mk}")
+            raise ArithmeticError(f"block {k} found {taken} representatives, expected {mk} "
+                                  "(is the family admissible?)")
     basis = PsiBasis(table=table, polys=tuple(psis), factorizations=tuple(facts))
     for s in range(table.n):
         if basis.exponent_sum(s) != table.a_constant:
-            raise AssertionError("psi exponent sum disagrees with A")
+            raise ArithmeticError("psi exponent sum disagrees with A "
+                                  "(is the family admissible?)")
     return basis
 
 
 def basis_is_independent(basis: PsiBasis) -> bool:
-    """Exact rank check: the M psi polynomials are linearly independent."""
-    nvars = basis.polys[0].nvars
-    col_index = {m: k for k, m in enumerate(monomials(nvars - 1, basis.table.big_n))}
-    red = RowReducer()
-    for p in basis.polys:
-        if not red.add(_poly_vector(p, col_index)):
-            return False
-    return True
+    """The M psi polynomials are linearly independent: certified modular rank
+    M (M rows have rank at most M), exact fallback."""
+    col_index = monomial_index(basis.polys[0].nvars - 1, basis.table.big_n)
+    rows = [{col_index[e]: c for e, c in p.coeffs.items()} for p in basis.polys]
+    return certified_rank(rows, len(rows))[0] == len(rows)

@@ -36,6 +36,13 @@ def monomials(n: int, d: int) -> tuple[ExponentTuple, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def monomial_index(n: int, d: int) -> dict:
+    """Position of each exponent tuple in monomials(n, d); callers must not
+    mutate the shared dict."""
+    return {m: k for k, m in enumerate(monomials(n, d))}
+
+
 def _is_scalar(x) -> bool:
     return isinstance(x, (int, Fraction, GaussRat, RatFunc))
 

@@ -1,16 +1,23 @@
-"""Exact sparse linear algebra over the scalar tower.
+"""Exact sparse linear algebra over the scalar tower, and certified modular ranks.
 
 Vectors are dicts {column index: nonzero scalar}; matrices are lists of such
 rows.  Everything is exact: elimination divides by pivots, and division in
 Fraction/GaussRat/RatFunc is exact with canonical results.  Rows carrying
 rational-function entries are scaled by a common denominator first, so the
 bulk of the elimination runs on polynomial numerators.
+
+`certified_rank` answers a rank question whose answer is bounded above by a
+known value without exact arithmetic when it can: reduced modulo a prime,
+with i and z sent to fixed residues, a matrix can only lose rank, so a
+modular rank that reaches the upper bound is the exact rank.  When it falls
+short on both primes of `MODULI`, exact elimination decides.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .fields import GaussRat, RatFunc, zpoly_gcd
 
@@ -234,3 +241,137 @@ def det_cofactor(mat):
         z = mat[0][0]
         return z - z
     return total
+
+
+# Two primes p = 1 (mod 4), each with a square root of -1 mod p (the image of
+# i) and a fixed residue (the image of z), tried in this order.
+MODULI = ((2305843009213693921, 583529827753931384, 1234567891011),
+          (2305843009213693693, 966685122347009555, 1098765432101))
+
+
+def _mod_p(s, p: int, i: int, z0: int) -> Optional[int]:
+    """Image of an exact scalar under Q(i)(z) -> GF(p), i -> i, z -> z0.
+
+    None when a denominator vanishes there: the scalar lies outside the local
+    ring on which that map is a ring homomorphism.
+    """
+    if isinstance(s, RatFunc):
+        num, den = (_horner_mod_p(f.coeffs, p, i, z0) for f in (s.num, s.den))
+        if num is None or not den:
+            return None
+        return num * pow(den, -1, p) % p
+    if isinstance(s, GaussRat):
+        re, im = _mod_p(s.re, p, i, z0), _mod_p(s.im, p, i, z0)
+        if re is None or im is None:
+            return None
+        return (re + i * im) % p
+    s = Fraction(s)
+    den = s.denominator % p
+    return s.numerator * pow(den, -1, p) % p if den else None
+
+
+def _horner_mod_p(coeffs, p: int, i: int, z0: int) -> Optional[int]:
+    acc = 0
+    for c in reversed(coeffs):
+        v = _mod_p(c, p, i, z0)
+        if v is None:
+            return None
+        acc = (acc * z0 + v) % p
+    return acc
+
+
+def _rows_mod_p(rows: Sequence[dict], p: int, i: int, z0: int) -> Optional[list]:
+    """The rows' images mod p, or None when some entry has no image.
+
+    Rows built by shifting exponents share their scalar objects, so each
+    distinct object is reduced once.
+    """
+    seen: dict = {}
+    out = []
+    for row in rows:
+        image = {}
+        for c, v in row.items():
+            m = seen.get(id(v), -1)
+            if m == -1:
+                m = seen[id(v)] = _mod_p(v, p, i, z0)
+                if m is None:
+                    return None
+            if m:
+                image[c] = m
+        out.append(image)
+    return out
+
+
+def _rank_mod_p(rows: list, p: int, bound: int) -> int:
+    """Rank over GF(p) of integer rows (consumed), stopping once it reaches bound.
+
+    Each stored pivot row starts at its pivot column, so an incoming row is
+    reduced by clearing its smallest column until that column is new.
+    """
+    pivots: dict = {}
+    for row in rows:
+        while row:
+            col = min(row)
+            prow = pivots.get(col)
+            if prow is None:
+                inv = pow(row[col], -1, p)
+                pivots[col] = {c: v * inv % p for c, v in row.items()}
+                if len(pivots) >= bound:
+                    return len(pivots)
+                break
+            f = row.pop(col)
+            for c, v in prow.items():
+                if c != col:
+                    nv = (row.get(c, 0) - f * v) % p
+                    if nv:
+                        row[c] = nv
+                    else:
+                        row.pop(c, None)
+    return len(pivots)
+
+
+def modular_rank_reaches(rows: Sequence[dict], bound: int) -> bool:
+    """True when the rows' rank modulo some prime of MODULI reaches `bound`.
+
+    Send i and z to the prime's residues.  On the ring of elements of Q(i)(z)
+    whose denominators do not vanish there, that is a ring homomorphism onto
+    GF(p), and it maps every vanishing minor to zero, so when every entry lies
+    in that ring the rank mod p is at most the exact rank.  A caller that
+    knows the exact rank is at most `bound` thus knows it equals `bound` when
+    this returns True.  A prime at which some entry has no image is skipped;
+    False proves nothing.
+    """
+    for p, i, z0 in MODULI:
+        image = _rows_mod_p(rows, p, i, z0)
+        if image is not None and _rank_mod_p(image, p, bound) >= bound:
+            return True
+    return False
+
+
+def certified_rank(rows: Sequence[dict], bound: int) -> tuple[int, bool]:
+    """Exact rank of `rows`, given an upper bound on it.
+
+    Certified modular rank, exact fallback: (bound, True) when a modular rank
+    reaches the bound, else the rank from exact elimination and False.  The
+    caller is responsible for `bound` being an upper bound.
+    """
+    if modular_rank_reaches(rows, bound):
+        return bound, True
+    red = RowReducer()
+    for row in rows:
+        red.add(row)
+    return red.rank, False
+
+
+@dataclass(frozen=True)
+class RankPaths:
+    """How many ranks a certified modular rank decided, and how many exact
+    elimination (or, for resultants, exact evaluation) decided."""
+
+    modular: int
+    exact: int
+
+    @staticmethod
+    def count(modular_flags: Sequence[bool]) -> "RankPaths":
+        decided = sum(modular_flags)
+        return RankPaths(decided, len(modular_flags) - decided)

@@ -7,13 +7,16 @@ Three layers:
                         det(M)/det(M''), built at critical degree
                         t = (n+1)(d-1)+1; normalized so res(x_0^d,...,x_n^d)=1
   is_admissible         every (n+1)-subset of a family has resultant not
-                        identically zero, decided exactly; returns a witness
-                        parameter point where all subset resultants are
-                        simultaneously nonzero, or the failing subset
+                        identically zero, decided by certified modular rank
+                        with exact fallback; returns a witness parameter point
+                        where all subset resultants are simultaneously
+                        nonzero, or the failing subset
 
-plus graded ideal membership with exact cofactors (ideal_membership), and
-power_certificate on top of it: the minimal s with x_i^s * R in the degree-s
-graded piece of the ideal generated by the family.
+plus the rows of a graded piece of an ideal (ideal_rows) and the
+complete-intersection bound on their rank, graded ideal membership with exact
+cofactors (ideal_membership), and power_certificate on top of it: the minimal
+s with x_i^s * R in the degree-s graded piece of the ideal generated by the
+family.
 """
 
 from __future__ import annotations
@@ -22,16 +25,20 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from typing import Optional, Sequence
 
 from .fields import GaussRat, PoleError, simplify_scalar
-from .hpoly import HPoly, monomials
-from .linalg import det_sparse, solve_system
+from .hpoly import HPoly, monomial_index, monomials
+from .linalg import RankPaths, det_sparse, modular_rank_reaches, solve_system
 
 
 class DegenerateResultantError(RuntimeError):
     """Macaulay numerator and minor both vanish after all retries."""
+
+
+class AdmissibilityUndecided(RuntimeError):
+    """A capped admissibility search ended before any verdict was proved."""
 
 
 class NotAdmissibleError(ValueError):
@@ -63,26 +70,32 @@ def sylvester_resultant(p: HPoly, q: HPoly):
     return simplify_scalar(det_sparse(rows, size))
 
 
-def _macaulay_dets(polys: Sequence[HPoly], d: int):
-    """det(M) and det(M'') of the Macaulay construction at critical degree."""
-    nvars = polys[0].nvars
-    n = nvars - 1
+def _macaulay_matrix(polys: Sequence[HPoly], d: int):
+    """Rows of the Macaulay matrix M at critical degree, and the indices of
+    its non-reduced monomials, which index the rows and columns of M''."""
+    n = polys[0].nvars - 1
     t = (n + 1) * (d - 1) + 1
     cols = monomials(n, t)
-    col_index = {m: k for k, m in enumerate(cols)}
-    reduced = {}
+    col_index = monomial_index(n, t)
     rows = []
-    for gamma in cols:
+    nr = []
+    for pos, gamma in enumerate(cols):
         i = next(k for k, e in enumerate(gamma) if e >= d)
-        reduced[gamma] = sum(1 for e in gamma if e >= d) == 1
+        if sum(1 for e in gamma if e >= d) > 1:
+            nr.append(pos)
         shift = gamma[:i] + (gamma[i] - d,) + gamma[i + 1:]
         row = {}
         for exp, c in polys[i].coeffs.items():
             target = tuple(a + b for a, b in zip(exp, shift))
             row[col_index[target]] = c
         rows.append(row)
-    det_m = det_sparse(rows, len(cols))
-    nr = [k for k, m in enumerate(cols) if not reduced[m]]
+    return rows, nr
+
+
+def _macaulay_dets(polys: Sequence[HPoly], d: int):
+    """det(M) and det(M'') of the Macaulay construction at critical degree."""
+    rows, nr = _macaulay_matrix(polys, d)
+    det_m = det_sparse(rows, len(rows))
     nr_index = {k: j for j, k in enumerate(nr)}
     sub_rows = []
     for k in nr:
@@ -179,6 +192,7 @@ class AdmissibilityReport:
     failing_subset: Optional[tuple[int, ...]]
     subsets_checked: int
     points_tried: int
+    rank_paths: RankPaths        # one resultant nonvanishing test per subset and point
 
 
 def gaussian_point_stream():
@@ -207,6 +221,19 @@ def _subset_zero_budget(lifted: Sequence[HPoly], subset: tuple[int, ...], d: int
     return d ** n * total_h + 1
 
 
+def _resultant_nonzero(polys: Sequence[HPoly], paths: list) -> bool:
+    """Res(polys) != 0, by certified modular rank with exact fallback.
+
+    det(M) = Res * det(M'') for the Macaulay matrix M, so M of full rank mod p
+    proves Res != 0; otherwise the exact resultant decides.  Appends to
+    `paths` whether the modular rank decided.
+    """
+    rows, _ = _macaulay_matrix(polys, polys[0].degree)
+    modular = modular_rank_reaches(rows, len(rows))
+    paths.append(modular)
+    return modular or bool(macaulay_resultant(polys))
+
+
 def is_admissible(fam: HypersurfaceFamily, max_points: Optional[int] = None) -> AdmissibilityReport:
     """Exact general-position verdict for the family.
 
@@ -214,7 +241,10 @@ def is_admissible(fam: HypersurfaceFamily, max_points: Optional[int] = None) -> 
     field) not identically zero.  Moving coefficients are decided by
     specialization at a deterministic stream of parameter points: one nonzero
     value proves nonvanishing, while more distinct vanishing points than the
-    subset's zero budget proves identical vanishing.
+    subset's zero budget proves identical vanishing.  Each nonvanishing test
+    is a certified modular rank with exact fallback (`_resultant_nonzero`);
+    the report counts which decided.  A `max_points` cap below what a verdict
+    needs raises AdmissibilityUndecided.
     """
     n = fam.n
     if fam.q < n + 1:
@@ -226,15 +256,15 @@ def is_admissible(fam: HypersurfaceFamily, max_points: Optional[int] = None) -> 
     fixed_subsets = [s for s in subsets if not any(lifted[j].is_moving() for j in s)]
     moving_subsets = [s for s in subsets if any(lifted[j].is_moving() for j in s)]
 
-    fixed_values = {}
+    paths: list = []
     for s in fixed_subsets:
-        r = macaulay_resultant([lifted[j].specialize(0) for j in s])
-        fixed_values[s] = r
-        if not r:
-            return AdmissibilityReport(False, None, s, len(subsets), 0)
+        if not _resultant_nonzero([lifted[j].specialize(0) for j in s], paths):
+            return AdmissibilityReport(False, None, s, len(subsets), 0,
+                                       RankPaths.count(paths))
 
     if not moving_subsets:
-        return AdmissibilityReport(True, GaussRat(0), None, len(subsets), 1)
+        return AdmissibilityReport(True, GaussRat(0), None, len(subsets), 1,
+                                   RankPaths.count(paths))
 
     budgets = {s: _subset_zero_budget(lifted, s, d, n) for s in moving_subsets}
     if max_points is None:
@@ -253,18 +283,20 @@ def is_admissible(fam: HypersurfaceFamily, max_points: Optional[int] = None) -> 
         tried += 1
         all_good = True
         for s in moving_subsets:
-            r = macaulay_resultant([specialized[j] for j in s])
-            if r:
+            if _resultant_nonzero([specialized[j] for j in s], paths):
                 nonzero_seen[s] = True
             else:
                 all_good = False
                 zero_counts[s] += 1
                 if zero_counts[s] > budgets[s] and not nonzero_seen[s]:
-                    return AdmissibilityReport(False, None, s, len(subsets), tried)
+                    return AdmissibilityReport(False, None, s, len(subsets), tried,
+                                               RankPaths.count(paths))
         if all_good:
-            return AdmissibilityReport(True, z0, None, len(subsets), tried)
+            return AdmissibilityReport(True, z0, None, len(subsets), tried,
+                                       RankPaths.count(paths))
     # only reachable when the caller capped max_points below the zero budget
-    raise RuntimeError(f"admissibility undecided within {tried} parameter points")
+    raise AdmissibilityUndecided(
+        f"admissibility undecided within {tried} parameter points")
 
 
 def _combination(cofactors: Sequence[HPoly], gens: Sequence[HPoly], nvars: int,
@@ -277,31 +309,64 @@ def _combination(cofactors: Sequence[HPoly], gens: Sequence[HPoly], nvars: int,
     return acc
 
 
-def ideal_membership(p: HPoly, gens: Sequence[HPoly]) -> Optional[tuple[HPoly, ...]]:
-    """Cofactors b_j with sum_j b_j * g_j == p, in the graded piece of the
-    ideal (gens) of degree deg p; None when p is not in that piece.
+def ideal_rows(gens: Sequence[HPoly], big_n: int) -> tuple[list, list]:
+    """The degree-N piece of the ideal (gens) as sparse rows.
 
-    Each unknown is a coefficient of some b_j; its equation column is g_j with
-    exponents shifted by the cofactor monomial, so no polynomial is multiplied.
-    A generator of degree above deg p gets the zero cofactor.  The identity is
-    re-expanded exactly before it is returned.
+    One row per generator g_j of degree at most N and monomial m of degree
+    N - deg g_j, in that order: the coefficients of m * g_j by column index in
+    monomials(nvars - 1, N).  A row is g_j with exponents shifted by m, so no
+    polynomial is multiplied.  Returns (labels, rows) with labels[k] = (j, m).
     """
-    nvars, big_n = p.nvars, p.degree
-    var_of = {}
-    rows: dict[tuple, dict] = {}
+    nvars = gens[0].nvars
+    col_index = monomial_index(nvars - 1, big_n)
+    labels, rows = [], []
     for j, g in enumerate(gens):
         if g.degree > big_n:
             continue
         for m in monomials(nvars - 1, big_n - g.degree):
-            v = var_of[(j, m)] = len(var_of)
-            for exp, c in g.coeffs.items():     # distinct exps: one entry each
-                rows.setdefault(tuple(a + b for a, b in zip(exp, m)), {})[v] = c
-    sol = solve_system((rows.get(mono, {}), p.coeffs.get(mono, Fraction(0)))
-                       for mono in monomials(nvars - 1, big_n))
+            labels.append((j, m))
+            rows.append({col_index[tuple(a + b for a, b in zip(exp, m))]: c
+                         for exp, c in g.coeffs.items()})
+    return labels, rows
+
+
+def complete_intersection_rank(degrees: Sequence[int], nvars: int, big_n: int) -> int:
+    """dim V_N minus the coefficient of t^N in prod_j (1 - t^d_j) / (1 - t)^nvars.
+
+    The rank of the degree-N piece of an ideal generated by a regular
+    sequence of forms of degrees d_j.  For at most nvars forms it bounds that
+    rank from above for any forms of these degrees over a field of
+    characteristic 0: the rank of the coefficient matrix is lower
+    semicontinuous in the forms' coefficients, and generic forms are a
+    regular sequence (Cox, Little & O'Shea, Using Algebraic Geometry, ch. 3).
+    """
+    series = [comb(m + nvars - 1, nvars - 1) for m in range(big_n + 1)]
+    for d in degrees:
+        for m in range(big_n, d - 1, -1):
+            series[m] -= series[m - d]
+    return comb(big_n + nvars - 1, nvars - 1) - series[big_n]
+
+
+def ideal_membership(p: HPoly, gens: Sequence[HPoly]) -> Optional[tuple[HPoly, ...]]:
+    """Cofactors b_j with sum_j b_j * g_j == p, in the graded piece of the
+    ideal (gens) of degree deg p; None when p is not in that piece.
+
+    Each unknown is a coefficient of some b_j, and the equations are the
+    columns of `ideal_rows`.  A generator of degree above deg p gets the zero
+    cofactor.  The identity is re-expanded exactly before it is returned.
+    """
+    nvars, big_n = p.nvars, p.degree
+    labels, rows = ideal_rows(gens, big_n)
+    cols = monomials(nvars - 1, big_n)
+    eqs: list[dict] = [{} for _ in cols]
+    for v, row in enumerate(rows):
+        for col, c in row.items():
+            eqs[col][v] = c
+    sol = solve_system((eq, p.coeffs.get(mono, Fraction(0))) for eq, mono in zip(eqs, cols))
     if sol is None:
         return None
     cofactors = tuple(HPoly(nvars, max(big_n - g.degree, 0),
-                            {m: sol[v] for (i, m), v in var_of.items()
+                            {m: sol[v] for v, (i, m) in enumerate(labels)
                              if i == j and sol.get(v)})
                       for j, g in enumerate(gens))
     if _combination(cofactors, gens, nvars, big_n) != p:
@@ -318,6 +383,7 @@ class PowerCertificate:
     resultant: object
     cofactors: tuple[HPoly, ...]
     polys: tuple[HPoly, ...]
+    rank_paths: RankPaths        # one membership decision per level tried
 
     def verify(self) -> bool:
         nvars = self.polys[0].nvars
@@ -332,7 +398,11 @@ def power_certificate(polys: Sequence[HPoly], index: int,
 
     The bound s <= (n+1)(d-1)+1 always suffices for families with nonzero
     resultant (top socle degree of the complete-intersection quotient), so
-    failure up to the bound signals non-admissibility.
+    failure up to the bound signals non-admissibility.  A level is ruled out
+    by certified modular rank when the piece's rows and x_index^s reach the
+    complete-intersection rank plus one mod p: the piece then has that rank
+    exactly and x_index^s lies outside it.  Any other level runs the exact
+    `ideal_membership`, which alone produces the cofactors.
     """
     polys = tuple(polys)
     nvars = polys[0].nvars
@@ -346,11 +416,18 @@ def power_certificate(polys: Sequence[HPoly], index: int,
     if not r:
         raise NotAdmissibleError("family resultant vanishes; no certificate exists")
     s_max = (n + 1) * (d - 1) + 1
+    paths: list = []
     for s in range(d, s_max + 1):
-        lhs = HPoly.monomial(nvars, tuple(s if k == index else 0 for k in range(nvars)), r)
-        cofactors = ideal_membership(lhs, polys)
+        power = tuple(s if k == index else 0 for k in range(nvars))
+        rows = ideal_rows(polys, s)[1] + [{monomial_index(n, s)[power]: 1}]
+        bound = complete_intersection_rank((d,) * nvars, nvars, s) + 1
+        if modular_rank_reaches(rows, bound):
+            paths.append(True)
+            continue
+        paths.append(False)
+        cofactors = ideal_membership(HPoly.monomial(nvars, power, r), polys)
         if cofactors is not None:
-            return PowerCertificate(index, s, r, cofactors, polys)
+            return PowerCertificate(index, s, r, cofactors, polys, RankPaths.count(paths))
     raise NotAdmissibleError(
         f"no power certificate up to the Macaulay bound s={s_max}; "
         "family is not in general position")

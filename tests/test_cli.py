@@ -168,6 +168,29 @@ def test_filtration_command(paths, capsys):
     assert doc["m_total"] == 4
     assert doc["multiplicities"] == [1, 1, 1, 1]
     assert doc["a_constant"] == 6
+    assert doc["rank_paths"] == {"modular": 4, "exact": 0}
+
+
+def test_reports_say_which_path_decided_each_rank(paths, capsys):
+    assert main(["admissible", paths["system"]]) == 0
+    assert json.loads(capsys.readouterr().out)["rank_paths"] == {"modular": 3, "exact": 0}
+    assert main(["certificate", paths["pair"], "--index", "0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verified"] is True
+    assert doc["rank_paths"] == {"modular": doc["power"] - 2, "exact": 1}
+    # Q_0 and Q_1 share the factor x0 + x1: above level 2 the certificate
+    # fails and exact elimination gives the larger quotient dimensions
+    shared = paths["tmp"] / "shared.json"
+    shared.write_text(json.dumps({"n": 2, "polynomials": [
+        {"degree": 2, "terms": [{"exp": [1, 0, 1], "coef": "-1"}, {"exp": [2, 0, 0], "coef": "1"},
+                                {"exp": [1, 1, 0], "coef": "1"}, {"exp": [0, 1, 1], "coef": "-1"}]},
+        {"degree": 2, "terms": [{"exp": [1, 1, 0], "coef": "1"}, {"exp": [1, 0, 1], "coef": "1"},
+                                {"exp": [0, 2, 0], "coef": "1"}, {"exp": [0, 1, 1], "coef": "1"}]},
+        {"degree": 2, "terms": [{"exp": [0, 0, 2], "coef": "1"}]}]}))
+    assert main(["filtration", str(shared), "--subset", "0,1", "--level", "6"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["rank_paths"] == {"modular": 2, "exact": 2}
+    assert doc["multiplicities"][0] == 8           # tuple_count(6, 2, 2) is 4
 
 
 def test_jensen_command(paths, capsys):
@@ -293,6 +316,37 @@ def test_selftest_subset(paths, capsys):
     out = capsys.readouterr().out
     assert "PASS" in out and "1/1" in out
     assert main(["selftest", "--only", "nope"]) == 2
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_admissible_rejects_nonpositive_max_points(paths, capsys, cap):
+    assert main(["admissible", paths["system"], "--max-points", cap]) == 2
+    assert "--max-points" in capsys.readouterr().err
+
+
+def test_undecided_admissibility_exits_3(paths, capsys):
+    moving = paths["tmp"] / "moving.json"
+    moving.write_text(json.dumps({"n": 1, "polynomials": [
+        {"degree": 1, "terms": [{"exp": [1, 0], "coef": "1"}]},
+        {"degree": 1, "terms": [{"exp": [0, 1], "coef": "1"}]},
+        {"degree": 1, "terms": [{"exp": [1, 0], "coef": "1"},
+                                {"exp": [0, 1], "coef": "z"}]}]}))
+    assert main(["admissible", str(moving), "--max-points", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err == "nevlab: undecided: admissibility undecided within 1 parameter points\n"
+    assert main(["admissible", str(moving), "--max-points", "2"]) == 0
+
+
+def test_degenerate_resultant_exits_3(paths, capsys, monkeypatch):
+    from nevlab import cli
+    from nevlab.resultant import DegenerateResultantError
+
+    def degenerate(*args, **kwargs):
+        raise DegenerateResultantError("Macaulay minor vanished in 5 random coordinate frames")
+    monkeypatch.setattr(cli, "macaulay_resultant", degenerate)
+    assert main(["resultant", paths["pair"]]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("nevlab: undecided: Macaulay minor") and err.count("\n") == 1
 
 
 def test_bad_json_positioned(paths, capsys):

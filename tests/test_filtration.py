@@ -1,17 +1,23 @@
 import itertools
-from fractions import Fraction
+import os
+import random
+import subprocess
+import sys
 from math import comb
 
 import pytest
 
+from nevlab import linalg
 from nevlab.bounds import a_lower_bound
-from nevlab.fields import GaussRat
-from nevlab.filtration import (FiltrationTable, basis_is_independent,
-                               build_filtration, construct_psi_basis,
-                               filtration_tuples, quotient_dim, tuple_count)
+from nevlab.fields import GaussRat, RatFunc, ZPoly
+from nevlab.filtration import (basis_is_independent, build_filtration,
+                               construct_psi_basis, filtration_tuples,
+                               quotient_dim, tuple_count)
 from nevlab.hpoly import HPoly, monomials
-from nevlab.linalg import RowReducer
+from nevlab.linalg import RankPaths, RowReducer
 from nevlab.resultant import HypersurfaceFamily
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _coords(n):
@@ -132,3 +138,115 @@ def test_a_constant_subset_independent():
     a_values = {build_filtration(fam, s, 3).a_constant
                 for s in ((0, 1), (1, 2), (0, 2))}
     assert len(a_values) == 1
+
+
+def _rand_form(rng, nvars, d, mover=None):
+    coeffs = {}
+    for e in monomials(nvars - 1, d):
+        c = GaussRat(rng.randint(-3, 3), rng.randint(-2, 2))
+        if c:
+            coeffs[e] = c
+    if mover is not None:
+        coeffs[rng.choice(monomials(nvars - 1, d))] = mover
+    return HPoly(nvars, d, coeffs)
+
+
+def _seeded_gens(seed):
+    """n random forms of degree d in n + 1 variables, fixed and moving."""
+    rng = random.Random(seed)
+    out = []
+    for n, d, moving in ((1, 3, False), (2, 2, False), (1, 2, True), (1, 3, True)):
+        gens = []
+        for j in range(n):
+            mover = None
+            if moving and j == 0:
+                mover = RatFunc(ZPoly((rng.randint(1, 3),)), ZPoly((rng.randint(1, 5), 1)))
+            gens.append(_rand_form(rng, n + 1, d, mover))
+        out.append((n, d, gens))
+    return out
+
+
+def test_modular_quotient_dim_matches_exact(monkeypatch):
+    for n, d, gens in _seeded_gens(71):
+        paths = []
+        modular = [quotient_dim(gens, big_n, paths) for big_n in range(10)]
+        assert paths == [True] * 10
+        assert modular == [tuple_count(big_n, d, n) for big_n in range(10)]
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "MODULI", ())      # no prime: exact elimination
+            paths = []
+            exact = [quotient_dim(gens, big_n, paths) for big_n in range(10)]
+        assert paths == [False] * 10
+        assert modular == exact
+
+
+def _shared_factor_family():
+    # Q_0 and Q_1 share the factor x0 + x1, so (Q_0, Q_1) is no regular sequence
+    x0, x1, x2 = (HPoly.coordinate(3, k) for k in range(3))
+    common = x0 + x1
+    return HypersurfaceFamily(2, [common * (x0 - x2), common * (x1 + x2), x2 * x2])
+
+
+def test_inadmissible_subset_falls_back_to_exact():
+    fam = _shared_factor_family()
+    gens = list(fam.lifted()[:2])
+    for big_n, modular in ((2, True), (3, False), (6, False)):
+        paths = []
+        got = quotient_dim(gens, big_n, paths)
+        assert paths == [modular]
+        red = RowReducer()
+        for m in monomials(2, big_n - 2):
+            for g in gens:
+                red.add({k: c for k, c in enumerate(
+                    (HPoly.monomial(3, m) * g).coeffs.get(e, 0)
+                    for e in monomials(2, big_n)) if c})
+        assert got == comb(big_n + 2, 2) - red.rank
+    assert quotient_dim(gens, 6) > tuple_count(6, 2, 2)
+    table = build_filtration(fam, (0, 1), 6)
+    assert table.rank_paths == RankPaths(modular=2, exact=2)
+    assert table.multiplicities[0] > tuple_count(6, 2, 2)
+
+
+def _pole_family():
+    # over Q(i)(z) the pair spans x0^2 and x1^2; mod 5 at z = 3 both forms
+    # reduce to x0^2 + x1^2
+    x0, x1 = HPoly.coordinate(3, 0), HPoly.coordinate(3, 1)
+    mover = RatFunc(ZPoly((1,)), ZPoly((3, 1)))          # 1/(z + 3)
+    return [x0 * x0 + x1 * x1 * mover, x0 * x0 + x1 * x1 * 6]
+
+
+def test_unusable_first_modulus_retries_then_falls_back(monkeypatch):
+    gens = _pole_family()
+    want = [tuple_count(big_n, 2, 2) for big_n in range(7)]
+    (p1, i1, _), good = linalg.MODULI
+    pole = (p1, i1, p1 - 3)               # z0 = -3 is the pole of 1/(z + 3)
+    unlucky = (5, 2, 3)
+    for moduli, modular in (((pole, good), True), ((unlucky, good), True),
+                            ((pole, unlucky), False)):
+        monkeypatch.setattr(linalg, "MODULI", moduli)
+        paths = []
+        assert [quotient_dim(gens, big_n, paths) for big_n in range(7)] == want
+        assert paths[2:] == [modular] * 5
+
+
+def test_fallback_needs_no_assert():
+    # the certificate and its fallback hold with assert statements stripped
+    code = (
+        "import sys\n"
+        "from nevlab import linalg\n"
+        "from nevlab.fields import RatFunc, ZPoly\n"
+        "from nevlab.filtration import quotient_dim\n"
+        "from nevlab.hpoly import HPoly\n"
+        "x0, x1 = HPoly.coordinate(3, 0), HPoly.coordinate(3, 1)\n"
+        "mover = RatFunc(ZPoly((1,)), ZPoly((3, 1)))\n"
+        "gens = [x0 * x0 + x1 * x1 * mover, x0 * x0 + x1 * x1 * 6]\n"
+        "p1, i1, _ = linalg.MODULI[0]\n"
+        "linalg.MODULI = ((p1, i1, p1 - 3), (5, 2, 3))\n"
+        "paths = []\n"
+        "print(sys.flags.optimize, [quotient_dim(gens, n, paths) for n in range(7)], paths)\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    want = [tuple_count(big_n, 2, 2) for big_n in range(7)]
+    assert run.stdout.split("\n")[0] == f"1 {want} {[True, True] + [False] * 5}"

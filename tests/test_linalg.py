@@ -4,9 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nevlab import linalg
 from nevlab.fields import GaussRat, RatFunc, ZPoly
-from nevlab.linalg import (Inconsistent, RowReducer, clear_denominators,
-                           det_cofactor, det_sparse, solve_system)
+from nevlab.linalg import (Inconsistent, RankPaths, RowReducer, certified_rank,
+                           clear_denominators, det_cofactor, det_sparse,
+                           modular_rank_reaches, solve_system)
 
 
 def _rand_matrix(rng, k):
@@ -112,3 +114,79 @@ def test_reducer_over_gaussian_scalars():
     red.add({0: i, 1: GaussRat(1)})
     assert not red.add({0: GaussRat(-1), 1: i})           # i * first row
     assert red.rank == 1
+
+
+def _exact_rank(rows):
+    red = RowReducer()
+    for row in rows:
+        red.add(row)
+    return red.rank
+
+
+def _rand_tower_rows(rng, k, cols):
+    """Rows over Q(i)(z) mixing Fractions, GaussRats and rational functions,
+    with rank deficits from repeated combinations of earlier rows."""
+    rows = []
+    for _ in range(k):
+        if rows and rng.random() < 0.3:
+            a, b = rng.sample(range(len(rows)), 2) if len(rows) > 1 else (0, 0)
+            f = GaussRat(rng.randint(-3, 3), rng.randint(-3, 3))
+            row = dict(rows[a])
+            for c, v in rows[b].items():
+                row[c] = row.get(c, Fraction(0)) + f * v
+            rows.append({c: v for c, v in row.items() if v})
+            continue
+        row = {}
+        for c in range(cols):
+            kind = rng.randrange(4)
+            if kind == 0:
+                continue
+            if kind == 1:
+                row[c] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            elif kind == 2:
+                row[c] = GaussRat(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                                  rng.randint(-2, 2))
+            else:
+                row[c] = RatFunc(ZPoly((rng.randint(-3, 3), 1)),
+                                 ZPoly((rng.randint(1, 5), 1)))
+        rows.append({c: v for c, v in row.items() if v})
+    return rows
+
+
+def test_certified_rank_equals_exact_rank():
+    # the true rank as the bound is certified mod p; a bound one above it
+    # is never reached mod p, so exact elimination decides
+    rng = random.Random(61)
+    for _ in range(20):
+        rows = _rand_tower_rows(rng, rng.randint(1, 6), rng.randint(1, 6))
+        rank = _exact_rank(rows)
+        assert certified_rank(rows, rank) == (rank, True)
+        assert certified_rank(rows, rank + 1) == (rank, False)
+
+
+def test_modular_rank_is_a_lower_bound_at_an_unlucky_prime(monkeypatch):
+    # mod 5 the rows (1, 1) and (1, 6) coincide: the modular rank falls short
+    # of the exact rank 2, which a bad prime can only make undecided
+    rows = [{0: Fraction(1), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(6)}]
+    monkeypatch.setattr(linalg, "MODULI", ((5, 2, 1),))
+    assert not modular_rank_reaches(rows, 2)
+    assert certified_rank(rows, 2) == (2, False)
+    monkeypatch.setattr(linalg, "MODULI", ((5, 2, 1), (13, 5, 1)))
+    assert certified_rank(rows, 2) == (2, True)
+
+
+def test_modular_images_of_tower_scalars():
+    p, i, z0 = linalg.MODULI[0]
+    assert i * i % p == p - 1
+    half = GaussRat(Fraction(1, 2), 3)
+    assert linalg._mod_p(half, p, i, z0) == (pow(2, -1, p) + 3 * i) % p
+    f = RatFunc(ZPoly((1, 1)), ZPoly((2, 1)))          # (z + 1)/(z + 2)
+    assert linalg._mod_p(f, p, i, z0) == (z0 + 1) * pow(z0 + 2, -1, p) % p
+    pole = RatFunc(ZPoly((1,)), ZPoly((-z0, 1)))        # 1/(z - z0)
+    assert linalg._mod_p(pole, p, i, z0) is None
+    assert linalg._mod_p(Fraction(1, p), p, i, z0) is None
+
+
+def test_rank_paths_count():
+    assert RankPaths.count([True, False, True]) == RankPaths(modular=2, exact=1)
+    assert RankPaths.count([]) == RankPaths(0, 0)

@@ -4,12 +4,15 @@ import random
 import numpy as np
 import pytest
 
-from nevlab import resultant
+from nevlab import linalg, resultant
 from nevlab.fields import GaussRat, RatFunc, ZPoly
+from nevlab.filtration import tuple_count
 from nevlab.hpoly import HPoly, monomials
-from nevlab.resultant import (HypersurfaceFamily, NotAdmissibleError,
+from nevlab.linalg import RankPaths
+from nevlab.resultant import (AdmissibilityUndecided, HypersurfaceFamily,
+                              NotAdmissibleError, complete_intersection_rank,
                               gaussian_point_stream, ideal_membership,
-                              is_admissible, macaulay_resultant,
+                              ideal_rows, is_admissible, macaulay_resultant,
                               power_certificate, sylvester_resultant)
 from nevlab.zeros import zpoly_roots
 
@@ -181,3 +184,101 @@ def test_gaussian_point_stream_is_injective_prefix():
     stream = gaussian_point_stream()
     seen = [next(stream) for _ in range(50)]
     assert len(set(seen)) == 50
+
+
+def _rand_form(rng, nvars, d, mover=None):
+    coeffs = {e: GaussRat(rng.randint(-3, 3), rng.randint(-1, 1)) for e in monomials(nvars - 1, d)}
+    coeffs = {e: c for e, c in coeffs.items() if c}
+    if mover is not None:
+        coeffs[rng.choice(monomials(nvars - 1, d))] = mover
+    return HPoly(nvars, d, coeffs)
+
+
+def _seeded_systems(count, seed):
+    """n + 1 forms of degree d in n + 1 variables with nonzero resultant;
+    every fourth system has one moving coefficient."""
+    rng = random.Random(seed)
+    shapes = ((1, 2), (1, 3), (2, 1), (2, 2))
+    out = []
+    while len(out) < count:
+        n, d = shapes[len(out) % len(shapes)]
+        mover = None
+        if len(out) % 4 == 3:
+            n, d = 1, 2
+            mover = RatFunc(ZPoly((rng.randint(1, 3),)), ZPoly((rng.randint(1, 5), 1)))
+        polys = [_rand_form(rng, n + 1, d, mover if j == 0 else None) for j in range(n + 1)]
+        if macaulay_resultant(polys):
+            out.append(polys)
+    return out
+
+
+def test_power_certificate_matches_all_exact_path(monkeypatch):
+    for k, polys in enumerate(_seeded_systems(10, 67)):
+        index = k % len(polys)
+        cert = power_certificate(polys, index)
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "MODULI", ())
+            exact = power_certificate(polys, index)
+        assert (cert.s, cert.resultant) == (exact.s, exact.resultant)
+        assert cert.cofactors == exact.cofactors
+        assert [c.coeffs for c in cert.cofactors] == [c.coeffs for c in exact.cofactors]
+        d = polys[0].degree
+        assert cert.rank_paths == RankPaths(modular=cert.s - d, exact=1)
+        assert exact.rank_paths == RankPaths(modular=0, exact=cert.s - d + 1)
+        assert cert.verify()
+
+
+def test_admissibility_report_matches_all_exact_path(monkeypatch):
+    x0, x1 = HPoly.coordinate(2, 0), HPoly.coordinate(2, 1)
+    z = RatFunc(ZPoly((0, 1)))
+    families = [
+        HypersurfaceFamily(1, [x0, x1, x0 + x1]),
+        HypersurfaceFamily(1, [x0, x0 + x1, x0 + x1]),                # not admissible
+        HypersurfaceFamily(1, [x0, x1, x0 + x1 * z]),                 # Res vanishes at z = 0
+        HypersurfaceFamily(1, [x0 * x0, x1 * x1, x0 * x1 * (z - 1) + x1 * x1]),
+    ]
+    for fam in families:
+        rep = is_admissible(fam)
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "MODULI", ())
+            exact = is_admissible(fam)
+        fields = ("admissible", "witness", "failing_subset", "subsets_checked", "points_tried")
+        assert [getattr(rep, f) for f in fields] == [getattr(exact, f) for f in fields]
+        total = rep.rank_paths.modular + rep.rank_paths.exact
+        assert exact.rank_paths == RankPaths(0, total)
+    # a nonvanishing test that reduces to a full-rank Macaulay matrix is modular
+    assert is_admissible(families[0]).rank_paths == RankPaths(modular=3, exact=0)
+    assert is_admissible(families[1]).rank_paths.exact == 1
+
+
+def test_capped_admissibility_is_undecided():
+    x0, x1 = HPoly.coordinate(2, 0), HPoly.coordinate(2, 1)
+    fam = HypersurfaceFamily(1, [x0, x1, x0 + x1 * RatFunc(ZPoly((0, 1)))])
+    with pytest.raises(AdmissibilityUndecided, match="within 1 parameter points"):
+        is_admissible(fam, max_points=1)
+    assert is_admissible(fam, max_points=2).admissible
+
+
+def test_complete_intersection_rank_matches_tuple_count():
+    for n in (1, 2, 3):
+        for d in (1, 2, 3):
+            for big_n in range(10):
+                dim = math.comb(big_n + n, n)
+                assert (dim - complete_intersection_rank((d,) * n, n + 1, big_n)
+                        == tuple_count(big_n, d, n))
+    # x0 and x1^2 in three variables: the quotient is spanned by x1^a x2^b, a <= 1
+    assert complete_intersection_rank((1, 2), 3, 4) == math.comb(6, 2) - 2
+
+
+def test_ideal_rows_are_shifted_products():
+    rng = random.Random(73)
+    mover = RatFunc(ZPoly((1,)), ZPoly((2, 1)))
+    gens = [_rand_form(rng, 3, 2, mover), _rand_form(rng, 3, 1), _rand_form(rng, 3, 4)]
+    labels, rows = ideal_rows(gens, 3)
+    cols = monomials(2, 3)
+    assert len(rows) == len(labels) == 3 + 6        # degree 4 is above 3: no rows
+    for (j, m), row in zip(labels, rows):
+        product = HPoly.monomial(3, m) * gens[j]
+        assert row == {cols.index(e): c for e, c in product.coeffs.items()}
+        assert list(row) == [cols.index(e) for e in product.coeffs]
+        assert [type(c) for c in row.values()] == [type(c) for c in product.coeffs.values()]
