@@ -19,14 +19,13 @@ from .filtration import (FiltrationTable, PsiBasis, basis_is_independent,
                          filtration_tuples, quotient_dim, tuple_count)
 from .bounds import (BoundReport, MarginViolation, a_lower_bound, bound_t,
                      compute_truncation_levels, verify_error_margin)
-from .quadrature import QuadResult, circle_average, default_target
+from .quadrature import QuadResult, circle_average
 from .zeros import Divisor, disk_winding, exppoly_zeros, ratfunc_divisors, zpoly_zeros
 from .nevanlinna import (AdmissibilityError, DegeneracyError, EntireCurve,
                          NevanlinnaProfile, SmtReport, build_profile,
                          characteristic, counting_function, defect_estimate,
                          divisor_bound_check, jensen_check,
-                         log_derivative_diagnostic, nondegeneracy_check,
-                         smt_verify)
+                         nondegeneracy_check, smt_verify)
 from .parsing import (InputError, ParseError, SchemaError, curve_from_json,
                       family_from_json, hpoly_from_json, load_json_file,
                       parse_ratfunc, parse_scalar, parse_zpoly)
@@ -45,13 +44,13 @@ __all__ = [
     "construct_psi_basis", "filtration_tuples", "quotient_dim", "tuple_count",
     "BoundReport", "MarginViolation", "a_lower_bound", "bound_t",
     "compute_truncation_levels", "verify_error_margin",
-    "QuadResult", "circle_average", "default_target",
+    "QuadResult", "circle_average",
     "Divisor", "disk_winding", "exppoly_zeros", "ratfunc_divisors",
     "zpoly_zeros",
     "AdmissibilityError", "DegeneracyError", "EntireCurve",
     "NevanlinnaProfile", "SmtReport", "build_profile", "characteristic",
     "counting_function", "defect_estimate", "divisor_bound_check",
-    "jensen_check", "log_derivative_diagnostic", "nondegeneracy_check",
+    "jensen_check", "nondegeneracy_check",
     "smt_verify", "wronskian",
     "InputError", "ParseError", "SchemaError", "curve_from_json",
     "family_from_json", "hpoly_from_json", "load_json_file", "parse_ratfunc",

@@ -10,7 +10,6 @@ a digit budget are reported by their log10 size instead of materialized.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -130,7 +129,7 @@ def bound_t(p: int, n: int, big_n: int, q: int,
     """
     if p < 1:
         raise ValueError("need p >= 1")
-    budget = _digit_budget(digit_budget)
+    budget = DEFAULT_DIGIT_BUDGET if digit_budget is None else digit_budget
     b = _b_constant(n, big_n, q)
     binom_log10 = _log10_binomial(b + p, b - 1)
     power_log10 = (b - 1) * math.log10(b + p)
@@ -143,12 +142,6 @@ def bound_t(p: int, n: int, big_n: int, q: int,
     if not holds:
         raise ArithmeticError(f"C({b + p}, {b - 1}) exceeds ({b + p})^{b - 1}")
     return binom, power, binom_log10, power_log10
-
-
-def _digit_budget(explicit: Optional[int]) -> int:
-    if explicit is not None:
-        return explicit
-    return int(os.environ.get("NEVLAB_T_DIGIT_BUDGET", DEFAULT_DIGIT_BUDGET))
 
 
 def a_lower_bound(n: int, d: int, big_n: int) -> Fraction:

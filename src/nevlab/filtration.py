@@ -99,12 +99,12 @@ def _subset_polys(fam: HypersurfaceFamily, subset: Sequence[int]) -> tuple[HPoly
 def build_filtration(fam: HypersurfaceFamily, subset: Sequence[int], big_n: int) -> FiltrationTable:
     """Filtration table for the n-subset `subset` (0-based indices) at level N.
 
-    Requires d | N where d is the family's common degree.  The family is
-    assumed admissible, so that multiplicities are quotient dimensions of a
-    regular sequence.  An inadmissible subset is not detected here: its
-    multiplicities are the larger exact quotient dimensions, and A stays
-    coordinate-independent because m_k depends on |I_k| alone.  Check
-    admissibility with resultant.is_admissible.
+    Requires d | N where d is the family's common degree, and an admissible
+    family: its n-subsets are then regular sequences, so every multiplicity
+    is the complete-intersection quotient dimension tuple_count at its level,
+    and A is coordinate-independent because m_k depends on |I_k| alone.  A
+    level whose quotient dimension is not tuple_count (an inadmissible
+    subset) raises ArithmeticError.
     """
     n = fam.n
     subset = tuple(subset)
@@ -114,25 +114,23 @@ def build_filtration(fam: HypersurfaceFamily, subset: Sequence[int], big_n: int)
     if big_n < 0 or big_n % d:
         raise ValueError(f"level N={big_n} is not a nonnegative multiple of d={d}")
     gens = _subset_polys(fam, subset)
-    t = big_n // d
-    tuples = filtration_tuples(t, n)
-    if len(tuples) != comb(t + n, n):
-        raise ArithmeticError("tuple enumeration does not match C(N/d+n, n) "
-                              "(is the family admissible?)")
+    tuples = filtration_tuples(big_n // d, n)
     dims_by_level: dict[int, int] = {}
     paths: list = []
     mults = []
     for idx in tuples:
         level = big_n - d * sum(idx)
         if level not in dims_by_level:
-            dims_by_level[level] = quotient_dim(gens, level, paths)
+            dim, want = quotient_dim(gens, level, paths), tuple_count(level, d, n)
+            if dim != want:
+                raise ArithmeticError(
+                    f"quotient dimension {dim} at level {level} is not the "
+                    f"complete-intersection {want} (is the family admissible?)")
+            dims_by_level[level] = dim
         mults.append(dims_by_level[level])
-    a_by_coord = [sum(m * idx[s] for m, idx in zip(mults, tuples)) for s in range(n)]
-    if len(set(a_by_coord)) != 1:
-        raise ArithmeticError(f"A is coordinate-dependent: {a_by_coord} "
-                              "(is the family admissible?)")
     return FiltrationTable(n=n, d=d, big_n=big_n, subset=subset, tuples=tuples,
-                           multiplicities=tuple(mults), a_constant=a_by_coord[0],
+                           multiplicities=tuple(mults),
+                           a_constant=sum(m * idx[0] for m, idx in zip(mults, tuples)),
                            rank_paths=RankPaths.count(paths))
 
 

@@ -33,7 +33,7 @@ from .bounds import compute_truncation_levels
 from .expfunc import ExpPoly, wronskian
 from .fields import RatFunc, ZPoly, zpoly_gcd
 from .hpoly import HPoly, monomials
-from .quadrature import QuadResult, circle_average, default_target
+from .quadrature import QuadResult, circle_average
 from .resultant import HypersurfaceFamily, is_admissible
 from .zeros import Divisor, exppoly_zeros, ratfunc_divisors, zpoly_zeros
 
@@ -45,7 +45,6 @@ __all__ = [
     "normalize_target", "compose_target", "quotient_zeros",
     "defect_estimate", "NevanlinnaProfile", "build_profile",
     "TargetReport", "SmtReport", "smt_verify",
-    "LogDerivativeReport", "log_derivative_diagnostic",
 ]
 
 
@@ -156,11 +155,11 @@ def _log_norm_integrand(curve: EntireCurve):
 
 
 @lru_cache(maxsize=4096)
-def _log_norm_average(curve: EntireCurve, r: float, target: float) -> QuadResult:
-    return circle_average(_log_norm_integrand(curve), r, target=target)
+def _log_norm_average(curve: EntireCurve, r: float) -> QuadResult:
+    return circle_average(_log_norm_integrand(curve), r)
 
 
-def characteristic(f: CurveLike, r: float, target: Optional[float] = None) -> float:
+def characteristic(f: CurveLike, r: float) -> float:
     """T(r): mean of log max_i |f_i| over |z| = r, minus the same mean at r = 1.
 
     Nonnegative and nondecreasing in r >= 1 up to quadrature error; invariant
@@ -171,12 +170,10 @@ def characteristic(f: CurveLike, r: float, target: Optional[float] = None) -> fl
     if r < 1:
         raise ValueError("the growth scale is normalized at r = 1; need r >= 1")
     curve = as_curve(f)
-    if target is None:
-        target = default_target()
     if r == 1.0:
         return 0.0
-    hi = _log_norm_average(curve, float(r), target)
-    lo = _log_norm_average(curve, 1.0, target)
+    hi = _log_norm_average(curve, float(r))
+    lo = _log_norm_average(curve, 1.0)
     for res, rr in ((hi, r), (lo, 1.0)):
         if not res.converged:
             warnings.warn(
@@ -231,8 +228,7 @@ def _nudge_radius(r: float, pts) -> float:
     return rr
 
 
-def log_modulus_average(log_ev, r: float, subtract=(),
-                        target: Optional[float] = None) -> tuple[float, bool]:
+def log_modulus_average(log_ev, r: float, subtract=()) -> tuple[float, bool]:
     """Mean of log|fn| over |z| = r with listed (point, mult) factors removed.
 
     Each factor (z - a)^m is divided out of the integrand and its exact mean
@@ -249,11 +245,11 @@ def log_modulus_average(log_ev, r: float, subtract=(),
             out -= m * np.log(np.abs(zs - a))
         return out
 
-    res = circle_average(g, r, target=target)
+    res = circle_average(g, r)
     return base + res.value, res.converged
 
 
-def jensen_check(phi, r: float, target: Optional[float] = None) -> float:
+def jensen_check(phi, r: float) -> float:
     """Residual |N_zeros(r) - N_poles(r) - (mean log|phi| at r minus at 1)|.
 
     Both circle means subtract every zero and pole analytically, leaving
@@ -262,8 +258,6 @@ def jensen_check(phi, r: float, target: Optional[float] = None) -> float:
     """
     if r < 1:
         raise ValueError("need r >= 1")
-    if target is None:
-        target = default_target()
     big = 1.5 * r + 1.0
     if isinstance(phi, ZPoly):
         phi = RatFunc(phi)
@@ -284,8 +278,8 @@ def jensen_check(phi, r: float, target: Optional[float] = None) -> float:
     if pol is not None:
         pts += [(a, -m) for a, m in pol.points]
         n_count -= counting_function(pol, r)
-    hi, _ = log_modulus_average(log_ev, _nudge_radius(r, pts), pts, target)
-    lo, _ = log_modulus_average(log_ev, _nudge_radius(1.0, pts), pts, target)
+    hi, _ = log_modulus_average(log_ev, _nudge_radius(r, pts), pts)
+    lo, _ = log_modulus_average(log_ev, _nudge_radius(1.0, pts), pts)
     return abs(n_count - (hi - lo))
 
 
@@ -468,8 +462,7 @@ def quotient_zeros(e_part: ExpPoly, d_part: ZPoly, r: float,
 
 
 def defect_estimate(f: CurveLike, qf: HPoly, r_max: float,
-                    level: Optional[int] = None, grid_points: int = 12,
-                    target: Optional[float] = None) -> float:
+                    level: Optional[int] = None, grid_points: int = 12) -> float:
     """Numeric stand-in for the defect: min over the top half of a geometric
     radius grid of 1 - N(r)/(deg(Q) T(r)).
 
@@ -484,7 +477,7 @@ def defect_estimate(f: CurveLike, qf: HPoly, r_max: float,
     radii = np.geomspace(max(2.0, math.sqrt(r_max)), r_max, grid_points)
     vals = []
     for r in radii[grid_points // 2:]:
-        t = characteristic(curve, float(r), target)
+        t = characteristic(curve, float(r))
         if t <= 0.0:
             continue
         vals.append(1.0 - counting_function(div, float(r), level)
@@ -514,12 +507,10 @@ class NevanlinnaProfile:
             raise ValueError("characteristic must be nondecreasing")
 
 
-def build_profile(f: CurveLike, radii: Sequence[float],
-                  target: Optional[float] = None) -> NevanlinnaProfile:
+def build_profile(f: CurveLike, radii: Sequence[float]) -> NevanlinnaProfile:
     curve = as_curve(f)
     rs = tuple(float(r) for r in radii)
-    return NevanlinnaProfile(rs, tuple(characteristic(curve, r, target)
-                                       for r in rs))
+    return NevanlinnaProfile(rs, tuple(characteristic(curve, r) for r in rs))
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +559,7 @@ class SmtReport:
 
 def smt_verify(f: CurveLike, targets, eps, radii: Sequence[float],
                truncations: Optional[Sequence[Optional[int]]] = None,
-               nondegeneracy_degree: int = 4,
-               target: Optional[float] = None) -> SmtReport:
+               nondegeneracy_degree: int = 4) -> SmtReport:
     """Evaluate the truncated main inequality on a radius grid.
 
     Checks first that the family is in general position and that the curve
@@ -615,7 +605,7 @@ def smt_verify(f: CurveLike, targets, eps, radii: Sequence[float],
             level_note = ("certified truncation levels exceed the digit "
                           "budget; counting untruncated")
 
-    profile = build_profile(curve, rs, target)
+    profile = build_profile(curve, rs)
     r_max = rs[-1]
     t_rmax = profile.t_values[-1]
 
@@ -632,7 +622,7 @@ def smt_verify(f: CurveLike, targets, eps, radii: Sequence[float],
         growth = 0.0
         for _, c in norm.terms_desc():
             if isinstance(c, RatFunc) and not c.is_constant():
-                t_c = characteristic((c.den, c.num), r_max, target)
+                t_c = characteristic((c.den, c.num), r_max)
                 growth = max(growth, t_c / t_rmax if t_rmax > 0 else math.inf)
         reports.append(TargetReport(form=norm, degree=qf.degree,
                                     truncation=lev, counts=counts,
@@ -659,61 +649,3 @@ def smt_verify(f: CurveLike, targets, eps, radii: Sequence[float],
                      margins=margins, r0=r0, violating_measure=bad,
                      defect_sum=math.fsum(rep.defect for rep in reports),
                      nondegenerate_to=nondeg, level_note=level_note)
-
-
-# ---------------------------------------------------------------------------
-# log-derivative diagnostic
-
-
-@dataclass(frozen=True)
-class LogDerivativeReport:
-    """Mean of log+ |W/(f_0...f_n)| against T(r), per radius."""
-
-    radii: tuple[float, ...]
-    ratios: tuple[float, ...]
-    nonincreasing_fraction: float
-    converged: bool
-
-
-def log_derivative_diagnostic(f: CurveLike, radii: Sequence[float],
-                              target: float = 1e-6) -> LogDerivativeReport:
-    """Probe how small the wronskian is against the component product.
-
-    The compactness lemma behind the main inequality forces the mean of
-    log+ |W/(f_0...f_n)| on |z| = r to grow slower than T(r) outside an
-    exceptional set.  log+ kinks wherever the modulus crosses 1 and spikes
-    near product zeros, so the default quadrature target is looser and
-    convergence is reported rather than enforced: this is a diagnostic, not
-    a certificate.
-    """
-    curve = as_curve(f)
-    w = wronskian(curve.components)
-    if w.is_zero():
-        raise DegeneracyError("components are linearly dependent")
-    prod = reduce(operator.mul, curve.components)
-    rs = tuple(float(r) for r in radii)
-    pdiv = exppoly_zeros(prod, max(rs) * 1.01)
-    moduli = [abs(a) for a, _ in pdiv.points]
-
-    def integrand(zs: np.ndarray) -> np.ndarray:
-        return np.maximum(w.log_abs(zs) - prod.log_abs(zs), 0.0)
-
-    ratios, ok = [], True
-    out_radii = []
-    for r in rs:
-        # keep a gap of 3e-4 r to the nearest product zero: the spike there
-        # is integrable but slow for the trapezoid rule
-        rr = r
-        for _ in range(32):
-            if all(abs(m - rr) > 3e-4 * rr for m in moduli):
-                break
-            rr *= 1.0 + 1e-3
-        res = circle_average(integrand, rr, target=target)
-        ok = ok and res.converged
-        t = characteristic(curve, rr)
-        ratios.append(res.value / t if t > 0.0 else math.inf)
-        out_radii.append(rr)
-    downs = sum(1 for a, b in zip(ratios, ratios[1:]) if b <= a + 1e-12)
-    frac = downs / max(1, len(ratios) - 1)
-    return LogDerivativeReport(radii=tuple(out_radii), ratios=tuple(ratios),
-                               nonincreasing_fraction=frac, converged=ok)

@@ -12,7 +12,6 @@ raised so a caller can decide.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,10 +20,6 @@ import numpy as np
 TWO_PI = 2 * math.pi
 
 SAMPLE_CAP = 1 << 20
-
-
-def default_target() -> float:
-    return float(os.environ.get("NEVLAB_QUAD_TARGET", "1e-9"))
 
 
 @dataclass(frozen=True)
@@ -39,14 +34,12 @@ class QuadResult:
 
 
 def circle_average(fn: Callable[[np.ndarray], np.ndarray], r: float,
-                   target: float = None, start: int = 64,
+                   target: float = 1e-9, start: int = 64,
                    cap: int = SAMPLE_CAP) -> QuadResult:
     """Mean of fn over |z| = r; fn maps a numpy array of points to values.
 
     start, the first grid size, must be a positive multiple of 4.
     """
-    if target is None:
-        target = default_target()
     if r <= 0:
         raise ValueError("radius must be positive")
     if start <= 0 or start % 4:

@@ -10,15 +10,16 @@ quadtree of boxes until each surviving box isolates one zero cluster, then
 multiplicity-aware Newton polish.  The disk winding number equals the sum of
 located multiplicities or the computation refuses the radius.
 
-Each contour is first walked as arrays: f, f' and the noise floor at every
-sampling point and segment midpoint in one call each, and the segment test of
-the scalar walk applied to all segments at once; only the segments that test
-rejects are refined point by point.  A box of winding count 1 larger than the
-tolerance tries a Newton exit: plain Newton from its centre, accepted only
-when it converges inside the box and the square of side tol centred at the
-limit lies in the box with winding count 1, which certifies one simple zero
-within tol of the reported point, as a quadtree leaf would.  Otherwise the box
-is subdivided as before; boxes holding two or more zeros always are.
+Contours are walked as arrays: f, f' and the noise floor at every sampling
+point and segment midpoint in one call each, one segment test applied to all
+segments at once, and only the rejected segments halved and tested again,
+level by level; a quadtree step walks its four child boxes in one such pass.
+A box of winding count 1 larger than the tolerance tries a Newton exit: plain
+Newton from its centre, accepted only when it converges inside the box and
+the square of side tol centred at the limit lies in the box with winding
+count 1, which certifies one simple zero within tol of the reported point, as
+a quadtree leaf would.  Otherwise the box is subdivided; boxes holding two or
+more zeros always are.
 
 Zeros within 1e-12 (relative) of the boundary circle: the radius is nudged
 outward by that amount and the divisor is flagged, so boundary zeros count
@@ -27,7 +28,6 @@ as inside deterministically.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -137,18 +137,14 @@ def ratfunc_divisors(f: RatFunc, r: float) -> tuple[Divisor, Divisor]:
     return zpoly_zeros(f.num, r), zpoly_zeros(f.den, r)
 
 
-def _chord_mid(a: complex, b: complex) -> complex:
+def _chord_mid(a, b):
     return (a + b) / 2
 
 
 _EPS = 2.220446049250313e-16
 
 
-def _no_floor(z: complex) -> float:
-    return 1e-280
-
-
-def phase_noise_floor(f):
+def phase_noise_floor(f: ExpPoly):
     """Absolute |f| level below which an evaluated phase is cancellation noise.
 
     The sum of term magnitudes bounds the rounding perturbation of the computed
@@ -156,71 +152,20 @@ def phase_noise_floor(f):
     contour counts zeros of the true function (Rouche), not of the noise.  The
     returned evaluator takes a complex point or a numpy array of them.
     """
-    if isinstance(f, ExpPoly):
-        image = f.float_image
+    image = f.float_image
 
-        def floor(z):
-            s = 0.0
-            az = np.abs(z)
-            for c, coeffs in image:
-                t, pw = 0.0, 1.0
-                for a in reversed(coeffs):
-                    t += abs(a) * pw
-                    pw *= az
-                s += np.exp(np.minimum((c * z).real, 700.0)) * t
-            return 1024 * _EPS * s
+    def floor(z):
+        s = 0.0
+        az = np.abs(z)
+        for c, coeffs in image:
+            t, pw = 0.0, 1.0
+            for a in reversed(coeffs):
+                t += abs(a) * pw
+                pw *= az
+            s += np.exp(np.minimum((c * z).real, 700.0)) * t
+        return 1024 * _EPS * s
 
-        return floor
-    return _no_floor
-
-
-def _local_rate(f):
-    """Pointwise |f'/f| evaluator (scalars or arrays), or None when f has no
-    derivative method."""
-    deriv = getattr(f, "derivative", None)
-    if deriv is None:
-        return None
-    df = deriv()
-
-    def rate_at(z, fz):
-        return np.abs(df(z)) / np.abs(fz)
-
-    return rate_at
-
-
-def _arg_walk(f, a: complex, b: complex, fa: complex, fb: complex,
-              midfn=_chord_mid, floor=_no_floor, ratefn=None,
-              depth: int = 0) -> float:
-    """Accumulated argument change of f along the path from a to b.
-
-    midfn picks the refinement point between two path points, so the walk can
-    follow a curved contour (a circular arc) instead of its chord; that matters
-    when zeros sit closer to the circle than the chord's sagitta.  A principal
-    value is accepted only when a midpoint check passes and, when |f'/f| is
-    available, the step is short against the local phase rate; the latter keeps
-    a segment from swallowing the near-2pi twist that a zero close to the
-    contour produces, which a one-level midpoint check cannot see.
-    """
-    if abs(fa) <= floor(a) or abs(fb) <= floor(b):
-        raise ContourThroughZero(f"|f| below noise on contour near {a}")
-    if depth > 56:
-        raise ContourThroughZero(f"phase refinement exhausted near {a}")
-    delta = cmath.phase(fb / fa)
-    mid = midfn(a, b)
-    fm = f(mid)
-    if abs(fm) <= floor(mid):
-        raise ContourThroughZero(f"|f| below noise on contour near {mid}")
-    if abs(delta) < 1.0:
-        d1 = cmath.phase(fm / fa)
-        d2 = cmath.phase(fb / fm)
-        if abs(d1) < 1.0 and abs(d2) < 1.0 and abs(d1 + d2 - delta) < 1e-9:
-            if ratefn is None:
-                return delta
-            step = abs(b - a)
-            if step * max(ratefn(a, fa), ratefn(mid, fm), ratefn(b, fb)) <= 1.0:
-                return delta
-    return (_arg_walk(f, a, mid, fa, fm, midfn, floor, ratefn, depth + 1)
-            + _arg_walk(f, mid, b, fm, fb, midfn, floor, ratefn, depth + 1))
+    return floor
 
 
 def _contour_points(vertices, rate: float, midfn) -> np.ndarray:
@@ -248,89 +193,101 @@ def _contour_points(vertices, rate: float, midfn) -> np.ndarray:
     return np.concatenate(pieces)
 
 
-def _contour_winding(f, vertices, rate: float,
-                     midfn=_chord_mid, floor=None) -> int:
-    """Winding number of f over the closed contour through vertices.
+def _windings(f: ExpPoly, contours, rate: float, midfn) -> list[int]:
+    """Winding numbers of f over closed contours, each given by its vertices.
 
-    rate is an upper bound for |(log f)'| away from zeros, used to pick the
-    initial sampling so no segment can hide a full phase turn.  Refinement
-    between consecutive vertices goes through midfn, so a circular contour is
-    walked along the true arc.  f, floor and midfn take numpy arrays: the
-    first pass evaluates every sampling point and segment midpoint at once and
-    applies _arg_walk's depth-0 test to all segments together; only segments
-    it rejects are walked point by point, from their halves on.
+    rate is an upper bound for |(log f)'| away from zeros; it sets the first
+    sampling (_contour_points), so no segment can hide a full phase turn.
+    Segments are refined through midfn, so a circle is walked along its arcs,
+    which matters when zeros sit closer to it than a chord's sagitta.
+
+    Every segment of every contour is tested at once, as arrays: f must clear
+    the noise floor at its ends and midpoint, and its principal phase change
+    is accepted when both halves turn by less than 1, the halves add up to
+    the whole, and the step is short against the local |f'/f|.  The last
+    keeps a segment from swallowing the near-2pi twist of a zero close to the
+    contour, which a one-level midpoint check cannot see.  Only the rejected
+    segments are halved and tested again, level by level, 56 levels deep.
     """
-    if floor is None:
-        floor = phase_noise_floor(f)
-    ratefn = _local_rate(f)
-    pts = _contour_points(vertices, rate, midfn)
-    nxt = np.roll(pts, -1)
-    mid = midfn(pts, nxt)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals, fmid = f(pts), f(mid)
-    for zs, fz in ((pts, vals), (mid, fmid)):
+    floor = phase_noise_floor(f)
+    df = f.derivative()
+
+    def evaluate(zs):
+        """f and |f'/f| at the points zs, which must clear the noise floor."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            fz = f(zs)
         bad = ~np.isfinite(fz)
         if bad.any():
-            # as cmath.exp in the scalar walk would
+            # as cmath.exp would at a single point
             raise OverflowError(f"math range error on contour near {zs[bad.argmax()]}")
         bad = np.abs(fz) <= floor(zs)
         if bad.any():
-            raise ContourThroughZero(
-                f"|f| below noise on contour near {zs[bad.argmax()]}")
-    fnxt = np.roll(vals, -1)
-    delta = np.angle(fnxt / vals)
-    d1 = np.angle(fmid / vals)
-    d2 = np.angle(fnxt / fmid)
-    ok = ((np.abs(delta) < 1.0) & (np.abs(d1) < 1.0) & (np.abs(d2) < 1.0)
-          & (np.abs(d1 + d2 - delta) < 1e-9))
-    if ratefn is not None:
-        rates = ratefn(pts, vals)
-        worst = np.maximum(np.maximum(rates, ratefn(mid, fmid)), np.roll(rates, -1))
-        ok &= np.abs(nxt - pts) * worst <= 1.0
-    total = float(delta[ok].sum())
-    for i in np.flatnonzero(~ok):
-        a, m, b = complex(pts[i]), complex(mid[i]), complex(nxt[i])
-        fa, fm, fb = complex(vals[i]), complex(fmid[i]), complex(fnxt[i])
-        total += (_arg_walk(f, a, m, fa, fm, midfn, floor, ratefn, 1)
-                  + _arg_walk(f, m, b, fm, fb, midfn, floor, ratefn, 1))
-    w = total / (2 * math.pi)
-    wi = round(w)
-    if abs(w - wi) > 0.25:
-        raise ContourThroughZero(f"winding {w} not close to an integer")
-    return wi
+            raise ContourThroughZero(f"|f| below noise on contour near {zs[bad.argmax()]}")
+        return fz, np.abs(df(zs)) / np.abs(fz)
+
+    pts = [_contour_points(v, rate, midfn) for v in contours]
+    sizes = np.array([len(p) for p in pts])
+    owner = np.repeat(np.arange(len(pts)), sizes)
+    nxt = np.arange(1, sizes.sum() + 1)
+    nxt[np.cumsum(sizes) - 1] -= sizes                 # each contour closes on itself
+    a = np.concatenate(pts)
+    fa, ra = evaluate(a)
+    b, fb, rb = a[nxt], fa[nxt], ra[nxt]
+    total = np.zeros(len(pts))
+    for _ in range(57):
+        m = midfn(a, b)
+        fm, rm = evaluate(m)
+        delta = np.angle(fb / fa)
+        d1, d2 = np.angle(fm / fa), np.angle(fb / fm)
+        ok = ((np.abs(delta) < 1.0) & (np.abs(d1) < 1.0) & (np.abs(d2) < 1.0)
+              & (np.abs(d1 + d2 - delta) < 1e-9)
+              & (np.abs(b - a) * np.maximum(np.maximum(ra, rm), rb) <= 1.0))
+        total += np.bincount(owner[ok], delta[ok], len(pts))
+        if ok.all():
+            break
+        a, fa, ra, m, fm, rm, b, fb, rb, owner = (
+            v[~ok] for v in (a, fa, ra, m, fm, rm, b, fb, rb, owner))
+        a, fa, ra, b, fb, rb = (np.concatenate(h) for h in (
+            (a, m), (fa, fm), (ra, rm), (m, b), (fm, fb), (rm, rb)))
+        owner = np.concatenate((owner, owner))
+    else:
+        raise ContourThroughZero(f"phase refinement exhausted near {a[0]}")
+    out = []
+    for w in (total / (2 * math.pi)).tolist():
+        if abs(w - round(w)) > 0.25:
+            raise ContourThroughZero(f"winding {w} not close to an integer")
+        out.append(round(w))
+    return out
 
 
-def phase_rate_bound(f) -> float:
+def phase_rate_bound(f: ExpPoly) -> float:
     """Crude bound on |f'/f| on contours staying away from zeros."""
-    if isinstance(f, ExpPoly):
-        rate = 1.0
-        for c, coeffs in f.float_image:
-            rate += abs(c) + (len(coeffs) - 1)
-        return rate
-    return 4.0
+    rate = 1.0
+    for c, coeffs in f.float_image:
+        rate += abs(c) + (len(coeffs) - 1)
+    return rate
 
 
-def disk_winding(f, r: float, rate: float = None) -> int:
-    """Zero count (with multiplicity) of f in |z| < r by the argument principle.
-
-    f must evaluate elementwise over a numpy array of points (an ExpPoly,
-    np.exp, a polynomial lambda) as well as at a single complex point.
-    """
+def disk_winding(f: ExpPoly, r: float, rate: float = None) -> int:
+    """Zero count (with multiplicity) of f in |z| < r by the argument principle."""
     if rate is None:
         rate = phase_rate_bound(f)
     samples = max(64, math.ceil(2 * math.pi * r * rate / 0.5))
     verts = r * np.exp(2j * np.pi * np.arange(samples) / samples)
 
-    def arc_mid(a: complex, b: complex) -> complex:
+    def arc_mid(a, b):
         c = (a + b) / 2
         return r * c / abs(c)
 
-    return _contour_winding(f, verts, rate, arc_mid)
+    return _windings(f, [verts], rate, arc_mid)[0]
 
 
-def _box_winding(f, x0: float, x1: float, y0: float, y1: float, rate: float = 4.0) -> int:
-    verts = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
-    return _contour_winding(f, verts, rate)
+def _box(x0: float, x1: float, y0: float, y1: float) -> list[complex]:
+    return [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
+
+
+def _box_winding(f, x0: float, x1: float, y0: float, y1: float, rate: float) -> int:
+    return _windings(f, [_box(x0, x1, y0, y1)], rate, _chord_mid)[0]
 
 
 def _newton_exit(f, df, x0, x1, y0, y1, tol, rate) -> Optional[complex]:
@@ -390,7 +347,7 @@ def _subdivide(f, df, x0, x1, y0, y1, count, tol, found, rate, depth=0):
         quads = [(x0, xm, y0, ym), (xm, x1, y0, ym),
                  (x0, xm, ym, y1), (xm, x1, ym, y1)]
         try:
-            winds = [_box_winding(f, *qd, rate) for qd in quads]
+            winds = _windings(f, [_box(*qd) for qd in quads], rate, _chord_mid)
         except ContourThroughZero:
             continue
         if sum(winds) != count:

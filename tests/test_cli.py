@@ -179,7 +179,8 @@ def test_reports_say_which_path_decided_each_rank(paths, capsys):
     assert doc["verified"] is True
     assert doc["rank_paths"] == {"modular": doc["power"] - 2, "exact": 1}
     # Q_0 and Q_1 share the factor x0 + x1: above level 2 the certificate
-    # fails and exact elimination gives the larger quotient dimensions
+    # fails, exact elimination gives larger quotient dimensions than a
+    # complete intersection has, and the filtration is refused
     shared = paths["tmp"] / "shared.json"
     shared.write_text(json.dumps({"n": 2, "polynomials": [
         {"degree": 2, "terms": [{"exp": [1, 0, 1], "coef": "-1"}, {"exp": [2, 0, 0], "coef": "1"},
@@ -187,10 +188,12 @@ def test_reports_say_which_path_decided_each_rank(paths, capsys):
         {"degree": 2, "terms": [{"exp": [1, 1, 0], "coef": "1"}, {"exp": [1, 0, 1], "coef": "1"},
                                 {"exp": [0, 2, 0], "coef": "1"}, {"exp": [0, 1, 1], "coef": "1"}]},
         {"degree": 2, "terms": [{"exp": [0, 0, 2], "coef": "1"}]}]}))
-    assert main(["filtration", str(shared), "--subset", "0,1", "--level", "6"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["rank_paths"] == {"modular": 2, "exact": 2}
-    assert doc["multiplicities"][0] == 8           # tuple_count(6, 2, 2) is 4
+    assert main(["filtration", str(shared), "--subset", "0,1", "--level", "6"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [line for line in err.splitlines() if "(is the family admissible?)" in line] == \
+        ["nevlab: quotient dimension 8 at level 6 is not the complete-intersection 4 "
+         "(is the family admissible?)"]
 
 
 def test_jensen_command(paths, capsys):

@@ -1,4 +1,5 @@
-"""Every module-level import of the package is used by its module.
+"""Every module-level import of the package is used by its module, and every
+public name of the package is used by the package or its scripts.
 
 Names listed in a module's __all__ count as used (re-exports); __future__
 imports and the package __init__, which exists to re-export, are exempt.
@@ -7,7 +8,10 @@ imports and the package __init__, which exists to re-export, are exempt.
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "nevlab"
+import nevlab
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "nevlab"
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -32,3 +36,16 @@ def test_no_unused_imports():
     assert len(modules) > 10
     unused = {p.name: _unused_imports(ast.parse(p.read_text(), str(p))) for p in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    files = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    files += sorted((ROOT / "scripts").glob("*.py"))
+    referenced = set()
+    for p in files:
+        for node in ast.walk(ast.parse(p.read_text(), str(p))):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    assert sorted(set(nevlab.__all__) - referenced) == []

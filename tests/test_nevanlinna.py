@@ -17,9 +17,9 @@ from nevlab.nevanlinna import (AdmissibilityError, DegeneracyError,
                                EntireCurve, NevanlinnaProfile, characteristic,
                                compose_target, counting_function,
                                defect_estimate, divisor_bound_check,
-                               jensen_check, log_derivative_diagnostic,
-                               nondegeneracy_check, normalize_target,
-                               quotient_zeros, smt_verify, wronskian)
+                               jensen_check, nondegeneracy_check,
+                               normalize_target, quotient_zeros, smt_verify,
+                               wronskian)
 from nevlab.zeros import Divisor, zpoly_zeros
 
 ONE = ZPoly((1,))
@@ -276,16 +276,3 @@ def test_smt_detects_algebraic_degeneracy():
     coords = (x0, x1, x2, x0 + x1 + x2)
     with pytest.raises(DegeneracyError):
         smt_verify(squares, coords, Fraction(1, 2), [10.0, 20.0])
-
-
-def test_log_derivative_stays_small():
-    fe = _exp_curve()
-    rep = log_derivative_diagnostic(fe, (10.0, 20.0))
-    assert all(v < 1e-9 for v in rep.ratios)
-    tower = EntireCurve((ExpPoly.const(1), ExpPoly.exp(1), ExpPoly.exp(2)))
-    rep2 = log_derivative_diagnostic(tower, (10.0, 18.0, 26.0))
-    # T(r) = 2(r-1)/pi here, so the ratio tracks pi log 2 / (2(r-1))
-    for r, ratio in zip(rep2.radii, rep2.ratios):
-        assert ratio == pytest.approx(math.pi * math.log(2) / (2 * (r - 1)),
-                                      abs=1e-3)
-    assert rep2.nonincreasing_fraction == 1.0

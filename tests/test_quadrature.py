@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from nevlab.quadrature import QuadResult, circle_average, default_target
+from nevlab.quadrature import QuadResult, circle_average
 
 
 def test_mean_value_property_of_log_modulus():
@@ -63,12 +63,3 @@ def test_cap_stops_runaway(monkeypatch):
     assert isinstance(res, QuadResult)
     assert not res.converged
     assert res.samples <= 1 << 10
-
-
-def test_default_target_env_override(monkeypatch):
-    monkeypatch.delenv("NEVLAB_QUAD_TARGET", raising=False)
-    base = default_target()
-    monkeypatch.setenv("NEVLAB_QUAD_TARGET", "1e-4")
-    assert default_target() == 1e-4
-    monkeypatch.delenv("NEVLAB_QUAD_TARGET", raising=False)
-    assert default_target() == base

@@ -4,8 +4,8 @@ argument-principle walks for exponential sums."""
 import cmath
 import math
 import warnings
+from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from nevlab import zeros
@@ -58,10 +58,29 @@ def test_ratfunc_divisors_split_zeros_and_poles():
 
 
 def test_disk_winding_counts_zeros():
-    assert disk_winding(lambda z: z ** 3, 1.5) == 3
-    assert disk_winding(np.exp, 4.0) == 0
-    assert disk_winding(lambda z: z - 2, 1.0) == 0
-    assert disk_winding(lambda z: z - 2, 3.0) == 1
+    z = ExpPoly.var()
+    assert disk_winding(z ** 3, 1.5) == 3
+    assert disk_winding(ExpPoly.exp(1), 4.0) == 0
+    assert disk_winding(z - 2, 1.0) == 0
+    assert disk_winding(z - 2, 3.0) == 1
+
+
+@pytest.mark.parametrize("scale, inside", [(1 - Fraction(1, 10 ** 9), 1),
+                                           (1 + Fraction(1, 10 ** 9), 0)])
+def test_disk_winding_resolves_a_zero_next_to_the_circle(scale, inside):
+    # a zero 1e-8 from the circle |z| = 10 turns the phase by about pi within
+    # a few 1e-8 of arc: the walk must halve its segments down to that scale
+    a = GaussRat(6, 8) * scale
+    assert disk_winding(ExpPoly.var() - a, 10.0) == inside
+
+
+def test_one_walk_over_four_boxes_matches_four_walks():
+    f = ExpPoly.exp(1) - ExpPoly.var()        # zeros 0.318 +- 1.337i, 2.06 +- 7.59i, ...
+    rate = zeros.phase_rate_bound(f)
+    quads = [(-3.0, 1.0, -9.0, -2.0), (1.0, 4.0, -9.0, -2.0),
+             (-3.0, 1.0, -2.0, 9.0), (1.0, 4.0, -2.0, 9.0)]
+    one = zeros._windings(f, [zeros._box(*q) for q in quads], rate, zeros._chord_mid)
+    assert one == [zeros._box_winding(f, *q, rate) for q in quads] == [0, 1, 2, 1]
 
 
 def _dense_box_winding(f, x0, x1, y0, y1, per_edge=4000):
