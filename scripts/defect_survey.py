@@ -12,7 +12,6 @@ import argparse
 import sys
 
 from nevlab.expfunc import ExpPoly
-from nevlab.fields import ZPoly
 from nevlab.hpoly import HPoly
 from nevlab.nevanlinna import EntireCurve, defect_estimate
 

@@ -61,17 +61,21 @@ def compute_constants(n: int, d: int, eps: RationalLike) -> tuple[int, int, int]
     return big_n, comb(big_n + n, n), comb(big_n // d + n, n)
 
 
-def certified_floor(build, start_prec: int = 128, max_prec: int = 1 << 16) -> int:
+_FLOOR_MAX_PREC = 1 << 16
+
+
+def certified_floor(build) -> int:
     """floor of build(iv) certified by interval arithmetic.
 
     build receives the mpmath.iv context and must return an interval value.
-    Precision escalates until both endpoints floor to the same integer; the
-    quantities fed through here are provably non-integers, so this terminates.
+    Precision doubles from 128 bits until both endpoints floor to the same
+    integer; the quantities fed through here are provably non-integers, so
+    this terminates before the cap of 2^16 bits.
     """
-    prec = start_prec
+    prec = 128
     saved = iv.prec
     try:
-        while prec <= max_prec:
+        while prec <= _FLOOR_MAX_PREC:
             iv.prec = prec
             val = build(iv)
             lo = mpmath.floor(val.a)
@@ -81,7 +85,7 @@ def certified_floor(build, start_prec: int = 128, max_prec: int = 1 << 16) -> in
             prec *= 2
     finally:
         iv.prec = saved
-    raise ArithmeticError(f"floor not certified below precision {max_prec}")
+    raise ArithmeticError(f"floor not certified below precision {_FLOOR_MAX_PREC}")
 
 
 def _b_constant(n: int, big_n: int, q: int) -> int:

@@ -5,7 +5,8 @@ Gaussian rationals.  The class is closed under ring operations and d/dz, the
 zero test is exact (terms are keyed by frequency, so the canonical form of 0
 is the empty sum), and evaluation at a complex point is the only approximate
 operation.  Every float view of the exact data (values, phase noise floors,
-rate bounds) reads one cached image built here.
+rate bounds) reads one cached image built here, and every evaluation that
+must not overflow takes its exponentials from one scaling, _scaled_exps.
 """
 
 from __future__ import annotations
@@ -31,10 +32,6 @@ def _log_term_bound(c: complex, coeffs, radius: float) -> float:
     for a in coeffs:
         acc = acc * radius + abs(a)
     return abs(c) * radius + math.log(acc)
-
-
-def _freq_key(c: GaussRat):
-    return (c.re, c.im)
 
 
 class ExpPoly:
@@ -211,13 +208,24 @@ class ExpPoly:
         radius = float(np.max(np.abs(zs)))
         if max(_log_term_bound(c, coeffs, radius) for c, coeffs in image) <= _EXP_SAFE:
             return np.log(np.abs(self(zs)))
-        # factor out the per-point largest growth M = max_k Re(c_k z), so
-        # every exp has modulus at most 1
-        shift = np.maximum.reduce([c.real * zs.real - c.imag * zs.imag
-                                   for c, _ in image])
-        total = sum(np.polyval(coeffs, zs) * np.exp(c * zs - shift)
-                    for c, coeffs in image)
+        shift, exps = self._scaled_exps(zs)
+        total = sum(np.polyval(coeffs, zs) * e for (_, coeffs), e in zip(image, exps))
         return shift + np.log(np.abs(total))
+
+    def _scaled_exps(self, z):
+        """(M, [e^{c_k z - M} per term of float_image]) at a complex point or
+        elementwise over a numpy array, M = max_k Re(c_k z) rounded toward 0
+        to a multiple of 256: the factors are below e^256, so f(z) e^{-M} =
+        sum_k p_k(z) e^{c_k z - M} cannot overflow, and M = 0 (no value
+        changes) where the maximum lies in (-256, 256)."""
+        if isinstance(z, np.ndarray):
+            exp, top, fmod = np.exp, np.maximum.reduce, np.fmod
+        else:
+            z, exp, top, fmod = complex(z), cmath.exp, max, math.fmod
+        czs = [c * z for c, _ in self.float_image]
+        growth = top([w.real for w in czs])
+        shift = growth - fmod(growth, 256.0)
+        return shift, [exp(w - shift) for w in czs]
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -235,7 +243,7 @@ class ExpPoly:
         if not self.terms:
             return "0"
         parts = []
-        for c in sorted(self.terms, key=_freq_key):
+        for c in sorted(self.terms, key=lambda c: (c.re, c.im)):
             p = self.terms[c]
             ps = format_zpoly(p)
             if not c:

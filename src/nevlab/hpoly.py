@@ -180,20 +180,6 @@ class HPoly:
             return Fraction(0)
         return total
 
-    def partial(self, k: int) -> "HPoly":
-        """Partial derivative in coordinate x_k (degree drops by one)."""
-        if self.degree == 0:
-            return HPoly.zero(self.nvars, 0)
-        out = {}
-        for exp, c in self.coeffs.items():
-            e = exp[k]
-            if e:
-                nexp = exp[:k] + (e - 1,) + exp[k + 1:]
-                nc = c * e
-                prev = out.get(nexp)
-                out[nexp] = nc if prev is None else prev + nc
-        return HPoly(self.nvars, self.degree - 1, out)
-
     def specialize(self, z0) -> "HPoly":
         """Evaluate every moving coefficient at z = z0."""
         out = {}

@@ -10,10 +10,10 @@ from the certified bound chain and general position checked by resultants.
 
 Floats enter only through quadrature and through zero locations; divisor
 multiplicities, truncation levels, and admissibility stay exact.  Circle
-integrands read log|f_i| from ExpPoly.log_abs, which never overflows, so
-the characteristic has no radius limit; the zero finder evaluates the
-components themselves and fails numerically beyond the overflow range of exp
-(around 700 for unit frequencies).
+integrands read log|f_i| from ExpPoly.log_abs and the zero finder reads
+f e^{-M}; both take the factors e^{c_k z - M} from one scaling in expfunc,
+so neither the characteristic nor the counting functions overflow at any
+radius.
 """
 
 from __future__ import annotations
@@ -298,13 +298,15 @@ class DivisorBoundReport:
     boundary_nudged: bool
 
 
-def divisor_bound_check(f: CurveLike, r: float,
-                        match_tol: float = 1e-7) -> DivisorBoundReport:
+_BOUND_MATCH_TOL = 1e-7
+
+
+def divisor_bound_check(f: CurveLike, r: float) -> DivisorBoundReport:
     """Check ord_a(f_0...f_n / W) <= sum_i min(ord_a(f_i), n) inside |z| <= r.
 
     W is the consecutive-order wronskian of the components.  Polynomial
     components only: multiplicities come from exact squarefree structure and
-    only the positions are floating point, matched within match_tol.
+    only the positions are floating point, matched within _BOUND_MATCH_TOL.
     """
     curve = as_curve(f)
     if not curve.is_polynomial():
@@ -319,7 +321,7 @@ def divisor_bound_check(f: CurveLike, r: float,
 
     def order_at(div: Divisor, a: complex) -> int:
         for b, m in div.points:
-            if abs(b - a) <= match_tol * (1.0 + abs(a)):
+            if abs(b - a) <= _BOUND_MATCH_TOL * (1.0 + abs(a)):
                 return m
         return 0
 
@@ -328,7 +330,7 @@ def divisor_bound_check(f: CurveLike, r: float,
     holds = True
     for div in comp_divs:
         for a, _ in div.points:
-            if any(abs(a - b) <= match_tol * (1.0 + abs(a)) for b in seen):
+            if any(abs(a - b) <= _BOUND_MATCH_TOL * (1.0 + abs(a)) for b in seen):
                 continue
             seen.append(a)
             quot = sum(order_at(d, a) for d in comp_divs) - order_at(w_div, a)
@@ -433,13 +435,15 @@ def compose_target(qf: HPoly, f: CurveLike) -> tuple[ExpPoly, ZPoly]:
     return total, d_total
 
 
-def quotient_zeros(e_part: ExpPoly, d_part: ZPoly, r: float,
-                   match_tol: float = 1e-6) -> Divisor:
+_QUOTIENT_MATCH_TOL = 1e-6
+
+
+def quotient_zeros(e_part: ExpPoly, d_part: ZPoly, r: float) -> Divisor:
     """Zero divisor of E/D inside |z| <= r.
 
-    Numerator zeros matching a denominator zero lose that multiplicity;
-    leftover denominator zeros are poles of the quotient and never enter a
-    zero count.
+    Numerator zeros matching a denominator zero within _QUOTIENT_MATCH_TOL
+    (relative) lose that multiplicity; leftover denominator zeros are poles of
+    the quotient and never enter a zero count.
     """
     if e_part.is_zero():
         raise DegeneracyError("form vanishes identically along the curve")
@@ -450,7 +454,7 @@ def quotient_zeros(e_part: ExpPoly, d_part: ZPoly, r: float,
     pts = []
     for a, m in ediv.points:
         drop = sum(k for b, k in ddiv.points
-                   if abs(a - b) <= match_tol * (1.0 + abs(a)))
+                   if abs(a - b) <= _QUOTIENT_MATCH_TOL * (1.0 + abs(a)))
         if m > drop:
             pts.append((a, m - drop))
     return Divisor(points=tuple(pts), r=min(ediv.r, ddiv.r),
@@ -558,16 +562,15 @@ class SmtReport:
 
 
 def smt_verify(f: CurveLike, targets, eps, radii: Sequence[float],
-               truncations: Optional[Sequence[Optional[int]]] = None,
                nondegeneracy_degree: int = 4) -> SmtReport:
     """Evaluate the truncated main inequality on a radius grid.
 
     Checks first that the family is in general position and that the curve
     passes the nondegeneracy rank test, then measures both sides at every
     radius.  Forms are normalized so one coefficient is 1 before counting.
-    Truncation levels come from the certified bound chain unless supplied;
-    levels too large to materialize fall back to untruncated counting, which
-    only raises the right side, and level_note records the fallback.
+    Truncation levels come from the certified bound chain; levels too large
+    to materialize fall back to untruncated counting, which only raises the
+    right side, and level_note records the fallback.
     """
     curve = as_curve(f)
     if isinstance(targets, HypersurfaceFamily):
@@ -592,18 +595,13 @@ def smt_verify(f: CurveLike, targets, eps, radii: Sequence[float],
     n, q = curve.n, fam.q
     fixed = not fam.is_moving()
     level_note = None
-    if truncations is not None:
-        levels = tuple(truncations)
-        if len(levels) != q:
-            raise ValueError(f"expected {q} truncation levels")
+    chain = compute_truncation_levels(n, q, eps, fam.degrees, fixed=fixed)
+    if chain.materialized:
+        levels = chain.truncations
     else:
-        chain = compute_truncation_levels(n, q, eps, fam.degrees, fixed=fixed)
-        if chain.materialized:
-            levels = chain.truncations
-        else:
-            levels = (None,) * q
-            level_note = ("certified truncation levels exceed the digit "
-                          "budget; counting untruncated")
+        levels = (None,) * q
+        level_note = ("certified truncation levels exceed the digit "
+                      "budget; counting untruncated")
 
     profile = build_profile(curve, rs)
     r_max = rs[-1]

@@ -11,7 +11,7 @@ rather than hunted for.
 from __future__ import annotations
 
 import json
-from typing import Optional
+from typing import Optional, Union
 
 from .expfunc import ExpPoly
 from .fields import GaussRat, RatFunc, ZPoly
@@ -55,7 +55,8 @@ class SchemaError(InputError):
 #   factor := ('+'|'-') factor | atom ['^' uint]
 #   atom   := uint | 'i' | 'z' | '(' expr ')'
 #
-# evaluated over rational functions in z with Gaussian-rational coefficients
+# evaluated over rational functions in z with Gaussian-rational coefficients;
+# constants stay Gaussian rationals, promoted to RatFunc only where z appears
 
 _ATOM_START = ("int", "i", "z", "(")
 
@@ -107,7 +108,7 @@ class _Parser:
         raise ParseError(message, self.src,
                          self.toks[self.k][2] if pos is None else pos)
 
-    def expr(self) -> RatFunc:
+    def expr(self) -> Union[GaussRat, RatFunc]:
         v = self.term()
         while self.peek()[0] in "+-":
             op = self.take()
@@ -115,7 +116,7 @@ class _Parser:
             v = v + rhs if op[0] == "+" else v - rhs
         return v
 
-    def term(self) -> RatFunc:
+    def term(self) -> Union[GaussRat, RatFunc]:
         v = self.factor()
         while True:
             kind, _, pos = self.peek()
@@ -123,7 +124,7 @@ class _Parser:
                 self.take()
                 rhs = self.factor()
                 if kind == "/":
-                    if rhs.num.is_zero():
+                    if not rhs:
                         self.fail("division by zero", pos)
                     v = v / rhs
                 else:
@@ -133,7 +134,7 @@ class _Parser:
             else:
                 return v
 
-    def factor(self) -> RatFunc:
+    def factor(self) -> Union[GaussRat, RatFunc]:
         kind, _, _ = self.peek()
         if kind in "+-":
             self.take()
@@ -149,14 +150,14 @@ class _Parser:
             v = v ** int(text)
         return v
 
-    def atom(self) -> RatFunc:
+    def atom(self) -> Union[GaussRat, RatFunc]:
         kind, text, pos = self.take()
         if kind == "int":
-            return RatFunc(ZPoly((int(text),)))
+            return GaussRat(int(text))
         if kind == "i":
-            return RatFunc(ZPoly((_I,)))
+            return _I
         if kind == "z":
-            return RatFunc(ZPoly((0, 1)))
+            return RatFunc.var()
         if kind == "(":
             v = self.expr()
             if self.peek()[0] != ")":
@@ -172,7 +173,7 @@ def parse_ratfunc(src: str) -> RatFunc:
     v = p.expr()
     if p.peek()[0] != "end":
         p.fail("trailing input")
-    return v
+    return RatFunc.coerce(v)
 
 
 def parse_zpoly(src: str) -> ZPoly:

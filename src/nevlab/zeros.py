@@ -10,16 +10,15 @@ quadtree of boxes until each surviving box isolates one zero cluster, then
 multiplicity-aware Newton polish.  The disk winding number equals the sum of
 located multiplicities or the computation refuses the radius.
 
-Contours are walked as arrays: f, f' and the noise floor at every sampling
-point and segment midpoint in one call each, one segment test applied to all
-segments at once, and only the rejected segments halved and tested again,
-level by level; a quadtree step walks its four child boxes in one such pass.
-A box of winding count 1 larger than the tolerance tries a Newton exit: plain
-Newton from its centre, accepted only when it converges inside the box and
-the square of side tol centred at the limit lies in the box with winding
-count 1, which certifies one simple zero within tol of the reported point, as
-a quadtree leaf would.  Otherwise the box is subdivided; boxes holding two or
-more zeros always are.
+Every value is read as f e^{-M}, with f' e^{-M} and the noise floor, from
+one bounded exponential per term (ExpPoly._scaled_exps), so no radius
+overflows; phases, f'/f and Newton steps do not see the factor.  Contours are
+walked as arrays: every segment tested at once and only the rejected ones
+halved, level by level; a quadtree step walks its four child boxes in one
+pass.  A box of winding count 1 tries a Newton exit, accepted only when the
+square of side tol centred at the limit lies in the box with winding count 1,
+so one simple zero lies within tol of it; otherwise, and always for two or
+more zeros, the box is subdivided.
 
 Zeros within 1e-12 (relative) of the boundary circle: the radius is nudged
 outward by that amount and the divisor is flagged, so boundary zeros count
@@ -30,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -58,9 +57,6 @@ class Divisor:
         if level is None:
             return sum(m for _, m in self.points)
         return sum(min(m, level) for _, m in self.points)
-
-    def __iter__(self):
-        return iter(self.points)
 
     def __len__(self):
         return len(self.points)
@@ -90,8 +86,8 @@ def yun_squarefree(p: ZPoly) -> list[tuple[ZPoly, int]]:
     return out
 
 
-def _newton_polish(p: ZPoly, dp: ZPoly, x: complex, steps: int = 60) -> complex:
-    for _ in range(steps):
+def _newton_polish(p: ZPoly, dp: ZPoly, x: complex) -> complex:
+    for _ in range(60):
         fx = complex(p(x))
         if fx == 0:
             return x
@@ -117,17 +113,14 @@ def zpoly_roots(p: ZPoly) -> list[tuple[complex, int]]:
     return roots
 
 
-def _restrict(roots: Iterable[tuple[complex, int]], r: float) -> Divisor:
+def zpoly_zeros(p: ZPoly, r: float) -> Divisor:
+    if p.is_zero():
+        raise ValueError("zero polynomial has no divisor")
+    roots = zpoly_roots(p)
     nudged = any(abs(abs(a) - r) <= BOUNDARY_BAND * r for a, _ in roots)
     eff = r * (1 + BOUNDARY_BAND) if nudged else r
     pts = tuple((a, m) for a, m in roots if abs(a) <= eff)
     return Divisor(points=pts, r=r, boundary_nudged=nudged)
-
-
-def zpoly_zeros(p: ZPoly, r: float) -> Divisor:
-    if p.is_zero():
-        raise ValueError("zero polynomial has no divisor")
-    return _restrict(zpoly_roots(p), r)
 
 
 def ratfunc_divisors(f: RatFunc, r: float) -> tuple[Divisor, Divisor]:
@@ -141,31 +134,36 @@ def _chord_mid(a, b):
     return (a + b) / 2
 
 
-_EPS = 2.220446049250313e-16
+def _scaled(f: ExpPoly, df: ExpPoly):
+    """values(z) = (M, f e^{-M}, f' e^{-M}, floor e^{-M}) at a complex point or
+    elementwise over a numpy array, df being f', from the bounded factors of
+    ExpPoly._scaled_exps.  floor = 1024 eps sum_k A_k(|z|) |e^{c_k z}|, A_k(t)
+    the sum of |a| t^j over the terms a z^j of p_k, bounds the rounding error
+    of the value: a winding accepted with |f| above it all along the contour
+    counts zeros of the true function (Rouche), not of the noise."""
+    dimage = dict(zip(df.terms, df.float_image))
+    terms = [(coeffs, dimage[c][1] if c in dimage else (), [abs(a) for a in coeffs])
+             for c, (_, coeffs) in zip(f.terms, f.float_image)]
+
+    def values(z):
+        shift, exps = f._scaled_exps(z)
+        az = abs(z)
+        fz, dfz, floor = 0j, 0j, 0.0
+        for (coeffs, dcoeffs, mags), e in zip(terms, exps):
+            fz += _horner(coeffs, z) * e
+            if dcoeffs:
+                dfz += _horner(dcoeffs, z) * e
+            floor += _horner(mags, az) * abs(e)
+        return shift, fz, dfz, 1024 * math.ulp(1.0) * floor
+
+    return values
 
 
-def phase_noise_floor(f: ExpPoly):
-    """Absolute |f| level below which an evaluated phase is cancellation noise.
-
-    The sum of term magnitudes bounds the rounding perturbation of the computed
-    value, so a winding accepted with |f| above this floor everywhere on the
-    contour counts zeros of the true function (Rouche), not of the noise.  The
-    returned evaluator takes a complex point or a numpy array of them.
-    """
-    image = f.float_image
-
-    def floor(z):
-        s = 0.0
-        az = np.abs(z)
-        for c, coeffs in image:
-            t, pw = 0.0, 1.0
-            for a in reversed(coeffs):
-                t += abs(a) * pw
-                pw *= az
-            s += np.exp(np.minimum((c * z).real, 700.0)) * t
-        return 1024 * _EPS * s
-
-    return floor
+def _horner(coeffs, z):
+    acc = coeffs[0]
+    for a in coeffs[1:]:
+        acc = acc * z + a
+    return acc
 
 
 def _contour_points(vertices, rate: float, midfn) -> np.ndarray:
@@ -209,21 +207,18 @@ def _windings(f: ExpPoly, contours, rate: float, midfn) -> list[int]:
     contour, which a one-level midpoint check cannot see.  Only the rejected
     segments are halved and tested again, level by level, 56 levels deep.
     """
-    floor = phase_noise_floor(f)
-    df = f.derivative()
+    values = _scaled(f, f.derivative())
 
     def evaluate(zs):
-        """f and |f'/f| at the points zs, which must clear the noise floor."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            fz = f(zs)
+        """f e^{-M} and |f'/f| at the points zs, which must clear the noise floor."""
+        _, fz, dfz, floor = values(zs)
         bad = ~np.isfinite(fz)
         if bad.any():
-            # as cmath.exp would at a single point
-            raise OverflowError(f"math range error on contour near {zs[bad.argmax()]}")
-        bad = np.abs(fz) <= floor(zs)
+            raise OverflowError(f"f e^-M is not finite on contour near {zs[bad.argmax()]}")
+        bad = np.abs(fz) <= floor
         if bad.any():
             raise ContourThroughZero(f"|f| below noise on contour near {zs[bad.argmax()]}")
-        return fz, np.abs(df(zs)) / np.abs(fz)
+        return fz, np.abs(dfz) / np.abs(fz)
 
     pts = [_contour_points(v, rate, midfn) for v in contours]
     sizes = np.array([len(p) for p in pts])
@@ -262,16 +257,12 @@ def _windings(f: ExpPoly, contours, rate: float, midfn) -> list[int]:
 
 def phase_rate_bound(f: ExpPoly) -> float:
     """Crude bound on |f'/f| on contours staying away from zeros."""
-    rate = 1.0
-    for c, coeffs in f.float_image:
-        rate += abs(c) + (len(coeffs) - 1)
-    return rate
+    return sum((abs(c) + (len(coeffs) - 1) for c, coeffs in f.float_image), 1.0)
 
 
-def disk_winding(f: ExpPoly, r: float, rate: float = None) -> int:
+def disk_winding(f: ExpPoly, r: float) -> int:
     """Zero count (with multiplicity) of f in |z| < r by the argument principle."""
-    if rate is None:
-        rate = phase_rate_bound(f)
+    rate = phase_rate_bound(f)
     samples = max(64, math.ceil(2 * math.pi * r * rate / 0.5))
     verts = r * np.exp(2j * np.pi * np.arange(samples) / samples)
 
@@ -298,12 +289,13 @@ def _newton_exit(f, df, x0, x1, y0, y1, tol, rate) -> Optional[complex]:
     winding count 1.  That square then holds the box's one zero, so the limit
     is within tol of it, as a quadtree leaf's centre would be.
     """
+    values = _scaled(f, df)
     x = complex((x0 + x1) / 2, (y0 + y1) / 2)
     for _ in range(40):
-        dfx = df(x)
+        _, fx, dfx, _ = values(x)
         if dfx == 0:
             return None
-        step = f(x) / dfx
+        step = fx / dfx
         x -= step
         if not (x0 <= x.real <= x1 and y0 <= x.imag <= y1):
             return None
@@ -364,17 +356,21 @@ def _subdivide(f, df, x0, x1, y0, y1, count, tol, found, rate, depth=0):
 
 
 def _polish_cluster(f, df, z: complex, mult: int, box_tol: float) -> complex:
-    x = z
-    best, best_f = z, abs(f(z))
+    """Multiplicity-aware Newton from a cluster's centre, returning the
+    iterate of least |f| within reach of the centre.  |f| is compared as
+    M + log|f e^{-M}|, with |f e^{-M}| breaking the ties that the log's
+    rounding makes."""
+    values = _scaled(f, df)
     escape = max(4 * box_tol, 1e-4 * (1 + abs(z)))
-    for _ in range(80):
-        fx = f(x)
-        if abs(fx) < best_f:
-            best, best_f = x, abs(fx)
+    x, step, best, best_key = z, math.inf, z, (math.inf,)
+    for _ in range(81):
+        shift, fx, dfx, _ = values(x)
         if fx == 0:
             return x
-        dfx = df(x)
-        if dfx == 0:
+        key = (shift + math.log(abs(fx)), abs(fx))
+        if key < best_key:
+            best, best_key = x, key
+        if abs(step) <= 1e-15 * max(1.0, abs(x)) or dfx == 0:
             break
         step = mult * fx / dfx
         if abs(step) > escape:
@@ -382,34 +378,29 @@ def _polish_cluster(f, df, z: complex, mult: int, box_tol: float) -> complex:
             # trustworthy region; keep the best point seen instead
             break
         x -= step
-        if abs(step) <= 1e-15 * max(1.0, abs(x)):
-            fx = f(x)
-            if abs(fx) < best_f:
-                best, best_f = x, abs(fx)
-            break
     return best if abs(best - z) <= escape else z
 
 
-def exppoly_zeros(f: ExpPoly, r: float, tol: float = None) -> Divisor:
+def exppoly_zeros(f: ExpPoly, r: float) -> Divisor:
     """Divisor of an exponential polynomial in |z| <= r.
 
     Polynomial inputs take the exact path.  Otherwise: boundary winding gives
-    the total count, quadtree subdivision isolates clusters, and the sum of
-    located multiplicities must reproduce the boundary count.
+    the total count, quadtree subdivision isolates clusters down to boxes of
+    side 1e-10 max(r, 1), and the sum of located multiplicities must
+    reproduce the boundary count.
     """
     if f.is_zero():
         raise ValueError("zero function has no divisor")
     if f.is_polynomial():
         return zpoly_zeros(f.polynomial_part(), r)
-    if tol is None:
-        tol = 1e-10 * max(r, 1.0)
+    tol = 1e-10 * max(r, 1.0)
     rate = phase_rate_bound(f)
     df = f.derivative()
     nudged = False
     eff = r
     for attempt in range(8):
         try:
-            total = disk_winding(f, eff, rate)
+            total = disk_winding(f, eff)
             break
         except ContourThroughZero:
             nudged = True

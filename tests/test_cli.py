@@ -308,6 +308,15 @@ def test_characteristic_past_the_overflow_radius(paths, capsys):
     assert all(isinstance(v, float) and math.isfinite(v) for v in doc["values"])
 
 
+def test_smt_and_defects_past_the_exp_overflow_radius(paths, capsys):
+    assert main(["smt", paths["curve"], paths["system"], "--rmin", "700",
+                 "--rmax", "720", "--steps", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["holds_everywhere"] is True
+    assert main(["defects", paths["curve"], paths["system"], "--rmax", "720"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert all(math.isfinite(t["defect"]) for t in doc["targets"])
+
+
 def test_schema_commands(paths, capsys):
     for kind in ("scalar", "polynomial", "system", "curve"):
         assert main(["schema", kind]) == 0

@@ -33,17 +33,6 @@ def test_constructor_rejects_bad_terms():
         HPoly(2, 1, {(1, 0, 0): 1})         # three exponents for two vars
 
 
-def test_euler_identity():
-    rng = random.Random(5)
-    for _ in range(30):
-        p = _rand_form(rng, 3, rng.randint(1, 3))
-        # sum_k x_k * dP/dx_k - d*P vanishes for homogeneous P
-        acc = HPoly.zero(3, p.degree)
-        for k in range(3):
-            acc = acc + HPoly.coordinate(3, k) * p.partial(k)
-        assert (acc - p * Fraction(p.degree)).is_zero()
-
-
 def test_mul_adds_degrees_and_matches_evaluation():
     rng = random.Random(7)
     for _ in range(30):
@@ -60,13 +49,6 @@ def test_pow_matches_repeated_mul():
     assert p ** 3 == p * p * p
     assert p ** 1 == p
     assert (p ** 2).degree == 2
-
-
-def test_partial_derivatives_commute():
-    rng = random.Random(9)
-    p = _rand_form(rng, 3, 3)
-    assert p.partial(0).partial(1) == p.partial(1).partial(0)
-    assert p.partial(0).degree == p.degree - 1 or p.partial(0).is_zero()
 
 
 def test_scalar_multiplication_both_sides():

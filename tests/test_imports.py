@@ -1,5 +1,6 @@
-"""Every module-level import of the package is used by its module, and every
-public name of the package is used by the package or its scripts.
+"""Every module-level import of the package, its tests and its scripts is
+used by its module, and every public name of the package is used by the
+package or its scripts.
 
 Names listed in a module's __all__ count as used (re-exports); __future__
 imports and the package __init__, which exists to re-export, are exempt.
@@ -34,7 +35,8 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_no_unused_imports():
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert len(modules) > 10
-    unused = {p.name: _unused_imports(ast.parse(p.read_text(), str(p))) for p in modules}
+    modules += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    unused = {str(p.relative_to(ROOT)): _unused_imports(ast.parse(p.read_text(), str(p))) for p in modules}
     assert {name: names for name, names in unused.items() if names} == {}
 
 

@@ -20,7 +20,7 @@ from nevlab.nevanlinna import (AdmissibilityError, DegeneracyError,
                                jensen_check, nondegeneracy_check,
                                normalize_target, quotient_zeros, smt_verify,
                                wronskian)
-from nevlab.zeros import Divisor, zpoly_zeros
+from nevlab.zeros import Divisor
 
 ONE = ZPoly((1,))
 Z = ZPoly((0, 1))

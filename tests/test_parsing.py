@@ -1,5 +1,3 @@
-import json
-import random
 from fractions import Fraction
 
 import pytest
@@ -7,10 +5,9 @@ from hypothesis import given, strategies as st
 
 from nevlab.expfunc import ExpPoly
 from nevlab.fields import GaussRat, RatFunc, ZPoly
-from nevlab.parsing import (InputError, ParseError, SchemaError,
-                            curve_from_json, family_from_json, hpoly_from_json,
-                            load_json_file, parse_ratfunc, parse_scalar,
-                            parse_zpoly)
+from nevlab.parsing import (ParseError, SchemaError, curve_from_json,
+                            family_from_json, hpoly_from_json, load_json_file,
+                            parse_ratfunc, parse_scalar, parse_zpoly)
 
 
 def test_scalar_forms():
@@ -52,6 +49,21 @@ def test_ratfunc_round_trips():
     assert parse_ratfunc("1/(z+10)") == RatFunc(ZPoly((1,)), ZPoly((10, 1)))
 
 
+@pytest.mark.parametrize("src, num, den", [
+    ("3/6", (Fraction(1, 2),), (1,)),
+    ("2-i", (GaussRat(2, -1),), (1,)),
+    ("(2+i)/(z+3)", (GaussRat(2, 1),), (3, 1)),
+    ("z/z", (1,), (1,)),
+    ("i(1/2 - z)", (GaussRat(0, Fraction(1, 2)), GaussRat(0, -1)), (1,)),
+])
+def test_values_are_reduced_rational_functions(src, num, den):
+    # constants are parsed as Gaussian rationals and promoted only where z
+    # appears; the result is always a reduced RatFunc
+    v = parse_ratfunc(src)
+    assert isinstance(v, RatFunc)
+    assert (v.num, v.den) == (ZPoly(num), ZPoly(den))
+
+
 def test_division_by_zero_is_positioned():
     with pytest.raises(ParseError) as exc:
         parse_ratfunc("1/(z-z)")
@@ -60,6 +72,9 @@ def test_division_by_zero_is_positioned():
     caret = err.caret().splitlines()
     assert caret[0] == "1/(z-z)"
     assert caret[1][err.position] == "^"
+    with pytest.raises(ParseError) as exc:
+        parse_ratfunc("(2+i)/(i-i)")              # a zero Gaussian rational
+    assert exc.value.position == 5
 
 
 def test_unbalanced_paren_caret():

@@ -1,7 +1,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
 from nevlab import linalg, resultant

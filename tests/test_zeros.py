@@ -3,9 +3,11 @@ argument-principle walks for exponential sums."""
 
 import cmath
 import math
+import random
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nevlab import zeros
@@ -167,7 +169,7 @@ def test_refused_newton_certificate_falls_back_to_subdivision(monkeypatch):
     assert len(refused) >= reference.total()
 
 
-@pytest.mark.parametrize("r", [7.0, 50.0, 300.0])
+@pytest.mark.parametrize("r", [7.0, 50.0, 300.0, 720.0, 2000.0])
 def test_exp_minus_one_closed_form_count(r):
     div = exppoly_zeros(ExpPoly.exp(1) - 1, r)
     assert div.total() == 2 * math.floor(r / (2 * math.pi)) + 1
@@ -186,8 +188,41 @@ def test_double_zeros_keep_multiplicity():
         assert m == 2 and abs(point - 2j * math.pi * k) < 1e-6
 
 
-def test_contour_overflow_is_a_range_error_without_warnings():
+def test_zeros_past_the_exp_overflow_radius_without_warnings():
+    # e^z + 1 vanishes at (2k+1) pi i; e^720 overflows a double
+    r = 720.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(OverflowError, match="math range error"):
-            exppoly_zeros(ExpPoly.exp(1) + 1, 720.0)
+        div = exppoly_zeros(ExpPoly.exp(1) + 1, r)
+    assert div.total() == 2 * math.floor((r / math.pi + 1) / 2)
+    for point, m in div.points:
+        k = round((point.imag / math.pi - 1) / 2)
+        assert m == 1 and abs(point - (2 * k + 1) * math.pi * 1j) < 1e-9 * r
+
+
+def test_simple_zero_where_the_exponential_term_overflows():
+    # (z - 715) e^z + 1 has a zero within e^-715 of 715, where e^z overflows
+    f = (ExpPoly.var() - 715) * ExpPoly.exp(1) + 1
+    div = exppoly_zeros(f, 720.0)
+    assert div.total() == disk_winding(f, 720.0)
+    near = [(point, m) for point, m in div.points if abs(point - 715) <= 1e-9 * 715]
+    assert len(near) == 1 and near[0][1] == 1
+
+
+def test_scaled_pass_matches_f_and_its_derivative():
+    z = ExpPoly.var()
+    f = ExpPoly.exp(6) - z * ExpPoly.exp(-7) + 3 * z ** 2 + ExpPoly.exp(GaussRat(1, 5))
+    df = f.derivative()
+    rng = random.Random(3)
+    pts = [cmath.rect(50 * rng.random() ** 0.5, 2 * math.pi * rng.random()) for _ in range(200)]
+    values = zeros._scaled(f, df)
+    shifts, fs, dfs, floors = values(np.array(pts))
+    assert set(shifts.tolist()) == {0.0, 256.0}
+    for k, x in enumerate(pts):
+        shift, fx, dfx, floor = values(x)
+        assert (shift, floor) == pytest.approx((shifts[k], floors[k]), rel=1e-12)
+        assert (fx, dfx) == pytest.approx((fs[k], dfs[k]), rel=1e-12)
+        scale = math.exp(shift)
+        assert abs(fx * scale - f(x)) <= floor * scale
+        assert dfx * scale == pytest.approx(df(x), rel=1e-9)
+        assert fx / dfx == pytest.approx(f(x) / df(x), rel=1e-9)
