@@ -421,12 +421,12 @@ def check_characteristic_closed_forms() -> tuple[bool, str]:
     fe = EntireCurve((ExpPoly.const(1), ExpPoly.exp(1)))
     worst_e = 0.0
     for r in (10.0, 20.0, 30.0, 40.0, 50.0):
-        err = abs(characteristic(fe, r) - r / math.pi)
+        err = abs(characteristic(fe, r) - (r - 1) / math.pi)
         worst_e = max(worst_e, err)
-        if err > 1.0:
+        if err > 1e-9 * r:
             bad += 1
     return bad == 0, (f"monomial curves worst |T - k log r| = {worst:.2e}; "
-                      f"exp curve worst |T - r/pi| = {worst_e:.3f}")
+                      f"exp curve worst |T - (r-1)/pi| = {worst_e:.1e}")
 
 
 # ---------------------------------------------------------------------------

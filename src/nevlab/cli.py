@@ -373,6 +373,77 @@ def cmd_selftest(args) -> int:
 # parser
 
 
+_OUTPUT = (("-o", "--output"),
+           dict(metavar="FILE", help="write the JSON report here (atomically) instead of stdout"))
+
+# subcommand -> (handler, help, the add_argument calls after -o/--output)
+COMMANDS = {
+    "resultant": (cmd_resultant, "Macaulay resultant of n+1 forms", (
+        (("system",), dict(help="system JSON file")),
+        (("--seed",), dict(type=int, default=1, help="specialization seed")))),
+    "admissible": (cmd_admissible, "general-position check for a family", (
+        (("system",), {}),
+        (("--max-points",), dict(type=int, default=None,
+                                 help="cap (>= 1) on parameter points tried; exit 3 when no "
+                                      "verdict is proved within it")))),
+    "certificate": (cmd_certificate,
+                    "express a power of one coordinate inside the ideal of the family", (
+        (("system",), {}),
+        (("--index",), dict(type=int, required=True, help="coordinate index to certify")))),
+    "filtration": (cmd_filtration, "graded filtration table at one level", (
+        (("system",), {}),
+        (("--subset",), dict(required=True, help="n comma-separated form indices")),
+        (("--level",), dict(type=int, required=True, help="graded level N")))),
+    "bounds": (cmd_bounds, "truncation levels for given (n, q, eps, degrees)", (
+        (("--n",), dict(type=int, required=True, help="projective dimension")),
+        (("--eps",), dict(required=True, help="error budget, e.g. 1/2")),
+        (("--degrees",), dict(required=True, help="comma-separated target degrees")),
+        (("--fixed",), dict(action="store_true",
+                            help="constant-coefficient chain (much smaller levels)")),
+        (("--digit-budget",), dict(type=int, default=None,
+                                   help="max decimal digits before levels are left symbolic")))),
+    "jensen": (cmd_jensen, "zero/pole counting vs boundary averages", (
+        (("--phi",), dict(required=True, help="rational expression in z, e.g. (z-2)/(z+3)")),
+        (("--radii",), dict(default="2,5,10")))),
+    "wronskian": (cmd_wronskian, "Wronskian determinant of curve components", (
+        (("curve",), {}),
+        (("--orders",), dict(default=None, help="derivative orders, e.g. 0,1,2")))),
+    "characteristic": (cmd_characteristic, "growth function of a curve", (
+        (("curve",), {}),
+        (("--radii",), dict(default="2,5,10,20")))),
+    "defects": (cmd_defects, "deficiency estimates for each target form", (
+        (("curve",), {}),
+        (("system",), {}),
+        (("--rmax",), dict(type=float, default=50.0)),
+        (("--level",), dict(type=int, default=None, help="truncation level for counting")),
+        (("--grid",), dict(type=int, default=12)))),
+    "smt": (cmd_smt, "verify the main inequality along a radius grid", (
+        (("curve",), {}),
+        (("system",), {}),
+        (("--eps",), dict(default="1/2")),
+        (("--rmin",), dict(type=float, default=10.0)),
+        (("--rmax",), dict(type=float, default=50.0)),
+        (("--steps",), dict(type=int, default=20)),
+        (("--nondeg-degree",), dict(type=int, default=4,
+                                    help="degree up to which algebraic independence is "
+                                         "screened")),
+        (("--plot",), dict(metavar="FILE.svg", default=None,
+                           help="write an SVG of both sides of the inequality")))),
+    "schema": (cmd_schema, "print input formats", (
+        (("kind",), dict(choices=("scalar", "polynomial", "system", "curve"))),)),
+    "selftest": (cmd_selftest, "run the acceptance battery", (
+        (("--only",), dict(default=None, help="comma-separated check names")),)),
+}
+
+
+def _declare(sp: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    fn, _, arguments = COMMANDS[name]
+    sp.set_defaults(command=name, func=fn)
+    for flags, options in (_OUTPUT, *arguments):
+        sp.add_argument(*flags, **options)
+    return sp
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="nevlab",
@@ -380,87 +451,31 @@ def build_parser() -> argparse.ArgumentParser:
                     "Nevanlinna functionals for entire curves")
     p.add_argument("--version", action="version", version=f"nevlab {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_):
-        sp = sub.add_parser(name, help=help_)
-        sp.set_defaults(func=fn)
-        sp.add_argument("-o", "--output", metavar="FILE",
-                        help="write the JSON report here (atomically) instead of stdout")
-        return sp
-
-    sp = add("resultant", cmd_resultant, "Macaulay resultant of n+1 forms")
-    sp.add_argument("system", help="system JSON file")
-    sp.add_argument("--seed", type=int, default=1, help="specialization seed")
-
-    sp = add("admissible", cmd_admissible, "general-position check for a family")
-    sp.add_argument("system")
-    sp.add_argument("--max-points", type=int, default=None,
-                    help="cap (>= 1) on parameter points tried; exit 3 when no verdict "
-                         "is proved within it")
-
-    sp = add("certificate", cmd_certificate,
-             "express a power of one coordinate inside the ideal of the family")
-    sp.add_argument("system")
-    sp.add_argument("--index", type=int, required=True,
-                    help="coordinate index to certify")
-
-    sp = add("filtration", cmd_filtration, "graded filtration table at one level")
-    sp.add_argument("system")
-    sp.add_argument("--subset", required=True, help="n comma-separated form indices")
-    sp.add_argument("--level", type=int, required=True, help="graded level N")
-
-    sp = add("bounds", cmd_bounds, "truncation levels for given (n, q, eps, degrees)")
-    sp.add_argument("--n", type=int, required=True, help="projective dimension")
-    sp.add_argument("--eps", required=True, help="error budget, e.g. 1/2")
-    sp.add_argument("--degrees", required=True, help="comma-separated target degrees")
-    sp.add_argument("--fixed", action="store_true",
-                    help="constant-coefficient chain (much smaller levels)")
-    sp.add_argument("--digit-budget", type=int, default=None,
-                    help="max decimal digits before levels are left symbolic")
-
-    sp = add("jensen", cmd_jensen, "zero/pole counting vs boundary averages")
-    sp.add_argument("--phi", required=True, help="rational expression in z, e.g. (z-2)/(z+3)")
-    sp.add_argument("--radii", default="2,5,10")
-
-    sp = add("wronskian", cmd_wronskian, "Wronskian determinant of curve components")
-    sp.add_argument("curve")
-    sp.add_argument("--orders", default=None, help="derivative orders, e.g. 0,1,2")
-
-    sp = add("characteristic", cmd_characteristic, "growth function of a curve")
-    sp.add_argument("curve")
-    sp.add_argument("--radii", default="2,5,10,20")
-
-    sp = add("defects", cmd_defects, "deficiency estimates for each target form")
-    sp.add_argument("curve")
-    sp.add_argument("system")
-    sp.add_argument("--rmax", type=float, default=50.0)
-    sp.add_argument("--level", type=int, default=None, help="truncation level for counting")
-    sp.add_argument("--grid", type=int, default=12)
-
-    sp = add("smt", cmd_smt, "verify the main inequality along a radius grid")
-    sp.add_argument("curve")
-    sp.add_argument("system")
-    sp.add_argument("--eps", default="1/2")
-    sp.add_argument("--rmin", type=float, default=10.0)
-    sp.add_argument("--rmax", type=float, default=50.0)
-    sp.add_argument("--steps", type=int, default=20)
-    sp.add_argument("--nondeg-degree", type=int, default=4,
-                    help="degree up to which algebraic independence is screened")
-    sp.add_argument("--plot", metavar="FILE.svg", default=None,
-                    help="write an SVG of both sides of the inequality")
-
-    sp = add("schema", cmd_schema, "print input formats")
-    sp.add_argument("kind", choices=("scalar", "polynomial", "system", "curve"))
-
-    sp = add("selftest", cmd_selftest, "run the acceptance battery")
-    sp.add_argument("--only", default=None, help="comma-separated check names")
-
+    for name, (_, help_, _) in COMMANDS.items():
+        _declare(sub.add_parser(name, help=help_), name)
     return p
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse a command line exactly as ``build_parser`` does.
+
+    A line that names a subcommand is parsed by a parser of that subcommand
+    alone, built as ``build_parser`` builds it, so its help and errors read
+    the same; declaring all twelve was half the time of a small command.
+    Arguments it does not know go to the full parser, whose error names them.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in COMMANDS:
+        sp = _declare(argparse.ArgumentParser(prog=f"nevlab {argv[0]}"), argv[0])
+        args, extra = sp.parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     _raise_digit_limit()
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.func(args)
     except ParseError as e:

@@ -13,7 +13,9 @@ multiplicities, truncation levels, and admissibility stay exact.  Circle
 integrands read log|f_i| from ExpPoly.log_abs and the zero finder reads
 f e^{-M}; both take the factors e^{c_k z - M} from one scaling in expfunc,
 so neither the characteristic nor the counting functions overflow at any
-radius.
+radius.  T(r) hands circle_average one log|f_i| row per component, and the
+quadrature splits the circle where the largest row changes, so the kinks of
+log max_i |f_i| are integrated as breakpoints, not sampled.
 """
 
 from __future__ import annotations
@@ -62,6 +64,8 @@ class AdmissibilityError(ValueError):
 
 _SCREEN_RADII = (0.713, 1.618, 3.374)
 _SCREEN_ANGLES = 24
+_SCREEN_POINTS = np.array([rr * cmath.exp(2j * math.pi * (k + 0.37) / _SCREEN_ANGLES)
+                           for rr in _SCREEN_RADII for k in range(_SCREEN_ANGLES)])
 
 
 class EntireCurve:
@@ -98,12 +102,13 @@ class EntireCurve:
                 raise DegeneracyError(
                     "components share a polynomial factor; divide it out first")
             return
-        for rr in _SCREEN_RADII:
-            for k in range(_SCREEN_ANGLES):
-                z = rr * cmath.exp(2j * math.pi * (k + 0.37) / _SCREEN_ANGLES)
-                if self.norm_at(z) == 0.0:
-                    raise DegeneracyError(
-                        f"components all vanish near z = {z:.6g}")
+        # log|f| is -inf exactly where f is 0, and never overflows
+        with np.errstate(divide="ignore"):
+            vanish = np.logical_and.reduce(
+                [c.log_abs(_SCREEN_POINTS) == -np.inf for c in live])
+        if vanish.any():
+            z = complex(_SCREEN_POINTS[vanish.argmax()])
+            raise DegeneracyError(f"components all vanish near z = {z:.6g}")
 
     @property
     def n(self) -> int:
@@ -114,9 +119,6 @@ class EntireCurve:
 
     def __call__(self, z: complex) -> tuple[complex, ...]:
         return tuple(c(z) for c in self.components)
-
-    def norm_at(self, z: complex) -> float:
-        return max(abs(v) for v in self(z))
 
     def __eq__(self, other):
         if not isinstance(other, EntireCurve):
@@ -138,14 +140,10 @@ def as_curve(f: CurveLike) -> EntireCurve:
 
 
 def _log_norm_integrand(curve: EntireCurve):
-    first, *rest = curve.components
-
-    # the log of the largest modulus is the largest log-modulus
+    # the log of the largest modulus is the largest log-modulus: one row per
+    # component, which circle_average maximizes and splits at the kinks
     def fn(zs: np.ndarray) -> np.ndarray:
-        out = first.log_abs(zs)
-        for comp in rest:
-            np.maximum(out, comp.log_abs(zs), out=out)
-        return out
+        return np.stack([comp.log_abs(zs) for comp in curve.components])
 
     return fn
 

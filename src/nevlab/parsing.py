@@ -167,18 +167,25 @@ class _Parser:
         self.fail("expected a number, i, z, or '('", pos)
 
 
-def parse_ratfunc(src: str) -> RatFunc:
-    """Rational function in z from an expression string."""
+def _parse(src: str) -> Union[GaussRat, RatFunc]:
+    """The value of an expression string: a GaussRat unless z occurs."""
     p = _Parser(src)
     v = p.expr()
     if p.peek()[0] != "end":
         p.fail("trailing input")
-    return RatFunc.coerce(v)
+    return v
+
+
+def parse_ratfunc(src: str) -> RatFunc:
+    """Rational function in z from an expression string."""
+    return RatFunc.coerce(_parse(src))
 
 
 def parse_zpoly(src: str) -> ZPoly:
     """Polynomial in z; rejects expressions with a genuine denominator."""
-    v = parse_ratfunc(src)
+    v = _parse(src)
+    if isinstance(v, GaussRat):
+        return ZPoly((v,))
     if v.den.degree > 0:
         raise ParseError("expected a polynomial, found a denominator", src, 0)
     return v.num  # reduced form keeps the denominator monic, so it is 1 here
@@ -186,7 +193,9 @@ def parse_zpoly(src: str) -> ZPoly:
 
 def parse_scalar(src: str) -> GaussRat:
     """Constant like "1/2" or "3+2i"; rejects anything involving z."""
-    v = parse_ratfunc(src)
+    v = _parse(src)
+    if isinstance(v, GaussRat):
+        return v
     if not v.is_constant():
         raise ParseError("expected a constant, found z", src, 0)
     return v.constant_value()
@@ -214,9 +223,11 @@ def _coef_from_json(v, path):
     if isinstance(v, int):
         return v
     try:
-        r = parse_ratfunc(v)
+        r = _parse(v)
     except ParseError as e:
         raise SchemaError(path, str(e)) from e
+    if isinstance(r, GaussRat):
+        return r
     return r.constant_value() if r.is_constant() else r
 
 

@@ -166,29 +166,44 @@ def _horner(coeffs, z):
     return acc
 
 
-def _contour_points(vertices, rate: float, midfn) -> np.ndarray:
-    """The closed contour's sampling points, in order, as one array.
+def _successors(sizes: np.ndarray) -> np.ndarray:
+    """For points listed contour after contour, sizes[i] of them on contour
+    i, the index of each point's successor on its closed contour."""
+    nxt = np.arange(1, sizes.sum() + 1)
+    nxt[np.cumsum(sizes) - 1] -= sizes
+    return nxt
+
+
+def _contour_points(contours, rate: float, midfn) -> tuple[np.ndarray, np.ndarray]:
+    """The sampling points of closed contours, each given by its vertices:
+    one array holding every contour's points in order, and the point count
+    of each contour.
 
     Each edge is halved through midfn until it has at least
-    |b - a| * rate / 0.5 pieces, so no piece can hide a full phase turn.
+    |b - a| * rate / 0.5 pieces, so no piece can hide a full phase turn.  The
+    edges of all contours that need the same number of halvings are halved
+    together.
     """
-    a = np.asarray(vertices, dtype=complex)
-    b = np.roll(a, -1)
+    sizes = np.array([len(v) for v in contours])
+    a = np.concatenate([np.asarray(v, dtype=complex) for v in contours])
+    b = a[_successors(sizes)]
     steps = np.maximum(1.0, np.ceil(np.abs(b - a) * rate / 0.5))
     halvings = np.frexp(steps - 1.0)[1]       # least k with 2^k >= steps
-    pieces = [None] * len(a)
+    pieces = np.left_shift(1, halvings)
+    start = np.cumsum(pieces) - pieces         # where each edge's points go
+    out = np.empty(pieces.sum(), dtype=complex)
     for k in np.unique(halvings):
         idx = np.flatnonzero(halvings == k)
         sub, end = a[idx, None], b[idx, None]
         for _ in range(k):
             right = np.concatenate((sub[:, 1:], end), axis=1)
-            nxt = np.empty((len(idx), 2 * sub.shape[1]), dtype=complex)
-            nxt[:, 0::2] = sub
-            nxt[:, 1::2] = midfn(sub, right)
-            sub = nxt
-        for i, row in zip(idx, sub):
-            pieces[i] = row
-    return np.concatenate(pieces)
+            finer = np.empty((len(idx), 2 * sub.shape[1]), dtype=complex)
+            finer[:, 0::2] = sub
+            finer[:, 1::2] = midfn(sub, right)
+            sub = finer
+        out[start[idx, None] + np.arange(sub.shape[1])] = sub
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    return out, np.bincount(owner, pieces, len(sizes)).astype(int)
 
 
 def _windings(f: ExpPoly, contours, rate: float, midfn) -> list[int]:
@@ -220,15 +235,12 @@ def _windings(f: ExpPoly, contours, rate: float, midfn) -> list[int]:
             raise ContourThroughZero(f"|f| below noise on contour near {zs[bad.argmax()]}")
         return fz, np.abs(dfz) / np.abs(fz)
 
-    pts = [_contour_points(v, rate, midfn) for v in contours]
-    sizes = np.array([len(p) for p in pts])
-    owner = np.repeat(np.arange(len(pts)), sizes)
-    nxt = np.arange(1, sizes.sum() + 1)
-    nxt[np.cumsum(sizes) - 1] -= sizes                 # each contour closes on itself
-    a = np.concatenate(pts)
+    a, sizes = _contour_points(contours, rate, midfn)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    nxt = _successors(sizes)
     fa, ra = evaluate(a)
     b, fb, rb = a[nxt], fa[nxt], ra[nxt]
-    total = np.zeros(len(pts))
+    total = np.zeros(len(sizes))
     for _ in range(57):
         m = midfn(a, b)
         fm, rm = evaluate(m)
@@ -237,7 +249,7 @@ def _windings(f: ExpPoly, contours, rate: float, midfn) -> list[int]:
         ok = ((np.abs(delta) < 1.0) & (np.abs(d1) < 1.0) & (np.abs(d2) < 1.0)
               & (np.abs(d1 + d2 - delta) < 1e-9)
               & (np.abs(b - a) * np.maximum(np.maximum(ra, rm), rb) <= 1.0))
-        total += np.bincount(owner[ok], delta[ok], len(pts))
+        total += np.bincount(owner[ok], delta[ok], len(sizes))
         if ok.all():
             break
         a, fa, ra, m, fm, rm, b, fb, rb, owner = (

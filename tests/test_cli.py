@@ -366,3 +366,23 @@ def test_bad_json_positioned(paths, capsys):
     broken.write_text('{"n": 1,]')
     assert main(["admissible", str(broken)]) == 2
     assert "line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["characteristic", "c.json", "--radii", "2,3"], ["characteristic", "--rad", "2", "c.json"],
+    ["characteristic", "--", "c.json"], ["characteristic", "c.json", "--bogus"],
+    ["characteristic", "c.json", "--version"], ["characteristic"], ["characteristic", "-h"],
+    ["smt", "c.json", "s.json", "--steps=3", "--plot", "p.svg", "-o", "-"],
+    ["bounds", "--n", "x", "--eps", "1", "--degrees", "1"], ["schema", "foo"], ["selftest"],
+    [], ["bogus"], ["-h"], ["--version", "characteristic"]])
+def test_one_subcommand_parser_parses_like_the_full_parser(argv, capsys):
+    from nevlab.cli import _parse_args, build_parser
+
+    def parse(fn):
+        try:
+            ns, code = vars(fn(argv)), None
+        except SystemExit as e:
+            ns, code = None, e.code
+        return ns, code, capsys.readouterr()
+
+    assert parse(_parse_args) == parse(build_parser().parse_args)

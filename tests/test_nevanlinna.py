@@ -70,21 +70,76 @@ def test_characteristic_rational_closed_forms():
 
 
 def test_characteristic_exponential_growth():
+    # T(r) = (r - 1)/pi for (1 : e^z)
     fe = _exp_curve()
     for r in (10.0, 25.0, 50.0):
-        assert abs(characteristic(fe, r) - r / math.pi) < 1.0
+        assert characteristic(fe, r) == pytest.approx((r - 1) / math.pi, abs=1e-9 * r)
 
 
 def test_characteristic_beyond_the_overflow_radius():
-    # T(r) = (r - 1)/pi for (1 : e^z); the kinks at +-i r cost the two largest
-    # radii the sample cap, with an error near 1e-8 and a warning
     fe = _exp_curve()
     for r in (800.0, 2e3, 1e4):
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
+            warnings.simplefilter("error")
             t = characteristic(fe, r)
-        assert t == pytest.approx((r - 1) / math.pi, rel=1e-6)
-    assert characteristic(fe, 800.0) == pytest.approx(799 / math.pi, abs=1e-9)
+        assert t == pytest.approx((r - 1) / math.pi, abs=1e-9 * r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert characteristic(fe, 800.0) == pytest.approx(799 / math.pi, abs=1e-9)
+
+
+def _hull_perimeter(points) -> float:
+    """Perimeter of the convex hull of complex points (monotone chain)."""
+    pts = sorted(set((p.real, p.imag) for p in points))
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    hull = []
+    for seq in (pts, pts[::-1]):
+        part = []
+        for p in seq:
+            while len(part) >= 2 and cross(part[-2], part[-1], p) <= 0:
+                part.pop()
+            part.append(p)
+        hull.extend(part[:-1])
+    return sum(math.dist(hull[k], hull[(k + 1) % len(hull)]) for k in range(len(hull)))
+
+
+def test_characteristic_of_exponential_curves_matches_hull_perimeter():
+    # T(r) of (1 : e^{c_1 z} : ...) is (r - 1)/(2 pi) times the perimeter of
+    # the convex hull of {0, c_k} (Cauchy's formula for the mean width); the
+    # kinks of log max_k |e^{c_k z}| sit at arbitrary angles, off any grid
+    rng = np.random.default_rng(20140101)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(40):
+            freqs, count = set(), rng.integers(1, 4)
+            while len(freqs) < count:
+                c = GaussRat(Fraction(int(rng.integers(-24, 25)), int(rng.integers(1, 5))),
+                             Fraction(int(rng.integers(-24, 25)), int(rng.integers(1, 5))))
+                if c and abs(c.re) <= 6 and abs(c.im) <= 6:
+                    freqs.add(c)
+            curve = EntireCurve([ExpPoly.const(1)] + [ExpPoly.exp(c) for c in freqs])
+            perimeter = _hull_perimeter([0j] + [complex(c) for c in freqs])
+            for r in (2.5, 37.3, 250.1, 1000.7, 5000.0):
+                exact = (r - 1) * perimeter / (2 * math.pi)
+                assert characteristic(curve, r) == pytest.approx(exact, abs=1e-9 * r)
+
+
+def test_characteristic_finds_a_dominance_arc_between_grid_points():
+    # 10^-4 e^{cz} with |c| = 1 leads only where Re(cz) > log 10^4, an arc of
+    # half-width alpha, cos alpha = log 10^4 / r, around the angle -arg c
+    c = GaussRat(Fraction(3, 5), Fraction(4, 5))
+    curve = EntireCurve((ExpPoly.const(1), ExpPoly.exp(c) * GaussRat(Fraction(1, 10**4))))
+    r, level = 9.214, math.log(1e4)
+    alpha = math.acos(level / r)
+    centre = -math.atan2(4, 3)
+    step = 2 * math.pi / 64
+    assert 2 * alpha < step
+    assert math.floor((centre - alpha) / step) == math.floor((centre + alpha) / step)
+    exact = (r * math.sin(alpha) - alpha * level) / math.pi
+    assert characteristic(curve, r) == pytest.approx(exact, abs=1e-13)
 
 
 def test_characteristic_normalization_and_domain():

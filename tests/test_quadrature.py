@@ -63,3 +63,96 @@ def test_cap_stops_runaway(monkeypatch):
     assert isinstance(res, QuadResult)
     assert not res.converged
     assert res.samples <= 1 << 10
+
+
+def _trapezoid(fn, r, target=1e-9, start=64, cap=1 << 20):
+    """Doubling trapezoid sums with Richardson stops, written out plainly:
+    circle_average must give the same floats wherever one row leads."""
+    def batch(n, offset):
+        q = n // 4
+        w = r * np.exp(1j * (2 * math.pi * (np.arange(q) + offset) / n))
+        return float(np.sum(fn(np.concatenate((w, 1j * w, -w, -1j * w)))))
+
+    n = start
+    sums = [batch(n, 0.0) / n]
+    while n < cap:
+        mid = batch(n, 0.5)
+        n *= 2
+        sums.append((sums[-1] + mid / (n // 2)) / 2)
+        if len(sums) >= 3:
+            d1, d2 = sums[-2] - sums[-3], sums[-1] - sums[-2]
+            if d2 == 0.0:
+                if d1 == 0.0:
+                    return sums[-1], n
+                if abs(d1) <= target:
+                    return sums[-1], n
+            else:
+                ratio = abs(d1 / d2)
+                if ratio > 1.5:
+                    correction = d2 / (2 ** math.log2(ratio) - 1)
+                    if abs(correction) <= target:
+                        return sums[-1] + correction, n
+                if abs(d2) <= target and abs(d1) <= 4 * target:
+                    return sums[-1], n
+        elif abs(sums[-1] - sums[-2]) <= target * 0.25:
+            return sums[-1], n
+    return sums[-1], n
+
+
+_SMOOTH = (
+    (lambda zs: np.log(np.abs(zs - (0.5 + 0.2j))), 2.0, 1e-9),
+    (lambda zs: np.log(np.abs(zs - 1.5j)), 3.0, 1e-9),
+    (lambda zs: np.log(np.abs(zs - (4.0 + 3.0j))), 2.0, 1e-9),
+    (lambda zs: np.log(np.abs(zs - 1.95)), 2.0, 1e-9),       # zero near the circle
+    (lambda zs: np.cos(zs.real) * np.exp(-np.abs(zs)), 3.0, 1e-9),
+    (lambda zs: np.abs(zs.real) ** 1.5, 1.0, 1e-3),
+    (lambda zs: np.abs(zs.real) ** 1.5, 1.0, 1e-10),
+)
+
+
+def test_one_row_is_the_plain_trapezoid_bit_for_bit():
+    for fn, r, target in _SMOOTH:
+        value, samples = _trapezoid(fn, r, target)
+        res = circle_average(fn, r, target)
+        assert (res.value, res.samples) == (value, samples)
+
+
+def test_a_row_that_leads_everywhere_is_the_plain_trapezoid():
+    # the other rows stay below the first on every grid: nothing is split
+    for fn, r, target in _SMOOTH:
+        value, samples = _trapezoid(fn, r, target)
+
+        def stacked(zs):
+            row = fn(zs)
+            return np.stack((row - 1.0, row, row - 3.0))
+
+        res = circle_average(stacked, r, target)
+        assert (res.value, res.samples) == (value, samples)
+
+
+def test_kinked_maximum_is_split_at_its_breakpoints():
+    # max(x, 0) on |z| = r has kinks at +-i r, on every grid, where doubling
+    # trapezoid sums converge only algebraically; the mean is r/pi
+    for r in (1.0, 3.7, 250.1):
+        res = circle_average(lambda zs: np.stack((zs.real, np.zeros(zs.shape))), r)
+        assert res.converged
+        assert res.value == pytest.approx(r / math.pi, abs=1e-12 * r)
+        assert res.error <= 1e-9
+        assert res.samples < 1000
+    # max(x cos t + y sin t, 0.3 r): an arc led by a tilted row, kinks off the grid
+    t, r = 0.123, 5.0
+    res = circle_average(lambda zs: np.stack((
+        zs.real * math.cos(t) + zs.imag * math.sin(t), np.full(zs.shape, 0.3 * r))), r)
+    alpha = math.acos(0.3)
+    exact = 0.3 * r + r * (math.sin(alpha) - alpha * 0.3) / math.pi
+    assert res.value == pytest.approx(exact, abs=1e-12 * r)
+
+
+def test_kinked_integrand_at_the_cap_is_not_converged():
+    # -sqrt|x| leads around x = 0 and is not smooth there: halving the arcs
+    # cannot reach 1e-12 within 4096 evaluations
+    fn = lambda zs: np.stack((-np.sqrt(np.abs(zs.real)), np.full(zs.shape, -0.9)))
+    res = circle_average(fn, 1.0, target=1e-12, cap=1 << 12)
+    assert not res.converged
+    assert res.samples <= 1 << 12
+    assert 1e-12 < res.error < 1e-3
