@@ -426,7 +426,7 @@ COMMANDS = {
         (("--steps",), dict(type=int, default=20)),
         (("--nondeg-degree",), dict(type=int, default=4,
                                     help="degree up to which algebraic independence is "
-                                         "screened")),
+                                         "proved")),
         (("--plot",), dict(metavar="FILE.svg", default=None,
                            help="write an SVG of both sides of the inequality")))),
     "schema": (cmd_schema, "print input formats", (

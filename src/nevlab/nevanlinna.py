@@ -6,21 +6,22 @@ measured by circle averages of log of the sup norm, its intersections with
 hypersurface targets by integrated zero counts over divisors computed with
 the winding machinery.  The harness at the bottom compares both sides of the
 truncated main inequality on a radius grid, with truncation levels taken
-from the certified bound chain and general position checked by resultants.
+from the certified bound chain, general position checked by resultants, and
+algebraic nondegeneracy proved by exact ranks of the expanded monomials.
 
 Floats enter only through quadrature and through zero locations; divisor
-multiplicities, truncation levels, and admissibility stay exact.  Circle
-integrands read log|f_i| from ExpPoly.log_abs and the zero finder reads
-f e^{-M}; both take the factors e^{c_k z - M} from one scaling in expfunc,
-so neither the characteristic nor the counting functions overflow at any
-radius.  T(r) hands circle_average one log|f_i| row per component, and the
-quadrature splits the circle where the largest row changes, so the kinks of
-log max_i |f_i| are integrated as breakpoints, not sampled.
+multiplicities, truncation levels, admissibility and nondegeneracy stay
+exact.  Circle integrands read log|f_i| from ExpPoly.log_abs and the zero
+finder reads f e^{-M}; both take the factors e^{c_k z - M} from one scaling
+in expfunc, so neither the characteristic nor the counting functions
+overflow at any radius.  T(r) hands circle_average one log|f_i| row per
+component, and the quadrature splits the circle where the largest row
+changes, so the kinks of log max_i |f_i| are integrated as breakpoints, not
+sampled.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 import warnings
@@ -35,6 +36,7 @@ from .bounds import compute_truncation_levels
 from .expfunc import ExpPoly, wronskian
 from .fields import RatFunc, ZPoly, zpoly_gcd
 from .hpoly import HPoly, monomials
+from .linalg import certified_rank
 from .quadrature import QuadResult, circle_average
 from .resultant import HypersurfaceFamily, is_admissible
 from .zeros import Divisor, exppoly_zeros, ratfunc_divisors, zpoly_zeros
@@ -62,19 +64,13 @@ class AdmissibilityError(ValueError):
 # curves
 
 
-_SCREEN_RADII = (0.713, 1.618, 3.374)
-_SCREEN_ANGLES = 24
-_SCREEN_POINTS = np.array([rr * cmath.exp(2j * math.pi * (k + 0.37) / _SCREEN_ANGLES)
-                           for rr in _SCREEN_RADII for k in range(_SCREEN_ANGLES)])
-
-
 class EntireCurve:
     """Holomorphic map C -> CP^n given by n+1 exponential polynomial components.
 
-    The tuple must be reduced (no common zeros).  Polynomial tuples are
-    checked exactly through a gcd; once genuine exponential terms appear two
-    components can share infinitely many zeros without an algebraic witness,
-    so mixed tuples only get a finite point screen.
+    The tuple must be reduced (no common zeros).  It is rejected exactly when
+    the coefficient polynomials p_c of all components share a factor, which
+    decides polynomial tuples; common zeros without a shared polynomial
+    factor, as in (e^z - 1 : e^{2z} - 1) or (e^z - 1 : z), go undetected.
     """
 
     __slots__ = ("components",)
@@ -95,20 +91,14 @@ class EntireCurve:
         raise AttributeError("EntireCurve is immutable")
 
     def _check_reduced(self) -> None:
-        live = [c for c in self.components if not c.is_zero()]
-        if all(c.is_polynomial() for c in live):
-            g = reduce(zpoly_gcd, [c.polynomial_part() for c in live])
-            if g.degree >= 1:
-                raise DegeneracyError(
-                    "components share a polynomial factor; divide it out first")
-            return
-        # log|f| is -inf exactly where f is 0, and never overflows
-        with np.errstate(divide="ignore"):
-            vanish = np.logical_and.reduce(
-                [c.log_abs(_SCREEN_POINTS) == -np.inf for c in live])
-        if vanish.any():
-            z = complex(_SCREEN_POINTS[vanish.argmax()])
-            raise DegeneracyError(f"components all vanish near z = {z:.6g}")
+        g = None
+        for comp in self.components:
+            for p in comp.terms.values():
+                g = p if g is None else zpoly_gcd(g, p)
+                if g.degree == 0:
+                    return
+        raise DegeneracyError(
+            "components share a polynomial factor; divide it out first")
 
     @property
     def n(self) -> int:
@@ -345,39 +335,40 @@ def divisor_bound_check(f: CurveLike, r: float) -> DivisorBoundReport:
 
 
 def nondegeneracy_check(f: CurveLike, max_degree: int = 4,
-                        seed: int = 7) -> int:
-    """Numeric certificate that no form of degree <= max_degree kills the curve.
+                        moving: bool = False) -> int:
+    """Proof that no form of degree <= max_degree vanishes along the curve,
+    over C(z) when moving, else over C.
 
-    For each degree e the monomials f^I with |I| = e are evaluated at
-    3*C(n+e, n) pseudorandom points; a rank drop of the resulting matrix
-    means some fixed linear combination of the monomials vanishes at every
-    sample, which pins an algebraic relation up to floating point.  Returns
-    the largest degree verified; raises DegeneracyError on a rank drop.  A
-    drop is decisive, a pass is strong evidence rather than proof.
+    Distinct exponentials are independent over C(z), so a relation among the
+    monomials f^I = sum_c p_{I,c}(z) e^{cz} holds frequency by frequency: the
+    monomials are independent over C(z) when the polynomials p_{I,c}, one row
+    per c, have full column rank over Q(i)(z), and over C when their
+    coefficients, one row per (c, power of z), have full rank over Q(i).  A
+    proof over C(z) covers the field of any moving coefficients.  Returns
+    max_degree; raises DegeneracyError at the first degree with a relation.
     """
     curve = as_curve(f)
-    n = curve.n
-    rng = np.random.default_rng(seed)
+    prev = {(0,) * (curve.n + 1): ExpPoly.const(1)}
     for e in range(1, max_degree + 1):
-        exps = monomials(n, e)
-        rows = 3 * len(exps)
-        zs = (0.4 + 2.3 * rng.random(rows)) * np.exp(2j * np.pi * rng.random(rows))
-        vals = np.column_stack([comp(zs) for comp in curve.components])
-        mat = np.empty((rows, len(exps)), dtype=complex)
-        for j, exp in enumerate(exps):
-            col = np.ones(rows, dtype=complex)
-            for i, k in enumerate(exp):
-                if k:
-                    col = col * vals[:, i] ** k
-            mat[:, j] = col
-        # row scaling: raw monomial values spread over many orders of
-        # magnitude and would swamp the rank tolerance
-        norms = np.max(np.abs(mat), axis=1)
-        norms[norms == 0.0] = 1.0
-        mat /= norms[:, None]
-        if np.linalg.matrix_rank(mat) < len(exps):
-            raise DegeneracyError(
-                f"components satisfy an algebraic relation of degree {e}")
+        exps = monomials(curve.n, e)
+        # each monomial is one of degree e - 1 times its first component
+        mons = []
+        for exp in exps:
+            i = next(k for k, m in enumerate(exp) if m)
+            mons.append(prev[exp[:i] + (exp[i] - 1,) + exp[i + 1:]] * curve.components[i])
+        rows: dict = {}
+        for col, mono in enumerate(mons):
+            for c, p in mono.terms.items():
+                if moving:
+                    rows.setdefault(c, {})[col] = p.coeffs[0] if p.degree == 0 else RatFunc(p)
+                    continue
+                for k, a in enumerate(p.coeffs):
+                    if a:
+                        rows.setdefault((c, k), {})[col] = a
+        if certified_rank(list(rows.values()), len(mons))[0] < len(mons):
+            raise DegeneracyError(f"components satisfy an algebraic relation of "
+                                  f"degree {e} over {'C(z)' if moving else 'C'}")
+        prev = dict(zip(exps, mons))
     return max_degree
 
 
@@ -547,6 +538,8 @@ class SmtReport:
     r0: Optional[float]               # first grid radius with no later violation
     violating_measure: float          # total width of grid cells touching one
     defect_sum: float
+    # no form of degree <= this vanishes along the curve: proved over C
+    # when fixed, over C(z) otherwise
     nondegenerate_to: int
     level_note: Optional[str]
 
@@ -563,9 +556,9 @@ def smt_verify(f: CurveLike, targets, eps, radii: Sequence[float],
                nondegeneracy_degree: int = 4) -> SmtReport:
     """Evaluate the truncated main inequality on a radius grid.
 
-    Checks first that the family is in general position and that the curve
-    passes the nondegeneracy rank test, then measures both sides at every
-    radius.  Forms are normalized so one coefficient is 1 before counting.
+    Checks first that the family is in general position and the curve
+    nondegenerate (over C(z) if a target moves), then measures both sides at
+    every radius.  Forms are normalized so one coefficient is 1 first.
     Truncation levels come from the certified bound chain; levels too large
     to materialize fall back to untruncated counting, which only raises the
     right side, and level_note records the fallback.
@@ -588,10 +581,10 @@ def smt_verify(f: CurveLike, targets, eps, radii: Sequence[float],
     if not adm.admissible:
         raise AdmissibilityError(
             f"family not in general position; failing subset {adm.failing_subset}")
-    nondeg = nondegeneracy_check(curve, nondegeneracy_degree)
+    fixed = not fam.is_moving()
+    nondeg = nondegeneracy_check(curve, nondegeneracy_degree, moving=not fixed)
 
     n, q = curve.n, fam.q
-    fixed = not fam.is_moving()
     level_note = None
     chain = compute_truncation_levels(n, q, eps, fam.degrees, fixed=fixed)
     if chain.materialized:

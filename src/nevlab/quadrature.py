@@ -41,6 +41,9 @@ TWO_PI = 2 * math.pi
 
 SAMPLE_CAP = 1 << 20
 
+# the first trapezoid grid, a multiple of 4 for the quarter-turn batches
+FIRST_GRID = 64
+
 # breakpoint brackets are narrowed to this width in radians before the secant
 # step, whose error is then about the square of it
 BRACKET_WIDTH = 2.0 ** -14
@@ -82,18 +85,15 @@ def _leads(rows: np.ndarray, lead: int) -> bool:
 
 
 def circle_average(fn: Callable[[np.ndarray], np.ndarray], r: float,
-                   target: float = 1e-9, start: int = 64,
-                   cap: int = SAMPLE_CAP) -> QuadResult:
+                   target: float = 1e-9, cap: int = SAMPLE_CAP) -> QuadResult:
     """Mean over |z| = r of fn, or of its maximum over rows if fn returns a
     stack of rows.
 
-    start, the first grid size, must be a positive multiple of 4; cap bounds
-    the number of points at which fn is evaluated.
+    The first grid has FIRST_GRID points; cap bounds the number of points at
+    which fn is evaluated.
     """
     if r <= 0:
         raise ValueError("radius must be positive")
-    if start <= 0 or start % 4:
-        raise ValueError("start must be a positive multiple of 4")
 
     def evaluate(zs: np.ndarray) -> np.ndarray:
         return np.atleast_2d(fn(zs))
@@ -106,7 +106,7 @@ def circle_average(fn: Callable[[np.ndarray], np.ndarray], r: float,
         w = r * np.exp(1j * (TWO_PI * (np.arange(q) + offset) / n))
         return evaluate(np.concatenate((w, 1j * w, -w, -1j * w)))
 
-    n = start
+    n = FIRST_GRID
     levels = [batch(n, 0.0)]
     lead = int(levels[0][:, 0].argmax())
     if not _leads(levels[0], lead):

@@ -33,6 +33,10 @@ from .hpoly import HPoly, monomial_index, monomials
 from .linalg import RankPaths, det_sparse, modular_rank_reaches, solve_system
 
 
+# random coordinate frames macaulay_resultant tries after a 0/0 quotient
+FRAME_RETRIES = 5
+
+
 class DegenerateResultantError(RuntimeError):
     """Macaulay numerator and minor both vanish after all retries."""
 
@@ -116,12 +120,13 @@ def random_unimodular(nvars: int, rng: random.Random) -> list[list[int]]:
     return a
 
 
-def macaulay_resultant(polys: Sequence[HPoly], retries: int = 5, seed: int = 1):
+def macaulay_resultant(polys: Sequence[HPoly], seed: int = 1):
     """Resultant of n+1 forms of common degree d in n+1 variables.
 
     Vanishes exactly when the system has a nontrivial common zero; equals 1 on
-    (x_0^d, ..., x_n^d).  A degenerate 0/0 quotient is retried under random
-    unimodular coordinate changes (resultant invariant since det = 1).
+    (x_0^d, ..., x_n^d).  A degenerate 0/0 quotient is retried under up to
+    FRAME_RETRIES random unimodular coordinate changes (resultant invariant
+    since det = 1).
     """
     polys = list(polys)
     nvars = polys[0].nvars
@@ -136,14 +141,14 @@ def macaulay_resultant(polys: Sequence[HPoly], retries: int = 5, seed: int = 1):
     if det_minor:
         return simplify_scalar(det_m / det_minor)
     rng = random.Random(seed)
-    for _ in range(retries):
+    for _ in range(FRAME_RETRIES):
         a = random_unimodular(nvars, rng)
         moved = [p.compose_linear(a) for p in polys]
         det_m, det_minor = _macaulay_dets(moved, d)
         if det_minor:
             return simplify_scalar(det_m / det_minor)
     raise DegenerateResultantError(
-        f"Macaulay minor vanished in {retries} random coordinate frames")
+        f"Macaulay minor vanished in {FRAME_RETRIES} random coordinate frames")
 
 
 @dataclass(frozen=True)

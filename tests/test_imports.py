@@ -1,6 +1,6 @@
 """Every module-level import of the package, its tests and its scripts is
-used by its module, and every public name of the package is used by the
-package or its scripts.
+used by its module, every public name of the package is used by the
+package or its scripts, and the package has no assert statement.
 
 Names listed in a module's __all__ count as used (re-exports); __future__
 imports and the package __init__, which exists to re-export, are exempt.
@@ -51,3 +51,11 @@ def test_every_public_name_has_a_caller_outside_the_tests():
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
     assert sorted(set(nevlab.__all__) - referenced) == []
+
+
+def test_no_assert_in_the_package():
+    # python -O strips assert, so no check of the package may rest on one
+    found = [f"{p.name}:{node.lineno}" for p in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(p.read_text(), str(p)))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nevlab import linalg
 from nevlab.expfunc import ExpPoly
 from nevlab.fields import GaussRat, RatFunc, ZPoly
 from nevlab.hpoly import HPoly
@@ -42,6 +43,16 @@ def test_curve_needs_substance():
     with pytest.raises(DegeneracyError):
         EntireCurve((Z, Z * Z))                  # shared factor z
     EntireCurve((ONE, Z, Z * Z))                 # fine: gcd is constant
+
+
+def test_curve_rejects_shared_factor_of_mixed_components():
+    ez = ExpPoly.exp(1)
+    zm1 = ExpPoly.poly(ZPoly((-1, 1)))
+    with pytest.raises(DegeneracyError):
+        EntireCurve((ExpPoly.var() * ez, ExpPoly.var()))         # (z e^z : z)
+    with pytest.raises(DegeneracyError):
+        EntireCurve((zm1 * ez, zm1 * (ez + ExpPoly.var())))      # factor z - 1
+    EntireCurve((ExpPoly.var() * ez, ExpPoly.var() + 1))          # gcd is constant
 
 
 def test_curve_rejects_unreadable_component():
@@ -262,6 +273,46 @@ def test_nondegeneracy_screen():
             EntireCurve((ExpPoly.const(1), ExpPoly.exp(1), ExpPoly.exp(2))),
             max_degree=3)
     assert "degree 2" in str(exc.value)
+
+
+def test_nondegeneracy_is_exact_where_sampling_lost_precision():
+    # both are nondegenerate; a float rank of sampled monomials saw relations
+    for c1, c2 in ((60, 61), (Fraction(1, 100), Fraction(1, 50) + Fraction(1, 10 ** 6))):
+        curve = EntireCurve((ExpPoly.const(1), ExpPoly.exp(c1), ExpPoly.exp(c2)))
+        assert nondegeneracy_check(curve, max_degree=4) == 4
+        assert nondegeneracy_check(curve, max_degree=4, moving=True) == 4
+
+
+def test_nondegeneracy_over_c_and_over_cz():
+    ez, z = ExpPoly.exp(1), ExpPoly.var()
+    curves = (EntireCurve((ExpPoly.const(1), ez, z * ez)),         # z x1 - x2 = 0
+              EntireCurve((ez - 1, ExpPoly.exp(2) + z, ExpPoly.const(1))))
+    for curve in curves:
+        assert nondegeneracy_check(curve, max_degree=4) == 4
+        with pytest.raises(DegeneracyError):
+            nondegeneracy_check(curve, max_degree=4, moving=True)
+    x0, x1, x2 = (HPoly.coordinate(3, k) for k in range(3))
+    mover = HPoly.monomial(3, (0, 0, 1), RatFunc(Z, ZPoly((10, 1))))
+    with pytest.raises(DegeneracyError) as exc:
+        smt_verify(curves[0], (x0, x1, x2, x0 + x1 + mover), Fraction(1, 2),
+                   [10.0, 20.0])
+    assert "C(z)" in str(exc.value)
+
+
+def test_degenerate_curve_reaches_exact_elimination(monkeypatch):
+    # a relation keeps every modular rank short, so exact elimination decides
+    built = []
+
+    class Counting(linalg.RowReducer):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "RowReducer", Counting)
+    squares = EntireCurve((ExpPoly.const(1), ExpPoly.exp(1), ExpPoly.exp(2)))
+    with pytest.raises(DegeneracyError):
+        nondegeneracy_check(squares, max_degree=2)
+    assert built and built[-1].rank == 5         # 6 monomials of degree 2
 
 
 # ---------------------------------------------------------------------------

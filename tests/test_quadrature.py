@@ -22,7 +22,7 @@ def test_outside_point_average_is_log_modulus():
 
 
 def test_constant_integrand_converges_immediately():
-    res = circle_average(lambda zs: np.full(zs.shape, 7.25), 10.0, start=64)
+    res = circle_average(lambda zs: np.full(zs.shape, 7.25), 10.0)
     assert res.value == 7.25
     assert res.samples == 128          # one doubling to confirm
 
@@ -40,12 +40,6 @@ def test_vectorized_path_matches_scalar():
     a = math.fsum(scalar(3.0 * cmath.exp(2j * math.pi * k / n)) for k in range(n)) / n
     assert a == pytest.approx(b.value, abs=1e-10)
     assert b.converged
-
-
-def test_start_must_be_a_multiple_of_four():
-    for start in (66, 0, -4):
-        with pytest.raises(ValueError):
-            circle_average(lambda zs: np.zeros(zs.shape), 1.0, start=start)
 
 
 def test_target_controls_refinement():
