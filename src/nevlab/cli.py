@@ -191,7 +191,7 @@ def cmd_certificate(args) -> int:
            "n": fam.n, "index": cert.index, "power": cert.s,
            "resultant": cert.resultant,
            "cofactor_terms": [len(c.coeffs) for c in cert.cofactors],
-           "rank_paths": cert.rank_paths,
+           "rank_paths": cert.rank_paths, "value_paths": cert.value_paths,
            "verified": cert.verify()}, args.output)
     return 0
 

@@ -11,12 +11,20 @@ known value without exact arithmetic when it can: reduced modulo a prime,
 with i and z sent to fixed residues, a matrix can only lose rank, so a
 modular rank that reaches the upper bound is the exact rank.  When it falls
 short on both primes of `MODULI`, exact elimination decides.
+
+Values over Q(i) are multimodular in the same spirit (`_multimodular`):
+`det_sparse` and the transposed solve `solve_transposed` scale the rows to
+Gaussian integers, eliminate modulo a product of primes of `PRIMES` that
+exceeds twice the Hadamard bound, and lift the residues; when the table is
+too short, or an entry is a rational function, exact elimination decides.
+See von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt, lcm, prod
 from typing import Iterable, Optional, Sequence
 
 from .fields import GaussRat, RatFunc, zpoly_gcd
@@ -169,10 +177,27 @@ def solve_system(rows: Iterable[tuple[dict, object]]) -> Optional[dict]:
     return red.solution()
 
 
-def det_sparse(rows: list[dict], size: int):
-    """Exact determinant of a size x size matrix given as sparse rows."""
+def _odd(order: Sequence[int]) -> bool:
+    """Whether the permutation listed by `order` is odd."""
+    n = len(order)
+    return sum(1 for a in range(n) for b in range(a + 1, n) if order[a] > order[b]) % 2 == 1
+
+
+def det_sparse(rows: list[dict], size: int, paths: Optional[list] = None):
+    """Exact determinant of a size x size matrix given as sparse rows.
+
+    A matrix over Q(i) is tried multimodular first (`_multimodular`); exact
+    elimination decides when that finds no certificate.  `paths`, when
+    given, gets True appended when the multimodular path decided and False
+    otherwise.
+    """
     if len(rows) != size:
         raise ValueError("row count does not match size")
+    found = _multimodular(rows, size)
+    if paths is not None:
+        paths.append(found is not None)
+    if found is not None:
+        return found[0]
     work = [dict(r) for r in rows]
     remaining = set(range(size))
     det = Fraction(1)
@@ -202,11 +227,35 @@ def det_sparse(rows: list[dict], size: int):
                     rj[c] = nv
                 elif c in rj:
                     del rj[c]
-    inv_count = sum(1 for a in range(size) for b in range(a + 1, size)
-                    if order[a] > order[b])
-    if inv_count % 2:
-        det = -det
-    return det
+    return -det if _odd(order) else det
+
+
+def solve_transposed(rows: list[dict], col: int) -> tuple[Optional[list], bool]:
+    """The x with sum_r x[r] * rows[r] == e_col for a square matrix M (row
+    `col` of M^-1), and whether the multimodular path decided.
+
+    x is None when M is singular.  Multimodular Cramer (`_multimodular`)
+    first, else exact elimination of the transposed system; the solution is
+    unique, so both give the same x.
+    """
+    size = len(rows)
+    found = _multimodular(rows, size, col)
+    if found is not None:
+        return found[1], True
+    eqs: list[dict] = [{} for _ in range(size)]
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            eqs[c][r] = v
+    red = RowReducer(track_rhs=True)
+    try:
+        for c, eq in enumerate(eqs):
+            red.add(eq, Fraction(int(c == col)))
+    except Inconsistent:
+        return None, False
+    if red.rank < size:
+        return None, False
+    sol = red.solution()
+    return [sol[r] for r in range(size)], False
 
 
 def _entry_is_zero(e) -> bool:
@@ -243,10 +292,30 @@ def det_cofactor(mat):
     return total
 
 
-# Two primes p = 1 (mod 4), each with a square root of -1 mod p (the image of
-# i) and a fixed residue (the image of z), tried in this order.
-MODULI = ((2305843009213693921, 583529827753931384, 1234567891011),
-          (2305843009213693693, 966685122347009555, 1098765432101))
+# Primes p = 1 (mod 4) below 2^61, each with a square root of -1 mod p (the
+# image of i), in the order the multimodular path draws them.
+PRIMES = (
+    (2305843009213693921, 583529827753931384),
+    (2305843009213693693, 966685122347009555),
+    (2305843009213693669, 1015389886790033265),
+    (2305843009213693613, 330140092769082148),
+    (2305843009213693561, 122194233146733190),
+    (2305843009213693549, 650433518546416748),
+    (2305843009213693421, 647753841339350312),
+    (2305843009213693373, 183642662115504988),
+    (2305843009213693277, 126767930630052624),
+    (2305843009213693193, 397602110296354281),
+    (2305843009213693153, 848124098761501724),
+    (2305843009213693133, 127339106555888032),
+    (2305843009213693109, 743754617659584376),
+    (2305843009213693093, 694560745875551753),
+    (2305843009213693013, 1089368059800028542),
+    (2305843009213692937, 395191341510334577),
+)
+
+# The certified rank's moduli: the first two primes, each with a fixed
+# residue as the image of z, tried in this order.
+MODULI = tuple((p, i, z0) for (p, i), z0 in zip(PRIMES, (1234567891011, 1098765432101)))
 
 
 def _mod_p(s, p: int, i: int, z0: int) -> Optional[int]:
@@ -302,32 +371,44 @@ def _rows_mod_p(rows: Sequence[dict], p: int, i: int, z0: int) -> Optional[list]
     return out
 
 
-def _rank_mod_p(rows: list, p: int, bound: int) -> int:
-    """Rank over GF(p) of integer rows (consumed), stopping once it reaches bound.
+def _eliminate_mod(rows: list, ncols: int, m: int, bound: int) -> Optional[list]:
+    """Gaussian elimination over Z/m of integer rows (consumed), in columns
+    0..ncols-1.
 
-    Each stored pivot row starts at its pivot column, so an incoming row is
-    reduced by clearing its smallest column until that column is new.
+    Column by column, the sparsest remaining row holding the column is the
+    pivot row: it is divided by its pivot entry and cleared from the other
+    remaining rows.  Returns the pivots in column order as (column, row,
+    entry, divided row), stopping once there are `bound`; None when an entry
+    is no unit mod m, which for m a product of primes means an unlucky one.
     """
-    pivots: dict = {}
-    for row in rows:
-        while row:
-            col = min(row)
-            prow = pivots.get(col)
-            if prow is None:
-                inv = pow(row[col], -1, p)
-                pivots[col] = {c: v * inv % p for c, v in row.items()}
-                if len(pivots) >= bound:
-                    return len(pivots)
-                break
-            f = row.pop(col)
-            for c, v in prow.items():
-                if c != col:
-                    nv = (row.get(c, 0) - f * v) % p
+    remaining = set(range(len(rows)))
+    pivots: list = []
+    for col in range(ncols):
+        cand = [k for k in remaining if col in rows[k]]
+        if not cand:
+            continue
+        k = min(cand, key=lambda k: (len(rows[k]), k))
+        remaining.remove(k)
+        piv = rows[k].pop(col)
+        try:
+            inv = pow(piv, -1, m)
+        except ValueError:
+            return None
+        prow = {c: v * inv % m for c, v in rows[k].items()}
+        pivots.append((col, k, piv, prow))
+        if len(pivots) >= bound:
+            break
+        for j in remaining:
+            row = rows[j]
+            f = row.pop(col, None)
+            if f:
+                for c, v in prow.items():
+                    nv = (row.get(c, 0) - f * v) % m
                     if nv:
                         row[c] = nv
                     else:
                         row.pop(c, None)
-    return len(pivots)
+    return pivots
 
 
 def modular_rank_reaches(rows: Sequence[dict], bound: int) -> bool:
@@ -341,9 +422,10 @@ def modular_rank_reaches(rows: Sequence[dict], bound: int) -> bool:
     this returns True.  A prime at which some entry has no image is skipped;
     False proves nothing.
     """
+    ncols = 1 + max((c for row in rows for c in row), default=-1)
     for p, i, z0 in MODULI:
         image = _rows_mod_p(rows, p, i, z0)
-        if image is not None and _rank_mod_p(image, p, bound) >= bound:
+        if image is not None and len(_eliminate_mod(image, ncols, p, bound)) >= bound:
             return True
     return False
 
@@ -363,10 +445,118 @@ def certified_rank(rows: Sequence[dict], bound: int) -> tuple[int, bool]:
     return red.rank, False
 
 
+def _gaussian_integer_rows(rows: Sequence[dict]):
+    """Each row times the lcm of its entries' denominators, with entries as
+    (re, im) integer pairs, and those multipliers; None when some entry is
+    not an int, Fraction or GaussRat."""
+    scaled, scales = [], []
+    for row in rows:
+        parts = {}
+        for c, v in row.items():
+            if isinstance(v, GaussRat):
+                parts[c] = (v.re, v.im)
+            elif isinstance(v, (int, Fraction)):
+                parts[c] = (v, 0)
+            else:
+                return None
+        scale = lcm(*(x.denominator for pair in parts.values() for x in pair))
+        scaled.append({c: (re.numerator * (scale // re.denominator),
+                           im.numerator * (scale // im.denominator))
+                       for c, (re, im) in parts.items()})
+        scales.append(scale)
+    return scaled, scales
+
+
+def _modulus(bound: int) -> Optional[tuple[int, int]]:
+    """(m, s): m the product of the fewest leading primes of PRIMES with
+    m > bound, s a square root of -1 mod m (the primes' roots joined by CRT);
+    None when the whole table falls short."""
+    m, s = 1, 0
+    for p, i in PRIMES:
+        s += m * ((i - s) * pow(m, -1, p) % p)
+        m *= p
+        if m > bound:
+            return m, s
+    return None
+
+
+def _multimodular(rows: Sequence[dict], size: int, col: Optional[int] = None):
+    """Certified determinant of a square matrix over Q(i) and, given `col`,
+    the x with sum_r x[r] * rows[r] == e_col.
+
+    Scale row r by L_r to Gaussian integers: det M = D / prod L_r, D the
+    scaled determinant.  Re D, Im D, and every (size-1)-minor when D != 0
+    (the rows are then nonzero, of norm >= 1), are at most the Hadamard
+    bound H = prod ||row||_2.  Modulo m > 2H + 1, a product of primes
+    p = 1 (mod 4), i has the two images s and -s; each is a ring map from
+    Z[i], so eliminating the transposed scaled matrix under both gives
+    a + bs and a - bs for D = a + bi, hence a and b mod m, and by the bound
+    exactly.  The same elimination solves M_s^T u = e_col, so w = D u is row
+    `col` of adj(M_s), a Gaussian-integer vector lifted the same way, and
+    x[r] = L_r w[r] / D.  Returns (det M, x), with x None when no `col` is
+    given or D = 0, and None when there is no certificate: an entry outside
+    Q(i), a table too short for H, or a pivot that is no unit mod m.
+    """
+    found = _gaussian_integer_rows(rows)
+    if found is None:
+        return None
+    scaled, scales = found
+    hadamard = isqrt(prod(sum(a * a + b * b for a, b in row.values()) for row in scaled)) + 1
+    found = _modulus(2 * hadamard + 1)
+    if found is None:
+        return None
+    m, s = found
+    residues = []
+    for root in (s, m - s):
+        image: list[dict] = [{} for _ in range(size)]
+        for r, row in enumerate(scaled):
+            for c, (a, b) in row.items():
+                v = (a + b * root) % m
+                if v:
+                    image[c][r] = v
+        if col is not None:
+            image[col][size] = 1       # the right-hand side e_col, as column `size`
+        pivots = _eliminate_mod(image, size, m, size)
+        if pivots is None:
+            return None
+        if len(pivots) < size:         # a column ran empty: D = 0 in this image
+            residues.append((0, None))
+            continue
+        d = prod(piv for _, _, piv, _ in pivots) % m
+        if _odd([k for _, k, _, _ in pivots]):
+            d = -d % m
+        u = None
+        if col is not None:
+            u = [0] * size
+            for c0, _, _, prow in reversed(pivots):
+                u[c0] = (prow.get(size, 0)
+                         - sum(v * u[c] for c, v in prow.items() if c != size)) % m
+        residues.append((d, u))
+    (d_plus, u_plus), (d_minus, u_minus) = residues
+    half, over_2s = (m + 1) // 2, pow(2 * s, -1, m)
+
+    def lift(plus: int, minus: int) -> GaussRat:
+        # a + bi from a + bs and a - bs mod m, both parts in (-m/2, m/2)
+        a, b = (plus + minus) * half % m, (plus - minus) * over_2s % m
+        return GaussRat(a - m if 2 * a > m else a, b - m if 2 * b > m else b)
+
+    big_d = lift(d_plus, d_minus)
+    det = big_d / prod(scales)
+    det = det.re if not det.im else det
+    if col is None or not big_d:
+        return det, None
+    if u_plus is None or u_minus is None:
+        return None
+    inv_d = big_d.inverse()
+    return det, [lift(d_plus * up % m, d_minus * um % m) * (scale * inv_d)
+                 for up, um, scale in zip(u_plus, u_minus, scales)]
+
+
 @dataclass(frozen=True)
 class RankPaths:
-    """How many ranks a certified modular rank decided, and how many exact
-    elimination (or, for resultants, exact evaluation) decided."""
+    """How many decisions a certified modular path made, and how many fell to
+    exact computation: ranks (exact elimination, or for resultants exact
+    evaluation), or values (determinants and certificate cofactors)."""
 
     modular: int
     exact: int

@@ -67,10 +67,15 @@ class AdmissibilityError(ValueError):
 class EntireCurve:
     """Holomorphic map C -> CP^n given by n+1 exponential polynomial components.
 
-    The tuple must be reduced (no common zeros).  It is rejected exactly when
-    the coefficient polynomials p_c of all components share a factor, which
-    decides polynomial tuples; common zeros without a shared polynomial
-    factor, as in (e^z - 1 : e^{2z} - 1) or (e^z - 1 : z), go undetected.
+    The tuple must be reduced (no common zeros).  When every coefficient is
+    constant and every frequency an integer multiple of one gamma in Q(i),
+    the components are Laurent polynomials in w = e^{gamma z}, which takes
+    every nonzero value, so there are common zeros exactly when the gcd of
+    the polynomials in w (`_exponent_polys`) has a nonzero root; this
+    rejects (e^z - 1 : e^{2z} - 1).  Any other tuple is rejected exactly
+    when the coefficient polynomials p_c of all components share a factor,
+    which decides polynomial tuples; common zeros without a shared
+    polynomial factor, as in (e^z - 1 : z), go undetected.
     """
 
     __slots__ = ("components",)
@@ -90,13 +95,50 @@ class EntireCurve:
     def __setattr__(self, name, value):
         raise AttributeError("EntireCurve is immutable")
 
+    def _exponent_polys(self) -> Optional[list[ZPoly]]:
+        """The components as polynomials in w = e^{gamma z}, all times one
+        power of w, when every coefficient is constant and every frequency
+        an integer multiple of one gamma in Q(i); None otherwise."""
+        terms = [comp.terms for comp in self.components]
+        if any(p.degree > 0 for t in terms for p in t.values()):
+            return None
+        base = next((c for t in terms for c in t if c), None)
+        if base is None:
+            return None
+        ratios = {}             # c / base, times the common factor |base|^2
+        for t in terms:
+            for c in t:
+                if c.re * base.im != c.im * base.re:
+                    return None
+                ratios[c] = c.re * base.re + c.im * base.im
+        scale = math.lcm(*(q.denominator for q in ratios.values()))
+        steps = {c: q.numerator * (scale // q.denominator) for c, q in ratios.items()}
+        gamma = math.gcd(*steps.values())
+        low = min(steps.values()) // gamma
+        polys = []
+        for t in terms:
+            coeffs = [0] * (max((steps[c] // gamma for c in t), default=low) - low + 1)
+            for c, p in t.items():
+                coeffs[steps[c] // gamma - low] = p.coeffs[0]
+            polys.append(ZPoly(coeffs))
+        return polys
+
     def _check_reduced(self) -> None:
+        if any(len(comp.terms) == 1 and next(iter(comp.terms.values())).degree == 0
+               for comp in self.components):
+            return              # a component c e^{gamma z} never vanishes
+        in_w = self._exponent_polys()
+        polys = in_w if in_w is not None else [p for comp in self.components
+                                                 for p in comp.terms.values()]
         g = None
-        for comp in self.components:
-            for p in comp.terms.values():
-                g = p if g is None else zpoly_gcd(g, p)
-                if g.degree == 0:
-                    return
+        for p in polys:
+            g = p if g is None else zpoly_gcd(g, p)
+            # a constant never vanishes, and neither does a power of w
+            if g.degree == 0 or (in_w is not None and sum(1 for a in g.coeffs if a) == 1):
+                return
+        if in_w is not None:
+            raise DegeneracyError("components share zeros: as polynomials in "
+                                  "e^{gamma z} their gcd has a nonzero root")
         raise DegeneracyError(
             "components share a polynomial factor; divide it out first")
 

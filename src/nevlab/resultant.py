@@ -17,6 +17,10 @@ complete-intersection bound on their rank, graded ideal membership with exact
 cofactors (ideal_membership), and power_certificate on top of it: the minimal
 s with x_i^s * R in the degree-s graded piece of the ideal generated by the
 family.
+
+Determinants of matrices over Q(i) are multimodular with an exact fallback
+(`linalg.det_sparse`), and so are a fixed family's cofactors at the critical
+degree: Cramer's rule on the square Macaulay rows (`linalg.solve_transposed`).
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from typing import Optional, Sequence
 
 from .fields import GaussRat, PoleError, simplify_scalar
 from .hpoly import HPoly, monomial_index, monomials
-from .linalg import RankPaths, det_sparse, modular_rank_reaches, solve_system
+from .linalg import (RankPaths, det_sparse, modular_rank_reaches, solve_system,
+                     solve_transposed)
 
 
 # random coordinate frames macaulay_resultant tries after a 0/0 quotient
@@ -74,6 +79,13 @@ def sylvester_resultant(p: HPoly, q: HPoly):
     return simplify_scalar(det_sparse(rows, size))
 
 
+def _macaulay_row(gamma: tuple, d: int) -> tuple[int, tuple]:
+    """(i, gamma - d e_i) for the first i with gamma_i >= d: the Macaulay
+    row of the monomial x^gamma is x^(gamma - d e_i) * Q_i."""
+    i = next(k for k, e in enumerate(gamma) if e >= d)
+    return i, gamma[:i] + (gamma[i] - d,) + gamma[i + 1:]
+
+
 def _macaulay_matrix(polys: Sequence[HPoly], d: int):
     """Rows of the Macaulay matrix M at critical degree, and the indices of
     its non-reduced monomials, which index the rows and columns of M''."""
@@ -84,10 +96,9 @@ def _macaulay_matrix(polys: Sequence[HPoly], d: int):
     rows = []
     nr = []
     for pos, gamma in enumerate(cols):
-        i = next(k for k, e in enumerate(gamma) if e >= d)
         if sum(1 for e in gamma if e >= d) > 1:
             nr.append(pos)
-        shift = gamma[:i] + (gamma[i] - d,) + gamma[i + 1:]
+        i, shift = _macaulay_row(gamma, d)
         row = {}
         for exp, c in polys[i].coeffs.items():
             target = tuple(a + b for a, b in zip(exp, shift))
@@ -96,16 +107,16 @@ def _macaulay_matrix(polys: Sequence[HPoly], d: int):
     return rows, nr
 
 
-def _macaulay_dets(polys: Sequence[HPoly], d: int):
+def _macaulay_dets(polys: Sequence[HPoly], d: int, paths: Optional[list]):
     """det(M) and det(M'') of the Macaulay construction at critical degree."""
     rows, nr = _macaulay_matrix(polys, d)
-    det_m = det_sparse(rows, len(rows))
+    det_m = det_sparse(rows, len(rows), paths)
     nr_index = {k: j for j, k in enumerate(nr)}
     sub_rows = []
     for k in nr:
         row = rows[k]
         sub_rows.append({nr_index[c]: v for c, v in row.items() if c in nr_index})
-    det_minor = det_sparse(sub_rows, len(nr)) if nr else Fraction(1)
+    det_minor = det_sparse(sub_rows, len(nr), paths) if nr else Fraction(1)
     return det_m, det_minor
 
 
@@ -120,13 +131,15 @@ def random_unimodular(nvars: int, rng: random.Random) -> list[list[int]]:
     return a
 
 
-def macaulay_resultant(polys: Sequence[HPoly], seed: int = 1):
+def macaulay_resultant(polys: Sequence[HPoly], seed: int = 1,
+                       paths: Optional[list] = None):
     """Resultant of n+1 forms of common degree d in n+1 variables.
 
     Vanishes exactly when the system has a nontrivial common zero; equals 1 on
     (x_0^d, ..., x_n^d).  A degenerate 0/0 quotient is retried under up to
     FRAME_RETRIES random unimodular coordinate changes (resultant invariant
-    since det = 1).
+    since det = 1).  `paths`, when given, gets one entry per determinant, as
+    `det_sparse` appends them.
     """
     polys = list(polys)
     nvars = polys[0].nvars
@@ -137,14 +150,14 @@ def macaulay_resultant(polys: Sequence[HPoly], seed: int = 1):
         raise ValueError("common degree must be >= 1")
     if any(p.degree != d or p.nvars != nvars for p in polys):
         raise ValueError("forms must share one degree and one variable count")
-    det_m, det_minor = _macaulay_dets(polys, d)
+    det_m, det_minor = _macaulay_dets(polys, d, paths)
     if det_minor:
         return simplify_scalar(det_m / det_minor)
     rng = random.Random(seed)
     for _ in range(FRAME_RETRIES):
         a = random_unimodular(nvars, rng)
         moved = [p.compose_linear(a) for p in polys]
-        det_m, det_minor = _macaulay_dets(moved, d)
+        det_m, det_minor = _macaulay_dets(moved, d, paths)
         if det_minor:
             return simplify_scalar(det_m / det_minor)
     raise DegenerateResultantError(
@@ -389,12 +402,37 @@ class PowerCertificate:
     cofactors: tuple[HPoly, ...]
     polys: tuple[HPoly, ...]
     rank_paths: RankPaths        # one membership decision per level tried
+    value_paths: RankPaths       # the determinants behind a resultant computed
+                                 # here, then one for the cofactors
 
     def verify(self) -> bool:
         nvars = self.polys[0].nvars
         lhs = HPoly.monomial(nvars, tuple(self.s if k == self.index else 0
                                           for k in range(nvars)), self.resultant)
         return _combination(self.cofactors, self.polys, nvars, self.s) == lhs
+
+
+def _macaulay_cofactors(polys: Sequence[HPoly], power: tuple,
+                        r) -> tuple[Optional[tuple[HPoly, ...]], bool]:
+    """Cofactors of r * x^power, deg x^power = t, from the square Macaulay
+    rows alone, and whether the multimodular path decided; None when
+    det M = 0.
+
+    Row gamma of M is x^shift * Q_i (`_macaulay_row`), so y with
+    sum_gamma y_gamma * row_gamma = r * e_power, i.e. y = r (M^T)^-1 e_power,
+    puts y_gamma on the monomial x^shift of b_i.
+    """
+    nvars, d = polys[0].nvars, polys[0].degree
+    t = sum(power)
+    rows, _ = _macaulay_matrix(polys, d)
+    x, modular = solve_transposed(rows, monomial_index(nvars - 1, t)[power])
+    if x is None:
+        return None, modular
+    coeffs: list[dict] = [{} for _ in polys]
+    for gamma, x_gamma in zip(monomials(nvars - 1, t), x):
+        i, shift = _macaulay_row(gamma, d)
+        coeffs[i][shift] = r * x_gamma
+    return tuple(HPoly(nvars, t - d, c) for c in coeffs), modular
 
 
 def power_certificate(polys: Sequence[HPoly], index: int,
@@ -407,7 +445,10 @@ def power_certificate(polys: Sequence[HPoly], index: int,
     by certified modular rank when the piece's rows and x_index^s reach the
     complete-intersection rank plus one mod p: the piece then has that rank
     exactly and x_index^s lies outside it.  Any other level runs the exact
-    `ideal_membership`, which alone produces the cofactors.
+    `ideal_membership`, except the critical degree of a fixed family: its
+    cofactors come from the square Macaulay rows (`_macaulay_cofactors`,
+    multimodular Cramer with exact fallback), re-expanded exactly, and
+    `ideal_membership` only when det M = 0 there or the check fails.
     """
     polys = tuple(polys)
     nvars = polys[0].nvars
@@ -417,10 +458,12 @@ def power_certificate(polys: Sequence[HPoly], index: int,
         raise ValueError("need n+1 forms of one degree in n+1 variables")
     if not (0 <= index < nvars):
         raise ValueError(f"coordinate index {index} out of range")
-    r = macaulay_resultant(polys) if resultant is None else resultant
+    value_paths: list = []
+    r = macaulay_resultant(polys, paths=value_paths) if resultant is None else resultant
     if not r:
         raise NotAdmissibleError("family resultant vanishes; no certificate exists")
     s_max = (n + 1) * (d - 1) + 1
+    fixed = not any(p.is_moving() for p in polys)
     paths: list = []
     for s in range(d, s_max + 1):
         power = tuple(s if k == index else 0 for k in range(nvars))
@@ -430,9 +473,18 @@ def power_certificate(polys: Sequence[HPoly], index: int,
             paths.append(True)
             continue
         paths.append(False)
-        cofactors = ideal_membership(HPoly.monomial(nvars, power, r), polys)
+        target = HPoly.monomial(nvars, power, r)
+        cofactors = None
+        if s == s_max and fixed:
+            cofactors, modular = _macaulay_cofactors(polys, power, r)
+            if cofactors is not None and _combination(cofactors, polys, nvars, s) != target:
+                cofactors = None
+        if cofactors is None:
+            cofactors, modular = ideal_membership(target, polys), False
         if cofactors is not None:
-            return PowerCertificate(index, s, r, cofactors, polys, RankPaths.count(paths))
+            value_paths.append(modular)
+            return PowerCertificate(index, s, r, cofactors, polys, RankPaths.count(paths),
+                                    RankPaths.count(value_paths))
     raise NotAdmissibleError(
         f"no power certificate up to the Macaulay bound s={s_max}; "
         "family is not in general position")

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +11,9 @@ from nevlab import linalg
 from nevlab.fields import GaussRat, RatFunc, ZPoly
 from nevlab.linalg import (Inconsistent, RankPaths, RowReducer, certified_rank,
                            clear_denominators, det_cofactor, det_sparse,
-                           modular_rank_reaches, solve_system)
+                           modular_rank_reaches, solve_system, solve_transposed)
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _rand_matrix(rng, k):
@@ -190,3 +195,151 @@ def test_modular_images_of_tower_scalars():
 def test_rank_paths_count():
     assert RankPaths.count([True, False, True]) == RankPaths(modular=2, exact=1)
     assert RankPaths.count([]) == RankPaths(0, 0)
+
+
+def _is_prime(n):
+    # deterministic Miller-Rabin: these bases decide every n < 3.3e24
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2:
+        return False
+    for q in bases:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_prime_table():
+    assert len({p for p, _ in linalg.PRIMES}) == len(linalg.PRIMES)
+    for p, i in linalg.PRIMES:
+        assert _is_prime(p) and p % 4 == 1
+        assert i * i % p == p - 1
+    assert [(p, i) for p, i, _ in linalg.MODULI] == list(linalg.PRIMES[:2])
+    assert len(linalg.MODULI) == 2
+
+
+def _gauss(rng, h, den=3):
+    return GaussRat(Fraction(rng.randint(-h, h), rng.randint(1, den)),
+                    Fraction(rng.randint(-h, h), rng.randint(1, den)))
+
+
+def _gauss_matrix(rng, k, h=5):
+    rows = [{j: v for j in range(k) if (v := _gauss(rng, h))} for _ in range(k)]
+    if k > 2 and rng.random() < 0.3:        # singular: row 2 = row 0 + c row 1
+        c = _gauss(rng, 3)
+        rows[2] = {j: v for j in range(k)
+                   if (v := rows[0].get(j, 0) + c * rows[1].get(j, 0))}
+    return rows
+
+
+def _exact_det(monkeypatch, rows, k):
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "PRIMES", ())       # no prime: exact elimination
+        paths = []
+        value = det_sparse(rows, k, paths)
+    assert paths == [False]
+    return value
+
+
+def test_multimodular_det_matches_exact_elimination(monkeypatch):
+    rng = random.Random(43)
+    singular = 0
+    for trial in range(40):
+        k = 1 if trial < 3 else rng.randint(2, 8)
+        rows = _gauss_matrix(rng, k)
+        paths = []
+        got = det_sparse(rows, k, paths)
+        assert paths == [True]
+        assert got == _exact_det(monkeypatch, rows, k)
+        singular += not got
+    assert singular >= 3
+    assert det_sparse([{0: GaussRat(Fraction(2, 3), -1)}], 1) == GaussRat(Fraction(2, 3), -1)
+    paths = []
+    assert det_sparse([{}, {0: Fraction(1)}], 2, paths) == 0    # a zero row
+    assert paths == [True]
+
+
+def test_multimodular_det_of_large_entries_uses_more_primes(monkeypatch):
+    # 8 x 8 with parts near 2^40: the Hadamard bound is about 2^340, which
+    # two 61-bit primes cannot reach
+    rng = random.Random(44)
+    big = 1 << 40
+    rows = _gauss_matrix(rng, 8, big)
+    paths = []
+    got = det_sparse(rows, 8, paths)
+    assert paths == [True]
+    assert got == _exact_det(monkeypatch, rows, 8)
+    monkeypatch.setattr(linalg, "PRIMES", linalg.PRIMES[:2])
+    paths = []
+    assert det_sparse(rows, 8, paths) == got
+    assert paths == [False]
+
+
+def test_det_beyond_the_prime_table_is_exact():
+    big = Fraction(1 << 1000)                 # Hadamard bound near 2^2000
+    rows = [{0: big, 1: GaussRat(1, 1)}, {0: GaussRat(0, 3), 1: big}]
+    paths = []
+    assert det_sparse(rows, 2, paths) == big * big - GaussRat(1, 1) * GaussRat(0, 3)
+    assert paths == [False]
+
+
+def test_det_at_an_unlucky_modulus_falls_back(monkeypatch):
+    # the first pivot 5 is no unit mod 5 * 13
+    monkeypatch.setattr(linalg, "PRIMES", ((5, 2), (13, 5)))
+    paths = []
+    assert det_sparse([{0: Fraction(5), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}],
+                      2, paths) == 4
+    assert paths == [False]
+
+
+def test_solve_transposed_matches_exact_solve(monkeypatch):
+    rng = random.Random(45)
+    seen = set()
+    for _ in range(25):
+        k = rng.randint(1, 6)
+        rows = _gauss_matrix(rng, k)
+        col = rng.randrange(k)
+        x, modular = solve_transposed(rows, col)
+        assert modular
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "PRIMES", ())
+            assert solve_transposed(rows, col) == (x, False)
+        seen.add(x is None)
+        if x is not None:
+            for c in range(k):
+                total = sum((x[r] * rows[r].get(c, 0) for r in range(k)), GaussRat(0))
+                assert total == (c == col)
+    assert seen == {True, False}
+
+
+def test_multimodular_paths_need_no_assert():
+    # both determinant paths hold with assert statements stripped
+    code = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from nevlab.fields import GaussRat\n"
+        "from nevlab.linalg import det_cofactor, det_sparse\n"
+        "paths = []\n"
+        "same = []\n"
+        "for big in (Fraction(7, 2), Fraction(1 << 1000)):\n"
+        "    mat = [[big, GaussRat(1, 1)], [GaussRat(0, 3), big]]\n"
+        "    rows = [dict(enumerate(row)) for row in mat]\n"
+        "    same.append(det_sparse(rows, 2, paths) == det_cofactor(mat))\n"
+        "print(sys.flags.optimize, paths, same)\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split("\n")[0] == "1 [True, False] [True, True]"

@@ -55,6 +55,35 @@ def test_curve_rejects_shared_factor_of_mixed_components():
     EntireCurve((ExpPoly.var() * ez, ExpPoly.var() + 1))          # gcd is constant
 
 
+def test_curve_rejects_common_zeros_of_commensurable_exponentials():
+    one, ez, e2z = ExpPoly.const(1), ExpPoly.exp(1), ExpPoly.exp(2)
+    half_i = ExpPoly.exp(GaussRat(0, Fraction(1, 2)))
+    with pytest.raises(DegeneracyError, match="polynomials in e"):
+        EntireCurve((ez - one, e2z - one))                  # zeros 2 pi i k shared
+    with pytest.raises(DegeneracyError):
+        EntireCurve((ExpPoly.exp(-1) - one, ez - one))      # w^-1 - 1 and w - 1
+    with pytest.raises(DegeneracyError):
+        EntireCurve((half_i - one, half_i * half_i - one, one * 0))
+    EntireCurve((one, ez))
+    EntireCurve((ez - one, e2z + one))                      # gcd(w - 1, w^2 + 1) = 1
+    EntireCurve((ez, e2z))                                  # gcd w never vanishes
+    # not commensurable or not constant coefficients: the polynomial gcd test,
+    # which misses the common zero z = 0 of (e^z - 1 : z)
+    EntireCurve((ez - one, ExpPoly.var()))
+
+
+def test_workload_curves_are_reduced():
+    one, z = ExpPoly.const(1), ExpPoly.var()
+    curves = [(one, ExpPoly.exp(1))]                        # smt
+    for c in (GaussRat(1), GaussRat(-1), GaussRat(0, 1), GaussRat(0, -1)):   # growth
+        ec = ExpPoly.exp(c)
+        curves += [(one, ec), (one, ec, ExpPoly.exp(c * GaussRat(0, 1))),
+                   (one, ExpPoly.exp(c * 2), z * ExpPoly.exp(-c))]
+        curves += [(one, ec - z * b) for b in (1, 2, 3)]
+    for comps in curves:
+        EntireCurve(comps)
+
+
 def test_curve_rejects_unreadable_component():
     with pytest.raises(TypeError):
         EntireCurve((ExpPoly.const(1), RatFunc(ZPoly((1,)), ZPoly((1, 1)))))

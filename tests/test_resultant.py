@@ -217,6 +217,7 @@ def test_power_certificate_matches_all_exact_path(monkeypatch):
         cert = power_certificate(polys, index)
         with monkeypatch.context() as m:
             m.setattr(linalg, "MODULI", ())
+            m.setattr(linalg, "PRIMES", ())
             exact = power_certificate(polys, index)
         assert (cert.s, cert.resultant) == (exact.s, exact.resultant)
         assert cert.cofactors == exact.cofactors
@@ -224,7 +225,69 @@ def test_power_certificate_matches_all_exact_path(monkeypatch):
         d = polys[0].degree
         assert cert.rank_paths == RankPaths(modular=cert.s - d, exact=1)
         assert exact.rank_paths == RankPaths(modular=0, exact=cert.s - d + 1)
+        assert exact.value_paths.modular == 0
         assert cert.verify()
+
+
+def _refuse(*args):
+    raise AssertionError("this path must not run")
+
+
+def test_power_certificate_below_the_critical_degree_uses_membership(monkeypatch):
+    x = [HPoly.coordinate(3, k) for k in range(3)]
+    monkeypatch.setattr(resultant, "solve_transposed", _refuse)
+    cert = power_certificate([v ** 3 for v in x], 0)
+    assert (cert.s, cert.resultant) == (3, 1)         # below t = 7
+    assert cert.value_paths == RankPaths(modular=2, exact=1)
+    assert cert.verify()
+
+
+def _fixed_cubics(seed):
+    rng = random.Random(seed)
+    while True:
+        polys = [_rand_form(rng, 3, 3) for _ in range(3)]
+        if macaulay_resultant(polys):
+            return polys
+
+
+def test_power_certificate_at_the_critical_degree_is_multimodular_cramer(monkeypatch):
+    polys = _fixed_cubics(4242)
+    cert = power_certificate(polys, 1)
+    assert cert.s == 7
+    assert cert.rank_paths == RankPaths(modular=4, exact=1)
+    assert cert.value_paths == RankPaths(modular=3, exact=0)   # det M, det M'', cofactors
+    assert cert.verify()
+    # with one prime the Hadamard bound is out of reach: the exact square solve
+    # returns the same unique cofactors, and membership is never consulted
+    monkeypatch.setattr(resultant, "ideal_membership", _refuse)
+    monkeypatch.setattr(linalg, "PRIMES", linalg.PRIMES[:1])
+    few = power_certificate(polys, 1)
+    assert few.value_paths == RankPaths(modular=1, exact=2)   # det M'' still fits
+    assert (few.s, few.resultant) == (cert.s, cert.resultant)
+    assert [c.coeffs for c in few.cofactors] == [c.coeffs for c in cert.cofactors]
+
+
+def test_power_certificate_with_singular_macaulay_matrix_uses_membership(monkeypatch):
+    # Q_0 has no x0^2 term, so det M'' = 0 and with it det M = 0 in this frame
+    x0, x1, x2 = (HPoly.coordinate(3, k) for k in range(3))
+    polys = [x0 * x1 + x2 * x2, x0 * x0 + x1 * x1, x1 * x2 + x0 * x2 * 2 + x0 * x0]
+    calls = []
+    solve = resultant.solve_transposed
+    monkeypatch.setattr(resultant, "solve_transposed",
+                        lambda rows, col: calls.append(solve(rows, col)) or calls[-1])
+    cert = power_certificate(polys, 0)
+    assert calls == [(None, True)]                      # singular, decided mod m
+    assert (cert.s, cert.resultant) == (4, 18)
+    assert cert.value_paths == RankPaths(modular=8, exact=1)   # four frames, membership
+    assert cert.verify()
+
+
+def test_power_certificate_beyond_the_prime_table_is_exact():
+    big = 1 << 1000
+    x0, x1 = HPoly.coordinate(2, 0), HPoly.coordinate(2, 1)
+    cert = power_certificate([x0 * big + x1, x0 - x1 * big], 0)
+    assert cert.value_paths == RankPaths(modular=0, exact=2)
+    assert cert.verify()
 
 
 def test_admissibility_report_matches_all_exact_path(monkeypatch):
