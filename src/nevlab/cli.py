@@ -192,7 +192,7 @@ def cmd_certificate(args) -> int:
            "resultant": cert.resultant,
            "cofactor_terms": [len(c.coeffs) for c in cert.cofactors],
            "rank_paths": cert.rank_paths, "value_paths": cert.value_paths,
-           "verified": cert.verify()}, args.output)
+           "verified": cert.verified}, args.output)
     return 0
 
 

@@ -12,12 +12,14 @@ with i and z sent to fixed residues, a matrix can only lose rank, so a
 modular rank that reaches the upper bound is the exact rank.  When it falls
 short on both primes of `MODULI`, exact elimination decides.
 
-Values over Q(i) are multimodular in the same spirit (`_multimodular`):
+Values over Q(i)(z) are multimodular in the same spirit (`_multimodular`):
 `det_sparse` and the transposed solve `solve_transposed` scale the rows to
-Gaussian integers, eliminate modulo a product of primes of `PRIMES` that
-exceeds twice the Hadamard bound, and lift the residues; when the table is
-too short, or an entry is a rational function, exact elimination decides.
-See von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5.
+polynomials in z with Gaussian-integer coefficients, eliminate modulo a
+product of primes of `PRIMES` that exceeds twice a Hadamard-type bound at
+enough points z to interpolate the result, and lift the residues; over Q(i)
+one point suffices.  When the table is too short, or too few points are
+usable, exact elimination decides.  See von zur Gathen & Gerhard, Modern
+Computer Algebra, ch. 5.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from fractions import Fraction
 from math import isqrt, lcm, prod
 from typing import Iterable, Optional, Sequence
 
-from .fields import GaussRat, RatFunc, zpoly_gcd
+from .fields import GaussRat, RatFunc, ZPoly, zpoly_gcd
 
 
 def _inv(s):
@@ -186,18 +188,21 @@ def _odd(order: Sequence[int]) -> bool:
 def det_sparse(rows: list[dict], size: int, paths: Optional[list] = None):
     """Exact determinant of a size x size matrix given as sparse rows.
 
-    A matrix over Q(i) is tried multimodular first (`_multimodular`); exact
-    elimination decides when that finds no certificate.  `paths`, when
-    given, gets True appended when the multimodular path decided and False
-    otherwise.
+    A matrix over Q(i)(z) is tried multimodular first (`_multimodular`);
+    exact elimination (`_det_exact`) decides when that finds no certificate.
+    `paths`, when given, gets True appended when the multimodular path
+    decided and False otherwise.
     """
     if len(rows) != size:
         raise ValueError("row count does not match size")
     found = _multimodular(rows, size)
     if paths is not None:
         paths.append(found is not None)
-    if found is not None:
-        return found[0]
+    return _det_exact(rows, size) if found is None else found[0]
+
+
+def _det_exact(rows: list[dict], size: int):
+    """Determinant by exact elimination, sparsest row first."""
     work = [dict(r) for r in rows]
     remaining = set(range(size))
     det = Fraction(1)
@@ -230,32 +235,31 @@ def det_sparse(rows: list[dict], size: int, paths: Optional[list] = None):
     return -det if _odd(order) else det
 
 
-def solve_transposed(rows: list[dict], col: int) -> tuple[Optional[list], bool]:
-    """The x with sum_r x[r] * rows[r] == e_col for a square matrix M (row
-    `col` of M^-1), and whether the multimodular path decided.
+def solve_transposed(rows: list[dict], col: int) -> tuple[object, Optional[list], bool]:
+    """det M of a square matrix M, row `col` of its adjugate (the y with
+    sum_r y[r] * rows[r] == det M * e_col, so y / det M is row `col` of
+    M^-1), and whether the multimodular path decided.
 
-    x is None when M is singular.  Multimodular Cramer (`_multimodular`)
-    first, else exact elimination of the transposed system; the solution is
-    unique, so both give the same x.
+    y is None when M is singular.  Multimodular Cramer (`_multimodular`)
+    first, else exact elimination for det M and, when it is nonzero, of the
+    transposed system for y / det M; both give the same values.
     """
     size = len(rows)
     found = _multimodular(rows, size, col)
     if found is not None:
-        return found[1], True
+        return found[0], found[1], True
+    det = _det_exact(rows, size)
+    if not det:
+        return det, None, False
     eqs: list[dict] = [{} for _ in range(size)]
     for r, row in enumerate(rows):
         for c, v in row.items():
             eqs[c][r] = v
     red = RowReducer(track_rhs=True)
-    try:
-        for c, eq in enumerate(eqs):
-            red.add(eq, Fraction(int(c == col)))
-    except Inconsistent:
-        return None, False
-    if red.rank < size:
-        return None, False
+    for c, eq in enumerate(eqs):
+        red.add(eq, Fraction(int(c == col)))
     sol = red.solution()
-    return [sol[r] for r in range(size)], False
+    return det, [det * sol[r] for r in range(size)], False
 
 
 def _entry_is_zero(e) -> bool:
@@ -446,112 +450,250 @@ def certified_rank(rows: Sequence[dict], bound: int) -> tuple[int, bool]:
 
 
 def _gaussian_integer_rows(rows: Sequence[dict]):
-    """Each row times the lcm of its entries' denominators, with entries as
-    (re, im) integer pairs, and those multipliers; None when some entry is
-    not an int, Fraction or GaussRat."""
+    """Each row scaled to polynomials in z with Gaussian-integer coefficients.
+
+    Row r is multiplied by L_r = c_r l_r: l_r the monic lcm of its entries'
+    `RatFunc` denominators (None when there are none), c_r the lcm of the
+    resulting coefficients' denominators.  Entries become tuples of (re, im)
+    integer pairs in ascending degree.  Returns (rows, [(c_r, l_r)]), or None
+    when some entry is not an int, Fraction, GaussRat or RatFunc.  Rows built
+    by shifting exponents share their scalar objects, so without l_r each
+    distinct object is split into parts once.
+    """
     scaled, scales = [], []
+    seen: dict = {}
     for row in rows:
-        parts = {}
-        for c, v in row.items():
-            if isinstance(v, GaussRat):
-                parts[c] = (v.re, v.im)
-            elif isinstance(v, (int, Fraction)):
-                parts[c] = (v, 0)
-            else:
-                return None
-        scale = lcm(*(x.denominator for pair in parts.values() for x in pair))
-        scaled.append({c: (re.numerator * (scale // re.denominator),
-                           im.numerator * (scale // im.denominator))
-                       for c, (re, im) in parts.items()})
-        scales.append(scale)
+        mult = None
+        found = []
+        for v in row.values():
+            # f: a RatFunc's denominator in z, or (parts, integer parts at
+            # L_r = 1, lcm of the parts' denominators) of any other scalar
+            f = seen.get(id(v))
+            if f is None:
+                if isinstance(v, RatFunc) and v.den.degree > 0:
+                    f = v.den
+                elif isinstance(v, (int, Fraction, GaussRat, RatFunc)):
+                    parts = _coefficient_parts(v, None)
+                    f = (parts, _integer_parts(parts, 1),
+                         lcm(*(x.denominator for pair in parts for x in pair)))
+                else:
+                    return None
+                seen[id(v)] = f
+            if isinstance(f, ZPoly) and (mult is None or mult % f):
+                mult = f if mult is None else mult * (f // zpoly_gcd(mult, f))
+            found.append(f)
+        if mult is None:
+            scale = lcm(*(f[2] for f in found))
+            scaled.append(dict(zip(row, (f[1] for f in found))) if scale == 1 else
+                          {c: _integer_parts(f[0], scale) for c, f in zip(row, found)})
+        else:
+            parts = {c: _coefficient_parts(v, mult) for c, v in row.items()}
+            scale = lcm(*(x.denominator for poly in parts.values() for pair in poly for x in pair))
+            scaled.append({c: _integer_parts(poly, scale) for c, poly in parts.items()})
+        scales.append((scale, mult))
     return scaled, scales
 
 
-def _modulus(bound: int) -> Optional[tuple[int, int]]:
-    """(m, s): m the product of the fewest leading primes of PRIMES with
-    m > bound, s a square root of -1 mod m (the primes' roots joined by CRT);
-    None when the whole table falls short."""
+def _integer_parts(poly: tuple, scale: int) -> tuple:
+    """The (re, im) Fraction pairs times scale, as integer pairs."""
+    return tuple((re.numerator * (scale // re.denominator), im.numerator * (scale // im.denominator))
+                 for re, im in poly)
+
+
+def _coefficient_parts(v, mult: Optional[ZPoly]) -> tuple:
+    """The (re, im) parts of the coefficients of mult * v, a polynomial in z
+    (v alone when mult is None), in ascending degree."""
+    if isinstance(v, RatFunc):
+        num = v.num if mult is None else v.num * (mult // v.den)
+        return tuple((x.re, x.im) for x in num.coeffs)
+    if mult is not None:
+        return tuple((x.re, x.im) for x in (mult * v).coeffs)
+    if isinstance(v, GaussRat):
+        return ((v.re, v.im),)
+    return ((Fraction(v), 0),)
+
+
+def _modulus(bound: int) -> Optional[tuple[int, int, int]]:
+    """(m, s, p): m the product of the fewest leading primes of PRIMES with
+    m > bound, s a square root of -1 mod m (the primes' roots joined by CRT),
+    p the least of those primes; None when the whole table falls short."""
     m, s = 1, 0
-    for p, i in PRIMES:
+    for k, (p, i) in enumerate(PRIMES):
         s += m * ((i - s) * pow(m, -1, p) % p)
         m *= p
         if m > bound:
-            return m, s
+            return m, s, min(q for q, _ in PRIMES[:k + 1])
     return None
 
 
-def _multimodular(rows: Sequence[dict], size: int, col: Optional[int] = None):
-    """Certified determinant of a square matrix over Q(i) and, given `col`,
-    the x with sum_r x[r] * rows[r] == e_col.
+def _norm_squared(poly: tuple) -> int:
+    """An integer at least the square of the sum of the coefficient moduli:
+    |a + bi|^2 exactly for a constant, (sum |a| + |b|)^2 otherwise."""
+    if len(poly) == 1:
+        a, b = poly[0]
+        return a * a + b * b
+    return sum(abs(a) + abs(b) for a, b in poly) ** 2
 
-    Scale row r by L_r to Gaussian integers: det M = D / prod L_r, D the
-    scaled determinant.  Re D, Im D, and every (size-1)-minor when D != 0
-    (the rows are then nonzero, of norm >= 1), are at most the Hadamard
-    bound H = prod ||row||_2.  Modulo m > 2H + 1, a product of primes
-    p = 1 (mod 4), i has the two images s and -s; each is a ring map from
-    Z[i], so eliminating the transposed scaled matrix under both gives
-    a + bs and a - bs for D = a + bi, hence a and b mod m, and by the bound
-    exactly.  The same elimination solves M_s^T u = e_col, so w = D u is row
-    `col` of adj(M_s), a Gaussian-integer vector lifted the same way, and
-    x[r] = L_r w[r] / D.  Returns (det M, x), with x None when no `col` is
-    given or D = 0, and None when there is no certificate: an entry outside
-    Q(i), a table too short for H, or a pivot that is no unit mod m.
+
+def _interpolate(xs: Sequence[int], columns: Sequence[Sequence[int]], m: int) -> list:
+    """For each column of values at the points xs, the ascending coefficients
+    mod m of the polynomial of degree < len(xs) through them: Newton's divided
+    differences, whose denominators (differences of the xs) must be units."""
+    n = len(xs)
+    inv = {(j, k): pow(xs[k] - xs[k - j], -1, m) for j in range(1, n) for k in range(j, n)}
+    out = []
+    for ys in columns:
+        c = list(ys)
+        for j in range(1, n):
+            for k in range(n - 1, j - 1, -1):
+                c[k] = (c[k] - c[k - 1]) * inv[j, k] % m
+        acc = [c[-1]]                  # Horner on the Newton form
+        for k in range(n - 2, -1, -1):
+            x = xs[k]
+            acc = ([(c[k] - x * acc[0]) % m]
+                   + [(acc[j - 1] - x * acc[j]) % m for j in range(1, len(acc))] + [acc[-1]])
+        out.append(acc)
+    return out
+
+
+def _multimodular(rows: Sequence[dict], size: int, col: Optional[int] = None):
+    """Certified determinant of a square matrix M over Q(i)(z) and, given
+    `col`, row `col` of its adjugate: the y with
+    sum_r y[r] * rows[r] == det M * e_col.
+
+    Scale row r by L_r to polynomials in z over Z[i] (`_gaussian_integer_rows`):
+    det M = D / prod L_r, D the scaled determinant.  deg D, and the degree of
+    every (size-1)-minor, is at most deg = the sum over rows of the largest
+    entry degree.  On |z| = 1 an entry is at most the sum |e|_1 of its
+    coefficients' moduli, so by Hadamard's inequality and Parseval's identity
+    every coefficient of D, and of every (size-1)-minor when D != 0 (the rows
+    are then nonzero, of norm >= 1), has modulus at most
+    H = prod_r (sum_c |e_rc|_1^2)^(1/2): the Hadamard bound when the entries
+    are constants.  Modulo m > 2H + 1, a product of primes p = 1 (mod 4),
+    i has the two images s and -s, and with z sent to a point z_k each is a
+    ring map from Z[i][z]; eliminating the transposed scaled matrix under
+    both gives a + bs and a - bs for D(z_k) = a + bi.  The points
+    z_k = 0, 1, 2, ... differ by less than the least prime, so deg + 1 of
+    them interpolate D mod m under each image (`_interpolate`), and the bound
+    lifts its coefficients exactly (`_lift_polys`).  The same elimination
+    solves M_s(z_k)^T u = e_col, so w = D u is row `col` of adj(M_s), a
+    polynomial vector interpolated and lifted the same way, and
+    y[r] = L_r w[r] / prod L_r.
+
+    A point with a pivot that is no unit mod m is skipped, and so is one with
+    D(z_k) = 0 mod m for the adjugate (it still counts for D).  Returns
+    (det M, y), with y None when no `col` is given or D = 0, and None when
+    there is no certificate: an entry outside Q(i)(z), a table too short for
+    H, or 2 (deg + 1) points tried without deg + 1 usable ones.  Values are
+    GaussRat when no entry depends on z, as over Q(i), and RatFunc otherwise.
     """
     found = _gaussian_integer_rows(rows)
     if found is None:
         return None
     scaled, scales = found
-    hadamard = isqrt(prod(sum(a * a + b * b for a, b in row.values()) for row in scaled)) + 1
-    found = _modulus(2 * hadamard + 1)
+    deg = sum(max([0, *(len(poly) - 1 for poly in row.values())]) for row in scaled)
+    norms = prod(sum(map(_norm_squared, row.values())) for row in scaled)
+    found = _modulus(2 * (isqrt(norms) + 1) + 1)
     if found is None:
         return None
-    m, s = found
-    residues = []
-    for root in (s, m - s):
-        image: list[dict] = [{} for _ in range(size)]
-        for r, row in enumerate(scaled):
-            for c, (a, b) in row.items():
-                v = (a + b * root) % m
-                if v:
-                    image[c][r] = v
-        if col is not None:
-            image[col][size] = 1       # the right-hand side e_col, as column `size`
-        pivots = _eliminate_mod(image, size, m, size)
-        if pivots is None:
-            return None
-        if len(pivots) < size:         # a column ran empty: D = 0 in this image
-            residues.append((0, None))
-            continue
-        d = prod(piv for _, _, piv, _ in pivots) % m
-        if _odd([k for _, k, _, _ in pivots]):
-            d = -d % m
-        u = None
-        if col is not None:
-            u = [0] * size
-            for c0, _, _, prow in reversed(pivots):
-                u[c0] = (prow.get(size, 0)
-                         - sum(v * u[c] for c, v in prow.items() if c != size)) % m
-        residues.append((d, u))
-    (d_plus, u_plus), (d_minus, u_minus) = residues
+    m, s, least = found
+    constant = deg == 0 and all(l is None for _, l in scales)
+    d_points: list = []                # (z_k, [D+(z_k)], [D-(z_k)])
+    w_points: list = []                # (z_k, w+(z_k), w-(z_k))
+    big_d = None
+    for z in range(min(2 * (deg + 1), least)):
+        values = []
+        for root in (s, m - s):
+            image: list[dict] = [{} for _ in range(size)]
+            for r, row in enumerate(scaled):
+                for c, poly in row.items():
+                    if len(poly) == 1:
+                        a, b = poly[0]
+                        v = (a + b * root) % m
+                    else:
+                        v = 0
+                        for a, b in reversed(poly):
+                            v = (v * z + a + b * root) % m
+                    if v:
+                        image[c][r] = v
+            if col is not None:
+                image[col][size] = 1   # the right-hand side e_col, as column `size`
+            pivots = _eliminate_mod(image, size, m, size)
+            if pivots is None:
+                break
+            values.append(_det_and_adjugate_row(pivots, size, m, col))
+        else:
+            (d_plus, w_plus), (d_minus, w_minus) = values
+            if big_d is None:
+                d_points.append((z, [d_plus], [d_minus]))
+            if w_plus is not None and w_minus is not None:
+                w_points.append((z, w_plus, w_minus))
+            if big_d is None and len(d_points) == deg + 1:
+                big_d = _lift_polys(d_points, m, s)[0]
+                if col is None or not big_d:
+                    return _exact_values(big_d, None, scales, constant)
+            if big_d is not None and len(w_points) == deg + 1:
+                return _exact_values(big_d, _lift_polys(w_points, m, s), scales, constant)
+    return None
+
+
+def _lift_polys(points: list, m: int, s: int) -> list:
+    """Gaussian-integer polynomials from their values under i -> s and
+    i -> -s: `points` holds (z_k, plus values, minus values), one value per
+    polynomial; each is interpolated mod m under both images, and a + bi is
+    lifted from a + bs and a - bs with both parts in (-m/2, m/2).  A
+    polynomial is a list of (a, b) pairs, ascending, without trailing zeros."""
+    xs = [z for z, _, _ in points]
+    plus = _interpolate(xs, list(zip(*(v for _, v, _ in points))), m)
+    minus = _interpolate(xs, list(zip(*(v for _, _, v in points))), m)
     half, over_2s = (m + 1) // 2, pow(2 * s, -1, m)
+    out = []
+    for pc, mc in zip(plus, minus):
+        poly = []
+        for p_k, m_k in zip(pc, mc):
+            a, b = (p_k + m_k) * half % m, (p_k - m_k) * over_2s % m
+            poly.append((a - m if 2 * a > m else a, b - m if 2 * b > m else b))
+        while poly and poly[-1] == (0, 0):
+            poly.pop()
+        out.append(poly)
+    return out
 
-    def lift(plus: int, minus: int) -> GaussRat:
-        # a + bi from a + bs and a - bs mod m, both parts in (-m/2, m/2)
-        a, b = (plus + minus) * half % m, (plus - minus) * over_2s % m
-        return GaussRat(a - m if 2 * a > m else a, b - m if 2 * b > m else b)
 
-    big_d = lift(d_plus, d_minus)
-    det = big_d / prod(scales)
-    det = det.re if not det.im else det
-    if col is None or not big_d:
+def _exact_values(big_d: list, ws: Optional[list], scales: list, constant: bool):
+    """(det M, y) from the lifted D and w: det M = D / prod L_r and
+    y[r] = L_r w[r] / prod L_r (y None without w), as GaussRat values when no
+    entry depends on z and as canonical RatFunc values otherwise."""
+    c_all = prod(c for c, _ in scales)
+    if constant:
+        det = GaussRat(*(big_d[0] if big_d else (0, 0))) / c_all
+        det = det.re if not det.im else det
+        if ws is None:
+            return det, None
+        return det, [GaussRat(*(w[0] if w else (0, 0))) * Fraction(c, c_all)
+                     for w, (c, _) in zip(ws, scales)]
+    den = prod((l for _, l in scales if l is not None), start=ZPoly((c_all,)))
+    det = RatFunc(ZPoly(GaussRat(a, b) for a, b in big_d), den)
+    if ws is None:
         return det, None
-    if u_plus is None or u_minus is None:
-        return None
-    inv_d = big_d.inverse()
-    return det, [lift(d_plus * up % m, d_minus * um % m) * (scale * inv_d)
-                 for up, um, scale in zip(u_plus, u_minus, scales)]
+    return det, [RatFunc(ZPoly(GaussRat(a, b) for a, b in w) * (c if l is None else l * c), den)
+                 for w, (c, l) in zip(ws, scales)]
 
 
+def _det_and_adjugate_row(pivots: list, size: int, m: int, col: Optional[int]):
+    """det mod m from the pivots of `_eliminate_mod` (0 when a column ran
+    empty) and, given `col`, w = det * u for the solution u of the eliminated
+    system (None when det is 0 or no `col` is given)."""
+    if len(pivots) < size:
+        return 0, None
+    d = prod(piv for _, _, piv, _ in pivots) % m
+    if _odd([k for _, k, _, _ in pivots]):
+        d = -d % m
+    if col is None:
+        return d, None
+    u = [0] * size
+    for c0, _, _, prow in reversed(pivots):
+        u[c0] = (prow.get(size, 0) - sum(v * u[c] for c, v in prow.items() if c != size)) % m
+    return d, [d * v % m for v in u]
 @dataclass(frozen=True)
 class RankPaths:
     """How many decisions a certified modular path made, and how many fell to

@@ -18,9 +18,10 @@ cofactors (ideal_membership), and power_certificate on top of it: the minimal
 s with x_i^s * R in the degree-s graded piece of the ideal generated by the
 family.
 
-Determinants of matrices over Q(i) are multimodular with an exact fallback
-(`linalg.det_sparse`), and so are a fixed family's cofactors at the critical
-degree: Cramer's rule on the square Macaulay rows (`linalg.solve_transposed`).
+Determinants of matrices over Q(i)(z) are multimodular with an exact
+fallback (`linalg.det_sparse`), and so are a family's cofactors at the
+critical degree, fixed or moving: Cramer's rule on the square Macaulay rows
+(`linalg.solve_transposed`).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Optional, Sequence
 
-from .fields import GaussRat, PoleError, simplify_scalar
+from .fields import GaussRat, PoleError, RatFunc, simplify_scalar, zpoly_gcd
 from .hpoly import HPoly, monomial_index, monomials
 from .linalg import (RankPaths, det_sparse, modular_rank_reaches, solve_system,
                      solve_transposed)
@@ -107,17 +108,27 @@ def _macaulay_matrix(polys: Sequence[HPoly], d: int):
     return rows, nr
 
 
-def _macaulay_dets(polys: Sequence[HPoly], d: int, paths: Optional[list]):
-    """det(M) and det(M'') of the Macaulay construction at critical degree."""
+def _macaulay_dets(polys: Sequence[HPoly], d: int, paths: Optional[list],
+                   col: Optional[int] = None):
+    """det(M) and det(M'') of the Macaulay construction at critical degree,
+    and the Cramer solve for column `col` as `solve_transposed` returns it:
+    given `col`, det M is taken from that solve; without it, the third value
+    is None."""
     rows, nr = _macaulay_matrix(polys, d)
-    det_m = det_sparse(rows, len(rows), paths)
+    solved = None
+    if col is None:
+        det_m = det_sparse(rows, len(rows), paths)
+    else:
+        solved = solve_transposed(rows, col)
+        det_m = solved[0]
+        paths.append(solved[2])
     nr_index = {k: j for j, k in enumerate(nr)}
     sub_rows = []
     for k in nr:
         row = rows[k]
         sub_rows.append({nr_index[c]: v for c, v in row.items() if c in nr_index})
     det_minor = det_sparse(sub_rows, len(nr), paths) if nr else Fraction(1)
-    return det_m, det_minor
+    return det_m, det_minor, solved
 
 
 def random_unimodular(nvars: int, rng: random.Random) -> list[list[int]]:
@@ -150,16 +161,25 @@ def macaulay_resultant(polys: Sequence[HPoly], seed: int = 1,
         raise ValueError("common degree must be >= 1")
     if any(p.degree != d or p.nvars != nvars for p in polys):
         raise ValueError("forms must share one degree and one variable count")
-    det_m, det_minor = _macaulay_dets(polys, d, paths)
+    return _resultant(polys, d, seed, paths)[0]
+
+
+def _resultant(polys: Sequence[HPoly], d: int, seed: int, paths: Optional[list],
+               col: Optional[int] = None):
+    """The Macaulay resultant, and the given frame's Cramer solve for `col`
+    as `_macaulay_dets` returns it.  A frame with det M'' = 0 has det M = 0
+    as well, so when the frame is retried that solve has no adjugate row."""
+    det_m, det_minor, solved = _macaulay_dets(polys, d, paths, col)
     if det_minor:
-        return simplify_scalar(det_m / det_minor)
+        return simplify_scalar(det_m if det_minor == 1 else det_m / det_minor), solved
     rng = random.Random(seed)
+    nvars = polys[0].nvars
     for _ in range(FRAME_RETRIES):
         a = random_unimodular(nvars, rng)
         moved = [p.compose_linear(a) for p in polys]
-        det_m, det_minor = _macaulay_dets(moved, d, paths)
+        det_m, det_minor, _ = _macaulay_dets(moved, d, paths)
         if det_minor:
-            return simplify_scalar(det_m / det_minor)
+            return simplify_scalar(det_m / det_minor), solved
     raise DegenerateResultantError(
         f"Macaulay minor vanished in {FRAME_RETRIES} random coordinate frames")
 
@@ -317,14 +337,48 @@ def is_admissible(fam: HypersurfaceFamily, max_points: Optional[int] = None) -> 
         f"admissibility undecided within {tried} parameter points")
 
 
-def _combination(cofactors: Sequence[HPoly], gens: Sequence[HPoly], nvars: int,
-                 degree: int) -> HPoly:
-    """sum_j b_j * g_j, skipping zero cofactors."""
-    acc = HPoly.zero(nvars, degree)
-    for b, g in zip(cofactors, gens):
-        if not b.is_zero():
-            acc = acc + b * g
-    return acc
+def _over_one_denominator(polys: Sequence[HPoly]):
+    """(q, numerators): q the monic lcm of the RatFunc denominators among the
+    polys' coefficients (None when there are none), and per poly its
+    coefficients times q, as ZPoly numerators (plain scalars when q is None)."""
+    dens = dict.fromkeys(c.den for p in polys for c in p.coeffs.values()
+                         if isinstance(c, RatFunc))
+    q = None
+    for den in dens:
+        if den.degree > 0 and (q is None or q % den):
+            q = den if q is None else q * (den // zpoly_gcd(q, den))
+    if q is None:
+        return None, [{e: c.num if isinstance(c, RatFunc) else c for e, c in p.coeffs.items()}
+                      for p in polys]
+    quotients = {den: q // den for den in dens}
+    return q, [{e: c.num * quotients[c.den] if isinstance(c, RatFunc) else q * c
+                for e, c in p.coeffs.items()} for p in polys]
+
+
+def _reexpands(cofactors: Sequence[HPoly], gens: Sequence[HPoly], target: HPoly) -> bool:
+    """Whether sum_j b_j * g_j == target, exactly.
+
+    The cofactors, the generators and the target are each brought over one
+    denominator polynomial (q_b, q_g, q_t), so the products and sums run on
+    polynomial numerators, without the gcd a RatFunc operation costs; the
+    identity holds iff q_t * sum_j (q_b b_j)(q_g g_j) == q_b q_g (q_t target).
+    """
+    q_b, bs = _over_one_denominator(cofactors)
+    q_g, gs = _over_one_denominator(gens)
+    q_t, (t,) = _over_one_denominator([target])
+    acc: dict = {}
+    for b, g in zip(bs, gs):
+        for e1, c1 in b.items():
+            for e2, c2 in g.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                prev = acc.get(e)
+                acc[e] = c1 * c2 if prev is None else prev + c1 * c2
+    for q in (q_b, q_g):
+        if q is not None:
+            t = {e: c * q for e, c in t.items()}
+    if q_t is not None:
+        acc = {e: c * q_t for e, c in acc.items()}
+    return {e: c for e, c in acc.items() if c} == t
 
 
 def ideal_rows(gens: Sequence[HPoly], big_n: int) -> tuple[list, list]:
@@ -387,7 +441,7 @@ def ideal_membership(p: HPoly, gens: Sequence[HPoly]) -> Optional[tuple[HPoly, .
                             {m: sol[v] for v, (i, m) in enumerate(labels)
                              if i == j and sol.get(v)})
                       for j, g in enumerate(gens))
-    if _combination(cofactors, gens, nvars, big_n) != p:
+    if not _reexpands(cofactors, gens, p):
         raise ArithmeticError("membership cofactors failed re-expansion")
     return cofactors
 
@@ -404,35 +458,30 @@ class PowerCertificate:
     rank_paths: RankPaths        # one membership decision per level tried
     value_paths: RankPaths       # the determinants behind a resultant computed
                                  # here, then one for the cofactors
+    verified: bool               # the identity re-expanded exactly when built
 
     def verify(self) -> bool:
         nvars = self.polys[0].nvars
         lhs = HPoly.monomial(nvars, tuple(self.s if k == self.index else 0
                                           for k in range(nvars)), self.resultant)
-        return _combination(self.cofactors, self.polys, nvars, self.s) == lhs
+        return _reexpands(self.cofactors, self.polys, lhs)
 
 
-def _macaulay_cofactors(polys: Sequence[HPoly], power: tuple,
-                        r) -> tuple[Optional[tuple[HPoly, ...]], bool]:
-    """Cofactors of r * x^power, deg x^power = t, from the square Macaulay
-    rows alone, and whether the multimodular path decided; None when
-    det M = 0.
+def _macaulay_cofactors(polys: Sequence[HPoly], adj: Sequence, scale) -> tuple[HPoly, ...]:
+    """Cofactors of scale * det M * x^power, deg x^power = t, from row
+    `power` of the adjugate of the square Macaulay matrix M.
 
     Row gamma of M is x^shift * Q_i (`_macaulay_row`), so y with
-    sum_gamma y_gamma * row_gamma = r * e_power, i.e. y = r (M^T)^-1 e_power,
-    puts y_gamma on the monomial x^shift of b_i.
+    sum_gamma y_gamma * row_gamma = det M * e_power puts scale * y_gamma on
+    the monomial x^shift of b_i.
     """
     nvars, d = polys[0].nvars, polys[0].degree
-    t = sum(power)
-    rows, _ = _macaulay_matrix(polys, d)
-    x, modular = solve_transposed(rows, monomial_index(nvars - 1, t)[power])
-    if x is None:
-        return None, modular
+    t = nvars * (d - 1) + 1
     coeffs: list[dict] = [{} for _ in polys]
-    for gamma, x_gamma in zip(monomials(nvars - 1, t), x):
+    for gamma, y in zip(monomials(nvars - 1, t), adj):
         i, shift = _macaulay_row(gamma, d)
-        coeffs[i][shift] = r * x_gamma
-    return tuple(HPoly(nvars, t - d, c) for c in coeffs), modular
+        coeffs[i][shift] = y if scale == 1 else scale * y
+    return tuple(HPoly(nvars, t - d, c) for c in coeffs)
 
 
 def power_certificate(polys: Sequence[HPoly], index: int,
@@ -445,10 +494,13 @@ def power_certificate(polys: Sequence[HPoly], index: int,
     by certified modular rank when the piece's rows and x_index^s reach the
     complete-intersection rank plus one mod p: the piece then has that rank
     exactly and x_index^s lies outside it.  Any other level runs the exact
-    `ideal_membership`, except the critical degree of a fixed family: its
-    cofactors come from the square Macaulay rows (`_macaulay_cofactors`,
-    multimodular Cramer with exact fallback), re-expanded exactly, and
-    `ideal_membership` only when det M = 0 there or the check fails.
+    `ideal_membership`, except the critical degree t: its cofactors come from
+    the square Macaulay rows by Cramer's rule (`solve_transposed`,
+    multimodular with exact fallback), and `ideal_membership` only when
+    det M = 0 there or the check fails.  When the resultant is computed here,
+    that solve also gives det M in the given frame, so the Macaulay matrix is
+    built and eliminated once.  Either way the identity is re-expanded
+    exactly once, and `verified` records the outcome.
     """
     polys = tuple(polys)
     nvars = polys[0].nvars
@@ -458,12 +510,15 @@ def power_certificate(polys: Sequence[HPoly], index: int,
         raise ValueError("need n+1 forms of one degree in n+1 variables")
     if not (0 <= index < nvars):
         raise ValueError(f"coordinate index {index} out of range")
+    s_max = (n + 1) * (d - 1) + 1
+    top = monomial_index(n, s_max)[tuple(s_max if k == index else 0 for k in range(nvars))]
     value_paths: list = []
-    r = macaulay_resultant(polys, paths=value_paths) if resultant is None else resultant
+    if resultant is None:
+        r, solved = _resultant(polys, d, 1, value_paths, top)
+    else:
+        r, solved = resultant, None
     if not r:
         raise NotAdmissibleError("family resultant vanishes; no certificate exists")
-    s_max = (n + 1) * (d - 1) + 1
-    fixed = not any(p.is_moving() for p in polys)
     paths: list = []
     for s in range(d, s_max + 1):
         power = tuple(s if k == index else 0 for k in range(nvars))
@@ -474,17 +529,24 @@ def power_certificate(polys: Sequence[HPoly], index: int,
             continue
         paths.append(False)
         target = HPoly.monomial(nvars, power, r)
-        cofactors = None
-        if s == s_max and fixed:
-            cofactors, modular = _macaulay_cofactors(polys, power, r)
-            if cofactors is not None and _combination(cofactors, polys, nvars, s) != target:
-                cofactors = None
-        if cofactors is None:
+        verified = False
+        if s == s_max:
+            if solved is None:
+                solved = solve_transposed(_macaulay_matrix(polys, d)[0], top)
+            det_m, adj, modular = solved
+            if adj is not None:
+                scale = 1 if r == det_m else simplify_scalar(r / det_m)
+                cofactors = _macaulay_cofactors(polys, adj, scale)
+                verified = _reexpands(cofactors, polys, target)
+        if not verified:
+            # None when target lies outside the piece; raises unless the
+            # cofactors it finds re-expand to target
             cofactors, modular = ideal_membership(target, polys), False
-        if cofactors is not None:
+            verified = cofactors is not None
+        if verified:
             value_paths.append(modular)
             return PowerCertificate(index, s, r, cofactors, polys, RankPaths.count(paths),
-                                    RankPaths.count(value_paths))
+                                    RankPaths.count(value_paths), verified)
     raise NotAdmissibleError(
         f"no power certificate up to the Macaulay bound s={s_max}; "
         "family is not in general position")

@@ -7,11 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nevlab import linalg
+from nevlab import fields, linalg
 from nevlab.fields import GaussRat, RatFunc, ZPoly
+from nevlab.hpoly import HPoly, monomials
 from nevlab.linalg import (Inconsistent, RankPaths, RowReducer, certified_rank,
                            clear_denominators, det_cofactor, det_sparse,
                            modular_rank_reaches, solve_system, solve_transposed)
+from nevlab.resultant import _macaulay_matrix
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -311,35 +313,219 @@ def test_solve_transposed_matches_exact_solve(monkeypatch):
         k = rng.randint(1, 6)
         rows = _gauss_matrix(rng, k)
         col = rng.randrange(k)
-        x, modular = solve_transposed(rows, col)
+        det, adj, modular = solve_transposed(rows, col)
         assert modular
+        assert det == det_sparse(rows, k)
+        assert (adj is None) == (not det)
         with monkeypatch.context() as m:
             m.setattr(linalg, "PRIMES", ())
-            assert solve_transposed(rows, col) == (x, False)
-        seen.add(x is None)
-        if x is not None:
+            assert solve_transposed(rows, col) == (det, adj, False)
+        seen.add(adj is None)
+        if adj is not None:
             for c in range(k):
-                total = sum((x[r] * rows[r].get(c, 0) for r in range(k)), GaussRat(0))
-                assert total == (c == col)
+                total = sum((adj[r] * rows[r].get(c, 0) for r in range(k)), GaussRat(0))
+                assert total == (det if c == col else 0)
     assert seen == {True, False}
 
 
+Z = RatFunc(ZPoly((0, 1)))
+
+
+def _rand_ratfunc(rng):
+    """A rational function with numerator degree up to 3; its denominator is
+    1, z (vanishing at the first evaluation point z = 0), z (z - 1), z + a
+    or z^2 + a."""
+    num = ZPoly(_gauss(rng, 3) for _ in range(rng.randint(1, 4)))
+    a = rng.randint(1, 5)
+    den = rng.choice([ZPoly((1,)), ZPoly((0, 1)), ZPoly((0, -1, 1)), ZPoly((a, 1)),
+                      ZPoly((a, 0, 1))])
+    return RatFunc(num, den)
+
+
+def _ratfunc_matrix(rng, k):
+    rows = []
+    for _ in range(k):
+        row = {}
+        for j in range(k):
+            kind = rng.randrange(5)
+            if kind == 1:
+                row[j] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            elif kind == 2:
+                row[j] = _gauss(rng, 4)
+            elif kind >= 3:
+                row[j] = _rand_ratfunc(rng)
+        rows.append({j: v for j, v in row.items() if v})
+    if k > 2 and rng.random() < 0.3:        # singular: row 2 = row 0 + c(z) row 1
+        c = _rand_ratfunc(rng)
+        rows[2] = {j: v for j in range(k)
+                   if (v := rows[0].get(j, 0) + c * rows[1].get(j, 0))}
+    return rows
+
+
+def test_multimodular_det_over_function_field_matches_exact_elimination(monkeypatch):
+    rng = random.Random(47)
+    singular = 0
+    for trial in range(30):
+        k = 1 if trial < 3 else rng.randint(2, 4)
+        rows = _ratfunc_matrix(rng, k)
+        paths = []
+        got = det_sparse(rows, k, paths)
+        assert paths == [True]
+        assert got == _exact_det(monkeypatch, rows, k)
+        singular += not got
+    assert singular >= 3
+    # a zero row; z-degrees above 1 and a denominator vanishing at z = 0
+    for rows in ([{0: Z, 1: Fraction(1)}, {}],
+                 [{0: Z ** 3 - 1, 1: 1 / Z}, {0: Z ** 2 + GaussRat(0, 1), 1: Z ** 4}]):
+        paths = []
+        assert det_sparse(rows, 2, paths) == _exact_det(monkeypatch, rows, 2)
+        assert paths == [True]
+    paths = []
+    assert det_sparse([{0: (Z + 1) / (Z - 2)}], 1, paths) == (Z + 1) / (Z - 2)
+    assert paths == [True]
+
+
+def _exact_solve(monkeypatch, rows, col):
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "PRIMES", ())
+        det, adj, modular = solve_transposed(rows, col)
+    assert not modular
+    return det, adj
+
+
+def test_solve_transposed_over_function_field_matches_exact_solve(monkeypatch):
+    rng = random.Random(48)
+    seen = set()
+    for _ in range(20):
+        k = rng.randint(1, 4)
+        rows = _ratfunc_matrix(rng, k)
+        col = rng.randrange(k)
+        det, adj, modular = solve_transposed(rows, col)
+        assert modular
+        assert (det, adj) == _exact_solve(monkeypatch, rows, col)
+        seen.add(adj is None)
+    assert seen == {True, False}
+    # D = z (z - 1) (z + 2) / (z + 2) vanishes at the points 0 and 1, which
+    # the adjugate must skip
+    rows = [{0: Z, 1: 1 / (Z + 2)}, {1: Z - 1}]
+    det, adj, modular = solve_transposed(rows, 1)
+    assert modular and det == Z * (Z - 1)
+    assert adj == [0, Z] == _exact_solve(monkeypatch, rows, 1)[1]
+
+
+def test_function_field_fallbacks_are_exact(monkeypatch):
+    rows = [{0: Z ** 5 + 3, 1: GaussRat(1, 2) / (Z + 1)}, {0: Z - 4, 1: Z ** 2}]
+    want = _exact_det(monkeypatch, rows, 2)
+    want_solve = _exact_solve(monkeypatch, rows, 0)
+    # primes 5 and 13 exceed the coefficient bound, but the points must
+    # differ by less than 5, too few for the degree bound 8
+    monkeypatch.setattr(linalg, "PRIMES", ((5, 2), (13, 5), (17, 4), (29, 12), (37, 6),
+                                           (41, 9), (53, 23), (61, 11)))
+    paths = []
+    assert det_sparse(rows, 2, paths) == want
+    assert paths == [False]
+    assert solve_transposed(rows, 0) == (*want_solve, False)
+    monkeypatch.undo()
+    # a 2^200 coefficient puts the bound beyond one prime
+    big = [{0: Z * (1 << 200), 1: Fraction(1)}, {0: Fraction(1), 1: Z}]
+    want = _exact_det(monkeypatch, big, 2)
+    monkeypatch.setattr(linalg, "PRIMES", linalg.PRIMES[:1])
+    paths = []
+    assert det_sparse(big, 2, paths) == want == (Z * Z) * (1 << 200) - 1
+    assert paths == [False]
+
+
+def test_unusable_points_are_skipped_then_exhaust_the_budget(monkeypatch):
+    rows = [{0: Z ** 2 + 1, 1: 1 / (Z + 3)}, {0: GaussRat(2, -1), 1: Z}]
+    want = _exact_det(monkeypatch, rows, 2)
+    want_solve = _exact_solve(monkeypatch, rows, 1)
+    eliminate = linalg._eliminate_mod
+    calls = []
+
+    def unlucky_every_third(rows, ncols, m, bound):
+        calls.append(1)
+        return None if len(calls) % 3 == 0 else eliminate(rows, ncols, m, bound)
+
+    monkeypatch.setattr(linalg, "_eliminate_mod", unlucky_every_third)
+    paths = []
+    assert det_sparse(rows, 2, paths) == want
+    assert paths == [True]
+    assert solve_transposed(rows, 1) == (*want_solve, True)
+    monkeypatch.setattr(linalg, "_eliminate_mod", lambda *args: None)
+    paths = []
+    assert det_sparse(rows, 2, paths) == want
+    assert paths == [False]
+    assert solve_transposed(rows, 1) == (*want_solve, False)
+
+
+def _certify_shaped_moving_rows():
+    """The 6 x 6 Macaulay matrix of two dense binary cubics over Q(i), the
+    x0^3 coefficient of the first one c / (z + b), as the certify benchmark
+    draws them."""
+    rng = random.Random(4242)
+    polys = []
+    for j in range(2):
+        coeffs = {e: GaussRat(rng.randint(-2, 2), rng.randint(-2, 2)) or GaussRat(1)
+                  for e in monomials(1, 3)}
+        if j == 0:
+            coeffs[(3, 0)] = RatFunc(ZPoly((GaussRat(2, -1),)), ZPoly((7, 1)))
+        polys.append(HPoly(2, 3, coeffs))
+    return _macaulay_matrix(polys, 3)[0]
+
+
+def test_function_field_values_need_no_gcd_per_elimination_step(monkeypatch):
+    # gcds of polynomials in z are what made exact elimination over Q(i)(z)
+    # slow; the multimodular path runs them only to put its results in
+    # lowest terms: one for det M, one per adjugate entry
+    rows = _certify_shaped_moving_rows()
+    size = len(rows)
+    calls = []
+    gcd = linalg.zpoly_gcd
+
+    def counted(a, b):
+        calls.append(1)
+        return gcd(a, b)
+
+    monkeypatch.setattr(fields, "zpoly_gcd", counted)
+    monkeypatch.setattr(linalg, "zpoly_gcd", counted)
+    paths = []
+    det = det_sparse(rows, size, paths)
+    assert paths == [True] and det and len(calls) <= 1
+    calls.clear()
+    det_again, adj, modular = solve_transposed(rows, 0)
+    assert modular and det_again == det and len(calls) <= size + 1
+    calls.clear()
+    monkeypatch.setattr(linalg, "PRIMES", ())
+    assert det_sparse(rows, size) == det
+    assert len(calls) > 4 * size               # what the guard tells apart
+
+
 def test_multimodular_paths_need_no_assert():
-    # both determinant paths hold with assert statements stripped
+    # both determinant paths, over Q(i) and over Q(i)(z), and both Cramer
+    # paths hold with assert statements stripped
     code = (
         "import sys\n"
         "from fractions import Fraction\n"
-        "from nevlab.fields import GaussRat\n"
-        "from nevlab.linalg import det_cofactor, det_sparse\n"
+        "from nevlab.fields import GaussRat, RatFunc, ZPoly\n"
+        "from nevlab.linalg import det_cofactor, det_sparse, solve_transposed\n"
         "paths = []\n"
         "same = []\n"
         "for big in (Fraction(7, 2), Fraction(1 << 1000)):\n"
         "    mat = [[big, GaussRat(1, 1)], [GaussRat(0, 3), big]]\n"
         "    rows = [dict(enumerate(row)) for row in mat]\n"
         "    same.append(det_sparse(rows, 2, paths) == det_cofactor(mat))\n"
+        "z = RatFunc(ZPoly((0, 1)))\n"
+        "for big in (3, 1 << 1000):\n"
+        "    mat = [[z * big + 1, 1 / (z + 2)], [GaussRat(0, 3), z * z]]\n"
+        "    rows = [dict(enumerate(row)) for row in mat]\n"
+        "    same.append(det_sparse(rows, 2, paths) == det_cofactor(mat))\n"
+        "    det, adj, modular = solve_transposed(rows, 1)\n"
+        "    same.append(det == det_cofactor(mat) and adj == [-mat[1][0], mat[0][0]])\n"
+        "    paths.append(modular)\n"
         "print(sys.flags.optimize, paths, same)\n")
     env = dict(os.environ, PYTHONPATH=SRC)
     run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                          text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split("\n")[0] == "1 [True, False] [True, True]"
+    assert run.stdout.split("\n")[0] == ("1 [True, False, True, True, False, False] "
+                                          "[True, True, True, True, True, True]")

@@ -235,7 +235,7 @@ def _refuse(*args):
 
 def test_power_certificate_below_the_critical_degree_uses_membership(monkeypatch):
     x = [HPoly.coordinate(3, k) for k in range(3)]
-    monkeypatch.setattr(resultant, "solve_transposed", _refuse)
+    monkeypatch.setattr(resultant, "_macaulay_cofactors", _refuse)
     cert = power_certificate([v ** 3 for v in x], 0)
     assert (cert.s, cert.resultant) == (3, 1)         # below t = 7
     assert cert.value_paths == RankPaths(modular=2, exact=1)
@@ -276,7 +276,7 @@ def test_power_certificate_with_singular_macaulay_matrix_uses_membership(monkeyp
     monkeypatch.setattr(resultant, "solve_transposed",
                         lambda rows, col: calls.append(solve(rows, col)) or calls[-1])
     cert = power_certificate(polys, 0)
-    assert calls == [(None, True)]                      # singular, decided mod m
+    assert calls == [(0, None, True)]                   # singular, decided mod m
     assert (cert.s, cert.resultant) == (4, 18)
     assert cert.value_paths == RankPaths(modular=8, exact=1)   # four frames, membership
     assert cert.verify()
@@ -288,6 +288,79 @@ def test_power_certificate_beyond_the_prime_table_is_exact():
     cert = power_certificate([x0 * big + x1, x0 - x1 * big], 0)
     assert cert.value_paths == RankPaths(modular=0, exact=2)
     assert cert.verify()
+
+
+def _moving_family(seed, n, d):
+    """n + 1 forms of degree d with nonzero resultant, the first with one
+    coefficient c / (z + b)."""
+    rng = random.Random(seed)
+    while True:
+        mover = RatFunc(ZPoly((GaussRat(rng.randint(1, 3), rng.randint(-2, 2)),)),
+                        ZPoly((rng.randint(1, 9), 1)))
+        polys = [_rand_form(rng, n + 1, d, mover if j == 0 else None) for j in range(n + 1)]
+        if macaulay_resultant(polys):
+            return polys
+
+
+def test_moving_power_certificate_matches_all_exact_path(monkeypatch):
+    # n = 2: the cofactors at s = t are not unique, so the certificate is
+    # compared through s, the resultant and the exact identity
+    polys = _moving_family(4243, 2, 2)
+    cert = power_certificate(polys, 2)
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "MODULI", ())
+        m.setattr(linalg, "PRIMES", ())
+        exact = power_certificate(polys, 2)
+    assert isinstance(cert.resultant, RatFunc) and not cert.resultant.is_constant()
+    assert (cert.s, cert.resultant) == (exact.s, exact.resultant) == (4, exact.resultant)
+    assert cert.verify() and exact.verify()
+    assert cert.verified and exact.verified
+    # det M, det M'' and the cofactors, all over Q(i)(z), all multimodular
+    assert cert.value_paths == RankPaths(modular=3, exact=0)
+    assert exact.value_paths == RankPaths(modular=0, exact=3)
+
+
+def test_moving_certificate_counts_its_modular_values(monkeypatch):
+    # the certify benchmark's shape: n = 1 cubics, det M'' empty, so det M
+    # and the cofactors are the two values, and membership is never needed
+    polys = _moving_family(4244, 1, 3)
+    monkeypatch.setattr(resultant, "ideal_membership", _refuse)
+    for index in (0, 1):
+        cert = power_certificate(polys, index)
+        assert cert.s == 5
+        assert cert.value_paths == RankPaths(modular=2, exact=0)
+        assert cert.verified and cert.verify()
+
+
+def test_macaulay_matrix_is_built_and_eliminated_once_per_certificate(monkeypatch):
+    polys = _fixed_cubics(4242)
+    built, dets = [], []
+    build, det = resultant._macaulay_matrix, resultant.det_sparse
+    monkeypatch.setattr(resultant, "_macaulay_matrix",
+                        lambda *args: built.append(1) or build(*args))
+    monkeypatch.setattr(resultant, "det_sparse",
+                        lambda rows, size, paths=None: dets.append(size) or det(rows, size, paths))
+    cert = power_certificate(polys, 0)
+    assert cert.s == 7 and len(built) == 1
+    assert dets == [9]                                 # det M'' only; det M is the solve's
+    # a resultant given by the caller: the solve builds the matrix once at s = t
+    built.clear()
+    dets.clear()
+    again = power_certificate(polys, 0, resultant=cert.resultant)
+    assert len(built) == 1 and dets == []
+    assert again.cofactors == cert.cofactors
+
+
+def test_verified_reports_the_certificate_own_reexpansion(monkeypatch):
+    polys = _fixed_cubics(4242)
+    checks = []
+    reexpands = resultant._reexpands
+    monkeypatch.setattr(resultant, "_reexpands",
+                        lambda *args: checks.append(1) or reexpands(*args))
+    cert = power_certificate(polys, 2)
+    assert checks == [1] and cert.verified is True
+    checks.clear()
+    assert cert.verify() and checks == [1]            # still public, and exact
 
 
 def test_admissibility_report_matches_all_exact_path(monkeypatch):
