@@ -19,7 +19,7 @@ polynomial is the empty tuple, degree -1).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 Rat = Union[int, Fraction]
 
@@ -364,6 +364,16 @@ def zpoly_gcd(a: ZPoly, b: ZPoly) -> ZPoly:
     while not b.is_zero():
         a, b = b, (a % b).monic()
     return a.monic()
+
+
+def denominator_lcm(dens: Iterable[ZPoly]) -> Optional[ZPoly]:
+    """Monic lcm of the nonconstant ones among monic (RatFunc) denominators,
+    None when there is none; one that divides the lcm so far costs no gcd."""
+    q = None
+    for den in dens:
+        if den.degree > 0 and (q is None or q % den):
+            q = den if q is None else q * (den // zpoly_gcd(q, den))
+    return q
 
 
 def format_zpoly(p: ZPoly, var: str = "z") -> str:

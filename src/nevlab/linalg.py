@@ -1,35 +1,33 @@
-"""Exact sparse linear algebra over the scalar tower, and certified modular ranks.
+"""Exact sparse linear algebra over the scalar tower, certified modular ranks
+and multimodular values.
 
 Vectors are dicts {column index: nonzero scalar}; matrices are lists of such
-rows.  Everything is exact: elimination divides by pivots, and division in
-Fraction/GaussRat/RatFunc is exact with canonical results.  Rows carrying
-rational-function entries are scaled by a common denominator first, so the
-bulk of the elimination runs on polynomial numerators.
+rows.  The one exact elimination, `RowReducer`, divides by pivots (exact, with
+canonical results, in Fraction/GaussRat/RatFunc) after scaling a row with
+rational-function entries by a common denominator; one pass gives the rank, a
+solution and the determinant.
 
-`certified_rank` answers a rank question whose answer is bounded above by a
-known value without exact arithmetic when it can: reduced modulo a prime,
-with i and z sent to fixed residues, a matrix can only lose rank, so a
-modular rank that reaches the upper bound is the exact rank.  When it falls
-short on both primes of `MODULI`, exact elimination decides.
-
-Values over Q(i)(z) are multimodular in the same spirit (`_multimodular`):
-`det_sparse` and the transposed solve `solve_transposed` scale the rows to
-polynomials in z with Gaussian-integer coefficients, eliminate modulo a
-product of primes of `PRIMES` that exceeds twice a Hadamard-type bound at
-enough points z to interpolate the result, and lift the residues; over Q(i)
-one point suffices.  When the table is too short, or too few points are
-usable, exact elimination decides.  See von zur Gathen & Gerhard, Modern
-Computer Algebra, ch. 5.
+The one modular image: `_gaussian_integer_rows` scales each row by a nonzero
+L_r to polynomials in z over Z[i], and `_image` sends them to Z/m with i and z
+sent to residues, a ring map under which every entry has an image.
+`certified_rank` reduces modulo the primes of `MODULI`, where a matrix can
+only lose rank, so a modular rank that reaches a known upper bound is the
+exact rank; else exact elimination decides.  `det_sparse` and
+`solve_transposed` (`_multimodular`) eliminate modulo a product of primes of
+`PRIMES` that exceeds twice a Hadamard-type bound at enough points z to
+interpolate the result, and lift the residues; over Q(i) one point suffices.
+When the table is too short, or too few points are usable, exact elimination
+decides.  See von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Optional, Sequence
 
-from .fields import GaussRat, RatFunc, ZPoly, zpoly_gcd
+from .fields import GaussRat, RatFunc, ZPoly, denominator_lcm
 
 
 def _inv(s):
@@ -57,20 +55,14 @@ def _complexity(s) -> int:
 
 
 def clear_denominators(vec: dict, rhs=None):
-    """Scale a row (and optional rhs) by the lcm of RatFunc denominators."""
-    mult = None
-    for v in vec.values():
-        if isinstance(v, RatFunc) and v.den.degree > 0:
-            mult = v.den if mult is None else mult * (v.den // zpoly_gcd(mult, v.den))
-    if rhs is not None and isinstance(rhs, RatFunc) and rhs.den.degree > 0:
-        mult = rhs.den if mult is None else mult * (rhs.den // zpoly_gcd(mult, rhs.den))
+    """Scale a row (and optional rhs) by the lcm of RatFunc denominators:
+    (row, rhs, multiplier), the multiplier a RatFunc, or None when there is
+    nothing to clear."""
+    mult = denominator_lcm(v.den for v in (*vec.values(), rhs) if isinstance(v, RatFunc))
     if mult is None:
-        return vec, rhs
+        return vec, rhs, None
     m = RatFunc(mult)
-    vec = {c: v * m if isinstance(v, RatFunc) else m * v for c, v in vec.items()}
-    if rhs is not None:
-        rhs = rhs * m if isinstance(rhs, RatFunc) else m * rhs
-    return vec, rhs
+    return {c: m * v for c, v in vec.items()}, None if rhs is None else m * rhs, m
 
 
 class Inconsistent(Exception):
@@ -78,17 +70,22 @@ class Inconsistent(Exception):
 
 
 class RowReducer:
-    """Incremental exact Gauss-Jordan elimination.
+    """Incremental exact Gaussian elimination.
 
-    Stored pivot rows are normalized (pivot entry 1) and fully reduced against
-    each other, so `rank` is just the pivot count and a solution of the fed
-    equations reads off directly (free variables set to zero).
+    A stored pivot row is normalized (pivot entry 1) and reduced against the
+    pivot rows stored before it, so a fed row is reduced against them in that
+    order, `rank` is just the pivot count, and a solution of the fed
+    equations (free variables set to zero) is read off by back-substitution.
+    `steps` logs (column, entry before normalizing, row multiplier or None)
+    per pivot.
     """
 
     def __init__(self, track_rhs: bool = False):
         self.pivots: dict[int, dict] = {}
         self.rhs: dict[int, object] = {}
         self.track_rhs = track_rhs
+        self.steps: list[tuple] = []
+        self.singular = False          # some fed row did not raise the rank
 
     @property
     def rank(self) -> int:
@@ -97,13 +94,11 @@ class RowReducer:
     def reduce(self, vec: dict, rhs=None):
         """Residual of vec (and rhs) after eliminating all known pivots."""
         res = dict(vec)
-        for col in [c for c in res if c in self.pivots]:
-            coef = res.get(col)
+        for col, prow in self.pivots.items():
+            coef = res.pop(col, None)
             if not coef:
-                res.pop(col, None)
                 continue
-            del res[col]
-            for c2, v2 in self.pivots[col].items():
+            for c2, v2 in prow.items():
                 if c2 == col:
                     continue
                 cur = res.get(c2)
@@ -125,43 +120,49 @@ class RowReducer:
         if self.track_rhs and rhs is None:
             rhs = Fraction(0)
         vec = {c: v for c, v in vec.items() if v}
-        vec, rhs = clear_denominators(vec, rhs)
+        vec, rhs, mult = clear_denominators(vec, rhs)
         res, rhs = self.reduce(vec, rhs)
         if not res:
+            self.singular = True
             if self.track_rhs and rhs:
                 raise Inconsistent("zero row with nonzero right-hand side")
             return False
         col = min(res, key=lambda c: (_complexity(res[c]), c))
+        self.steps.append((col, res[col], mult))
         inv = _inv(res[col])
         row = {c: v * inv for c, v in res.items()}
         row[col] = Fraction(1)
-        if self.track_rhs:
-            rhs = rhs * inv if rhs else Fraction(0)
-        for pcol, prow in self.pivots.items():
-            coef = prow.get(col)
-            if coef:
-                del prow[col]
-                for c2, v2 in row.items():
-                    if c2 == col:
-                        continue
-                    cur = prow.get(c2)
-                    nv = -coef * v2 if cur is None else cur - coef * v2
-                    if nv:
-                        prow[c2] = nv
-                    elif c2 in prow:
-                        del prow[c2]
-                if self.track_rhs:
-                    self.rhs[pcol] = self.rhs[pcol] - coef * rhs
         self.pivots[col] = row
         if self.track_rhs:
-            self.rhs[col] = rhs
+            self.rhs[col] = rhs * inv if rhs else Fraction(0)
         return True
 
     def solution(self) -> dict:
-        """Pivot-variable values solving the fed equations (free vars = 0)."""
+        """Pivot-variable values solving the fed equations (free vars = 0),
+        by back-substitution from the last pivot row."""
         if not self.track_rhs:
             raise ValueError("reducer was built without rhs tracking")
-        return dict(self.rhs)
+        sol: dict = {}
+        for col, prow in reversed(self.pivots.items()):
+            x = self.rhs[col]
+            for c, v in prow.items():
+                if c in sol:
+                    x = x - v * sol[c]
+            sol[col] = x
+        return sol
+
+    def det(self):
+        """Determinant of the square matrix of the rows fed, in order: 0 when
+        one did not raise the rank, else the product of the pivot entries
+        over that of the row multipliers, negated for an odd order of pivot
+        columns.  Each row is reduced by earlier rows only, so in pivot-column
+        order the residuals form a triangular matrix."""
+        if self.singular:
+            return Fraction(0)
+        det = Fraction(1)
+        for _, piv, mult in self.steps:
+            det = piv * det if mult is None else piv * det / mult
+        return -det if _odd([col for col, _, _ in self.steps]) else det
 
 
 def solve_system(rows: Iterable[tuple[dict, object]]) -> Optional[dict]:
@@ -198,41 +199,19 @@ def det_sparse(rows: list[dict], size: int, paths: Optional[list] = None):
     found = _multimodular(rows, size)
     if paths is not None:
         paths.append(found is not None)
-    return _det_exact(rows, size) if found is None else found[0]
+    return _det_exact(rows) if found is None else found[0]
 
 
-def _det_exact(rows: list[dict], size: int):
-    """Determinant by exact elimination, sparsest row first."""
-    work = [dict(r) for r in rows]
-    remaining = set(range(size))
-    det = Fraction(1)
-    order = []
-    for col in range(size):
-        cand = [i for i in remaining if work[i].get(col)]
-        if not cand:
+def _det_exact(rows: list[dict]):
+    """Determinant of a square matrix by exact elimination (`RowReducer.det`),
+    stopping at the first row that does not raise the rank.  Rows are fed by
+    their first column, so the elimination of a banded matrix stays banded."""
+    order = sorted(range(len(rows)), key=lambda r: min(rows[r], default=0))
+    red = RowReducer()
+    for r in order:
+        if not red.add(rows[r]):
             return Fraction(0)
-        i = min(cand, key=lambda i: (len(work[i]), _complexity(work[i][col]), i))
-        remaining.remove(i)
-        order.append(i)
-        piv = work[i][col]
-        det = piv * det
-        inv = _inv(piv)
-        prow = {c: v * inv for c, v in work[i].items() if c != col}
-        for j in remaining:
-            rj = work[j]
-            f = rj.get(col)
-            if not f:
-                rj.pop(col, None)
-                continue
-            del rj[col]
-            for c, v in prow.items():
-                cur = rj.get(c)
-                nv = -f * v if cur is None else cur - f * v
-                if nv:
-                    rj[c] = nv
-                elif c in rj:
-                    del rj[c]
-    return -det if _odd(order) else det
+    return -red.det() if _odd(order) else red.det()
 
 
 def solve_transposed(rows: list[dict], col: int) -> tuple[object, Optional[list], bool]:
@@ -241,23 +220,28 @@ def solve_transposed(rows: list[dict], col: int) -> tuple[object, Optional[list]
     M^-1), and whether the multimodular path decided.
 
     y is None when M is singular.  Multimodular Cramer (`_multimodular`)
-    first, else exact elimination for det M and, when it is nonzero, of the
-    transposed system for y / det M; both give the same values.
+    first, else one exact elimination of the transposed system
+    M^T u = e_col, which gives det M^T = det M (`RowReducer.det`) and, when
+    it is nonzero, u = y / det M; both paths give the same values.
     """
     size = len(rows)
     found = _multimodular(rows, size, col)
     if found is not None:
         return found[0], found[1], True
-    det = _det_exact(rows, size)
-    if not det:
-        return det, None, False
     eqs: list[dict] = [{} for _ in range(size)]
     for r, row in enumerate(rows):
         for c, v in row.items():
             eqs[c][r] = v
     red = RowReducer(track_rhs=True)
-    for c, eq in enumerate(eqs):
-        red.add(eq, Fraction(int(c == col)))
+    try:
+        for c, eq in enumerate(eqs):
+            if not red.add(eq, Fraction(int(c == col))):
+                break
+    except Inconsistent:              # a dependent equation: M is singular
+        pass
+    det = red.det()
+    if not det:
+        return det, None, False
     sol = red.solution()
     return det, [det * sol[r] for r in range(size)], False
 
@@ -322,59 +306,6 @@ PRIMES = (
 MODULI = tuple((p, i, z0) for (p, i), z0 in zip(PRIMES, (1234567891011, 1098765432101)))
 
 
-def _mod_p(s, p: int, i: int, z0: int) -> Optional[int]:
-    """Image of an exact scalar under Q(i)(z) -> GF(p), i -> i, z -> z0.
-
-    None when a denominator vanishes there: the scalar lies outside the local
-    ring on which that map is a ring homomorphism.
-    """
-    if isinstance(s, RatFunc):
-        num, den = (_horner_mod_p(f.coeffs, p, i, z0) for f in (s.num, s.den))
-        if num is None or not den:
-            return None
-        return num * pow(den, -1, p) % p
-    if isinstance(s, GaussRat):
-        re, im = _mod_p(s.re, p, i, z0), _mod_p(s.im, p, i, z0)
-        if re is None or im is None:
-            return None
-        return (re + i * im) % p
-    s = Fraction(s)
-    den = s.denominator % p
-    return s.numerator * pow(den, -1, p) % p if den else None
-
-
-def _horner_mod_p(coeffs, p: int, i: int, z0: int) -> Optional[int]:
-    acc = 0
-    for c in reversed(coeffs):
-        v = _mod_p(c, p, i, z0)
-        if v is None:
-            return None
-        acc = (acc * z0 + v) % p
-    return acc
-
-
-def _rows_mod_p(rows: Sequence[dict], p: int, i: int, z0: int) -> Optional[list]:
-    """The rows' images mod p, or None when some entry has no image.
-
-    Rows built by shifting exponents share their scalar objects, so each
-    distinct object is reduced once.
-    """
-    seen: dict = {}
-    out = []
-    for row in rows:
-        image = {}
-        for c, v in row.items():
-            m = seen.get(id(v), -1)
-            if m == -1:
-                m = seen[id(v)] = _mod_p(v, p, i, z0)
-                if m is None:
-                    return None
-            if m:
-                image[c] = m
-        out.append(image)
-    return out
-
-
 def _eliminate_mod(rows: list, ncols: int, m: int, bound: int) -> Optional[list]:
     """Gaussian elimination over Z/m of integer rows (consumed), in columns
     0..ncols-1.
@@ -418,20 +349,21 @@ def _eliminate_mod(rows: list, ncols: int, m: int, bound: int) -> Optional[list]
 def modular_rank_reaches(rows: Sequence[dict], bound: int) -> bool:
     """True when the rows' rank modulo some prime of MODULI reaches `bound`.
 
-    Send i and z to the prime's residues.  On the ring of elements of Q(i)(z)
-    whose denominators do not vanish there, that is a ring homomorphism onto
-    GF(p), and it maps every vanishing minor to zero, so when every entry lies
-    in that ring the rank mod p is at most the exact rank.  A caller that
-    knows the exact rank is at most `bound` thus knows it equals `bound` when
-    this returns True.  A prime at which some entry has no image is skipped;
-    False proves nothing.
+    Row r is scaled by L_r (`_gaussian_integer_rows`), which is nonzero, so
+    the rank does not change.  Sending i and z to the prime's residues is a
+    ring map from Z[i][z] onto GF(p) (`_image`): every scaled entry has an
+    image, and every vanishing minor maps to zero, so the rank mod p is at
+    most the exact rank.  A caller that knows the exact rank is at most
+    `bound` thus knows it equals `bound` when this returns True.  False,
+    also the answer when an entry lies outside Q(i)(z), proves nothing.
     """
+    found = _gaussian_integer_rows(rows)
+    if found is None:
+        return False
+    scaled = found[0]
     ncols = 1 + max((c for row in rows for c in row), default=-1)
-    for p, i, z0 in MODULI:
-        image = _rows_mod_p(rows, p, i, z0)
-        if image is not None and len(_eliminate_mod(image, ncols, p, bound)) >= bound:
-            return True
-    return False
+    return any(len(_eliminate_mod(_image(scaled, ncols, z0, i, p), len(rows), p, bound)) >= bound
+               for p, i, z0 in MODULI)
 
 
 def certified_rank(rows: Sequence[dict], bound: int) -> tuple[int, bool]:
@@ -456,61 +388,83 @@ def _gaussian_integer_rows(rows: Sequence[dict]):
     `RatFunc` denominators (None when there are none), c_r the lcm of the
     resulting coefficients' denominators.  Entries become tuples of (re, im)
     integer pairs in ascending degree.  Returns (rows, [(c_r, l_r)]), or None
-    when some entry is not an int, Fraction, GaussRat or RatFunc.  Rows built
-    by shifting exponents share their scalar objects, so without l_r each
-    distinct object is split into parts once.
+    when some entry is not an int, Fraction, GaussRat or RatFunc.  Ideal and
+    Macaulay rows are shifts of one generator and share its scalar objects,
+    so each row shape (the ids of its entries, in order) is scaled once, and
+    each distinct object is split (`_split`) once.
     """
     scaled, scales = [], []
     seen: dict = {}
+    shapes: dict = {}
     for row in rows:
-        mult = None
-        found = []
-        for v in row.values():
-            # f: a RatFunc's denominator in z, or (parts, integer parts at
-            # L_r = 1, lcm of the parts' denominators) of any other scalar
-            f = seen.get(id(v))
-            if f is None:
-                if isinstance(v, RatFunc) and v.den.degree > 0:
-                    f = v.den
-                elif isinstance(v, (int, Fraction, GaussRat, RatFunc)):
-                    parts = _coefficient_parts(v, None)
-                    f = (parts, _integer_parts(parts, 1),
-                         lcm(*(x.denominator for pair in parts for x in pair)))
-                else:
-                    return None
-                seen[id(v)] = f
-            if isinstance(f, ZPoly) and (mult is None or mult % f):
-                mult = f if mult is None else mult * (f // zpoly_gcd(mult, f))
-            found.append(f)
-        if mult is None:
-            scale = lcm(*(f[2] for f in found))
-            scaled.append(dict(zip(row, (f[1] for f in found))) if scale == 1 else
-                          {c: _integer_parts(f[0], scale) for c, f in zip(row, found)})
-        else:
-            parts = {c: _coefficient_parts(v, mult) for c, v in row.items()}
-            scale = lcm(*(x.denominator for poly in parts.values() for pair in poly for x in pair))
-            scaled.append({c: _integer_parts(poly, scale) for c, poly in parts.items()})
-        scales.append((scale, mult))
+        key = tuple(map(id, row.values()))
+        shape = shapes.get(key)
+        if shape is None:
+            found = []
+            for v in row.values():
+                # f: a RatFunc's denominator in z, or the split of any other scalar
+                f = seen.get(id(v))
+                if f is None:
+                    if isinstance(v, RatFunc):
+                        f = v.den if v.den.degree > 0 else _split(v.num.coeffs)
+                    elif isinstance(v, (int, Fraction, GaussRat)):
+                        f = _split((v,))
+                    else:
+                        return None
+                    seen[id(v)] = f
+                found.append(f)
+            mult = denominator_lcm(f for f in found if isinstance(f, ZPoly))
+            if mult is not None:
+                # l_r v: a RatFunc's numerator times l_r / den, and a
+                # constant's integer parts times those of l_r, in integers
+                m_poly, m_den = _split(mult.coeffs)
+                for k, v in enumerate(row.values()):
+                    if isinstance(v, RatFunc):
+                        found[k] = _split((v.num if v.den == mult else v.num * (mult // v.den)).coeffs)
+                    else:
+                        ((a, b),), d = found[k]
+                        found[k] = tuple((a * x - b * y, a * y + b * x) for x, y in m_poly), d * m_den
+            scale = lcm(*(d for _, d in found))
+            values = tuple(poly if d == scale else
+                           tuple((a * (scale // d), b * (scale // d)) for a, b in poly)
+                           for poly, d in found)
+            if mult is not None:    # c_r over the least denominators, as without l_r
+                g = gcd(scale, *(x for poly in values for pair in poly for x in pair))
+                if g > 1:
+                    scale //= g
+                    values = tuple(tuple((a // g, b // g) for a, b in poly) for poly in values)
+            shape = shapes[key] = (values, (scale, mult))
+        scaled.append(dict(zip(row, shape[0])))
+        scales.append(shape[1])
     return scaled, scales
 
 
-def _integer_parts(poly: tuple, scale: int) -> tuple:
-    """The (re, im) Fraction pairs times scale, as integer pairs."""
-    return tuple((re.numerator * (scale // re.denominator), im.numerator * (scale // im.denominator))
-                 for re, im in poly)
+def _split(coeffs) -> tuple:
+    """(poly, d): d the least common denominator of Gaussian rationals, poly
+    their (re, im) parts times d, as integer pairs."""
+    parts = [(x.re, x.im) if isinstance(x, GaussRat) else (Fraction(x), 0) for x in coeffs]
+    d = lcm(*(x.denominator for pair in parts for x in pair))
+    return tuple((re.numerator * (d // re.denominator), im.numerator * (d // im.denominator))
+                 for re, im in parts), d
 
 
-def _coefficient_parts(v, mult: Optional[ZPoly]) -> tuple:
-    """The (re, im) parts of the coefficients of mult * v, a polynomial in z
-    (v alone when mult is None), in ascending degree."""
-    if isinstance(v, RatFunc):
-        num = v.num if mult is None else v.num * (mult // v.den)
-        return tuple((x.re, x.im) for x in num.coeffs)
-    if mult is not None:
-        return tuple((x.re, x.im) for x in (mult * v).coeffs)
-    if isinstance(v, GaussRat):
-        return ((v.re, v.im),)
-    return ((Fraction(v), 0),)
+def _image(scaled: Sequence[dict], size: int, z: int, root: int, m: int) -> list:
+    """The transpose of the scaled rows' image in Z/m under i -> root and
+    z -> z: `size` rows, one per column, holding the nonzero values
+    {r: scaled[r][c] at (root, z) mod m}."""
+    image: list[dict] = [{} for _ in range(size)]
+    for r, row in enumerate(scaled):
+        for c, poly in row.items():
+            if len(poly) == 1:
+                a, b = poly[0]
+                v = (a + b * root) % m
+            else:
+                v = 0
+                for a, b in reversed(poly):
+                    v = (v * z + a + b * root) % m
+            if v:
+                image[c][r] = v
+    return image
 
 
 def _modulus(bound: int) -> Optional[tuple[int, int, int]]:
@@ -571,7 +525,7 @@ def _multimodular(rows: Sequence[dict], size: int, col: Optional[int] = None):
     H = prod_r (sum_c |e_rc|_1^2)^(1/2): the Hadamard bound when the entries
     are constants.  Modulo m > 2H + 1, a product of primes p = 1 (mod 4),
     i has the two images s and -s, and with z sent to a point z_k each is a
-    ring map from Z[i][z]; eliminating the transposed scaled matrix under
+    ring map from Z[i][z] (`_image`); eliminating the transposed image under
     both gives a + bs and a - bs for D(z_k) = a + bi.  The points
     z_k = 0, 1, 2, ... differ by less than the least prime, so deg + 1 of
     them interpolate D mod m under each image (`_interpolate`), and the bound
@@ -604,18 +558,7 @@ def _multimodular(rows: Sequence[dict], size: int, col: Optional[int] = None):
     for z in range(min(2 * (deg + 1), least)):
         values = []
         for root in (s, m - s):
-            image: list[dict] = [{} for _ in range(size)]
-            for r, row in enumerate(scaled):
-                for c, poly in row.items():
-                    if len(poly) == 1:
-                        a, b = poly[0]
-                        v = (a + b * root) % m
-                    else:
-                        v = 0
-                        for a, b in reversed(poly):
-                            v = (v * z + a + b * root) % m
-                    if v:
-                        image[c][r] = v
+            image = _image(scaled, size, z, root, m)
             if col is not None:
                 image[col][size] = 1   # the right-hand side e_col, as column `size`
             pivots = _eliminate_mod(image, size, m, size)

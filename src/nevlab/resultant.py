@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Optional, Sequence
 
-from .fields import GaussRat, PoleError, RatFunc, simplify_scalar, zpoly_gcd
+from .fields import GaussRat, PoleError, RatFunc, denominator_lcm, simplify_scalar
 from .hpoly import HPoly, monomial_index, monomials
 from .linalg import (RankPaths, det_sparse, modular_rank_reaches, solve_system,
                      solve_transposed)
@@ -343,10 +343,7 @@ def _over_one_denominator(polys: Sequence[HPoly]):
     coefficients times q, as ZPoly numerators (plain scalars when q is None)."""
     dens = dict.fromkeys(c.den for p in polys for c in p.coeffs.values()
                          if isinstance(c, RatFunc))
-    q = None
-    for den in dens:
-        if den.degree > 0 and (q is None or q % den):
-            q = den if q is None else q * (den // zpoly_gcd(q, den))
+    q = denominator_lcm(dens)
     if q is None:
         return None, [{e: c.num if isinstance(c, RatFunc) else c for e, c in p.coeffs.items()}
                       for p in polys]

@@ -207,8 +207,9 @@ def test_inadmissible_subset_falls_back_to_exact():
 
 
 def _pole_family():
-    # over Q(i)(z) the pair spans x0^2 and x1^2; mod 5 at z = 3 both forms
-    # reduce to x0^2 + x1^2
+    # over Q(i)(z) the pair spans x0^2 and x1^2; with the first form scaled
+    # by z + 3, mod 5 at z = 3 both reduce to x0^2 + x1^2, and mod 13 at
+    # z = 8 both to multiples of x0^2 + 6 x1^2
     x0, x1 = HPoly.coordinate(3, 0), HPoly.coordinate(3, 1)
     mover = RatFunc(ZPoly((1,)), ZPoly((3, 1)))          # 1/(z + 3)
     return [x0 * x0 + x1 * x1 * mover, x0 * x0 + x1 * x1 * 6]
@@ -219,9 +220,12 @@ def test_unusable_first_modulus_retries_then_falls_back(monkeypatch):
     want = [tuple_count(big_n, 2, 2) for big_n in range(7)]
     (p1, i1, _), good = linalg.MODULI
     pole = (p1, i1, p1 - 3)               # z0 = -3 is the pole of 1/(z + 3)
-    unlucky = (5, 2, 3)
-    for moduli, modular in (((pole, good), True), ((unlucky, good), True),
-                            ((pole, unlucky), False)):
+    unlucky, unlucky_too = (5, 2, 3), (13, 5, 8)
+    # the scaled rows have an image at the pole, and it decides; an unlucky
+    # modulus alone does not, so the good one after it decides; two unlucky
+    # ones leave exact elimination to decide, with the same dimensions
+    for moduli, modular in (((pole,), True), ((unlucky,), False), ((unlucky, good), True),
+                            ((unlucky, unlucky_too), False)):
         monkeypatch.setattr(linalg, "MODULI", moduli)
         paths = []
         assert [quotient_dim(gens, big_n, paths) for big_n in range(7)] == want
@@ -239,8 +243,7 @@ def test_fallback_needs_no_assert():
         "x0, x1 = HPoly.coordinate(3, 0), HPoly.coordinate(3, 1)\n"
         "mover = RatFunc(ZPoly((1,)), ZPoly((3, 1)))\n"
         "gens = [x0 * x0 + x1 * x1 * mover, x0 * x0 + x1 * x1 * 6]\n"
-        "p1, i1, _ = linalg.MODULI[0]\n"
-        "linalg.MODULI = ((p1, i1, p1 - 3), (5, 2, 3))\n"
+        "linalg.MODULI = ((5, 2, 3), (13, 5, 8))\n"
         "paths = []\n"
         "print(sys.flags.optimize, [quotient_dim(gens, n, paths) for n in range(7)], paths)\n")
     env = dict(os.environ, PYTHONPATH=SRC)

@@ -1,6 +1,7 @@
 """Every module-level import of the package, its tests and its scripts is
-used by its module, every public name of the package is used by the
-package or its scripts, and the package has no assert statement.
+used by its module, every public name of the package and every public
+module-level function and class is used by the package or its scripts, and
+the package has no assert statement.
 
 Names listed in a module's __all__ count as used (re-exports); __future__
 imports and the package __init__, which exists to re-export, are exempt.
@@ -41,16 +42,24 @@ def test_no_unused_imports():
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    files = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
-    files += sorted((ROOT / "scripts").glob("*.py"))
-    referenced = set()
-    for p in files:
-        for node in ast.walk(ast.parse(p.read_text(), str(p))):
+    # mrat.py has no caller and is to be deleted; until then it is exempt,
+    # both as the home of public names and as a caller
+    modules = [p for p in SRC.glob("*.py") if p.name not in ("__init__.py", "mrat.py")]
+    referenced, public = set(), set()
+    for p in modules + sorted((ROOT / "scripts").glob("*.py")):
+        tree = ast.parse(p.read_text(), str(p))
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
+        if p in modules:
+            public |= {f"{p.stem}.{node.name}" for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                       and not node.name.startswith("_")}
+    assert len(public) > 50
     assert sorted(set(nevlab.__all__) - referenced) == []
+    assert sorted(name for name in public if name.split(".")[1] not in referenced) == []
 
 
 def test_no_assert_in_the_package():

@@ -13,7 +13,7 @@ from nevlab.hpoly import HPoly, monomials
 from nevlab.linalg import (Inconsistent, RankPaths, RowReducer, certified_rank,
                            clear_denominators, det_cofactor, det_sparse,
                            modular_rank_reaches, solve_system, solve_transposed)
-from nevlab.resultant import _macaulay_matrix
+from nevlab.resultant import _macaulay_matrix, complete_intersection_rank, ideal_rows
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -101,10 +101,14 @@ def test_det_cofactor_over_polynomials():
 def test_clear_denominators_scales_away_ratfuncs():
     f = RatFunc(ZPoly((1,)), ZPoly((0, 1)))       # 1/z
     g = RatFunc(ZPoly((1,)), ZPoly((1, 1)))       # 1/(z+1)
-    vec, rhs = clear_denominators({0: f, 1: g}, RatFunc(ZPoly((1,))))
+    vec, rhs, mult = clear_denominators({0: f, 1: g}, RatFunc(ZPoly((1,))))
     for v in vec.values():
         assert v.den.degree == 0
     assert rhs.den.degree == 0
+    assert mult == RatFunc(ZPoly((0, 1, 1)))             # z (z + 1)
+    assert rhs == mult and vec == {0: RatFunc(ZPoly((1, 1))), 1: RatFunc(ZPoly((0, 1)))}
+    plain = {0: GaussRat(1, 2)}
+    assert clear_denominators(plain, Fraction(3)) == (plain, Fraction(3), None)
 
 
 def test_reducer_over_function_field():
@@ -183,15 +187,27 @@ def test_modular_rank_is_a_lower_bound_at_an_unlucky_prime(monkeypatch):
 
 
 def test_modular_images_of_tower_scalars():
+    # each scalar alone in a row is scaled by L_r = c_r l_r to a Gaussian-
+    # integer polynomial in z, whose image mod p always exists: a pole of the
+    # scalar at z0, or a denominator divisible by p, is scaled away
     p, i, z0 = linalg.MODULI[0]
     assert i * i % p == p - 1
     half = GaussRat(Fraction(1, 2), 3)
-    assert linalg._mod_p(half, p, i, z0) == (pow(2, -1, p) + 3 * i) % p
     f = RatFunc(ZPoly((1, 1)), ZPoly((2, 1)))          # (z + 1)/(z + 2)
-    assert linalg._mod_p(f, p, i, z0) == (z0 + 1) * pow(z0 + 2, -1, p) % p
     pole = RatFunc(ZPoly((1,)), ZPoly((-z0, 1)))        # 1/(z - z0)
-    assert linalg._mod_p(pole, p, i, z0) is None
-    assert linalg._mod_p(Fraction(1, p), p, i, z0) is None
+    scalars = [half, f, pole, Fraction(1, p)]
+    scaled, scales = linalg._gaussian_integer_rows([{0: v} for v in scalars])
+    assert scaled == [{0: ((1, 6),)}, {0: ((1, 0), (1, 0))}, {0: ((1, 0),)}, {0: ((1, 0),)}]
+    assert scales == [(2, None), (1, ZPoly((2, 1))), (1, ZPoly((-z0, 1))), (p, None)]
+    image = linalg._image(scaled, 1, z0, i, p)
+    assert image == [{0: (1 + 6 * i) % p, 1: (z0 + 1) % p, 2: 1, 3: 1}]
+    # where the scalar has an image, the scaled one is L_r(z0) times it
+    assert image[0][0] == 2 * (pow(2, -1, p) + 3 * i) % p
+    assert image[0][1] == (z0 + 2) * ((z0 + 1) * pow(z0 + 2, -1, p)) % p
+    # the transpose: one image row per column, keyed by the scaled row
+    assert linalg._image([{1: ((2, 0),)}, {0: ((0, 1), (1, 0))}], 2, 3, i, p) == [
+        {1: (i + 3) % p}, {0: 2}]
+    assert linalg._image([{0: ((p, 0),)}], 1, z0, i, p) == [{}]
 
 
 def test_rank_paths_count():
@@ -458,10 +474,10 @@ def test_unusable_points_are_skipped_then_exhaust_the_budget(monkeypatch):
     assert solve_transposed(rows, 1) == (*want_solve, False)
 
 
-def _certify_shaped_moving_rows():
-    """The 6 x 6 Macaulay matrix of two dense binary cubics over Q(i), the
-    x0^3 coefficient of the first one c / (z + b), as the certify benchmark
-    draws them."""
+def _certify_shaped_moving_polys(second_pole=False):
+    """Two dense binary cubics over Q(i), the x0^3 coefficient of the first
+    one c / (z + b), as the certify benchmark draws them; with second_pole,
+    its x1^3 coefficient too is c' / (z + b')."""
     rng = random.Random(4242)
     polys = []
     for j in range(2):
@@ -469,8 +485,15 @@ def _certify_shaped_moving_rows():
                   for e in monomials(1, 3)}
         if j == 0:
             coeffs[(3, 0)] = RatFunc(ZPoly((GaussRat(2, -1),)), ZPoly((7, 1)))
+            if second_pole:
+                coeffs[(0, 3)] = RatFunc(ZPoly((GaussRat(1, 3),)), ZPoly((-2, 1)))
         polys.append(HPoly(2, 3, coeffs))
-    return _macaulay_matrix(polys, 3)[0]
+    return polys
+
+
+def _certify_shaped_moving_rows():
+    """The 6 x 6 Macaulay matrix of `_certify_shaped_moving_polys`."""
+    return _macaulay_matrix(_certify_shaped_moving_polys(), 3)[0]
 
 
 def test_function_field_values_need_no_gcd_per_elimination_step(monkeypatch):
@@ -480,14 +503,13 @@ def test_function_field_values_need_no_gcd_per_elimination_step(monkeypatch):
     rows = _certify_shaped_moving_rows()
     size = len(rows)
     calls = []
-    gcd = linalg.zpoly_gcd
+    gcd = fields.zpoly_gcd
 
     def counted(a, b):
         calls.append(1)
         return gcd(a, b)
 
     monkeypatch.setattr(fields, "zpoly_gcd", counted)
-    monkeypatch.setattr(linalg, "zpoly_gcd", counted)
     paths = []
     det = det_sparse(rows, size, paths)
     assert paths == [True] and det and len(calls) <= 1
@@ -498,6 +520,105 @@ def test_function_field_values_need_no_gcd_per_elimination_step(monkeypatch):
     monkeypatch.setattr(linalg, "PRIMES", ())
     assert det_sparse(rows, size) == det
     assert len(calls) > 4 * size               # what the guard tells apart
+
+
+def test_modular_rank_scales_each_row_shape_once(monkeypatch):
+    # ideal rows are shifts of their generator and share its scalars, so the
+    # polynomial divisions and gcds that scale rows to Gaussian-integer
+    # polynomials run once per generator, not once per row: the degree-9
+    # piece costs what the degree-3 piece, one row per generator, costs.
+    # One denominator per row needs none of them; two need some.
+    calls = []
+    divmod_, gcd = ZPoly.__divmod__, fields.zpoly_gcd
+
+    def counted_divmod(a, b):
+        calls.append("divmod")
+        return divmod_(a, b)
+
+    def counted_gcd(a, b):
+        calls.append("gcd")
+        return gcd(a, b)
+
+    monkeypatch.setattr(ZPoly, "__divmod__", counted_divmod)
+    monkeypatch.setattr(fields, "zpoly_gcd", counted_gcd)
+    for second_pole in (False, True):
+        gens = _certify_shaped_moving_polys(second_pole)
+        counts = []
+        for big_n in (3, 9):
+            rows = ideal_rows(gens, big_n)[1]
+            calls.clear()
+            assert modular_rank_reaches(rows, complete_intersection_rank((3, 3), 2, big_n))
+            counts.append(len(calls))
+        assert len(ideal_rows(gens, 3)[1]) == len(gens) < len(ideal_rows(gens, 9)[1]) / 3
+        assert counts[0] == counts[1] == (len(calls) if second_pole else 0)
+    assert len(calls) > len(gens)               # what the guard tells apart
+
+
+def _dense(rows, k):
+    return [[row.get(c, Fraction(0)) for c in range(k)] for row in rows]
+
+
+def test_rowreducer_det_matches_cofactor_expansion():
+    # det_cofactor divides by nothing, so it is an independent reference
+    z = Z
+    fixed = [
+        [{1: Fraction(1)}, {0: Fraction(1)}],                          # odd pivot order
+        [{1: Fraction(2)}, {2: GaussRat(0, 1)}, {0: Fraction(3)}],     # even, a 3-cycle
+        [{0: z, 1: Fraction(1)}, {0: z * z, 1: z}],                    # singular
+        [{0: Fraction(1), 1: Fraction(2)}, {}],                        # a zero row
+        [{0: 1 / (z + 1), 1: z / (z - 2)}, {0: GaussRat(1, 1), 1: 1 / z}],   # denominators
+    ]
+    rng = random.Random(49)
+    mats = fixed + [_ratfunc_matrix(rng, rng.randint(1, 4)) for _ in range(30)]
+    parities, multipliers, zero = set(), False, 0
+    for rows in mats:
+        k = len(rows)
+        red = RowReducer()
+        for row in rows:
+            red.add(row)
+        det = red.det()
+        assert det == det_cofactor(_dense(rows, k))
+        zero += not det
+        if det:
+            parities.add(linalg._odd([c for c, _, _ in red.steps]))
+            multipliers |= any(m is not None for _, _, m in red.steps)
+    assert parities == {True, False} and multipliers and zero >= 4
+
+
+def test_exact_fallbacks_are_one_elimination_pass(monkeypatch):
+    # with no primes both exact paths run on RowReducer: det_sparse feeds it
+    # the rows, and solve_transposed feeds it each transposed equation once,
+    # reading det M and the adjugate row from that one reducer
+    monkeypatch.setattr(linalg, "PRIMES", ())
+    calls = []
+    add = RowReducer.add
+
+    def counted(self, vec, rhs=None):
+        calls.append(1)
+        return add(self, vec, rhs)
+
+    monkeypatch.setattr(RowReducer, "add", counted)
+    rng = random.Random(50)
+    seen = set()
+    for _ in range(20):
+        k = rng.randint(1, 4)
+        rows = _ratfunc_matrix(rng, k)
+        col = rng.randrange(k)
+        want = det_cofactor(_dense(rows, k))
+        calls.clear()
+        assert det_sparse(rows, k) == want
+        assert 0 < len(calls) <= k
+        calls.clear()
+        det, adj, modular = solve_transposed(rows, col)
+        assert len(calls) <= k and not modular and det == want
+        assert (adj is None) == (not det)
+        if adj is not None:
+            assert len(calls) == k
+            for c in range(k):
+                total = sum((adj[r] * rows[r].get(c, 0) for r in range(k)), Fraction(0))
+                assert total == (det if c == col else 0)
+        seen.add(adj is None)
+    assert seen == {True, False}
 
 
 def test_multimodular_paths_need_no_assert():
