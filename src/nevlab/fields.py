@@ -3,7 +3,7 @@
 Three interoperable scalar classes:
 
   fractions.Fraction          rationals p/q, canonical by construction
-  GaussRat                    a + b*i with Fraction real/imaginary parts
+  GaussRat                    (a + b*i)/d as three ints, gcd(a, b, d) = 1 and d > 0
   RatFunc                     p(z)/q(z), p and q ZPoly over GaussRat, reduced, q monic
 
 Mixed arithmetic works through Python's reflected-operator protocol: ints and
@@ -19,20 +19,18 @@ polynomial is the empty tuple, degree -1).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Optional, Union
-
-Rat = Union[int, Fraction]
 
 
 class PoleError(ZeroDivisionError):
     """Evaluation of a rational function at a zero of its denominator."""
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+def _num_den(x) -> tuple[int, int]:
+    """(numerator, denominator) of an int or Fraction, constructing nothing."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
@@ -52,121 +50,182 @@ def _pow_by_squaring(base, k: int, one):
 
 
 class GaussRat:
-    """Gaussian rational a + b*i, components stored as Fractions."""
+    """Gaussian rational (a + b*i)/d, stored as three ints with
+    gcd(a, b, d) = 1 and d > 0, so equal values have equal triples.
 
-    __slots__ = ("re", "im")
+    `re` and `im` are read-only Fraction views.  Arithmetic works on the
+    triple: a product is four int products and one gcd, and a sum over a
+    shared d needs no lcm.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        (a, p), (b, q) = _num_den(re), _num_den(im)
+        d = p * (q // gcd(p, q))    # reduced parts over their lcm have gcd 1
+        a, b = a * (d // p), b * (d // q)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     # -- coercion ----------------------------------------------------------
 
     @staticmethod
     def coerce(x) -> "GaussRat":
-        if isinstance(x, GaussRat):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return GaussRat(x)
-        raise TypeError(f"cannot coerce {x!r} to GaussRat")
-
-    def _binary(self, other):
-        if isinstance(other, GaussRat):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussRat(other)
-        return None
+        g = _lift(x)
+        if g is None:
+            raise TypeError(f"cannot coerce {x!r} to GaussRat")
+        return g
 
     # -- ring/field ops ----------------------------------------------------
 
     def __add__(self, other):
-        o = self._binary(other)
+        o = other if type(other) is GaussRat else _lift(other)
         if o is None:
             return NotImplemented
-        return GaussRat(self.re + o.re, self.im + o.im)
+        return _sum(self.a, self.b, self.d, o.a, o.b, o.d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._binary(other)
+        o = other if type(other) is GaussRat else _lift(other)
         if o is None:
             return NotImplemented
-        return GaussRat(self.re - o.re, self.im - o.im)
+        return _sum(self.a, self.b, self.d, -o.a, -o.b, o.d)
 
     def __rsub__(self, other):
-        o = self._binary(other)
+        o = _lift(other)
         if o is None:
             return NotImplemented
-        return GaussRat(o.re - self.re, o.im - self.im)
+        return _sum(o.a, o.b, o.d, -self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        o = self._binary(other)
+        o = other if type(other) is GaussRat else _lift(other)
         if o is None:
             return NotImplemented
-        return GaussRat(self.re * o.re - self.im * o.im,
-                        self.re * o.im + self.im * o.re)
+        a, b, c, e = self.a, self.b, o.a, o.b
+        return _reduced(a * c - b * e, a * e + b * c, self.d * o.d)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return GaussRat(-self.re, -self.im)
+        return _make(-self.a, -self.b, self.d)
 
     def __pos__(self):
         return self
 
     def inverse(self) -> "GaussRat":
-        n = self.re * self.re + self.im * self.im
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero GaussRat")
-        return GaussRat(self.re / n, -self.im / n)
+        return _quotient(1, 0, 1, self.a, self.b, self.d)
 
     def __truediv__(self, other):
-        o = self._binary(other)
+        o = other if type(other) is GaussRat else _lift(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        return _quotient(self.a, self.b, self.d, o.a, o.b, o.d)
 
     def __rtruediv__(self, other):
-        o = self._binary(other)
+        o = _lift(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        return _quotient(o.a, o.b, o.d, self.a, self.b, self.d)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        return _pow_by_squaring(self, k, GaussRat(1))
+        return _pow_by_squaring(self, k, _GR_ONE)
 
     # -- structure ---------------------------------------------------------
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self.a != 0 or self.b != 0
 
     def __eq__(self, other):
         if isinstance(other, GaussRat):
-            return self.re == other.re and self.im == other.im
+            return self.a == other.a and self.b == other.b and self.d == other.d
         if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return self.b == 0 and self.a == other.numerator and self.d == other.denominator
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
+        # a real value hashes like its int or Fraction
+        if self.b == 0:
+            return hash(self.a) if self.d == 1 else hash(self.re)
         return hash((self.re, self.im))
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int true division is correctly rounded, so this is float(re), float(im)
+        return complex(self.a / self.d, self.b / self.d)
 
     def __repr__(self):
         return f"GaussRat({self.re!r}, {self.im!r})"
 
     def __str__(self):
         return format_rational_like(self)
+
+
+_set_a, _set_b, _set_d = GaussRat.a.__set__, GaussRat.b.__set__, GaussRat.d.__set__
+_new = object.__new__
+
+
+def _make(a: int, b: int, d: int) -> GaussRat:
+    """(a + b*i)/d from a triple already in lowest terms."""
+    x = _new(GaussRat)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
+
+
+def _reduced(a: int, b: int, d: int) -> GaussRat:
+    """(a + b*i)/d for ints with d > 0, brought to lowest terms."""
+    if d != 1:
+        g = gcd(d, a, b)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    return _make(a, b, d)
+
+
+def _lift(x) -> Optional[GaussRat]:
+    """x as a GaussRat when it is one, an int or a Fraction; else None."""
+    if isinstance(x, GaussRat):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return _make(x.numerator, 0, x.denominator)
+    return None
+
+
+def _sum(a: int, b: int, d: int, c: int, e: int, f: int) -> GaussRat:
+    """(a + b*i)/d + (c + e*i)/f for two triples in lowest terms."""
+    if d == f:
+        return _reduced(a + c, b + e, d)
+    g = gcd(d, f)
+    if g == 1:      # a prime of d or f alone cannot divide both parts
+        return _make(a * f + c * d, b * f + e * d, d * f)
+    s, t = d // g, f // g
+    a, b = a * t + c * s, b * t + e * s
+    h = gcd(g, a, b)    # every common factor with the lcm s*f lies in g
+    return _make(a // h, b // h, s * (f // h))
+
+
+def _quotient(a: int, b: int, d: int, c: int, e: int, f: int) -> GaussRat:
+    """(a + b*i)/d divided by (c + e*i)/f: f (a + b*i)(c - e*i) / (d (c^2 + e^2))."""
+    n = c * c + e * e
+    if not n:
+        raise ZeroDivisionError("inverse of zero GaussRat")
+    return _reduced(f * (a * c + b * e), f * (b * c - a * e), d * n)
 
 
 _GR_ZERO = GaussRat(0)

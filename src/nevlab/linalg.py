@@ -44,8 +44,10 @@ def _complexity(s) -> int:
     if isinstance(s, Fraction):
         return s.numerator.bit_length() + s.denominator.bit_length()
     if isinstance(s, GaussRat):
-        return (s.re.numerator.bit_length() + s.re.denominator.bit_length()
-                + s.im.numerator.bit_length() + s.im.denominator.bit_length())
+        # the bit lengths of the reduced re = a/d and im = b/d
+        g, h = gcd(s.a, s.d), gcd(s.b, s.d)
+        return ((s.a // g).bit_length() + (s.d // g).bit_length()
+                + (s.b // h).bit_length() + (s.d // h).bit_length())
     if isinstance(s, RatFunc):
         return 1000 * (s.num.degree + s.den.degree + 1)
     proxy = getattr(s, "complexity", None)
@@ -441,11 +443,12 @@ def _gaussian_integer_rows(rows: Sequence[dict]):
 
 def _split(coeffs) -> tuple:
     """(poly, d): d the least common denominator of Gaussian rationals, poly
-    their (re, im) parts times d, as integer pairs."""
-    parts = [(x.re, x.im) if isinstance(x, GaussRat) else (Fraction(x), 0) for x in coeffs]
-    d = lcm(*(x.denominator for pair in parts for x in pair))
-    return tuple((re.numerator * (d // re.denominator), im.numerator * (d // im.denominator))
-                 for re, im in parts), d
+    their (re, im) parts times d, as integer pairs.  A GaussRat's own d is
+    the lcm of its two parts' denominators."""
+    parts = [(x.a, x.b, x.d) if isinstance(x, GaussRat) else (x.numerator, 0, x.denominator)
+             for x in coeffs]
+    d = lcm(*(e for _, _, e in parts))
+    return tuple((a * (d // e), b * (d // e)) for a, b, e in parts), d
 
 
 def _image(scaled: Sequence[dict], size: int, z: int, root: int, m: int) -> list:

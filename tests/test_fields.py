@@ -5,6 +5,7 @@ generator; hypothesis covers the coercion and evaluation corners.
 """
 
 import random
+from math import gcd
 from fractions import Fraction
 
 import pytest
@@ -142,3 +143,174 @@ def test_ratfunc_derivative_quotient_rule():
         f, g = _rand_ratfunc(rng), _rand_ratfunc(rng)
         assert (f * g).derivative() == f.derivative() * g + f * g.derivative()
 
+
+
+# -- GaussRat against a Fraction-pair reference --------------------------------
+#
+# GaussRat stores (a + b*i)/d as three ints.  The reference below is the
+# plain (re, im) pair of Fractions it replaced; every operation must agree
+# with it, and the triple must be the canonical one.
+
+
+def _ref_mul(x, y):
+    (a, b), (c, e) = x, y
+    return a * c - b * e, a * e + b * c
+
+
+def _ref_inverse(x):
+    a, b = x
+    n = a * a + b * b
+    if n == 0:
+        raise ZeroDivisionError
+    return a / n, -b / n
+
+
+def _ref_pow(x, k):
+    if k < 0:
+        x, k = _ref_inverse(x), -k
+    out = (Fraction(1), Fraction(0))
+    for _ in range(k):
+        out = _ref_mul(out, x)
+    return out
+
+
+def _rand_part(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return Fraction(rng.randint(-9, 9))
+    if kind == 2:           # denominators from a few small primes, so they share factors
+        return Fraction(rng.randint(-60, 60), rng.choice((2, 3, 4, 6, 9, 12, 36)))
+    if kind == 3:           # parts beyond 2^53
+        return Fraction(rng.randint(-2 ** 120, 2 ** 120), rng.randint(1, 2 ** 70))
+    return Fraction(rng.randint(-2 ** 40, 2 ** 40), rng.choice((1, 5, 2 ** 30, 3 ** 19)))
+
+
+def _assert_canonical(g, ref):
+    a, b, d = g.a, g.b, g.d
+    assert (type(a), type(b), type(d)) == (int, int, int)
+    assert d > 0 and gcd(a, b, d) == 1
+    assert (g.re, g.im) == tuple(ref)
+    want = GaussRat(*ref)
+    assert (a, b, d) == (want.a, want.b, want.d)
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def test_gauss_triple_matches_fraction_pair_reference():
+    rng = random.Random(29)
+    for _ in range(1500):
+        x, y = (_rand_part(rng), _rand_part(rng)), (_rand_part(rng), _rand_part(rng))
+        gx, gy = GaussRat(*x), GaussRat(*y)
+        _assert_canonical(gx, x)
+        k = rng.randint(-7, 7)
+        q = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+        cases = [
+            (gx + gy, (x[0] + y[0], x[1] + y[1])),
+            (gx - gy, (x[0] - y[0], x[1] - y[1])),
+            (gx * gy, _ref_mul(x, y)),
+            (gx + k, (x[0] + k, x[1])), (k + gx, (x[0] + k, x[1])),
+            (gx - q, (x[0] - q, x[1])), (q - gx, (q - x[0], -x[1])),
+            (gx * k, (x[0] * k, x[1] * k)), (q * gx, (x[0] * q, x[1] * q)),
+            (-gx, (-x[0], -x[1])),
+        ]
+        for other, ref_other in ((gy, y), (k, (Fraction(k), Fraction(0))), (q, (q, Fraction(0)))):
+            if ref_other != (0, 0):
+                cases.append((gx / other, _ref_mul(x, _ref_inverse(ref_other))))
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    gx / other
+            if x != (0, 0):
+                cases.append((other / gx, _ref_mul(ref_other, _ref_inverse(x))))
+        e = rng.randint(-3, 3)
+        if x != (0, 0):
+            cases += [(gx.inverse(), _ref_inverse(x)), (gx ** e, _ref_pow(x, e))]
+        else:
+            with pytest.raises(ZeroDivisionError):
+                gx.inverse()
+            if e < 0:
+                with pytest.raises(ZeroDivisionError):
+                    gx ** e
+        for got, ref in cases:
+            _assert_canonical(got, ref)
+        if y != (0, 0):     # equal values reached two ways have equal triples
+            back = gx * gy / gy
+            assert (back.a, back.b, back.d) == (gx.a, gx.b, gx.d)
+        assert complex(gx) == complex(float(x[0]), float(x[1]))
+        assert _bits(complex(gx)) == _bits(complex(float(x[0]), float(x[1])))
+
+
+def test_gauss_equality_and_hash_follow_the_tower():
+    rng = random.Random(31)
+    for _ in range(1000):
+        re, im = _rand_part(rng), _rand_part(rng)
+        g, const = GaussRat(re, im), RatFunc(ZPoly((GaussRat(re, im),)))
+        assert g == const and const == g and hash(g) == hash(const)
+        assert g == GaussRat(re, im) and hash(g) == hash(GaussRat(re, im))
+        if im:
+            assert g != re and re != g and g != GaussRat(re)
+            assert hash(g) == hash((re, im))
+        else:
+            assert g == re and re == g and hash(g) == hash(re)
+            if re.denominator == 1:
+                assert g == int(re) and int(re) == g and hash(g) == hash(int(re))
+    assert GaussRat(1, 0) == True and GaussRat(0, 1) != 1      # noqa: E712
+    assert GaussRat(Fraction(1, 2)) != 0.5 and GaussRat(0) != "0"
+
+
+def test_gauss_complex_is_float_of_each_part():
+    big = 2 ** 53 + 1
+    for re, im in ((Fraction(big), Fraction(-big, 3)), (Fraction(2 ** 60 + 1, 3), Fraction(1, 2 ** 80)),
+                   (Fraction(-1, 10 ** 400), Fraction(10 ** 400 + 1, 10 ** 399)),
+                   (Fraction(2 ** 1023, 3), Fraction(0))):
+        want = complex(float(re), float(im))
+        assert _bits(complex(GaussRat(re, im))) == _bits(want)
+    for parts in ((Fraction(2 ** 2000, 3), 0), (0, Fraction(2 ** 2000, 3))):
+        with pytest.raises(OverflowError):
+            float(Fraction(2 ** 2000, 3))
+        with pytest.raises(OverflowError):
+            complex(GaussRat(*parts))
+
+
+def test_gauss_is_immutable():
+    g = GaussRat(Fraction(1, 2), 3)
+    for name in ("re", "im", "a", "b", "d", "other"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, 1)
+    assert (g.a, g.b, g.d) == (1, 6, 2) and g == GaussRat(Fraction(1, 2), 3)
+    with pytest.raises(TypeError):
+        GaussRat(0.5)
+
+
+def test_gauss_fast_path_constructs_no_fraction(monkeypatch):
+    from nevlab import linalg
+
+    rng = random.Random(37)
+    values = [GaussRat(_rand_part(rng), _rand_part(rng)) for _ in range(200)]
+    for g in values:     # the pivot-size proxy is the bit length of the reduced parts
+        want = sum(x.bit_length() for part in (g.re, g.im) for x in (part.numerator, part.denominator))
+        assert linalg._complexity(g) == want
+    made = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    Fraction(1, 2)
+    assert made          # the patch counts
+    made.clear()
+    results = []
+    for x, y in zip(values, values[1:]):
+        for other in (y, 3, -2):
+            results += [x + other, other + x, x - other, other - x, x * other, other * x]
+        results.append(-x)
+        if x:
+            results.append(x.inverse())
+    results += [linalg._split(values), linalg._split((values[0], 5))]
+    monkeypatch.undo()
+    assert made == [] and len(results) > 3000

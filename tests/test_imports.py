@@ -1,7 +1,8 @@
 """Every module-level import of the package, its tests and its scripts is
 used by its module, every public name of the package and every public
 module-level function and class is used by the package or its scripts, and
-the package has no assert statement.
+the package has no assert statement and no private `fractions` API, and
+`fields.py` imports only the standard library.
 
 Names listed in a module's __all__ count as used (re-exports); __future__
 imports and the package __init__, which exists to re-export, are exempt.
@@ -9,6 +10,7 @@ imports and the package __init__, which exists to re-export, are exempt.
 
 import ast
 import pathlib
+import sys
 
 import nevlab
 
@@ -68,3 +70,35 @@ def test_no_assert_in_the_package():
              for node in ast.walk(ast.parse(p.read_text(), str(p)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_private_fractions_api_in_the_package():
+    # requires-python >= 3.10: the `_normalize=` keyword is gone in 3.12 and
+    # `_from_coprime_ints` is new there, so neither may be relied on
+    found = []
+    for p in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text(), str(p))):
+            private = []
+            if isinstance(node, ast.Call):
+                private = [k.arg for k in node.keywords if k.arg == "_normalize"]
+            elif isinstance(node, ast.Attribute):
+                if (node.attr in ("_from_coprime_ints", "_numerator", "_denominator")
+                        or (node.attr.startswith("_") and isinstance(node.value, ast.Name)
+                            and node.value.id == "Fraction")):
+                    private = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
+                private = [a.name for a in node.names if a.name.startswith("_")]
+            found += [f"{p.name}:{node.lineno} {name}" for name in private]
+    assert found == []
+
+
+def test_fields_imports_only_the_standard_library():
+    tree = ast.parse((SRC / "fields.py").read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "fields.py imports nothing from the package"
+            modules.add(node.module.split(".")[0])
+    assert modules and modules <= set(sys.stdlib_module_names)
