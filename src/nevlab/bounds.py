@@ -16,9 +16,6 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Optional, Sequence, Union
 
-import mpmath
-from mpmath import iv
-
 RationalLike = Union[Fraction, int, str]
 
 DEFAULT_DIGIT_BUDGET = 50_000
@@ -72,6 +69,9 @@ def certified_floor(build) -> int:
     integer; the quantities fed through here are provably non-integers, so
     this terminates before the cap of 2^16 bits.
     """
+    import mpmath        # imported here: most commands never need it
+    from mpmath import iv
+
     prec = 128
     saved = iv.prec
     try:
@@ -117,6 +117,8 @@ def compute_p0(n: int, big_n: int, q: int, eps: RationalLike) -> int:
 def _log10_binomial(top: int, bottom: int) -> float:
     # math.lgamma cancels catastrophically when bottom << top (the huge-p_0
     # regime), so evaluate at precision scaled to the operand size.
+    import mpmath
+
     with mpmath.workprec(max(128, 2 * top.bit_length() + 64)):
         ln = (mpmath.loggamma(top + 1) - mpmath.loggamma(bottom + 1)
               - mpmath.loggamma(top - bottom + 1))

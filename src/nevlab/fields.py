@@ -71,6 +71,10 @@ class GaussRat:
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild from the triple, not through __setattr__
+        return _make, (self.a, self.b, self.d)
+
     @property
     def re(self) -> Fraction:
         return Fraction(self.a, self.d)
@@ -269,6 +273,9 @@ class ZPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("ZPoly is immutable")
+
+    def __reduce__(self):
+        return ZPoly, (self.coeffs,)
 
     @staticmethod
     def const(c) -> "ZPoly":
@@ -493,6 +500,9 @@ class RatFunc:
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
+
+    def __reduce__(self):
+        return RatFunc, (self.num, self.den)
 
     @staticmethod
     def coerce(x) -> "RatFunc":

@@ -357,13 +357,17 @@ def modular_rank_reaches(rows: Sequence[dict], bound: int) -> bool:
     image, and every vanishing minor maps to zero, so the rank mod p is at
     most the exact rank.  A caller that knows the exact rank is at most
     `bound` thus knows it equals `bound` when this returns True.  False,
-    also the answer when an entry lies outside Q(i)(z), proves nothing.
+    also the answer when an entry lies outside Q(i)(z) and, without any
+    elimination, when `bound` exceeds the row or the column count, proves
+    nothing.
     """
+    ncols = 1 + max((c for row in rows for c in row), default=-1)
+    if bound > min(len(rows), ncols):
+        return False
     found = _gaussian_integer_rows(rows)
     if found is None:
         return False
     scaled = found[0]
-    ncols = 1 + max((c for row in rows for c in row), default=-1)
     return any(len(_eliminate_mod(_image(scaled, ncols, z0, i, p), len(rows), p, bound)) >= bound
                for p, i, z0 in MODULI)
 

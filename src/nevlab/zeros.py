@@ -12,13 +12,18 @@ located multiplicities or the computation refuses the radius.
 
 Every value is read as f e^{-M}, with f' e^{-M} and the noise floor, from
 one bounded exponential per term (ExpPoly._scaled_exps), so no radius
-overflows; phases, f'/f and Newton steps do not see the factor.  Contours are
+overflows; phases, f'/f and Newton steps do not see the factor.  Edges are
 walked as arrays: every segment tested at once and only the rejected ones
-halved, level by level; a quadtree step walks its four child boxes in one
-pass.  A box of winding count 1 tries a Newton exit, accepted only when the
-square of side tol centred at the limit lies in the box with winding count 1,
-so one simple zero lies within tol of it; otherwise, and always for two or
-more zeros, the box is subdivided.
+halved, level by level, and a failed edge flagged without stopping the
+others.  A box's winding number is the sum of its four sides' certified
+phase increments, and each edge is walked once: a box cut at its midpoints
+takes the halves of its sides from the pieces its own walk accepted, so only
+the cut lines are new, and each quadtree level walks all of its cut lines,
+with its Newton certificate squares, in one pass.  A box of winding count 1
+tries a Newton exit, accepted only when the square of side tol centred at
+the limit lies in the box with winding count 1, so one simple zero lies
+within tol of it; otherwise, and always for two or more zeros, the box is
+subdivided.
 
 Zeros within 1e-12 (relative) of the boundary circle: the radius is nudged
 outward by that amount and the divisor is flagged, so boundary zeros count
@@ -29,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -166,27 +171,17 @@ def _horner(coeffs, z):
     return acc
 
 
-def _successors(sizes: np.ndarray) -> np.ndarray:
-    """For points listed contour after contour, sizes[i] of them on contour
-    i, the index of each point's successor on its closed contour."""
-    nxt = np.arange(1, sizes.sum() + 1)
-    nxt[np.cumsum(sizes) - 1] -= sizes
-    return nxt
-
-
-def _contour_points(contours, rate: float, midfn) -> tuple[np.ndarray, np.ndarray]:
-    """The sampling points of closed contours, each given by its vertices:
-    one array holding every contour's points in order, and the point count
-    of each contour.
+def _edge_points(a: np.ndarray, b: np.ndarray, rate: float, midfn):
+    """The first sampling of the edges from a[i] to b[i]: one array holding,
+    edge after edge, each edge's points without its end, and the piece count
+    of each edge.
 
     Each edge is halved through midfn until it has at least
-    |b - a| * rate / 0.5 pieces, so no piece can hide a full phase turn.  The
-    edges of all contours that need the same number of halvings are halved
-    together.
+    |b - a| * rate / 0.5 pieces, so no piece can hide a full phase turn.  A
+    count of two or more is a power of two, so midfn(a, b), the first
+    halving, is the edge's middle point.  The edges that need the same
+    number of halvings are halved together.
     """
-    sizes = np.array([len(v) for v in contours])
-    a = np.concatenate([np.asarray(v, dtype=complex) for v in contours])
-    b = a[_successors(sizes)]
     steps = np.maximum(1.0, np.ceil(np.abs(b - a) * rate / 0.5))
     halvings = np.frexp(steps - 1.0)[1]       # least k with 2^k >= steps
     pieces = np.left_shift(1, halvings)
@@ -202,69 +197,105 @@ def _contour_points(contours, rate: float, midfn) -> tuple[np.ndarray, np.ndarra
             finer[:, 1::2] = midfn(sub, right)
             sub = finer
         out[start[idx, None] + np.arange(sub.shape[1])] = sub
-    owner = np.repeat(np.arange(len(sizes)), sizes)
-    return out, np.bincount(owner, pieces, len(sizes)).astype(int)
+    return out, pieces
 
 
-def _windings(f: ExpPoly, contours, rate: float, midfn) -> list[int]:
-    """Winding numbers of f over closed contours, each given by its vertices.
+def _walk(values, lines, rate: float, midfn):
+    """Certified increments of arg f along polylines, each given by its
+    vertices, values being _scaled(f, f').
+
+    Returns (inc, first, failed) over the edges (consecutive vertices), edge
+    after edge and line after line: inc[first[e]:first[e + 1]] holds the
+    increment over each first-sampling piece of edge e (_edge_points), and
+    failed[e] is set where the walk of edge e broke down, with |f| at or
+    below the noise floor at one of its points or its refinement exhausted;
+    its increments are then meaningless.  One edge's failure leaves the
+    others standing.
 
     rate is an upper bound for |(log f)'| away from zeros; it sets the first
-    sampling (_contour_points), so no segment can hide a full phase turn.
-    Segments are refined through midfn, so a circle is walked along its arcs,
-    which matters when zeros sit closer to it than a chord's sagitta.
-
-    Every segment of every contour is tested at once, as arrays: f must clear
-    the noise floor at its ends and midpoint, and its principal phase change
-    is accepted when both halves turn by less than 1, the halves add up to
-    the whole, and the step is short against the local |f'/f|.  The last
-    keeps a segment from swallowing the near-2pi twist of a zero close to the
-    contour, which a one-level midpoint check cannot see.  Only the rejected
-    segments are halved and tested again, level by level, 56 levels deep.
+    sampling.  Segments are refined through midfn, so a circle is walked
+    along its arcs, which matters when zeros sit closer to it than a chord's
+    sagitta.  Every segment of every edge is tested at once, as arrays: f
+    must clear the noise floor at its ends and midpoint, and its principal
+    phase change is accepted when both halves turn by less than 1, the halves
+    add up to the whole, and the step is short against the local |f'/f|.
+    The last keeps a segment from swallowing the near-2pi twist of a zero
+    close to the edge, which a one-level midpoint check cannot see.  Only
+    the rejected segments are halved and tested again, level by level, 56
+    levels deep.
     """
-    values = _scaled(f, f.derivative())
-
     def evaluate(zs):
-        """f e^{-M} and |f'/f| at the points zs, which must clear the noise floor."""
+        """f e^{-M}, |f'/f| and the points where f does not clear the noise floor."""
         _, fz, dfz, floor = values(zs)
         bad = ~np.isfinite(fz)
         if bad.any():
             raise OverflowError(f"f e^-M is not finite on contour near {zs[bad.argmax()]}")
-        bad = np.abs(fz) <= floor
-        if bad.any():
-            raise ContourThroughZero(f"|f| below noise on contour near {zs[bad.argmax()]}")
-        return fz, np.abs(dfz) / np.abs(fz)
+        mag = np.abs(fz)
+        low = mag <= floor
+        return fz, np.abs(dfz) / np.where(low, 1.0, mag), low
 
-    a, sizes = _contour_points(contours, rate, midfn)
-    owner = np.repeat(np.arange(len(sizes)), sizes)
-    nxt = _successors(sizes)
-    fa, ra = evaluate(a)
-    b, fb, rb = a[nxt], fa[nxt], ra[nxt]
-    total = np.zeros(len(sizes))
+    verts = [np.asarray(v, dtype=complex) for v in lines]
+    a = np.concatenate([v[:-1] for v in verts])
+    b = np.concatenate([v[1:] for v in verts])
+    samples, pieces = _edge_points(a, b, rate, midfn)
+    first = np.concatenate(([0], np.cumsum(pieces)))
+    # each line's last vertex follows the points of its last edge
+    last = np.cumsum([len(v) - 1 for v in verts]) - 1
+    pts = np.insert(samples, first[last + 1], b[last])
+    fp, rp, low = evaluate(pts)
+    is_start = np.ones(len(pts), dtype=bool)
+    is_start[first[last + 1] + np.arange(len(verts))] = False
+    start = np.flatnonzero(is_start)           # piece k runs from pts[start[k]] to the next point
+    edge = np.repeat(np.arange(len(a)), pieces)
+    failed = np.zeros(len(a), dtype=bool)
+    failed[edge[low[start] | low[start + 1]]] = True
+    keep = ~failed[edge]
+    a, fa, ra, b, fb, rb, slot = (v[keep] for v in (
+        pts[start], fp[start], rp[start], pts[start + 1], fp[start + 1], rp[start + 1],
+        np.arange(len(samples))))
+    inc = np.zeros(len(samples))
     for _ in range(57):
         m = midfn(a, b)
-        fm, rm = evaluate(m)
+        fm, rm, low = evaluate(m)
+        if low.any():
+            failed[edge[slot[low]]] = True
+            keep = ~failed[edge[slot]]
+            a, fa, ra, m, fm, rm, b, fb, rb, slot = (
+                v[keep] for v in (a, fa, ra, m, fm, rm, b, fb, rb, slot))
         delta = np.angle(fb / fa)
         d1, d2 = np.angle(fm / fa), np.angle(fb / fm)
         ok = ((np.abs(delta) < 1.0) & (np.abs(d1) < 1.0) & (np.abs(d2) < 1.0)
               & (np.abs(d1 + d2 - delta) < 1e-9)
               & (np.abs(b - a) * np.maximum(np.maximum(ra, rm), rb) <= 1.0))
-        total += np.bincount(owner[ok], delta[ok], len(sizes))
+        inc += np.bincount(slot[ok], delta[ok], len(inc))
         if ok.all():
             break
-        a, fa, ra, m, fm, rm, b, fb, rb, owner = (
-            v[~ok] for v in (a, fa, ra, m, fm, rm, b, fb, rb, owner))
+        a, fa, ra, m, fm, rm, b, fb, rb, slot = (
+            v[~ok] for v in (a, fa, ra, m, fm, rm, b, fb, rb, slot))
         a, fa, ra, b, fb, rb = (np.concatenate(h) for h in (
             (a, m), (fa, fm), (ra, rm), (m, b), (fm, fb), (rm, rb)))
-        owner = np.concatenate((owner, owner))
+        slot = np.concatenate((slot, slot))
     else:
-        raise ContourThroughZero(f"phase refinement exhausted near {a[0]}")
-    out = []
-    for w in (total / (2 * math.pi)).tolist():
-        if abs(w - round(w)) > 0.25:
-            raise ContourThroughZero(f"winding {w} not close to an integer")
-        out.append(round(w))
-    return out
+        failed[edge[slot]] = True
+    return inc, first, failed
+
+
+def _whole_turns(increment: float) -> Optional[int]:
+    """The winding number that a closed contour's phase increment makes, or
+    None when it is not close to a whole number of turns."""
+    w = increment / (2 * math.pi)
+    return round(w) if abs(w - round(w)) <= 0.25 else None
+
+
+def _windings(f: ExpPoly, contours, rate: float, midfn) -> list[Optional[int]]:
+    """Winding numbers of f over closed contours, each given by its vertices,
+    from one _walk over all of them; None for a contour whose walk broke down."""
+    lines = [np.append(np.asarray(c, dtype=complex), c[0]) for c in contours]
+    inc, first, failed = _walk(_scaled(f, f.derivative()), lines, rate, midfn)
+    owner = np.repeat(np.arange(len(lines)), [len(c) for c in contours])
+    total = np.bincount(np.repeat(owner, np.diff(first)), inc, len(lines))
+    broken = np.bincount(owner, failed, len(lines)) > 0
+    return [None if x else _whole_turns(t) for t, x in zip(total.tolist(), broken.tolist())]
 
 
 def phase_rate_bound(f: ExpPoly) -> float:
@@ -282,26 +313,96 @@ def disk_winding(f: ExpPoly, r: float) -> int:
         c = (a + b) / 2
         return r * c / abs(c)
 
-    return _windings(f, [verts], rate, arc_mid)[0]
+    w = _windings(f, [verts], rate, arc_mid)[0]
+    if w is None:
+        raise ContourThroughZero(f"the walk of the circle |z| = {r} broke down")
+    return w
 
 
 def _box(x0: float, x1: float, y0: float, y1: float) -> list[complex]:
     return [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
 
 
-def _box_winding(f, x0: float, x1: float, y0: float, y1: float, rate: float) -> int:
-    return _windings(f, [_box(x0, x1, y0, y1)], rate, _chord_mid)[0]
+class _Box(NamedTuple):
+    """A quadtree box with its zero count, its path from the root (child
+    indices in the order SW, SE, NW, NE) and its sides (bottom, right, top,
+    left, each directed toward increasing x or y) as the certified increments
+    of arg f over their first-sampling pieces."""
+
+    x0: float
+    x1: float
+    y0: float
+    y1: float
+    count: int
+    path: tuple
+    sides: tuple
 
 
-def _newton_exit(f, df, x0, x1, y0, y1, tol, rate) -> Optional[complex]:
-    """The simple zero of a box of winding count 1, or None.
+def _edges(values, lines, rate: float) -> list[Optional[np.ndarray]]:
+    """Per edge of the polylines, the increments of one chord-refined _walk,
+    or None where the walk of that edge failed."""
+    inc, first, failed = _walk(values, lines, rate, _chord_mid)
+    first = first.tolist()
+    return [None if x else inc[i:j] for i, j, x in zip(first, first[1:], failed.tolist())]
+
+
+def _turns(sides) -> Optional[int]:
+    """A box's winding number from the increments along its sides."""
+    if any(s is None for s in sides):
+        return None
+    bottom, right, top, left = (s.sum() for s in sides)
+    return _whole_turns(bottom + right - top - left)
+
+
+def _halves(side: np.ndarray, lo: float, hi: float, cut: float):
+    """The walked side from lo to hi as its two halves at cut, when cut is the
+    middle point of its walk: a power-of-two piece count and the very float
+    that the first halving (lo + hi) / 2 made; otherwise None."""
+    n = len(side)
+    if n >= 2 and cut == (lo + hi) / 2:
+        return side[:n // 2], side[n // 2:]
+    return None
+
+
+def _cut(box: _Box, attempt: int):
+    """One attempt at cutting a box: its quadrants, each side's halves where
+    the box's own walk provides them (None where not), and the polylines to
+    walk, each of three vertices: the vertical and the horizontal cut line,
+    then each side without halves, in the order bottom, right, top, left."""
+    x0, x1, y0, y1 = box.x0, box.x1, box.y0, box.y1
+    frac = 0.5 + 0.0371 * attempt
+    xm = x0 + (x1 - x0) * frac
+    ym = y0 + (y1 - y0) * frac
+    quads = [(x0, xm, y0, ym), (xm, x1, y0, ym), (x0, xm, ym, y1), (xm, x1, ym, y1)]
+    lines = [[complex(xm, y0), complex(xm, ym), complex(xm, y1)],
+             [complex(x0, ym), complex(xm, ym), complex(x1, ym)]]
+    fresh = ([complex(x0, y0), complex(xm, y0), complex(x1, y0)],
+             [complex(x1, y0), complex(x1, ym), complex(x1, y1)],
+             [complex(x0, y1), complex(xm, y1), complex(x1, y1)],
+             [complex(x0, y0), complex(x0, ym), complex(x0, y1)])
+    halves = []
+    for side, span, line in zip(box.sides, ((x0, x1, xm), (y0, y1, ym)) * 2, fresh):
+        h = _halves(side, *span) if attempt == 0 else None
+        halves.append(h)
+        if h is None:
+            lines.append(line)
+    return quads, halves, lines
+
+
+def _square(x: complex, tol: float) -> tuple[float, float, float, float]:
+    h = tol / 2
+    return x.real - h, x.real + h, x.imag - h, x.imag + h
+
+
+def _newton_exit(values, x0, x1, y0, y1, tol) -> Optional[complex]:
+    """The candidate simple zero of a box of winding count 1, or None.
 
     Plain Newton from the box centre must converge inside the box, and the
-    square of side tol centred at its limit must lie in the box and have
-    winding count 1.  That square then holds the box's one zero, so the limit
-    is within tol of it, as a quadtree leaf's centre would be.
+    square of side tol centred at its limit (_square) must lie in the box.
+    The limit is accepted when that square has winding count 1: it then holds
+    the box's one zero, so the limit is within tol of it, as a quadtree
+    leaf's centre would be.
     """
-    values = _scaled(f, df)
     x = complex((x0 + x1) / 2, (y0 + y1) / 2)
     for _ in range(40):
         _, fx, dfx, _ = values(x)
@@ -315,56 +416,89 @@ def _newton_exit(f, df, x0, x1, y0, y1, tol, rate) -> Optional[complex]:
             break
     else:
         return None
-    h = tol / 2
-    sx0, sx1, sy0, sy1 = x.real - h, x.real + h, x.imag - h, x.imag + h
+    sx0, sx1, sy0, sy1 = _square(x, tol)
     if not (x0 <= sx0 and sx1 <= x1 and y0 <= sy0 and sy1 <= y1):
         return None
-    try:
-        return x if _box_winding(f, sx0, sx1, sy0, sy1, rate) == 1 else None
-    except ContourThroughZero:
-        return None
+    return x
 
 
-def _subdivide(f, df, x0, x1, y0, y1, count, tol, found, rate, depth=0):
-    if count == 0:
-        return
-    w, h = x1 - x0, y1 - y0
-    center = complex((x0 + x1) / 2, (y0 + y1) / 2)
-    if max(w, h) <= tol or depth > 64:
-        found.append((center, count))
-        return
-    if count == 1:
-        z = _newton_exit(f, df, x0, x1, y0, y1, tol, rate)
-        if z is not None:
-            found.append((z, 1))
-            return
-    if count >= 2 and max(w, h) <= 3e-8 * (1 + abs(center)):
-        # below sqrt(eps) a multiple zero cannot be told from a tight pair in
-        # double precision; a "successful" split here is sampling luck
-        found.append((center, count))
-        return
-    # a zero on a cut line breaks the walk there; slide the cut until clean
-    for attempt in range(10):
-        frac = 0.5 + 0.0371 * attempt
-        xm = x0 + w * frac
-        ym = y0 + h * frac
-        quads = [(x0, xm, y0, ym), (xm, x1, y0, ym),
-                 (x0, xm, ym, y1), (xm, x1, ym, y1)]
-        try:
-            winds = _windings(f, [_box(*qd) for qd in quads], rate, _chord_mid)
-        except ContourThroughZero:
-            continue
-        if sum(winds) != count:
-            continue
-        for qd, wq in zip(quads, winds):
-            _subdivide(f, df, *qd, wq, tol, found, rate, depth + 1)
-        return
-    if max(w, h) <= 1e-5 * (1 + abs(center)):
-        # double-precision cancellation floor: below this scale the phase of
-        # f is noise near a multiple zero; keep the cluster with its count
-        found.append((center, count))
-        return
-    raise ContourThroughZero(f"cannot separate {count} zeros in box {(x0, x1, y0, y1)}")
+def _subdivide(values, root: _Box, tol: float, rate: float) -> list[tuple[complex, int]]:
+    """The clusters of the quadtree under root as (point, multiplicity), in
+    depth-first order.
+
+    The tree grows level by level, and each level is one _walk: the cut
+    lines of every box it splits, and the certificate square of every Newton
+    exit it tries.  A box cut at its midpoints takes the halves of its sides
+    from its own walk (_halves); a side whose middle point is not a sample of
+    that walk, and every side of a sliding-cut retry, is walked afresh.  So
+    every edge is walked once, and every winding number is a sum of
+    certified increments.  A failed attempt is tried again at the next level.
+    """
+    found = []
+    boxes, retries = [root], []
+    while boxes or retries:
+        lines, jobs, splits = [], [], retries
+        for box in boxes:
+            x0, x1, y0, y1, count, path, _ = box
+            if count == 0:
+                continue
+            w, h = x1 - x0, y1 - y0
+            center = complex((x0 + x1) / 2, (y0 + y1) / 2)
+            if max(w, h) <= tol or len(path) > 64:
+                found.append((path, center, count))
+                continue
+            if count == 1:
+                z = _newton_exit(values, x0, x1, y0, y1, tol)
+                if z is not None:
+                    square = _box(*_square(z, tol))
+                    lines.append(square + square[:1])
+                    jobs.append((box, None, z))
+                    continue
+            if count >= 2 and max(w, h) <= 3e-8 * (1 + abs(center)):
+                # below sqrt(eps) a multiple zero cannot be told from a tight pair in
+                # double precision; a "successful" split here is sampling luck
+                found.append((path, center, count))
+                continue
+            splits.append((box, 0))
+        for box, attempt in splits:
+            quads, halves, new = _cut(box, attempt)
+            lines += new
+            jobs.append((box, attempt, (quads, halves, len(new))))
+        walked = iter(_edges(values, lines, rate) if lines else ())
+        boxes, retries = [], []
+        for box, attempt, job in jobs:
+            if attempt is None:             # a Newton exit: job is the limit
+                square = [next(walked) for _ in range(4)]
+                if None not in square and _whole_turns(sum(s.sum() for s in square)) == 1:
+                    found.append((box.path, job, 1))
+                else:
+                    retries.append((box, 0))
+                continue
+            quads, halves, n = job          # a cut: n lines of two edges each
+            cuts = [(next(walked), next(walked)) for _ in range(n)]
+            vert, horiz = cuts[0], cuts[1]
+            fresh = iter(cuts[2:])
+            bottom, right, top, left = (h if h is not None else next(fresh) for h in halves)
+            kids = [(bottom[0], vert[0], horiz[0], left[0]), (bottom[1], right[0], horiz[1], vert[0]),
+                    (horiz[0], vert[1], top[0], left[1]), (horiz[1], right[1], top[1], vert[1])]
+            winds = [_turns(sides) for sides in kids]
+            if None not in winds and sum(winds) == box.count:
+                boxes += [_Box(*qd, wq, box.path + (i,), sides)
+                          for i, (qd, wq, sides) in enumerate(zip(quads, winds, kids))]
+                continue
+            if attempt < 9:
+                # a zero on a cut line breaks the walk there; slide the cut until clean
+                retries.append((box, attempt + 1))
+                continue
+            x0, x1, y0, y1 = box[:4]
+            center = complex((x0 + x1) / 2, (y0 + y1) / 2)
+            if max(x1 - x0, y1 - y0) > 1e-5 * (1 + abs(center)):
+                raise ContourThroughZero(f"cannot separate {box.count} zeros in box {box[:4]}")
+            # double-precision cancellation floor: below this scale the phase of
+            # f is noise near a multiple zero; keep the cluster with its count
+            found.append((box.path, center, box.count))
+    found.sort(key=lambda leaf: leaf[0])
+    return [(z, m) for _, z, m in found]
 
 
 def _polish_cluster(f, df, z: complex, mult: int, box_tol: float) -> complex:
@@ -408,6 +542,7 @@ def exppoly_zeros(f: ExpPoly, r: float) -> Divisor:
     tol = 1e-10 * max(r, 1.0)
     rate = phase_rate_bound(f)
     df = f.derivative()
+    values = _scaled(f, df)
     nudged = False
     eff = r
     for attempt in range(8):
@@ -421,14 +556,17 @@ def exppoly_zeros(f: ExpPoly, r: float) -> Divisor:
         raise ContourThroughZero(f"boundary circle r={r} cannot avoid zeros")
     if total == 0:
         return Divisor(points=(), r=r, boundary_nudged=nudged)
-    found: list[tuple[complex, int]] = []
     # bounding square of the effective disk, stretched so edges miss zeros
     for attempt in range(6):
         pad = eff * (1 + 1e-6 * (1 + attempt) ** 2)
+        sw, se, ne, nw = _box(-pad, pad, -pad, pad)
+        sides = _edges(values, [[sw, se], [se, ne], [nw, ne], [sw, nw]], rate)
+        count = _turns(sides)
+        if count is None:
+            continue
         try:
-            count = _box_winding(f, -pad, pad, -pad, pad, rate)
-            found = []
-            _subdivide(f, df, -pad, pad, -pad, pad, count, tol, found, rate)
+            found = _subdivide(values, _Box(-pad, pad, -pad, pad, count, (), tuple(sides)),
+                               tol, rate)
             break
         except ContourThroughZero:
             continue

@@ -4,6 +4,8 @@ The axiom loops draw 1000 random triples per structure from a seeded
 generator; hypothesis covers the coercion and evaluation corners.
 """
 
+import copy
+import pickle
 import random
 from math import gcd
 from fractions import Fraction
@@ -283,6 +285,19 @@ def test_gauss_is_immutable():
     assert (g.a, g.b, g.d) == (1, 6, 2) and g == GaussRat(Fraction(1, 2), 3)
     with pytest.raises(TypeError):
         GaussRat(0.5)
+
+
+@pytest.mark.parametrize("value", [
+    GaussRat(Fraction(1, 2), -3), GaussRat(7), GaussRat(0, Fraction(-2, 9)),
+    ZPoly((GaussRat(1, 2), 0, Fraction(-3, 4))), ZPoly(),
+    RatFunc(ZPoly((1, GaussRat(0, 1))), ZPoly((Fraction(2, 3), 5, 1))), RatFunc(ZPoly((4,)))])
+def test_scalars_copy_and_pickle(value):
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value)
+        assert twin == value and hash(twin) == hash(value)
+    if isinstance(value, GaussRat):
+        twin = pickle.loads(pickle.dumps(value))
+        assert (twin.a, twin.b, twin.d) == (value.a, value.b, value.d)
 
 
 def test_gauss_fast_path_constructs_no_fraction(monkeypatch):

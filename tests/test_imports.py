@@ -1,15 +1,18 @@
 """Every module-level import of the package, its tests and its scripts is
 used by its module, every public name of the package and every public
 module-level function and class is used by the package or its scripts, and
-the package has no assert statement and no private `fractions` API, and
-`fields.py` imports only the standard library.
+the package has no assert statement and no private `fractions` API,
+`fields.py` imports only the standard library, and importing the command
+line loads no mpmath.
 
 Names listed in a module's __all__ count as used (re-exports); __future__
 imports and the package __init__, which exists to re-export, are exempt.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 import nevlab
@@ -102,3 +105,13 @@ def test_fields_imports_only_the_standard_library():
             assert node.level == 0, "fields.py imports nothing from the package"
             modules.add(node.module.split(".")[0])
     assert modules and modules <= set(sys.stdlib_module_names)
+
+
+def test_cli_import_loads_no_mpmath():
+    # only the p_0 floor and huge t-bounds need mpmath; bounds.py imports it there
+    code = "import sys, nevlab.cli; print('mpmath' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"

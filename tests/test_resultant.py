@@ -267,6 +267,28 @@ def test_power_certificate_at_the_critical_degree_is_multimodular_cramer(monkeyp
     assert [c.coeffs for c in few.cofactors] == [c.coeffs for c in cert.cofactors]
 
 
+def test_rank_tests_that_cannot_succeed_eliminate_nothing(monkeypatch):
+    # at s_max the piece has more rows than columns, and the bound exceeds the
+    # column count: no modular elimination can reach it
+    eliminate = linalg._eliminate_mod
+    shapes = []
+
+    def counted(rows, ncols, m, bound):
+        shapes.append((len(rows), ncols, bound))
+        return eliminate(rows, ncols, m, bound)
+
+    monkeypatch.setattr(linalg, "_eliminate_mod", counted)
+    cert = power_certificate(_fixed_cubics(4242), 1)
+    assert cert.rank_paths == RankPaths(modular=4, exact=1)
+    assert shapes and all(bound <= min(nrows, ncols) for nrows, ncols, bound in shapes)
+    shapes.clear()
+    rows = [{0: 1, 1: 2}, {0: 3, 1: 4}, {0: 5, 1: 7}]
+    assert not linalg.modular_rank_reaches(rows, 3)         # two columns
+    assert not linalg.modular_rank_reaches(rows[:2], 3)     # two rows
+    assert shapes == []
+    assert linalg.modular_rank_reaches(rows, 2) and len(shapes) == 1
+
+
 def test_power_certificate_with_singular_macaulay_matrix_uses_membership(monkeypatch):
     # Q_0 has no x0^2 term, so det M'' = 0 and with it det M = 0 in this frame
     x0, x1, x2 = (HPoly.coordinate(3, k) for k in range(3))

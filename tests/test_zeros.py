@@ -82,7 +82,13 @@ def test_one_walk_over_four_boxes_matches_four_walks():
     quads = [(-3.0, 1.0, -9.0, -2.0), (1.0, 4.0, -9.0, -2.0),
              (-3.0, 1.0, -2.0, 9.0), (1.0, 4.0, -2.0, 9.0)]
     one = zeros._windings(f, [zeros._box(*q) for q in quads], rate, zeros._chord_mid)
-    assert one == [zeros._box_winding(f, *q, rate) for q in quads] == [0, 1, 2, 1]
+    assert one == [_fresh_box_winding(f, q) for q in quads] == [0, 1, 2, 1]
+
+
+def _fresh_box_winding(f, box):
+    """The winding number of f around a box from a walk of that box alone."""
+    rate = zeros.phase_rate_bound(f)
+    return zeros._windings(f, [zeros._box(*box)], rate, zeros._chord_mid)[0]
 
 
 def _dense_box_winding(f, x0, x1, y0, y1, per_edge=4000):
@@ -98,8 +104,7 @@ def _dense_box_winding(f, x0, x1, y0, y1, per_edge=4000):
                                  (-2.5, 2.5, -8.0, 8.0), (0.1, 3.0, -3.3, 4.1)])
 def test_array_box_winding_matches_dense_scalar_walk(box):
     f = ExpPoly.exp(1) - ExpPoly.var()        # zeros 0.318 +- 1.337i, 2.06 +- 7.59i, ...
-    assert zeros._box_winding(f, *box, zeros.phase_rate_bound(f)) == \
-        _dense_box_winding(f, *box)
+    assert _fresh_box_winding(f, box) == _dense_box_winding(f, *box)
 
 
 def test_exppoly_zeros_of_shifted_exponential():
@@ -155,18 +160,85 @@ def test_refused_newton_certificate_falls_back_to_subdivision(monkeypatch):
     monkeypatch.setattr(zeros, "_newton_exit", lambda *args: None)
     reference = exppoly_zeros(f, r)
     monkeypatch.undo()
-    box_winding = zeros._box_winding
+    walk = zeros._walk
     refused = []
 
-    def no_certificate(f, x0, x1, y0, y1, rate=4.0):
-        if math.isclose(x1 - x0, tol, rel_tol=1e-6):
-            refused.append((x0, y0))
-            raise zeros.ContourThroughZero("certificate refused")
-        return box_winding(f, x0, x1, y0, y1, rate)
+    def no_certificate(values, lines, rate, midfn):
+        # every edge of a certificate square (side tol) is flagged as failed
+        inc, first, failed = walk(values, lines, rate, midfn)
+        edge = 0
+        for line in lines:
+            sides = [abs(b - a) for a, b in zip(line, line[1:])]
+            if all(math.isclose(side, tol, rel_tol=1e-6) for side in sides):
+                refused.append(line[0])
+                failed[edge:edge + len(sides)] = True
+            edge += len(sides)
+        return inc, first, failed
 
-    monkeypatch.setattr(zeros, "_box_winding", no_certificate)
+    monkeypatch.setattr(zeros, "_walk", no_certificate)
     _same_divisor(exppoly_zeros(f, r), reference)
     assert len(refused) >= reference.total()
+
+
+def test_edge_midpoint_is_the_sample_that_halves_reuse():
+    # a side walked with 2^k >= 2 pieces is cut at its midpoint without a new
+    # walk only if its sample at index 2^(k-1) is the float (lo + hi) / 2
+    rng = random.Random(5)
+    for _ in range(300):
+        lo = rng.uniform(-100, 100)
+        hi = lo + rng.uniform(1e-9, 50)
+        y = rng.uniform(-100, 100)
+        rate = rng.uniform(1.0, 200.0) / (hi - lo)
+        for a, b in ((complex(lo, y), complex(hi, y)), (complex(y, lo), complex(y, hi))):
+            pts, pieces = zeros._edge_points(np.array([a]), np.array([b]), rate, zeros._chord_mid)
+            mid = pts[pieces[0] // 2]
+            assert pieces[0] >= 2
+            assert (mid.real if a.imag == b.imag else mid.imag) == (lo + hi) / 2
+            assert (mid.imag if a.imag == b.imag else mid.real) == y
+
+
+@pytest.mark.parametrize("f, r", REFERENCE_CASES)
+def test_shared_edge_windings_match_fresh_box_walks(f, r, monkeypatch):
+    # every box of the search gets its zero count from edges shared with its
+    # parent and siblings; a walk of the box alone must give the same count
+    boxes = []
+    box_type = zeros._Box
+
+    def record(*args):
+        boxes.append(box_type(*args))
+        return boxes[-1]
+
+    monkeypatch.setattr(zeros, "_Box", record)
+    exppoly_zeros(f, r)
+    assert len(boxes) > 20 and any(b.count >= 2 for b in boxes)
+    rate = zeros.phase_rate_bound(f)
+    fresh = zeros._windings(f, [zeros._box(*b[:4]) for b in boxes], rate, zeros._chord_mid)
+    assert fresh == [b.count for b in boxes]
+
+
+def test_quadtree_walks_each_edge_once_and_each_level_in_one_pass(monkeypatch):
+    # e^z + 1 at r = 50: 16 zeros; walking every box whole, and every Newton
+    # certificate and every split on its own, took 52 walks over 60,618 points
+    walks, points = [], []
+    walk, scaled = zeros._walk, zeros._scaled
+
+    def counted_scaled(f, df):
+        values = scaled(f, df)
+
+        def counted(z):
+            if isinstance(z, np.ndarray):
+                points.append(z.size)
+            return values(z)
+        return counted
+
+    def counted_walk(*args):
+        walks.append(1)
+        return walk(*args)
+
+    monkeypatch.setattr(zeros, "_scaled", counted_scaled)
+    monkeypatch.setattr(zeros, "_walk", counted_walk)
+    assert exppoly_zeros(ExpPoly.exp(1) + 1, 50.0).total() == 16
+    assert len(walks) <= 52 // 3 and sum(points) <= 60618 // 2
 
 
 @pytest.mark.parametrize("r", [7.0, 50.0, 300.0, 720.0, 2000.0])
