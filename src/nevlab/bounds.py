@@ -9,6 +9,7 @@ a digit budget are reported by their log10 size instead of materialized.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -25,6 +26,22 @@ EPS_CAP = Fraction(1) - Fraction(1, 2 ** 20)
 
 class MarginViolation(ArithmeticError):
     """The exact eps/2 inequality failed; the constants do not certify."""
+
+
+def _field_repr(x) -> str:
+    if isinstance(x, tuple):
+        return "(" + ", ".join(map(_field_repr, x)) + ("," if len(x) == 1 else "") + ")"
+    try:
+        return repr(x)
+    except ValueError:          # an int past the interpreter's int-to-str limit
+        digits = int((abs(x).bit_length() - 1) * math.log10(2)) + 1
+        return f"<int of {digits + (abs(x) >= 10 ** digits)} digits>"
+
+
+def report_repr(obj) -> str:
+    """The dataclass repr, with each int too long to print shown by its digit count."""
+    return f"{type(obj).__name__}(" + ", ".join(
+        f"{f.name}={_field_repr(getattr(obj, f.name))}" for f in dataclasses.fields(obj)) + ")"
 
 
 def _as_fraction(eps: RationalLike) -> Fraction:
@@ -175,7 +192,7 @@ def verify_error_margin(n: int, d: int, eps: RationalLike,
     return slack
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class BoundReport:
     """Every constant in the truncation chain for one input tuple.
 
@@ -205,6 +222,8 @@ class BoundReport:
     truncation_log10: tuple[float, ...]
     a_lower: Fraction
     margin: Fraction
+
+    __repr__ = report_repr
 
     @property
     def materialized(self) -> bool:

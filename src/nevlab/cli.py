@@ -324,8 +324,7 @@ def cmd_smt(args) -> int:
     if not 1.0 < args.rmin < args.rmax < math.inf or args.steps < 2:
         raise InputError("need 1 < rmin < rmax and at least 2 steps")
     radii = [float(r) for r in np.linspace(args.rmin, args.rmax, args.steps)]
-    rep = smt_verify(curve, fam.polys, eps, radii,
-                     nondegeneracy_degree=args.nondeg_degree)
+    rep = smt_verify(curve, fam.polys, eps, radii)
     doc = {"tool": "smt", "version": __version__,
            "holds_everywhere": rep.holds_everywhere,
            "holds_eventually": rep.holds_eventually}
@@ -424,9 +423,6 @@ COMMANDS = {
         (("--rmin",), dict(type=float, default=10.0)),
         (("--rmax",), dict(type=float, default=50.0)),
         (("--steps",), dict(type=int, default=20)),
-        (("--nondeg-degree",), dict(type=int, default=4,
-                                    help="degree up to which algebraic independence is "
-                                         "proved")),
         (("--plot",), dict(metavar="FILE.svg", default=None,
                            help="write an SVG of both sides of the inequality")))),
     "schema": (cmd_schema, "print input formats", (

@@ -7,7 +7,8 @@ hypersurface targets by integrated zero counts over divisors computed with
 the winding machinery.  The harness at the bottom compares both sides of the
 truncated main inequality on a radius grid, with truncation levels taken
 from the certified bound chain, general position checked by resultants, and
-algebraic nondegeneracy proved by exact ranks of the expanded monomials.
+algebraic nondegeneracy decided in every degree by one exact Jacobian rank
+of the components over the lattice of their frequencies.
 
 Floats enter only through quadrature and through zero locations; divisor
 multiplicities, truncation levels, admissibility and nondegeneracy stay
@@ -22,6 +23,7 @@ sampled.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import warnings
@@ -32,14 +34,15 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .bounds import compute_truncation_levels
+from .bounds import compute_truncation_levels, report_repr
 from .expfunc import ExpPoly, wronskian
 from .fields import RatFunc, ZPoly, zpoly_gcd
-from .hpoly import HPoly, monomials
-from .linalg import certified_rank
+from .hpoly import HPoly
+from .linalg import RowReducer
 from .quadrature import QuadResult, circle_average
 from .resultant import HypersurfaceFamily, is_admissible
-from .zeros import Divisor, exppoly_zeros, ratfunc_divisors, zpoly_zeros
+from .zeros import (ContourThroughZero, Divisor, exppoly_zeros, ratfunc_divisors,
+                    zpoly_zeros)
 
 __all__ = [
     "AdmissibilityError", "DegeneracyError", "EntireCurve", "as_curve",
@@ -62,6 +65,26 @@ class AdmissibilityError(ValueError):
 
 # ---------------------------------------------------------------------------
 # curves
+
+
+def _lattice_rows(components) -> list[list[tuple[tuple, tuple, ZPoly]]]:
+    """f_j = sum_m p_m(z) w^m as rows[j] = [(m, e, p_m)], w_l = e^{gamma_l z}:
+    gamma_1..gamma_r (r <= 2) is the Hermite basis (g, y0), (0, h), left by
+    Euclid, of the lattice the frequencies span in Z^2 times their common
+    denominator; e = m less the row's least m, so w^e is f_j over a unit."""
+    freqs = {c for comp in components for c in comp.terms}
+    scale = math.lcm(*(c.d for c in freqs))
+    pts = {c: (c.a * scale // c.d, c.b * scale // c.d) for c in freqs}
+    g = y0 = h = 0
+    for x, y in pts.values():
+        while x:
+            g, y0, x, y = x, y, g % x, y0 - g // x * y
+        h = math.gcd(h, y)
+    coords = {c: (x // (g or 1),) * (g != 0)
+              + ((y - x // (g or 1) * y0) // (h or 1),) * (h != 0) for c, (x, y) in pts.items()}
+    lows = [[min(ms) for ms in zip(*map(coords.get, comp.terms))] for comp in components]
+    return [[(coords[c], tuple(map(operator.sub, coords[c], low)), p)
+             for c, p in comp.terms.items()] for comp, low in zip(components, lows)]
 
 
 class EntireCurve:
@@ -96,32 +119,13 @@ class EntireCurve:
         raise AttributeError("EntireCurve is immutable")
 
     def _exponent_polys(self) -> Optional[list[ZPoly]]:
-        """The components as polynomials in w = e^{gamma z}, all times one
-        power of w, when every coefficient is constant and every frequency
-        an integer multiple of one gamma in Q(i); None otherwise."""
-        terms = [comp.terms for comp in self.components]
-        if any(p.degree > 0 for t in terms for p in t.values()):
+        """The components as polynomials in w = e^{gamma z} (`_lattice_rows`
+        of rank <= 1) when every coefficient is constant; None otherwise."""
+        rows = _lattice_rows(self.components)
+        if any(len(m) > 1 or p.degree > 0 for row in rows for m, _, p in row):
             return None
-        base = next((c for t in terms for c in t if c), None)
-        if base is None:
-            return None
-        ratios = {}             # c / base, times the common factor |base|^2
-        for t in terms:
-            for c in t:
-                if c.re * base.im != c.im * base.re:
-                    return None
-                ratios[c] = c.re * base.re + c.im * base.im
-        scale = math.lcm(*(q.denominator for q in ratios.values()))
-        steps = {c: q.numerator * (scale // q.denominator) for c, q in ratios.items()}
-        gamma = math.gcd(*steps.values())
-        low = min(steps.values()) // gamma
-        polys = []
-        for t in terms:
-            coeffs = [0] * (max((steps[c] // gamma for c in t), default=low) - low + 1)
-            for c, p in t.items():
-                coeffs[steps[c] // gamma - low] = p.coeffs[0]
-            polys.append(ZPoly(coeffs))
-        return polys
+        polys = [{sum(e): p.coeffs[0] for _, e, p in row} for row in rows]
+        return [ZPoly([cs.get(k, 0) for k in range(1 + max(cs, default=0))]) for cs in polys]
 
     def _check_reduced(self) -> None:
         if any(len(comp.terms) == 1 and next(iter(comp.terms.values())).degree == 0
@@ -133,8 +137,7 @@ class EntireCurve:
         g = None
         for p in polys:
             g = p if g is None else zpoly_gcd(g, p)
-            # a constant never vanishes, and neither does a power of w
-            if g.degree == 0 or (in_w is not None and sum(1 for a in g.coeffs if a) == 1):
+            if g.degree == 0:       # a constant never vanishes
                 return
         if in_w is not None:
             raise DegeneracyError("components share zeros: as polynomials in "
@@ -376,42 +379,41 @@ def divisor_bound_check(f: CurveLike, r: float) -> DivisorBoundReport:
 # nondegeneracy
 
 
-def nondegeneracy_check(f: CurveLike, max_degree: int = 4,
-                        moving: bool = False) -> int:
-    """Proof that no form of degree <= max_degree vanishes along the curve,
-    over C(z) when moving, else over C.
-
-    Distinct exponentials are independent over C(z), so a relation among the
-    monomials f^I = sum_c p_{I,c}(z) e^{cz} holds frequency by frequency: the
-    monomials are independent over C(z) when the polynomials p_{I,c}, one row
-    per c, have full column rank over Q(i)(z), and over C when their
-    coefficients, one row per (c, power of z), have full rank over Q(i).  A
-    proof over C(z) covers the field of any moving coefficients.  Returns
-    max_degree; raises DegeneracyError at the first degree with a relation.
-    """
+def nondegeneracy_check(f: CurveLike, moving: bool = False) -> str:
+    """Return "all" if no form of any degree vanishes along the curve, over C(z) when
+    moving, else over C, or raise DegeneracyError.  By the Jacobian criterion (z, w_l
+    of `_lattice_rows` are independent) that holds exactly when the rows (f_j,
+    theta_l f_j = w_l d f_j/dw_l [, d_z f_j over C]) have generic rank n + 1: one
+    point proves it, and rank short on a grid with more points per variable than any
+    (n+1)-minor's degree there proves every minor zero (combinatorial Nullstellensatz)."""
     curve = as_curve(f)
-    prev = {(0,) * (curve.n + 1): ExpPoly.const(1)}
-    for e in range(1, max_degree + 1):
-        exps = monomials(curve.n, e)
-        # each monomial is one of degree e - 1 times its first component
-        mons = []
-        for exp in exps:
-            i = next(k for k, m in enumerate(exp) if m)
-            mons.append(prev[exp[:i] + (exp[i] - 1,) + exp[i + 1:]] * curve.components[i])
-        rows: dict = {}
-        for col, mono in enumerate(mons):
-            for c, p in mono.terms.items():
-                if moving:
-                    rows.setdefault(c, {})[col] = p.coeffs[0] if p.degree == 0 else RatFunc(p)
-                    continue
-                for k, a in enumerate(p.coeffs):
-                    if a:
-                        rows.setdefault((c, k), {})[col] = a
-        if certified_rank(list(rows.values()), len(mons))[0] < len(mons):
-            raise DegeneracyError(f"components satisfy an algebraic relation of "
-                                  f"degree {e} over {'C(z)' if moving else 'C'}")
-        prev = dict(zip(exps, mons))
-    return max_degree
+    n, rows = curve.n, _lattice_rows(curve.components)
+    r = max(len(m) for row in rows for m, _, _ in row)
+    dz = not moving and any(p.degree > 0 for row in rows for _, _, p in row)
+    over = "C(z)" if moving else "C"
+    if r + dz < n:
+        raise DegeneracyError(f"the ratios f_k/f_0 have transcendence degree at "
+                              f"most {r + dz} < n = {n} over {over}")
+    top = [0] * (r + 1)             # degree bounds of each minor in z, w_1, .., w_r
+    for row in rows:
+        for k, col in enumerate(zip(*((p.degree, *e) for _, e, p in row))):
+            top[k] += max(col)
+    for z in range(1, top[0] + 2):
+        at_z = [[(e, [(k, a) for k, a in enumerate((p(z), *(x * p(z) for x in m),
+                                                     p.derivative()(z) if dz else 0)) if a])
+                 for m, e, p in row] for row in rows]
+        for w in itertools.product(*(range(1, k + 2) for k in top[1:])):
+            red = RowReducer()
+            for row in at_z:
+                acc: dict = {}
+                for e, vec in row:
+                    mono = math.prod(map(pow, w, e))
+                    for k, a in vec:
+                        acc[k] = acc.get(k, 0) + a * mono
+                red.add({k: a for k, a in acc.items() if a})
+            if red.rank == n + 1:
+                return "all"
+    raise DegeneracyError(f"every Jacobian minor vanishes on a Nullstellensatz grid over {over}")
 
 
 # ---------------------------------------------------------------------------
@@ -429,13 +431,8 @@ def normalize_target(qf: HPoly) -> HPoly:
     items = qf.terms_desc()
     if not items:
         raise ValueError("zero form")
-    pick = None
-    for _, c in items:
-        if not (isinstance(c, RatFunc) and not c.is_constant()):
-            pick = c
-            break
-    if pick is None:
-        pick = items[0][1]
+    pick = next((c for _, c in items if not (isinstance(c, RatFunc) and not c.is_constant())),
+                items[0][1])
     return qf * (1 / pick)
 
 
@@ -454,42 +451,43 @@ def compose_target(qf: HPoly, f: CurveLike) -> tuple[ExpPoly, ZPoly]:
     d_total = reduce(operator.mul, (c.den for _, c in parts), ZPoly((1,)))
     total = ExpPoly.zero()
     for j, (exp, c) in enumerate(parts):
-        cof = c.num
-        for k, (_, other) in enumerate(parts):
-            if k != j:
-                cof = cof * other.den
-        mono = ExpPoly.const(1)
-        for i, k in enumerate(exp):
-            if k:
-                mono = mono * curve.components[i] ** k
+        cof = reduce(operator.mul, (o.den for k, (_, o) in enumerate(parts) if k != j), c.num)
+        mono = reduce(operator.mul, (comp ** k for comp, k in zip(curve.components, exp) if k),
+                      ExpPoly.const(1))
         total = total + ExpPoly.poly(cof) * mono
     return total, d_total
 
 
-_QUOTIENT_MATCH_TOL = 1e-6
-
-
 def quotient_zeros(e_part: ExpPoly, d_part: ZPoly, r: float) -> Divisor:
-    """Zero divisor of E/D inside |z| <= r.
+    """Zero divisor of E/D inside |z| <= r, exact but for zero locations.
 
-    Numerator zeros matching a denominator zero within _QUOTIENT_MATCH_TOL
-    (relative) lose that multiplicity; leftover denominator zeros are poles of
-    the quotient and never enter a zero count.
+    E = G E', G the gcd of E's coefficients, and G/gcd(G, D) = z^a G' with
+    G'(0) != 0, whose zeros zpoly_zeros finds with exact multiplicities.  At
+    a root b != 0 of G' or of D' = D/gcd(G, D), E'(b) = sum_c q_c(b) e^{cb}
+    != 0 by Lindemann-Weierstrass: D' gives poles only.  At 0 the zero of E'
+    gains a and loses min(ord_0 E', ord_0 D'), read from exact derivatives.
     """
     if e_part.is_zero():
         raise DegeneracyError("form vanishes identically along the curve")
-    ediv = exppoly_zeros(e_part, r)
-    if d_part.degree <= 0:
-        return ediv
-    ddiv = zpoly_zeros(d_part, r)
-    pts = []
-    for a, m in ediv.points:
-        drop = sum(k for b, k in ddiv.points
-                   if abs(a - b) <= _QUOTIENT_MATCH_TOL * (1.0 + abs(a)))
-        if m > drop:
-            pts.append((a, m - drop))
-    return Divisor(points=tuple(pts), r=min(ediv.r, ddiv.r),
-                   boundary_nudged=ediv.boundary_nudged or ddiv.boundary_nudged)
+    full = reduce(zpoly_gcd, e_part.terms.values())
+    rest = ExpPoly({c: p // full for c, p in e_part.terms.items()})
+    h = zpoly_gcd(full, d_part)
+    g, d_part = full // h, d_part // h
+    a = next(k for k, x in enumerate(g.coeffs) if x)
+    div, exact = exppoly_zeros(rest, r), zpoly_zeros(ZPoly(g.coeffs[a:]), r)
+    pts, cancel, taylor = list(div.points), 0, rest
+    while not d_part.coeffs[cancel] and not sum(p.coeffs[0] for p in taylor.terms.values()):
+        cancel, taylor = cancel + 1, taylor.derivative()
+    if a and sum(p.coeffs[0] for p in rest.terms.values()):
+        pts.append((0j, a))                     # E'(0) != 0
+    elif a or cancel:
+        z0, m = min(pts, key=lambda pt: abs(pt[0]), default=(0j, 0))
+        if m < max(cancel, 1):
+            raise ContourThroughZero(f"the zero at 0 was located with order {m}")
+        k = pts.index((z0, m))
+        pts[k:k + 1] = [(z0, m + a - cancel)] if m + a > cancel else []
+    return Divisor(points=tuple(pts) + exact.points, r=r,
+                   boundary_nudged=div.boundary_nudged or exact.boundary_nudged)
 
 
 # ---------------------------------------------------------------------------
@@ -507,16 +505,10 @@ def defect_estimate(f: CurveLike, qf: HPoly, r_max: float,
     and grid effects.
     """
     curve = as_curve(f)
-    e_part, d_part = compose_target(qf, curve)
-    div = quotient_zeros(e_part, d_part, r_max * (1 + 1e-9))
-    radii = np.geomspace(max(2.0, math.sqrt(r_max)), r_max, grid_points)
-    vals = []
-    for r in radii[grid_points // 2:]:
-        t = characteristic(curve, float(r))
-        if t <= 0.0:
-            continue
-        vals.append(1.0 - counting_function(div, float(r), level)
-                    / (qf.degree * t))
+    div = quotient_zeros(*compose_target(qf, curve), r_max * (1 + 1e-9))
+    radii = [float(r) for r in np.geomspace(max(2.0, math.sqrt(r_max)), r_max, grid_points)]
+    top = [(r, characteristic(curve, r)) for r in radii[grid_points // 2:]]
+    vals = [1.0 - counting_function(div, r, level) / (qf.degree * t) for r, t in top if t > 0.0]
     if not vals:
         raise ValueError("characteristic vanishes across the grid; "
                          "defects need a nonconstant curve")
@@ -552,7 +544,7 @@ def build_profile(f: CurveLike, radii: Sequence[float]) -> NevanlinnaProfile:
 # the main inequality harness
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class TargetReport:
     """One target's contribution to the inequality."""
 
@@ -562,6 +554,8 @@ class TargetReport:
     counts: tuple[float, ...]         # truncated N(r) on the grid
     defect: float
     coeff_growth: float               # max_c T_c(r_max) / T_f(r_max), 0 if fixed
+
+    __repr__ = report_repr
 
 
 @dataclass(frozen=True)
@@ -580,9 +574,9 @@ class SmtReport:
     r0: Optional[float]               # first grid radius with no later violation
     violating_measure: float          # total width of grid cells touching one
     defect_sum: float
-    # no form of degree <= this vanishes along the curve: proved over C
+    # "all": no form of any degree vanishes along the curve, proved over C
     # when fixed, over C(z) otherwise
-    nondegenerate_to: int
+    nondegenerate_to: str
     level_note: Optional[str]
 
     @property
@@ -594,8 +588,7 @@ class SmtReport:
         return self.r0 is not None
 
 
-def smt_verify(f: CurveLike, targets, eps, radii: Sequence[float],
-               nondegeneracy_degree: int = 4) -> SmtReport:
+def smt_verify(f: CurveLike, targets, eps, radii: Sequence[float]) -> SmtReport:
     """Evaluate the truncated main inequality on a radius grid.
 
     Checks first that the family is in general position and the curve
@@ -606,10 +599,8 @@ def smt_verify(f: CurveLike, targets, eps, radii: Sequence[float],
     right side, and level_note records the fallback.
     """
     curve = as_curve(f)
-    if isinstance(targets, HypersurfaceFamily):
-        fam = targets
-    else:
-        fam = HypersurfaceFamily(curve.n, tuple(targets))
+    fam = (targets if isinstance(targets, HypersurfaceFamily)
+           else HypersurfaceFamily(curve.n, tuple(targets)))
     if fam.n != curve.n:
         raise ValueError("family and curve dimensions differ")
     rs = tuple(float(r) for r in radii)
@@ -624,7 +615,7 @@ def smt_verify(f: CurveLike, targets, eps, radii: Sequence[float],
         raise AdmissibilityError(
             f"family not in general position; failing subset {adm.failing_subset}")
     fixed = not fam.is_moving()
-    nondeg = nondegeneracy_check(curve, nondegeneracy_degree, moving=not fixed)
+    nondeg = nondegeneracy_check(curve, moving=not fixed)
 
     n, q = curve.n, fam.q
     level_note = None
@@ -643,12 +634,10 @@ def smt_verify(f: CurveLike, targets, eps, radii: Sequence[float],
     reports = []
     for qf, lev in zip(fam.polys, levels):
         norm = normalize_target(qf)
-        e_part, d_part = compose_target(norm, curve)
-        div = quotient_zeros(e_part, d_part, r_max * (1 + 1e-9))
+        div = quotient_zeros(*compose_target(norm, curve), r_max * (1 + 1e-9))
         counts = tuple(counting_function(div, r, lev) for r in rs)
-        half = len(rs) // 2
         defect = min(1.0 - counts[i] / (qf.degree * profile.t_values[i])
-                     for i in range(half, len(rs))
+                     for i in range(len(rs) // 2, len(rs))
                      if profile.t_values[i] > 0.0)
         growth = 0.0
         for _, c in norm.terms_desc():
@@ -665,15 +654,9 @@ def smt_verify(f: CurveLike, targets, eps, radii: Sequence[float],
                 for i in range(len(rs)))
     margins = tuple(b - a for a, b in zip(lhs, rhs))
 
-    r0 = None
-    for i in range(len(rs)):
-        if all(m >= 0.0 for m in margins[i:]):
-            r0 = rs[i]
-            break
-    bad = 0.0
-    for i in range(len(rs) - 1):
-        if margins[i] < 0.0 or margins[i + 1] < 0.0:
-            bad += rs[i + 1] - rs[i]
+    r0 = next((r for i, r in enumerate(rs) if all(m >= 0.0 for m in margins[i:])), None)
+    bad = sum((b - a for a, b, m, k in zip(rs, rs[1:], margins, margins[1:])
+               if m < 0.0 or k < 0.0), 0.0)
 
     return SmtReport(n=n, q=q, eps=eps, fixed=fixed, profile=profile,
                      targets=tuple(reports), lhs=lhs, rhs=rhs,

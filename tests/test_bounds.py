@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from fractions import Fraction
 from math import comb
@@ -118,6 +119,22 @@ def test_moving_chain_materializes_within_budget():
     assert rep.level == rep.m_count * rep.t - 1
     assert all(l == rep.level + 1 for l in rep.truncations)   # d_j = d = 1
     assert 12000 < rep.level_log10 < 13000
+
+
+def test_report_repr_past_the_int_digit_limit():
+    # repr of a 12,367-digit level raises ValueError under the default limit
+    rep = compute_truncation_levels(1, 3, Fraction(1, 2), (1, 1, 1))
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter prints ints of any length")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        text = repr(rep)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert "level=<int of 12367 digits>" in text
+    assert "truncations=(<int of 12367 digits>, " in text and "m_count=19," in text
+    assert bounds._field_repr((7,)) == "(7,)"
 
 
 def test_moving_chain_symbolic_fallback():

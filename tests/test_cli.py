@@ -265,6 +265,68 @@ def test_exit_code_math_failure(paths, capsys):
     assert "resultant" in capsys.readouterr().err
 
 
+def _hyperplanes(n, moving=False):
+    """x_0, .., x_n and x_0 + .. + x_n, the last x_n coefficient z/(z+10) when moving."""
+    unit = [[int(i == k) for i in range(n + 1)] for k in range(n + 1)]
+    last = [{"exp": e, "coef": "1"} for e in unit]
+    if moving:
+        last[-1]["coef"] = "z/(z+10)"
+    return {"n": n, "polynomials": [{"degree": 1, "terms": [{"exp": e, "coef": "1"}]}
+                                    for e in unit] + [{"degree": 1, "terms": last}]}
+
+
+def _curve(*components):
+    return {"components": [{"terms": [{"poly": p, "exp_coef": c} for p, c in comp]}
+                           for comp in components]}
+
+
+def test_smt_decides_nondegeneracy_in_every_degree(paths, capsys):
+    moving = paths["tmp"] / "moving.json"
+    moving.write_text(json.dumps(_hyperplanes(1, moving=True)))
+    for system in (paths["system"], str(moving)):
+        assert main(["smt", paths["curve"], system, "--rmin", "10", "--rmax", "20",
+                     "--steps", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["nondegenerate_to"] == "all"
+    planes = paths["tmp"] / "planes.json"
+    planes.write_text(json.dumps(_hyperplanes(2)))
+    curve = paths["tmp"] / "degenerate.json"
+    for a, b in (("2", "5"), ("60", "61")):     # x1^5 = x0^3 x2^2, x0 x2^60 = x1^61
+        curve.write_text(json.dumps(_curve([("1", "0")], [("1", a)], [("1", b)])))
+        assert main(["smt", str(curve), str(planes)]) == 1
+        assert "transcendence degree at most 1 < n = 2 over C" in capsys.readouterr().err
+
+
+def test_smt_cancels_a_triple_pole_of_a_moving_target(paths, capsys):
+    # (1 : (z-1)^3 e^z) against x0 + x1/(z-1)^3: the quotient is 1 + e^z
+    curve = paths["tmp"] / "pole.json"
+    curve.write_text(json.dumps(_curve([("1", "0")], [("(z-1)^3", "1")])))
+    system = paths["tmp"] / "pole_system.json"
+    doc = _hyperplanes(1)
+    doc["polynomials"][-1]["terms"][-1]["coef"] = "1/(z-1)^3"
+    system.write_text(json.dumps(doc))
+    assert main(["smt", str(curve), str(system), "--rmin", "10", "--rmax", "20",
+                 "--steps", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["fixed"] is False and doc["nondegenerate_to"] == "all"
+
+
+def test_every_declared_option_is_read_by_its_handler():
+    # an option no handler reads is a knob that does nothing
+    import ast
+    import inspect
+
+    from nevlab import cli
+
+    for name, (handler, _, arguments) in cli.COMMANDS.items():
+        tree = ast.parse(inspect.getsource(handler))
+        read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "args"}
+        for flags, options in arguments:
+            longs = [f for f in flags if f.startswith("--")]
+            dest = options.get("dest", (longs or flags)[0].lstrip("-").replace("-", "_"))
+            assert dest in read, f"{name} declares {flags[0]} but never reads args.{dest}"
+
+
 def test_exit_code_numerical_failure(paths, capsys, monkeypatch):
     from nevlab import nevanlinna
     from nevlab.zeros import ContourThroughZero

@@ -4,6 +4,7 @@ target (1e-9) except where a genuine transcendental estimate is involved.
 """
 
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ import pytest
 from nevlab import linalg
 from nevlab.expfunc import ExpPoly
 from nevlab.fields import GaussRat, RatFunc, ZPoly
-from nevlab.hpoly import HPoly
+from nevlab.hpoly import HPoly, monomials
 from nevlab.nevanlinna import (AdmissibilityError, DegeneracyError,
                                EntireCurve, NevanlinnaProfile, characteristic,
                                compose_target, counting_function,
@@ -286,6 +287,28 @@ def test_compose_target_splits_numerator_denominator():
     assert e2 == ExpPoly.poly(ZPoly((10, 1))) + ExpPoly.exp(1)
 
 
+def test_quotient_zeros_cancel_exactly():
+    # (1 : (z-1)^k e^z) against x0 + x1/(z-1)^k: the quotient is 1 + e^z,
+    # while E has a zero of order k at 1 that D cancels
+    x0 = HPoly.coordinate(2, 0)
+    for k in range(1, 6):
+        zk = ZPoly((-1, 1)) ** k
+        curve = EntireCurve((ExpPoly.const(1), ExpPoly.poly(zk) * ExpPoly.exp(1)))
+        target = x0 + HPoly.monomial(2, (0, 1), RatFunc(ONE, zk))
+        div = quotient_zeros(*compose_target(target, curve), 10.0)
+        assert [m for _, m in div.points] == [1, 1, 1, 1]
+        got = sorted(a.imag for a, _ in div.points)
+        assert got == pytest.approx([-3 * math.pi, -math.pi, math.pi, 3 * math.pi], abs=1e-9)
+        assert all(abs(a.real) < 1e-9 for a, _ in div.points)
+    # (e^z - 1)/z: the zero of E at the origin cancels against D's
+    div = quotient_zeros(ExpPoly.exp(1) - 1, Z, 10.0)
+    assert [m for _, m in div.points] == [1, 1]
+    assert sorted(a.imag for a, _ in div.points) == pytest.approx([-2 * math.pi, 2 * math.pi])
+    # a double zero at the origin over a simple pole leaves a simple zero there
+    div = quotient_zeros((ExpPoly.exp(1) - 1) * (ExpPoly.exp(1) - 1), Z, 5.0)
+    assert [(round(abs(a), 9), m) for a, m in div.points] == [(0.0, 1)]
+
+
 def test_quotient_zeros_cancels_denominator():
     e = ExpPoly.poly(ZPoly((-2, 1)) * ZPoly((3, 1)))
     div = quotient_zeros(e, ZPoly((-2, 1)), 5.0)
@@ -295,21 +318,124 @@ def test_quotient_zeros_cancels_denominator():
         quotient_zeros(ExpPoly.zero(), ONE, 5.0)
 
 
+def _degree_loop(curve, top_degree, moving):
+    """Reference: the first degree <= top_degree at which the monomials in
+    the components are linearly dependent over C(z) when moving, else over
+    C; None when there is none.  Monomials are expanded as sparse sums of
+    a z^k e^{cz}, keyed by (c times the common denominator, k) in ints; a
+    relation holds frequency by frequency, so the rows are one per frequency
+    (entries in Q(i)[z]) over C(z), one per frequency and power of z over C."""
+    scale = math.lcm(*(c.d for comp in curve.components for c in comp.terms))
+    comps = [{(c.a * scale // c.d, c.b * scale // c.d, k): a
+              for c, p in comp.terms.items() for k, a in enumerate(p.coeffs)}
+             for comp in curve.components]
+    prev = {(0,) * (curve.n + 1): {(0, 0, 0): 1}}
+    for e in range(1, top_degree + 1):
+        exps = monomials(curve.n, e)
+        mons = []               # each is one of degree e - 1 times a component
+        for exp in exps:
+            i = next(k for k, m in enumerate(exp) if m)
+            prod: dict = {}
+            for (x, y, k), a in prev[exp[:i] + (exp[i] - 1,) + exp[i + 1:]].items():
+                for (u, v, l), b in comps[i].items():
+                    prod[x + u, y + v, k + l] = prod.get((x + u, y + v, k + l), 0) + a * b
+            mons.append(prod)
+        rows: dict = {}
+        for col, mono in enumerate(mons):
+            for (x, y, k), a in mono.items():
+                if a and moving:
+                    rows.setdefault((x, y), {}).setdefault(col, {})[k] = a
+                elif a:
+                    rows.setdefault((x, y, k), {})[col] = a
+        if moving:
+            rows = {c: {col: RatFunc(ZPoly([p.get(k, 0) for k in range(max(p) + 1)]))
+                        for col, p in row.items()} for c, row in rows.items()}
+        if linalg.certified_rank(list(rows.values()), len(mons))[0] < len(mons):
+            return e
+        prev = dict(zip(exps, mons))
+    return None
+
+
+def _seeded_curves(count, seed):
+    """Reduced curves in P^2 with one to three terms per component, small
+    Gaussian-integer frequencies, and some coefficients linear in z; one in
+    five is (f : g : f + g) and one in five (1 : f : f^2), with relations the
+    column count cannot see."""
+    rng = np.random.default_rng(seed)
+    freqs = [GaussRat(a, b) for a in (-1, 0, 1, 2) for b in (-1, 0, 1)]
+
+    def component():
+        terms = {}
+        for _ in range(rng.integers(1, 4)):
+            if rng.random() < 0.3:              # a z + b, zero at z = 0 when b = 0
+                p = ZPoly((int(rng.choice((0, 1, -1, 2))), 1))
+            else:
+                p = ZPoly((int(rng.choice((1, -1, 2))),))
+            terms[freqs[rng.integers(len(freqs))]] = p
+        return ExpPoly(terms)
+
+    curves = []
+    while len(curves) < count:
+        f, g, h = component(), component(), component()
+        shape = rng.random()
+        comps = (f, g, f + g) if shape < 0.2 else (1, f, f * f) if shape < 0.4 else (f, g, h)
+        try:
+            curves.append(EntireCurve(comps))
+        except (DegeneracyError, ValueError):
+            continue
+    return curves
+
+
+def test_nondegeneracy_agrees_with_the_degree_loop():
+    # 100 curves, each over C and over C(z): "all" exactly where no relation
+    # of degree <= 4 exists, degenerate exactly where one does
+    verdicts = []
+    for curve in _seeded_curves(100, 20261018):
+        for moving in (False, True):
+            try:
+                got = nondegeneracy_check(curve, moving=moving)
+            except DegeneracyError:
+                got = None
+            want = _degree_loop(curve, 4, moving)
+            assert (got == "all") == (want is None), (curve, moving, want)
+            verdicts.append(got)
+    assert verdicts.count(None) >= 50 and verdicts.count("all") >= 100
+
+
 def test_nondegeneracy_screen():
-    nondegeneracy_check(_exp_curve(), max_degree=4)     # passes quietly
+    assert nondegeneracy_check(_exp_curve()) == "all"
     with pytest.raises(DegeneracyError) as exc:
         nondegeneracy_check(
-            EntireCurve((ExpPoly.const(1), ExpPoly.exp(1), ExpPoly.exp(2))),
-            max_degree=3)
-    assert "degree 2" in str(exc.value)
+            EntireCurve((ExpPoly.const(1), ExpPoly.exp(1), ExpPoly.exp(2))))
+    assert "transcendence degree at most 1 < n = 2 over C" in str(exc.value)
 
 
 def test_nondegeneracy_is_exact_where_sampling_lost_precision():
-    # both are nondegenerate; a float rank of sampled monomials saw relations
+    # a float rank of sampled monomials saw relations, and there are: x0 x2^60
+    # = x1^61, and e^{z/100}, e^{(1/50 + 1/10^6) z} have commensurable rates
     for c1, c2 in ((60, 61), (Fraction(1, 100), Fraction(1, 50) + Fraction(1, 10 ** 6))):
         curve = EntireCurve((ExpPoly.const(1), ExpPoly.exp(c1), ExpPoly.exp(c2)))
-        assert nondegeneracy_check(curve, max_degree=4) == 4
-        assert nondegeneracy_check(curve, max_degree=4, moving=True) == 4
+        for moving in (False, True):
+            with pytest.raises(DegeneracyError, match="transcendence degree at most 1"):
+                nondegeneracy_check(curve, moving=moving)
+
+
+def test_degenerate_curves_fail_smt():
+    x0, x1, x2 = (HPoly.coordinate(3, k) for k in range(3))
+    for c1, c2 in ((2, 5), (60, 61)):   # x1^5 = x0^3 x2^2, x0 x2^60 = x1^61
+        curve = EntireCurve((ExpPoly.const(1), ExpPoly.exp(c1), ExpPoly.exp(c2)))
+        with pytest.raises(DegeneracyError):
+            smt_verify(curve, (x0, x1, x2, x0 + x1 + x2), Fraction(1, 2), [10.0, 20.0])
+
+
+def test_grid_decides_a_relation_the_column_count_allows():
+    # three columns (f, theta_1 f, theta_2 f) for three rows, but x2 = x1^2 / x0
+    s = ExpPoly.exp(1) + ExpPoly.exp(GaussRat(0, 1))
+    for curve in (EntireCurve((ExpPoly.const(1), s, s * s)),
+                  EntireCurve((ExpPoly.const(1), s, s + 1))):
+        for moving in (False, True):
+            with pytest.raises(DegeneracyError, match="Nullstellensatz grid over C"):
+                nondegeneracy_check(curve, moving=moving)
 
 
 def test_nondegeneracy_over_c_and_over_cz():
@@ -317,31 +443,20 @@ def test_nondegeneracy_over_c_and_over_cz():
     curves = (EntireCurve((ExpPoly.const(1), ez, z * ez)),         # z x1 - x2 = 0
               EntireCurve((ez - 1, ExpPoly.exp(2) + z, ExpPoly.const(1))))
     for curve in curves:
-        assert nondegeneracy_check(curve, max_degree=4) == 4
+        assert nondegeneracy_check(curve) == "all"
         with pytest.raises(DegeneracyError):
-            nondegeneracy_check(curve, max_degree=4, moving=True)
+            nondegeneracy_check(curve, moving=True)
     x0, x1, x2 = (HPoly.coordinate(3, k) for k in range(3))
     mover = HPoly.monomial(3, (0, 0, 1), RatFunc(Z, ZPoly((10, 1))))
     with pytest.raises(DegeneracyError) as exc:
         smt_verify(curves[0], (x0, x1, x2, x0 + x1 + mover), Fraction(1, 2),
                    [10.0, 20.0])
     assert "C(z)" in str(exc.value)
-
-
-def test_degenerate_curve_reaches_exact_elimination(monkeypatch):
-    # a relation keeps every modular rank short, so exact elimination decides
-    built = []
-
-    class Counting(linalg.RowReducer):
-        def __init__(self, *args, **kwargs):
-            built.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(linalg, "RowReducer", Counting)
-    squares = EntireCurve((ExpPoly.const(1), ExpPoly.exp(1), ExpPoly.exp(2)))
-    with pytest.raises(DegeneracyError):
-        nondegeneracy_check(squares, max_degree=2)
-    assert built and built[-1].rank == 5         # 6 monomials of degree 2
+    eiz = ExpPoly.exp(GaussRat(0, 1))
+    # the second has rank 2 at z = 0 and at z = 1, so the grid must vary z over C(z) too
+    for curve in (EntireCurve((ExpPoly.const(1), ez, eiz)),
+                  EntireCurve((ExpPoly.const(1), z * ez, (z - 1) * eiz))):
+        assert nondegeneracy_check(curve) == nondegeneracy_check(curve, moving=True) == "all"
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +507,24 @@ def test_smt_moving_target():
     growth = [t.coeff_growth for t in rep.targets]
     assert growth[0] == growth[1] == 0.0
     assert 0.0 < growth[2] < 0.5                 # slow target is admissible
+
+
+def test_moving_report_repr_past_the_int_digit_limit():
+    # the moving chain's levels run to 12,367 digits, past repr's default limit
+    fe = _exp_curve()
+    x0, x1 = HPoly.coordinate(2, 0), HPoly.coordinate(2, 1)
+    mover = HPoly.monomial(2, (0, 1), RatFunc(ONE, ZPoly((10, 1))))
+    rep = smt_verify(fe, (x0, x1, x0 + mover), Fraction(1, 2), [10.0, 20.0])
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter prints ints of any length")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        text = repr(rep)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert text.count("truncation=<int of 12367 digits>") == 3
+    assert rep.targets[0].truncation.bit_length() == 41080
 
 
 def test_smt_rejects_bad_input():
