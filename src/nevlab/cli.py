@@ -375,25 +375,25 @@ def cmd_selftest(args) -> int:
 _OUTPUT = (("-o", "--output"),
            dict(metavar="FILE", help="write the JSON report here (atomically) instead of stdout"))
 
-# subcommand -> (handler, help, the add_argument calls after -o/--output)
+# subcommand -> (handler, help, its add_argument calls, _OUTPUT where it writes a report)
 COMMANDS = {
-    "resultant": (cmd_resultant, "Macaulay resultant of n+1 forms", (
+    "resultant": (cmd_resultant, "Macaulay resultant of n+1 forms", (_OUTPUT,
         (("system",), dict(help="system JSON file")),
         (("--seed",), dict(type=int, default=1, help="specialization seed")))),
-    "admissible": (cmd_admissible, "general-position check for a family", (
+    "admissible": (cmd_admissible, "general-position check for a family", (_OUTPUT,
         (("system",), {}),
         (("--max-points",), dict(type=int, default=None,
                                  help="cap (>= 1) on parameter points tried; exit 3 when no "
                                       "verdict is proved within it")))),
     "certificate": (cmd_certificate,
-                    "express a power of one coordinate inside the ideal of the family", (
+                    "express a power of one coordinate inside the ideal of the family", (_OUTPUT,
         (("system",), {}),
         (("--index",), dict(type=int, required=True, help="coordinate index to certify")))),
-    "filtration": (cmd_filtration, "graded filtration table at one level", (
+    "filtration": (cmd_filtration, "graded filtration table at one level", (_OUTPUT,
         (("system",), {}),
         (("--subset",), dict(required=True, help="n comma-separated form indices")),
         (("--level",), dict(type=int, required=True, help="graded level N")))),
-    "bounds": (cmd_bounds, "truncation levels for given (n, q, eps, degrees)", (
+    "bounds": (cmd_bounds, "truncation levels for given (n, q, eps, degrees)", (_OUTPUT,
         (("--n",), dict(type=int, required=True, help="projective dimension")),
         (("--eps",), dict(required=True, help="error budget, e.g. 1/2")),
         (("--degrees",), dict(required=True, help="comma-separated target degrees")),
@@ -401,22 +401,22 @@ COMMANDS = {
                             help="constant-coefficient chain (much smaller levels)")),
         (("--digit-budget",), dict(type=int, default=None,
                                    help="max decimal digits before levels are left symbolic")))),
-    "jensen": (cmd_jensen, "zero/pole counting vs boundary averages", (
+    "jensen": (cmd_jensen, "zero/pole counting vs boundary averages", (_OUTPUT,
         (("--phi",), dict(required=True, help="rational expression in z, e.g. (z-2)/(z+3)")),
         (("--radii",), dict(default="2,5,10")))),
-    "wronskian": (cmd_wronskian, "Wronskian determinant of curve components", (
+    "wronskian": (cmd_wronskian, "Wronskian determinant of curve components", (_OUTPUT,
         (("curve",), {}),
         (("--orders",), dict(default=None, help="derivative orders, e.g. 0,1,2")))),
-    "characteristic": (cmd_characteristic, "growth function of a curve", (
+    "characteristic": (cmd_characteristic, "growth function of a curve", (_OUTPUT,
         (("curve",), {}),
         (("--radii",), dict(default="2,5,10,20")))),
-    "defects": (cmd_defects, "deficiency estimates for each target form", (
+    "defects": (cmd_defects, "deficiency estimates for each target form", (_OUTPUT,
         (("curve",), {}),
         (("system",), {}),
         (("--rmax",), dict(type=float, default=50.0)),
         (("--level",), dict(type=int, default=None, help="truncation level for counting")),
         (("--grid",), dict(type=int, default=12)))),
-    "smt": (cmd_smt, "verify the main inequality along a radius grid", (
+    "smt": (cmd_smt, "verify the main inequality along a radius grid", (_OUTPUT,
         (("curve",), {}),
         (("system",), {}),
         (("--eps",), dict(default="1/2")),
@@ -425,7 +425,7 @@ COMMANDS = {
         (("--steps",), dict(type=int, default=20)),
         (("--plot",), dict(metavar="FILE.svg", default=None,
                            help="write an SVG of both sides of the inequality")))),
-    "schema": (cmd_schema, "print input formats", (
+    "schema": (cmd_schema, "print input formats", (_OUTPUT,
         (("kind",), dict(choices=("scalar", "polynomial", "system", "curve"))),)),
     "selftest": (cmd_selftest, "run the acceptance battery", (
         (("--only",), dict(default=None, help="comma-separated check names")),)),
@@ -435,7 +435,7 @@ COMMANDS = {
 def _declare(sp: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
     fn, _, arguments = COMMANDS[name]
     sp.set_defaults(command=name, func=fn)
-    for flags, options in (_OUTPUT, *arguments):
+    for flags, options in arguments:
         sp.add_argument(*flags, **options)
     return sp
 

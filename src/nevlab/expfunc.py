@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -32,6 +33,11 @@ def _log_term_bound(c: complex, coeffs, radius: float) -> float:
     for a in coeffs:
         acc = acc * radius + abs(a)
     return abs(c) * radius + math.log(acc)
+
+
+def _log_modulus(values: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore"):      # log 0 is -inf, with no warning
+        return np.log(np.abs(values))
 
 
 class ExpPoly:
@@ -190,8 +196,8 @@ class ExpPoly:
         return total
 
     def log_abs(self, zs: np.ndarray) -> np.ndarray:
-        """log|f| elementwise over a numpy array of points, finite wherever
-        f is nonzero: e^{cz} is never formed where it could overflow."""
+        """log|f| elementwise over a numpy array of points, -inf where f vanishes
+        and finite elsewhere: e^{cz} is never formed where it could overflow."""
         image = self.float_image
         if not image:
             return np.full(zs.shape, -np.inf)
@@ -201,16 +207,16 @@ class ExpPoly:
             if len(coeffs) == 1:
                 out = np.full(zs.shape, math.log(abs(coeffs[0])))
             else:
-                out = np.log(np.abs(np.polyval(coeffs, zs)))
+                out = _log_modulus(np.polyval(coeffs, zs))
             if c:
                 out += c.real * zs.real - c.imag * zs.imag
             return out
         radius = float(np.max(np.abs(zs)))
         if max(_log_term_bound(c, coeffs, radius) for c, coeffs in image) <= _EXP_SAFE:
-            return np.log(np.abs(self(zs)))
+            return _log_modulus(self(zs))
         shift, exps = self._scaled_exps(zs)
         total = sum(np.polyval(coeffs, zs) * e for (_, coeffs), e in zip(image, exps))
-        return shift + np.log(np.abs(total))
+        return shift + _log_modulus(total)
 
     def _scaled_exps(self, z):
         """(M, [e^{c_k z - M} per term of float_image]) at a complex point or
@@ -259,6 +265,40 @@ class ExpPoly:
                 arg = f"({cs})z"
             parts.append(f"{head}exp({arg})")
         return " + ".join(parts)
+
+
+def lattice_rows(components) -> tuple[tuple, list[list[tuple[tuple, tuple, ZPoly]]]]:
+    """(basis, rows): f_j = sum_m p_m(z) w^m as rows[j] = [(m, e, p_m)], w_l =
+    e^{gamma_l z}, the basis gamma_1..gamma_r (r <= 2) being the Hermite basis
+    (g, y0), (0, h), left by Euclid, of the lattice the frequencies span in Z^2
+    times their common denominator; e = m less the row's least m, so w^e is f_j
+    over a unit."""
+    freqs = {c for comp in components for c in comp.terms}
+    scale = math.lcm(*(c.d for c in freqs))
+    pts = {c: (c.a * scale // c.d, c.b * scale // c.d) for c in freqs}
+    g = y0 = h = 0
+    for x, y in pts.values():
+        while x:
+            g, y0, x, y = x, y, g % x, y0 - g // x * y
+        h = math.gcd(h, y)
+    coords = {c: (x // (g or 1),) * (g != 0)
+              + ((y - x // (g or 1) * y0) // (h or 1),) * (h != 0) for c, (x, y) in pts.items()}
+    basis = (GaussRat(g, y0) / scale,) * (g != 0) + (GaussRat(0, h) / scale,) * (h != 0)
+    lows = [[min(ms) for ms in zip(*map(coords.get, comp.terms))] for comp in components]
+    return basis, [[(coords[c], tuple(map(operator.sub, coords[c], low)), p)
+                    for c, p in comp.terms.items()] for comp, low in zip(components, lows)]
+
+
+def exponent_polys(components, max_degree: float = math.inf) -> Optional[tuple[tuple, list[ZPoly]]]:
+    """(basis, [P_j]) with f_j = e^{c_j z} P_j(e^{gamma z}) and P_j(0) != 0, when
+    every coefficient is constant, the frequencies span a lattice of rank <= 1,
+    with basis (gamma,) or (), and no P_j passes max_degree; None otherwise."""
+    basis, rows = lattice_rows(components)
+    if len(basis) > 1 or any(p.degree > 0 or sum(e) > max_degree
+                             for row in rows for _, e, p in row):
+        return None
+    polys = [{sum(e): p.coeffs[0] for _, e, p in row} for row in rows]
+    return basis, [ZPoly([cs.get(k, 0) for k in range(1 + max(cs, default=0))]) for cs in polys]
 
 
 def wronskian(fns: Iterable, orders: Optional[Sequence[int]] = None) -> object:

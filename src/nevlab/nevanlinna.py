@@ -35,7 +35,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .bounds import compute_truncation_levels, report_repr
-from .expfunc import ExpPoly, wronskian
+from .expfunc import ExpPoly, exponent_polys, lattice_rows, wronskian
 from .fields import RatFunc, ZPoly, zpoly_gcd
 from .hpoly import HPoly
 from .linalg import RowReducer
@@ -67,26 +67,6 @@ class AdmissibilityError(ValueError):
 # curves
 
 
-def _lattice_rows(components) -> list[list[tuple[tuple, tuple, ZPoly]]]:
-    """f_j = sum_m p_m(z) w^m as rows[j] = [(m, e, p_m)], w_l = e^{gamma_l z}:
-    gamma_1..gamma_r (r <= 2) is the Hermite basis (g, y0), (0, h), left by
-    Euclid, of the lattice the frequencies span in Z^2 times their common
-    denominator; e = m less the row's least m, so w^e is f_j over a unit."""
-    freqs = {c for comp in components for c in comp.terms}
-    scale = math.lcm(*(c.d for c in freqs))
-    pts = {c: (c.a * scale // c.d, c.b * scale // c.d) for c in freqs}
-    g = y0 = h = 0
-    for x, y in pts.values():
-        while x:
-            g, y0, x, y = x, y, g % x, y0 - g // x * y
-        h = math.gcd(h, y)
-    coords = {c: (x // (g or 1),) * (g != 0)
-              + ((y - x // (g or 1) * y0) // (h or 1),) * (h != 0) for c, (x, y) in pts.items()}
-    lows = [[min(ms) for ms in zip(*map(coords.get, comp.terms))] for comp in components]
-    return [[(coords[c], tuple(map(operator.sub, coords[c], low)), p)
-             for c, p in comp.terms.items()] for comp, low in zip(components, lows)]
-
-
 class EntireCurve:
     """Holomorphic map C -> CP^n given by n+1 exponential polynomial components.
 
@@ -94,7 +74,7 @@ class EntireCurve:
     constant and every frequency an integer multiple of one gamma in Q(i),
     the components are Laurent polynomials in w = e^{gamma z}, which takes
     every nonzero value, so there are common zeros exactly when the gcd of
-    the polynomials in w (`_exponent_polys`) has a nonzero root; this
+    the polynomials in w (`exponent_polys`) has a nonzero root; this
     rejects (e^z - 1 : e^{2z} - 1).  Any other tuple is rejected exactly
     when the coefficient polynomials p_c of all components share a factor,
     which decides polynomial tuples; common zeros without a shared
@@ -118,20 +98,11 @@ class EntireCurve:
     def __setattr__(self, name, value):
         raise AttributeError("EntireCurve is immutable")
 
-    def _exponent_polys(self) -> Optional[list[ZPoly]]:
-        """The components as polynomials in w = e^{gamma z} (`_lattice_rows`
-        of rank <= 1) when every coefficient is constant; None otherwise."""
-        rows = _lattice_rows(self.components)
-        if any(len(m) > 1 or p.degree > 0 for row in rows for m, _, p in row):
-            return None
-        polys = [{sum(e): p.coeffs[0] for _, e, p in row} for row in rows]
-        return [ZPoly([cs.get(k, 0) for k in range(1 + max(cs, default=0))]) for cs in polys]
-
     def _check_reduced(self) -> None:
         if any(len(comp.terms) == 1 and next(iter(comp.terms.values())).degree == 0
                for comp in self.components):
             return              # a component c e^{gamma z} never vanishes
-        in_w = self._exponent_polys()
+        in_w = (exponent_polys(self.components) or (None, None))[1]
         polys = in_w if in_w is not None else [p for comp in self.components
                                                  for p in comp.terms.values()]
         g = None
@@ -382,13 +353,13 @@ def divisor_bound_check(f: CurveLike, r: float) -> DivisorBoundReport:
 def nondegeneracy_check(f: CurveLike, moving: bool = False) -> str:
     """Return "all" if no form of any degree vanishes along the curve, over C(z) when
     moving, else over C, or raise DegeneracyError.  By the Jacobian criterion (z, w_l
-    of `_lattice_rows` are independent) that holds exactly when the rows (f_j,
+    of `lattice_rows` are independent) that holds exactly when the rows (f_j,
     theta_l f_j = w_l d f_j/dw_l [, d_z f_j over C]) have generic rank n + 1: one
     point proves it, and rank short on a grid with more points per variable than any
     (n+1)-minor's degree there proves every minor zero (combinatorial Nullstellensatz)."""
     curve = as_curve(f)
-    n, rows = curve.n, _lattice_rows(curve.components)
-    r = max(len(m) for row in rows for m, _, _ in row)
+    n, (basis, rows) = curve.n, lattice_rows(curve.components)
+    r = len(basis)
     dz = not moving and any(p.degree > 0 for row in rows for _, _, p in row)
     over = "C(z)" if moving else "C"
     if r + dz < n:
@@ -462,10 +433,11 @@ def quotient_zeros(e_part: ExpPoly, d_part: ZPoly, r: float) -> Divisor:
     """Zero divisor of E/D inside |z| <= r, exact but for zero locations.
 
     E = G E', G the gcd of E's coefficients, and G/gcd(G, D) = z^a G' with
-    G'(0) != 0, whose zeros zpoly_zeros finds with exact multiplicities.  At
-    a root b != 0 of G' or of D' = D/gcd(G, D), E'(b) = sum_c q_c(b) e^{cb}
-    != 0 by Lindemann-Weierstrass: D' gives poles only.  At 0 the zero of E'
-    gains a and loses min(ord_0 E', ord_0 D'), read from exact derivatives.
+    G'(0) != 0, whose zeros zpoly_zeros finds with exact multiplicities; E''s
+    zeros come from exppoly_zeros, in closed form when E' has constant
+    coefficients and one frequency lattice.  At a root b != 0 of G' or of
+    D' = D/gcd(G, D), E'(b) != 0 by Lindemann-Weierstrass: D' gives poles
+    only.  At 0 the zero of E' gains a and loses min(ord_0 E', ord_0 D').
     """
     if e_part.is_zero():
         raise DegeneracyError("form vanishes identically along the curve")

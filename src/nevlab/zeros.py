@@ -1,29 +1,23 @@
-"""Zero location in disks: exact-multiplicity roots for polynomials, and
-argument-principle subdivision for exponential polynomials.
+"""Zero location in disks: exact-multiplicity roots for polynomials, a closed
+form for one-frequency exponential polynomials, and argument-principle
+subdivision for every other exponential polynomial.
 
 Polynomial path: Yun square-free decomposition over the Gaussian rationals
 gives exact multiplicities; numpy locates the (simple) roots of each factor
 and Newton polishes them against exact coefficients.
 
-Transcendental path: winding numbers over adaptively refined contours, a
-quadtree of boxes until each surviving box isolates one zero cluster, then
-multiplicity-aware Newton polish.  The disk winding number equals the sum of
-located multiplicities or the computation refuses the radius.
+Closed-form path: the zeros of f = e^{c0 z} P(e^{gamma z}) are (Log w +
+2 pi i m)/gamma over the roots w of P, with Yun's multiplicities, each root
+certified by a disk of radius deg g |g/g'| from exact values; any failed
+certificate hands f to the quadtree.
 
-Every value is read as f e^{-M}, with f' e^{-M} and the noise floor, from
-one bounded exponential per term (ExpPoly._scaled_exps), so no radius
-overflows; phases, f'/f and Newton steps do not see the factor.  Edges are
-walked as arrays: every segment tested at once and only the rejected ones
-halved, level by level, and a failed edge flagged without stopping the
-others.  A box's winding number is the sum of its four sides' certified
-phase increments, and each edge is walked once: a box cut at its midpoints
-takes the halves of its sides from the pieces its own walk accepted, so only
-the cut lines are new, and each quadtree level walks all of its cut lines,
-with its Newton certificate squares, in one pass.  A box of winding count 1
-tries a Newton exit, accepted only when the square of side tol centred at
-the limit lies in the box with winding count 1, so one simple zero lies
-within tol of it; otherwise, and always for two or more zeros, the box is
-subdivided.
+Quadtree path, for every other exponential polynomial: the disk winding
+number is the total count, and a quadtree of boxes, each counted by the
+certified phase increments along its sides (_walk, _subdivide), isolates the
+zeros, a box of count 1 ending in a certified Newton exit; the located
+multiplicities must add up to the count, or the radius is refused.  Every
+value is read as f e^{-M} from the one scaling ExpPoly._scaled_exps, so no
+radius overflows.
 
 Zeros within 1e-12 (relative) of the boundary circle: the radius is nudged
 outward by that amount and the divisor is flagged, so boundary zeros count
@@ -32,14 +26,17 @@ as inside deterministically.
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .expfunc import ExpPoly
-from .fields import RatFunc, ZPoly, zpoly_gcd
+from .expfunc import ExpPoly, exponent_polys
+from .fields import GaussRat, RatFunc, ZPoly, zpoly_gcd
 
 BOUNDARY_BAND = 1e-12
 
@@ -106,16 +103,20 @@ def _newton_polish(p: ZPoly, dp: ZPoly, x: complex) -> complex:
     return x
 
 
+def _factor_roots(p: ZPoly) -> list[tuple[ZPoly, int, list[complex]]]:
+    """[(g, i, roots of g)] over the Yun factors g of multiplicity i, numpy
+    locating the roots and Newton polishing them against g's exact coefficients."""
+    out = []
+    for g, mult in yun_squarefree(p):
+        raw = np.roots(np.array([complex(c) for c in reversed(g.coeffs)], dtype=complex))
+        dg = g.derivative()
+        out.append((g, mult, [_newton_polish(g, dg, complex(x)) for x in raw]))
+    return out
+
+
 def zpoly_roots(p: ZPoly) -> list[tuple[complex, int]]:
     """All complex roots with exact multiplicities."""
-    roots: list[tuple[complex, int]] = []
-    for g, mult in yun_squarefree(p):
-        coeffs = [complex(c) for c in reversed(g.coeffs)]
-        raw = np.roots(np.array(coeffs, dtype=complex))
-        dg = g.derivative()
-        for x in raw:
-            roots.append((_newton_polish(g, dg, complex(x)), mult))
-    return roots
+    return [(x, mult) for _, mult, xs in _factor_roots(p) for x in xs]
 
 
 def zpoly_zeros(p: ZPoly, r: float) -> Divisor:
@@ -527,18 +528,85 @@ def _polish_cluster(f, df, z: complex, mult: int, box_tol: float) -> complex:
     return best if abs(best - z) <= escape else z
 
 
-def exppoly_zeros(f: ExpPoly, r: float) -> Divisor:
-    """Divisor of an exponential polynomial in |z| <= r.
+def _inclusion_radii(g: ZPoly, xs: list[complex]) -> Optional[list[float]]:
+    """Radii rho_k, rounded up, with one root of the squarefree g in each disk
+    |w - x_k| <= rho_k, or None: rho = deg g |g(x)/g'(x)|, exact at x as a
+    GaussRat, reaches a root, as |g'/g| <= deg g / (distance to the nearest root),
+    disjoint disks hold one each, and rho < |x|/2 keeps each disk away from 0."""
+    dg, radii = g.derivative(), []
+    for x in xs:
+        w = GaussRat(Fraction(x.real), Fraction(x.imag)) if cmath.isfinite(x) else None
+        if w is None or not (den := dg(w)):
+            return None
+        q = g(w) / den
+        rho = g.degree * math.sqrt(float(Fraction(q.a * q.a + q.b * q.b, q.d * q.d)))
+        rho = max(rho * (1 + 1e-14), 1e-300) if q else 0.0
+        if not rho < abs(x) / 2 * (1 - 1e-14):
+            return None
+        radii.append(rho)
+    pairs = itertools.combinations(zip(xs, radii), 2)
+    return None if any(abs(a - b) * (1 - 1e-14) <= ra + rb for (a, ra), (b, rb) in pairs) else radii
 
-    Polynomial inputs take the exact path.  Otherwise: boundary winding gives
-    the total count, quadtree subdivision isolates clusters down to boxes of
-    side 1e-10 max(r, 1), and the sum of located multiplicities must
-    reproduce the boundary count.
+
+def _closed_form_zeros(f: ExpPoly, r: float) -> Optional[Divisor]:
+    """The divisor in |z| <= r of f = e^{c0 z} P(e^{gamma z}), P(0) != 0, when its
+    coefficients are constant and its frequency differences span a lattice of
+    rank <= 1 (`exponent_polys`); None otherwise or when a certificate fails.
+    A root of P within rho of x (`_inclusion_radii`) puts each zero within
+    delta = -log(1 - rho/|x|)/|gamma|, plus rounding, of (Log x + 2 pi i m)/gamma;
+    delta must not exceed the quadtree's 1e-10 max(r, 1).  A zero within
+    BOUNDARY_BAND r of the circle, delta included, counts inside and flags the
+    divisor, as the quadtree's nudge does; any other within delta is undecided.
     """
+    c0 = next(iter(f.terms))
+    # past degree 64, Yun's decomposition and np.roots would cost more than the quadtree
+    found = exponent_polys([ExpPoly({c - c0: p for c, p in f.terms.items()})], max_degree=64)
+    if found is None:
+        return None
+    basis, (poly,) = found
+    gamma = complex(basis[0]) if basis else 1.0     # no basis: P is constant
+    tol, band = 1e-10 * max(r, 1.0), BOUNDARY_BAND * r
+    reach = abs(gamma) * (r + band + tol)
+    pts, nudged = [], False
+    for g, mult, xs in _factor_roots(poly):
+        radii = _inclusion_radii(g, xs)
+        if radii is None:
+            return None
+        for x, rho in zip(xs, radii):
+            delta = -math.log1p(-rho / abs(x)) / abs(gamma) * (1 + 1e-14) + 16 * math.ulp(r + 1)
+            if not delta <= tol:
+                return None
+            # |log + 2 pi i m| <= reach, a quadratic inequality in m
+            log = cmath.log(x)
+            mid = -log.imag / (2 * math.pi)
+            span = math.sqrt(max(reach * reach - log.real * log.real, 0.0)) / (2 * math.pi)
+            for m in range(math.floor(mid - span) - 1, math.floor(mid + span) + 2):
+                z = (log + 2j * math.pi * m) / gamma
+                gap = abs(z) - r
+                if abs(gap) + delta <= band:
+                    nudged = True
+                elif abs(gap) <= delta:
+                    return None
+                elif gap > 0:
+                    continue
+                pts.append((z, mult))
+    return Divisor(points=tuple(pts), r=r, boundary_nudged=nudged)
+
+
+def exppoly_zeros(f: ExpPoly, r: float) -> Divisor:
+    """Divisor of an exponential polynomial in |z| <= r: exact for polynomials,
+    the closed form where its certificates hold, otherwise the quadtree."""
     if f.is_zero():
         raise ValueError("zero function has no divisor")
     if f.is_polynomial():
         return zpoly_zeros(f.polynomial_part(), r)
+    closed = _closed_form_zeros(f, r)
+    return closed if closed is not None else _quadtree_zeros(f, r)
+
+
+def _quadtree_zeros(f: ExpPoly, r: float) -> Divisor:
+    """Boundary winding gives the total count and quadtree subdivision isolates
+    clusters to boxes of side 1e-10 max(r, 1); their multiplicities must add up."""
     tol = 1e-10 * max(r, 1.0)
     rate = phase_rate_bound(f)
     df = f.derivative()

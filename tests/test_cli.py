@@ -126,11 +126,11 @@ def test_output_keeps_file_mode(paths, capsys):
     assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~umask
 
 
-def _run_cli(args, stdout=subprocess.PIPE, cwd=None):
+def _run_cli(args, stdout=subprocess.PIPE, cwd=None, flags=()):
     src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "nevlab.cli", *args], stdout=stdout,
+    return subprocess.run([sys.executable, *flags, "-m", "nevlab.cli", *args], stdout=stdout,
                           stderr=subprocess.PIPE, env=env, cwd=cwd, timeout=120)
 
 
@@ -311,20 +311,29 @@ def test_smt_cancels_a_triple_pole_of_a_moving_target(paths, capsys):
 
 
 def test_every_declared_option_is_read_by_its_handler():
-    # an option no handler reads is a knob that does nothing
+    # an option no handler reads is a knob that does nothing; the options are
+    # read off each subcommand's parser, so shared ones such as -o count too
+    import argparse
     import ast
     import inspect
 
     from nevlab import cli
 
-    for name, (handler, _, arguments) in cli.COMMANDS.items():
+    for name, (handler, _, _) in cli.COMMANDS.items():
         tree = ast.parse(inspect.getsource(handler))
         read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
                 and isinstance(node.value, ast.Name) and node.value.id == "args"}
-        for flags, options in arguments:
-            longs = [f for f in flags if f.startswith("--")]
-            dest = options.get("dest", (longs or flags)[0].lstrip("-").replace("-", "_"))
-            assert dest in read, f"{name} declares {flags[0]} but never reads args.{dest}"
+        parser = cli._declare(argparse.ArgumentParser(), name)
+        for action in parser._actions:
+            if action.dest != "help":
+                assert action.dest in read, \
+                    f"{name} declares {action.option_strings or action.dest} but never reads it"
+
+
+def test_selftest_writes_no_report_and_takes_no_output_option(capsys):
+    with pytest.raises(SystemExit):
+        main(["selftest", "--only", "resultant-oracle", "-o", "report.json"])
+    assert "unrecognized arguments: -o" in capsys.readouterr().err
 
 
 def test_exit_code_numerical_failure(paths, capsys, monkeypatch):
@@ -342,6 +351,7 @@ def test_exit_code_numerical_failure(paths, capsys, monkeypatch):
 
 
 def test_zero_count_mismatch_is_numerical_failure(paths, capsys, monkeypatch):
+    # the quadtree's count check; a moving target still reaches the quadtree
     from nevlab import zeros
     from nevlab.expfunc import ExpPoly
 
@@ -357,11 +367,50 @@ def test_zero_count_mismatch_is_numerical_failure(paths, capsys, monkeypatch):
 
     monkeypatch.setattr(zeros, "_polish_cluster", push_one_out)
     with pytest.raises(zeros.ContourThroughZero, match="located"):
-        zeros.exppoly_zeros(ExpPoly.exp(1) - 1, 7.0)
+        zeros._quadtree_zeros(ExpPoly.exp(1) - 1, 7.0)
     pushed.clear()
-    assert main(["smt", paths["curve"], paths["system"], "--rmin", "10",
+    moving = paths["tmp"] / "moving.json"
+    moving.write_text(json.dumps(_hyperplanes(1, moving=True)))
+    assert main(["smt", paths["curve"], str(moving), "--rmin", "10",
                  "--rmax", "20", "--steps", "2"]) == 3
     assert "numerical failure: located" in capsys.readouterr().err
+
+
+def test_fixed_targets_take_the_closed_form_and_moving_ones_the_quadtree(
+        paths, capsys, monkeypatch):
+    from nevlab import zeros
+
+    calls = []
+    quadtree = zeros._quadtree_zeros
+
+    def counted(f, r):
+        calls.append(f)
+        return quadtree(f, r)
+
+    monkeypatch.setattr(zeros, "_quadtree_zeros", counted)
+    assert main(["smt", paths["curve"], paths["system"], "--rmin", "10",
+                 "--rmax", "20", "--steps", "2"]) == 0
+    assert calls == []
+    moving = paths["tmp"] / "moving.json"
+    moving.write_text(json.dumps(_hyperplanes(1, moving=True)))
+    assert main(["smt", paths["curve"], str(moving), "--rmin", "10",
+                 "--rmax", "20", "--steps", "2"]) == 0
+    assert len(calls) >= 1
+    capsys.readouterr()
+
+
+def test_smt_where_a_component_vanishes_on_the_unit_circle(paths, capsys):
+    # (1 : (z-1)^3 e^z): the r = 1 sample of T(r) hits z = 1, where log|f_1| = -inf
+    curve = paths["tmp"] / "pole.json"
+    curve.write_text(json.dumps(_curve([("1", "0")], [("(z-1)^3", "1")])))
+    system = paths["tmp"] / "pole_system.json"
+    doc = _hyperplanes(1)
+    doc["polynomials"][-1]["terms"][-1]["coef"] = "1/(z-1)^3"
+    system.write_text(json.dumps(doc))
+    run = _run_cli(["smt", str(curve), str(system), "--rmin", "10", "--rmax", "20",
+                    "--steps", "3"], flags=("-W", "error"))
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["holds_everywhere"] is True
 
 
 def test_characteristic_past_the_overflow_radius(paths, capsys):

@@ -107,14 +107,19 @@ def test_array_box_winding_matches_dense_scalar_walk(box):
     assert _fresh_box_winding(f, box) == _dense_box_winding(f, *box)
 
 
+# the public entry, which takes the closed form where it can, and the quadtree
+ENTRIES = (exppoly_zeros, zeros._quadtree_zeros)
+
+
 def test_exppoly_zeros_of_shifted_exponential():
     # e^z = 1 at 2 pi i k
     f = ExpPoly.exp(1) - 1
-    div = exppoly_zeros(f, 7.0)
-    assert div.total() == 3
-    found = sorted(p.imag for p, _ in div.points)
-    expect = [-2 * math.pi, 0.0, 2 * math.pi]
-    assert all(a == pytest.approx(b, abs=1e-6) for a, b in zip(found, expect))
+    for entry in ENTRIES:
+        div = entry(f, 7.0)
+        assert div.total() == 3
+        found = sorted(p.imag for p, _ in div.points)
+        expect = [-2 * math.pi, 0.0, 2 * math.pi]
+        assert all(a == pytest.approx(b, abs=1e-6) for a, b in zip(found, expect))
 
 
 def test_exppoly_zeros_transcendental_mix():
@@ -149,16 +154,16 @@ REFERENCE_CASES = [(ExpPoly.exp(1) + 1, 50.0),
 
 @pytest.mark.parametrize("f, r", REFERENCE_CASES)
 def test_newton_exit_matches_full_quadtree(f, r, monkeypatch):
-    fast = exppoly_zeros(f, r)
+    fast = zeros._quadtree_zeros(f, r)
     monkeypatch.setattr(zeros, "_newton_exit", lambda *args: None)
-    _same_divisor(fast, exppoly_zeros(f, r))
+    _same_divisor(fast, zeros._quadtree_zeros(f, r))
 
 
 def test_refused_newton_certificate_falls_back_to_subdivision(monkeypatch):
     f, r = ExpPoly.exp(1) + 1, 20.0
     tol = 1e-10 * r
     monkeypatch.setattr(zeros, "_newton_exit", lambda *args: None)
-    reference = exppoly_zeros(f, r)
+    reference = zeros._quadtree_zeros(f, r)
     monkeypatch.undo()
     walk = zeros._walk
     refused = []
@@ -176,7 +181,7 @@ def test_refused_newton_certificate_falls_back_to_subdivision(monkeypatch):
         return inc, first, failed
 
     monkeypatch.setattr(zeros, "_walk", no_certificate)
-    _same_divisor(exppoly_zeros(f, r), reference)
+    _same_divisor(zeros._quadtree_zeros(f, r), reference)
     assert len(refused) >= reference.total()
 
 
@@ -209,7 +214,7 @@ def test_shared_edge_windings_match_fresh_box_walks(f, r, monkeypatch):
         return boxes[-1]
 
     monkeypatch.setattr(zeros, "_Box", record)
-    exppoly_zeros(f, r)
+    zeros._quadtree_zeros(f, r)
     assert len(boxes) > 20 and any(b.count >= 2 for b in boxes)
     rate = zeros.phase_rate_bound(f)
     fresh = zeros._windings(f, [zeros._box(*b[:4]) for b in boxes], rate, zeros._chord_mid)
@@ -237,39 +242,42 @@ def test_quadtree_walks_each_edge_once_and_each_level_in_one_pass(monkeypatch):
 
     monkeypatch.setattr(zeros, "_scaled", counted_scaled)
     monkeypatch.setattr(zeros, "_walk", counted_walk)
-    assert exppoly_zeros(ExpPoly.exp(1) + 1, 50.0).total() == 16
+    assert zeros._quadtree_zeros(ExpPoly.exp(1) + 1, 50.0).total() == 16
     assert len(walks) <= 52 // 3 and sum(points) <= 60618 // 2
 
 
 @pytest.mark.parametrize("r", [7.0, 50.0, 300.0, 720.0, 2000.0])
 def test_exp_minus_one_closed_form_count(r):
-    div = exppoly_zeros(ExpPoly.exp(1) - 1, r)
-    assert div.total() == 2 * math.floor(r / (2 * math.pi)) + 1
-    for point, m in div.points:
-        k = round(point.imag / (2 * math.pi))
-        assert m == 1 and abs(point - 2j * math.pi * k) < 1e-9 * r
+    for entry in ENTRIES:
+        div = entry(ExpPoly.exp(1) - 1, r)
+        assert div.total() == 2 * math.floor(r / (2 * math.pi)) + 1
+        for point, m in div.points:
+            k = round(point.imag / (2 * math.pi))
+            assert m == 1 and abs(point - 2j * math.pi * k) < 1e-9 * r
 
 
 def test_double_zeros_keep_multiplicity():
-    div = exppoly_zeros((ExpPoly.exp(1) - 1) ** 2, 20.0)
-    assert len(div) == 7
-    ks = sorted(round(point.imag / (2 * math.pi)) for point, _ in div.points)
-    assert ks == list(range(-3, 4))
-    for point, m in div.points:
-        k = round(point.imag / (2 * math.pi))
-        assert m == 2 and abs(point - 2j * math.pi * k) < 1e-6
+    for entry in ENTRIES:
+        div = entry((ExpPoly.exp(1) - 1) ** 2, 20.0)
+        assert len(div) == 7
+        ks = sorted(round(point.imag / (2 * math.pi)) for point, _ in div.points)
+        assert ks == list(range(-3, 4))
+        for point, m in div.points:
+            k = round(point.imag / (2 * math.pi))
+            assert m == 2 and abs(point - 2j * math.pi * k) < 1e-6
 
 
 def test_zeros_past_the_exp_overflow_radius_without_warnings():
     # e^z + 1 vanishes at (2k+1) pi i; e^720 overflows a double
     r = 720.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        div = exppoly_zeros(ExpPoly.exp(1) + 1, r)
-    assert div.total() == 2 * math.floor((r / math.pi + 1) / 2)
-    for point, m in div.points:
-        k = round((point.imag / math.pi - 1) / 2)
-        assert m == 1 and abs(point - (2 * k + 1) * math.pi * 1j) < 1e-9 * r
+    for entry in ENTRIES:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            div = entry(ExpPoly.exp(1) + 1, r)
+        assert div.total() == 2 * math.floor((r / math.pi + 1) / 2)
+        for point, m in div.points:
+            k = round((point.imag / math.pi - 1) / 2)
+            assert m == 1 and abs(point - (2 * k + 1) * math.pi * 1j) < 1e-9 * r
 
 
 def test_simple_zero_where_the_exponential_term_overflows():
@@ -298,3 +306,113 @@ def test_scaled_pass_matches_f_and_its_derivative():
         assert abs(fx * scale - f(x)) <= floor * scale
         assert dfx * scale == pytest.approx(df(x), rel=1e-9)
         assert fx / dfx == pytest.approx(f(x) / df(x), rel=1e-9)
+
+
+def _one_frequency(rng):
+    """A random e^{c0 z} P(e^{gamma z}) with Q(i) constants: two to four terms,
+    or the square of a two-term one, so that P has double roots."""
+    # |gamma| and |c0| near 1/4 keep the quadtree, the slow side, to a few seconds
+    gamma = rng.choice([GaussRat(Fraction(1, 4)), GaussRat(0, Fraction(1, 4)),
+                        GaussRat(Fraction(1, 5), Fraction(-1, 5)), GaussRat(Fraction(1, 3)),
+                        GaussRat(Fraction(1, 8), Fraction(1, 4)), GaussRat(0, Fraction(-1, 3))])
+    c0 = rng.choice([GaussRat(0), GaussRat(0, Fraction(1, 4)), GaussRat(Fraction(-1, 4)),
+                     GaussRat(Fraction(1, 8), Fraction(-1, 8))])
+
+    def coef():
+        return GaussRat(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)),
+                        Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+
+    if rng.random() < 0.25:
+        powers = [0, rng.randint(1, 2)]
+        square = 2
+    else:
+        powers = [0] + rng.sample([1, 2, 3], rng.randint(1, 3))
+        square = 1
+    p = sum((ExpPoly.exp(gamma * k) * coef() for k in powers), ExpPoly.zero())
+    return ExpPoly.exp(c0) * p ** square
+
+
+def test_closed_form_matches_the_quadtree_on_seeded_one_frequency_inputs():
+    rng = random.Random(19)
+    cases = [(ExpPoly.exp(1) + ExpPoly.exp(GaussRat(0, 1)), 20.0),
+             ((ExpPoly.exp(1) + 1) ** 2, 30.0)]
+    cases += [(_one_frequency(rng), 3.0 * 20.0 ** rng.random()) for _ in range(200)]
+    for f, r in cases:
+        closed = zeros._closed_form_zeros(f, r)
+        assert closed is not None, (f, r)
+        tree = zeros._quadtree_zeros(f, r)
+        assert closed.boundary_nudged == tree.boundary_nudged
+        assert sorted(m for _, m in closed.points) == sorted(m for _, m in tree.points)
+        for point, m in closed.points:
+            # the quadtree stops a cluster of m >= 2 at boxes of side 3e-8 (1 + |z|),
+            # where double precision cannot tell a multiple zero from a tight pair
+            tol = 2e-10 * max(r, 1.0) if m == 1 else 3e-8 * (1 + abs(point))
+            near = min(tree.points, key=lambda q: abs(q[0] - point))
+            assert near[1] == m and abs(near[0] - point) <= tol, (f, r, point, near)
+
+
+@pytest.mark.parametrize("r", [1000.5, 10000.5])
+def test_closed_form_count_matches_the_disk_winding_far_out(r):
+    f = ExpPoly.exp(1) + 1
+    div = exppoly_zeros(f, r)
+    assert div.total() == disk_winding(f, r) == 2 * math.floor((r / math.pi + 1) / 2)
+
+
+def test_zeros_on_the_circle_count_inside_on_both_entries():
+    # 1 + e^z vanishes at +-i pi, on the circle |z| = pi
+    divs = [entry(ExpPoly.exp(1) + 1, math.pi) for entry in ENTRIES]
+    assert all(div.boundary_nudged for div in divs)
+    _same_divisor(*divs)
+    assert divs[0].total() == 2
+
+
+def test_an_inclusion_radius_too_large_falls_back_to_the_quadtree(monkeypatch):
+    f, r = (ExpPoly.exp(1) + 1) ** 2 - 4, 25.0
+    closed = exppoly_zeros(f, r)
+    calls = []
+    quadtree = zeros._quadtree_zeros
+    monkeypatch.setattr(zeros, "_inclusion_radii", lambda g, xs: [1e-3 * abs(x) for x in xs])
+    monkeypatch.setattr(zeros, "_quadtree_zeros", lambda f, r: calls.append(f) or quadtree(f, r))
+    assert zeros._closed_form_zeros(f, r) is None
+    _same_divisor(exppoly_zeros(f, r), closed, tol=2e-10 * r)
+    assert calls == [f]
+
+
+@pytest.mark.parametrize("f", [ExpPoly.var() * ExpPoly.exp(1) + 1,
+                               ExpPoly.exp(1) + ExpPoly.exp(GaussRat(0, 1)) + 1,
+                               ExpPoly.exp(2) - ExpPoly.var() ** 2,
+                               (ExpPoly.var() - 3) * ExpPoly.exp(GaussRat(0, 1)),
+                               # P(w) = 1 + w^1000 + w^1001, w = e^{z/1000}
+                               ExpPoly.exp(1) + ExpPoly.exp(1 + GaussRat(Fraction(1, 1000))) + 1])
+def test_polynomial_coefficients_rank_two_and_high_degree_take_the_quadtree(f):
+    assert zeros._closed_form_zeros(f, 10.0) is None
+
+
+def test_closed_form_points_are_certified_roots():
+    # each inclusion disk holds one root, so e^{gamma z} at every point is
+    # within the disk of a root of P
+    f = 2 * ExpPoly.exp(GaussRat(0, Fraction(3, 2))) - ExpPoly.exp(GaussRat(0, Fraction(1, 2))) + 5
+    div = zeros._closed_form_zeros(f, 40.0)
+    assert div is not None and div.total() == disk_winding(f, 40.0)
+    for point, m in div.points:
+        assert m == 1 and abs(f(point)) <= 1e-8 * max(1.0, abs(point))
+
+
+def test_inclusion_disks_reach_a_root_and_must_be_disjoint():
+    g = ZPoly((3, -4, 1))                       # (w - 1)(w - 3)
+    assert zeros._inclusion_radii(g, [1.0, 3.0]) == [0.0, 0.0]
+    (rho, _) = zeros._inclusion_radii(g, [1 + 1e-9, 3.0])
+    assert 1e-9 <= rho <= 3e-9
+    # two values polished onto one root leave the other root uncovered
+    assert zeros._inclusion_radii(g, [1.0, 1.0 + 1e-12]) is None
+    assert zeros._inclusion_radii(g, [0.1, 3.0]) is None       # the disk reaches 0
+
+
+def test_a_zero_too_near_the_circle_to_place_is_left_to_the_quadtree(monkeypatch):
+    # i pi lies 5e-12 r (1.6e-11) outside |z| = r, beyond the boundary band but
+    # within the 3e-11 error forced on every point
+    f, r = ExpPoly.exp(1) + 1, math.pi * (1 - 5e-12)
+    monkeypatch.setattr(zeros, "_inclusion_radii", lambda g, xs: [3e-11 * abs(x) for x in xs])
+    assert zeros._closed_form_zeros(f, r) is None
+    monkeypatch.undo()
+    assert zeros._closed_form_zeros(f, 2 * r) is not None
