@@ -289,13 +289,12 @@ def lattice_rows(components) -> tuple[tuple, list[list[tuple[tuple, tuple, ZPoly
                     for c, p in comp.terms.items()] for comp, low in zip(components, lows)]
 
 
-def exponent_polys(components, max_degree: float = math.inf) -> Optional[tuple[tuple, list[ZPoly]]]:
+def exponent_polys(components) -> Optional[tuple[tuple, list[ZPoly]]]:
     """(basis, [P_j]) with f_j = e^{c_j z} P_j(e^{gamma z}) and P_j(0) != 0, when
-    every coefficient is constant, the frequencies span a lattice of rank <= 1,
-    with basis (gamma,) or (), and no P_j passes max_degree; None otherwise."""
+    every coefficient is constant and the frequencies span a lattice of rank
+    <= 1, with basis (gamma,) or (); None otherwise."""
     basis, rows = lattice_rows(components)
-    if len(basis) > 1 or any(p.degree > 0 or sum(e) > max_degree
-                             for row in rows for _, e, p in row):
+    if len(basis) > 1 or any(p.degree > 0 for row in rows for _, _, p in row):
         return None
     polys = [{sum(e): p.coeffs[0] for _, e, p in row} for row in rows]
     return basis, [ZPoly([cs.get(k, 0) for k in range(1 + max(cs, default=0))]) for cs in polys]

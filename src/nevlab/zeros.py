@@ -6,10 +6,9 @@ Polynomial path: Yun square-free decomposition over the Gaussian rationals
 gives exact multiplicities; numpy locates the (simple) roots of each factor
 and Newton polishes them against exact coefficients.
 
-Closed-form path: the zeros of f = e^{c0 z} P(e^{gamma z}) are (Log w +
-2 pi i m)/gamma over the roots w of P, with Yun's multiplicities, each root
-certified by a disk of radius deg g |g/g'| from exact values; any failed
-certificate hands f to the quadtree.
+Closed-form path: the zeros of f = e^{c0 z} P(e^{gamma z}) are (Log w + 2 pi i m)/gamma
+over the roots w of P, with Yun's multiplicities, each root certified by a disk of radius
+deg g |g/g'| from exact values; a failed certificate or deg P > 16 leaves f to the quadtree.
 
 Quadtree path, for every other exponential polynomial: the disk winding
 number is the total count, and a quadtree of boxes, each counted by the
@@ -530,18 +529,20 @@ def _polish_cluster(f, df, z: complex, mult: int, box_tol: float) -> complex:
 
 def _inclusion_radii(g: ZPoly, xs: list[complex]) -> Optional[list[float]]:
     """Radii rho_k, rounded up, with one root of the squarefree g in each disk
-    |w - x_k| <= rho_k, or None: rho = deg g |g(x)/g'(x)|, exact at x as a
-    GaussRat, reaches a root, as |g'/g| <= deg g / (distance to the nearest root),
-    disjoint disks hold one each, and rho < |x|/2 keeps each disk away from 0."""
+    |w - x_k| <= rho_k, or None: rho = deg g |g(x)/g'(x)|, exact at x as a GaussRat,
+    reaches a root, as |g'/g| <= deg g / (distance to the nearest root), disjoint
+    disks hold one each, and rho < |x|/2, checked exactly first, keeps 0 out and rho finite."""
     dg, radii = g.derivative(), []
     for x in xs:
         w = GaussRat(Fraction(x.real), Fraction(x.imag)) if cmath.isfinite(x) else None
         if w is None or not (den := dg(w)):
             return None
         q = g(w) / den
-        rho = g.degree * math.sqrt(float(Fraction(q.a * q.a + q.b * q.b, q.d * q.d)))
+        if (2 * g.degree * w.d) ** 2 * (q.a ** 2 + q.b ** 2) >= (w.a ** 2 + w.b ** 2) * q.d ** 2:
+            return None
+        rho = g.degree * math.hypot(Fraction(q.a, q.d), Fraction(q.b, q.d))
         rho = max(rho * (1 + 1e-14), 1e-300) if q else 0.0
-        if not rho < abs(x) / 2 * (1 - 1e-14):
+        if not rho < abs(x) / 2:        # rounding up or the 1e-300 floor passed it
             return None
         radii.append(rho)
     pairs = itertools.combinations(zip(xs, radii), 2)
@@ -549,26 +550,28 @@ def _inclusion_radii(g: ZPoly, xs: list[complex]) -> Optional[list[float]]:
 
 
 def _closed_form_zeros(f: ExpPoly, r: float) -> Optional[Divisor]:
-    """The divisor in |z| <= r of f = e^{c0 z} P(e^{gamma z}), P(0) != 0, when its
-    coefficients are constant and its frequency differences span a lattice of
-    rank <= 1 (`exponent_polys`); None otherwise or when a certificate fails.
-    A root of P within rho of x (`_inclusion_radii`) puts each zero within
-    delta = -log(1 - rho/|x|)/|gamma|, plus rounding, of (Log x + 2 pi i m)/gamma;
-    delta must not exceed the quadtree's 1e-10 max(r, 1).  A zero within
-    BOUNDARY_BAND r of the circle, delta included, counts inside and flags the
-    divisor, as the quadtree's nudge does; any other within delta is undecided.
-    """
+    """The divisor in |z| <= r of f = e^{c0 z} P(e^{gamma z}), P(0) != 0, constant
+    coefficients, frequency differences of lattice rank <= 1 (`exponent_polys`), or
+    None.  A root of P within rho of x (`_inclusion_radii`) puts each zero within
+    delta = -log(1 - rho/|x|)/|gamma|, plus rounding, of (Log x + 2 pi i m)/gamma,
+    and delta must not pass the quadtree's 1e-10 max(r, 1).  A zero surely within
+    BOUNDARY_BAND r of the circle counts inside and flags the divisor, as the
+    quadtree's nudge does; one within delta of the band's outer edge is undecided."""
     c0 = next(iter(f.terms))
-    # past degree 64, Yun's decomposition and np.roots would cost more than the quadtree
-    found = exponent_polys([ExpPoly({c - c0: p for c, p in f.terms.items()})], max_degree=64)
-    if found is None:
+    found = exponent_polys([ExpPoly({c - c0: p for c, p in f.terms.items()})])
+    # exact certificates cost about 1.3 us deg^3: past 16, more than a sparse P's quadtree
+    if found is None or found[1][0].degree > 16:
         return None
     basis, (poly,) = found
     gamma = complex(basis[0]) if basis else 1.0     # no basis: P is constant
     tol, band = 1e-10 * max(r, 1.0), BOUNDARY_BAND * r
     reach = abs(gamma) * (r + band + tol)
     pts, nudged = [], False
-    for g, mult, xs in _factor_roots(poly):
+    try:
+        factors = _factor_roots(poly)
+    except OverflowError:       # a coefficient of a Yun factor past the float range
+        return None
+    for g, mult, xs in factors:
         radii = _inclusion_radii(g, xs)
         if radii is None:
             return None
@@ -583,13 +586,11 @@ def _closed_form_zeros(f: ExpPoly, r: float) -> Optional[Divisor]:
             for m in range(math.floor(mid - span) - 1, math.floor(mid + span) + 2):
                 z = (log + 2j * math.pi * m) / gamma
                 gap = abs(z) - r
-                if abs(gap) + delta <= band:
-                    nudged = True
-                elif abs(gap) <= delta:
+                if abs(abs(gap) - band) <= delta:
                     return None
-                elif gap > 0:
-                    continue
-                pts.append((z, mult))
+                nudged |= abs(gap) < band
+                if gap < band:
+                    pts.append((z, mult))
     return Divisor(points=tuple(pts), r=r, boundary_nudged=nudged)
 
 

@@ -382,10 +382,51 @@ def test_an_inclusion_radius_too_large_falls_back_to_the_quadtree(monkeypatch):
                                ExpPoly.exp(1) + ExpPoly.exp(GaussRat(0, 1)) + 1,
                                ExpPoly.exp(2) - ExpPoly.var() ** 2,
                                (ExpPoly.var() - 3) * ExpPoly.exp(GaussRat(0, 1)),
-                               # P(w) = 1 + w^1000 + w^1001, w = e^{z/1000}
-                               ExpPoly.exp(1) + ExpPoly.exp(1 + GaussRat(Fraction(1, 1000))) + 1])
+                               # P(w) = 1 + w^16 + w^17, w = e^{z/16}: past the degree cap
+                               ExpPoly.exp(1) + ExpPoly.exp(1 + GaussRat(Fraction(1, 16))) + 1])
 def test_polynomial_coefficients_rank_two_and_high_degree_take_the_quadtree(f):
     assert zeros._closed_form_zeros(f, 10.0) is None
+
+
+def test_degree_sixteen_still_takes_the_closed_form():
+    # P(w) = 1 + w^15 + w^16, w = e^{z/16}
+    f = ExpPoly.exp(1) + ExpPoly.exp(1 - GaussRat(Fraction(1, 16))) + 1
+    closed = zeros._closed_form_zeros(f, 50.0)
+    assert closed is not None
+    _same_divisor(closed, zeros._quadtree_zeros(f, 50.0), tol=1e-8)
+
+
+TINY = GaussRat(Fraction(1, 10 ** 200))
+
+
+@pytest.mark.parametrize("f", [ExpPoly.exp(1) + TINY, 1 + ExpPoly.exp(1) * TINY])
+@pytest.mark.parametrize("r", [10.0, 470.0])
+def test_a_root_of_p_near_1e200_takes_the_closed_form_without_overflow(f, r):
+    # shifted by its first frequency, f is e^{c0 z} P(e^{gamma z}) with the root
+    # of P at -10^200 or at -10^-200; near 10^200 the float root is about 1e184
+    # off, and |g/g'|^2 passes the float range
+    closed, tree = zeros._closed_form_zeros(f, r), zeros._quadtree_zeros(f, r)
+    assert closed is not None and closed.total() == tree.total() == (30 if r > 400 else 0)
+    _same_divisor(closed, tree, tol=2e-10 * r)
+    _same_divisor(exppoly_zeros(f, r), tree, tol=2e-10 * r)
+
+
+@pytest.mark.parametrize("k, first", [(300, True), (-300, True), (-300, False),
+                                      (-320, True), (-320, False)])
+def test_coefficients_at_the_edge_of_the_float_range_fall_back_to_the_quadtree(k, first):
+    # roots of P near 10^-300 meet the radius floor 1e-300, and near 10^320 a
+    # coefficient of P past the float range: both are left to the quadtree
+    c = GaussRat(Fraction(10) ** k)
+    f = ExpPoly.exp(1) + c if first else 1 + ExpPoly.exp(1) * c
+    assert exppoly_zeros(f, 30.0) == zeros._quadtree_zeros(f, 30.0)
+
+
+def test_a_zero_at_the_outer_edge_of_the_boundary_band_is_left_to_the_quadtree():
+    # i pi lies BOUNDARY_BAND r outside |z| = r: it may or may not count inside
+    f, r = ExpPoly.exp(1) + 1, math.pi / (1 + zeros.BOUNDARY_BAND)
+    assert zeros._closed_form_zeros(f, r) is None
+    tree = zeros._quadtree_zeros(f, r)
+    assert exppoly_zeros(f, r) == tree
 
 
 def test_closed_form_points_are_certified_roots():
