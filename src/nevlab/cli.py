@@ -10,12 +10,13 @@ devices and FIFOs, which must not be replaced; a path that names standard
 output itself (/dev/stdout, even when that is redirected to a regular file)
 is written through standard output.
 
-Exit codes: 0 the computation ran (verdicts like "not admissible" are data,
-not failures), 1 a mathematical obstruction (degenerate curve, inadmissible
-family where admissibility is required, violated margin), 2 malformed input,
-3 a numerical failure (a zero-finder contour that cannot avoid a zero,
-floating-point overflow) or an undecided exact computation (an admissibility
-search capped by --max-points, a Macaulay minor vanishing in every frame).
+Exit codes: 0 the computation ran (verdicts like "not admissible" are data, not
+failures), 1 a mathematical obstruction (degenerate curve, inadmissible family
+where admissibility is required, violated margin), 2 malformed input (an --rmax
+too low for T(r) to grow included), 3 a numerical failure (a zero-finder
+contour that cannot avoid a zero, floating-point overflow) or an undecided
+exact computation (an admissibility search capped by --max-points, a Macaulay
+minor vanishing in every frame).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .expfunc import ExpPoly
 from .fields import GaussRat, RatFunc, ZPoly
 from .filtration import build_filtration
 from .hpoly import HPoly
-from .nevanlinna import (AdmissibilityError, DegeneracyError, characteristic,
+from .nevanlinna import (AdmissibilityError, DegeneracyError, FlatGrowthError, characteristic,
                          defect_estimate, jensen_check, smt_verify, wronskian)
 from .parsing import (CURVE_SCHEMA, InputError, ParseError, POLY_SCHEMA,
                       SCALAR_GRAMMAR, SYSTEM_SCHEMA, curve_from_json,
@@ -479,6 +480,9 @@ def main(argv=None) -> int:
         return 2
     except InputError as e:
         print(f"nevlab: input error: {e}", file=sys.stderr)
+        return 2
+    except FlatGrowthError as e:        # smt and defects read T on the grid's top half
+        print(f"nevlab: input error: {e}; raise --rmax", file=sys.stderr)
         return 2
     except (DegeneracyError, AdmissibilityError, NotAdmissibleError) as e:
         print(f"nevlab: {e}", file=sys.stderr)

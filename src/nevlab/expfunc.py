@@ -4,14 +4,15 @@ p ranges over polynomials with Gaussian-rational coefficients and c over
 Gaussian rationals.  The class is closed under ring operations and d/dz, the
 zero test is exact (terms are keyed by frequency, so the canonical form of 0
 is the empty sum), and evaluation at a complex point is the only approximate
-operation.  Every float view of the exact data (values, phase noise floors,
-rate bounds) reads one cached image built here, and every evaluation that
-must not overflow takes its exponentials from one scaling, _scaled_exps.
+operation.  Every float value (f(z), log|f|, the zero finder's f, f' and
+noise floor) comes from one evaluator, ExpPoly.scaled: one Horner routine over
+one cached image, with its exponentials from one scaling, _scaled_exps.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 from typing import Iterable, Optional, Sequence, Union
@@ -23,27 +24,27 @@ from .linalg import det_cofactor
 
 ScalarLike = Union[int, "GaussRat"]
 
-# below this exponent exp cannot overflow a double (log of its max is 709.78)
-_EXP_SAFE = 700.0
+
+def _horner(coeffs, z):
+    """sum a_j z^j from (a_k, ..., a_0) at a point or over an array; a_0 alone stays a scalar."""
+    acc = coeffs[0]
+    for a in coeffs[1:]:
+        acc = acc * z + a
+    return acc
 
 
-def _log_term_bound(c: complex, coeffs, radius: float) -> float:
-    """log of a bound on |p(z) e^{cz}| over |z| <= radius."""
-    acc = 0.0
-    for a in coeffs:
-        acc = acc * radius + abs(a)
-    return abs(c) * radius + math.log(acc)
-
-
-def _log_modulus(values: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):      # log 0 is -inf, with no warning
+def _log_modulus(values):
+    """log|values|, by math.log for a scalar; -inf without a warning where they vanish."""
+    if not isinstance(values, np.ndarray):
+        return math.log(abs(values))
+    with np.errstate(divide="ignore"):
         return np.log(np.abs(values))
 
 
 class ExpPoly:
     """sum over c of p_c(z) * exp(c*z), stored as {c: p_c} with p_c != 0."""
 
-    __slots__ = ("terms", "_image", "_derivative")
+    __slots__ = ("terms", "_image", "_derivative", "_table")
 
     def __init__(self, terms=None):
         clean = {}
@@ -60,6 +61,7 @@ class ExpPoly:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_image", None)
         object.__setattr__(self, "_derivative", None)
+        object.__setattr__(self, "_table", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExpPoly is immutable")
@@ -179,21 +181,9 @@ class ExpPoly:
         return self._image
 
     def __call__(self, z):
-        """Value at a complex point, or elementwise over a numpy array."""
-        if isinstance(z, np.ndarray):
-            exp = np.exp
-        else:
-            z, exp = complex(z), cmath.exp
-        # Horner from 0 through the top coefficient, as np.polyval does.  A
-        # frequency-0 term skips the factor exp(0) = 1 + 0j, which could only
-        # flip the sign of a zero part, and a sum started at +0 erases that.
-        total = 0j
-        for c, coeffs in self.float_image:
-            acc = 0j
-            for a in coeffs:
-                acc = acc * z + a
-            total += acc * exp(c * z) if c else acc
-        return total
+        """f e^{-M} e^M at a point, or over a numpy array (a constant f: one scalar)."""
+        shift, fz = self.scaled(z)
+        return fz * (np.exp(shift) if isinstance(shift, np.ndarray) else math.exp(shift))
 
     def log_abs(self, zs: np.ndarray) -> np.ndarray:
         """log|f| elementwise over a numpy array of points, -inf where f vanishes
@@ -204,34 +194,55 @@ class ExpPoly:
         if len(image) == 1:
             # log|p e^{cz}| = log|p| + Re(cz), exactly
             (c, coeffs), = image
-            if len(coeffs) == 1:
-                out = np.full(zs.shape, math.log(abs(coeffs[0])))
-            else:
-                out = _log_modulus(np.polyval(coeffs, zs))
+            out = np.full(zs.shape, _log_modulus(_horner(coeffs, zs)))
             if c:
                 out += c.real * zs.real - c.imag * zs.imag
             return out
-        radius = float(np.max(np.abs(zs)))
-        if max(_log_term_bound(c, coeffs, radius) for c, coeffs in image) <= _EXP_SAFE:
-            return _log_modulus(self(zs))
-        shift, exps = self._scaled_exps(zs)
-        total = sum(np.polyval(coeffs, zs) * e for (_, coeffs), e in zip(image, exps))
-        return shift + _log_modulus(total)
+        shift, fz = self.scaled(zs)
+        return shift + _log_modulus(fz)
+
+    def scaled(self, z, derivative: bool = False):
+        """(M, f e^{-M}) at a complex point or elementwise over a numpy array: each
+        p_k by _horner times its e^{c_k z - M} from _scaled_exps.  With derivative,
+        (M, f e^{-M}, f' e^{-M}, floor e^{-M}), f' from the exact derivative's image
+        and floor = 1024 eps sum_k A_k(|z|) |e^{c_k z}|, A_k(t) = sum |a| t^j over
+        the terms a z^j of p_k, bounds the rounding error of f: a winding accepted
+        with |f| above it along a contour counts zeros of f (Rouche), not noise."""
+        shift, exps = self._scaled_exps(z)
+        fz, dfz, floor = 0j, 0j, 0.0
+        for (_, coeffs), e in zip(self.float_image, exps):
+            fz += _horner(coeffs, z) * e
+        if not derivative:
+            return shift, fz
+        if self._table is None:     # per term: p_k' + c_k p_k (0 where it vanishes), |p_k|
+            dimage = dict(zip(self.derivative().terms, self.derivative().float_image))
+            object.__setattr__(self, "_table", tuple(
+                (dimage[c][1] if c in dimage else (0j,), tuple(map(abs, coeffs)))
+                for c, (_, coeffs) in zip(self.terms, self.float_image)))
+        az = abs(z)
+        for (dcoeffs, mags), e in zip(self._table, exps):
+            dfz += _horner(dcoeffs, z) * e
+            floor += _horner(mags, az) * abs(e)
+        return shift, fz, dfz, 1024 * math.ulp(1.0) * floor
 
     def _scaled_exps(self, z):
         """(M, [e^{c_k z - M} per term of float_image]) at a complex point or
-        elementwise over a numpy array, M = max_k Re(c_k z) rounded toward 0
-        to a multiple of 256: the factors are below e^256, so f(z) e^{-M} =
-        sum_k p_k(z) e^{c_k z - M} cannot overflow, and M = 0 (no value
-        changes) where the maximum lies in (-256, 256)."""
-        if isinstance(z, np.ndarray):
-            exp, top, fmod = np.exp, np.maximum.reduce, np.fmod
-        else:
-            z, exp, top, fmod = complex(z), cmath.exp, max, math.fmod
-        czs = [c * z for c, _ in self.float_image]
-        growth = top([w.real for w in czs])
-        shift = growth - fmod(growth, 256.0)
-        return shift, [exp(w - shift) for w in czs]
+        elementwise over a numpy array, M = max_k Re(c_k z) rounded toward 0 to a
+        multiple of 256, so f(z) e^{-M} = sum_k p_k(z) e^{c_k z - M} cannot overflow.
+        M = 0 changes no value, so where the maximum lies in (-256, 256) at every
+        point it is taken without fmod or subtraction; e^{0z - M} is the real e^{-M}."""
+        array = isinstance(z, np.ndarray)
+        exp, top, fmod = (np.exp, np.maximum, np.fmod) if array else (cmath.exp, max, math.fmod)
+        czs = [c * z if c else None for c, _ in self.float_image]
+        reals = [w.real for w in czs if w is not None]
+        if len(reals) < len(czs) or not reals:      # Re(0 z) = 0 joins the max
+            reals.append(0.0)
+        m = functools.reduce(top, reals)
+        peak = np.abs(m).max(initial=0.0) if isinstance(m, np.ndarray) else abs(m)
+        if peak < 256.0:
+            return 0.0, [1.0 if w is None else exp(w) for w in czs]
+        m = m - fmod(m, 256.0)
+        return m, [exp(-m) if w is None else exp(w - m) for w in czs]
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -260,9 +271,7 @@ class ExpPoly:
             else:
                 head = f"({ps})*" if (p.degree > 0 or "/" in ps or "-" in ps) else f"{ps}*"
             cs = scalar_str(c)
-            arg = f"{cs}z" if cs not in ("1",) else "z"
-            if any(ch in cs for ch in "+-/") and cs.lstrip("-") != cs or "+" in cs or "/" in cs:
-                arg = f"({cs})z"
+            arg = f"({cs})z" if any(ch in cs for ch in "+-/") else "z" if cs == "1" else f"{cs}z"
             parts.append(f"{head}exp({arg})")
         return " + ".join(parts)
 

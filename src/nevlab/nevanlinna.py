@@ -12,10 +12,9 @@ of the components over the lattice of their frequencies.
 
 Floats enter only through quadrature and through zero locations; divisor
 multiplicities, truncation levels, admissibility and nondegeneracy stay
-exact.  Circle integrands read log|f_i| from ExpPoly.log_abs and the zero
-finder reads f e^{-M}; both take the factors e^{c_k z - M} from one scaling
-in expfunc, so neither the characteristic nor the counting functions
-overflow at any radius.  T(r) hands circle_average one log|f_i| row per
+exact.  Circle integrands (log|f_i|, Jensen's log|num| - log|den|) and the
+zero finder read one float evaluator, ExpPoly.scaled, so neither T(r) nor
+N(r) overflows at any radius.  T(r) hands circle_average one log|f_i| row per
 component, and the quadrature splits the circle where the largest row
 changes, so the kinks of log max_i |f_i| are integrated as breakpoints, not
 sampled.
@@ -45,7 +44,7 @@ from .zeros import (ContourThroughZero, Divisor, exppoly_zeros, ratfunc_divisors
                     zpoly_zeros)
 
 __all__ = [
-    "AdmissibilityError", "DegeneracyError", "EntireCurve", "as_curve",
+    "AdmissibilityError", "DegeneracyError", "FlatGrowthError", "EntireCurve", "as_curve",
     "characteristic", "counting_function",
     "log_modulus_average", "jensen_check", "wronskian",
     "DivisorBoundReport", "divisor_bound_check", "nondegeneracy_check",
@@ -61,6 +60,10 @@ class DegeneracyError(ValueError):
 
 class AdmissibilityError(ValueError):
     """The target family is not in general position."""
+
+
+class FlatGrowthError(ValueError):
+    """T(r) vanishes on the top half of a radius grid, where defects are read."""
 
 
 # ---------------------------------------------------------------------------
@@ -145,22 +148,15 @@ def as_curve(f: CurveLike) -> EntireCurve:
     return f if isinstance(f, EntireCurve) else EntireCurve(f)
 
 
-def _log_norm_integrand(curve: EntireCurve):
-    # the log of the largest modulus is the largest log-modulus: one row per
-    # component, which circle_average maximizes and splits at the kinks
-    def fn(zs: np.ndarray) -> np.ndarray:
-        return np.stack([comp.log_abs(zs) for comp in curve.components])
-
-    return fn
-
-
 # ---------------------------------------------------------------------------
 # characteristic
 
 
 @lru_cache(maxsize=4096)
 def _log_norm_average(curve: EntireCurve, r: float) -> QuadResult:
-    return circle_average(_log_norm_integrand(curve), r)
+    # the log of the largest modulus is the largest log-modulus: one row per
+    # component, which circle_average maximizes and splits at the kinks
+    return circle_average(lambda zs: np.stack([comp.log_abs(zs) for comp in curve.components]), r)
 
 
 def characteristic(f: CurveLike, r: float) -> float:
@@ -267,11 +263,8 @@ def jensen_check(phi, r: float) -> float:
         phi = RatFunc(phi)
     if isinstance(phi, RatFunc):
         zer, pol = ratfunc_divisors(phi, big)
-        num = np.array([complex(a) for a in reversed(phi.num.coeffs)])
-        den = np.array([complex(a) for a in reversed(phi.den.coeffs)])
-
-        def log_ev(zs):
-            return np.log(np.abs(np.polyval(num, zs) / np.polyval(den, zs)))
+        num, den = ExpPoly.poly(phi.num), ExpPoly.poly(phi.den)
+        log_ev = lambda zs: num.log_abs(zs) - den.log_abs(zs)     # log|num/den|
     elif isinstance(phi, ExpPoly):
         zer, pol = exppoly_zeros(phi, big), None
         log_ev = phi.log_abs
@@ -479,11 +472,16 @@ def defect_estimate(f: CurveLike, qf: HPoly, r_max: float,
     curve = as_curve(f)
     div = quotient_zeros(*compose_target(qf, curve), r_max * (1 + 1e-9))
     radii = [float(r) for r in np.geomspace(max(2.0, math.sqrt(r_max)), r_max, grid_points)]
-    top = [(r, characteristic(curve, r)) for r in radii[grid_points // 2:]]
-    vals = [1.0 - counting_function(div, r, level) / (qf.degree * t) for r, t in top if t > 0.0]
+    return _top_half_defect(qf.degree, radii, lambda r: (counting_function(div, r, level),
+                                                         characteristic(curve, r)))
+
+
+def _top_half_defect(degree: int, radii: Sequence[float], at) -> float:
+    """min over the top half of the radius grid, where T(r) > 0, of 1 - N(r)/(degree T(r)),
+    at(r) being (N(r), T(r)); FlatGrowthError when T vanishes on all of it."""
+    vals = [1.0 - n / (degree * t) for n, t in map(at, radii[len(radii) // 2:]) if t > 0.0]
     if not vals:
-        raise ValueError("characteristic vanishes across the grid; "
-                         "defects need a nonconstant curve")
+        raise FlatGrowthError(f"T(r) = 0 on the top half of the radius grid (r <= {radii[-1]:g})")
     return min(vals)
 
 
@@ -608,9 +606,7 @@ def smt_verify(f: CurveLike, targets, eps, radii: Sequence[float]) -> SmtReport:
         norm = normalize_target(qf)
         div = quotient_zeros(*compose_target(norm, curve), r_max * (1 + 1e-9))
         counts = tuple(counting_function(div, r, lev) for r in rs)
-        defect = min(1.0 - counts[i] / (qf.degree * profile.t_values[i])
-                     for i in range(len(rs) // 2, len(rs))
-                     if profile.t_values[i] > 0.0)
+        defect = _top_half_defect(qf.degree, rs, dict(zip(rs, zip(counts, profile.t_values))).get)
         growth = 0.0
         for _, c in norm.terms_desc():
             if isinstance(c, RatFunc) and not c.is_constant():

@@ -14,9 +14,10 @@ Quadtree path, for every other exponential polynomial: the disk winding
 number is the total count, and a quadtree of boxes, each counted by the
 certified phase increments along its sides (_walk, _subdivide), isolates the
 zeros, a box of count 1 ending in a certified Newton exit; the located
-multiplicities must add up to the count, or the radius is refused.  Every
-value is read as f e^{-M} from the one scaling ExpPoly._scaled_exps, so no
-radius overflows.
+multiplicities must add up to the count, or the radius is refused.  A simple
+zero is placed within 1e-10 max(r, 1), a cluster of multiplicity >= 2 only
+within 3e-8 (1 + |z|), the cluster floor of _subdivide.  Every value is read as
+f e^{-M} from ExpPoly.scaled, the one float evaluator, so no radius overflows.
 
 Zeros within 1e-12 (relative) of the boundary circle: the radius is nudged
 outward by that amount and the divisor is flagged, so boundary zeros count
@@ -48,7 +49,9 @@ class ContourThroughZero(ArithmeticError):
 
 @dataclass(frozen=True)
 class Divisor:
-    """Zeros with multiplicities inside |z| <= r (after any boundary nudge)."""
+    """Zeros with multiplicities inside |z| <= r (after any boundary nudge), within
+    1e-10 max(r, 1) of the true ones, but a quadtree cluster of multiplicity >= 2
+    only within 3e-8 (1 + |z|); polynomial roots are as good as Newton makes them."""
 
     points: tuple[tuple[complex, int], ...]
     r: float
@@ -87,13 +90,10 @@ def yun_squarefree(p: ZPoly) -> list[tuple[ZPoly, int]]:
     return out
 
 
-def _newton_polish(p: ZPoly, dp: ZPoly, x: complex) -> complex:
+def _newton_polish(g: ExpPoly, x: complex) -> complex:
     for _ in range(60):
-        fx = complex(p(x))
-        if fx == 0:
-            return x
-        dfx = complex(dp(x))
-        if dfx == 0:
+        _, fx, dfx, _ = g.scaled(x, derivative=True)
+        if fx == 0 or dfx == 0:
             return x
         step = fx / dfx
         x -= step
@@ -107,9 +107,8 @@ def _factor_roots(p: ZPoly) -> list[tuple[ZPoly, int, list[complex]]]:
     locating the roots and Newton polishing them against g's exact coefficients."""
     out = []
     for g, mult in yun_squarefree(p):
-        raw = np.roots(np.array([complex(c) for c in reversed(g.coeffs)], dtype=complex))
-        dg = g.derivative()
-        out.append((g, mult, [_newton_polish(g, dg, complex(x)) for x in raw]))
+        h = ExpPoly.poly(g)
+        out.append((g, mult, [_newton_polish(h, x) for x in np.roots(h.float_image[0][1]).tolist()]))
     return out
 
 
@@ -137,38 +136,6 @@ def ratfunc_divisors(f: RatFunc, r: float) -> tuple[Divisor, Divisor]:
 
 def _chord_mid(a, b):
     return (a + b) / 2
-
-
-def _scaled(f: ExpPoly, df: ExpPoly):
-    """values(z) = (M, f e^{-M}, f' e^{-M}, floor e^{-M}) at a complex point or
-    elementwise over a numpy array, df being f', from the bounded factors of
-    ExpPoly._scaled_exps.  floor = 1024 eps sum_k A_k(|z|) |e^{c_k z}|, A_k(t)
-    the sum of |a| t^j over the terms a z^j of p_k, bounds the rounding error
-    of the value: a winding accepted with |f| above it all along the contour
-    counts zeros of the true function (Rouche), not of the noise."""
-    dimage = dict(zip(df.terms, df.float_image))
-    terms = [(coeffs, dimage[c][1] if c in dimage else (), [abs(a) for a in coeffs])
-             for c, (_, coeffs) in zip(f.terms, f.float_image)]
-
-    def values(z):
-        shift, exps = f._scaled_exps(z)
-        az = abs(z)
-        fz, dfz, floor = 0j, 0j, 0.0
-        for (coeffs, dcoeffs, mags), e in zip(terms, exps):
-            fz += _horner(coeffs, z) * e
-            if dcoeffs:
-                dfz += _horner(dcoeffs, z) * e
-            floor += _horner(mags, az) * abs(e)
-        return shift, fz, dfz, 1024 * math.ulp(1.0) * floor
-
-    return values
-
-
-def _horner(coeffs, z):
-    acc = coeffs[0]
-    for a in coeffs[1:]:
-        acc = acc * z + a
-    return acc
 
 
 def _edge_points(a: np.ndarray, b: np.ndarray, rate: float, midfn):
@@ -200,9 +167,9 @@ def _edge_points(a: np.ndarray, b: np.ndarray, rate: float, midfn):
     return out, pieces
 
 
-def _walk(values, lines, rate: float, midfn):
+def _walk(f: ExpPoly, lines, rate: float, midfn):
     """Certified increments of arg f along polylines, each given by its
-    vertices, values being _scaled(f, f').
+    vertices, with values from f.scaled.
 
     Returns (inc, first, failed) over the edges (consecutive vertices), edge
     after edge and line after line: inc[first[e]:first[e + 1]] holds the
@@ -226,7 +193,7 @@ def _walk(values, lines, rate: float, midfn):
     """
     def evaluate(zs):
         """f e^{-M}, |f'/f| and the points where f does not clear the noise floor."""
-        _, fz, dfz, floor = values(zs)
+        _, fz, dfz, floor = f.scaled(zs, derivative=True)
         bad = ~np.isfinite(fz)
         if bad.any():
             raise OverflowError(f"f e^-M is not finite on contour near {zs[bad.argmax()]}")
@@ -291,7 +258,7 @@ def _windings(f: ExpPoly, contours, rate: float, midfn) -> list[Optional[int]]:
     """Winding numbers of f over closed contours, each given by its vertices,
     from one _walk over all of them; None for a contour whose walk broke down."""
     lines = [np.append(np.asarray(c, dtype=complex), c[0]) for c in contours]
-    inc, first, failed = _walk(_scaled(f, f.derivative()), lines, rate, midfn)
+    inc, first, failed = _walk(f, lines, rate, midfn)
     owner = np.repeat(np.arange(len(lines)), [len(c) for c in contours])
     total = np.bincount(np.repeat(owner, np.diff(first)), inc, len(lines))
     broken = np.bincount(owner, failed, len(lines)) > 0
@@ -338,10 +305,10 @@ class _Box(NamedTuple):
     sides: tuple
 
 
-def _edges(values, lines, rate: float) -> list[Optional[np.ndarray]]:
+def _edges(f: ExpPoly, lines, rate: float) -> list[Optional[np.ndarray]]:
     """Per edge of the polylines, the increments of one chord-refined _walk,
     or None where the walk of that edge failed."""
-    inc, first, failed = _walk(values, lines, rate, _chord_mid)
+    inc, first, failed = _walk(f, lines, rate, _chord_mid)
     first = first.tolist()
     return [None if x else inc[i:j] for i, j, x in zip(first, first[1:], failed.tolist())]
 
@@ -394,7 +361,7 @@ def _square(x: complex, tol: float) -> tuple[float, float, float, float]:
     return x.real - h, x.real + h, x.imag - h, x.imag + h
 
 
-def _newton_exit(values, x0, x1, y0, y1, tol) -> Optional[complex]:
+def _newton_exit(f: ExpPoly, x0, x1, y0, y1, tol) -> Optional[complex]:
     """The candidate simple zero of a box of winding count 1, or None.
 
     Plain Newton from the box centre must converge inside the box, and the
@@ -405,7 +372,7 @@ def _newton_exit(values, x0, x1, y0, y1, tol) -> Optional[complex]:
     """
     x = complex((x0 + x1) / 2, (y0 + y1) / 2)
     for _ in range(40):
-        _, fx, dfx, _ = values(x)
+        _, fx, dfx, _ = f.scaled(x, derivative=True)
         if dfx == 0:
             return None
         step = fx / dfx
@@ -422,7 +389,7 @@ def _newton_exit(values, x0, x1, y0, y1, tol) -> Optional[complex]:
     return x
 
 
-def _subdivide(values, root: _Box, tol: float, rate: float) -> list[tuple[complex, int]]:
+def _subdivide(f: ExpPoly, root: _Box, tol: float, rate: float) -> list[tuple[complex, int]]:
     """The clusters of the quadtree under root as (point, multiplicity), in
     depth-first order.
 
@@ -448,7 +415,7 @@ def _subdivide(values, root: _Box, tol: float, rate: float) -> list[tuple[comple
                 found.append((path, center, count))
                 continue
             if count == 1:
-                z = _newton_exit(values, x0, x1, y0, y1, tol)
+                z = _newton_exit(f, x0, x1, y0, y1, tol)
                 if z is not None:
                     square = _box(*_square(z, tol))
                     lines.append(square + square[:1])
@@ -464,7 +431,7 @@ def _subdivide(values, root: _Box, tol: float, rate: float) -> list[tuple[comple
             quads, halves, new = _cut(box, attempt)
             lines += new
             jobs.append((box, attempt, (quads, halves, len(new))))
-        walked = iter(_edges(values, lines, rate) if lines else ())
+        walked = iter(_edges(f, lines, rate) if lines else ())
         boxes, retries = [], []
         for box, attempt, job in jobs:
             if attempt is None:             # a Newton exit: job is the limit
@@ -501,16 +468,15 @@ def _subdivide(values, root: _Box, tol: float, rate: float) -> list[tuple[comple
     return [(z, m) for _, z, m in found]
 
 
-def _polish_cluster(f, df, z: complex, mult: int, box_tol: float) -> complex:
+def _polish_cluster(f: ExpPoly, z: complex, mult: int, box_tol: float) -> complex:
     """Multiplicity-aware Newton from a cluster's centre, returning the
     iterate of least |f| within reach of the centre.  |f| is compared as
     M + log|f e^{-M}|, with |f e^{-M}| breaking the ties that the log's
     rounding makes."""
-    values = _scaled(f, df)
     escape = max(4 * box_tol, 1e-4 * (1 + abs(z)))
     x, step, best, best_key = z, math.inf, z, (math.inf,)
     for _ in range(81):
-        shift, fx, dfx, _ = values(x)
+        shift, fx, dfx, _ = f.scaled(x, derivative=True)
         if fx == 0:
             return x
         key = (shift + math.log(abs(fx)), abs(fx))
@@ -607,11 +573,10 @@ def exppoly_zeros(f: ExpPoly, r: float) -> Divisor:
 
 def _quadtree_zeros(f: ExpPoly, r: float) -> Divisor:
     """Boundary winding gives the total count and quadtree subdivision isolates
-    clusters to boxes of side 1e-10 max(r, 1); their multiplicities must add up."""
+    clusters to boxes of side 1e-10 max(r, 1), or 3e-8 (1 + |z|) for multiplicity
+    >= 2 (the floor of _subdivide); their multiplicities must add up."""
     tol = 1e-10 * max(r, 1.0)
     rate = phase_rate_bound(f)
-    df = f.derivative()
-    values = _scaled(f, df)
     nudged = False
     eff = r
     for attempt in range(8):
@@ -629,12 +594,12 @@ def _quadtree_zeros(f: ExpPoly, r: float) -> Divisor:
     for attempt in range(6):
         pad = eff * (1 + 1e-6 * (1 + attempt) ** 2)
         sw, se, ne, nw = _box(-pad, pad, -pad, pad)
-        sides = _edges(values, [[sw, se], [se, ne], [nw, ne], [sw, nw]], rate)
+        sides = _edges(f, [[sw, se], [se, ne], [nw, ne], [sw, nw]], rate)
         count = _turns(sides)
         if count is None:
             continue
         try:
-            found = _subdivide(values, _Box(-pad, pad, -pad, pad, count, (), tuple(sides)),
+            found = _subdivide(f, _Box(-pad, pad, -pad, pad, count, (), tuple(sides)),
                                tol, rate)
             break
         except ContourThroughZero:
@@ -643,7 +608,7 @@ def _quadtree_zeros(f: ExpPoly, r: float) -> Divisor:
         raise ContourThroughZero("quadtree subdivision failed")
     pts = []
     for z, mult in found:
-        z = _polish_cluster(f, df, z, mult, tol)
+        z = _polish_cluster(f, z, mult, tol)
         if abs(z) <= eff * (1 + BOUNDARY_BAND):
             pts.append((z, mult))
     got = sum(m for _, m in pts)

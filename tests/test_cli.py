@@ -358,8 +358,8 @@ def test_zero_count_mismatch_is_numerical_failure(paths, capsys, monkeypatch):
     polish = zeros._polish_cluster
     pushed = []
 
-    def push_one_out(f, df, z, mult, box_tol):
-        z = polish(f, df, z, mult, box_tol)
+    def push_one_out(f, z, mult, box_tol):
+        z = polish(f, z, mult, box_tol)
         if not pushed:
             pushed.append(z)
             z += 1e6                          # outside every disk in play
@@ -426,6 +426,17 @@ def test_smt_and_defects_past_the_exp_overflow_radius(paths, capsys):
     assert main(["defects", paths["curve"], paths["system"], "--rmax", "720"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert all(math.isfinite(t["defect"]) for t in doc["targets"])
+
+
+@pytest.mark.parametrize("argv", [["smt", "--rmin", "2", "--rmax", "8", "--steps", "4"],
+                                  ["defects", "--rmax", "8"]])
+def test_flat_top_half_of_the_grid_is_an_rmax_error(paths, capsys, argv):
+    # (1 : 10^-4 e^{(3+4i)z/5}) is nondegenerate, but |f_1| < 1 on |z| <= 9.2, so T = 0 there
+    curve = paths["tmp"] / "flat.json"
+    curve.write_text(json.dumps(_curve([("1", "0")], [("1/10000", "(3+4i)/5")])))
+    assert main([argv[0], str(curve), paths["system"], *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--rmax" in err
 
 
 def test_schema_commands(paths, capsys):

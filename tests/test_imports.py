@@ -1,9 +1,10 @@
 """Every module-level import of the package, its tests and its scripts is
 used by its module, every public name of the package and every public
 module-level function and class is used by the package or its scripts, and
-the package has no assert statement and no private `fractions` API,
-`fields.py` imports only the standard library, and importing the command
-line loads no mpmath.
+the package has no assert statement, no private `fractions` API, no
+`polyval` and no use of the scaling `ExpPoly._scaled_exps` outside `expfunc`,
+`fields.py` imports only the standard library, and importing the command line
+loads no mpmath.
 
 Names listed in a module's __all__ count as used (re-exports); __future__
 imports and the package __init__, which exists to re-export, are exempt.
@@ -92,6 +93,19 @@ def test_no_private_fractions_api_in_the_package():
             elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
                 private = [a.name for a in node.names if a.name.startswith("_")]
             found += [f"{p.name}:{node.lineno} {name}" for name in private]
+    assert found == []
+
+
+def test_one_float_evaluator_for_exponential_polynomials():
+    # ExpPoly.scaled is the one float evaluator: no polyval anywhere in the
+    # package, and only expfunc reads the scaling behind the evaluator
+    found = []
+    for p in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text(), str(p))):
+            field = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name"}.get(type(node))
+            name = getattr(node, field) if field else None
+            if name == "polyval" or (name == "_scaled_exps" and p.name != "expfunc.py"):
+                found.append(f"{p.name}:{node.lineno} {name}")
     assert found == []
 
 

@@ -168,9 +168,9 @@ def test_refused_newton_certificate_falls_back_to_subdivision(monkeypatch):
     walk = zeros._walk
     refused = []
 
-    def no_certificate(values, lines, rate, midfn):
+    def no_certificate(f, lines, rate, midfn):
         # every edge of a certificate square (side tol) is flagged as failed
-        inc, first, failed = walk(values, lines, rate, midfn)
+        inc, first, failed = walk(f, lines, rate, midfn)
         edge = 0
         for line in lines:
             sides = [abs(b - a) for a, b in zip(line, line[1:])]
@@ -225,22 +225,18 @@ def test_quadtree_walks_each_edge_once_and_each_level_in_one_pass(monkeypatch):
     # e^z + 1 at r = 50: 16 zeros; walking every box whole, and every Newton
     # certificate and every split on its own, took 52 walks over 60,618 points
     walks, points = [], []
-    walk, scaled = zeros._walk, zeros._scaled
+    walk, scaled = zeros._walk, ExpPoly.scaled
 
-    def counted_scaled(f, df):
-        values = scaled(f, df)
-
-        def counted(z):
-            if isinstance(z, np.ndarray):
-                points.append(z.size)
-            return values(z)
-        return counted
+    def counted_scaled(f, z, derivative=False):
+        if isinstance(z, np.ndarray):
+            points.append(z.size)
+        return scaled(f, z, derivative)
 
     def counted_walk(*args):
         walks.append(1)
         return walk(*args)
 
-    monkeypatch.setattr(zeros, "_scaled", counted_scaled)
+    monkeypatch.setattr(ExpPoly, "scaled", counted_scaled)
     monkeypatch.setattr(zeros, "_walk", counted_walk)
     assert zeros._quadtree_zeros(ExpPoly.exp(1) + 1, 50.0).total() == 16
     assert len(walks) <= 52 // 3 and sum(points) <= 60618 // 2
@@ -289,23 +285,28 @@ def test_simple_zero_where_the_exponential_term_overflows():
     assert len(near) == 1 and near[0][1] == 1
 
 
+def _cmath_value(f: ExpPoly, x: complex) -> complex:
+    """sum_c p_c(x) e^{cx} term by term, with ZPoly's own Horner and cmath.exp."""
+    return sum(p(x) * cmath.exp(complex(c) * x) for c, p in f.terms.items())
+
+
 def test_scaled_pass_matches_f_and_its_derivative():
     z = ExpPoly.var()
     f = ExpPoly.exp(6) - z * ExpPoly.exp(-7) + 3 * z ** 2 + ExpPoly.exp(GaussRat(1, 5))
     df = f.derivative()
     rng = random.Random(3)
     pts = [cmath.rect(50 * rng.random() ** 0.5, 2 * math.pi * rng.random()) for _ in range(200)]
-    values = zeros._scaled(f, df)
-    shifts, fs, dfs, floors = values(np.array(pts))
+    shifts, fs, dfs, floors = f.scaled(np.array(pts), derivative=True)
     assert set(shifts.tolist()) == {0.0, 256.0}
     for k, x in enumerate(pts):
-        shift, fx, dfx, floor = values(x)
+        shift, fx, dfx, floor = f.scaled(x, derivative=True)
         assert (shift, floor) == pytest.approx((shifts[k], floors[k]), rel=1e-12)
         assert (fx, dfx) == pytest.approx((fs[k], dfs[k]), rel=1e-12)
         scale = math.exp(shift)
-        assert abs(fx * scale - f(x)) <= floor * scale
-        assert dfx * scale == pytest.approx(df(x), rel=1e-9)
-        assert fx / dfx == pytest.approx(f(x) / df(x), rel=1e-9)
+        value, slope = _cmath_value(f, x), _cmath_value(df, x)
+        assert abs(fx * scale - value) <= floor * scale
+        assert dfx * scale == pytest.approx(slope, rel=1e-9)
+        assert fx / dfx == pytest.approx(value / slope, rel=1e-9)
 
 
 def _one_frequency(rng):
