@@ -139,9 +139,12 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
 
 def _parse_floats(text: str, what: str) -> tuple[float, ...]:
     try:
-        return tuple(float(tok) for tok in text.split(","))
+        values = tuple(float(tok) for tok in text.split(","))
+        if all(map(math.isfinite, values)):
+            return values
     except ValueError:
-        raise InputError(f"{what} must be comma-separated numbers, got {text!r}")
+        pass
+    raise InputError(f"{what} must be comma-separated finite numbers, got {text!r}")
 
 
 def _load_family(path: str):
@@ -221,6 +224,9 @@ def cmd_filtration(args) -> int:
 def cmd_bounds(args) -> int:
     eps = _parse_fraction(args.eps)
     degrees = _parse_ints(args.degrees, "--degrees")
+    if args.n < 1 or eps <= 0 or len(degrees) < args.n + 1 or min(degrees) < 1:
+        raise InputError("need --n >= 1, --eps > 0 and at least n + 1 positive --degrees, "
+                         f"got {args.n}, {args.eps} and {args.degrees}")
     rep = compute_truncation_levels(args.n, len(degrees), eps, degrees,
                                     fixed=args.fixed,
                                     digit_budget=args.digit_budget)
@@ -234,6 +240,8 @@ def cmd_bounds(args) -> int:
 def cmd_jensen(args) -> int:
     from .parsing import parse_ratfunc
     phi = parse_ratfunc(args.phi)
+    if phi.num.is_zero():
+        raise InputError(f"--phi is identically zero and has no divisor: {args.phi!r}")
     radii = _parse_floats(args.radii, "--radii")
     if any(r <= 1.0 for r in radii):
         raise InputError("every radius must exceed 1")
@@ -247,6 +255,9 @@ def cmd_jensen(args) -> int:
 def cmd_wronskian(args) -> int:
     curve = _load_curve(args.curve)
     orders = _parse_ints(args.orders, "--orders") if args.orders else None
+    k = len(curve.components)
+    if orders is not None and (len(orders) != k or len(set(orders)) != k or min(orders) < 0):
+        raise InputError(f"--orders must be {k} distinct nonnegative integers, got {args.orders!r}")
     w = wronskian(curve.components, orders=orders)
     _emit({"tool": "wronskian", "version": __version__,
            "components": list(curve.components),

@@ -126,9 +126,6 @@ class EntireCurve:
     def is_polynomial(self) -> bool:
         return all(c.is_polynomial() for c in self.components)
 
-    def __call__(self, z: complex) -> tuple[complex, ...]:
-        return tuple(c(z) for c in self.components)
-
     def __eq__(self, other):
         if not isinstance(other, EntireCurve):
             return NotImplemented
@@ -426,10 +423,11 @@ def quotient_zeros(e_part: ExpPoly, d_part: ZPoly, r: float) -> Divisor:
     """Zero divisor of E/D inside |z| <= r, exact but for zero locations.
 
     E = G E', G the gcd of E's coefficients, and G/gcd(G, D) = z^a G' with
-    G'(0) != 0, whose zeros zpoly_zeros finds with exact multiplicities; E''s
-    zeros come from exppoly_zeros, in closed form when E' has constant
-    coefficients and one frequency lattice.  At a root b != 0 of G' or of
-    D' = D/gcd(G, D), E'(b) != 0 by Lindemann-Weierstrass: D' gives poles
+    G'(0) != 0, whose zeros zpoly_zeros places as certified roots with exact
+    multiplicities where the certificates hold; E''s zeros come from
+    exppoly_zeros, as certified roots too when E' is a polynomial or has
+    constant coefficients and one frequency lattice.  At a root b != 0 of G' or
+    of D' = D/gcd(G, D), E'(b) != 0 by Lindemann-Weierstrass: D' gives poles
     only.  At 0 the zero of E' gains a and loses min(ord_0 E', ord_0 D').
     """
     if e_part.is_zero():

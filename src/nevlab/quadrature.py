@@ -71,9 +71,6 @@ class QuadResult:
     samples: int
     converged: bool
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def _top(rows: np.ndarray) -> np.ndarray:
     return rows[0] if len(rows) == 1 else rows.max(axis=0)

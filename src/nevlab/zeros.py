@@ -1,16 +1,17 @@
-"""Zero location in disks: exact-multiplicity roots for polynomials, a closed
-form for one-frequency exponential polynomials, and argument-principle
-subdivision for every other exponential polynomial.
+"""Zero location in disks by two paths: certified roots for polynomials and
+one-frequency exponential polynomials, argument-principle subdivision for
+every other exponential polynomial and wherever a certificate fails.
 
-Polynomial path: Yun square-free decomposition over the Gaussian rationals
-gives exact multiplicities; numpy locates the (simple) roots of each factor
-and Newton polishes them against exact coefficients.
+Certified path: Yun square-free decomposition over the Gaussian rationals gives
+exact multiplicities; numpy locates the (simple) roots of each factor g, Newton
+polishes them, float then, where that stalls, one exact step, and each is certified
+by a disk of radius deg g |g/g'| from exact values.  A polynomial's zeros are its
+roots; the zeros of f = e^{c0 z} P(e^{gamma z}) are (Log w + 2 pi i m)/gamma over the
+roots w of P.  Each zero that counts is placed within 1e-10 max(r, 1), and none is
+undecided at the boundary band's edge, or f goes to the quadtree, as a one-frequency
+f with deg P > 16 does.
 
-Closed-form path: the zeros of f = e^{c0 z} P(e^{gamma z}) are (Log w + 2 pi i m)/gamma
-over the roots w of P, with Yun's multiplicities, each root certified by a disk of radius
-deg g |g/g'| from exact values; a failed certificate or deg P > 16 leaves f to the quadtree.
-
-Quadtree path, for every other exponential polynomial: the disk winding
+Quadtree path: the disk winding
 number is the total count, and a quadtree of boxes, each counted by the
 certified phase increments along its sides (_walk, _subdivide), isolates the
 zeros, a box of count 1 ending in a certified Newton exit; the located
@@ -50,8 +51,8 @@ class ContourThroughZero(ArithmeticError):
 @dataclass(frozen=True)
 class Divisor:
     """Zeros with multiplicities inside |z| <= r (after any boundary nudge), within
-    1e-10 max(r, 1) of the true ones, but a quadtree cluster of multiplicity >= 2
-    only within 3e-8 (1 + |z|); polynomial roots are as good as Newton makes them."""
+    1e-10 max(r, 1) of the true ones, a polynomial's roots by a certified disk, but a
+    quadtree cluster of multiplicity >= 2 only within 3e-8 (1 + |z|)."""
 
     points: tuple[tuple[complex, int], ...]
     r: float
@@ -91,6 +92,7 @@ def yun_squarefree(p: ZPoly) -> list[tuple[ZPoly, int]]:
 
 
 def _newton_polish(g: ExpPoly, x: complex) -> complex:
+    """Float Newton on the polynomial g from x; where 60 steps do not settle, one exact step."""
     for _ in range(60):
         _, fx, dfx, _ = g.scaled(x, derivative=True)
         if fx == 0 or dfx == 0:
@@ -98,33 +100,15 @@ def _newton_polish(g: ExpPoly, x: complex) -> complex:
         step = fx / dfx
         x -= step
         if abs(step) <= 1e-16 * max(1.0, abs(x)):
-            break
-    return x
-
-
-def _factor_roots(p: ZPoly) -> list[tuple[ZPoly, int, list[complex]]]:
-    """[(g, i, roots of g)] over the Yun factors g of multiplicity i, numpy
-    locating the roots and Newton polishing them against g's exact coefficients."""
-    out = []
-    for g, mult in yun_squarefree(p):
-        h = ExpPoly.poly(g)
-        out.append((g, mult, [_newton_polish(h, x) for x in np.roots(h.float_image[0][1]).tolist()]))
-    return out
-
-
-def zpoly_roots(p: ZPoly) -> list[tuple[complex, int]]:
-    """All complex roots with exact multiplicities."""
-    return [(x, mult) for _, mult, xs in _factor_roots(p) for x in xs]
+            return x
+    p = g.polynomial_part()
+    w = GaussRat(Fraction(x.real), Fraction(x.imag)) if cmath.isfinite(x) else None
+    den = p.derivative()(w) if w is not None else 0
+    return complex(w - p(w) / den) if den else x
 
 
 def zpoly_zeros(p: ZPoly, r: float) -> Divisor:
-    if p.is_zero():
-        raise ValueError("zero polynomial has no divisor")
-    roots = zpoly_roots(p)
-    nudged = any(abs(abs(a) - r) <= BOUNDARY_BAND * r for a, _ in roots)
-    eff = r * (1 + BOUNDARY_BAND) if nudged else r
-    pts = tuple((a, m) for a, m in roots if abs(a) <= eff)
-    return Divisor(points=pts, r=r, boundary_nudged=nudged)
+    return exppoly_zeros(ExpPoly.poly(p), r)
 
 
 def ratfunc_divisors(f: RatFunc, r: float) -> tuple[Divisor, Divisor]:
@@ -497,62 +481,72 @@ def _inclusion_radii(g: ZPoly, xs: list[complex]) -> Optional[list[float]]:
     """Radii rho_k, rounded up, with one root of the squarefree g in each disk
     |w - x_k| <= rho_k, or None: rho = deg g |g(x)/g'(x)|, exact at x as a GaussRat,
     reaches a root, as |g'/g| <= deg g / (distance to the nearest root), disjoint
-    disks hold one each, and rho < |x|/2, checked exactly first, keeps 0 out and rho finite."""
+    disks hold one each, and an x that is a root, 0 included, has rho = 0; any other
+    needs rho < |x|/2, checked exactly first, which keeps 0 out and rho finite."""
     dg, radii = g.derivative(), []
     for x in xs:
         w = GaussRat(Fraction(x.real), Fraction(x.imag)) if cmath.isfinite(x) else None
         if w is None or not (den := dg(w)):
             return None
-        q = g(w) / den
-        if (2 * g.degree * w.d) ** 2 * (q.a ** 2 + q.b ** 2) >= (w.a ** 2 + w.b ** 2) * q.d ** 2:
+        q = g(w) / den                  # 0 at an exact root, which skips both tests
+        if q and (2 * g.degree * w.d) ** 2 * (q.a ** 2 + q.b ** 2) >= (w.a ** 2 + w.b ** 2) * q.d ** 2:
             return None
         rho = g.degree * math.hypot(Fraction(q.a, q.d), Fraction(q.b, q.d))
         rho = max(rho * (1 + 1e-14), 1e-300) if q else 0.0
-        if not rho < abs(x) / 2:        # rounding up or the 1e-300 floor passed it
+        if q and not rho < abs(x) / 2:  # rounding up or the 1e-300 floor passed it
             return None
         radii.append(rho)
     pairs = itertools.combinations(zip(xs, radii), 2)
     return None if any(abs(a - b) * (1 - 1e-14) <= ra + rb for (a, ra), (b, rb) in pairs) else radii
 
 
-def _closed_form_zeros(f: ExpPoly, r: float) -> Optional[Divisor]:
-    """The divisor in |z| <= r of f = e^{c0 z} P(e^{gamma z}), P(0) != 0, constant
-    coefficients, frequency differences of lattice rank <= 1 (`exponent_polys`), or
-    None.  A root of P within rho of x (`_inclusion_radii`) puts each zero within
-    delta = -log(1 - rho/|x|)/|gamma|, plus rounding, of (Log x + 2 pi i m)/gamma,
-    and delta must not pass the quadtree's 1e-10 max(r, 1).  A zero surely within
-    BOUNDARY_BAND r of the circle counts inside and flags the divisor, as the
-    quadtree's nudge does; one within delta of the band's outer edge is undecided."""
-    c0 = next(iter(f.terms))
-    found = exponent_polys([ExpPoly({c - c0: p for c, p in f.terms.items()})])
-    # exact certificates cost about 1.3 us deg^3: past 16, more than a sparse P's quadtree
-    if found is None or found[1][0].degree > 16:
-        return None
-    basis, (poly,) = found
-    gamma = complex(basis[0]) if basis else 1.0     # no basis: P is constant
+def _certified_zeros(f: ExpPoly, r: float) -> Optional[Divisor]:
+    """The divisor in |z| <= r of a polynomial f, or of f = e^{c0 z} P(e^{gamma z}),
+    P(0) != 0, constant coefficients, frequency differences of lattice rank <= 1
+    (`exponent_polys`), or None.  Yun's decomposition gives exact multiplicities,
+    np.roots and Newton a root x of each squarefree factor g, and `_inclusion_radii`
+    a disk of radius rho about x holding a root of g: a polynomial's zero x is within
+    delta = rho of the true one, f's zeros (Log x + 2 pi i m)/gamma within delta =
+    -log(1 - rho/|x|)/|gamma|, plus rounding, and a zero that counts must not pass the
+    quadtree's 1e-10 max(r, 1).  A zero surely within BOUNDARY_BAND r of the circle
+    counts inside and flags the divisor, as the quadtree's nudge does; one within
+    delta of the band's outer edge is undecided."""
+    if f.is_polynomial():
+        poly, gamma = f.polynomial_part(), None
+    else:
+        c0 = next(iter(f.terms))
+        found = exponent_polys([ExpPoly({c - c0: p for c, p in f.terms.items()})])
+        # exact certificates cost about 1.3 us deg^3: past 16, more than a sparse P's quadtree
+        if found is None or found[1][0].degree > 16:
+            return None
+        basis, (poly,) = found
+        gamma = complex(basis[0]) if basis else 1.0     # no basis: P is constant
     tol, band = 1e-10 * max(r, 1.0), BOUNDARY_BAND * r
-    reach = abs(gamma) * (r + band + tol)
     pts, nudged = [], False
-    try:
-        factors = _factor_roots(poly)
-    except OverflowError:       # a coefficient of a Yun factor past the float range
-        return None
-    for g, mult, xs in factors:
+    for g, mult in yun_squarefree(poly):
+        try:
+            h = ExpPoly.poly(g)
+            xs = [_newton_polish(h, x) for x in np.roots(h.float_image[0][1]).tolist()]
+        except OverflowError:       # a coefficient of g past the float range
+            return None
         radii = _inclusion_radii(g, xs)
         if radii is None:
             return None
         for x, rho in zip(xs, radii):
-            delta = -math.log1p(-rho / abs(x)) / abs(gamma) * (1 + 1e-14) + 16 * math.ulp(r + 1)
-            if not delta <= tol:
-                return None
-            # |log + 2 pi i m| <= reach, a quadratic inequality in m
-            log = cmath.log(x)
-            mid = -log.imag / (2 * math.pi)
-            span = math.sqrt(max(reach * reach - log.real * log.real, 0.0)) / (2 * math.pi)
-            for m in range(math.floor(mid - span) - 1, math.floor(mid + span) + 2):
-                z = (log + 2j * math.pi * m) / gamma
+            delta = rho if gamma is None else -math.log1p(-rho / abs(x)) / abs(gamma)
+            delta = delta * (1 + 1e-14) + 16 * math.ulp(r + 1)
+            if gamma is None:
+                zs = [x]
+            else:
+                # |log + 2 pi i m| <= |gamma| (r + band + max(tol, delta)), quadratic in m
+                log, reach = cmath.log(x), abs(gamma) * (r + band + max(tol, delta))
+                mid = -log.imag / (2 * math.pi)
+                span = math.sqrt(max(reach * reach - log.real * log.real, 0.0)) / (2 * math.pi)
+                zs = [(log + 2j * math.pi * m) / gamma
+                      for m in range(math.floor(mid - span) - 1, math.floor(mid + span) + 2)]
+            for z in zs:
                 gap = abs(z) - r
-                if abs(abs(gap) - band) <= delta:
+                if abs(abs(gap) - band) <= delta or (gap < band and not delta <= tol):
                     return None
                 nudged |= abs(gap) < band
                 if gap < band:
@@ -561,14 +555,12 @@ def _closed_form_zeros(f: ExpPoly, r: float) -> Optional[Divisor]:
 
 
 def exppoly_zeros(f: ExpPoly, r: float) -> Divisor:
-    """Divisor of an exponential polynomial in |z| <= r: exact for polynomials,
-    the closed form where its certificates hold, otherwise the quadtree."""
+    """Divisor of an exponential polynomial in |z| <= r: certified roots for a
+    polynomial or a one-frequency f (`_certified_zeros`), otherwise the quadtree."""
     if f.is_zero():
         raise ValueError("zero function has no divisor")
-    if f.is_polynomial():
-        return zpoly_zeros(f.polynomial_part(), r)
-    closed = _closed_form_zeros(f, r)
-    return closed if closed is not None else _quadtree_zeros(f, r)
+    certified = _certified_zeros(f, r)
+    return certified if certified is not None else _quadtree_zeros(f, r)
 
 
 def _quadtree_zeros(f: ExpPoly, r: float) -> Divisor:

@@ -228,19 +228,33 @@ def test_exit_code_input_error(paths, capsys):
 
 
 @pytest.mark.parametrize("cmd, extra", [
-    ("defects", ["--rmax", "0"]),
-    ("defects", ["--rmax", "-5"]),
-    ("defects", ["--rmax", "1.5"]),
-    ("defects", ["--rmax", "nan"]),
-    ("defects", ["--grid", "0"]),
-    ("defects", ["--level", "0"]),
-    ("defects", ["--level", "-1"]),
-    ("smt", ["--eps", "0"]),
-    ("smt", ["--eps=-1/2"]),
-    ("smt", ["--rmax", "nan"]),
+    ("defects", ["curve", "system", "--rmax", "0"]),
+    ("defects", ["curve", "system", "--rmax", "-5"]),
+    ("defects", ["curve", "system", "--rmax", "1.5"]),
+    ("defects", ["curve", "system", "--rmax", "nan"]),
+    ("defects", ["curve", "system", "--grid", "0"]),
+    ("defects", ["curve", "system", "--level", "0"]),
+    ("defects", ["curve", "system", "--level", "-1"]),
+    ("smt", ["curve", "system", "--eps", "0"]),
+    ("smt", ["curve", "system", "--eps=-1/2"]),
+    ("smt", ["curve", "system", "--rmax", "nan"]),
+    ("wronskian", ["curve", "--orders", "0,0"]),
+    ("wronskian", ["curve", "--orders", "0"]),
+    ("wronskian", ["curve", "--orders", "0,-1"]),
+    ("bounds", ["--n", "0", "--eps", "1/2", "--degrees", "1,1,1"]),
+    ("bounds", ["--n", "1", "--eps", "0", "--degrees", "1,1,1"]),
+    ("bounds", ["--n", "1", "--eps", "-1", "--degrees", "1,1,1"]),
+    ("bounds", ["--n", "1", "--eps", "1/2", "--degrees", "0,1,1"]),
+    ("bounds", ["--n", "2", "--eps", "1/2", "--degrees", "1,1"]),
+    ("jensen", ["--phi", "0"]),
+    ("jensen", ["--phi", "z-z"]),
+    ("jensen", ["--phi", "z-3", "--radii", "2,nan"]),
+    ("jensen", ["--phi", "z-3", "--radii", "inf"]),
+    ("characteristic", ["curve", "--radii", "2,nan"]),
 ])
 def test_malformed_numbers_are_input_errors(paths, capsys, cmd, extra):
-    assert main([cmd, paths["curve"], paths["system"], *extra]) == 2
+    # extra is the rest of the command line, an input file named by its key in paths
+    assert main([cmd, *(paths.get(arg, arg) for arg in extra)]) == 2
     assert "nevlab: input error" in capsys.readouterr().err
 
 

@@ -3,8 +3,9 @@ used by its module, every public name of the package and every public
 module-level function and class is used by the package or its scripts, and
 the package has no assert statement, no private `fractions` API, no
 `polyval` and no use of the scaling `ExpPoly._scaled_exps` outside `expfunc`,
-`fields.py` imports only the standard library, and importing the command line
-loads no mpmath.
+one call of `np.roots` and of `yun_squarefree`, both in the certified root
+routine, `fields.py` imports only the standard library, and importing the
+command line loads no mpmath.
 
 Names listed in a module's __all__ count as used (re-exports); __future__
 imports and the package __init__, which exists to re-export, are exempt.
@@ -107,6 +108,21 @@ def test_one_float_evaluator_for_exponential_polynomials():
             if name == "polyval" or (name == "_scaled_exps" and p.name != "expfunc.py"):
                 found.append(f"{p.name}:{node.lineno} {name}")
     assert found == []
+
+
+def test_one_root_finder_and_one_root_certificate():
+    # float roots come from one np.roots call, and Yun's exact multiplicities
+    # are read only where each root is certified: no uncertified root path
+    calls = {"roots": [], "yun_squarefree": []}
+    for p in sorted(SRC.glob("*.py")):
+        for top in ast.parse(p.read_text(), str(p)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    if name in calls:
+                        calls[name].append(f"{p.name}:{getattr(top, 'name', top.lineno)}")
+    certified = ["zeros.py:_certified_zeros"]
+    assert calls == {"roots": certified, "yun_squarefree": certified}
 
 
 def test_fields_imports_only_the_standard_library():

@@ -13,7 +13,7 @@ from nevlab.resultant import (AdmissibilityUndecided, HypersurfaceFamily,
                               gaussian_point_stream, ideal_membership,
                               ideal_rows, is_admissible, macaulay_resultant,
                               power_certificate, sylvester_resultant)
-from nevlab.zeros import zpoly_roots
+from nevlab.zeros import zpoly_zeros
 
 
 def _rand_binary(rng, d):
@@ -70,7 +70,8 @@ def test_sylvester_against_root_product():
             continue                    # roots at infinity need extra bookkeeping
         r = sylvester_resultant(p, q)
         prod = abs(complex(pu.leading())) ** d
-        for root, mult in zpoly_roots(pu):
+        bound = 1 + max(abs(complex(c)) for c in pu.coeffs) / abs(complex(pu.leading()))
+        for root, mult in zpoly_zeros(pu, bound).points:       # Cauchy's root bound
             prod *= abs(complex(qu(root))) ** mult
         assert abs(complex(r)) == pytest.approx(prod, rel=1e-6)
 

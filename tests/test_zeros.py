@@ -14,8 +14,7 @@ from nevlab import zeros
 from nevlab.expfunc import ExpPoly
 from nevlab.fields import GaussRat, RatFunc, ZPoly
 from nevlab.zeros import (Divisor, disk_winding, exppoly_zeros,
-                          ratfunc_divisors, yun_squarefree, zpoly_roots,
-                          zpoly_zeros)
+                          ratfunc_divisors, yun_squarefree, zpoly_zeros)
 
 
 def test_yun_separates_multiplicities():
@@ -30,9 +29,22 @@ def test_yun_separates_multiplicities():
 
 def test_zpoly_roots_with_multiplicity():
     p = ZPoly((GaussRat(0, -1), 1)) ** 2 * ZPoly((-3, 1))   # (z - i)^2 (z - 3)
-    roots = sorted(zpoly_roots(p), key=lambda t: t[0].real)
+    roots = sorted(zpoly_zeros(p, 10.0).points, key=lambda t: t[0].real)
     assert roots[0][1] == 2 and roots[0][0] == pytest.approx(1j, abs=1e-9)
     assert roots[1][1] == 1 and roots[1][0] == pytest.approx(3.0, abs=1e-9)
+    # exact roots keep Yun's multiplicities on the certified path, 0 included
+    z = ZPoly.var()
+    for p, points in ((z ** 3 * (z - 1), {(1.0, 1), (0.0, 3)}), ((z - 1) ** 20, {(1.0, 20)})):
+        div = zeros._certified_zeros(ExpPoly.poly(p), 10.0)
+        assert div is not None and set(div.points) == points and not div.boundary_nudged
+    # float Newton stalls on the roots of (z - 1)...(z - 12), which its exact last
+    # step certifies, and the float root -10^12/7, 4e-6 off, is surely outside
+    # |z| <= 30: the triple root 1/3 keeps its multiplicity without the quadtree
+    p = math.prod((z - k for k in range(1, 13)),
+                  start=(z - Fraction(1, 3)) ** 3 * (z + Fraction(10 ** 12, 7)))
+    div = zeros._certified_zeros(ExpPoly.poly(p), 30.0)
+    assert div is not None and sorted(m for _, m in div.points) == [1] * 12 + [3]
+    assert all(abs(a - (round(a.real) if m == 1 else 1 / 3)) <= 3e-9 for a, m in div.points)
 
 
 def test_zpoly_zeros_respects_radius():
@@ -339,7 +351,7 @@ def test_closed_form_matches_the_quadtree_on_seeded_one_frequency_inputs():
              ((ExpPoly.exp(1) + 1) ** 2, 30.0)]
     cases += [(_one_frequency(rng), 3.0 * 20.0 ** rng.random()) for _ in range(200)]
     for f, r in cases:
-        closed = zeros._closed_form_zeros(f, r)
+        closed = zeros._certified_zeros(f, r)
         assert closed is not None, (f, r)
         tree = zeros._quadtree_zeros(f, r)
         assert closed.boundary_nudged == tree.boundary_nudged
@@ -360,23 +372,30 @@ def test_closed_form_count_matches_the_disk_winding_far_out(r):
 
 
 def test_zeros_on_the_circle_count_inside_on_both_entries():
-    # 1 + e^z vanishes at +-i pi, on the circle |z| = pi
-    divs = [entry(ExpPoly.exp(1) + 1, math.pi) for entry in ENTRIES]
-    assert all(div.boundary_nudged for div in divs)
-    _same_divisor(*divs)
-    assert divs[0].total() == 2
+    # 1 + e^z vanishes at +-i pi, on the circle |z| = pi, and z - 2 on |z| = 2
+    for f, r, count in ((ExpPoly.exp(1) + 1, math.pi, 2), (ExpPoly.var() - 2, 2.0, 1)):
+        divs = [entry(f, r) for entry in ENTRIES]
+        assert all(div.boundary_nudged for div in divs)
+        _same_divisor(*divs)
+        assert divs[0].total() == count
 
 
 def test_an_inclusion_radius_too_large_falls_back_to_the_quadtree(monkeypatch):
-    f, r = (ExpPoly.exp(1) + 1) ** 2 - 4, 25.0
-    closed = exppoly_zeros(f, r)
-    calls = []
-    quadtree = zeros._quadtree_zeros
-    monkeypatch.setattr(zeros, "_inclusion_radii", lambda g, xs: [1e-3 * abs(x) for x in xs])
-    monkeypatch.setattr(zeros, "_quadtree_zeros", lambda f, r: calls.append(f) or quadtree(f, r))
-    assert zeros._closed_form_zeros(f, r) is None
-    _same_divisor(exppoly_zeros(f, r), closed, tol=2e-10 * r)
-    assert calls == [f]
+    # a one-frequency f whose radii are too large, and a polynomial whose
+    # certificate fails, (z - 3)(z + 2i)(z - 1/2 - i/3)
+    z = ExpPoly.var()
+    poly = (z - 3) * (z + GaussRat(0, 2)) * (z - GaussRat(Fraction(1, 2), Fraction(1, 3)))
+    for f, r, radii in (((ExpPoly.exp(1) + 1) ** 2 - 4, 25.0, lambda g, xs: [1e-3 * abs(x) for x in xs]),
+                        (poly, 10.0, lambda g, xs: None)):
+        certified = exppoly_zeros(f, r)
+        calls = []
+        quadtree = zeros._quadtree_zeros
+        monkeypatch.setattr(zeros, "_inclusion_radii", radii)
+        monkeypatch.setattr(zeros, "_quadtree_zeros", lambda f, r: calls.append(f) or quadtree(f, r))
+        assert zeros._certified_zeros(f, r) is None
+        _same_divisor(exppoly_zeros(f, r), certified, tol=2e-10 * r)
+        assert calls == [f]
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("f", [ExpPoly.var() * ExpPoly.exp(1) + 1,
@@ -386,13 +405,13 @@ def test_an_inclusion_radius_too_large_falls_back_to_the_quadtree(monkeypatch):
                                # P(w) = 1 + w^16 + w^17, w = e^{z/16}: past the degree cap
                                ExpPoly.exp(1) + ExpPoly.exp(1 + GaussRat(Fraction(1, 16))) + 1])
 def test_polynomial_coefficients_rank_two_and_high_degree_take_the_quadtree(f):
-    assert zeros._closed_form_zeros(f, 10.0) is None
+    assert zeros._certified_zeros(f, 10.0) is None
 
 
 def test_degree_sixteen_still_takes_the_closed_form():
     # P(w) = 1 + w^15 + w^16, w = e^{z/16}
     f = ExpPoly.exp(1) + ExpPoly.exp(1 - GaussRat(Fraction(1, 16))) + 1
-    closed = zeros._closed_form_zeros(f, 50.0)
+    closed = zeros._certified_zeros(f, 50.0)
     assert closed is not None
     _same_divisor(closed, zeros._quadtree_zeros(f, 50.0), tol=1e-8)
 
@@ -406,7 +425,7 @@ def test_a_root_of_p_near_1e200_takes_the_closed_form_without_overflow(f, r):
     # shifted by its first frequency, f is e^{c0 z} P(e^{gamma z}) with the root
     # of P at -10^200 or at -10^-200; near 10^200 the float root is about 1e184
     # off, and |g/g'|^2 passes the float range
-    closed, tree = zeros._closed_form_zeros(f, r), zeros._quadtree_zeros(f, r)
+    closed, tree = zeros._certified_zeros(f, r), zeros._quadtree_zeros(f, r)
     assert closed is not None and closed.total() == tree.total() == (30 if r > 400 else 0)
     _same_divisor(closed, tree, tol=2e-10 * r)
     _same_divisor(exppoly_zeros(f, r), tree, tol=2e-10 * r)
@@ -425,7 +444,7 @@ def test_coefficients_at_the_edge_of_the_float_range_fall_back_to_the_quadtree(k
 def test_a_zero_at_the_outer_edge_of_the_boundary_band_is_left_to_the_quadtree():
     # i pi lies BOUNDARY_BAND r outside |z| = r: it may or may not count inside
     f, r = ExpPoly.exp(1) + 1, math.pi / (1 + zeros.BOUNDARY_BAND)
-    assert zeros._closed_form_zeros(f, r) is None
+    assert zeros._certified_zeros(f, r) is None
     tree = zeros._quadtree_zeros(f, r)
     assert exppoly_zeros(f, r) == tree
 
@@ -434,7 +453,7 @@ def test_closed_form_points_are_certified_roots():
     # each inclusion disk holds one root, so e^{gamma z} at every point is
     # within the disk of a root of P
     f = 2 * ExpPoly.exp(GaussRat(0, Fraction(3, 2))) - ExpPoly.exp(GaussRat(0, Fraction(1, 2))) + 5
-    div = zeros._closed_form_zeros(f, 40.0)
+    div = zeros._certified_zeros(f, 40.0)
     assert div is not None and div.total() == disk_winding(f, 40.0)
     for point, m in div.points:
         assert m == 1 and abs(f(point)) <= 1e-8 * max(1.0, abs(point))
@@ -455,6 +474,6 @@ def test_a_zero_too_near_the_circle_to_place_is_left_to_the_quadtree(monkeypatch
     # within the 3e-11 error forced on every point
     f, r = ExpPoly.exp(1) + 1, math.pi * (1 - 5e-12)
     monkeypatch.setattr(zeros, "_inclusion_radii", lambda g, xs: [3e-11 * abs(x) for x in xs])
-    assert zeros._closed_form_zeros(f, r) is None
+    assert zeros._certified_zeros(f, r) is None
     monkeypatch.undo()
-    assert zeros._closed_form_zeros(f, 2 * r) is not None
+    assert zeros._certified_zeros(f, 2 * r) is not None
