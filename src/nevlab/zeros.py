@@ -1,28 +1,30 @@
 """Zero location in disks by two paths: certified roots for polynomials and
-one-frequency exponential polynomials, argument-principle subdivision for
-every other exponential polynomial and wherever a certificate fails.
+one-frequency exponential polynomials, argument-principle subdivision for every
+other exponential polynomial and wherever a certificate fails.  On both, one float
+Newton iteration (_newton) proposes points and a certificate decides.
 
-Certified path: Yun square-free decomposition over the Gaussian rationals gives
-exact multiplicities; numpy locates the (simple) roots of each factor g, Newton
-polishes them, float then, where that stalls, one exact step, and each is certified
-by a disk of radius deg g |g/g'| from exact values.  A polynomial's zeros are its
-roots; the zeros of f = e^{c0 z} P(e^{gamma z}) are (Log w + 2 pi i m)/gamma over the
-roots w of P.  Each zero that counts is placed within 1e-10 max(r, 1), and none is
-undecided at the boundary band's edge, or f goes to the quadtree, as a one-frequency
-f with deg P > 16 does.
+Certified path: Yun square-free decomposition over the Gaussian rationals gives exact
+multiplicities; numpy locates the (simple) roots of each factor g, Newton polishes
+them, with one exact step where it stalls short of the last ulp, and each is
+certified by a disk of radius deg g |g/g'| from exact values.  A polynomial's zeros
+are its roots; the zeros of f = e^{c0 z} P(e^{gamma z}) are (Log w + 2 pi i m)/gamma
+over the roots w of P.  Each zero that counts is placed within 1e-10 max(r, 1), and
+none is undecided at the boundary band's edge, or f goes to the quadtree, as a
+one-frequency f with deg P > 16 does.
 
-Quadtree path: the disk winding
-number is the total count, and a quadtree of boxes, each counted by the
-certified phase increments along its sides (_walk, _subdivide), isolates the
-zeros, a box of count 1 ending in a certified Newton exit; the located
-multiplicities must add up to the count, or the radius is refused.  A simple
-zero is placed within 1e-10 max(r, 1), a cluster of multiplicity >= 2 only
-within 3e-8 (1 + |z|), the cluster floor of _subdivide.  Every value is read as
-f e^{-M} from ExpPoly.scaled, the one float evaluator, so no radius overflows.
+Quadtree path: the disk winding number is the total count, and a quadtree of boxes,
+each counted by the certified phase increments along its sides (_walk, _subdivide),
+isolates the zeros, a box of count 1 ending in a Newton exit that a winding square
+certifies; the located multiplicities must add up to the count, or the radius is
+refused.  A simple zero is placed within 1e-10 max(r, 1), a cluster of multiplicity
+>= 2 only within 3e-8 (1 + |z|), the cluster floor of _subdivide.  Every value is
+read as f e^{-M} from ExpPoly.scaled, the one float evaluator, so no radius overflows.
 
-Zeros within 1e-12 (relative) of the boundary circle: the radius is nudged
-outward by that amount and the divisor is flagged, so boundary zeros count
-as inside deterministically.
+Zeros near the boundary circle count inside deterministically and flag the divisor:
+the certified path counts those surely within BOUNDARY_BAND r of it; where the
+quadtree's walk of the circle breaks down, it widens r by the factors
+1 + BOUNDARY_BAND 10^k, k = 0, ..., 6, in turn, to about r (1 + 1.1e-6), then raises
+ContourThroughZero.
 """
 
 from __future__ import annotations
@@ -50,9 +52,10 @@ class ContourThroughZero(ArithmeticError):
 
 @dataclass(frozen=True)
 class Divisor:
-    """Zeros with multiplicities inside |z| <= r (after any boundary nudge), within
-    1e-10 max(r, 1) of the true ones, a polynomial's roots by a certified disk, but a
-    quadtree cluster of multiplicity >= 2 only within 3e-8 (1 + |z|)."""
+    """Zeros with multiplicities inside |z| <= r, within 1e-10 max(r, 1) of the true
+    ones, a polynomial's roots by a certified disk, but a quadtree cluster of
+    multiplicity >= 2 only within 3e-8 (1 + |z|); boundary_nudged when a zero within
+    1e-12 r of the circle counted inside or r was widened, to r (1 + 1.1e-6) at most."""
 
     points: tuple[tuple[complex, int], ...]
     r: float
@@ -91,20 +94,37 @@ def yun_squarefree(p: ZPoly) -> list[tuple[ZPoly, int]]:
     return out
 
 
-def _newton_polish(g: ExpPoly, x: complex) -> complex:
-    """Float Newton on the polynomial g from x; where 60 steps do not settle, one exact step."""
-    for _ in range(60):
-        _, fx, dfx, _ = g.scaled(x, derivative=True)
-        if fx == 0 or dfx == 0:
-            return x
-        step = fx / dfx
+def _newton(f: ExpPoly, x: complex, mult: int = 1, inside=None) -> tuple[complex, float]:
+    """Newton's iteration x <- x - mult f/f' on values from f.scaled, ended by f = 0 or
+    f' = 0, by an iterate outside `inside`, or by a stall: a step within an ulp of
+    max(1, |x|), or one below 1e-8 max(1, |x|) no shorter than the last (the gate spares
+    a global step that grows); 64 steps bound a cycle.  Returns the iterate of least |f|, as
+    M + log|f e^{-M}| with |f e^{-M}| breaking ties, and the last step's length."""
+    best, best_key, last = x, (math.inf,), math.inf
+    for _ in range(64):
+        if inside is not None and not inside(x):
+            break
+        shift, fx, dfx, _ = f.scaled(x, derivative=True)
+        if fx == 0:
+            return x, 0.0
+        key = (shift + math.log(abs(fx)), abs(fx))
+        if key < best_key:
+            best, best_key = x, key
+        if dfx == 0:
+            break
+        step = mult * fx / dfx
+        if last <= abs(step) < 1e-8 * max(1.0, abs(x)):
+            break
+        last = abs(step)
+        if last <= math.ulp(max(1.0, abs(x))):
+            break
         x -= step
-        if abs(step) <= 1e-16 * max(1.0, abs(x)):
-            return x
-    p = g.polynomial_part()
-    w = GaussRat(Fraction(x.real), Fraction(x.imag)) if cmath.isfinite(x) else None
-    den = p.derivative()(w) if w is not None else 0
-    return complex(w - p(w) / den) if den else x
+    return best, last
+
+
+def _lift(x: complex) -> Optional[GaussRat]:
+    """A finite float point as the exact GaussRat it is, or None."""
+    return GaussRat(Fraction(x.real), Fraction(x.imag)) if cmath.isfinite(x) else None
 
 
 def zpoly_zeros(p: ZPoly, r: float) -> Divisor:
@@ -340,37 +360,16 @@ def _cut(box: _Box, attempt: int):
     return quads, halves, lines
 
 
-def _square(x: complex, tol: float) -> tuple[float, float, float, float]:
-    h = tol / 2
-    return x.real - h, x.real + h, x.imag - h, x.imag + h
-
-
 def _newton_exit(f: ExpPoly, x0, x1, y0, y1, tol) -> Optional[complex]:
-    """The candidate simple zero of a box of winding count 1, or None.
-
-    Plain Newton from the box centre must converge inside the box, and the
-    square of side tol centred at its limit (_square) must lie in the box.
-    The limit is accepted when that square has winding count 1: it then holds
-    the box's one zero, so the limit is within tol of it, as a quadtree
-    leaf's centre would be.
-    """
-    x = complex((x0 + x1) / 2, (y0 + y1) / 2)
-    for _ in range(40):
-        _, fx, dfx, _ = f.scaled(x, derivative=True)
-        if dfx == 0:
-            return None
-        step = fx / dfx
-        x -= step
-        if not (x0 <= x.real <= x1 and y0 <= x.imag <= y1):
-            return None
-        if abs(step) <= 1e-15 * max(1.0, abs(x)):
-            break
-    else:
-        return None
-    sx0, sx1, sy0, sy1 = _square(x, tol)
-    if not (x0 <= sx0 and sx1 <= x1 and y0 <= sy0 and sy1 <= y1):
-        return None
-    return x
+    """The candidate simple zero of a box of winding count 1, or None: Newton
+    (_newton) from the box centre, its iterates kept where the square of side
+    tol about them lies in the box, and its last step within that square.  The
+    square is to wind once: it then holds the box's one zero, so the point is
+    within tol of it, as a quadtree leaf's centre would be."""
+    h = tol / 2
+    x, step = _newton(f, complex((x0 + x1) / 2, (y0 + y1) / 2),
+                      inside=lambda z: x0 + h <= z.real <= x1 - h and y0 + h <= z.imag <= y1 - h)
+    return x if step <= h else None
 
 
 def _subdivide(f: ExpPoly, root: _Box, tol: float, rate: float) -> list[tuple[complex, int]]:
@@ -401,7 +400,8 @@ def _subdivide(f: ExpPoly, root: _Box, tol: float, rate: float) -> list[tuple[co
             if count == 1:
                 z = _newton_exit(f, x0, x1, y0, y1, tol)
                 if z is not None:
-                    square = _box(*_square(z, tol))
+                    h = tol / 2
+                    square = _box(z.real - h, z.real + h, z.imag - h, z.imag + h)
                     lines.append(square + square[:1])
                     jobs.append((box, None, z))
                     continue
@@ -453,28 +453,10 @@ def _subdivide(f: ExpPoly, root: _Box, tol: float, rate: float) -> list[tuple[co
 
 
 def _polish_cluster(f: ExpPoly, z: complex, mult: int, box_tol: float) -> complex:
-    """Multiplicity-aware Newton from a cluster's centre, returning the
-    iterate of least |f| within reach of the centre.  |f| is compared as
-    M + log|f e^{-M}|, with |f e^{-M}| breaking the ties that the log's
-    rounding makes."""
+    """Multiplicity-aware Newton (_newton) from a cluster's centre: the iterate of
+    least |f| within reach of it, past which the iteration is noise-driven."""
     escape = max(4 * box_tol, 1e-4 * (1 + abs(z)))
-    x, step, best, best_key = z, math.inf, z, (math.inf,)
-    for _ in range(81):
-        shift, fx, dfx, _ = f.scaled(x, derivative=True)
-        if fx == 0:
-            return x
-        key = (shift + math.log(abs(fx)), abs(fx))
-        if key < best_key:
-            best, best_key = x, key
-        if abs(step) <= 1e-15 * max(1.0, abs(x)) or dfx == 0:
-            break
-        step = mult * fx / dfx
-        if abs(step) > escape:
-            # a noise-driven step this large means the iteration left the
-            # trustworthy region; keep the best point seen instead
-            break
-        x -= step
-    return best if abs(best - z) <= escape else z
+    return _newton(f, z, mult, inside=lambda x: abs(x - z) <= escape)[0]
 
 
 def _inclusion_radii(g: ZPoly, xs: list[complex]) -> Optional[list[float]]:
@@ -485,7 +467,7 @@ def _inclusion_radii(g: ZPoly, xs: list[complex]) -> Optional[list[float]]:
     needs rho < |x|/2, checked exactly first, which keeps 0 out and rho finite."""
     dg, radii = g.derivative(), []
     for x in xs:
-        w = GaussRat(Fraction(x.real), Fraction(x.imag)) if cmath.isfinite(x) else None
+        w = _lift(x)
         if w is None or not (den := dg(w)):
             return None
         q = g(w) / den                  # 0 at an exact root, which skips both tests
@@ -524,10 +506,15 @@ def _certified_zeros(f: ExpPoly, r: float) -> Optional[Divisor]:
     tol, band = 1e-10 * max(r, 1.0), BOUNDARY_BAND * r
     pts, nudged = [], False
     for g, mult in yun_squarefree(poly):
+        xs, dg, h = [], g.derivative(), ExpPoly.poly(g)
         try:
-            h = ExpPoly.poly(g)
-            xs = [_newton_polish(h, x) for x in np.roots(h.float_image[0][1]).tolist()]
-        except OverflowError:       # a coefficient of g past the float range
+            for x in np.roots(h.float_image[0][1]).tolist():
+                x, step = _newton(h, x)
+                # float Newton stalled short of the last ulp: one exact step
+                if step > math.ulp(max(1.0, abs(x))) and (w := _lift(x)) is not None and (den := dg(w)):
+                    x = complex(w - g(w) / den)
+                xs.append(x)
+        except OverflowError:       # a coefficient of g, or the exact step, past the float range
             return None
         radii = _inclusion_radii(g, xs)
         if radii is None:
@@ -598,11 +585,8 @@ def _quadtree_zeros(f: ExpPoly, r: float) -> Divisor:
             continue
     else:
         raise ContourThroughZero("quadtree subdivision failed")
-    pts = []
-    for z, mult in found:
-        z = _polish_cluster(f, z, mult, tol)
-        if abs(z) <= eff * (1 + BOUNDARY_BAND):
-            pts.append((z, mult))
+    polished = [(_polish_cluster(f, z, mult, tol), mult) for z, mult in found]
+    pts = [(z, mult) for z, mult in polished if abs(z) <= eff * (1 + BOUNDARY_BAND)]
     got = sum(m for _, m in pts)
     if got != total:
         raise ContourThroughZero(

@@ -4,8 +4,8 @@ module-level function and class is used by the package or its scripts, and
 the package has no assert statement, no private `fractions` API, no
 `polyval` and no use of the scaling `ExpPoly._scaled_exps` outside `expfunc`,
 one call of `np.roots` and of `yun_squarefree`, both in the certified root
-routine, `fields.py` imports only the standard library, and importing the
-command line loads no mpmath.
+routine, one float Newton loop, `fields.py` imports only the standard library,
+and importing the command line loads no mpmath.
 
 Names listed in a module's __all__ count as used (re-exports); __future__
 imports and the package __init__, which exists to re-export, are exempt.
@@ -123,6 +123,19 @@ def test_one_root_finder_and_one_root_certificate():
                         calls[name].append(f"{p.name}:{getattr(top, 'name', top.lineno)}")
     certified = ["zeros.py:_certified_zeros"]
     assert calls == {"roots": certified, "yun_squarefree": certified}
+
+
+def test_one_newton_iteration():
+    # f' is read from the evaluator only by the one float Newton loop and the
+    # array walk: every Newton caller goes through _newton
+    calls = []
+    for p in sorted(SRC.glob("*.py")):
+        for top in ast.parse(p.read_text(), str(p)).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "scaled"
+                        and any(k.arg == "derivative" for k in node.keywords)):
+                    calls.append(f"{p.name}:{getattr(top, 'name', top.lineno)}")
+    assert calls == ["zeros.py:_newton", "zeros.py:_walk"]
 
 
 def test_fields_imports_only_the_standard_library():

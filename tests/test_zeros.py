@@ -47,6 +47,31 @@ def test_zpoly_roots_with_multiplicity():
     assert all(abs(a - (round(a.real) if m == 1 else 1 / 3)) <= 3e-9 for a, m in div.points)
 
 
+def _counting_scaled(monkeypatch) -> list:
+    """Record every ExpPoly.scaled call from now on; returns the record."""
+    calls, scaled = [], ExpPoly.scaled
+    monkeypatch.setattr(ExpPoly, "scaled", lambda self, *a, **k: calls.append(1) or scaled(self, *a, **k))
+    return calls
+
+
+def test_dense_polynomial_roots_certify_in_few_newton_steps(monkeypatch):
+    # float Newton reaches its noise floor, above 1e-16 |x|, on most roots of a dense
+    # degree-24 polynomial with roots in (1/4) Z[i], one of them double; the stall
+    # test ends it there, and one exact step certifies the root
+    rng = random.Random(18)
+    roots = [GaussRat(Fraction(rng.randint(-40, 40), 4), Fraction(rng.randint(-40, 40), 4))
+             for _ in range(24)]
+    z = ZPoly.var()
+    p = math.prod((z - a for a in roots), start=ZPoly.const(1))
+    calls = _counting_scaled(monkeypatch)
+    div = zeros._certified_zeros(ExpPoly.poly(p), 10.0)
+    assert div is not None and len(calls) <= 12 * len(set(roots)) and len(set(roots)) == 23
+    inside = {complex(a): roots.count(a) for a in roots if abs(complex(a)) <= 10}
+    snapped = {complex(round(4 * x.real), round(4 * x.imag)) / 4: m for x, m in div.points}
+    assert snapped == inside and 2 in inside.values()
+    assert all(abs(x - complex(round(4 * x.real), round(4 * x.imag)) / 4) <= 1e-9 for x, _ in div.points)
+
+
 def test_zpoly_zeros_respects_radius():
     p = ZPoly((-8, 0, 0, 1))          # zeros: 2, 2w, 2w^2 with |.| = 2
     div = zpoly_zeros(p, 5.0)
@@ -69,6 +94,23 @@ def test_ratfunc_divisors_split_zeros_and_poles():
     assert zeros.total() == 2 and poles.total() == 1
     assert zeros.points[0][0] == pytest.approx(1.0)
     assert poles.points[0][0] == pytest.approx(-2.0)
+
+
+@pytest.mark.parametrize("f, x, mult, inside, want, last, evals", [
+    # mult = 2 on the double zero 2 pi i of (e^z - 1)^2
+    ((ExpPoly.exp(1) - 1) ** 2, 2j * math.pi + 0.01 + 0.01j, 2, None, 2j * math.pi, None, None),
+    # z^2 - 4 from 3: 13/6, then 2.0064 outside Re x > 2.1 ends it at the best seen
+    (ExpPoly.var() ** 2 - 4, 3 + 0j, 1, lambda x: x.real > 2.1, 13 / 6, 13 / 6 - 313 / 156, 2),
+    # an exact zero is returned at once
+    (ExpPoly.var() - 1, 1 + 0j, 1, None, 1, 0.0, 1),
+], ids=["double-zero", "leaves-inside", "exact-zero"])
+def test_newton_iteration(f, x, mult, inside, want, last, evals, monkeypatch):
+    calls = _counting_scaled(monkeypatch)
+    got, step = zeros._newton(f, x, mult, inside)
+    # within the cluster floor of the quadtree
+    assert abs(got - want) <= 3e-8 * (1 + abs(want))
+    assert last is None or step == pytest.approx(last, rel=1e-12)
+    assert evals is None or len(calls) == evals
 
 
 def test_disk_winding_counts_zeros():
