@@ -426,7 +426,8 @@ def quotient_zeros(e_part: ExpPoly, d_part: ZPoly, r: float) -> Divisor:
     G'(0) != 0, whose zeros zpoly_zeros places as certified roots with exact
     multiplicities where the certificates hold; E''s zeros come from
     exppoly_zeros, as certified roots too when E' is a polynomial or has
-    constant coefficients and one frequency lattice.  At a root b != 0 of G' or
+    constant coefficients and one frequency lattice, as seeded zeros when E' has
+    two terms, and from the quadtree otherwise.  At a root b != 0 of G' or
     of D' = D/gcd(G, D), E'(b) != 0 by Lindemann-Weierstrass: D' gives poles
     only.  At 0 the zero of E' gains a and loses min(ord_0 E', ord_0 D').
     """

@@ -1,7 +1,8 @@
-"""Zero location in disks by two paths: certified roots for polynomials and
-one-frequency exponential polynomials, argument-principle subdivision for every
-other exponential polynomial and wherever a certificate fails.  On both, one float
-Newton iteration (_newton) proposes points and a certificate decides.
+"""Zero location in disks by three paths: certified roots for polynomials and
+one-frequency exponential polynomials, seeded zeros for the other two-term ones, and
+argument-principle subdivision for every other exponential polynomial and wherever a
+certificate fails.  On all three, one float Newton iteration (_newton) proposes points
+and a certificate decides.
 
 Certified path: Yun square-free decomposition over the Gaussian rationals gives exact
 multiplicities; numpy locates the (simple) roots of each factor g, Newton polishes
@@ -9,8 +10,13 @@ them, with one exact step where it stalls short of the last ulp, and each is
 certified by a disk of radius deg g |g/g'| from exact values.  A polynomial's zeros
 are its roots; the zeros of f = e^{c0 z} P(e^{gamma z}) are (Log w + 2 pi i m)/gamma
 over the roots w of P.  Each zero that counts is placed within 1e-10 max(r, 1), and
-none is undecided at the boundary band's edge, or f goes to the quadtree, as a
-one-frequency f with deg P > 16 does.
+none is undecided at the boundary band's edge, or f goes on, as a one-frequency f
+with deg P > 16 does.
+
+Seeded path: Newton runs toward the zeros of f = p e^{alpha z} + q e^{beta z} on the
+branches of e^{(beta - alpha) z} = -p/q, and its limits are simple zeros within 1e-10
+max(r, 1) when each one's square of that side winds once, clear of the boundary band,
+and they add up to the disk winding number; otherwise f goes to the quadtree.
 
 Quadtree path: the disk winding number is the total count, and a quadtree of boxes,
 each counted by the certified phase increments along its sides (_walk, _subdivide),
@@ -21,10 +27,10 @@ refused.  A simple zero is placed within 1e-10 max(r, 1), a cluster of multiplic
 read as f e^{-M} from ExpPoly.scaled, the one float evaluator, so no radius overflows.
 
 Zeros near the boundary circle count inside deterministically and flag the divisor:
-the certified path counts those surely within BOUNDARY_BAND r of it; where the
-quadtree's walk of the circle breaks down, it widens r by the factors
-1 + BOUNDARY_BAND 10^k, k = 0, ..., 6, in turn, to about r (1 + 1.1e-6), then raises
-ContourThroughZero.
+the certified path counts those surely within BOUNDARY_BAND r of it, the seeded path
+leaves any in the band to the quadtree, and where the quadtree's walk of the circle
+breaks down, it widens r by the factors 1 + BOUNDARY_BAND 10^k, k = 0, ..., 6, in
+turn, to about r (1 + 1.1e-6), then raises ContourThroughZero.
 """
 
 from __future__ import annotations
@@ -52,10 +58,10 @@ class ContourThroughZero(ArithmeticError):
 
 @dataclass(frozen=True)
 class Divisor:
-    """Zeros with multiplicities inside |z| <= r, within 1e-10 max(r, 1) of the true
-    ones, a polynomial's roots by a certified disk, but a quadtree cluster of
-    multiplicity >= 2 only within 3e-8 (1 + |z|); boundary_nudged when a zero within
-    1e-12 r of the circle counted inside or r was widened, to r (1 + 1.1e-6) at most."""
+    """Zeros with multiplicities inside |z| <= r, within 1e-10 max(r, 1) of the true ones
+    by a certified disk or a winding square, but a quadtree cluster of multiplicity >= 2
+    only within 3e-8 (1 + |z|); boundary_nudged when a zero within 1e-12 r of the
+    circle counted inside or r was widened, to r (1 + 1.1e-6) at most."""
 
     points: tuple[tuple[complex, int], ...]
     r: float
@@ -372,22 +378,29 @@ def _newton_exit(f: ExpPoly, x0, x1, y0, y1, tol) -> Optional[complex]:
     return x if step <= h else None
 
 
-def _subdivide(f: ExpPoly, root: _Box, tol: float, rate: float) -> list[tuple[complex, int]]:
-    """The clusters of the quadtree under root as (point, multiplicity), in
-    depth-first order.
+def _winds_once(f: ExpPoly, points, tol: float, rate: float) -> list[bool]:
+    """Per point, whether the square of side tol about it winds exactly once, from one
+    _windings call: it then holds one simple zero, within tol of the point."""
+    h = tol / 2
+    squares = [_box(z.real - h, z.real + h, z.imag - h, z.imag + h) for z in points]
+    return [w == 1 for w in _windings(f, squares, rate, _chord_mid)] if squares else []
 
-    The tree grows level by level, and each level is one _walk: the cut
-    lines of every box it splits, and the certificate square of every Newton
-    exit it tries.  A box cut at its midpoints takes the halves of its sides
-    from its own walk (_halves); a side whose middle point is not a sample of
-    that walk, and every side of a sliding-cut retry, is walked afresh.  So
-    every edge is walked once, and every winding number is a sum of
-    certified increments.  A failed attempt is tried again at the next level.
+
+def _subdivide(f: ExpPoly, root: _Box, tol: float, rate: float) -> list[tuple[complex, int, bool]]:
+    """The clusters of the quadtree under root as (point, multiplicity, settled), in
+    depth-first order, settled where the point is a Newton exit, not a box centre.
+
+    The tree grows level by level: one _walk of the cut lines of every box a level
+    splits, one _winds_once of the squares of its Newton exits.  A box cut at its
+    midpoints takes the halves of its sides from its own walk (_halves); a side whose
+    middle point is not a sample of that walk, and every side of a sliding-cut retry,
+    is walked afresh.  So every edge is walked once, and every winding number is a
+    sum of certified increments.  A failed attempt is tried again at the next level.
     """
     found = []
     boxes, retries = [root], []
     while boxes or retries:
-        lines, jobs, splits = [], [], retries
+        lines, jobs, splits, exits = [], [], retries, []
         for box in boxes:
             x0, x1, y0, y1, count, path, _ = box
             if count == 0:
@@ -395,37 +408,31 @@ def _subdivide(f: ExpPoly, root: _Box, tol: float, rate: float) -> list[tuple[co
             w, h = x1 - x0, y1 - y0
             center = complex((x0 + x1) / 2, (y0 + y1) / 2)
             if max(w, h) <= tol or len(path) > 64:
-                found.append((path, center, count))
+                found.append((path, center, count, False))
                 continue
             if count == 1:
                 z = _newton_exit(f, x0, x1, y0, y1, tol)
                 if z is not None:
-                    h = tol / 2
-                    square = _box(z.real - h, z.real + h, z.imag - h, z.imag + h)
-                    lines.append(square + square[:1])
-                    jobs.append((box, None, z))
+                    exits.append((box, z))
                     continue
             if count >= 2 and max(w, h) <= 3e-8 * (1 + abs(center)):
                 # below sqrt(eps) a multiple zero cannot be told from a tight pair in
                 # double precision; a "successful" split here is sampling luck
-                found.append((path, center, count))
+                found.append((path, center, count, False))
                 continue
             splits.append((box, 0))
         for box, attempt in splits:
             quads, halves, new = _cut(box, attempt)
             lines += new
-            jobs.append((box, attempt, (quads, halves, len(new))))
+            jobs.append((box, attempt, quads, halves, len(new)))
         walked = iter(_edges(f, lines, rate) if lines else ())
         boxes, retries = [], []
-        for box, attempt, job in jobs:
-            if attempt is None:             # a Newton exit: job is the limit
-                square = [next(walked) for _ in range(4)]
-                if None not in square and _whole_turns(sum(s.sum() for s in square)) == 1:
-                    found.append((box.path, job, 1))
-                else:
-                    retries.append((box, 0))
-                continue
-            quads, halves, n = job          # a cut: n lines of two edges each
+        for (box, z), once in zip(exits, _winds_once(f, [z for _, z in exits], tol, rate)):
+            if once:
+                found.append((box.path, z, 1, True))
+            else:
+                retries.append((box, 0))
+        for box, attempt, quads, halves, n in jobs:     # a cut: n lines of two edges each
             cuts = [(next(walked), next(walked)) for _ in range(n)]
             vert, horiz = cuts[0], cuts[1]
             fresh = iter(cuts[2:])
@@ -447,9 +454,9 @@ def _subdivide(f: ExpPoly, root: _Box, tol: float, rate: float) -> list[tuple[co
                 raise ContourThroughZero(f"cannot separate {box.count} zeros in box {box[:4]}")
             # double-precision cancellation floor: below this scale the phase of
             # f is noise near a multiple zero; keep the cluster with its count
-            found.append((box.path, center, box.count))
+            found.append((box.path, center, box.count, False))
     found.sort(key=lambda leaf: leaf[0])
-    return [(z, m) for _, z, m in found]
+    return [leaf[1:] for leaf in found]
 
 
 def _polish_cluster(f: ExpPoly, z: complex, mult: int, box_tol: float) -> complex:
@@ -541,13 +548,62 @@ def _certified_zeros(f: ExpPoly, r: float) -> Optional[Divisor]:
     return Divisor(points=tuple(pts), r=r, boundary_nudged=nudged)
 
 
+def _seeded_zeros(f: ExpPoly, r: float) -> Optional[Divisor]:
+    """The divisor in |z| <= r of a two-term f = p e^{alpha z} + q e^{beta z}, or None.
+    Its zeros solve e^{gamma z} = -p/q, gamma = beta - alpha, one on each branch
+    (Log(-p/q) + 2 pi i m)/gamma far out.  Newton (_newton) runs from the roots of p and
+    q, and after three steps z <- z + (Log(-p/q) - gamma z + 2 pi i k)/gamma, k the
+    nearest branch, from 2 pi i (m +- 1/4)/gamma on each branch m that reaches the disk
+    and from circles out to the root bound of p and q.  The distinct limits short of
+    the boundary band are the divisor when each one's square of side tol lies in
+    |z| < r (1 - BOUNDARY_BAND) and winds once, and their number is disk_winding(f, r)."""
+    if len(f.terms) != 2:
+        return None
+    (alpha, p), (beta, q) = f.terms.items()
+    gamma = complex(beta - alpha)
+    tol, rate = 1e-10 * max(r, 1.0), phase_rate_bound(f)
+    polys = [ExpPoly.poly(g) for g in (p, q)]
+    bound = max((1 + max(map(abs, cs[1:])) / abs(cs[0]) for cs in
+                 (g.float_image[0][1] for g in polys) if len(cs) > 1 and cs[0]), default=1.0)
+    if not math.isfinite(bound):
+        return None
+    seeds = [z for g in (p, q) for z, _ in zpoly_zeros(g, bound).points]
+    top = math.ceil(r * abs(gamma) / (2 * math.pi)) + 1
+    branch = 2j * np.pi * np.arange(-top, top + 1)
+    rings = bound * np.outer(2.0 ** -np.arange(4), np.exp(2j * np.pi * np.arange(8) / 8)).ravel()
+    z = np.concatenate(((branch + 0.5j * np.pi) / gamma, (branch - 0.5j * np.pi) / gamma, rings))
+    with np.errstate(all="ignore"):
+        for _ in range(3):
+            d = np.log(-polys[0].scaled(z)[1] / polys[1].scaled(z)[1]) - gamma * z
+            z = z + (d - 2j * np.pi * np.round(d.imag / (2 * np.pi))) / gamma
+    seeds += z[np.isfinite(z)].tolist()
+    kept, h, inner, outer = [], tol / 2, r * (1 - BOUNDARY_BAND), r * (1 + BOUNDARY_BAND)
+    for x, step in sorted((_newton(f, x) for x in seeds), key=lambda xs: (xs[0].real, xs[0].imag)):
+        if step > h or abs(x) - h * math.sqrt(2) > outer or any(
+                abs(x.real - y.real) <= tol and abs(x.imag - y.imag) <= tol for y in kept):
+            continue            # not settled, outside the band, or a zero already kept
+        if max(abs(x + complex(sx, sy) * h) for sx in (-1, 1) for sy in (-1, 1)) >= inner:
+            return None
+        kept.append(x)
+    try:
+        if all(_winds_once(f, kept, tol, rate)) and disk_winding(f, r) == len(kept):
+            return Divisor(points=tuple((x, 1) for x in kept), r=r)
+    except ContourThroughZero:
+        pass
+    return None
+
+
 def exppoly_zeros(f: ExpPoly, r: float) -> Divisor:
     """Divisor of an exponential polynomial in |z| <= r: certified roots for a
-    polynomial or a one-frequency f (`_certified_zeros`), otherwise the quadtree."""
+    polynomial or a one-frequency f (`_certified_zeros`), else seeded zeros for a
+    two-term f (`_seeded_zeros`), otherwise the quadtree (`_quadtree_zeros`)."""
     if f.is_zero():
         raise ValueError("zero function has no divisor")
-    certified = _certified_zeros(f, r)
-    return certified if certified is not None else _quadtree_zeros(f, r)
+    for path in (_certified_zeros, _seeded_zeros):
+        div = path(f, r)
+        if div is not None:
+            return div
+    return _quadtree_zeros(f, r)
 
 
 def _quadtree_zeros(f: ExpPoly, r: float) -> Divisor:
@@ -585,7 +641,8 @@ def _quadtree_zeros(f: ExpPoly, r: float) -> Divisor:
             continue
     else:
         raise ContourThroughZero("quadtree subdivision failed")
-    polished = [(_polish_cluster(f, z, mult, tol), mult) for z, mult in found]
+    polished = [(z if settled else _polish_cluster(f, z, mult, tol), mult)
+                for z, mult, settled in found]
     pts = [(z, mult) for z, mult in polished if abs(z) <= eff * (1 + BOUNDARY_BAND)]
     got = sum(m for _, m in pts)
     if got != total:

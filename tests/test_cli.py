@@ -365,24 +365,21 @@ def test_exit_code_numerical_failure(paths, capsys, monkeypatch):
 
 
 def test_zero_count_mismatch_is_numerical_failure(paths, capsys, monkeypatch):
-    # the quadtree's count check; a moving target still reaches the quadtree
+    # the quadtree's count check: one located point is pushed out of the disk, and a
+    # moving target, which takes the seeded path, is sent to the quadtree
     from nevlab import zeros
     from nevlab.expfunc import ExpPoly
 
-    polish = zeros._polish_cluster
-    pushed = []
+    subdivide = zeros._subdivide
 
-    def push_one_out(f, z, mult, box_tol):
-        z = polish(f, z, mult, box_tol)
-        if not pushed:
-            pushed.append(z)
-            z += 1e6                          # outside every disk in play
-        return z
+    def push_one_out(*args):
+        (z, mult, settled), *rest = subdivide(*args)
+        return [(z + 1e6, mult, settled)] + rest     # outside every disk in play
 
-    monkeypatch.setattr(zeros, "_polish_cluster", push_one_out)
+    monkeypatch.setattr(zeros, "_subdivide", push_one_out)
     with pytest.raises(zeros.ContourThroughZero, match="located"):
         zeros._quadtree_zeros(ExpPoly.exp(1) - 1, 7.0)
-    pushed.clear()
+    monkeypatch.setattr(zeros, "_seeded_zeros", lambda f, r: None)
     moving = paths["tmp"] / "moving.json"
     moving.write_text(json.dumps(_hyperplanes(1, moving=True)))
     assert main(["smt", paths["curve"], str(moving), "--rmin", "10",
@@ -390,18 +387,19 @@ def test_zero_count_mismatch_is_numerical_failure(paths, capsys, monkeypatch):
     assert "numerical failure: located" in capsys.readouterr().err
 
 
-def test_fixed_targets_take_the_closed_form_and_moving_ones_the_quadtree(
+def test_fixed_targets_take_the_closed_form_and_moving_ones_the_seeded_path(
         paths, capsys, monkeypatch):
     from nevlab import zeros
 
-    calls = []
-    quadtree = zeros._quadtree_zeros
+    calls, seeded = [], []
+    quadtree, seeded_zeros = zeros._quadtree_zeros, zeros._seeded_zeros
 
     def counted(f, r):
         calls.append(f)
         return quadtree(f, r)
 
     monkeypatch.setattr(zeros, "_quadtree_zeros", counted)
+    monkeypatch.setattr(zeros, "_seeded_zeros", lambda f, r: seeded.append(f) or seeded_zeros(f, r))
     assert main(["smt", paths["curve"], paths["system"], "--rmin", "10",
                  "--rmax", "20", "--steps", "2"]) == 0
     assert calls == []
@@ -409,8 +407,25 @@ def test_fixed_targets_take_the_closed_form_and_moving_ones_the_quadtree(
     moving.write_text(json.dumps(_hyperplanes(1, moving=True)))
     assert main(["smt", paths["curve"], str(moving), "--rmin", "10",
                  "--rmax", "20", "--steps", "2"]) == 0
-    assert len(calls) >= 1
+    assert calls == [] and len(seeded) >= 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("a", [6, 10, 14])
+def test_benchmark_moving_targets_make_no_quadtree_call(paths, capsys, monkeypatch, a):
+    # (1 : e^z) with x0 + z/(z+a) x1, the moving targets of the smt benchmark
+    from nevlab import zeros
+
+    calls = []
+    monkeypatch.setattr(zeros, "_quadtree_zeros", lambda f, r: calls.append(f))
+    doc = _hyperplanes(1)
+    doc["polynomials"][-1]["terms"][-1]["coef"] = f"z/(z+{a})"
+    moving = paths["tmp"] / "moving.json"
+    moving.write_text(json.dumps(doc))
+    assert main(["smt", paths["curve"], str(moving), "--rmin", "10",
+                 "--rmax", "50", "--steps", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["holds_everywhere"] is True
+    assert calls == []
 
 
 def test_smt_where_a_component_vanishes_on_the_unit_circle(paths, capsys):

@@ -138,6 +138,23 @@ def test_one_newton_iteration():
     assert calls == ["zeros.py:_newton", "zeros.py:_walk"]
 
 
+def test_one_square_certificate():
+    # the square of side tol about a Newton point is built and wound by one helper,
+    # which the quadtree and the seeded path both call: no second square test
+    calls = {"_box": [], "_windings": [], "_winds_once": []}
+    for p in sorted(SRC.glob("*.py")):
+        for top in ast.parse(p.read_text(), str(p)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    if name in calls:
+                        calls[name].append(f"{p.name}:{getattr(top, 'name', top.lineno)}")
+    assert {k: sorted(v) for k, v in calls.items()} == {
+        "_box": ["zeros.py:_quadtree_zeros", "zeros.py:_winds_once"],
+        "_windings": ["zeros.py:_winds_once", "zeros.py:disk_winding"],
+        "_winds_once": ["zeros.py:_seeded_zeros", "zeros.py:_subdivide"]}
+
+
 def test_fields_imports_only_the_standard_library():
     tree = ast.parse((SRC / "fields.py").read_text())
     modules = set()

@@ -296,6 +296,14 @@ def test_quadtree_walks_each_edge_once_and_each_level_in_one_pass(monkeypatch):
     assert len(walks) <= 52 // 3 and sum(points) <= 60618 // 2
 
 
+def test_the_quadtree_polishes_only_its_clusters(monkeypatch):
+    # a Newton exit is a point _newton has settled; only box centres are polished
+    calls, polish = [], zeros._polish_cluster
+    monkeypatch.setattr(zeros, "_polish_cluster", lambda f, z, m, tol: calls.append(m) or polish(f, z, m, tol))
+    assert zeros._quadtree_zeros(ExpPoly.exp(1) + 1, 50.0).total() == 16 and calls == []
+    assert zeros._quadtree_zeros((ExpPoly.exp(1) - 1) ** 2, 10.0).total() == 6 and calls == [2, 2, 2]
+
+
 @pytest.mark.parametrize("r", [7.0, 50.0, 300.0, 720.0, 2000.0])
 def test_exp_minus_one_closed_form_count(r):
     for entry in ENTRIES:
@@ -404,6 +412,70 @@ def test_closed_form_matches_the_quadtree_on_seeded_one_frequency_inputs():
             tol = 2e-10 * max(r, 1.0) if m == 1 else 3e-8 * (1 + abs(point))
             near = min(tree.points, key=lambda q: abs(q[0] - point))
             assert near[1] == m and abs(near[0] - point) <= tol, (f, r, point, near)
+
+
+def _two_term(rng):
+    """p + q e^{gamma z}: p, q of degree <= 3 over Q(i), gamma a small Gaussian integer."""
+    def poly():
+        coeffs = [GaussRat(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                           Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+                  for _ in range(rng.randint(1, 4))]
+        return ZPoly(coeffs[:-1] + [coeffs[-1] or GaussRat(1)])
+
+    gamma = rng.choice([GaussRat(a, b) for a in range(-2, 3) for b in range(-2, 3) if a or b])
+    return ExpPoly.poly(poly()) + ExpPoly({gamma: poly()})
+
+
+def test_seeded_zeros_match_the_quadtree_on_seeded_two_term_inputs():
+    rng = random.Random(23)
+    z = ExpPoly.var()
+    cases = [(z + Fraction(k, 4) + z * ExpPoly.exp(1), 50.0) for k in range(24, 57, 4)]
+    cases += [(_two_term(rng), 3.0 * 20.0 ** rng.random()) for _ in range(200)]
+    answered = []
+    for f, r in cases:
+        seeded = zeros._seeded_zeros(f, r)
+        answered.append(seeded is not None)
+        if seeded is None:
+            continue
+        tree = zeros._quadtree_zeros(f, r)
+        assert seeded.boundary_nudged == tree.boundary_nudged
+        assert sorted(m for _, m in seeded.points) == sorted(m for _, m in tree.points)
+        for point, m in seeded.points:
+            near = min(tree.points, key=lambda q: abs(q[0] - point))
+            assert near[1] == m and abs(near[0] - point) <= 2e-10 * max(r, 1.0), (f, r, point, near)
+    assert all(answered[:9]) and sum(answered) >= 0.9 * len(cases)
+
+
+@pytest.mark.parametrize("f, r", [
+    (1 + ExpPoly.var() - ExpPoly.exp(1), 5.0),           # a double zero at 0
+    # +-i pi lie BOUNDARY_BAND r / 2 inside |z| = r, in the band
+    (ExpPoly.var() * (ExpPoly.exp(1) + 1), math.pi * (1 + zeros.BOUNDARY_BAND / 2))])
+def test_a_double_zero_or_one_in_the_band_leaves_the_seeded_path(f, r):
+    assert zeros._seeded_zeros(f, r) is None
+    assert exppoly_zeros(f, r) == zeros._quadtree_zeros(f, r)
+
+
+@pytest.mark.parametrize("move", [None, 0.5])
+def test_a_withheld_or_displaced_limit_falls_back_to_the_quadtree(monkeypatch, move):
+    # the Newton limits at one zero of (z + 10) + z e^z are withheld, which leaves the
+    # count short of the disk winding, or moved off the zero, which keeps the count
+    # and leaves the refusal to its winding square; the quadtree then answers once
+    f, r = ExpPoly.var() + 10 + ExpPoly.var() * ExpPoly.exp(1), 50.0
+    seeded = zeros._seeded_zeros(f, r)
+    target = seeded.points[0][0]
+    newton, quadtree, calls = zeros._newton, zeros._quadtree_zeros, []
+
+    def tamper(g, x, *args, **kwargs):
+        z, step = newton(g, x, *args, **kwargs)
+        if g == f and not (args or kwargs) and abs(z - target) < 1e-6:
+            return (z, math.inf) if move is None else (z + move, 0.0)
+        return z, step
+
+    monkeypatch.setattr(zeros, "_newton", tamper)
+    assert zeros._seeded_zeros(f, r) is None
+    monkeypatch.setattr(zeros, "_quadtree_zeros", lambda g, s: calls.append(g) or quadtree(g, s))
+    _same_divisor(exppoly_zeros(f, r), seeded, tol=2e-10 * r)
+    assert calls == [f]
 
 
 @pytest.mark.parametrize("r", [1000.5, 10000.5])
