@@ -9,28 +9,27 @@ multiplicities; numpy locates the (simple) roots of each factor g, Newton polish
 them, with one exact step where it stalls short of the last ulp, and each is
 certified by a disk of radius deg g |g/g'| from exact values.  A polynomial's zeros
 are its roots; the zeros of f = e^{c0 z} P(e^{gamma z}) are (Log w + 2 pi i m)/gamma
-over the roots w of P.  Each zero that counts is placed within 1e-10 max(r, 1), and
-none is undecided at the boundary band's edge, or f goes on, as a one-frequency f
-with deg P > 16 does.
+over the roots w of P.  Each zero in reach is placed within 1e-10 max(r, 1), or f
+goes on, as a one-frequency f with deg P > 16 does.
 
 Seeded path: Newton runs toward the zeros of f = p e^{alpha z} + q e^{beta z} on the
 branches of e^{(beta - alpha) z} = -p/q, and its limits are simple zeros within 1e-10
-max(r, 1) when each one's square of that side winds once, clear of the boundary band,
-and they add up to the disk winding number; otherwise f goes to the quadtree.
+max(r, 1) when each one's square of that side winds once inside the reach circle and
+they add up to its disk winding number; otherwise f goes to the quadtree.
 
-Quadtree path: the disk winding number is the total count, and a quadtree of boxes,
-each counted by the certified phase increments along its sides (_walk, _subdivide),
-isolates the zeros, a box of count 1 ending in a Newton exit that a winding square
-certifies; the located multiplicities must add up to the count, or the radius is
-refused.  A simple zero is placed within 1e-10 max(r, 1), a cluster of multiplicity
->= 2 only within 3e-8 (1 + |z|), the cluster floor of _subdivide.  Every value is
-read as f e^{-M} from ExpPoly.scaled, the one float evaluator, so no radius overflows.
+Quadtree path: the disk winding number of the reach circle is the total count, and a
+quadtree of boxes, each counted by the certified phase increments along its sides
+(_walk, _subdivide), isolates the zeros, a box of count 1 ending in a Newton exit that
+a winding square certifies; the multiplicities located in the reach disk must add up
+to the count, or the radius is refused.  A simple zero is placed within 1e-10
+max(r, 1), a cluster of multiplicity >= 2 within its exit box's half-diagonal plus
+the distance its polish moved it.  Every value is read as f e^{-M} from
+ExpPoly.scaled, the one float evaluator, so no radius overflows.
 
-Zeros near the boundary circle count inside deterministically and flag the divisor:
-the certified path counts those surely within BOUNDARY_BAND r of it, the seeded path
-leaves any in the band to the quadtree, and where the quadtree's walk of the circle
-breaks down, it widens r by the factors 1 + BOUNDARY_BAND 10^k, k = 0, ..., 6, in
-turn, to about r (1 + 1.1e-6), then raises ContourThroughZero.
+One boundary rule: every path locates the zeros out to _reach(r), each within its
+placement error, and _counted takes the circle r, or else the first of radius
+r + 1e-12 10^k max(r, 1), k = 0, ..., 6, that passes farther than its error from every
+one; the zeros inside it count, and boundary_nudged says that the circle moved.
 """
 
 from __future__ import annotations
@@ -47,9 +46,6 @@ import numpy as np
 from .expfunc import ExpPoly, exponent_polys
 from .fields import GaussRat, RatFunc, ZPoly, zpoly_gcd
 
-BOUNDARY_BAND = 1e-12
-
-
 class ContourThroughZero(ArithmeticError):
     """The argument-principle computation broke down: a contour walk hit a
     (near-)zero of the function, or the located zeros do not add up to the
@@ -58,10 +54,10 @@ class ContourThroughZero(ArithmeticError):
 
 @dataclass(frozen=True)
 class Divisor:
-    """Zeros with multiplicities inside |z| <= r, within 1e-10 max(r, 1) of the true ones
-    by a certified disk or a winding square, but a quadtree cluster of multiplicity >= 2
-    only within 3e-8 (1 + |z|); boundary_nudged when a zero within 1e-12 r of the
-    circle counted inside or r was widened, to r (1 + 1.1e-6) at most."""
+    """Zeros with multiplicities inside |z| <= r, each within 1e-10 max(r, 1) of a true
+    one by a certified disk or a winding square, a quadtree cluster of multiplicity >= 2
+    within its bound from _subdivide; boundary_nudged when a zero within that error of
+    the circle moved it (_counted), by 1e-6 max(r, 1) at most."""
 
     points: tuple[tuple[complex, int], ...]
     r: float
@@ -71,9 +67,6 @@ class Divisor:
         if level is None:
             return sum(m for _, m in self.points)
         return sum(min(m, level) for _, m in self.points)
-
-    def __len__(self):
-        return len(self.points)
 
 
 def yun_squarefree(p: ZPoly) -> list[tuple[ZPoly, int]]:
@@ -386,9 +379,11 @@ def _winds_once(f: ExpPoly, points, tol: float, rate: float) -> list[bool]:
     return [w == 1 for w in _windings(f, squares, rate, _chord_mid)] if squares else []
 
 
-def _subdivide(f: ExpPoly, root: _Box, tol: float, rate: float) -> list[tuple[complex, int, bool]]:
-    """The clusters of the quadtree under root as (point, multiplicity, settled), in
-    depth-first order, settled where the point is a Newton exit, not a box centre.
+def _subdivide(f: ExpPoly, root: _Box, tol: float, rate: float) -> list[tuple[complex, int, float]]:
+    """The clusters of the quadtree under root as (point, multiplicity, bound), in
+    depth-first order, each within bound of its true zeros: a Newton exit within tol,
+    the point _polish_cluster moves a box's centre to within the box's half-diagonal
+    plus the distance moved.
 
     The tree grows level by level: one _walk of the cut lines of every box a level
     splits, one _winds_once of the squares of its Newton exits.  A box cut at its
@@ -398,6 +393,13 @@ def _subdivide(f: ExpPoly, root: _Box, tol: float, rate: float) -> list[tuple[co
     sum of certified increments.  A failed attempt is tried again at the next level.
     """
     found = []
+
+    def cluster(box: _Box):
+        x0, x1, y0, y1 = box[:4]
+        c = complex((x0 + x1) / 2, (y0 + y1) / 2)
+        z = _polish_cluster(f, c, box.count, tol)
+        found.append((box.path, z, box.count, math.hypot(x1 - x0, y1 - y0) / 2 + abs(z - c)))
+
     boxes, retries = [root], []
     while boxes or retries:
         lines, jobs, splits, exits = [], [], retries, []
@@ -408,7 +410,7 @@ def _subdivide(f: ExpPoly, root: _Box, tol: float, rate: float) -> list[tuple[co
             w, h = x1 - x0, y1 - y0
             center = complex((x0 + x1) / 2, (y0 + y1) / 2)
             if max(w, h) <= tol or len(path) > 64:
-                found.append((path, center, count, False))
+                cluster(box)
                 continue
             if count == 1:
                 z = _newton_exit(f, x0, x1, y0, y1, tol)
@@ -418,7 +420,7 @@ def _subdivide(f: ExpPoly, root: _Box, tol: float, rate: float) -> list[tuple[co
             if count >= 2 and max(w, h) <= 3e-8 * (1 + abs(center)):
                 # below sqrt(eps) a multiple zero cannot be told from a tight pair in
                 # double precision; a "successful" split here is sampling luck
-                found.append((path, center, count, False))
+                cluster(box)
                 continue
             splits.append((box, 0))
         for box, attempt in splits:
@@ -429,7 +431,7 @@ def _subdivide(f: ExpPoly, root: _Box, tol: float, rate: float) -> list[tuple[co
         boxes, retries = [], []
         for (box, z), once in zip(exits, _winds_once(f, [z for _, z in exits], tol, rate)):
             if once:
-                found.append((box.path, z, 1, True))
+                found.append((box.path, z, 1, tol))
             else:
                 retries.append((box, 0))
         for box, attempt, quads, halves, n in jobs:     # a cut: n lines of two edges each
@@ -448,13 +450,13 @@ def _subdivide(f: ExpPoly, root: _Box, tol: float, rate: float) -> list[tuple[co
                 # a zero on a cut line breaks the walk there; slide the cut until clean
                 retries.append((box, attempt + 1))
                 continue
+            # double-precision cancellation floor: the phase of f is noise within
+            # about (1024 eps)^(1/k) of a k-fold zero; keep the cluster with its count
             x0, x1, y0, y1 = box[:4]
             center = complex((x0 + x1) / 2, (y0 + y1) / 2)
-            if max(x1 - x0, y1 - y0) > 1e-5 * (1 + abs(center)):
+            if max(x1 - x0, y1 - y0) > max(1e-5, 10 * 2.0 ** (-42 / box.count)) * (1 + abs(center)):
                 raise ContourThroughZero(f"cannot separate {box.count} zeros in box {box[:4]}")
-            # double-precision cancellation floor: below this scale the phase of
-            # f is noise near a multiple zero; keep the cluster with its count
-            found.append((box.path, center, box.count, False))
+            cluster(box)
     found.sort(key=lambda leaf: leaf[0])
     return [leaf[1:] for leaf in found]
 
@@ -464,6 +466,23 @@ def _polish_cluster(f: ExpPoly, z: complex, mult: int, box_tol: float) -> comple
     least |f| within reach of it, past which the iteration is noise-driven."""
     escape = max(4 * box_tol, 1e-4 * (1 + abs(z)))
     return _newton(f, z, mult, inside=lambda x: abs(x - z) <= escape)[0]
+
+
+def _reach(r: float) -> float:
+    """The radius out to which every path locates zeros: past every circle of _counted."""
+    return r + 1.2e-6 * max(r, 1.0)
+
+
+def _counted(located, r: float) -> Divisor:
+    """The divisor in |z| <= r from every zero out to _reach(r) as (point, multiplicity,
+    error), each point within its error of the zero: the zeros inside the circle r, or
+    else inside the first of radius r + 1e-12 10^k max(r, 1), k = 0, ..., 6, that passes
+    farther than its error from each point, which sets boundary_nudged."""
+    for s in [0.0] + [1e-12 * 10 ** k * max(r, 1.0) for k in range(7)]:
+        if all(abs(abs(z) - (r + s)) > err for z, _, err in located):
+            return Divisor(points=tuple((z, m) for z, m, _ in located if abs(z) <= r + s),
+                           r=r, boundary_nudged=s > 0)
+    raise ContourThroughZero(f"no circle from |z| = {r} to {r + s} passes clear of the zeros")
 
 
 def _inclusion_radii(g: ZPoly, xs: list[complex]) -> Optional[list[float]]:
@@ -496,10 +515,8 @@ def _certified_zeros(f: ExpPoly, r: float) -> Optional[Divisor]:
     np.roots and Newton a root x of each squarefree factor g, and `_inclusion_radii`
     a disk of radius rho about x holding a root of g: a polynomial's zero x is within
     delta = rho of the true one, f's zeros (Log x + 2 pi i m)/gamma within delta =
-    -log(1 - rho/|x|)/|gamma|, plus rounding, and a zero that counts must not pass the
-    quadtree's 1e-10 max(r, 1).  A zero surely within BOUNDARY_BAND r of the circle
-    counts inside and flags the divisor, as the quadtree's nudge does; one within
-    delta of the band's outer edge is undecided."""
+    -log(1 - rho/|x|)/|gamma|, plus rounding, and a zero that may lie in _reach(r) must
+    not pass the quadtree's tol = 1e-10 max(r, 1); _counted takes them within tol."""
     if f.is_polynomial():
         poly, gamma = f.polynomial_part(), None
     else:
@@ -510,8 +527,7 @@ def _certified_zeros(f: ExpPoly, r: float) -> Optional[Divisor]:
             return None
         basis, (poly,) = found
         gamma = complex(basis[0]) if basis else 1.0     # no basis: P is constant
-    tol, band = 1e-10 * max(r, 1.0), BOUNDARY_BAND * r
-    pts, nudged = [], False
+    tol, reach, located = 1e-10 * max(r, 1.0), _reach(r), []
     for g, mult in yun_squarefree(poly):
         xs, dg, h = [], g.derivative(), ExpPoly.poly(g)
         try:
@@ -532,20 +548,17 @@ def _certified_zeros(f: ExpPoly, r: float) -> Optional[Divisor]:
             if gamma is None:
                 zs = [x]
             else:
-                # |log + 2 pi i m| <= |gamma| (r + band + max(tol, delta)), quadratic in m
-                log, reach = cmath.log(x), abs(gamma) * (r + band + max(tol, delta))
+                # |log + 2 pi i m| <= |gamma| (reach + delta), quadratic in m
+                log, bound = cmath.log(x), abs(gamma) * (reach + delta)
                 mid = -log.imag / (2 * math.pi)
-                span = math.sqrt(max(reach * reach - log.real * log.real, 0.0)) / (2 * math.pi)
+                span = math.sqrt(max(bound * bound - log.real * log.real, 0.0)) / (2 * math.pi)
                 zs = [(log + 2j * math.pi * m) / gamma
                       for m in range(math.floor(mid - span) - 1, math.floor(mid + span) + 2)]
-            for z in zs:
-                gap = abs(z) - r
-                if abs(abs(gap) - band) <= delta or (gap < band and not delta <= tol):
-                    return None
-                nudged |= abs(gap) < band
-                if gap < band:
-                    pts.append((z, mult))
-    return Divisor(points=tuple(pts), r=r, boundary_nudged=nudged)
+            near = [(z, mult, tol) for z in zs if abs(z) - delta <= reach]
+            if near and not delta <= tol:
+                return None
+            located += near
+    return _counted(located, r)
 
 
 def _seeded_zeros(f: ExpPoly, r: float) -> Optional[Divisor]:
@@ -554,9 +567,9 @@ def _seeded_zeros(f: ExpPoly, r: float) -> Optional[Divisor]:
     (Log(-p/q) + 2 pi i m)/gamma far out.  Newton (_newton) runs from the roots of p and
     q, and after three steps z <- z + (Log(-p/q) - gamma z + 2 pi i k)/gamma, k the
     nearest branch, from 2 pi i (m +- 1/4)/gamma on each branch m that reaches the disk
-    and from circles out to the root bound of p and q.  The distinct limits short of
-    the boundary band are the divisor when each one's square of side tol lies in
-    |z| < r (1 - BOUNDARY_BAND) and winds once, and their number is disk_winding(f, r)."""
+    and from circles out to the root bound of p and q.  The distinct limits in reach
+    (_reach) go to _counted when each one's square of side tol lies inside the reach
+    circle and winds once, and their number is that circle's disk_winding."""
     if len(f.terms) != 2:
         return None
     (alpha, p), (beta, q) = f.terms.items()
@@ -577,17 +590,17 @@ def _seeded_zeros(f: ExpPoly, r: float) -> Optional[Divisor]:
             d = np.log(-polys[0].scaled(z)[1] / polys[1].scaled(z)[1]) - gamma * z
             z = z + (d - 2j * np.pi * np.round(d.imag / (2 * np.pi))) / gamma
     seeds += z[np.isfinite(z)].tolist()
-    kept, h, inner, outer = [], tol / 2, r * (1 - BOUNDARY_BAND), r * (1 + BOUNDARY_BAND)
+    kept, h, reach = [], tol / 2, _reach(r)
     for x, step in sorted((_newton(f, x) for x in seeds), key=lambda xs: (xs[0].real, xs[0].imag)):
-        if step > h or abs(x) - h * math.sqrt(2) > outer or any(
+        if step > h or abs(x) - h * math.sqrt(2) > reach or any(
                 abs(x.real - y.real) <= tol and abs(x.imag - y.imag) <= tol for y in kept):
-            continue            # not settled, outside the band, or a zero already kept
-        if max(abs(x + complex(sx, sy) * h) for sx in (-1, 1) for sy in (-1, 1)) >= inner:
+            continue            # not settled, out of reach, or a zero already kept
+        if max(abs(x + complex(sx, sy) * h) for sx in (-1, 1) for sy in (-1, 1)) >= reach:
             return None
         kept.append(x)
     try:
-        if all(_winds_once(f, kept, tol, rate)) and disk_winding(f, r) == len(kept):
-            return Divisor(points=tuple((x, 1) for x in kept), r=r)
+        if all(_winds_once(f, kept, tol, rate)) and disk_winding(f, reach) == len(kept):
+            return _counted([(x, 1, tol) for x in kept], r)
     except ContourThroughZero:
         pass
     return None
@@ -607,27 +620,17 @@ def exppoly_zeros(f: ExpPoly, r: float) -> Divisor:
 
 
 def _quadtree_zeros(f: ExpPoly, r: float) -> Divisor:
-    """Boundary winding gives the total count and quadtree subdivision isolates
-    clusters to boxes of side 1e-10 max(r, 1), or 3e-8 (1 + |z|) for multiplicity
-    >= 2 (the floor of _subdivide); their multiplicities must add up."""
-    tol = 1e-10 * max(r, 1.0)
-    rate = phase_rate_bound(f)
-    nudged = False
-    eff = r
-    for attempt in range(8):
-        try:
-            total = disk_winding(f, eff)
-            break
-        except ContourThroughZero:
-            nudged = True
-            eff = eff * (1 + BOUNDARY_BAND * 10 ** attempt)
-    else:
-        raise ContourThroughZero(f"boundary circle r={r} cannot avoid zeros")
+    """The disk winding number of the reach circle (_reach) is the total count, and
+    quadtree subdivision locates the zeros in a square about it (_subdivide), a simple
+    zero within tol = 1e-10 max(r, 1), a cluster within its bound; the multiplicities
+    located in the reach disk must add up to the count, and _counted takes the divisor."""
+    tol, rate, reach = 1e-10 * max(r, 1.0), phase_rate_bound(f), _reach(r)
+    total = disk_winding(f, reach)
     if total == 0:
-        return Divisor(points=(), r=r, boundary_nudged=nudged)
-    # bounding square of the effective disk, stretched so edges miss zeros
+        return Divisor(points=(), r=r)
+    # bounding square of the reach disk, stretched so edges miss zeros
     for attempt in range(6):
-        pad = eff * (1 + 1e-6 * (1 + attempt) ** 2)
+        pad = reach * (1 + 1e-6 * (1 + attempt) ** 2)
         sw, se, ne, nw = _box(-pad, pad, -pad, pad)
         sides = _edges(f, [[sw, se], [se, ne], [nw, ne], [sw, nw]], rate)
         count = _turns(sides)
@@ -641,11 +644,7 @@ def _quadtree_zeros(f: ExpPoly, r: float) -> Divisor:
             continue
     else:
         raise ContourThroughZero("quadtree subdivision failed")
-    polished = [(z if settled else _polish_cluster(f, z, mult, tol), mult)
-                for z, mult, settled in found]
-    pts = [(z, mult) for z, mult in polished if abs(z) <= eff * (1 + BOUNDARY_BAND)]
-    got = sum(m for _, m in pts)
-    if got != total:
-        raise ContourThroughZero(
-            f"located {got} zeros but the disk winding number is {total}")
-    return Divisor(points=tuple(pts), r=r, boundary_nudged=nudged)
+    located = [pt for pt in found if abs(pt[0]) <= reach]
+    if (got := sum(m for _, m, _ in located)) != total:
+        raise ContourThroughZero(f"located {got} zeros but the disk winding number is {total}")
+    return _counted(located, r)

@@ -373,8 +373,8 @@ def test_zero_count_mismatch_is_numerical_failure(paths, capsys, monkeypatch):
     subdivide = zeros._subdivide
 
     def push_one_out(*args):
-        (z, mult, settled), *rest = subdivide(*args)
-        return [(z + 1e6, mult, settled)] + rest     # outside every disk in play
+        (z, mult, bound), *rest = subdivide(*args)
+        return [(z + 1e6, mult, bound)] + rest       # outside every disk in play
 
     monkeypatch.setattr(zeros, "_subdivide", push_one_out)
     with pytest.raises(zeros.ContourThroughZero, match="located"):
@@ -409,6 +409,16 @@ def test_fixed_targets_take_the_closed_form_and_moving_ones_the_seeded_path(
                  "--rmax", "20", "--steps", "2"]) == 0
     assert calls == [] and len(seeded) >= 1
     capsys.readouterr()
+
+
+def test_defects_of_a_target_with_a_triple_zero(paths, capsys):
+    # x1 - (1 + z + z^2/2) x0 on (1 : e^z) is e^z - 1 - z - z^2/2, with a triple zero at 0
+    doc = _hyperplanes(1)
+    doc["polynomials"][-1]["terms"][0]["coef"] = "-(1+z+z^2/2)"
+    system = paths["tmp"] / "triple.json"
+    system.write_text(json.dumps(doc))
+    assert main(["defects", paths["curve"], str(system), "--rmax", "20"]) == 0
+    assert json.loads(capsys.readouterr().out)["tool"] == "defects"
 
 
 @pytest.mark.parametrize("a", [6, 10, 14])

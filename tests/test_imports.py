@@ -4,8 +4,9 @@ module-level function and class is used by the package or its scripts, and
 the package has no assert statement, no private `fractions` API, no
 `polyval` and no use of the scaling `ExpPoly._scaled_exps` outside `expfunc`,
 one call of `np.roots` and of `yun_squarefree`, both in the certified root
-routine, one float Newton loop, `fields.py` imports only the standard library,
-and importing the command line loads no mpmath.
+routine, one float Newton loop, one boundary rule for the divisor paths,
+`fields.py` imports only the standard library, and importing the command line
+loads no mpmath.
 
 Names listed in a module's __all__ count as used (re-exports); __future__
 imports and the package __init__, which exists to re-export, are exempt.
@@ -153,6 +154,26 @@ def test_one_square_certificate():
         "_box": ["zeros.py:_quadtree_zeros", "zeros.py:_winds_once"],
         "_windings": ["zeros.py:_winds_once", "zeros.py:disk_winding"],
         "_winds_once": ["zeros.py:_seeded_zeros", "zeros.py:_subdivide"]}
+
+
+def test_one_boundary_rule():
+    # which located zeros count in |z| <= r is decided by one helper, which each divisor
+    # path calls: no other comparison of |z| with r, and no module-level band constant
+    tree = ast.parse((SRC / "zeros.py").read_text())
+    calls, compares = [], []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_counted":
+                calls.append(top.name)
+            elif isinstance(node, ast.Compare):
+                names = {n.id for part in (node.left, *node.comparators)
+                         for n in ast.walk(part) if isinstance(n, ast.Name)}
+                if {"abs", "r"} <= names:
+                    compares.append(top.name)
+    constants = [top.lineno for top in tree.body if isinstance(top, (ast.Assign, ast.AnnAssign))
+                 and isinstance(top.value, ast.Constant) and isinstance(top.value.value, (int, float))]
+    assert sorted(calls) == ["_certified_zeros", "_quadtree_zeros", "_seeded_zeros"]
+    assert set(compares) == {"_counted"} and constants == []
 
 
 def test_fields_imports_only_the_standard_library():

@@ -107,7 +107,7 @@ def test_ratfunc_divisors_split_zeros_and_poles():
 def test_newton_iteration(f, x, mult, inside, want, last, evals, monkeypatch):
     calls = _counting_scaled(monkeypatch)
     got, step = zeros._newton(f, x, mult, inside)
-    # within the cluster floor of the quadtree
+    # within about sqrt(eps), as near as float Newton gets to a double zero
     assert abs(got - want) <= 3e-8 * (1 + abs(want))
     assert last is None or step == pytest.approx(last, rel=1e-12)
     assert evals is None or len(calls) == evals
@@ -195,7 +195,7 @@ def test_exppoly_zeros_polynomial_route():
 
 
 def _same_divisor(a, b, tol=1e-9):
-    assert a.total() == b.total() and len(a) == len(b)
+    assert a.total() == b.total() and len(a.points) == len(b.points)
     for point, m in a.points:
         near = min(b.points, key=lambda q: abs(q[0] - point))
         assert near[1] == m and abs(near[0] - point) <= tol
@@ -317,7 +317,7 @@ def test_exp_minus_one_closed_form_count(r):
 def test_double_zeros_keep_multiplicity():
     for entry in ENTRIES:
         div = entry((ExpPoly.exp(1) - 1) ** 2, 20.0)
-        assert len(div) == 7
+        assert len(div.points) == 7
         ks = sorted(round(point.imag / (2 * math.pi)) for point, _ in div.points)
         assert ks == list(range(-3, 4))
         for point, m in div.points:
@@ -407,8 +407,8 @@ def test_closed_form_matches_the_quadtree_on_seeded_one_frequency_inputs():
         assert closed.boundary_nudged == tree.boundary_nudged
         assert sorted(m for _, m in closed.points) == sorted(m for _, m in tree.points)
         for point, m in closed.points:
-            # the quadtree stops a cluster of m >= 2 at boxes of side 3e-8 (1 + |z|),
-            # where double precision cannot tell a multiple zero from a tight pair
+            # the quadtree places a cluster of m >= 2 by polishing its box's centre, near
+            # sqrt(eps), where double precision cannot tell it from a tight pair
             tol = 2e-10 * max(r, 1.0) if m == 1 else 3e-8 * (1 + abs(point))
             near = min(tree.points, key=lambda q: abs(q[0] - point))
             assert near[1] == m and abs(near[0] - point) <= tol, (f, r, point, near)
@@ -446,11 +446,8 @@ def test_seeded_zeros_match_the_quadtree_on_seeded_two_term_inputs():
     assert all(answered[:9]) and sum(answered) >= 0.9 * len(cases)
 
 
-@pytest.mark.parametrize("f, r", [
-    (1 + ExpPoly.var() - ExpPoly.exp(1), 5.0),           # a double zero at 0
-    # +-i pi lie BOUNDARY_BAND r / 2 inside |z| = r, in the band
-    (ExpPoly.var() * (ExpPoly.exp(1) + 1), math.pi * (1 + zeros.BOUNDARY_BAND / 2))])
-def test_a_double_zero_or_one_in_the_band_leaves_the_seeded_path(f, r):
+def test_a_double_zero_leaves_the_seeded_path():
+    f, r = 1 + ExpPoly.var() - ExpPoly.exp(1), 5.0          # a double zero at 0
     assert zeros._seeded_zeros(f, r) is None
     assert exppoly_zeros(f, r) == zeros._quadtree_zeros(f, r)
 
@@ -486,8 +483,10 @@ def test_closed_form_count_matches_the_disk_winding_far_out(r):
 
 
 def test_zeros_on_the_circle_count_inside_on_both_entries():
-    # 1 + e^z vanishes at +-i pi, on the circle |z| = pi, and z - 2 on |z| = 2
-    for f, r, count in ((ExpPoly.exp(1) + 1, math.pi, 2), (ExpPoly.var() - 2, 2.0, 1)):
+    # 1 + e^z vanishes at +-i pi, on the circle |z| = pi, z - 2 on |z| = 2, and z - 10^-5
+    # on |z| = 10^-5, where the circle may move by 1e-6 max(r, 1), past tol = 1e-10
+    for f, r, count in ((ExpPoly.exp(1) + 1, math.pi, 2), (ExpPoly.var() - 2, 2.0, 1),
+                        (ExpPoly.var() - Fraction(1, 10 ** 5), 1e-5, 1)):
         divs = [entry(f, r) for entry in ENTRIES]
         assert all(div.boundary_nudged for div in divs)
         _same_divisor(*divs)
@@ -555,14 +554,6 @@ def test_coefficients_at_the_edge_of_the_float_range_fall_back_to_the_quadtree(k
     assert exppoly_zeros(f, 30.0) == zeros._quadtree_zeros(f, 30.0)
 
 
-def test_a_zero_at_the_outer_edge_of_the_boundary_band_is_left_to_the_quadtree():
-    # i pi lies BOUNDARY_BAND r outside |z| = r: it may or may not count inside
-    f, r = ExpPoly.exp(1) + 1, math.pi / (1 + zeros.BOUNDARY_BAND)
-    assert zeros._certified_zeros(f, r) is None
-    tree = zeros._quadtree_zeros(f, r)
-    assert exppoly_zeros(f, r) == tree
-
-
 def test_closed_form_points_are_certified_roots():
     # each inclusion disk holds one root, so e^{gamma z} at every point is
     # within the disk of a root of P
@@ -583,11 +574,61 @@ def test_inclusion_disks_reach_a_root_and_must_be_disjoint():
     assert zeros._inclusion_radii(g, [0.1, 3.0]) is None       # the disk reaches 0
 
 
-def test_a_zero_too_near_the_circle_to_place_is_left_to_the_quadtree(monkeypatch):
-    # i pi lies 5e-12 r (1.6e-11) outside |z| = r, beyond the boundary band but
-    # within the 3e-11 error forced on every point
-    f, r = ExpPoly.exp(1) + 1, math.pi * (1 - 5e-12)
-    monkeypatch.setattr(zeros, "_inclusion_radii", lambda g, xs: [3e-11 * abs(x) for x in xs])
-    assert zeros._certified_zeros(f, r) is None
-    monkeypatch.undo()
-    assert zeros._certified_zeros(f, 2 * r) is not None
+Z, E = ExpPoly.var(), ExpPoly.exp(1)
+PATHS = (exppoly_zeros, zeros._certified_zeros, zeros._seeded_zeros, zeros._quadtree_zeros)
+
+
+@pytest.mark.parametrize("rho", [-5e-11, -5e-13, 0.0, 5e-13, 1e-12, 5e-11, 2e-10])
+@pytest.mark.parametrize("f, zeta", [
+    (E + 1, 1j * math.pi), (Z * (E + 1), 1j * math.pi), (Z - 2, 2.0),
+    # one of a conjugate pair of zeros of (z + 10) + z e^z, to double precision
+    (Z + 10 + Z * E, 0.18689741062643303 - 15.12767111531301j)],
+    ids=["1+e^z", "z(1+e^z)", "z-2", "(z+10)+ze^z"])
+def test_every_path_takes_one_boundary_rule(f, zeta, rho):
+    # zeta lies rho r outside |z| = r; within tol = 1e-10 max(r, 1) of the circle it
+    # counts inside and flags the divisor on every path that answers
+    r = abs(zeta) / (1 + rho)
+    divs = [div for div in (path(f, r) for path in PATHS) if div is not None]
+    tree = divs[-1]
+    for div in divs:
+        assert div.boundary_nudged == tree.boundary_nudged == (rho < 1e-10)
+        assert sorted(m for _, m in div.points) == sorted(m for _, m in tree.points)
+        for point, m in div.points:
+            near = min(tree.points, key=lambda q: abs(q[0] - point))
+            assert near[1] == m and abs(near[0] - point) <= 2e-10 * max(r, 1.0)
+    assert any(abs(point - zeta) < 1e-6 for point, _ in tree.points) == (rho < 1e-10)
+
+
+def test_an_empty_disk_costs_one_circle_walk(monkeypatch):
+    walks, subdivided, walk = [], [], zeros._walk
+    monkeypatch.setattr(zeros, "_walk", lambda *args: walks.append(1) or walk(*args))
+    monkeypatch.setattr(zeros, "_subdivide", lambda *args: subdivided.append(1))
+    div = zeros._quadtree_zeros(E + 1 + ExpPoly.exp(GaussRat(0, 1)), 2.0)
+    assert div.points == () and not div.boundary_nudged
+    assert len(walks) == 1 and subdivided == []
+
+
+@pytest.mark.parametrize("r", [8.0, 20.0])
+@pytest.mark.parametrize("f, k", [
+    (E - 1 - Z - Fraction(1, 2) * Z ** 2, 3), (E - 1 - Z - Fraction(1, 2) * Z ** 2 - Fraction(1, 6) * Z ** 3, 4),
+    ((E - 1 - Z) ** 2, 4),
+    ((E - 1 - Z) * (ExpPoly.exp(GaussRat(0, 1)) - 1 - GaussRat(0, 1) * Z), 4)],
+    ids=["e^z-1-z-z^2/2", "e^z-1-z-z^2/2-z^3/6", "(e^z-1-z)^2", "(e^z-1-z)(e^iz-1-iz)"])
+def test_a_zero_of_multiplicity_three_or_four_is_one_cluster(f, k, r):
+    # the walks near a k-fold zero at 0 fail within about (1024 eps)^(1/k) of it,
+    # boxes of side 5e-4 for k = 3 at r = 20: the quadtree keeps such a box as a cluster
+    div = exppoly_zeros(f, r)
+    assert div.total() == disk_winding(f, r)
+    assert [m for point, m in div.points if abs(point) <= 1.4e-3] == [k]
+
+
+@pytest.mark.parametrize("f, r", [(1 + Z - E, 5.0),
+                                  ((E - 1 - Z) * (ExpPoly.exp(GaussRat(0, 1)) + 2), 5.0)])
+def test_a_polished_cluster_lies_within_its_stated_bound(f, r, monkeypatch):
+    # the double zero at 0 ends as a box whose centre _polish_cluster moves: the bound is
+    # the box's half-diagonal plus that move
+    found, subdivide = [], zeros._subdivide
+    monkeypatch.setattr(zeros, "_subdivide", lambda *args: found.extend(subdivide(*args)) or found)
+    zeros._quadtree_zeros(f, r)
+    clusters = [(point, bound) for point, m, bound in found if m >= 2]
+    assert len(clusters) == 1 and abs(clusters[0][0]) <= clusters[0][1] < 1e-4
