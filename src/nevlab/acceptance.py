@@ -371,9 +371,13 @@ def check_divisor_bound() -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 # 9. main inequality harness
 
+# the exponential line (1 : e^z) of checks 9 and 10, one object, since a curve
+# keeps the circle means T(r) reads: the selftest computes each once
+_EXP_LINE = EntireCurve((ExpPoly.const(1), ExpPoly.exp(1)))
+
 
 def check_smt_harness() -> tuple[bool, str]:
-    fe = EntireCurve((ExpPoly.const(1), ExpPoly.exp(1)))
+    fe = _EXP_LINE
     x0, x1 = HPoly.coordinate(2, 0), HPoly.coordinate(2, 1)
     grid = [float(r) for r in np.linspace(10.0, 50.0, 20)]
     fixed = smt_verify(fe, (x0, x1, x0 + x1), Fraction(1, 2), grid)
@@ -418,7 +422,7 @@ def check_characteristic_closed_forms() -> tuple[bool, str]:
             worst = max(worst, err)
             if err > 1e-6:
                 bad += 1
-    fe = EntireCurve((ExpPoly.const(1), ExpPoly.exp(1)))
+    fe = _EXP_LINE
     worst_e = 0.0
     for r in (10.0, 20.0, 30.0, 40.0, 50.0):
         err = abs(characteristic(fe, r) - (r - 1) / math.pi)

@@ -10,6 +10,10 @@ devices and FIFOs, which must not be replaced; a path that names standard
 output itself (/dev/stdout, even when that is redirected to a regular file)
 is written through standard output.
 
+The exact commands (admissible, resultant, certificate, filtration, bounds,
+schema) never load numpy: the handlers that need the numeric layer import it,
+and numpy with it, in their bodies.
+
 Exit codes: 0 the computation ran (verdicts like "not admissible" are data, not
 failures), 1 a mathematical obstruction (degenerate curve, inadmissible family
 where admissibility is required, violated margin), 2 malformed input (an --rmax
@@ -32,23 +36,14 @@ import tempfile
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from . import __version__
-from .acceptance import CHECKS, run_all
 from .bounds import a_lower_bound, compute_truncation_levels
-from .expfunc import ExpPoly
-from .fields import GaussRat, RatFunc, ZPoly
 from .filtration import build_filtration
-from .hpoly import HPoly
-from .nevanlinna import (AdmissibilityError, DegeneracyError, FlatGrowthError, characteristic,
-                         defect_estimate, jensen_check, smt_verify, wronskian)
 from .parsing import (CURVE_SCHEMA, InputError, ParseError, POLY_SCHEMA,
                       SCALAR_GRAMMAR, SYSTEM_SCHEMA, curve_from_json,
-                      family_from_json, load_json_file)
+                      family_from_json, load_json_file, parse_ratfunc)
 from .resultant import (AdmissibilityUndecided, DegenerateResultantError, NotAdmissibleError,
                         is_admissible, macaulay_resultant, power_certificate)
-from .zeros import ContourThroughZero
 
 
 def _raise_digit_limit() -> None:
@@ -60,14 +55,19 @@ def _raise_digit_limit() -> None:
         pass
 
 
+def _loaded(module: str, *names: str) -> tuple:
+    """The named attributes of a module that is already imported, else none:
+    no object of a module that was never imported can reach the caller."""
+    mod = sys.modules.get(module)
+    return () if mod is None else tuple(getattr(mod, name) for name in names)
+
+
 def _plain(obj):
     """Recursively convert report objects to JSON-ready builtins."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else str(obj)
-    if isinstance(obj, (GaussRat, ZPoly, RatFunc, HPoly, ExpPoly, Fraction)):
-        return str(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _plain(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}
@@ -75,9 +75,9 @@ def _plain(obj):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, _loaded("numpy", "floating", "integer")):
         return _plain(obj.item())
-    return str(obj)
+    return str(obj)         # exact scalars, forms, exponential polynomials
 
 
 def _is_stdout(path: str) -> bool:
@@ -238,7 +238,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_jensen(args) -> int:
-    from .parsing import parse_ratfunc
+    from .nevanlinna import jensen_check
     phi = parse_ratfunc(args.phi)
     if phi.num.is_zero():
         raise InputError(f"--phi is identically zero and has no divisor: {args.phi!r}")
@@ -253,6 +253,7 @@ def cmd_jensen(args) -> int:
 
 
 def cmd_wronskian(args) -> int:
+    from .expfunc import wronskian
     curve = _load_curve(args.curve)
     orders = _parse_ints(args.orders, "--orders") if args.orders else None
     k = len(curve.components)
@@ -267,6 +268,7 @@ def cmd_wronskian(args) -> int:
 
 
 def cmd_defects(args) -> int:
+    from .nevanlinna import defect_estimate
     # the radius grid starts at max(2, sqrt(rmax)), so rmax below 2 has none
     if not 2.0 <= args.rmax < math.inf:
         raise InputError(f"--rmax must be a finite number >= 2, got {args.rmax}")
@@ -325,6 +327,9 @@ def _plot_svg(path: str, radii, lhs, rhs) -> None:
 
 
 def cmd_smt(args) -> int:
+    import numpy as np
+
+    from .nevanlinna import smt_verify
     curve = _load_curve(args.curve)
     fam = _load_family(args.system)
     if fam.n != curve.n:
@@ -348,6 +353,7 @@ def cmd_smt(args) -> int:
 
 
 def cmd_characteristic(args) -> int:
+    from .nevanlinna import characteristic
     curve = _load_curve(args.curve)
     radii = _parse_floats(args.radii, "--radii")
     if any(r < 1.0 for r in radii):
@@ -370,6 +376,7 @@ def cmd_schema(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .acceptance import CHECKS, run_all
     wanted = args.only.split(",") if args.only else None
     known = {name for name, _ in CHECKS}
     if wanted and not set(wanted) <= known:
@@ -484,6 +491,8 @@ def _parse_args(argv) -> argparse.Namespace:
 def main(argv=None) -> int:
     _raise_digit_limit()
     args = _parse_args(argv)
+    # the analytic modules load on first use: their exceptions are caught only
+    # once loaded, for none of them can be raised before
     try:
         return args.func(args)
     except ParseError as e:
@@ -492,13 +501,16 @@ def main(argv=None) -> int:
     except InputError as e:
         print(f"nevlab: input error: {e}", file=sys.stderr)
         return 2
-    except FlatGrowthError as e:        # smt and defects read T on the grid's top half
+    except _loaded("nevlab.nevanlinna", "FlatGrowthError") as e:
+        # smt and defects read T on the grid's top half
         print(f"nevlab: input error: {e}; raise --rmax", file=sys.stderr)
         return 2
-    except (DegeneracyError, AdmissibilityError, NotAdmissibleError) as e:
+    except (NotAdmissibleError,
+            *_loaded("nevlab.nevanlinna", "DegeneracyError", "AdmissibilityError")) as e:
         print(f"nevlab: {e}", file=sys.stderr)
         return 1
-    except (ContourThroughZero, OverflowError) as e:    # before ArithmeticError
+    except (OverflowError, *_loaded("nevlab.zeros", "ContourThroughZero")) as e:
+        # before ArithmeticError
         print(f"nevlab: numerical failure: {e}", file=sys.stderr)
         return 3
     except (AdmissibilityUndecided, DegenerateResultantError) as e:

@@ -29,7 +29,8 @@ def _horner(coeffs, z):
     """sum a_j z^j from (a_k, ..., a_0) at a point or over an array; a_0 alone stays a scalar."""
     acc = coeffs[0]
     for a in coeffs[1:]:
-        acc = acc * z + a
+        acc *= z            # in place on an array after the first step
+        acc += a
     return acc
 
 
@@ -209,9 +210,14 @@ class ExpPoly:
         the terms a z^j of p_k, bounds the rounding error of f: a winding accepted
         with |f| above it along a contour counts zeros of f (Rouche), not noise."""
         shift, exps = self._scaled_exps(z)
-        fz, dfz, floor = 0j, 0j, 0.0
+        if derivative:
+            exps = list(exps)       # read again for f' and the floor
+        fz = 0j
         for (_, coeffs), e in zip(self.float_image, exps):
-            fz += _horner(coeffs, z) * e
+            term = _horner(coeffs, z)   # a fresh array over an array: products in place
+            term *= e
+            term += fz
+            fz = term
         if not derivative:
             return shift, fz
         if self._table is None:     # per term: p_k' + c_k p_k (0 where it vanishes), |p_k|
@@ -219,20 +225,24 @@ class ExpPoly:
             object.__setattr__(self, "_table", tuple(
                 (dimage[c][1] if c in dimage else (0j,), tuple(map(abs, coeffs)))
                 for c, (_, coeffs) in zip(self.terms, self.float_image)))
-        az = abs(z)
+        az, dfz, floor = abs(z), 0j, 0.0
         for (dcoeffs, mags), e in zip(self._table, exps):
             dfz += _horner(dcoeffs, z) * e
             floor += _horner(mags, az) * abs(e)
         return shift, fz, dfz, 1024 * math.ulp(1.0) * floor
 
     def _scaled_exps(self, z):
-        """(M, [e^{c_k z - M} per term of float_image]) at a complex point or
+        """(M, e^{c_k z - M} per term of float_image) at a complex point or
         elementwise over a numpy array, M = max_k Re(c_k z) rounded toward 0 to a
         multiple of 256, so f(z) e^{-M} = sum_k p_k(z) e^{c_k z - M} cannot overflow.
-        M = 0 changes no value, so where the maximum lies in (-256, 256) at every
-        point it is taken without fmod or subtraction; e^{0z - M} is the real e^{-M}."""
+        The factors come from an iterator that forms each one when it is drawn,
+        over an array in place of its c_k z, so a caller that sums as it draws
+        holds one factor at a time.  M = 0 changes no value, so where the maximum
+        lies in (-256, 256) at every point it is taken without fmod or
+        subtraction; e^{0z - M} is the real e^{-M}."""
         array = isinstance(z, np.ndarray)
-        exp, top, fmod = (np.exp, np.maximum, np.fmod) if array else (cmath.exp, max, math.fmod)
+        exp, top, fmod = ((_exp_in_place, np.maximum, np.fmod) if array
+                          else (cmath.exp, max, math.fmod))
         czs = [c * z if c else None for c, _ in self.float_image]
         reals = [w.real for w in czs if w is not None]
         if len(reals) < len(czs) or not reals:      # Re(0 z) = 0 joins the max
@@ -240,9 +250,9 @@ class ExpPoly:
         m = functools.reduce(top, reals)
         peak = np.abs(m).max(initial=0.0) if isinstance(m, np.ndarray) else abs(m)
         if peak < 256.0:
-            return 0.0, [1.0 if w is None else exp(w) for w in czs]
+            return 0.0, _factors(czs, None, exp)
         m = m - fmod(m, 256.0)
-        return m, [exp(-m) if w is None else exp(w - m) for w in czs]
+        return m, _factors(czs, m, exp)
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -274,6 +284,24 @@ class ExpPoly:
             arg = f"({cs})z" if any(ch in cs for ch in "+-/") else "z" if cs == "1" else f"{cs}z"
             parts.append(f"{head}exp({arg})")
         return " + ".join(parts)
+
+
+def _exp_in_place(w: np.ndarray) -> np.ndarray:
+    return np.exp(w, out=w)
+
+
+def _factors(czs: list, m, exp):
+    """e^{w - m} for each w of czs, e^{-m} for None (a zero frequency), with no
+    shift when m is None; each formed when drawn, in place of w, and dropped
+    from czs, so it lives only as long as the caller holds it."""
+    for k, w in enumerate(czs):
+        czs[k] = None
+        if w is None:
+            yield 1.0 if m is None else exp(-m)
+        else:
+            if m is not None:
+                w -= m
+            yield exp(w)
 
 
 def lattice_rows(components) -> tuple[tuple, list[list[tuple[tuple, tuple, ZPoly]]]]:

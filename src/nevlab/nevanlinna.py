@@ -28,7 +28,7 @@ import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -82,9 +82,13 @@ class EntireCurve:
     when the coefficient polynomials p_c of all components share a factor,
     which decides polynomial tuples; common zeros without a shared
     polynomial factor, as in (e^z - 1 : z), go undetected.
+
+    Each circle mean that T(r) reads is kept on the curve, so a command that
+    asks for T at many radii, for many targets, computes the r = 1
+    normalization and each radius once.
     """
 
-    __slots__ = ("components",)
+    __slots__ = ("components", "_means")
 
     def __init__(self, components: Iterable):
         comps = tuple(ExpPoly._coerce(c) for c in components)
@@ -96,6 +100,7 @@ class EntireCurve:
         if all(c.is_zero() for c in comps):
             raise ValueError("all components vanish identically")
         object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "_means", {})
         self._check_reduced()
 
     def __setattr__(self, name, value):
@@ -149,11 +154,14 @@ def as_curve(f: CurveLike) -> EntireCurve:
 # characteristic
 
 
-@lru_cache(maxsize=4096)
 def _log_norm_average(curve: EntireCurve, r: float) -> QuadResult:
     # the log of the largest modulus is the largest log-modulus: one row per
     # component, which circle_average maximizes and splits at the kinks
-    return circle_average(lambda zs: np.stack([comp.log_abs(zs) for comp in curve.components]), r)
+    means = curve._means
+    if r not in means:
+        means[r] = circle_average(
+            lambda zs: np.stack([comp.log_abs(zs) for comp in curve.components]), r)
+    return means[r]
 
 
 def characteristic(f: CurveLike, r: float) -> float:
@@ -600,7 +608,7 @@ def smt_verify(f: CurveLike, targets, eps, radii: Sequence[float]) -> SmtReport:
     r_max = rs[-1]
     t_rmax = profile.t_values[-1]
 
-    reports = []
+    reports, coefficient_curves = [], {}     # equal curves share their circle means
     for qf, lev in zip(fam.polys, levels):
         norm = normalize_target(qf)
         div = quotient_zeros(*compose_target(norm, curve), r_max * (1 + 1e-9))
@@ -609,7 +617,8 @@ def smt_verify(f: CurveLike, targets, eps, radii: Sequence[float]) -> SmtReport:
         growth = 0.0
         for _, c in norm.terms_desc():
             if isinstance(c, RatFunc) and not c.is_constant():
-                t_c = characteristic((c.den, c.num), r_max)
+                c_curve = as_curve((c.den, c.num))
+                t_c = characteristic(coefficient_curves.setdefault(c_curve, c_curve), r_max)
                 growth = max(growth, t_c / t_rmax if t_rmax > 0 else math.inf)
         reports.append(TargetReport(form=norm, degree=qf.degree,
                                     truncation=lev, counts=counts,

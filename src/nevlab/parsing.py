@@ -11,13 +11,14 @@ rather than hunted for.
 from __future__ import annotations
 
 import json
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
-from .expfunc import ExpPoly
 from .fields import GaussRat, RatFunc, ZPoly
 from .hpoly import HPoly
-from .nevanlinna import EntireCurve
 from .resultant import HypersurfaceFamily
+
+if TYPE_CHECKING:
+    from .nevanlinna import EntireCurve
 
 
 class InputError(ValueError):
@@ -289,6 +290,11 @@ def family_from_json(obj) -> HypersurfaceFamily:
 
 def curve_from_json(obj) -> EntireCurve:
     """{"components": [{"terms": [{"poly": "...", "exp_coef": "a+bi"}]}]}"""
+    # curves live in the numeric layer, which loads numpy: imported here, so
+    # that reading a system does not
+    from .expfunc import ExpPoly
+    from .nevanlinna import EntireCurve
+
     comps = _want(obj, "components", list, "", "a list")
     if len(comps) < 2:
         raise SchemaError("components", "a curve needs at least two components")

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -161,6 +162,23 @@ def test_log_abs_past_the_overflow_radius():
         z0 = mpmath.mpc(z0)
         assert float(mpmath.log(abs(mpmath.exp(z0) - 2 * z0))) == pytest.approx(v, rel=1e-12)
     assert np.all(ExpPoly.zero().log_abs(zs) == -np.inf)
+
+
+def test_log_abs_forms_one_exponential_factor_at_a_time():
+    # |Re(iz)| reaches 300 > 256, so every factor carries the shift M; holding the
+    # factors of all terms at once peaked at 4.2 arrays, one at a time at 3.2
+    f = ExpPoly.exp(GaussRat(0, 1)) - 2 * ExpPoly.var()      # e^{iz} - 2z
+    zs = 300.0 * np.exp(2j * np.pi * np.arange(50_000) / 50_000)
+    f.log_abs(zs[:8])                  # the float image is built once, outside the count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = f.log_abs(zs)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(got))
+    assert peak <= 3.2 * zs.nbytes, peak / zs.nbytes
 
 
 @pytest.mark.parametrize("c, text", [

@@ -5,18 +5,28 @@ the package has no assert statement, no private `fractions` API, no
 `polyval` and no use of the scaling `ExpPoly._scaled_exps` outside `expfunc`,
 one call of `np.roots` and of `yun_squarefree`, both in the certified root
 routine, one float Newton loop, one boundary rule for the divisor paths,
-`fields.py` imports only the standard library, and importing the command line
-loads no mpmath.
+`fields.py` imports only the standard library, importing the command line
+loads neither numpy nor mpmath, and its exact commands (admissible,
+resultant, certificate, filtration, bounds, schema) load no numpy.  Every
+functools cache sits in a module that `import nevlab` loads, so clearing
+the loaded modules' caches clears them all, while each command computes a
+curve's circle means once (4 for `characteristic` on 3 radii, 4 for
+`defects` with 3 targets and `--grid 6`).  Every name of `nevlab.__all__`
+resolves, on first use for the numeric ones, to its module's current object.
 
 Names listed in a module's __all__ count as used (re-exports); __future__
 imports and the package __init__, which exists to re-export, are exempt.
 """
 
 import ast
+import importlib
+import json
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 import nevlab
 
@@ -188,11 +198,100 @@ def test_fields_imports_only_the_standard_library():
     assert modules and modules <= set(sys.stdlib_module_names)
 
 
-def test_cli_import_loads_no_mpmath():
-    # only the p_0 floor and huge t-bounds need mpmath; bounds.py imports it there
-    code = "import sys, nevlab.cli; print('mpmath' in sys.modules)"
+def _python(code: str, *args: str, cwd=None) -> str:
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, timeout=120)
+    run = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                         env=env, cwd=cwd, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "False"
+    return run.stdout
+
+
+# a moving family of n + 1 = 2 lines: x0 and x1 + z x0
+MOVING_PAIR = {"n": 1, "polynomials": [
+    {"degree": 1, "terms": [{"exp": [1, 0], "coef": "1"}]},
+    {"degree": 1, "terms": [{"exp": [0, 1], "coef": "1"}, {"exp": [1, 0], "coef": "z"}]}]}
+
+LOADED = """
+import json, sys
+import nevlab.cli
+print(json.dumps(["import", sorted({"numpy", "mpmath"} & set(sys.modules))]))
+for argv in json.loads(sys.argv[1]):
+    try:
+        code = nevlab.cli.main(argv)
+    except SystemExit as e:             # --version
+        code = e.code
+    print(json.dumps([argv[0], code, "numpy" in sys.modules]))
+"""
+
+
+def test_what_the_cli_and_its_exact_commands_load(tmp_path):
+    # importing the command line loads neither numpy nor mpmath (only the p_0
+    # floor and huge t-bounds need mpmath; bounds.py imports it there), and the
+    # exact commands run one after another in that process never load numpy
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps(MOVING_PAIR))
+    commands = [["admissible", str(family)], ["resultant", str(family)],
+                ["certificate", str(family), "--index", "0"],
+                ["filtration", str(family), "--subset", "0", "--level", "2"],
+                ["bounds", "--n", "1", "--eps", "1/2", "--degrees", "1,1,1"],
+                ["schema", "system"]]
+    argvs = [["--version"]] + [argv + ["-o", f"{argv[0]}.json"] for argv in commands]
+    out = _python(LOADED, json.dumps(argvs), cwd=tmp_path)
+    lines = [json.loads(line) for line in out.splitlines() if line.startswith("[")]
+    assert lines == [["import", []]] + [[argv[0], 0, False] for argv in argvs]
+    assert json.loads((tmp_path / "resultant.json").read_text())["is_zero"] is False
+
+
+def test_every_functools_cache_loads_with_the_package(tmp_path, monkeypatch):
+    # a caller that clears the caches of the loaded modules before each command, as
+    # the benchmark does, clears them all: none sits in a module loaded on first use
+    mods = [importlib.import_module(f"nevlab.{p.stem}") for p in SRC.glob("*.py")
+            if p.stem != "__init__"]
+    homes = {v.__module__ for mod in mods for v in vars(mod).values()
+             if callable(getattr(v, "cache_clear", None))}
+    loaded = _python("import sys, nevlab; print(' '.join(sys.modules))").split()
+    assert homes and sorted(homes - set(loaded)) == []
+
+    # with no cache left, a curve keeps its circle means: each command computes
+    # the r = 1 mean once, and T once per radius across all targets
+    from nevlab import nevanlinna
+    from nevlab.cli import main
+
+    calls = []
+    average = nevanlinna.circle_average
+    monkeypatch.setattr(nevanlinna, "circle_average",
+                        lambda *args: calls.append(args[1]) or average(*args))
+    curve, system = tmp_path / "curve.json", tmp_path / "system.json"
+    curve.write_text(json.dumps({"components": [
+        {"terms": [{"poly": "1"}]}, {"terms": [{"poly": "1", "exp_coef": "1"}]}]}))
+    system.write_text(json.dumps({"n": 1, "polynomials": MOVING_PAIR["polynomials"] + [
+        {"degree": 1, "terms": [{"exp": [1, 0], "coef": "1"}, {"exp": [0, 1], "coef": "1"}]}]}))
+    out = str(tmp_path / "out.json")
+    for argv, count in ((["characteristic", str(curve), "--radii", "2,3,5"], 4),
+                        (["defects", str(curve), str(system), "--grid", "6"], 4)):
+        calls.clear()
+        assert main(argv + ["-o", out]) == 0
+        assert len(calls) == count, (argv[0], calls)
+
+
+def test_numeric_names_load_on_first_use_and_stay_current(monkeypatch):
+    # every exported name is its module's own object, looked up there on each access,
+    # so a patch of the module, and its undoing, shows through the package
+    for name in nevlab.__all__:
+        obj = getattr(nevlab, name)
+        if name != "__version__":
+            assert getattr(sys.modules[obj.__module__], name) is obj, name
+    assert set(nevlab.__all__) <= set(dir(nevlab))
+    with pytest.raises(AttributeError):
+        nevlab.no_such_name
+    from nevlab import nevanlinna
+
+    monkeypatch.setattr(nevanlinna, "characteristic", len)
+    assert nevlab.characteristic is len
+    monkeypatch.undo()
+    assert nevlab.characteristic is nevanlinna.characteristic
+    assert "characteristic" not in vars(nevlab)
+    # in a fresh interpreter: a module by name first, then the README's import
+    _python("from nevlab import nevanlinna\n"
+            "from nevlab import EntireCurve, ExpPoly, HPoly, smt_verify\n"
+            "assert EntireCurve is nevanlinna.EntireCurve")
