@@ -7,6 +7,7 @@ Run with no arguments for the default grid; --rmax and --steps widen it.
 """
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,19 +38,18 @@ def parse_config(argv=None) -> DemoConfig:
     return DemoConfig(Fraction(a.eps), a.rmin, a.rmax, a.steps)
 
 
-def fmt_level(level) -> str:
-    if level is None:
-        return "symbolic"
-    if level < 10 ** 9:
-        return str(level)
-    # huge levels are only worth their order of magnitude
-    return f"~10^{(level.bit_length() - 1) * 30103 // 100000}"
+def fmt_level(target) -> str:
+    if target.truncation is not None and target.truncation < 10 ** 9:
+        return str(target.truncation)
+    # a huge level is only worth its order of magnitude, which is all the
+    # report gives of a level it did not build
+    return f"~10^{math.floor(target.truncation_log10)}"
 
 
 def report(tag: str, rep) -> None:
     print(f"== {tag} ==")
     print(f"   targets: {[str(t.form) for t in rep.targets]}")
-    print(f"   truncation levels: {[fmt_level(t.truncation) for t in rep.targets]}")
+    print(f"   truncation levels: {[fmt_level(t) for t in rep.targets]}")
     print(f"   holds on every grid radius: {rep.holds_everywhere}")
     print(f"   first radius with a stable margin: {rep.r0}")
     print(f"   min margin: {min(rep.margins):.4f}")

@@ -390,6 +390,10 @@ def check_smt_harness() -> tuple[bool, str]:
         problems.append(f"fixed defect sum {fixed.defect_sum:.3f}")
     if any(t.truncation != 19 for t in fixed.targets):
         problems.append("fixed truncation level != 19")
+    if any(t.truncation_binds is not False for t in fixed.targets + moving.targets):
+        problems.append("a truncation level binds or is undecided")
+    if not all(math.isfinite(t.truncation_log10) for t in moving.targets):
+        problems.append("moving truncation size not finite")
     if not moving.holds_everywhere:
         problems.append(f"moving margin dips to {min(moving.margins):.3f}")
     if moving.defect_sum > 2.1:

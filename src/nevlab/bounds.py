@@ -4,7 +4,8 @@ Everything here is integer or rational arithmetic.  The only transcendental
 step is the log ratio inside p_0, which is evaluated with interval arithmetic
 at escalating precision until the floor is certified.  t-bounds can be
 astronomically large for moving families; values whose decimal length exceeds
-a digit budget are reported by their log10 size instead of materialized.
+a digit budget are reported by their log10 size instead of materialized,
+and each unbuilt truncation level keeps an exact, cheap floor.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ from typing import Optional, Sequence, Union
 RationalLike = Union[Fraction, int, str]
 
 DEFAULT_DIGIT_BUDGET = 50_000
+
+# Python's default int-to-str limit: a level no longer than this prints, and
+# loads back through any JSON reader, without lifting the interpreter's limit
+REPORT_DIGIT_BUDGET = 4_300
 
 EPS_CAP = Fraction(1) - Fraction(1, 2 ** 20)
 
@@ -229,6 +234,21 @@ class BoundReport:
     def materialized(self) -> bool:
         return self.t is not None
 
+    @property
+    def truncation_floors(self) -> tuple[int, ...]:
+        """Exact lower bounds for the L_j, equal to them when they materialized.
+
+        An unbuilt t = C(B+p_0, B-1) is at least B + p_0, since B >= 2 puts
+        B - 1 between 1 and B + p_0 - 1, and each L_j grows with t.
+        """
+        if self.truncations is not None:
+            return self.truncations
+        return _levels(self.m_count * (self.b_constant + self.p0) - 1, self.degrees, self.d)
+
+
+def _levels(level: int, degrees: tuple[int, ...], d: int) -> tuple[int, ...]:
+    return tuple(dj * level // d + 1 for dj in degrees)
+
 
 def compute_truncation_levels(n: int, q: int, eps: RationalLike,
                               degrees: Sequence[int], fixed: bool = False,
@@ -258,14 +278,9 @@ def compute_truncation_levels(n: int, q: int, eps: RationalLike,
         t, t_power, t_log10, t_power_log10 = 1, 1, 0.0, 0.0
     else:
         t, t_power, t_log10, t_power_log10 = bound_t(p0, n, big_n, q, digit_budget)
-    if t is not None:
-        level = m_count * t - 1
-        truncations = tuple(dj * level // d + 1 for dj in degrees)
-        level_log10 = math.log10(m_count) + t_log10
-    else:
-        level = None
-        truncations = None
-        level_log10 = math.log10(m_count) + t_log10
+    level = None if t is None else m_count * t - 1
+    truncations = None if level is None else _levels(level, degrees, d)
+    level_log10 = math.log10(m_count) + t_log10
     truncation_log10 = tuple(math.log10(dj) + level_log10 - math.log10(d)
                              for dj in degrees)
     a_low = a_lower_bound(n, d, big_n)

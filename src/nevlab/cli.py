@@ -47,8 +47,9 @@ from .resultant import (AdmissibilityUndecided, DegenerateResultantError, NotAdm
 
 
 def _raise_digit_limit() -> None:
-    # materialized truncation levels can run to thousands of digits and
-    # json.dumps must be able to print them
+    # nevlab bounds prints exact truncation levels of up to 50,000 digits;
+    # smt builds one past the default limit of 4,300 only when a multiplicity
+    # passes the level's floor
     try:
         sys.set_int_max_str_digits(2_000_000)
     except AttributeError:

@@ -33,7 +33,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .bounds import compute_truncation_levels, report_repr
+from .bounds import REPORT_DIGIT_BUDGET, compute_truncation_levels, report_repr
 from .expfunc import ExpPoly, exponent_polys, lattice_rows, wronskian
 from .fields import RatFunc, ZPoly, zpoly_gcd
 from .hpoly import HPoly
@@ -527,7 +527,9 @@ class TargetReport:
 
     form: HPoly                       # after normalization
     degree: int
-    truncation: Optional[int]         # None = counted untruncated
+    truncation: Optional[int]         # L_j; None when it was not built
+    truncation_log10: float           # log10 L_j, from the bound chain
+    truncation_binds: Optional[bool]  # a counted multiplicity exceeds L_j; None = undecided
     counts: tuple[float, ...]         # truncated N(r) on the grid
     defect: float
     coeff_growth: float               # max_c T_c(r_max) / T_f(r_max), 0 if fixed
@@ -571,9 +573,14 @@ def smt_verify(f: CurveLike, targets, eps, radii: Sequence[float]) -> SmtReport:
     Checks first that the family is in general position and the curve
     nondegenerate (over C(z) if a target moves), then measures both sides at
     every radius.  Forms are normalized so one coefficient is 1 first.
-    Truncation levels come from the certified bound chain; levels too large
-    to materialize fall back to untruncated counting, which only raises the
-    right side, and level_note records the fallback.
+
+    Truncation levels come from the certified bound chain, built only up to
+    REPORT_DIGIT_BUDGET digits; a longer level is reported by its log10.  A
+    target whose counted multiplicities all lie at or below its level's exact
+    floor (BoundReport.truncation_floors) is counted whole, which is its
+    truncated count.  Otherwise the chain is rebuilt at the default budget to
+    decide; a level too large even for that falls back to untruncated
+    counting, which only raises the right side, and level_note records it.
     """
     curve = as_curve(f)
     fam = (targets if isinstance(targets, HypersurfaceFamily)
@@ -595,23 +602,28 @@ def smt_verify(f: CurveLike, targets, eps, radii: Sequence[float]) -> SmtReport:
     nondeg = nondegeneracy_check(curve, moving=not fixed)
 
     n, q = curve.n, fam.q
-    level_note = None
-    chain = compute_truncation_levels(n, q, eps, fam.degrees, fixed=fixed)
-    if chain.materialized:
-        levels = chain.truncations
-    else:
-        levels = (None,) * q
-        level_note = ("certified truncation levels exceed the digit "
-                      "budget; counting untruncated")
+    chain = compute_truncation_levels(n, q, eps, fam.degrees, fixed=fixed,
+                                      digit_budget=REPORT_DIGIT_BUDGET)
 
     profile = build_profile(curve, rs)
     r_max = rs[-1]
     t_rmax = profile.t_values[-1]
 
+    norms = [normalize_target(qf) for qf in fam.polys]
+    divs = [quotient_zeros(*compose_target(norm, curve), r_max * (1 + 1e-9)) for norm in norms]
+    tops = [max((m for a, m in div.points if abs(a) <= r_max), default=0) for div in divs]
+    if not chain.materialized and any(map(operator.gt, tops, chain.truncation_floors)):
+        # past its floor a multiplicity is decided only by the built level
+        chain = compute_truncation_levels(n, q, eps, fam.degrees, fixed=fixed)
+    levels = chain.truncations or (None,) * q
+    binds = [top > floor if chain.materialized or top <= floor else None
+             for top, floor in zip(tops, chain.truncation_floors)]
+    level_note = ("certified truncation levels exceed the digit budget; "
+                  "counting untruncated") if None in binds else None
+
     reports, coefficient_curves = [], {}     # equal curves share their circle means
-    for qf, lev in zip(fam.polys, levels):
-        norm = normalize_target(qf)
-        div = quotient_zeros(*compose_target(norm, curve), r_max * (1 + 1e-9))
+    for qf, norm, div, lev, lev_log10, bind in zip(fam.polys, norms, divs, levels,
+                                                    chain.truncation_log10, binds):
         counts = tuple(counting_function(div, r, lev) for r in rs)
         defect = _top_half_defect(qf.degree, rs, dict(zip(rs, zip(counts, profile.t_values))).get)
         growth = 0.0
@@ -620,9 +632,9 @@ def smt_verify(f: CurveLike, targets, eps, radii: Sequence[float]) -> SmtReport:
                 c_curve = as_curve((c.den, c.num))
                 t_c = characteristic(coefficient_curves.setdefault(c_curve, c_curve), r_max)
                 growth = max(growth, t_c / t_rmax if t_rmax > 0 else math.inf)
-        reports.append(TargetReport(form=norm, degree=qf.degree,
-                                    truncation=lev, counts=counts,
-                                    defect=defect, coeff_growth=growth))
+        reports.append(TargetReport(form=norm, degree=qf.degree, truncation=lev,
+                                    truncation_log10=lev_log10, truncation_binds=bind,
+                                    counts=counts, defect=defect, coeff_growth=growth))
 
     factor = float(q - n - 1 - eps)
     lhs = tuple(factor * t for t in profile.t_values)

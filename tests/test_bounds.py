@@ -146,6 +146,17 @@ def test_moving_chain_symbolic_fallback():
     assert rep.truncation_log10 is not None
 
 
+def test_floors_bound_the_unbuilt_levels():
+    built = compute_truncation_levels(1, 3, Fraction(1, 2), (1, 1, 1))
+    short = compute_truncation_levels(1, 3, Fraction(1, 2), (1, 1, 1),
+                                      digit_budget=bounds.REPORT_DIGIT_BUDGET)
+    assert built.truncation_floors == built.truncations
+    assert not short.materialized and short.truncation_log10 == built.truncation_log10
+    # t = C(B+p_0, B-1) >= B + p_0
+    assert short.truncation_floors == (19 * (1083 + short.p0),) * 3
+    assert all(10 ** 15 < f < l for f, l in zip(short.truncation_floors, built.truncations))
+
+
 def test_levels_shrink_as_eps_grows():
     small = compute_truncation_levels(1, 3, Fraction(1, 4), (1, 1, 1), fixed=True)
     large = compute_truncation_levels(1, 3, Fraction(3, 4), (1, 1, 1), fixed=True)

@@ -421,6 +421,26 @@ def test_defects_of_a_target_with_a_triple_zero(paths, capsys):
     assert json.loads(capsys.readouterr().out)["tool"] == "defects"
 
 
+def test_smt_report_loads_under_the_default_int_digit_limit(paths):
+    # the moving levels run to 12,367 digits; a reader that keeps Python's
+    # default limit of 4,300 digits must still load the report
+    moving = paths["tmp"] / "moving.json"
+    moving.write_text(json.dumps(_hyperplanes(1, moving=True)))
+    reader = ("import json, sys; doc = json.loads(sys.stdin.read()); "
+              "print(json.dumps([t['truncation'] for t in doc['targets']]))")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    levels = {}
+    for name, system in (("fixed", paths["system"]), ("moving", str(moving))):
+        run = _run_cli(["smt", paths["curve"], system, "--rmin", "10", "--rmax", "50",
+                        "--steps", "20"])
+        assert run.returncode == 0, run.stderr
+        load = subprocess.run([sys.executable, "-c", reader], input=run.stdout,
+                              capture_output=True, env=env, timeout=60)
+        assert load.returncode == 0, load.stderr
+        levels[name] = json.loads(load.stdout)
+    assert levels == {"fixed": [19, 19, 19], "moving": [None, None, None]}
+
+
 @pytest.mark.parametrize("a", [6, 10, 14])
 def test_benchmark_moving_targets_make_no_quadtree_call(paths, capsys, monkeypatch, a):
     # (1 : e^z) with x0 + z/(z+a) x1, the moving targets of the smt benchmark

@@ -11,7 +11,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nevlab import linalg
+from nevlab import bounds, linalg
+from nevlab.bounds import REPORT_DIGIT_BUDGET, compute_truncation_levels
 from nevlab.expfunc import ExpPoly
 from nevlab.fields import GaussRat, RatFunc, ZPoly
 from nevlab.hpoly import HPoly, monomials
@@ -503,28 +504,81 @@ def test_smt_moving_target():
     rep = smt_verify(fe, (x0, x1, x0 + mover), Fraction(1, 2), radii)
     assert not rep.fixed
     assert rep.holds_everywhere
-    assert rep.level_note is None                # levels materialized
+    assert rep.level_note is None                # counts are the truncated counts
     growth = [t.coeff_growth for t in rep.targets]
     assert growth[0] == growth[1] == 0.0
     assert 0.0 < growth[2] < 0.5                 # slow target is admissible
 
 
-def test_moving_report_repr_past_the_int_digit_limit():
-    # the moving chain's levels run to 12,367 digits, past repr's default limit
-    fe = _exp_curve()
+BENCH_GRID = [float(r) for r in np.linspace(10.0, 50.0, 20)]
+
+
+def _benchmark_moving_report():
+    # (1 : e^z) with x0, x1 and x0 + z/(z+10) x1, a moving op of the smt benchmark
     x0, x1 = HPoly.coordinate(2, 0), HPoly.coordinate(2, 1)
-    mover = HPoly.monomial(2, (0, 1), RatFunc(ONE, ZPoly((10, 1))))
-    rep = smt_verify(fe, (x0, x1, x0 + mover), Fraction(1, 2), [10.0, 20.0])
+    mover = HPoly.monomial(2, (0, 1), RatFunc(Z, ZPoly((10, 1))))
+    return smt_verify(_exp_curve(), (x0, x1, x0 + mover), Fraction(1, 2), BENCH_GRID)
+
+
+def _default_limit_repr(rep):
     if not hasattr(sys, "get_int_max_str_digits"):
         pytest.skip("this interpreter prints ints of any length")
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
     try:
-        text = repr(rep)
+        return repr(rep)
     finally:
         sys.set_int_max_str_digits(limit)
-    assert text.count("truncation=<int of 12367 digits>") == 3
-    assert rep.targets[0].truncation.bit_length() == 41080
+
+
+def test_moving_levels_are_reported_by_their_size():
+    # the moving chain's levels run to 12,367 digits; every multiplicity lies
+    # under the levels' floors, so they are never built
+    rep = _benchmark_moving_report()
+    chain = compute_truncation_levels(1, 3, Fraction(1, 2), (1, 1, 1))
+    assert chain.materialized and chain.level.bit_length() == 41080
+    assert rep.level_note is None
+    for target, log10, level in zip(rep.targets, chain.truncation_log10, chain.truncations):
+        assert target.truncation is None and target.truncation_binds is False
+        assert abs(target.truncation_log10 - log10) <= 1e-9
+        div = quotient_zeros(*compose_target(target.form, _exp_curve()), 50.0 * (1 + 1e-9))
+        assert target.counts == tuple(counting_function(div, r, level) for r in BENCH_GRID)
+    assert _default_limit_repr(rep).count("truncation=None") == 3
+
+
+def test_moving_smt_builds_no_level(monkeypatch):
+    budgets, ks = [], []
+    bound_t, comb = bounds.bound_t, bounds.comb
+
+    def spy_bound_t(*args):
+        out = bound_t(*args)
+        budgets.append((args[-1], out[:2]))
+        return out
+
+    monkeypatch.setattr(bounds, "bound_t", spy_bound_t)
+    monkeypatch.setattr(bounds, "comb", lambda n, k: ks.append(k) or comb(n, k))
+    _benchmark_moving_report()
+    assert budgets == [(REPORT_DIGIT_BUDGET, (None, None))]
+    assert ks and max(ks) == 1          # C(N+n, n) and C(q, n); never C(B+p_0, B-1)
+
+
+def test_a_multiplicity_past_its_floor_builds_the_level(monkeypatch):
+    plain = _benchmark_moving_report()
+    monkeypatch.setattr(bounds.BoundReport, "truncation_floors",
+                        property(lambda self: self.truncations or (0,) * self.q))
+    rep = _benchmark_moving_report()
+    assert [t.truncation.bit_length() for t in rep.targets] == [41080] * 3
+    assert [t.truncation_binds for t in rep.targets] == [False] * 3
+    assert [t.counts for t in rep.targets] == [t.counts for t in plain.targets]
+    assert rep.margins == plain.margins and rep.level_note is None
+    assert _default_limit_repr(rep).count("truncation=<int of 12367 digits>") == 3
+    # a level too long even for the default budget: counted whole, and said so
+    monkeypatch.setattr(bounds, "DEFAULT_DIGIT_BUDGET", 100)
+    rep = _benchmark_moving_report()
+    assert [t.truncation for t in rep.targets] == [None] * 3
+    assert [t.truncation_binds for t in rep.targets] == [False, False, None]
+    assert [t.counts for t in rep.targets] == [t.counts for t in plain.targets]
+    assert "counting untruncated" in rep.level_note
 
 
 def test_smt_rejects_bad_input():

@@ -24,3 +24,5 @@ def test_script_runs(name):
     assert run.returncode == 0, run.stderr
     if name == "smt_demo.py":
         assert "inequality verified on both runs" in run.stdout
+        assert "truncation levels: ['19', '19', '19']" in run.stdout
+        assert "truncation levels: ['~10^12366', '~10^12366', '~10^12366']" in run.stdout

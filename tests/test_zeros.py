@@ -275,7 +275,7 @@ def test_shared_edge_windings_match_fresh_box_walks(f, r, monkeypatch):
     assert fresh == [b.count for b in boxes]
 
 
-def test_quadtree_walks_each_edge_once_and_each_level_in_one_pass(monkeypatch):
+def test_quadtree_walks_each_edge_once_and_batches_each_level(monkeypatch):
     # e^z + 1 at r = 50: 16 zeros; walking every box whole, and every Newton
     # certificate and every split on its own, took 52 walks over 60,618 points
     walks, points = [], []
