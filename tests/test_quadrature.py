@@ -1,10 +1,12 @@
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
 
-from nevlab.quadrature import QuadResult, circle_average
+from nevlab import quadrature
+from nevlab.quadrature import QuadResult, circle_average, circle_averages
 
 
 def test_mean_value_property_of_log_modulus():
@@ -150,3 +152,77 @@ def test_kinked_integrand_at_the_cap_is_not_converged():
     assert not res.converged
     assert res.samples <= 1 << 12
     assert 1e-12 < res.error < 1e-3
+
+
+def _arc(zs):
+    """Two rows: a tilted plane leads on an arc of half-width about 0.6/|z|, centred
+    3e-4 off a point of the 512-point grid and off every coarser grid by 0.012 or
+    more, and the other row's trapezoid sums need over 1000 points; so the arc
+    shows first on the 64-point grid for |z| < 16, on the 128-point one for
+    16 < |z| < 50, and on the 512-point one beyond, whose brackets take one step
+    fewer."""
+    u = np.exp(1j * (11 * 2 * math.pi / 512 + 3e-4))
+    rho = np.abs(zs)
+    return np.stack(((zs / u).real, rho * np.cos(0.6 / rho) + 0.05 * (
+        np.log(np.abs(1 + zs / (1.01 * rho * u))) - math.log(1 + 1 / 1.01))))
+
+
+def _same_as_alone(fn, radii, batch, target=1e-9, cap=1 << 20):
+    # a circle of a pass takes the samples it takes alone and agrees with its own
+    # result within the reported error; only the arc sums' rounding may differ
+    for r, got in zip(radii, batch, strict=True):
+        alone = circle_average(fn, r, target, cap)
+        assert (got.samples, got.converged) == (alone.samples, alone.converged), r
+        assert abs(got.value - alone.value) <= max(got.error, alone.error), r
+
+
+def test_a_radius_grid_in_one_pass_is_each_radius_alone(monkeypatch):
+    calls, levels = [], []
+    split = quadrature._split
+
+    def spy(evaluate, circles, *args):
+        calls.append(len(circles))
+        levels.extend(len(grids) for _, grids in circles)
+        return split(evaluate, circles, *args)
+
+    monkeypatch.setattr(quadrature, "_split", spy)
+    radii = (2.0, 30.0, 100.0, 2.0, 45.0, 10.0, 150.0)
+    batch = circle_averages(_arc, radii)
+    # every circle splits, in one _split call, after 1, 2 or 4 trapezoid levels
+    assert calls == [len(radii)] and sorted(set(levels)) == [1, 2, 4]
+    assert batch[0] == batch[3]                     # a repeated radius
+    _same_as_alone(_arc, radii, batch)
+
+    rng = random.Random(7)
+    kinked = lambda zs: np.stack((zs.real, np.zeros(zs.shape)))
+    for _ in range(6):
+        radii = [rng.choice((1.0, 3.7, 250.1)) * rng.uniform(0.5, 2.0)
+                 for _ in range(rng.randint(1, 6))]
+        radii += rng.sample(radii, 1)
+        for fn in (_arc, kinked):
+            _same_as_alone(fn, radii, circle_averages(fn, radii))
+
+
+def test_one_row_and_leading_row_circles_in_one_pass_are_bit_for_bit():
+    # the trapezoid path sums each circle's own row: nothing rounds differently
+    for fn, r, target in _SMOOTH:
+        radii = (r, 0.7 * r, 1.3 * r, r)
+        for f in (fn, lambda zs: np.stack((fn(zs) - 1.0, fn(zs)))):
+            batch = circle_averages(f, radii, target)
+            assert batch == tuple(circle_average(f, rr, target) for rr in radii)
+            assert (batch[0].value, batch[0].samples) == _trapezoid(fn, r, target)
+
+
+def test_a_capped_kinked_pass_and_bad_radii():
+    fn = lambda zs: np.stack((-np.sqrt(np.abs(zs.real)), np.full(zs.shape, -0.9)))
+    radii = (1.0, 0.5, 1.7, 1.0)
+    batch = circle_averages(fn, radii, target=1e-12, cap=1 << 12)
+    assert not any(res.converged for res in batch)
+    assert all(res.samples <= 1 << 12 for res in batch)
+    _same_as_alone(fn, radii, batch, target=1e-12, cap=1 << 12)
+    assert circle_averages(fn, ()) == ()
+    for radii in ((1.0, 0.0), (-2.0,), (3.0, 1.0, -1e-300)):
+        with pytest.raises(ValueError):
+            circle_averages(fn, radii)
+    with pytest.raises(ValueError):
+        circle_average(fn, 0.0)

@@ -475,6 +475,24 @@ def test_a_withheld_or_displaced_limit_falls_back_to_the_quadtree(monkeypatch, m
     assert calls == [f]
 
 
+def test_seeds_that_agree_after_the_array_steps_run_newton_once(monkeypatch):
+    # the 72 starts of (z + 10) + z e^z at r = 50 lead to 17 zeros, and those that
+    # agree after the three array steps are merged before Newton runs; a merge that
+    # loses a zero leaves the count short of the disk winding, and the quadtree answers
+    f, r = ExpPoly.var() + 10 + ExpPoly.var() * ExpPoly.exp(1), 50.0
+    newton, quadtree, runs, calls = zeros._newton, zeros._quadtree_zeros, [], []
+    monkeypatch.setattr(zeros, "_newton",
+                        lambda *args, **kwargs: runs.append(args[1]) or newton(*args, **kwargs))
+    seeded = zeros._seeded_zeros(f, r)
+    assert len(seeded.points) == 17 and len(runs) <= 60
+    monkeypatch.setattr(zeros, "_newton", newton)
+    monkeypatch.setattr(zeros, "_merged", lambda z, cell: z[:1].tolist())
+    assert zeros._seeded_zeros(f, r) is None
+    monkeypatch.setattr(zeros, "_quadtree_zeros", lambda g, s: calls.append(g) or quadtree(g, s))
+    _same_divisor(exppoly_zeros(f, r), seeded, tol=2e-10 * r)
+    assert calls == [f]
+
+
 @pytest.mark.parametrize("r", [1000.5, 10000.5])
 def test_closed_form_count_matches_the_disk_winding_far_out(r):
     f = ExpPoly.exp(1) + 1
