@@ -78,10 +78,11 @@ class EntireCurve:
     the components are Laurent polynomials in w = e^{gamma z}, which takes
     every nonzero value, so there are common zeros exactly when the gcd of
     the polynomials in w (`exponent_polys`) has a nonzero root; this
-    rejects (e^z - 1 : e^{2z} - 1).  Any other tuple is rejected exactly
-    when the coefficient polynomials p_c of all components share a factor,
-    which decides polynomial tuples; common zeros without a shared
-    polynomial factor, as in (e^z - 1 : z), go undetected.
+    rejects (e^z + 1 : e^{2z} - 1).  A tuple whose components all vanish at
+    z = 0, each sum_c p_c(0) being 0, is rejected, as (e^z - 1 : z) is.  Any
+    other tuple is rejected exactly when the coefficient polynomials p_c of
+    all components share a factor, which decides polynomial tuples; other
+    common zeros without a shared polynomial factor go undetected.
 
     Each circle mean that T(r) reads is kept on the curve, so a command that
     asks for T at many radii, for many targets, computes r = 1 and each radius
@@ -110,6 +111,9 @@ class EntireCurve:
         if any(len(comp.terms) == 1 and next(iter(comp.terms.values())).degree == 0
                for comp in self.components):
             return              # a component c e^{gamma z} never vanishes
+        if not any(sum(p.coeffs[0] for p in comp.terms.values()) for comp in self.components):
+            raise DegeneracyError("components share a zero at z = 0: each component's value "
+                                  "sum_c p_c(0) is exactly 0")
         in_w = (exponent_polys(self.components) or (None, None))[1]
         polys = in_w if in_w is not None else [p for comp in self.components
                                                  for p in comp.terms.values()]
@@ -474,10 +478,12 @@ def defect_estimate(f: CurveLike, qf: HPoly, r_max: float,
     The true defect is a lim inf as r -> infinity; the top-half minimum on a
     finite grid converges to it from whatever transient the small radii
     carry.  Can dip slightly below 0 or sit slightly under 1 from quadrature
-    and grid effects.
+    and grid effects.  The form is normalized first (`normalize_target`), as
+    smt_verify does, so a coefficient factor that every term shares is not
+    counted as zeros.
     """
     curve = as_curve(f)
-    div = quotient_zeros(*compose_target(qf, curve), r_max * (1 + 1e-9))
+    div = quotient_zeros(*compose_target(normalize_target(qf), curve), r_max * (1 + 1e-9))
     radii = [float(r) for r in np.geomspace(max(2.0, math.sqrt(r_max)), r_max, grid_points)]
     _log_norm_average(curve, (1.0, *radii[len(radii) // 2:]))      # T where it is read
     return _top_half_defect(qf.degree, radii, lambda r: (counting_function(div, r, level),

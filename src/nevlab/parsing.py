@@ -235,9 +235,9 @@ def _coef_from_json(v, path):
 def hpoly_from_json(obj, path: str = "") -> HPoly:
     """{"degree": d, "terms": [{"exp": [i0,...,in], "coef": "..."}]}"""
     degree = _want(obj, "degree", int, path, "an integer")
-    if degree < 0:
+    if degree < 1:
         raise SchemaError(f"{path}.degree" if path else "degree",
-                          "degree must be nonnegative")
+                          "a form needs degree >= 1")
     terms = _want(obj, "terms", list, path, "a list")
     if not terms:
         raise SchemaError(f"{path}.terms" if path else "terms",
@@ -345,7 +345,7 @@ POLY_SCHEMA = {
     "type": "object",
     "required": ["degree", "terms"],
     "properties": {
-        "degree": {"type": "integer", "minimum": 0},
+        "degree": {"type": "integer", "minimum": 1},
         "terms": {
             "type": "array",
             "minItems": 1,

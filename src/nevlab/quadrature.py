@@ -230,8 +230,9 @@ def _split(evaluate, circles: list, target: float, cap: int) -> list:
         half = (b - a) / 2
         theta = ((a + b) / 2)[:, None] + half[:, None] * nodes
         f = _top(evaluate((rad[:, None] * np.exp(1j * theta)).ravel())).reshape(theta.shape)
-        coarse = half * (f[:, :16] @ w16) / TWO_PI
-        fine = half * (f[:, 16:] @ w32) / TWO_PI
+        # row by row, so that an arc's sum does not depend on how many arcs are batched
+        coarse = half * (f[:, :16] * w16).sum(axis=1) / TWO_PI
+        fine = half * (f[:, 16:] * w32).sum(axis=1) / TWO_PI
         gap = np.abs(fine - coarse)
         ok = gap <= target * half / math.pi
         more, kept, end = np.zeros(len(a), dtype=bool), [], 0

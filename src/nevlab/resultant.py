@@ -200,6 +200,8 @@ class HypersurfaceFamily:
                 raise ValueError(f"form has {p.nvars} variables, expected {n + 1}")
             if p.is_zero():
                 raise ValueError("zero form in family")
+            if p.degree < 1:
+                raise ValueError("form of degree 0 in family")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "polys", polys)
 

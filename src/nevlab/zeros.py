@@ -1,7 +1,7 @@
-"""Zero location in disks by three paths: certified roots for polynomials and
-one-frequency exponential polynomials, seeded zeros for the other two-term ones, and
-argument-principle subdivision for every other exponential polynomial and wherever a
-certificate fails.  On all three, one float Newton iteration (_newton) proposes points
+"""Zero location in disks by two paths: certified roots for polynomials and
+one-frequency exponential polynomials, and argument-principle subdivision for every
+other exponential polynomial and wherever a certificate fails, which first tries the
+Newton limits of seeds.  On both, one float Newton iteration (_newton) proposes points
 and a certificate decides.
 
 Certified path: Yun square-free decomposition over the Gaussian rationals gives exact
@@ -12,21 +12,20 @@ are its roots; the zeros of f = e^{c0 z} P(e^{gamma z}) are (Log w + 2 pi i m)/g
 over the roots w of P.  Each zero in reach is placed within 1e-10 max(r, 1), or f
 goes on, as a one-frequency f with deg P > 16 does.
 
-Seeded path: Newton runs toward the zeros of f = p e^{alpha z} + q e^{beta z} on the
-branches of e^{(beta - alpha) z} = -p/q, and its limits are simple zeros within 1e-10
+Quadtree path: the disk winding number of the reach circle is the total count.
+Seeds (_seeds) come from f = p e^{alpha z} + q e^{beta z}, on the branches of
+e^{(beta - alpha) z} = -p/q; their Newton limits are simple zeros within 1e-10
 max(r, 1) when each one's square of that side winds once inside the reach circle and
-they add up to its disk winding number; otherwise f goes to the quadtree.
+they add up to the count.  Otherwise a quadtree of boxes, each counted by the
+certified phase increments along its sides (_walk, _subdivide), isolates the zeros, a
+box of count 1 ending in a Newton exit that a winding square certifies; the
+multiplicities located in the reach disk must add up to the count, or the radius is
+refused.  A simple zero is placed within 1e-10 max(r, 1), a cluster of multiplicity
+>= 2 within its exit box's half-diagonal plus the distance its polish moved it.
+Every value is read as f e^{-M} from ExpPoly.scaled, the one float evaluator, so no
+radius overflows.
 
-Quadtree path: the disk winding number of the reach circle is the total count, and a
-quadtree of boxes, each counted by the certified phase increments along its sides
-(_walk, _subdivide), isolates the zeros, a box of count 1 ending in a Newton exit that
-a winding square certifies; the multiplicities located in the reach disk must add up
-to the count, or the radius is refused.  A simple zero is placed within 1e-10
-max(r, 1), a cluster of multiplicity >= 2 within its exit box's half-diagonal plus
-the distance its polish moved it.  Every value is read as f e^{-M} from
-ExpPoly.scaled, the one float evaluator, so no radius overflows.
-
-One boundary rule: every path locates the zeros out to _reach(r), each within its
+One boundary rule: both paths locate the zeros out to _reach(r), each within its
 placement error, and _counted takes the circle r, or else the first of radius
 r + 1e-12 10^k max(r, 1), k = 0, ..., 6, that passes farther than its error from every
 one; the zeros inside it count, and boundary_nudged says that the circle moved.
@@ -62,11 +61,6 @@ class Divisor:
     points: tuple[tuple[complex, int], ...]
     r: float
     boundary_nudged: bool = False
-
-    def total(self, level: Optional[int] = None) -> int:
-        if level is None:
-            return sum(m for _, m in self.points)
-        return sum(min(m, level) for _, m in self.points)
 
 
 def yun_squarefree(p: ZPoly) -> list[tuple[ZPoly, int]]:
@@ -568,25 +562,23 @@ def _merged(z: np.ndarray, cell: float) -> list:
             if k not in seen]
 
 
-def _seeded_zeros(f: ExpPoly, r: float) -> Optional[Divisor]:
-    """The divisor in |z| <= r of a two-term f = p e^{alpha z} + q e^{beta z}, or None.
-    Its zeros solve e^{gamma z} = -p/q, gamma = beta - alpha, one on each branch
-    (Log(-p/q) + 2 pi i m)/gamma far out.  Newton (_newton) runs from the roots of p and
-    q, and after three steps z <- z + (Log(-p/q) - gamma z + 2 pi i k)/gamma, k the
-    nearest branch, from 2 pi i (m +- 1/4)/gamma on each branch m that reaches the disk
-    and from circles out to the root bound of p and q.  The distinct limits in reach
-    (_reach) go to _counted when each one's square of side tol lies inside the reach
-    circle and winds once, and their number is that circle's disk_winding."""
+def _seeds(f: ExpPoly, r: float) -> list:
+    """Newton starts toward the zeros in |z| <= r of a two-term f = p e^{alpha z} +
+    q e^{beta z}, or [] for any other f.  Its zeros solve e^{gamma z} = -p/q, gamma =
+    beta - alpha, one on each branch (Log(-p/q) + 2 pi i m)/gamma far out.  The seeds
+    are the roots of p and q, and the points that three steps z <- z + (Log(-p/q) -
+    gamma z + 2 pi i k)/gamma, k the nearest branch, reach from 2 pi i (m +- 1/4)/gamma
+    on each branch m that reaches the disk and from circles out to the root bound of p
+    and q, merged (_merged)."""
     if len(f.terms) != 2:
-        return None
+        return []
     (alpha, p), (beta, q) = f.terms.items()
     gamma = complex(beta - alpha)
-    tol, rate = 1e-10 * max(r, 1.0), phase_rate_bound(f)
     polys = [ExpPoly.poly(g) for g in (p, q)]
     bound = max((1 + max(map(abs, cs[1:])) / abs(cs[0]) for cs in
                  (g.float_image[0][1] for g in polys) if len(cs) > 1 and cs[0]), default=1.0)
     if not math.isfinite(bound):
-        return None
+        return []
     seeds = [z for g in (p, q) for z, _ in zpoly_zeros(g, bound).points]
     top = math.ceil(r * abs(gamma) / (2 * math.pi)) + 1
     branch = 2j * np.pi * np.arange(-top, top + 1)
@@ -596,45 +588,42 @@ def _seeded_zeros(f: ExpPoly, r: float) -> Optional[Divisor]:
         for _ in range(3):
             d = np.log(-polys[0].scaled(z)[1] / polys[1].scaled(z)[1]) - gamma * z
             z = z + (d - 2j * np.pi * np.round(d.imag / (2 * np.pi))) / gamma
-    seeds += _merged(z[np.isfinite(z)], 2e-6 * max(r, 1.0))
-    kept, h, reach = [], tol / 2, _reach(r)
-    for x, step in sorted((_newton(f, x) for x in seeds), key=lambda xs: (xs[0].real, xs[0].imag)):
-        if step > h or abs(x) - h * math.sqrt(2) > reach or any(
-                abs(x.real - y.real) <= tol and abs(x.imag - y.imag) <= tol for y in kept):
-            continue            # not settled, out of reach, or a zero already kept
-        if max(abs(x + complex(sx, sy) * h) for sx in (-1, 1) for sy in (-1, 1)) >= reach:
-            return None
-        kept.append(x)
-    try:
-        if all(_winds_once(f, kept, tol, rate)) and disk_winding(f, reach) == len(kept):
-            return _counted([(x, 1, tol) for x in kept], r)
-    except ContourThroughZero:
-        pass
-    return None
+    return seeds + _merged(z[np.isfinite(z)], 2e-6 * max(r, 1.0))
 
 
 def exppoly_zeros(f: ExpPoly, r: float) -> Divisor:
     """Divisor of an exponential polynomial in |z| <= r: certified roots for a
-    polynomial or a one-frequency f (`_certified_zeros`), else seeded zeros for a
-    two-term f (`_seeded_zeros`), otherwise the quadtree (`_quadtree_zeros`)."""
+    polynomial or a one-frequency f (`_certified_zeros`), otherwise the quadtree
+    (`_quadtree_zeros`), which first tries the Newton limits of a two-term f's seeds
+    (`_seeds`)."""
     if f.is_zero():
         raise ValueError("zero function has no divisor")
-    for path in (_certified_zeros, _seeded_zeros):
-        div = path(f, r)
-        if div is not None:
-            return div
-    return _quadtree_zeros(f, r)
+    div = _certified_zeros(f, r)
+    return div if div is not None else _quadtree_zeros(f, r, _seeds(f, r))
 
 
-def _quadtree_zeros(f: ExpPoly, r: float) -> Divisor:
-    """The disk winding number of the reach circle (_reach) is the total count, and
-    quadtree subdivision locates the zeros in a square about it (_subdivide), a simple
-    zero within tol = 1e-10 max(r, 1), a cluster within its bound; the multiplicities
-    located in the reach disk must add up to the count, and _counted takes the divisor."""
+def _quadtree_zeros(f: ExpPoly, r: float, seeds=()) -> Divisor:
+    """The disk winding number of the reach circle (_reach) is the total count.  The
+    settled, distinct Newton limits (_newton) of the seeds answer when each one's square
+    of side tol = 1e-10 max(r, 1) lies inside the reach circle and winds once
+    (_winds_once), and their number is the count; otherwise quadtree subdivision locates
+    the zeros in a square about the disk (_subdivide), a simple zero within tol, a
+    cluster within its bound, and the multiplicities located in the reach disk must add
+    up to the count.  _counted takes the divisor."""
     tol, rate, reach = 1e-10 * max(r, 1.0), phase_rate_bound(f), _reach(r)
     total = disk_winding(f, reach)
     if total == 0:
         return Divisor(points=(), r=r)
+    kept, h = [], tol / 2
+    for x, step in sorted((_newton(f, x) for x in seeds), key=lambda xs: (xs[0].real, xs[0].imag)):
+        if step > h or abs(x) - h * math.sqrt(2) > reach or any(
+                abs(x.real - y.real) <= tol and abs(x.imag - y.imag) <= tol for y in kept):
+            continue            # not settled, out of reach, or a zero already kept
+        kept.append(x)
+    corners = [x + complex(sx, sy) * h for x in kept for sx in (-1, 1) for sy in (-1, 1)]
+    if len(kept) == total and all(abs(c) < reach for c in corners) and all(
+            _winds_once(f, kept, tol, rate)):
+        return _counted([(x, 1, tol) for x in kept], r)
     # bounding square of the reach disk, stretched so edges miss zeros
     for attempt in range(6):
         pad = reach * (1 + 1e-6 * (1 + attempt) ** 2)

@@ -32,6 +32,10 @@ PAIR = {
     ],
 }
 
+# a form of degree 0, a constant: malformed input to every command that reads a system
+CONSTANT = {"n": 1, "polynomials": [SYSTEM["polynomials"][0],
+                                    {"degree": 0, "terms": [{"exp": [0, 0], "coef": "1"}]}]}
+
 CURVE = {
     "components": [
         {"terms": [{"poly": "1"}]},
@@ -43,7 +47,7 @@ CURVE = {
 @pytest.fixture
 def paths(tmp_path):
     out = {}
-    for name, doc in (("system", SYSTEM), ("pair", PAIR), ("curve", CURVE)):
+    for name, doc in (("system", SYSTEM), ("pair", PAIR), ("curve", CURVE), ("constant", CONSTANT)):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(doc))
         out[name] = str(p)
@@ -251,6 +255,12 @@ def test_exit_code_input_error(paths, capsys):
     ("jensen", ["--phi", "z-3", "--radii", "2,nan"]),
     ("jensen", ["--phi", "z-3", "--radii", "inf"]),
     ("characteristic", ["curve", "--radii", "2,nan"]),
+    ("smt", ["curve", "constant"]),
+    ("defects", ["curve", "constant"]),
+    ("admissible", ["constant"]),
+    ("resultant", ["constant"]),
+    ("certificate", ["constant", "--index", "0"]),
+    ("filtration", ["constant", "--subset", "0", "--level", "2"]),
 ])
 def test_malformed_numbers_are_input_errors(paths, capsys, cmd, extra):
     # extra is the rest of the command line, an input file named by its key in paths
@@ -310,6 +320,18 @@ def test_smt_decides_nondegeneracy_in_every_degree(paths, capsys):
         assert "transcendence degree at most 1 < n = 2 over C" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("curve", [_curve([("1", "1"), ("-1", "0")], [("z", "0")]),
+                                   _curve([("1", "1"), ("-1", "0")], [("1", "i"), ("-1", "0")])],
+                         ids=["(e^z-1:z)", "(e^z-1:e^iz-1)"])
+def test_curves_whose_components_all_vanish_at_0_are_obstructions(paths, capsys, curve):
+    path = paths["tmp"] / "zero.json"
+    path.write_text(json.dumps(curve))
+    for argv in (["characteristic", str(path), "--radii", "10"],
+                 ["smt", str(path), paths["system"], "--rmin", "10", "--rmax", "20"]):
+        assert main(argv) == 1
+        assert "z = 0" in capsys.readouterr().err
+
+
 def test_smt_cancels_a_triple_pole_of_a_moving_target(paths, capsys):
     # (1 : (z-1)^3 e^z) against x0 + x1/(z-1)^3: the quotient is 1 + e^z
     curve = paths["tmp"] / "pole.json"
@@ -366,7 +388,7 @@ def test_exit_code_numerical_failure(paths, capsys, monkeypatch):
 
 def test_zero_count_mismatch_is_numerical_failure(paths, capsys, monkeypatch):
     # the quadtree's count check: one located point is pushed out of the disk, and a
-    # moving target, which takes the seeded path, is sent to the quadtree
+    # moving target, which its seeds answer, is sent to subdivision without them
     from nevlab import zeros
     from nevlab.expfunc import ExpPoly
 
@@ -379,7 +401,7 @@ def test_zero_count_mismatch_is_numerical_failure(paths, capsys, monkeypatch):
     monkeypatch.setattr(zeros, "_subdivide", push_one_out)
     with pytest.raises(zeros.ContourThroughZero, match="located"):
         zeros._quadtree_zeros(ExpPoly.exp(1) - 1, 7.0)
-    monkeypatch.setattr(zeros, "_seeded_zeros", lambda f, r: None)
+    monkeypatch.setattr(zeros, "_seeds", lambda f, r: [])
     moving = paths["tmp"] / "moving.json"
     moving.write_text(json.dumps(_hyperplanes(1, moving=True)))
     assert main(["smt", paths["curve"], str(moving), "--rmin", "10",
@@ -391,15 +413,16 @@ def test_fixed_targets_take_the_closed_form_and_moving_ones_the_seeded_path(
         paths, capsys, monkeypatch):
     from nevlab import zeros
 
-    calls, seeded = [], []
-    quadtree, seeded_zeros = zeros._quadtree_zeros, zeros._seeded_zeros
+    # a moving target's search is answered by its seeds, without subdivision
+    calls, subdivided = [], []
+    quadtree, subdivide = zeros._quadtree_zeros, zeros._subdivide
 
-    def counted(f, r):
-        calls.append(f)
-        return quadtree(f, r)
+    def counted(f, r, seeds=()):
+        calls.append(len(seeds))
+        return quadtree(f, r, seeds)
 
     monkeypatch.setattr(zeros, "_quadtree_zeros", counted)
-    monkeypatch.setattr(zeros, "_seeded_zeros", lambda f, r: seeded.append(f) or seeded_zeros(f, r))
+    monkeypatch.setattr(zeros, "_subdivide", lambda *args: subdivided.append(1) or subdivide(*args))
     assert main(["smt", paths["curve"], paths["system"], "--rmin", "10",
                  "--rmax", "20", "--steps", "2"]) == 0
     assert calls == []
@@ -407,7 +430,7 @@ def test_fixed_targets_take_the_closed_form_and_moving_ones_the_seeded_path(
     moving.write_text(json.dumps(_hyperplanes(1, moving=True)))
     assert main(["smt", paths["curve"], str(moving), "--rmin", "10",
                  "--rmax", "20", "--steps", "2"]) == 0
-    assert calls == [] and len(seeded) >= 1
+    assert len(calls) >= 1 and all(calls) and subdivided == []
     capsys.readouterr()
 
 
@@ -419,6 +442,19 @@ def test_defects_of_a_target_with_a_triple_zero(paths, capsys):
     system.write_text(json.dumps(doc))
     assert main(["defects", paths["curve"], str(system), "--rmax", "20"]) == 0
     assert json.loads(capsys.readouterr().out)["tool"] == "defects"
+
+
+def test_defects_count_the_normalized_target_as_smt_does(paths, capsys):
+    # z x0 + z x1 and x0 + x1 are one target: the factor z that every term shares is
+    # normalized away, not counted as a zero (it read -0.652 against 0.059)
+    doc = json.loads(json.dumps(SYSTEM))
+    both = doc["polynomials"][-1]
+    doc["polynomials"].append({"degree": 1, "terms": [dict(t, coef="z") for t in both["terms"]]})
+    system = paths["tmp"] / "shared.json"
+    system.write_text(json.dumps(doc))
+    assert main(["defects", paths["curve"], str(system), "--rmax", "20"]) == 0
+    plain, shared = (t["defect"] for t in json.loads(capsys.readouterr().out)["targets"][2:])
+    assert plain == shared and 0.05 < plain < 0.07
 
 
 def test_smt_report_loads_under_the_default_int_digit_limit(paths):
@@ -443,11 +479,12 @@ def test_smt_report_loads_under_the_default_int_digit_limit(paths):
 
 @pytest.mark.parametrize("a", [6, 10, 14])
 def test_benchmark_moving_targets_make_no_quadtree_call(paths, capsys, monkeypatch, a):
-    # (1 : e^z) with x0 + z/(z+a) x1, the moving targets of the smt benchmark
+    # (1 : e^z) with x0 + z/(z+a) x1, the moving targets of the smt benchmark: their
+    # seeds answer, and no box is subdivided
     from nevlab import zeros
 
     calls = []
-    monkeypatch.setattr(zeros, "_quadtree_zeros", lambda f, r: calls.append(f))
+    monkeypatch.setattr(zeros, "_subdivide", lambda *args: calls.append(args[0]))
     doc = _hyperplanes(1)
     doc["polynomials"][-1]["terms"][-1]["coef"] = f"z/(z+{a})"
     moving = paths["tmp"] / "moving.json"

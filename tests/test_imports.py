@@ -1,7 +1,8 @@
 """Every module-level import of the package, its tests and its scripts is
 used by its module, every public name of the package and every public
 module-level function and class is used by the package or its scripts, and
-the package has no assert statement, no private `fractions` API, no
+so is every method of a public class other than a dunder, read as an
+attribute, and the package has no assert statement, no private `fractions` API, no
 `polyval` and no use of the scaling `ExpPoly._scaled_exps` outside `expfunc`,
 one call of `np.roots` and of `yun_squarefree`, both in the certified root
 routine, one float Newton loop, one boundary rule for the divisor paths, one
@@ -64,23 +65,32 @@ def test_no_unused_imports():
 
 def test_every_public_name_has_a_caller_outside_the_tests():
     # mrat.py has no caller and is to be deleted; until then it is exempt,
-    # both as the home of public names and as a caller
+    # both as the home of public names and as a caller.  A method of a public
+    # class other than a dunder counts as used only where it is read as an
+    # attribute, as obj.name
     modules = [p for p in SRC.glob("*.py") if p.name not in ("__init__.py", "mrat.py")]
-    referenced, public = set(), set()
+    referenced, attributes, public, methods = set(), set(), set(), set()
     for p in modules + sorted((ROOT / "scripts").glob("*.py")):
         tree = ast.parse(p.read_text(), str(p))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+                attributes.add(node.attr)
         if p in modules:
-            public |= {f"{p.stem}.{node.name}" for node in tree.body
-                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                       and not node.name.startswith("_")}
-    assert len(public) > 50
+            for node in tree.body:
+                if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                    continue
+                public.add(f"{p.stem}.{node.name}")
+                if isinstance(node, ast.ClassDef):
+                    methods |= {f"{p.stem}.{node.name}.{item.name}" for item in node.body
+                                if isinstance(item, ast.FunctionDef)
+                                and not (item.name.startswith("__") and item.name.endswith("__"))}
+    referenced |= attributes
+    assert len(public) > 50 and len(methods) > 50
     assert sorted(set(nevlab.__all__) - referenced) == []
     assert sorted(name for name in public if name.split(".")[1] not in referenced) == []
+    assert sorted(name for name in methods if name.split(".")[2] not in attributes) == []
 
 
 def test_no_assert_in_the_package():
@@ -154,7 +164,8 @@ def test_one_newton_iteration():
 
 def test_one_square_certificate():
     # the square of side tol about a Newton point is built and wound by one helper,
-    # which the quadtree and the seeded path both call: no second square test
+    # which the quadtree calls for its seeds' limits and for its Newton exits: no second
+    # square test
     calls = {"_box": [], "_windings": [], "_winds_once": []}
     for p in sorted(SRC.glob("*.py")):
         for top in ast.parse(p.read_text(), str(p)).body:
@@ -166,12 +177,13 @@ def test_one_square_certificate():
     assert {k: sorted(v) for k, v in calls.items()} == {
         "_box": ["zeros.py:_quadtree_zeros", "zeros.py:_winds_once"],
         "_windings": ["zeros.py:_winds_once", "zeros.py:disk_winding"],
-        "_winds_once": ["zeros.py:_seeded_zeros", "zeros.py:_subdivide"]}
+        "_winds_once": ["zeros.py:_quadtree_zeros", "zeros.py:_subdivide"]}
 
 
 def test_one_boundary_rule():
     # which located zeros count in |z| <= r is decided by one helper, which each divisor
-    # path calls: no other comparison of |z| with r, and no module-level band constant
+    # path calls, the quadtree once for its seeds' limits and once for its subdivision:
+    # no other comparison of |z| with r, and no module-level band constant
     tree = ast.parse((SRC / "zeros.py").read_text())
     calls, compares = [], []
     for top in tree.body:
@@ -185,7 +197,7 @@ def test_one_boundary_rule():
                     compares.append(top.name)
     constants = [top.lineno for top in tree.body if isinstance(top, (ast.Assign, ast.AnnAssign))
                  and isinstance(top.value, ast.Constant) and isinstance(top.value.value, (int, float))]
-    assert sorted(calls) == ["_certified_zeros", "_quadtree_zeros", "_seeded_zeros"]
+    assert sorted(calls) == ["_certified_zeros", "_quadtree_zeros", "_quadtree_zeros"]
     assert set(compares) == {"_counted"} and constants == []
 
 

@@ -61,7 +61,7 @@ def test_curve_rejects_common_zeros_of_commensurable_exponentials():
     one, ez, e2z = ExpPoly.const(1), ExpPoly.exp(1), ExpPoly.exp(2)
     half_i = ExpPoly.exp(GaussRat(0, Fraction(1, 2)))
     with pytest.raises(DegeneracyError, match="polynomials in e"):
-        EntireCurve((ez - one, e2z - one))                  # zeros 2 pi i k shared
+        EntireCurve((ez + one, e2z - one))                  # zeros (2k + 1) pi i shared
     with pytest.raises(DegeneracyError):
         EntireCurve((ExpPoly.exp(-1) - one, ez - one))      # w^-1 - 1 and w - 1
     with pytest.raises(DegeneracyError):
@@ -69,9 +69,12 @@ def test_curve_rejects_common_zeros_of_commensurable_exponentials():
     EntireCurve((one, ez))
     EntireCurve((ez - one, e2z + one))                      # gcd(w - 1, w^2 + 1) = 1
     EntireCurve((ez, e2z))                                  # gcd w never vanishes
-    # not commensurable or not constant coefficients: the polynomial gcd test,
-    # which misses the common zero z = 0 of (e^z - 1 : z)
-    EntireCurve((ez - one, ExpPoly.var()))
+    # not commensurable or not constant coefficients: every component vanishes at
+    # z = 0, which the exact values sum_c p_c(0) show and no gcd would
+    for comps in ((ez - one, ExpPoly.var()), (ez - one, ExpPoly.exp(GaussRat(0, 1)) - one)):
+        with pytest.raises(DegeneracyError, match="z = 0"):
+            EntireCurve(comps)
+    EntireCurve((ez - one, ExpPoly.var() + 1))
 
 
 def test_workload_curves_are_reduced():
@@ -313,7 +316,7 @@ def test_quotient_zeros_cancel_exactly():
 def test_quotient_zeros_cancels_denominator():
     e = ExpPoly.poly(ZPoly((-2, 1)) * ZPoly((3, 1)))
     div = quotient_zeros(e, ZPoly((-2, 1)), 5.0)
-    assert div.total() == 1
+    assert sum(m for _, m in div.points) == 1
     assert div.points[0][0] == pytest.approx(-3.0)
     with pytest.raises(DegeneracyError):
         quotient_zeros(ExpPoly.zero(), ONE, 5.0)

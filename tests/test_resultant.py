@@ -101,6 +101,8 @@ def test_family_validation():
     x0 = HPoly.coordinate(2, 0)
     with pytest.raises(ValueError):
         HypersurfaceFamily(2, [x0, x0, x0])     # nvars mismatch
+    with pytest.raises(ValueError, match="degree 0"):
+        HypersurfaceFamily(1, [x0, HPoly(2, 0, {(0, 0): 1})])
     fam = HypersurfaceFamily(1, [x0, HPoly.coordinate(2, 1), x0 + x0])
     assert fam.q == 3 and fam.degrees == (1, 1, 1)
     assert not fam.is_moving()

@@ -13,8 +13,25 @@ import pytest
 from nevlab import zeros
 from nevlab.expfunc import ExpPoly
 from nevlab.fields import GaussRat, RatFunc, ZPoly
-from nevlab.zeros import (Divisor, disk_winding, exppoly_zeros,
-                          ratfunc_divisors, yun_squarefree, zpoly_zeros)
+from nevlab.zeros import (disk_winding, exppoly_zeros, ratfunc_divisors, yun_squarefree,
+                          zpoly_zeros)
+
+
+def _total(div) -> int:
+    """The number of zeros of a divisor, with multiplicity."""
+    return sum(m for _, m in div.points)
+
+
+def _seeded(f, r):
+    """The quadtree search that first tries f's seeds, as exppoly_zeros runs it."""
+    return zeros._quadtree_zeros(f, r, zeros._seeds(f, r))
+
+
+def _subdivisions(monkeypatch) -> list:
+    """Record the function of every _subdivide call from now on; returns the record."""
+    calls, subdivide = [], zeros._subdivide
+    monkeypatch.setattr(zeros, "_subdivide", lambda *args: calls.append(args[0]) or subdivide(*args))
+    return calls
 
 
 def test_yun_separates_multiplicities():
@@ -75,23 +92,16 @@ def test_dense_polynomial_roots_certify_in_few_newton_steps(monkeypatch):
 def test_zpoly_zeros_respects_radius():
     p = ZPoly((-8, 0, 0, 1))          # zeros: 2, 2w, 2w^2 with |.| = 2
     div = zpoly_zeros(p, 5.0)
-    assert div.total() == 3
+    assert _total(div) == 3
     assert div.r == 5.0
     inside = zpoly_zeros(p, 1.0)
-    assert inside.total() == 0
-
-
-def test_divisor_total_truncates():
-    div = Divisor(points=((0.5 + 0j, 3), (1.0 + 1j, 1)), r=2.0)
-    assert div.total() == 4
-    assert div.total(level=1) == 2
-    assert div.total(level=2) == 3
+    assert _total(inside) == 0
 
 
 def test_ratfunc_divisors_split_zeros_and_poles():
     f = RatFunc(ZPoly((-1, 1)) ** 2, ZPoly((2, 1)))
     zeros, poles = ratfunc_divisors(f, 10.0)
-    assert zeros.total() == 2 and poles.total() == 1
+    assert _total(zeros) == 2 and _total(poles) == 1
     assert zeros.points[0][0] == pytest.approx(1.0)
     assert poles.points[0][0] == pytest.approx(-2.0)
 
@@ -170,7 +180,7 @@ def test_exppoly_zeros_of_shifted_exponential():
     f = ExpPoly.exp(1) - 1
     for entry in ENTRIES:
         div = entry(f, 7.0)
-        assert div.total() == 3
+        assert _total(div) == 3
         found = sorted(p.imag for p, _ in div.points)
         expect = [-2 * math.pi, 0.0, 2 * math.pi]
         assert all(a == pytest.approx(b, abs=1e-6) for a, b in zip(found, expect))
@@ -180,7 +190,7 @@ def test_exppoly_zeros_transcendental_mix():
     # fixed points of e^z: a conjugate pair near 0.318 +- 1.337i
     f = ExpPoly.exp(1) - ExpPoly.var()
     div = exppoly_zeros(f, 2.0)
-    assert div.total() == 2
+    assert _total(div) == 2
     for point, m in div.points:
         assert m == 1
         assert abs(cmath.exp(point) - point) < 1e-6
@@ -190,12 +200,12 @@ def test_exppoly_zeros_polynomial_route():
     # purely polynomial input takes the exact path
     f = ExpPoly.poly(ZPoly((-1, 0, 1)))       # z^2 - 1
     div = exppoly_zeros(f, 3.0)
-    assert div.total() == 2
+    assert _total(div) == 2
     assert {round(p.real) for p, _ in div.points} == {-1, 1}
 
 
 def _same_divisor(a, b, tol=1e-9):
-    assert a.total() == b.total() and len(a.points) == len(b.points)
+    assert _total(a) == _total(b) and len(a.points) == len(b.points)
     for point, m in a.points:
         near = min(b.points, key=lambda q: abs(q[0] - point))
         assert near[1] == m and abs(near[0] - point) <= tol
@@ -236,7 +246,7 @@ def test_refused_newton_certificate_falls_back_to_subdivision(monkeypatch):
 
     monkeypatch.setattr(zeros, "_walk", no_certificate)
     _same_divisor(zeros._quadtree_zeros(f, r), reference)
-    assert len(refused) >= reference.total()
+    assert len(refused) >= _total(reference)
 
 
 def test_edge_midpoint_is_the_sample_that_halves_reuse():
@@ -292,7 +302,7 @@ def test_quadtree_walks_each_edge_once_and_batches_each_level(monkeypatch):
 
     monkeypatch.setattr(ExpPoly, "scaled", counted_scaled)
     monkeypatch.setattr(zeros, "_walk", counted_walk)
-    assert zeros._quadtree_zeros(ExpPoly.exp(1) + 1, 50.0).total() == 16
+    assert _total(zeros._quadtree_zeros(ExpPoly.exp(1) + 1, 50.0)) == 16
     assert len(walks) <= 52 // 3 and sum(points) <= 60618 // 2
 
 
@@ -300,15 +310,15 @@ def test_the_quadtree_polishes_only_its_clusters(monkeypatch):
     # a Newton exit is a point _newton has settled; only box centres are polished
     calls, polish = [], zeros._polish_cluster
     monkeypatch.setattr(zeros, "_polish_cluster", lambda f, z, m, tol: calls.append(m) or polish(f, z, m, tol))
-    assert zeros._quadtree_zeros(ExpPoly.exp(1) + 1, 50.0).total() == 16 and calls == []
-    assert zeros._quadtree_zeros((ExpPoly.exp(1) - 1) ** 2, 10.0).total() == 6 and calls == [2, 2, 2]
+    assert _total(zeros._quadtree_zeros(ExpPoly.exp(1) + 1, 50.0)) == 16 and calls == []
+    assert _total(zeros._quadtree_zeros((ExpPoly.exp(1) - 1) ** 2, 10.0)) == 6 and calls == [2, 2, 2]
 
 
 @pytest.mark.parametrize("r", [7.0, 50.0, 300.0, 720.0, 2000.0])
 def test_exp_minus_one_closed_form_count(r):
     for entry in ENTRIES:
         div = entry(ExpPoly.exp(1) - 1, r)
-        assert div.total() == 2 * math.floor(r / (2 * math.pi)) + 1
+        assert _total(div) == 2 * math.floor(r / (2 * math.pi)) + 1
         for point, m in div.points:
             k = round(point.imag / (2 * math.pi))
             assert m == 1 and abs(point - 2j * math.pi * k) < 1e-9 * r
@@ -332,7 +342,7 @@ def test_zeros_past_the_exp_overflow_radius_without_warnings():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             div = entry(ExpPoly.exp(1) + 1, r)
-        assert div.total() == 2 * math.floor((r / math.pi + 1) / 2)
+        assert _total(div) == 2 * math.floor((r / math.pi + 1) / 2)
         for point, m in div.points:
             k = round((point.imag / math.pi - 1) / 2)
             assert m == 1 and abs(point - (2 * k + 1) * math.pi * 1j) < 1e-9 * r
@@ -342,7 +352,7 @@ def test_simple_zero_where_the_exponential_term_overflows():
     # (z - 715) e^z + 1 has a zero within e^-715 of 715, where e^z overflows
     f = (ExpPoly.var() - 715) * ExpPoly.exp(1) + 1
     div = exppoly_zeros(f, 720.0)
-    assert div.total() == disk_winding(f, 720.0)
+    assert _total(div) == disk_winding(f, 720.0)
     near = [(point, m) for point, m in div.points if abs(point - 715) <= 1e-9 * 715]
     assert len(near) == 1 and near[0][1] == 1
 
@@ -426,16 +436,19 @@ def _two_term(rng):
     return ExpPoly.poly(poly()) + ExpPoly({gamma: poly()})
 
 
-def test_seeded_zeros_match_the_quadtree_on_seeded_two_term_inputs():
+def test_seeded_zeros_match_the_quadtree_on_seeded_two_term_inputs(monkeypatch):
+    # the seeds answer where the search makes no _subdivide call, the benchmark's
+    # moving targets (z + a) + z e^z, a = 6, 7, ..., 14, among them
     rng = random.Random(23)
     z = ExpPoly.var()
     cases = [(z + Fraction(k, 4) + z * ExpPoly.exp(1), 50.0) for k in range(24, 57, 4)]
     cases += [(_two_term(rng), 3.0 * 20.0 ** rng.random()) for _ in range(200)]
-    answered = []
+    answered, subdivided = [], _subdivisions(monkeypatch)
     for f, r in cases:
-        seeded = zeros._seeded_zeros(f, r)
-        answered.append(seeded is not None)
-        if seeded is None:
+        subdivided.clear()
+        seeded = _seeded(f, r)
+        answered.append(not subdivided)
+        if subdivided:
             continue
         tree = zeros._quadtree_zeros(f, r)
         assert seeded.boundary_nudged == tree.boundary_nudged
@@ -446,21 +459,26 @@ def test_seeded_zeros_match_the_quadtree_on_seeded_two_term_inputs():
     assert all(answered[:9]) and sum(answered) >= 0.9 * len(cases)
 
 
-def test_a_double_zero_leaves_the_seeded_path():
-    f, r = 1 + ExpPoly.var() - ExpPoly.exp(1), 5.0          # a double zero at 0
-    assert zeros._seeded_zeros(f, r) is None
-    assert exppoly_zeros(f, r) == zeros._quadtree_zeros(f, r)
+def test_a_double_zero_leaves_the_seeded_path(monkeypatch):
+    # Newton does not settle on the double zero at 0, so the seeds fall short of the
+    # count, and one subdivision answers as the search without seeds does
+    f, r = 1 + ExpPoly.var() - ExpPoly.exp(1), 5.0
+    tree = zeros._quadtree_zeros(f, r)
+    subdivided = _subdivisions(monkeypatch)
+    assert exppoly_zeros(f, r) == tree and subdivided == [f]
 
 
 @pytest.mark.parametrize("move", [None, 0.5])
 def test_a_withheld_or_displaced_limit_falls_back_to_the_quadtree(monkeypatch, move):
     # the Newton limits at one zero of (z + 10) + z e^z are withheld, which leaves the
     # count short of the disk winding, or moved off the zero, which keeps the count
-    # and leaves the refusal to its winding square; the quadtree then answers once
+    # and leaves the refusal to its winding square; subdivision then answers once
     f, r = ExpPoly.var() + 10 + ExpPoly.var() * ExpPoly.exp(1), 50.0
-    seeded = zeros._seeded_zeros(f, r)
+    subdivided = _subdivisions(monkeypatch)
+    seeded = exppoly_zeros(f, r)
+    assert subdivided == []
     target = seeded.points[0][0]
-    newton, quadtree, calls = zeros._newton, zeros._quadtree_zeros, []
+    newton = zeros._newton
 
     def tamper(g, x, *args, **kwargs):
         z, step = newton(g, x, *args, **kwargs)
@@ -469,35 +487,32 @@ def test_a_withheld_or_displaced_limit_falls_back_to_the_quadtree(monkeypatch, m
         return z, step
 
     monkeypatch.setattr(zeros, "_newton", tamper)
-    assert zeros._seeded_zeros(f, r) is None
-    monkeypatch.setattr(zeros, "_quadtree_zeros", lambda g, s: calls.append(g) or quadtree(g, s))
     _same_divisor(exppoly_zeros(f, r), seeded, tol=2e-10 * r)
-    assert calls == [f]
+    assert subdivided == [f]
 
 
 def test_seeds_that_agree_after_the_array_steps_run_newton_once(monkeypatch):
     # the 72 starts of (z + 10) + z e^z at r = 50 lead to 17 zeros, and those that
     # agree after the three array steps are merged before Newton runs; a merge that
-    # loses a zero leaves the count short of the disk winding, and the quadtree answers
+    # loses a zero leaves the count short of the disk winding, and subdivision answers
     f, r = ExpPoly.var() + 10 + ExpPoly.var() * ExpPoly.exp(1), 50.0
-    newton, quadtree, runs, calls = zeros._newton, zeros._quadtree_zeros, [], []
+    newton, runs = zeros._newton, []
+    subdivided = _subdivisions(monkeypatch)
     monkeypatch.setattr(zeros, "_newton",
                         lambda *args, **kwargs: runs.append(args[1]) or newton(*args, **kwargs))
-    seeded = zeros._seeded_zeros(f, r)
-    assert len(seeded.points) == 17 and len(runs) <= 60
+    seeded = exppoly_zeros(f, r)
+    assert len(seeded.points) == 17 and len(runs) <= 60 and subdivided == []
     monkeypatch.setattr(zeros, "_newton", newton)
     monkeypatch.setattr(zeros, "_merged", lambda z, cell: z[:1].tolist())
-    assert zeros._seeded_zeros(f, r) is None
-    monkeypatch.setattr(zeros, "_quadtree_zeros", lambda g, s: calls.append(g) or quadtree(g, s))
     _same_divisor(exppoly_zeros(f, r), seeded, tol=2e-10 * r)
-    assert calls == [f]
+    assert subdivided == [f]
 
 
 @pytest.mark.parametrize("r", [1000.5, 10000.5])
 def test_closed_form_count_matches_the_disk_winding_far_out(r):
     f = ExpPoly.exp(1) + 1
     div = exppoly_zeros(f, r)
-    assert div.total() == disk_winding(f, r) == 2 * math.floor((r / math.pi + 1) / 2)
+    assert _total(div) == disk_winding(f, r) == 2 * math.floor((r / math.pi + 1) / 2)
 
 
 def test_zeros_on_the_circle_count_inside_on_both_entries():
@@ -508,7 +523,7 @@ def test_zeros_on_the_circle_count_inside_on_both_entries():
         divs = [entry(f, r) for entry in ENTRIES]
         assert all(div.boundary_nudged for div in divs)
         _same_divisor(*divs)
-        assert divs[0].total() == count
+        assert _total(divs[0]) == count
 
 
 def test_an_inclusion_radius_too_large_falls_back_to_the_quadtree(monkeypatch):
@@ -522,7 +537,8 @@ def test_an_inclusion_radius_too_large_falls_back_to_the_quadtree(monkeypatch):
         calls = []
         quadtree = zeros._quadtree_zeros
         monkeypatch.setattr(zeros, "_inclusion_radii", radii)
-        monkeypatch.setattr(zeros, "_quadtree_zeros", lambda f, r: calls.append(f) or quadtree(f, r))
+        monkeypatch.setattr(zeros, "_quadtree_zeros",
+                            lambda f, r, seeds=(): calls.append(f) or quadtree(f, r, seeds))
         assert zeros._certified_zeros(f, r) is None
         _same_divisor(exppoly_zeros(f, r), certified, tol=2e-10 * r)
         assert calls == [f]
@@ -557,7 +573,7 @@ def test_a_root_of_p_near_1e200_takes_the_closed_form_without_overflow(f, r):
     # of P at -10^200 or at -10^-200; near 10^200 the float root is about 1e184
     # off, and |g/g'|^2 passes the float range
     closed, tree = zeros._certified_zeros(f, r), zeros._quadtree_zeros(f, r)
-    assert closed is not None and closed.total() == tree.total() == (30 if r > 400 else 0)
+    assert closed is not None and _total(closed) == _total(tree) == (30 if r > 400 else 0)
     _same_divisor(closed, tree, tol=2e-10 * r)
     _same_divisor(exppoly_zeros(f, r), tree, tol=2e-10 * r)
 
@@ -577,7 +593,7 @@ def test_closed_form_points_are_certified_roots():
     # within the disk of a root of P
     f = 2 * ExpPoly.exp(GaussRat(0, Fraction(3, 2))) - ExpPoly.exp(GaussRat(0, Fraction(1, 2))) + 5
     div = zeros._certified_zeros(f, 40.0)
-    assert div is not None and div.total() == disk_winding(f, 40.0)
+    assert div is not None and _total(div) == disk_winding(f, 40.0)
     for point, m in div.points:
         assert m == 1 and abs(f(point)) <= 1e-8 * max(1.0, abs(point))
 
@@ -593,7 +609,7 @@ def test_inclusion_disks_reach_a_root_and_must_be_disjoint():
 
 
 Z, E = ExpPoly.var(), ExpPoly.exp(1)
-PATHS = (exppoly_zeros, zeros._certified_zeros, zeros._seeded_zeros, zeros._quadtree_zeros)
+PATHS = (exppoly_zeros, zeros._certified_zeros, _seeded, zeros._quadtree_zeros)
 
 
 @pytest.mark.parametrize("rho", [-5e-11, -5e-13, 0.0, 5e-13, 1e-12, 5e-11, 2e-10])
@@ -636,7 +652,7 @@ def test_a_zero_of_multiplicity_three_or_four_is_one_cluster(f, k, r):
     # the walks near a k-fold zero at 0 fail within about (1024 eps)^(1/k) of it,
     # boxes of side 5e-4 for k = 3 at r = 20: the quadtree keeps such a box as a cluster
     div = exppoly_zeros(f, r)
-    assert div.total() == disk_winding(f, r)
+    assert _total(div) == disk_winding(f, r)
     assert [m for point, m in div.points if abs(point) <= 1.4e-3] == [k]
 
 
