@@ -48,10 +48,10 @@ class CheckResult:
 # random generators (seeded per check; small heights keep exact algebra fast)
 
 
-def _rand_scalar(rng: random.Random, gauss_prob: float = 0.3) -> GaussRat:
+def _rand_scalar(rng: random.Random) -> GaussRat:
     re = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
     im = Fraction(rng.randint(-6, 6), rng.randint(1, 3)) \
-        if rng.random() < gauss_prob else Fraction(0)
+        if rng.random() < 0.3 else Fraction(0)
     return GaussRat(re, im)
 
 
@@ -85,7 +85,7 @@ def _rand_admissible(rng: random.Random, n: int, d: int,
             return fam
 
 
-def _rand_exppoly(rng: random.Random, allow_zero: bool = False) -> ExpPoly:
+def _rand_exppoly(rng: random.Random) -> ExpPoly:
     freqs = (GaussRat(0), GaussRat(0), GaussRat(1), GaussRat(-1),
              GaussRat(0, 1), GaussRat(2))
     out = ExpPoly.zero()
@@ -93,7 +93,7 @@ def _rand_exppoly(rng: random.Random, allow_zero: bool = False) -> ExpPoly:
         deg = rng.randint(0, 2)
         p = ZPoly([rng.randint(-4, 4) for _ in range(deg + 1)])
         out = out + ExpPoly({rng.choice(freqs): p})
-    if out.is_zero() and not allow_zero:
+    if out.is_zero():
         return ExpPoly.const(rng.randint(1, 4))
     return out
 

@@ -46,16 +46,6 @@ from .resultant import (AdmissibilityUndecided, DegenerateResultantError, NotAdm
                         is_admissible, macaulay_resultant, power_certificate)
 
 
-def _raise_digit_limit() -> None:
-    # nevlab bounds prints exact truncation levels of up to 50,000 digits;
-    # smt builds one past the default limit of 4,300 only when a multiplicity
-    # passes the level's floor
-    try:
-        sys.set_int_max_str_digits(2_000_000)
-    except AttributeError:
-        pass
-
-
 def _loaded(module: str, *names: str) -> tuple:
     """The named attributes of a module that is already imported, else none:
     no object of a module that was never imported can reach the caller."""
@@ -490,7 +480,20 @@ def _parse_args(argv) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    _raise_digit_limit()
+    # bounds prints exact truncation levels of up to 50,000 digits, and smt builds one
+    # past the default limit of 4,300 when a multiplicity passes the level's floor: the
+    # int-to-str limit is raised for the command only (0, no limit, and 3.10 aside)
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(max(limit, 2_000_000))
+    try:
+        return _run(argv)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
     args = _parse_args(argv)
     # the analytic modules load on first use: their exceptions are caught only
     # once loaded, for none of them can be raised before

@@ -442,7 +442,7 @@ def denominator_lcm(dens: Iterable[ZPoly]) -> Optional[ZPoly]:
     return q
 
 
-def format_zpoly(p: ZPoly, var: str = "z") -> str:
+def format_zpoly(p: ZPoly) -> str:
     if p.is_zero():
         return "0"
     parts = []
@@ -453,7 +453,7 @@ def format_zpoly(p: ZPoly, var: str = "z") -> str:
         if k == 0:
             body = format_rational_like(c)
         else:
-            zk = var if k == 1 else f"{var}^{k}"
+            zk = "z" if k == 1 else f"z^{k}"
             if c == 1:
                 body = zk
             elif c == -1:

@@ -50,9 +50,6 @@ def _complexity(s) -> int:
                 + (s.b // h).bit_length() + (s.d // h).bit_length())
     if isinstance(s, RatFunc):
         return 1000 * (s.num.degree + s.den.degree + 1)
-    proxy = getattr(s, "complexity", None)
-    if proxy is not None:
-        return proxy()
     return 1 << 30
 
 
@@ -188,17 +185,15 @@ def _odd(order: Sequence[int]) -> bool:
     return sum(1 for a in range(n) for b in range(a + 1, n) if order[a] > order[b]) % 2 == 1
 
 
-def det_sparse(rows: list[dict], size: int, paths: Optional[list] = None):
-    """Exact determinant of a size x size matrix given as sparse rows.
+def det_sparse(rows: list[dict], paths: Optional[list] = None):
+    """Exact determinant of a square matrix given as its sparse rows.
 
     A matrix over Q(i)(z) is tried multimodular first (`_multimodular`);
     exact elimination (`_det_exact`) decides when that finds no certificate.
     `paths`, when given, gets True appended when the multimodular path
     decided and False otherwise.
     """
-    if len(rows) != size:
-        raise ValueError("row count does not match size")
-    found = _multimodular(rows, size)
+    found = _multimodular(rows)
     if paths is not None:
         paths.append(found is not None)
     return _det_exact(rows) if found is None else found[0]
@@ -226,11 +221,10 @@ def solve_transposed(rows: list[dict], col: int) -> tuple[object, Optional[list]
     M^T u = e_col, which gives det M^T = det M (`RowReducer.det`) and, when
     it is nonzero, u = y / det M; both paths give the same values.
     """
-    size = len(rows)
-    found = _multimodular(rows, size, col)
+    found = _multimodular(rows, col)
     if found is not None:
         return found[0], found[1], True
-    eqs: list[dict] = [{} for _ in range(size)]
+    eqs: list[dict] = [{} for _ in rows]
     for r, row in enumerate(rows):
         for c, v in row.items():
             eqs[c][r] = v
@@ -245,7 +239,7 @@ def solve_transposed(rows: list[dict], col: int) -> tuple[object, Optional[list]
     if not det:
         return det, None, False
     sol = red.solution()
-    return det, [det * sol[r] for r in range(size)], False
+    return det, [det * sol[r] for r in range(len(rows))], False
 
 
 def _entry_is_zero(e) -> bool:
@@ -517,9 +511,9 @@ def _interpolate(xs: Sequence[int], columns: Sequence[Sequence[int]], m: int) ->
     return out
 
 
-def _multimodular(rows: Sequence[dict], size: int, col: Optional[int] = None):
-    """Certified determinant of a square matrix M over Q(i)(z) and, given
-    `col`, row `col` of its adjugate: the y with
+def _multimodular(rows: Sequence[dict], col: Optional[int] = None):
+    """Certified determinant of a square matrix M over Q(i)(z), of size
+    len(rows), and, given `col`, row `col` of its adjugate: the y with
     sum_r y[r] * rows[r] == det M * e_col.
 
     Scale row r by L_r to polynomials in z over Z[i] (`_gaussian_integer_rows`):
@@ -552,6 +546,7 @@ def _multimodular(rows: Sequence[dict], size: int, col: Optional[int] = None):
     if found is None:
         return None
     scaled, scales = found
+    size = len(rows)
     deg = sum(max([0, *(len(poly) - 1 for poly in row.values())]) for row in scaled)
     norms = prod(sum(map(_norm_squared, row.values())) for row in scaled)
     found = _modulus(2 * (isqrt(norms) + 1) + 1)
@@ -644,6 +639,8 @@ def _det_and_adjugate_row(pivots: list, size: int, m: int, col: Optional[int]):
     for c0, _, _, prow in reversed(pivots):
         u[c0] = (prow.get(size, 0) - sum(v * u[c] for c, v in prow.items() if c != size)) % m
     return d, [d * v % m for v in u]
+
+
 @dataclass(frozen=True)
 class RankPaths:
     """How many decisions a certified modular path made, and how many fell to

@@ -71,13 +71,12 @@ def sylvester_resultant(p: HPoly, q: HPoly):
     # dehomogenize: coefficient of t^k is the coefficient of x0^k x1^(d-k)
     pc = [p.coeffs.get((k, d - k), Fraction(0)) for k in range(d + 1)]
     qc = [q.coeffs.get((k, d - k), Fraction(0)) for k in range(d + 1)]
-    size = 2 * d
     rows = []
     for i in range(d):  # rows of p coefficients, descending powers
         rows.append({i + j: pc[d - j] for j in range(d + 1) if pc[d - j]})
     for i in range(d):
         rows.append({i + j: qc[d - j] for j in range(d + 1) if qc[d - j]})
-    return simplify_scalar(det_sparse(rows, size))
+    return simplify_scalar(det_sparse(rows))
 
 
 def _macaulay_row(gamma: tuple, d: int) -> tuple[int, tuple]:
@@ -117,7 +116,7 @@ def _macaulay_dets(polys: Sequence[HPoly], d: int, paths: Optional[list],
     rows, nr = _macaulay_matrix(polys, d)
     solved = None
     if col is None:
-        det_m = det_sparse(rows, len(rows), paths)
+        det_m = det_sparse(rows, paths)
     else:
         solved = solve_transposed(rows, col)
         det_m = solved[0]
@@ -127,7 +126,7 @@ def _macaulay_dets(polys: Sequence[HPoly], d: int, paths: Optional[list],
     for k in nr:
         row = rows[k]
         sub_rows.append({nr_index[c]: v for c, v in row.items() if c in nr_index})
-    det_minor = det_sparse(sub_rows, len(nr), paths) if nr else Fraction(1)
+    det_minor = det_sparse(sub_rows, paths) if nr else Fraction(1)
     return det_m, det_minor, solved
 
 
@@ -142,15 +141,13 @@ def random_unimodular(nvars: int, rng: random.Random) -> list[list[int]]:
     return a
 
 
-def macaulay_resultant(polys: Sequence[HPoly], seed: int = 1,
-                       paths: Optional[list] = None):
+def macaulay_resultant(polys: Sequence[HPoly], seed: int = 1):
     """Resultant of n+1 forms of common degree d in n+1 variables.
 
     Vanishes exactly when the system has a nontrivial common zero; equals 1 on
     (x_0^d, ..., x_n^d).  A degenerate 0/0 quotient is retried under up to
     FRAME_RETRIES random unimodular coordinate changes (resultant invariant
-    since det = 1).  `paths`, when given, gets one entry per determinant, as
-    `det_sparse` appends them.
+    since det = 1).
     """
     polys = list(polys)
     nvars = polys[0].nvars
@@ -161,7 +158,7 @@ def macaulay_resultant(polys: Sequence[HPoly], seed: int = 1,
         raise ValueError("common degree must be >= 1")
     if any(p.degree != d or p.nvars != nvars for p in polys):
         raise ValueError("forms must share one degree and one variable count")
-    return _resultant(polys, d, seed, paths)[0]
+    return _resultant(polys, d, seed, None)[0]
 
 
 def _resultant(polys: Sequence[HPoly], d: int, seed: int, paths: Optional[list],

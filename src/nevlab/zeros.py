@@ -12,13 +12,13 @@ are its roots; the zeros of f = e^{c0 z} P(e^{gamma z}) are (Log w + 2 pi i m)/g
 over the roots w of P.  Each zero in reach is placed within 1e-10 max(r, 1), or f
 goes on, as a one-frequency f with deg P > 16 does.
 
-Quadtree path: the disk winding number of the reach circle is the total count.
-Seeds (_seeds) come from f = p e^{alpha z} + q e^{beta z}, on the branches of
-e^{(beta - alpha) z} = -p/q; their Newton limits are simple zeros within 1e-10
-max(r, 1) when each one's square of that side winds once inside the reach circle and
-they add up to the count.  Otherwise a quadtree of boxes, each counted by the
-certified phase increments along its sides (_walk, _subdivide), isolates the zeros, a
-box of count 1 ending in a Newton exit that a winding square certifies; the
+Quadtree path: the disk winding number of the reach circle is the total count.  When
+it is nonzero, seeds (_seeds) come from f = p e^{alpha z} + q e^{beta z}, on the
+branches of e^{(beta - alpha) z} = -p/q; their Newton limits are simple zeros within
+1e-10 max(r, 1) when each one's square of that side winds once inside the reach
+circle and they add up to the count.  Otherwise a quadtree of boxes, each counted by
+the certified phase increments along its sides (_walk, _subdivide), isolates the
+zeros, a box of count 1 ending in a Newton exit that a winding square certifies; the
 multiplicities located in the reach disk must add up to the count, or the radius is
 refused.  A simple zero is placed within 1e-10 max(r, 1), a cluster of multiplicity
 >= 2 within its exit box's half-diagonal plus the distance its polish moved it.
@@ -595,16 +595,17 @@ def exppoly_zeros(f: ExpPoly, r: float) -> Divisor:
     """Divisor of an exponential polynomial in |z| <= r: certified roots for a
     polynomial or a one-frequency f (`_certified_zeros`), otherwise the quadtree
     (`_quadtree_zeros`), which first tries the Newton limits of a two-term f's seeds
-    (`_seeds`)."""
+    (`_seeds`) when the disk holds a zero."""
     if f.is_zero():
         raise ValueError("zero function has no divisor")
     div = _certified_zeros(f, r)
-    return div if div is not None else _quadtree_zeros(f, r, _seeds(f, r))
+    return div if div is not None else _quadtree_zeros(f, r, _seeds)
 
 
-def _quadtree_zeros(f: ExpPoly, r: float, seeds=()) -> Divisor:
-    """The disk winding number of the reach circle (_reach) is the total count.  The
-    settled, distinct Newton limits (_newton) of the seeds answer when each one's square
+def _quadtree_zeros(f: ExpPoly, r: float, seeds=None) -> Divisor:
+    """The disk winding number of the reach circle (_reach) is the total count.  When
+    it is nonzero and a seed function is given, seeds(f, r) are built, and their
+    settled, distinct Newton limits (_newton) answer when each one's square
     of side tol = 1e-10 max(r, 1) lies inside the reach circle and winds once
     (_winds_once), and their number is the count; otherwise quadtree subdivision locates
     the zeros in a square about the disk (_subdivide), a simple zero within tol, a
@@ -615,7 +616,8 @@ def _quadtree_zeros(f: ExpPoly, r: float, seeds=()) -> Divisor:
     if total == 0:
         return Divisor(points=(), r=r)
     kept, h = [], tol / 2
-    for x, step in sorted((_newton(f, x) for x in seeds), key=lambda xs: (xs[0].real, xs[0].imag)):
+    starts = seeds(f, r) if seeds else ()
+    for x, step in sorted((_newton(f, x) for x in starts), key=lambda xs: (xs[0].real, xs[0].imag)):
         if step > h or abs(x) - h * math.sqrt(2) > reach or any(
                 abs(x.real - y.real) <= tol and abs(x.imag - y.imag) <= tol for y in kept):
             continue            # not settled, out of reach, or a zero already kept

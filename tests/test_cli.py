@@ -4,6 +4,7 @@ atomic output, and the documented input formats."""
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -415,13 +416,14 @@ def test_fixed_targets_take_the_closed_form_and_moving_ones_the_seeded_path(
 
     # a moving target's search is answered by its seeds, without subdivision
     calls, subdivided = [], []
-    quadtree, subdivide = zeros._quadtree_zeros, zeros._subdivide
+    seeds, subdivide = zeros._seeds, zeros._subdivide
 
-    def counted(f, r, seeds=()):
-        calls.append(len(seeds))
-        return quadtree(f, r, seeds)
+    def counted(f, r):
+        built = seeds(f, r)
+        calls.append(len(built))
+        return built
 
-    monkeypatch.setattr(zeros, "_quadtree_zeros", counted)
+    monkeypatch.setattr(zeros, "_seeds", counted)
     monkeypatch.setattr(zeros, "_subdivide", lambda *args: subdivided.append(1) or subdivide(*args))
     assert main(["smt", paths["curve"], paths["system"], "--rmin", "10",
                  "--rmax", "20", "--steps", "2"]) == 0
@@ -475,6 +477,22 @@ def test_smt_report_loads_under_the_default_int_digit_limit(paths):
         assert load.returncode == 0, load.stderr
         levels[name] = json.loads(load.stdout)
     assert levels == {"fixed": [19, 19, 19], "moving": [None, None, None]}
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit")
+def test_main_lifts_the_int_digit_limit_for_its_command_only(paths, capsys):
+    # under Python's default limit of 4,300 digits bounds still prints its 12,367-digit
+    # level, and main leaves the limit as it found it, whether it exits 0 or 2
+    limit, default = sys.get_int_max_str_digits(), sys.int_info.default_max_str_digits
+    sys.set_int_max_str_digits(default)
+    try:
+        assert main(["bounds", "--n", "1", "--eps", "1/2", "--degrees", "1,1,1"]) == 0
+        assert sys.get_int_max_str_digits() == default
+        assert re.search(r'"level": \d{12367}\D', capsys.readouterr().out)
+        assert main(["resultant", str(paths["tmp"] / "missing.json")]) == 2
+        assert sys.get_int_max_str_digits() == default
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("a", [6, 10, 14])

@@ -10,7 +10,9 @@ trapezoid stop rule, which `circle_average` reaches only through
 `circle_averages`, `fields.py` imports only the standard library, importing
 the command line loads neither numpy nor mpmath, and its exact commands
 (admissible, resultant, certificate, filtration, bounds, schema) load no
-numpy.  Every functools cache sits in a module that `import nevlab` loads,
+numpy.  Every module of the package is imported, directly or through others,
+by the package or the command line, except `nevlab.mrat`, which holds only a
+docstring and which nothing imports.  Every functools cache sits in a module that `import nevlab` loads,
 so clearing the loaded modules' caches clears them all, while each command
 computes a curve's circle means once, counted in radii over `circle_average`
 and `circle_averages` (4 for `characteristic` on 3 radii, 4 for `defects`
@@ -64,11 +66,9 @@ def test_no_unused_imports():
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    # mrat.py has no caller and is to be deleted; until then it is exempt,
-    # both as the home of public names and as a caller.  A method of a public
-    # class other than a dunder counts as used only where it is read as an
-    # attribute, as obj.name
-    modules = [p for p in SRC.glob("*.py") if p.name not in ("__init__.py", "mrat.py")]
+    # a method of a public class other than a dunder counts as used only where
+    # it is read as an attribute, as obj.name
+    modules = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
     referenced, attributes, public, methods = set(), set(), set(), set()
     for p in modules + sorted((ROOT / "scripts").glob("*.py")):
         tree = ast.parse(p.read_text(), str(p))
@@ -91,6 +91,48 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert sorted(set(nevlab.__all__) - referenced) == []
     assert sorted(name for name in public if name.split(".")[1] not in referenced) == []
     assert sorted(name for name in methods if name.split(".")[2] not in attributes) == []
+
+
+def _package_imports(path: pathlib.Path) -> set[str]:
+    """The package modules a module imports, at module level or in a function body."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("nevlab" if node.level else None, node.module)))
+            names |= {module} | {f"{module}.{a.name}" for a in node.names}
+    stems = {name.split(".")[1] for name in names if name.startswith("nevlab.")}
+    return {stem for stem in stems if (SRC / f"{stem}.py").exists()}
+
+
+def test_every_module_is_reachable_from_the_package_or_the_command_line():
+    # every module is imported, directly or through others, from nevlab/__init__.py or
+    # nevlab/cli.py, so a module that loses its last caller shows here.  The one
+    # exemption is the empty mrat.py, kept only because the benchmark's tracer
+    # imports it by name
+    reached, todo = set(), ["__init__", "cli"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += sorted(_package_imports(SRC / f"{name}.py"))
+    modules = {p.stem for p in SRC.glob("*.py")}
+    assert len(modules) > 10 and reached <= modules
+    assert sorted(modules - reached) == ["mrat"]
+
+
+def test_mrat_is_empty():
+    # nevlab.mrat holds only its docstring: it defines no name, imports nothing,
+    # and no module of the package, its tests or its scripts imports it
+    tree = ast.parse((SRC / "mrat.py").read_text())
+    assert len(tree.body) == 1 and isinstance(tree.body[0].value, ast.Constant)
+    assert [name for name in vars(importlib.import_module("nevlab.mrat"))
+            if not name.startswith("__")] == []
+    importers = [p.name for p in [*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
+                                  *(ROOT / "tests").glob("*.py")]
+                 if p.name != "test_imports.py" and "mrat" in _package_imports(p)]
+    assert importers == []
 
 
 def test_no_assert_in_the_package():

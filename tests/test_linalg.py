@@ -76,7 +76,7 @@ def test_det_sparse_matches_float_determinant():
         k = rng.randint(1, 5)
         mat = _rand_matrix(rng, k)
         rows = [{j: mat[i][j] for j in range(k) if mat[i][j]} for i in range(k)]
-        exact = det_sparse(rows, k)
+        exact = det_sparse(rows)
         approx = np.linalg.det(np.array(mat, dtype=float)) if k else 1.0
         assert float(exact) == pytest.approx(approx, abs=1e-6)
 
@@ -87,7 +87,7 @@ def test_det_cofactor_agrees_with_det_sparse():
         k = rng.randint(1, 4)
         mat = _rand_matrix(rng, k)
         rows = [{j: mat[i][j] for j in range(k) if mat[i][j]} for i in range(k)]
-        assert det_cofactor(mat) == det_sparse(rows, k)
+        assert det_cofactor(mat) == det_sparse(rows)
 
 
 def test_det_cofactor_over_polynomials():
@@ -262,11 +262,11 @@ def _gauss_matrix(rng, k, h=5):
     return rows
 
 
-def _exact_det(monkeypatch, rows, k):
+def _exact_det(monkeypatch, rows):
     with monkeypatch.context() as m:
         m.setattr(linalg, "PRIMES", ())       # no prime: exact elimination
         paths = []
-        value = det_sparse(rows, k, paths)
+        value = det_sparse(rows, paths)
     assert paths == [False]
     return value
 
@@ -278,14 +278,14 @@ def test_multimodular_det_matches_exact_elimination(monkeypatch):
         k = 1 if trial < 3 else rng.randint(2, 8)
         rows = _gauss_matrix(rng, k)
         paths = []
-        got = det_sparse(rows, k, paths)
+        got = det_sparse(rows, paths)
         assert paths == [True]
-        assert got == _exact_det(monkeypatch, rows, k)
+        assert got == _exact_det(monkeypatch, rows)
         singular += not got
     assert singular >= 3
-    assert det_sparse([{0: GaussRat(Fraction(2, 3), -1)}], 1) == GaussRat(Fraction(2, 3), -1)
+    assert det_sparse([{0: GaussRat(Fraction(2, 3), -1)}]) == GaussRat(Fraction(2, 3), -1)
     paths = []
-    assert det_sparse([{}, {0: Fraction(1)}], 2, paths) == 0    # a zero row
+    assert det_sparse([{}, {0: Fraction(1)}], paths) == 0    # a zero row
     assert paths == [True]
 
 
@@ -296,12 +296,12 @@ def test_multimodular_det_of_large_entries_uses_more_primes(monkeypatch):
     big = 1 << 40
     rows = _gauss_matrix(rng, 8, big)
     paths = []
-    got = det_sparse(rows, 8, paths)
+    got = det_sparse(rows, paths)
     assert paths == [True]
-    assert got == _exact_det(monkeypatch, rows, 8)
+    assert got == _exact_det(monkeypatch, rows)
     monkeypatch.setattr(linalg, "PRIMES", linalg.PRIMES[:2])
     paths = []
-    assert det_sparse(rows, 8, paths) == got
+    assert det_sparse(rows, paths) == got
     assert paths == [False]
 
 
@@ -309,7 +309,7 @@ def test_det_beyond_the_prime_table_is_exact():
     big = Fraction(1 << 1000)                 # Hadamard bound near 2^2000
     rows = [{0: big, 1: GaussRat(1, 1)}, {0: GaussRat(0, 3), 1: big}]
     paths = []
-    assert det_sparse(rows, 2, paths) == big * big - GaussRat(1, 1) * GaussRat(0, 3)
+    assert det_sparse(rows, paths) == big * big - GaussRat(1, 1) * GaussRat(0, 3)
     assert paths == [False]
 
 
@@ -318,7 +318,7 @@ def test_det_at_an_unlucky_modulus_falls_back(monkeypatch):
     monkeypatch.setattr(linalg, "PRIMES", ((5, 2), (13, 5)))
     paths = []
     assert det_sparse([{0: Fraction(5), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}],
-                      2, paths) == 4
+                      paths) == 4
     assert paths == [False]
 
 
@@ -331,7 +331,7 @@ def test_solve_transposed_matches_exact_solve(monkeypatch):
         col = rng.randrange(k)
         det, adj, modular = solve_transposed(rows, col)
         assert modular
-        assert det == det_sparse(rows, k)
+        assert det == det_sparse(rows)
         assert (adj is None) == (not det)
         with monkeypatch.context() as m:
             m.setattr(linalg, "PRIMES", ())
@@ -385,19 +385,19 @@ def test_multimodular_det_over_function_field_matches_exact_elimination(monkeypa
         k = 1 if trial < 3 else rng.randint(2, 4)
         rows = _ratfunc_matrix(rng, k)
         paths = []
-        got = det_sparse(rows, k, paths)
+        got = det_sparse(rows, paths)
         assert paths == [True]
-        assert got == _exact_det(monkeypatch, rows, k)
+        assert got == _exact_det(monkeypatch, rows)
         singular += not got
     assert singular >= 3
     # a zero row; z-degrees above 1 and a denominator vanishing at z = 0
     for rows in ([{0: Z, 1: Fraction(1)}, {}],
                  [{0: Z ** 3 - 1, 1: 1 / Z}, {0: Z ** 2 + GaussRat(0, 1), 1: Z ** 4}]):
         paths = []
-        assert det_sparse(rows, 2, paths) == _exact_det(monkeypatch, rows, 2)
+        assert det_sparse(rows, paths) == _exact_det(monkeypatch, rows)
         assert paths == [True]
     paths = []
-    assert det_sparse([{0: (Z + 1) / (Z - 2)}], 1, paths) == (Z + 1) / (Z - 2)
+    assert det_sparse([{0: (Z + 1) / (Z - 2)}], paths) == (Z + 1) / (Z - 2)
     assert paths == [True]
 
 
@@ -431,29 +431,29 @@ def test_solve_transposed_over_function_field_matches_exact_solve(monkeypatch):
 
 def test_function_field_fallbacks_are_exact(monkeypatch):
     rows = [{0: Z ** 5 + 3, 1: GaussRat(1, 2) / (Z + 1)}, {0: Z - 4, 1: Z ** 2}]
-    want = _exact_det(monkeypatch, rows, 2)
+    want = _exact_det(monkeypatch, rows)
     want_solve = _exact_solve(monkeypatch, rows, 0)
     # primes 5 and 13 exceed the coefficient bound, but the points must
     # differ by less than 5, too few for the degree bound 8
     monkeypatch.setattr(linalg, "PRIMES", ((5, 2), (13, 5), (17, 4), (29, 12), (37, 6),
                                            (41, 9), (53, 23), (61, 11)))
     paths = []
-    assert det_sparse(rows, 2, paths) == want
+    assert det_sparse(rows, paths) == want
     assert paths == [False]
     assert solve_transposed(rows, 0) == (*want_solve, False)
     monkeypatch.undo()
     # a 2^200 coefficient puts the bound beyond one prime
     big = [{0: Z * (1 << 200), 1: Fraction(1)}, {0: Fraction(1), 1: Z}]
-    want = _exact_det(monkeypatch, big, 2)
+    want = _exact_det(monkeypatch, big)
     monkeypatch.setattr(linalg, "PRIMES", linalg.PRIMES[:1])
     paths = []
-    assert det_sparse(big, 2, paths) == want == (Z * Z) * (1 << 200) - 1
+    assert det_sparse(big, paths) == want == (Z * Z) * (1 << 200) - 1
     assert paths == [False]
 
 
 def test_unusable_points_are_skipped_then_exhaust_the_budget(monkeypatch):
     rows = [{0: Z ** 2 + 1, 1: 1 / (Z + 3)}, {0: GaussRat(2, -1), 1: Z}]
-    want = _exact_det(monkeypatch, rows, 2)
+    want = _exact_det(monkeypatch, rows)
     want_solve = _exact_solve(monkeypatch, rows, 1)
     eliminate = linalg._eliminate_mod
     calls = []
@@ -464,12 +464,12 @@ def test_unusable_points_are_skipped_then_exhaust_the_budget(monkeypatch):
 
     monkeypatch.setattr(linalg, "_eliminate_mod", unlucky_every_third)
     paths = []
-    assert det_sparse(rows, 2, paths) == want
+    assert det_sparse(rows, paths) == want
     assert paths == [True]
     assert solve_transposed(rows, 1) == (*want_solve, True)
     monkeypatch.setattr(linalg, "_eliminate_mod", lambda *args: None)
     paths = []
-    assert det_sparse(rows, 2, paths) == want
+    assert det_sparse(rows, paths) == want
     assert paths == [False]
     assert solve_transposed(rows, 1) == (*want_solve, False)
 
@@ -511,14 +511,14 @@ def test_function_field_values_need_no_gcd_per_elimination_step(monkeypatch):
 
     monkeypatch.setattr(fields, "zpoly_gcd", counted)
     paths = []
-    det = det_sparse(rows, size, paths)
+    det = det_sparse(rows, paths)
     assert paths == [True] and det and len(calls) <= 1
     calls.clear()
     det_again, adj, modular = solve_transposed(rows, 0)
     assert modular and det_again == det and len(calls) <= size + 1
     calls.clear()
     monkeypatch.setattr(linalg, "PRIMES", ())
-    assert det_sparse(rows, size) == det
+    assert det_sparse(rows) == det
     assert len(calls) > 4 * size               # what the guard tells apart
 
 
@@ -606,7 +606,7 @@ def test_exact_fallbacks_are_one_elimination_pass(monkeypatch):
         col = rng.randrange(k)
         want = det_cofactor(_dense(rows, k))
         calls.clear()
-        assert det_sparse(rows, k) == want
+        assert det_sparse(rows) == want
         assert 0 < len(calls) <= k
         calls.clear()
         det, adj, modular = solve_transposed(rows, col)
@@ -634,12 +634,12 @@ def test_multimodular_paths_need_no_assert():
         "for big in (Fraction(7, 2), Fraction(1 << 1000)):\n"
         "    mat = [[big, GaussRat(1, 1)], [GaussRat(0, 3), big]]\n"
         "    rows = [dict(enumerate(row)) for row in mat]\n"
-        "    same.append(det_sparse(rows, 2, paths) == det_cofactor(mat))\n"
+        "    same.append(det_sparse(rows, paths) == det_cofactor(mat))\n"
         "z = RatFunc(ZPoly((0, 1)))\n"
         "for big in (3, 1 << 1000):\n"
         "    mat = [[z * big + 1, 1 / (z + 2)], [GaussRat(0, 3), z * z]]\n"
         "    rows = [dict(enumerate(row)) for row in mat]\n"
-        "    same.append(det_sparse(rows, 2, paths) == det_cofactor(mat))\n"
+        "    same.append(det_sparse(rows, paths) == det_cofactor(mat))\n"
         "    det, adj, modular = solve_transposed(rows, 1)\n"
         "    same.append(det == det_cofactor(mat) and adj == [-mat[1][0], mat[0][0]])\n"
         "    paths.append(modular)\n"

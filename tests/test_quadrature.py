@@ -29,6 +29,27 @@ def test_constant_integrand_converges_immediately():
     assert res.samples == 128          # one doubling to confirm
 
 
+@pytest.mark.parametrize("values, want", [
+    # the last two sums agree, the correction before within the target: a quarter of it
+    ((1 + 2.0 ** -31, 1 - 2.0 ** -31, 1.0), QuadResult(1.0, 2.0 ** -33, 256, True)),
+    # the last three sums agree, after a correction beyond the target: the rounding floor
+    ((1 + 2.0 ** -20, 1 - 2.0 ** -20, 1.0), QuadResult(1.0, 1e-15, 512, True)),
+    # two equal corrections within the target, no order to extrapolate: the last one
+    ((1.0, 1 + 2.0 ** -30, 1 + 3 * 2.0 ** -31, 1.0),
+     QuadResult(1 + 2.0 ** -30, 2.0 ** -31, 256, True)),
+], ids=["d2=0", "d1=d2=0", "d1=d2"])
+def test_every_trapezoid_stop(values, want):
+    # an integrand constant on the points each trapezoid level adds, values[k] on
+    # level k and the last value from there on, reaches each exit of _stop at target 1e-9
+    levels = []
+
+    def fn(zs):
+        levels.append(1)
+        return np.full(zs.shape, values[min(len(levels), len(values)) - 1])
+
+    assert circle_average(fn, 1.0) == want
+
+
 def test_vectorized_path_matches_scalar():
     # the quarter-turn grid against a plain fsum over the same n points
     def scalar(z):

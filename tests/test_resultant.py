@@ -364,7 +364,7 @@ def test_macaulay_matrix_is_built_and_eliminated_once_per_certificate(monkeypatc
     monkeypatch.setattr(resultant, "_macaulay_matrix",
                         lambda *args: built.append(1) or build(*args))
     monkeypatch.setattr(resultant, "det_sparse",
-                        lambda rows, size, paths=None: dets.append(size) or det(rows, size, paths))
+                        lambda rows, paths=None: dets.append(len(rows)) or det(rows, paths))
     cert = power_certificate(polys, 0)
     assert cert.s == 7 and len(built) == 1
     assert dets == [9]                                 # det M'' only; det M is the solve's

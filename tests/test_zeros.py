@@ -24,7 +24,7 @@ def _total(div) -> int:
 
 def _seeded(f, r):
     """The quadtree search that first tries f's seeds, as exppoly_zeros runs it."""
-    return zeros._quadtree_zeros(f, r, zeros._seeds(f, r))
+    return zeros._quadtree_zeros(f, r, zeros._seeds)
 
 
 def _subdivisions(monkeypatch) -> list:
@@ -443,11 +443,14 @@ def test_seeded_zeros_match_the_quadtree_on_seeded_two_term_inputs(monkeypatch):
     z = ExpPoly.var()
     cases = [(z + Fraction(k, 4) + z * ExpPoly.exp(1), 50.0) for k in range(24, 57, 4)]
     cases += [(_two_term(rng), 3.0 * 20.0 ** rng.random()) for _ in range(200)]
-    answered, subdivided = [], _subdivisions(monkeypatch)
+    answered, subdivided, built, seeds = [], _subdivisions(monkeypatch), [], zeros._seeds
+    monkeypatch.setattr(zeros, "_seeds", lambda f, r: built.append(f) or seeds(f, r))
     for f, r in cases:
         subdivided.clear()
         seeded = _seeded(f, r)
         answered.append(not subdivided)
+        # every case's disk holds a zero, so its seeds are built, once
+        assert len(built) == len(answered) and built[-1] is f, (f, r)
         if subdivided:
             continue
         tree = zeros._quadtree_zeros(f, r)
@@ -457,6 +460,16 @@ def test_seeded_zeros_match_the_quadtree_on_seeded_two_term_inputs(monkeypatch):
             near = min(tree.points, key=lambda q: abs(q[0] - point))
             assert near[1] == m and abs(near[0] - point) <= 2e-10 * max(r, 1.0), (f, r, point, near)
     assert all(answered[:9]) and sum(answered) >= 0.9 * len(cases)
+
+
+def test_an_empty_disk_builds_no_seeds(monkeypatch):
+    # (z + 10) + z e^z has no zero in |z| <= 1: the circle walk answers before any seed
+    # is built, and at r = 50 its 17 zeros are found from one build
+    built, seeds = [], zeros._seeds
+    monkeypatch.setattr(zeros, "_seeds", lambda f, r: built.append(r) or seeds(f, r))
+    f = ExpPoly.var() + 10 + ExpPoly.var() * ExpPoly.exp(1)
+    assert exppoly_zeros(f, 1.0).points == () and built == []
+    assert _total(exppoly_zeros(f, 50.0)) == 17 and built == [50.0]
 
 
 def test_a_double_zero_leaves_the_seeded_path(monkeypatch):
@@ -538,7 +551,7 @@ def test_an_inclusion_radius_too_large_falls_back_to_the_quadtree(monkeypatch):
         quadtree = zeros._quadtree_zeros
         monkeypatch.setattr(zeros, "_inclusion_radii", radii)
         monkeypatch.setattr(zeros, "_quadtree_zeros",
-                            lambda f, r, seeds=(): calls.append(f) or quadtree(f, r, seeds))
+                            lambda f, r, seeds=None: calls.append(f) or quadtree(f, r, seeds))
         assert zeros._certified_zeros(f, r) is None
         _same_divisor(exppoly_zeros(f, r), certified, tol=2e-10 * r)
         assert calls == [f]
