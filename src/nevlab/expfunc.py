@@ -202,13 +202,14 @@ class ExpPoly:
         shift, fz = self.scaled(zs)
         return shift + _log_modulus(fz)
 
-    def scaled(self, z, derivative: bool = False):
+    def scaled(self, z, derivative: bool = False, floor: bool = True):
         """(M, f e^{-M}) at a complex point or elementwise over a numpy array: each
         p_k by _horner times its e^{c_k z - M} from _scaled_exps.  With derivative,
         (M, f e^{-M}, f' e^{-M}, floor e^{-M}), f' from the exact derivative's image
         and floor = 1024 eps sum_k A_k(|z|) |e^{c_k z}|, A_k(t) = sum |a| t^j over
         the terms a z^j of p_k, bounds the rounding error of f: a winding accepted
-        with |f| above it along a contour counts zeros of f (Rouche), not noise."""
+        with |f| above it along a contour counts zeros of f (Rouche), not noise.
+        Without floor, (M, f e^{-M}, f' e^{-M}), for Newton's iteration."""
         shift, exps = self._scaled_exps(z)
         if derivative:
             exps = list(exps)       # read again for f' and the floor
@@ -225,11 +226,15 @@ class ExpPoly:
             object.__setattr__(self, "_table", tuple(
                 (dimage[c][1] if c in dimage else (0j,), tuple(map(abs, coeffs)))
                 for c, (_, coeffs) in zip(self.terms, self.float_image)))
-        az, dfz, floor = abs(z), 0j, 0.0
-        for (dcoeffs, mags), e in zip(self._table, exps):
+        dfz = 0j
+        for (dcoeffs, _), e in zip(self._table, exps):
             dfz += _horner(dcoeffs, z) * e
-            floor += _horner(mags, az) * abs(e)
-        return shift, fz, dfz, 1024 * math.ulp(1.0) * floor
+        if not floor:
+            return shift, fz, dfz
+        az, bound = abs(z), 0.0
+        for (_, mags), e in zip(self._table, exps):
+            bound += _horner(mags, az) * abs(e)
+        return shift, fz, dfz, 1024 * math.ulp(1.0) * bound
 
     def _scaled_exps(self, z):
         """(M, e^{c_k z - M} per term of float_image) at a complex point or

@@ -487,15 +487,26 @@ def defect_estimate(f: CurveLike, qf: HPoly, r_max: float,
     radii = [float(r) for r in np.geomspace(max(2.0, math.sqrt(r_max)), r_max, grid_points)]
     _log_norm_average(curve, (1.0, *radii[len(radii) // 2:]))      # T where it is read
     return _top_half_defect(qf.degree, radii, lambda r: (counting_function(div, r, level),
-                                                         characteristic(curve, r)))
+                                                         characteristic(curve, r),
+                                                         _t_error(curve, r)))
+
+
+def _t_error(curve: EntireCurve, r: float) -> float:
+    """The error bar of T(r): the quadrature errors of its circle means at r and at 1,
+    each at least the rounding floor 5e-16 (1 + |mean|) that the trapezoid rule states
+    when its sums stop changing, since a stop on two equal sums states 0."""
+    return sum(max(res.error, 5e-16 * (1 + abs(res.value)))
+               for res in _log_norm_average(curve, (r, 1.0)))
 
 
 def _top_half_defect(degree: int, radii: Sequence[float], at) -> float:
-    """min over the top half of the radius grid, where T(r) > 0, of 1 - N(r)/(degree T(r)),
-    at(r) being (N(r), T(r)); FlatGrowthError when T vanishes on all of it."""
-    vals = [1.0 - n / (degree * t) for n, t in map(at, radii[len(radii) // 2:]) if t > 0.0]
+    """min over the top half of the radius grid, where T(r) exceeds its error bar, of
+    1 - N(r)/(degree T(r)), at(r) being (N(r), T(r), the error bar of T(r)); a T within
+    its error bar counts as 0, and FlatGrowthError says that T vanishes on all of it."""
+    vals = [1.0 - n / (degree * t) for n, t, err in map(at, radii[len(radii) // 2:]) if t > err]
     if not vals:
-        raise FlatGrowthError(f"T(r) = 0 on the top half of the radius grid (r <= {radii[-1]:g})")
+        raise FlatGrowthError(f"T(r) = 0 within its error bar on the top half of the radius "
+                              f"grid (r <= {radii[-1]:g})")
     return min(vals)
 
 
@@ -630,10 +641,12 @@ def smt_verify(f: CurveLike, targets, eps, radii: Sequence[float]) -> SmtReport:
                   "counting untruncated") if None in binds else None
 
     reports, coefficient_curves = [], {}     # equal curves share their circle means
+    t_errors = [_t_error(curve, r) for r in rs]
     for qf, norm, div, lev, lev_log10, bind in zip(fam.polys, norms, divs, levels,
                                                     chain.truncation_log10, binds):
         counts = tuple(counting_function(div, r, lev) for r in rs)
-        defect = _top_half_defect(qf.degree, rs, dict(zip(rs, zip(counts, profile.t_values))).get)
+        defect = _top_half_defect(qf.degree, rs,
+                                  dict(zip(rs, zip(counts, profile.t_values, t_errors))).get)
         growth = 0.0
         for _, c in norm.terms_desc():
             if isinstance(c, RatFunc) and not c.is_constant():

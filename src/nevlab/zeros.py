@@ -2,7 +2,9 @@
 one-frequency exponential polynomials, and argument-principle subdivision for every
 other exponential polynomial and wherever a certificate fails, which first tries the
 Newton limits of seeds.  On both, one float Newton iteration (_newton) proposes points
-and a certificate decides.
+and a certificate decides.  Newton runs over an array of starts, one evaluation per
+step over the starts still running, and every caller passes its batch: the roots of a
+squarefree factor, the seeds, the count-1 boxes of a quadtree level.
 
 Certified path: Yun square-free decomposition over the Gaussian rationals gives exact
 multiplicities; numpy locates the (simple) roots of each factor g, Newton polishes
@@ -23,7 +25,9 @@ multiplicities located in the reach disk must add up to the count, or the radius
 refused.  A simple zero is placed within 1e-10 max(r, 1), a cluster of multiplicity
 >= 2 within its exit box's half-diagonal plus the distance its polish moved it.
 Every value is read as f e^{-M} from ExpPoly.scaled, the one float evaluator, so no
-radius overflows.
+radius overflows, after f is divided by a power of two that brings its coefficients
+into the float range (_in_float_range).  The contour walk uses numpy core only: no set
+routine, whose np.unique loads numpy.ma.
 
 One boundary rule: both paths locate the zeros out to _reach(r), each within its
 placement error, and _counted takes the circle r, or else the first of radius
@@ -87,32 +91,51 @@ def yun_squarefree(p: ZPoly) -> list[tuple[ZPoly, int]]:
     return out
 
 
-def _newton(f: ExpPoly, x: complex, mult: int = 1, inside=None) -> tuple[complex, float]:
-    """Newton's iteration x <- x - mult f/f' on values from f.scaled, ended by f = 0 or
-    f' = 0, by an iterate outside `inside`, or by a stall: a step within an ulp of
-    max(1, |x|), or one below 1e-8 max(1, |x|) no shorter than the last (the gate spares
-    a global step that grows); 64 steps bound a cycle.  Returns the iterate of least |f|, as
-    M + log|f e^{-M}| with |f e^{-M}| breaking ties, and the last step's length."""
-    best, best_key, last = x, (math.inf,), math.inf
+def _newton(f: ExpPoly, starts, mult: int = 1, inside=None) -> tuple[np.ndarray, np.ndarray]:
+    """Newton's iteration x <- x - mult f/f' from an array of starts at once: each step
+    reads f and f' at every start still running from one f.scaled call.  A start ends
+    by f = 0 or f' = 0, by an iterate outside `inside` (which maps the array of every
+    start's iterate to a mask), or by a stall: a step within an ulp of max(1, |x|), or
+    one below 1e-8 max(1, |x|) no shorter than the last (the gate spares a global step
+    that grows); 64 steps bound a cycle.  Returns per start the iterate of least |f|, as
+    M + log|f e^{-M}| with |f e^{-M}| breaking ties, and the last step's length.  The
+    evaluation is elementwise and the rules run per start, so a start ends where it
+    ends alone."""
+    x = np.array(starts, dtype=complex).tolist()
+    best, last, keys = list(x), [math.inf] * len(x), [(math.inf,)] * len(x)
+    run = range(len(x))
     for _ in range(64):
-        if inside is not None and not inside(x):
+        if inside is not None:
+            ok = inside(np.array(x, dtype=complex)).tolist()
+            run = [k for k in run if ok[k]]
+        if not run:
             break
-        shift, fx, dfx, _ = f.scaled(x, derivative=True)
-        if fx == 0:
-            return x, 0.0
-        key = (shift + math.log(abs(fx)), abs(fx))
-        if key < best_key:
-            best, best_key = x, key
-        if dfx == 0:
-            break
-        step = mult * fx / dfx
-        if last <= abs(step) < 1e-8 * max(1.0, abs(x)):
-            break
-        last = abs(step)
-        if last <= math.ulp(max(1.0, abs(x))):
-            break
-        x -= step
-    return best, last
+        # numpy multiplies a one-element array in place without FMA, unlike any
+        # longer one: a lone start is evaluated twice over, as in a batch
+        pts = np.array([x[k] for k in run] * (1 + (len(run) == 1)))
+        values = zip(run, *(v.tolist() if isinstance(v, np.ndarray) else [v] * len(pts)
+                            for v in f.scaled(pts, derivative=True, floor=False)))
+        run = []
+        for k, m, fk, dk in values:
+            xk, mag = x[k], abs(fk)
+            if mag == 0:
+                best[k], last[k] = xk, 0.0
+                continue
+            key = (m + math.log(mag), mag)
+            if key < keys[k]:
+                best[k], keys[k] = xk, key
+            if dk == 0:
+                continue
+            step = mult * fk / dk
+            size, scale = abs(step), max(1.0, abs(xk))
+            if last[k] <= size < 1e-8 * scale:
+                continue
+            last[k] = size
+            if size <= math.ulp(scale):
+                continue
+            x[k] = xk - step
+            run.append(k)
+    return np.array(best, dtype=complex), np.array(last)
 
 
 def _lift(x: complex) -> Optional[GaussRat]:
@@ -151,7 +174,7 @@ def _edge_points(a: np.ndarray, b: np.ndarray, rate: float, midfn):
     pieces = np.left_shift(1, halvings)
     start = np.cumsum(pieces) - pieces         # where each edge's points go
     out = np.empty(pieces.sum(), dtype=complex)
-    for k in np.unique(halvings):
+    for k in sorted(set(halvings.tolist())):     # no numpy set routine: np.unique loads numpy.ma
         idx = np.flatnonzero(halvings == k)
         sub, end = a[idx, None], b[idx, None]
         for _ in range(k):
@@ -353,16 +376,21 @@ def _cut(box: _Box, attempt: int):
     return quads, halves, lines
 
 
-def _newton_exit(f: ExpPoly, x0, x1, y0, y1, tol) -> Optional[complex]:
-    """The candidate simple zero of a box of winding count 1, or None: Newton
-    (_newton) from the box centre, its iterates kept where the square of side
-    tol about them lies in the box, and its last step within that square.  The
-    square is to wind once: it then holds the box's one zero, so the point is
-    within tol of it, as a quadtree leaf's centre would be."""
+def _newton_exits(f: ExpPoly, boxes: list, tol: float) -> list[Optional[complex]]:
+    """Per box of winding count 1, its candidate simple zero or None, from one _newton
+    over the boxes' centres: each start's iterates kept where the square of side tol
+    about them lies in its own box, and its last step within that square.  The square
+    is to wind once: it then holds the box's one zero, so the point is within tol of
+    it, as a quadtree leaf's centre would be."""
+    if not boxes:
+        return []
     h = tol / 2
-    x, step = _newton(f, complex((x0 + x1) / 2, (y0 + y1) / 2),
-                      inside=lambda z: x0 + h <= z.real <= x1 - h and y0 + h <= z.imag <= y1 - h)
-    return x if step <= h else None
+    x0, x1, y0, y1 = (np.array(side) for side in zip(*(box[:4] for box in boxes)))
+    lo_x, hi_x, lo_y, hi_y = x0 + h, x1 - h, y0 + h, y1 - h
+    centres = [complex((box.x0 + box.x1) / 2, (box.y0 + box.y1) / 2) for box in boxes]
+    x, step = _newton(f, centres, inside=lambda z: (lo_x <= z.real) & (z.real <= hi_x)
+                      & (lo_y <= z.imag) & (z.imag <= hi_y))
+    return [z if s <= h else None for z, s in zip(x.tolist(), step.tolist())]
 
 
 def _winds_once(f: ExpPoly, points, tol: float, rate: float) -> list[bool]:
@@ -396,7 +424,7 @@ def _subdivide(f: ExpPoly, root: _Box, tol: float, rate: float) -> list[tuple[co
 
     boxes, retries = [root], []
     while boxes or retries:
-        lines, jobs, splits, exits = [], [], retries, []
+        lines, jobs, splits, exits, todo = [], [], retries, [], []
         for box in boxes:
             x0, x1, y0, y1, count, path, _ = box
             if count == 0:
@@ -405,18 +433,20 @@ def _subdivide(f: ExpPoly, root: _Box, tol: float, rate: float) -> list[tuple[co
             center = complex((x0 + x1) / 2, (y0 + y1) / 2)
             if max(w, h) <= tol or len(path) > 64:
                 cluster(box)
-                continue
-            if count == 1:
-                z = _newton_exit(f, x0, x1, y0, y1, tol)
-                if z is not None:
-                    exits.append((box, z))
-                    continue
-            if count >= 2 and max(w, h) <= 3e-8 * (1 + abs(center)):
+            elif count >= 2 and max(w, h) <= 3e-8 * (1 + abs(center)):
                 # below sqrt(eps) a multiple zero cannot be told from a tight pair in
                 # double precision; a "successful" split here is sampling luck
                 cluster(box)
-                continue
-            splits.append((box, 0))
+            else:
+                todo.append(box)
+        # the level's boxes of count 1 try their Newton exits as one batch
+        exit_at = iter(_newton_exits(f, [box for box in todo if box.count == 1], tol))
+        for box in todo:
+            z = next(exit_at) if box.count == 1 else None
+            if z is None:
+                splits.append((box, 0))
+            else:
+                exits.append((box, z))
         for box, attempt in splits:
             quads, halves, new = _cut(box, attempt)
             lines += new
@@ -459,7 +489,7 @@ def _polish_cluster(f: ExpPoly, z: complex, mult: int, box_tol: float) -> comple
     """Multiplicity-aware Newton (_newton) from a cluster's centre: the iterate of
     least |f| within reach of it, past which the iteration is noise-driven."""
     escape = max(4 * box_tol, 1e-4 * (1 + abs(z)))
-    return _newton(f, z, mult, inside=lambda x: abs(x - z) <= escape)[0]
+    return complex(_newton(f, [z], mult, inside=lambda x: np.abs(x - z) <= escape)[0][0])
 
 
 def _reach(r: float) -> float:
@@ -525,8 +555,7 @@ def _certified_zeros(f: ExpPoly, r: float) -> Optional[Divisor]:
     for g, mult in yun_squarefree(poly):
         xs, dg, h = [], g.derivative(), ExpPoly.poly(g)
         try:
-            for x in np.roots(h.float_image[0][1]).tolist():
-                x, step = _newton(h, x)
+            for x, step in zip(*(v.tolist() for v in _newton(h, np.roots(h.float_image[0][1])))):
                 # float Newton stalled short of the last ulp: one exact step
                 if step > math.ulp(max(1.0, abs(x))) and (w := _lift(x)) is not None and (den := dg(w)):
                     x = complex(w - g(w) / den)
@@ -591,13 +620,39 @@ def _seeds(f: ExpPoly, r: float) -> list:
     return seeds + _merged(z[np.isfinite(z)], 2e-6 * max(r, 1.0))
 
 
+def _binade(a: GaussRat) -> int:
+    """floor(log2 |a|^2) of a nonzero a, exactly."""
+    num, den = a.a * a.a + a.b * a.b, a.d * a.d
+    e = num.bit_length() - den.bit_length()
+    return e - ((num << max(-e, 0)) < (den << max(e, 0)))
+
+
+def _in_float_range(f: ExpPoly) -> ExpPoly:
+    """f, or f / 2^k when some coefficient modulus lies outside 2^-256 .. 2^256: k,
+    from the exact bit lengths, makes the largest at most 2^600 and keeps every one a
+    normal float, so no factor e^{Re(cz) - M} < e^256 of ExpPoly.scaled overflows a term
+    and no coefficient underflows.  The division is exact and keeps the zeros.
+    OverflowError when the moduli span more binades than that window holds."""
+    binades = [_binade(a) for p in f.terms.values() for a in p.coeffs if a]
+    if all(-512 <= e < 512 for e in binades):
+        return f
+    lo, hi = min(binades), max(binades)
+    k = (hi + 2) // 2 - 600                 # |a| < 2^((e + 1) / 2) <= 2^((e + 2) // 2)
+    if lo // 2 - k < -1022:                 # |a| >= 2^(e // 2)
+        raise OverflowError(f"coefficient moduli span 2^{lo // 2} to 2^{(hi + 2) // 2}, more "
+                            "binades than the float window 2^-1022 to 2^600 holds")
+    return f * (GaussRat(Fraction(1, 2 ** k)) if k > 0 else 2 ** -k)
+
+
 def exppoly_zeros(f: ExpPoly, r: float) -> Divisor:
     """Divisor of an exponential polynomial in |z| <= r: certified roots for a
     polynomial or a one-frequency f (`_certified_zeros`), otherwise the quadtree
     (`_quadtree_zeros`), which first tries the Newton limits of a two-term f's seeds
-    (`_seeds`) when the disk holds a zero."""
+    (`_seeds`) when the disk holds a zero; f is first divided by a power of two that
+    brings its coefficients into the float range (`_in_float_range`)."""
     if f.is_zero():
         raise ValueError("zero function has no divisor")
+    f = _in_float_range(f)
     div = _certified_zeros(f, r)
     return div if div is not None else _quadtree_zeros(f, r, _seeds)
 
@@ -616,8 +671,8 @@ def _quadtree_zeros(f: ExpPoly, r: float, seeds=None) -> Divisor:
     if total == 0:
         return Divisor(points=(), r=r)
     kept, h = [], tol / 2
-    starts = seeds(f, r) if seeds else ()
-    for x, step in sorted((_newton(f, x) for x in starts), key=lambda xs: (xs[0].real, xs[0].imag)):
+    limits = zip(*(v.tolist() for v in _newton(f, seeds(f, r) if seeds else [])))
+    for x, step in sorted(limits, key=lambda xs: (xs[0].real, xs[0].imag)):
         if step > h or abs(x) - h * math.sqrt(2) > reach or any(
                 abs(x.real - y.real) <= tol and abs(x.imag - y.imag) <= tol for y in kept):
             continue            # not settled, out of reach, or a zero already kept

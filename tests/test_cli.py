@@ -553,6 +553,20 @@ def test_flat_top_half_of_the_grid_is_an_rmax_error(paths, capsys, argv):
     assert err.count("\n") == 1 and "--rmax" in err
 
 
+@pytest.mark.parametrize("argv", [["smt"], ["smt", "--rmin", "2", "--rmax", "10", "--steps", "3"],
+                                  ["defects"]])
+def test_growth_within_the_error_bar_of_t_is_flat(paths, capsys, argv):
+    # on (1 : 10^300 e^z), log max |f_i| = 300 log 10 + Re z on |z| <= 690, so T(r) = 0
+    # there, and the means at r and at 1 read T of about 1e-13, within their rounding:
+    # the defects are not read off that noise.  The zeros of x0 + x1, 1 + 10^300 e^z,
+    # are found after the coefficients are scaled into the float range
+    curve = paths["tmp"] / "flat.json"
+    curve.write_text(json.dumps(_curve([("1", "0")], [(str(10 ** 300), "1")])))
+    assert main([argv[0], str(curve), paths["system"], *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--rmax" in err and "error bar" in err
+
+
 def test_schema_commands(paths, capsys):
     for kind in ("scalar", "polynomial", "system", "curve"):
         assert main(["schema", kind]) == 0

@@ -293,7 +293,7 @@ for argv in json.loads(sys.argv[1]):
         code = nevlab.cli.main(argv)
     except SystemExit as e:             # --version
         code = e.code
-    print(json.dumps([argv[0], code, "numpy" in sys.modules]))
+    print(json.dumps([argv[0], code, "numpy" in sys.modules, "numpy.ma" in sys.modules]))
 """
 
 
@@ -311,8 +311,34 @@ def test_what_the_cli_and_its_exact_commands_load(tmp_path):
     argvs = [["--version"]] + [argv + ["-o", f"{argv[0]}.json"] for argv in commands]
     out = _python(LOADED, json.dumps(argvs), cwd=tmp_path)
     lines = [json.loads(line) for line in out.splitlines() if line.startswith("[")]
-    assert lines == [["import", []]] + [[argv[0], 0, False] for argv in argvs]
+    assert lines == [["import", []]] + [[argv[0], 0, False, False] for argv in argvs]
     assert json.loads((tmp_path / "resultant.json").read_text())["is_zero"] is False
+
+
+def test_the_analytic_commands_load_no_masked_arrays(tmp_path):
+    # the zero finder uses numpy core only: no numpy set routine, whose np.unique loads
+    # numpy.ma (13-18 ms and 1.2 MB per process), after smt and defects with the moving
+    # target x0 + z/(z+41/4) x1 on (1 : e^z), seeded, and defects of x0 + x1 + x2 on
+    # (1 : e^z : e^{iz}), a quadtree search of 1 + e^z + e^{iz}
+    line = {"components": [{"terms": [{"poly": "1"}]}, {"terms": [{"poly": "1", "exp_coef": "1"}]}]}
+    plane = {"components": line["components"] + [{"terms": [{"poly": "1", "exp_coef": "i"}]}]}
+    x0 = MOVING_PAIR["polynomials"][0]
+    x1 = {"degree": 1, "terms": [{"exp": [0, 1], "coef": "1"}]}
+    moving = {"degree": 1, "terms": [{"exp": [1, 0], "coef": "1"},
+                                     {"exp": [0, 1], "coef": "z/(z+41/4)"}]}
+    planes = [{"degree": 1, "terms": [{"exp": e, "coef": "1"} for e in exps]}
+              for exps in ([[1, 0, 0]], [[0, 1, 0]], [[0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])]
+    docs = {"line": line, "plane": plane, "moving": {"n": 1, "polynomials": [x0, x1, moving]},
+            "planes": {"n": 2, "polynomials": planes}}
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    argvs = [["smt", "line.json", "moving.json", "--rmin", "10", "--rmax", "30", "--steps", "4"],
+             ["defects", "line.json", "moving.json", "--rmax", "30"],
+             ["defects", "plane.json", "planes.json", "--rmax", "10", "--grid", "4"]]
+    out = _python(LOADED, json.dumps([argv + ["-o", f"{k}.json"] for k, argv in enumerate(argvs)]),
+                  cwd=tmp_path)
+    lines = [json.loads(line) for line in out.splitlines() if line.startswith("[")]
+    assert lines[1:] == [[argv[0], 0, True, False] for argv in argvs]
 
 
 def test_every_functools_cache_loads_with_the_package(tmp_path, monkeypatch):

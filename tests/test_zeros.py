@@ -116,11 +116,36 @@ def test_ratfunc_divisors_split_zeros_and_poles():
 ], ids=["double-zero", "leaves-inside", "exact-zero"])
 def test_newton_iteration(f, x, mult, inside, want, last, evals, monkeypatch):
     calls = _counting_scaled(monkeypatch)
-    got, step = zeros._newton(f, x, mult, inside)
+    (got,), (step,) = zeros._newton(f, [x], mult, inside)
     # within about sqrt(eps), as near as float Newton gets to a double zero
     assert abs(got - want) <= 3e-8 * (1 + abs(want))
     assert last is None or step == pytest.approx(last, rel=1e-12)
     assert evals is None or len(calls) == evals
+    # the starts of all three cases as one batch: this case's start ends as it does alone
+    starts = [2j * math.pi + 0.01 + 0.01j, 3 + 0j, 1 + 0j]
+    points, steps = zeros._newton(f, starts, mult, inside)
+    k = starts.index(x)
+    assert (points[k], steps[k]) == (got, step)
+
+
+@pytest.mark.parametrize("f", [ExpPoly.exp(1) + 1, ExpPoly.var() + 10 + ExpPoly.var() * ExpPoly.exp(1),
+                               1 + ExpPoly.exp(1) + ExpPoly.exp(GaussRat(0, 1))],
+                         ids=["1+e^z", "(z+10)+z e^z", "1+e^z+e^iz"])
+def test_newton_batch_equals_each_start_alone(f):
+    # every step is elementwise, the scaling's shift is 0 exactly where |max Re(cz)| < 256,
+    # so a batch-wide shift changes no start, and a lone start is evaluated as two copies,
+    # as numpy multiplies a one-element array in place by another kernel: each start's
+    # (point, step) is the one-start batch's, bit for bit, with and without a mask and a
+    # multiplicity; the starts out to |Re z| = 600 make the batch's shift nonzero
+    rng = random.Random(33)
+    starts = [complex(rng.uniform(-60, 60), rng.uniform(-60, 60)) for _ in range(40)]
+    starts += [complex(rng.uniform(-600, 600), rng.uniform(-3, 3)) for _ in range(10)]
+    for mult, inside in ((1, None), (2, lambda z: np.abs(z) <= 40)):
+        points, steps = zeros._newton(f, starts, mult, inside)
+        alone = [zeros._newton(f, [x], mult, inside) for x in starts]
+        assert points.tolist() == [p[0] for p, _ in alone]
+        assert steps.tolist() == [s[0] for _, s in alone]
+    assert [v.size for v in zeros._newton(f, [])] == [0, 0]
 
 
 def test_disk_winding_counts_zeros():
@@ -219,14 +244,14 @@ REFERENCE_CASES = [(ExpPoly.exp(1) + 1, 50.0),
 @pytest.mark.parametrize("f, r", REFERENCE_CASES)
 def test_newton_exit_matches_full_quadtree(f, r, monkeypatch):
     fast = zeros._quadtree_zeros(f, r)
-    monkeypatch.setattr(zeros, "_newton_exit", lambda *args: None)
+    monkeypatch.setattr(zeros, "_newton_exits", lambda f, boxes, tol: [None] * len(boxes))
     _same_divisor(fast, zeros._quadtree_zeros(f, r))
 
 
 def test_refused_newton_certificate_falls_back_to_subdivision(monkeypatch):
     f, r = ExpPoly.exp(1) + 1, 20.0
     tol = 1e-10 * r
-    monkeypatch.setattr(zeros, "_newton_exit", lambda *args: None)
+    monkeypatch.setattr(zeros, "_newton_exits", lambda f, boxes, tol: [None] * len(boxes))
     reference = zeros._quadtree_zeros(f, r)
     monkeypatch.undo()
     walk = zeros._walk
@@ -291,10 +316,10 @@ def test_quadtree_walks_each_edge_once_and_batches_each_level(monkeypatch):
     walks, points = [], []
     walk, scaled = zeros._walk, ExpPoly.scaled
 
-    def counted_scaled(f, z, derivative=False):
+    def counted_scaled(f, z, *args, **kwargs):
         if isinstance(z, np.ndarray):
             points.append(z.size)
-        return scaled(f, z, derivative)
+        return scaled(f, z, *args, **kwargs)
 
     def counted_walk(*args):
         walks.append(1)
@@ -493,10 +518,15 @@ def test_a_withheld_or_displaced_limit_falls_back_to_the_quadtree(monkeypatch, m
     target = seeded.points[0][0]
     newton = zeros._newton
 
-    def tamper(g, x, *args, **kwargs):
-        z, step = newton(g, x, *args, **kwargs)
-        if g == f and not (args or kwargs) and abs(z - target) < 1e-6:
-            return (z, math.inf) if move is None else (z + move, 0.0)
+    def tamper(g, starts, *args, **kwargs):
+        # per start of the seeds' batch: each limit at the target is withheld or moved
+        z, step = newton(g, starts, *args, **kwargs)
+        if g == f and not (args or kwargs):
+            at = np.abs(z - target) < 1e-6
+            if move is None:
+                step[at] = math.inf
+            else:
+                z[at], step[at] = z[at] + move, 0.0
         return z, step
 
     monkeypatch.setattr(zeros, "_newton", tamper)
@@ -512,7 +542,7 @@ def test_seeds_that_agree_after_the_array_steps_run_newton_once(monkeypatch):
     newton, runs = zeros._newton, []
     subdivided = _subdivisions(monkeypatch)
     monkeypatch.setattr(zeros, "_newton",
-                        lambda *args, **kwargs: runs.append(args[1]) or newton(*args, **kwargs))
+                        lambda *args, **kwargs: runs.extend(args[1]) or newton(*args, **kwargs))
     seeded = exppoly_zeros(f, r)
     assert len(seeded.points) == 17 and len(runs) <= 60 and subdivided == []
     monkeypatch.setattr(zeros, "_newton", newton)
@@ -679,3 +709,29 @@ def test_a_polished_cluster_lies_within_its_stated_bound(f, r, monkeypatch):
     zeros._quadtree_zeros(f, r)
     clusters = [(point, bound) for point, m, bound in found if m >= 2]
     assert len(clusters) == 1 and abs(clusters[0][0]) <= clusters[0][1] < 1e-4
+
+
+@pytest.mark.parametrize("f", [E - 1, Z + 10 + Z * E, 1 + E + ExpPoly.exp(GaussRat(0, 1))],
+                         ids=["e^z-1", "(z+10)+z e^z", "1+e^z+e^iz"])
+@pytest.mark.parametrize("scale", [Fraction(10 ** 300), Fraction(1, 10 ** 300)], ids=["1e300", "1e-300"])
+def test_coefficients_past_the_float_range_keep_the_divisor(f, scale):
+    # 10^+-300 f has the zeros of f: exppoly_zeros divides it by a power of two that
+    # brings its coefficients into the float range before any float is formed
+    div = exppoly_zeros(f * scale, 30.0)
+    _same_divisor(div, exppoly_zeros(f, 30.0), tol=1e-13 * 30)
+    assert div.boundary_nudged is False
+    # a target whose coefficients lie within 2^+-256 is searched as it is
+    assert zeros._in_float_range(f) is f and zeros._in_float_range(f * 2 ** 250) == f * 2 ** 250
+
+
+def test_scaling_into_the_float_range_is_exact_or_refused():
+    # e^z + 10^320 and 1 + 10^300 e^z have no zero in reach; (e^z + 10^300)^2 spans about
+    # 1,993 binades, more than the 1,622 from 2^-1022 to 2^600: a named numerical failure
+    assert exppoly_zeros(E + 10 ** 320, 30.0).points == ()
+    assert exppoly_zeros(1 + 10 ** 300 * E, 50.0).points == ()
+    with pytest.raises(OverflowError, match=r"2\^0 to 2\^1994.*2\^-1022 to 2\^600"):
+        exppoly_zeros((E + 10 ** 300) ** 2, 30.0)
+    # the largest coefficient lands at most at 2^600, the least stays a normal float
+    for f in (E + 10 ** 320, 10 ** 300 * (Z + 10 + Z * E), (Z + 10 + Z * E) * Fraction(1, 10 ** 300)):
+        mods = [abs(a) for _, coeffs in zeros._in_float_range(f).float_image for a in coeffs if a]
+        assert max(mods) <= 2.0 ** 600 and min(mods) >= 2.0 ** -1022
