@@ -72,9 +72,10 @@ def main(argv=None) -> int:
 
     mover = HPoly.monomial(2, (0, 1), RatFunc(ZPoly((1,)), ZPoly((10, 1))))
     moving = smt_verify(curve, (x0, x1, x0 + mover), cfg.eps, radii)
-    report("one moving coefficient (growth ratios "
-           + str([round(t.coeff_growth, 3) for t in moving.targets]) + ")",
-           moving)
+    # smt_verify returns only once the curve is nondegenerate over C(z), which makes
+    # T_f(r)/log r unbounded while T(r, z/(z+10)) = O(log r)
+    report("one moving coefficient, slowly moving since the curve is nondegenerate "
+           "over C(z)", moving)
 
     ok = fixed.holds_everywhere and moving.holds_everywhere
     print("inequality verified on both runs" if ok else "VIOLATION FOUND")

@@ -304,15 +304,16 @@ class DivisorBoundReport:
     boundary_nudged: bool
 
 
-_BOUND_MATCH_TOL = 1e-7
-
-
 def divisor_bound_check(f: CurveLike, r: float) -> DivisorBoundReport:
     """Check ord_a(f_0...f_n / W) <= sum_i min(ord_a(f_i), n) inside |z| <= r.
 
     W is the consecutive-order wronskian of the components.  Polynomial
-    components only: multiplicities come from exact squarefree structure and
-    only the positions are floating point, matched within _BOUND_MATCH_TOL.
+    components only: every order is exact.  The squarefree part of f_0...f_n
+    is split by each of f_0, .., f_n and W into classes of roots that share
+    every order: by the gcd chain g <- gcd(g, q), q <- q / gcd(g, q), the part
+    of g left behind at step k has order exactly k in q.  Only the class
+    polynomials are located (`zpoly_zeros`), so sites are listed class by class,
+    a located point of multiplicity m (m class roots) m times.
     """
     curve = as_curve(f)
     if not curve.is_polynomial():
@@ -321,31 +322,27 @@ def divisor_bound_check(f: CurveLike, r: float) -> DivisorBoundReport:
     w = wronskian(curve.components)
     if w.is_zero():
         raise DegeneracyError("components are linearly dependent")
-    comp_divs = [zpoly_zeros(c.polynomial_part(), r) for c in curve.components]
-    w_div = zpoly_zeros(w.polynomial_part(), r)
-    nudged = w_div.boundary_nudged or any(d.boundary_nudged for d in comp_divs)
-
-    def order_at(div: Divisor, a: complex) -> int:
-        for b, m in div.points:
-            if abs(b - a) <= _BOUND_MATCH_TOL * (1.0 + abs(a)):
-                return m
-        return 0
-
-    seen: list[complex] = []
-    sites = []
-    holds = True
-    for div in comp_divs:
-        for a, _ in div.points:
-            if any(abs(a - b) <= _BOUND_MATCH_TOL * (1.0 + abs(a)) for b in seen):
-                continue
-            seen.append(a)
-            quot = sum(order_at(d, a) for d in comp_divs) - order_at(w_div, a)
-            cap = sum(min(order_at(d, a), n) for d in comp_divs)
-            sites.append((a, quot, cap))
-            if quot > cap:
-                holds = False
-    return DivisorBoundReport(holds=holds, p0=n, sites=tuple(sites),
-                              boundary_nudged=nudged)
+    polys = [c.polynomial_part() for c in (*curve.components, w)]
+    prod = reduce(operator.mul, polys[:-1])
+    classes = [(prod // zpoly_gcd(prod, prod.derivative()), ())]
+    for q in polys:
+        split = []
+        for g, orders in classes:
+            rest, k = q, 0
+            while g.degree > 0:
+                h = zpoly_gcd(g, rest)
+                if h.degree < g.degree:
+                    split.append((g // h, orders + (k,)))
+                g, rest, k = h, rest // h, k + 1
+        classes = split
+    sites, nudged = [], False
+    for g, (*comp, ord_w) in classes:
+        div = zpoly_zeros(g, r)
+        sites += [(a, sum(comp) - ord_w, sum(min(k, n) for k in comp))
+                  for a, m in div.points for _ in range(m)]
+        nudged = nudged or div.boundary_nudged
+    return DivisorBoundReport(holds=all(quot <= cap for _, quot, cap in sites), p0=n,
+                              sites=tuple(sites), boundary_nudged=nudged)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +539,8 @@ def build_profile(f: CurveLike, radii: Sequence[float]) -> NevanlinnaProfile:
 
 @dataclass(frozen=True, repr=False)
 class TargetReport:
-    """One target's contribution to the inequality."""
+    """One target's contribution to the inequality.  A moving target is slowly
+    moving by the report's existence (see SmtReport), so no growth is measured."""
 
     form: HPoly                       # after normalization
     degree: int
@@ -551,14 +549,20 @@ class TargetReport:
     truncation_binds: Optional[bool]  # a counted multiplicity exceeds L_j; None = undecided
     counts: tuple[float, ...]         # truncated N(r) on the grid
     defect: float
-    coeff_growth: float               # max_c T_c(r_max) / T_f(r_max), 0 if fixed
 
     __repr__ = report_repr
 
 
 @dataclass(frozen=True)
 class SmtReport:
-    """Grid evaluation of (q - n - 1 - eps) T(r) <= sum_j N_j(r)/d_j."""
+    """Grid evaluation of (q - n - 1 - eps) T(r) <= sum_j N_j(r)/d_j.
+
+    A report with moving targets exists only once the curve is proved
+    nondegenerate over C(z), which rules out f_1/f_0 in C(z); so T_f(r)/log r
+    -> infinity (Hayman, Meromorphic Functions, ch. 1), while a rational
+    coefficient a has T(r, a) = O(log r).  Every target is therefore slowly
+    moving, T(r, a) = o(T_f(r)), and no growth ratio is sampled.
+    """
 
     n: int
     q: int
@@ -626,7 +630,6 @@ def smt_verify(f: CurveLike, targets, eps, radii: Sequence[float]) -> SmtReport:
 
     profile = build_profile(curve, rs)
     r_max = rs[-1]
-    t_rmax = profile.t_values[-1]
 
     norms = [normalize_target(qf) for qf in fam.polys]
     divs = [quotient_zeros(*compose_target(norm, curve), r_max * (1 + 1e-9)) for norm in norms]
@@ -640,22 +643,16 @@ def smt_verify(f: CurveLike, targets, eps, radii: Sequence[float]) -> SmtReport:
     level_note = ("certified truncation levels exceed the digit budget; "
                   "counting untruncated") if None in binds else None
 
-    reports, coefficient_curves = [], {}     # equal curves share their circle means
+    reports = []
     t_errors = [_t_error(curve, r) for r in rs]
     for qf, norm, div, lev, lev_log10, bind in zip(fam.polys, norms, divs, levels,
                                                     chain.truncation_log10, binds):
         counts = tuple(counting_function(div, r, lev) for r in rs)
         defect = _top_half_defect(qf.degree, rs,
                                   dict(zip(rs, zip(counts, profile.t_values, t_errors))).get)
-        growth = 0.0
-        for _, c in norm.terms_desc():
-            if isinstance(c, RatFunc) and not c.is_constant():
-                c_curve = as_curve((c.den, c.num))
-                t_c = characteristic(coefficient_curves.setdefault(c_curve, c_curve), r_max)
-                growth = max(growth, t_c / t_rmax if t_rmax > 0 else math.inf)
         reports.append(TargetReport(form=norm, degree=qf.degree, truncation=lev,
                                     truncation_log10=lev_log10, truncation_binds=bind,
-                                    counts=counts, defect=defect, coeff_growth=growth))
+                                    counts=counts, defect=defect))
 
     factor = float(q - n - 1 - eps)
     lhs = tuple(factor * t for t in profile.t_values)

@@ -353,7 +353,8 @@ def test_every_functools_cache_loads_with_the_package(tmp_path, monkeypatch):
 
     # with no cache left, a curve keeps its circle means: each command computes
     # the r = 1 mean once, and T once per radius across all targets, whether
-    # one radius at a time or a grid in one pass
+    # one radius at a time or a grid in one pass; a moving coefficient adds no
+    # mean, since slow movement follows from nondegeneracy over C(z)
     from nevlab import nevanlinna
     from nevlab.cli import main
 
@@ -363,19 +364,23 @@ def test_every_functools_cache_loads_with_the_package(tmp_path, monkeypatch):
                         lambda fn, r, *args: radii.append(r) or single(fn, r, *args))
     monkeypatch.setattr(nevanlinna, "circle_averages",
                         lambda fn, rs, *args: radii.extend(rs) or batch(fn, rs, *args))
-    curve, system, fixed = (tmp_path / f"{name}.json" for name in ("curve", "system", "fixed"))
+    curve, system, fixed, moving = (tmp_path / f"{name}.json"
+                                    for name in ("curve", "system", "fixed", "moving"))
     curve.write_text(json.dumps({"components": [
         {"terms": [{"poly": "1"}]}, {"terms": [{"poly": "1", "exp_coef": "1"}]}]}))
-    x0_plus_x1 = {"degree": 1, "terms": [{"exp": [1, 0], "coef": "1"}, {"exp": [0, 1], "coef": "1"}]}
-    system.write_text(json.dumps({"n": 1, "polynomials": MOVING_PAIR["polynomials"] + [x0_plus_x1]}))
-    fixed.write_text(json.dumps({"n": 1, "polynomials": [
-        MOVING_PAIR["polynomials"][0], {"degree": 1, "terms": [{"exp": [0, 1], "coef": "1"}]},
-        x0_plus_x1]}))
+    x0, x1 = MOVING_PAIR["polynomials"][0], {"degree": 1, "terms": [{"exp": [0, 1], "coef": "1"}]}
+    x0_plus = lambda c: {"degree": 1, "terms": [{"exp": [1, 0], "coef": "1"},
+                                                {"exp": [0, 1], "coef": c}]}
+    system.write_text(json.dumps({"n": 1, "polynomials": MOVING_PAIR["polynomials"] + [x0_plus("1")]}))
+    fixed.write_text(json.dumps({"n": 1, "polynomials": [x0, x1, x0_plus("1")]}))
+    moving.write_text(json.dumps({"n": 1, "polynomials": [x0, x1, x0_plus("z/(z+10)")]}))
     out = str(tmp_path / "out.json")
     steps = 5
     for argv, count in ((["characteristic", str(curve), "--radii", "2,3,5"], 4),
                         (["defects", str(curve), str(system), "--grid", "6"], 4),
                         (["smt", str(curve), str(fixed), "--rmin", "2", "--rmax", "6",
+                          "--steps", str(steps)], steps + 1),
+                        (["smt", str(curve), str(moving), "--rmin", "2", "--rmax", "6",
                           "--steps", str(steps)], steps + 1)):
         radii.clear()
         assert main(argv + ["-o", out]) == 0

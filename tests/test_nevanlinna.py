@@ -3,7 +3,11 @@ main-inequality harness on small grids.  Tolerances follow the quadrature
 target (1e-9) except where a genuine transcendental estimate is involved.
 """
 
+import dataclasses
+import itertools
 import math
+import random
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -268,6 +272,29 @@ def test_divisor_bound_rejects_degenerate():
         divisor_bound_check(EntireCurve((ONE, Z, Z + ONE)), 2.0)   # W = 0
 
 
+def test_divisor_bound_orders_are_exact_at_near_coincident_zeros():
+    # zeros 1e-9 apart, closer than the zero finder separates: every order comes from
+    # the exact gcd chain, not from matching float positions, so the bound, a theorem,
+    # holds on every curve
+    a = 1 + Fraction(1, 10 ** 9)
+    l1, la = ZPoly((-1, 1)), ZPoly((-a, 1))
+    checked = 0
+    for i, j, k, l in itertools.product(range(4), repeat=4):
+        for extra in ((), (ONE,), (Z,)):
+            try:
+                curve = EntireCurve((l1 ** i * la ** j, l1 ** k * la ** l) + extra)
+                rep = divisor_bound_check(curve, 2.0)
+            except ValueError:      # unreduced or dependent
+                continue
+            checked += 1
+            assert rep.holds, curve
+    assert checked == 490
+    rep = divisor_bound_check(EntireCurve((ONE, l1 ** 3, la ** 3)), 2.0)
+    assert rep.holds and len(rep.sites) == 2
+    assert sorted(s.real for s, _, _ in rep.sites) == pytest.approx([1.0, float(a)], abs=1e-12)
+    assert [(quot, cap) for _, quot, cap in rep.sites] == [(2, 2), (2, 2)]
+
+
 # ---------------------------------------------------------------------------
 # targets
 
@@ -508,9 +535,24 @@ def test_smt_moving_target():
     assert not rep.fixed
     assert rep.holds_everywhere
     assert rep.level_note is None                # counts are the truncated counts
-    growth = [t.coeff_growth for t in rep.targets]
-    assert growth[0] == growth[1] == 0.0
-    assert 0.0 < growth[2] < 0.5                 # slow target is admissible
+    # slow movement is a proved fact, not a sampled ratio: a moving report exists only
+    # for a curve nondegenerate over C(z), so T_f(r)/log r -> infinity while each
+    # rational coefficient has T = O(log r); every curve whose T grows like log r is
+    # refused
+    assert "coeff_growth" not in {f.name for f in dataclasses.fields(rep.targets[2])}
+    rng = random.Random(7)
+    log_growth = [EntireCurve((ExpPoly.exp(1), ExpPoly.poly(ZPoly((3, 1))) * ExpPoly.exp(1))),
+                  EntireCurve((ONE, ZPoly((1, 1)) ** 2))]
+    while len(log_growth) < 8:
+        c = GaussRat(rng.randint(-2, 2), rng.randint(-2, 2))
+        p0, p1 = (ZPoly([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]) for _ in "01")
+        try:
+            log_growth.append(EntireCurve(tuple(ExpPoly({c: p}) for p in (p0, p1))))
+        except ValueError:          # a zero, unreduced or vanishing draw
+            continue
+    for curve in log_growth:
+        with pytest.raises(DegeneracyError, match=re.escape("C(z)")):
+            smt_verify(curve, (x0, x1, x0 + mover), Fraction(1, 2), radii)
 
 
 BENCH_GRID = [float(r) for r in np.linspace(10.0, 50.0, 20)]

@@ -24,5 +24,7 @@ def test_script_runs(name):
     assert run.returncode == 0, run.stderr
     if name == "smt_demo.py":
         assert "inequality verified on both runs" in run.stdout
+        assert ("== one moving coefficient, slowly moving since the curve is nondegenerate "
+                "over C(z) ==") in run.stdout
         assert "truncation levels: ['19', '19', '19']" in run.stdout
         assert "truncation levels: ['~10^12366', '~10^12366', '~10^12366']" in run.stdout
