@@ -33,9 +33,9 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Optional, Sequence
 
-from .fields import GaussRat, PoleError, RatFunc, denominator_lcm, simplify_scalar
+from .fields import GaussRat, PoleError, RatFunc, ZPoly, denominator_lcm, simplify_scalar
 from .hpoly import HPoly, monomial_index, monomials
-from .linalg import (RankPaths, det_sparse, modular_rank_reaches, solve_system,
+from .linalg import (RankPaths, _split, det_sparse, modular_rank_reaches, solve_system,
                      solve_transposed)
 
 
@@ -86,24 +86,35 @@ def _macaulay_row(gamma: tuple, d: int) -> tuple[int, tuple]:
     return i, gamma[:i] + (gamma[i] - d,) + gamma[i + 1:]
 
 
+def _exponent_key(e: tuple, base: int) -> int:
+    """The exponents e as the digits of one integer in `base`: keys add as
+    exponents do while no exponent reaches the base."""
+    key = 0
+    for x in e:
+        key = key * base + x
+    return key
+
+
+def _column_keys(n: int, big_n: int) -> dict:
+    """{key: column} over monomials(n, N), each keyed in base N + 1."""
+    return {_exponent_key(m, big_n + 1): k for k, m in enumerate(monomials(n, big_n))}
+
+
 def _macaulay_matrix(polys: Sequence[HPoly], d: int):
     """Rows of the Macaulay matrix M at critical degree, and the indices of
     its non-reduced monomials, which index the rows and columns of M''."""
     n = polys[0].nvars - 1
     t = (n + 1) * (d - 1) + 1
-    cols = monomials(n, t)
-    col_index = monomial_index(n, t)
+    col_of = _column_keys(n, t)
+    terms = [[(_exponent_key(e, t + 1), c) for e, c in p.coeffs.items()] for p in polys]
     rows = []
     nr = []
-    for pos, gamma in enumerate(cols):
+    for pos, gamma in enumerate(monomials(n, t)):
         if sum(1 for e in gamma if e >= d) > 1:
             nr.append(pos)
         i, shift = _macaulay_row(gamma, d)
-        row = {}
-        for exp, c in polys[i].coeffs.items():
-            target = tuple(a + b for a, b in zip(exp, shift))
-            row[col_index[target]] = c
-        rows.append(row)
+        key = _exponent_key(shift, t + 1)
+        rows.append({col_of[k + key]: c for k, c in terms[i]})
     return rows, nr
 
 
@@ -336,45 +347,77 @@ def is_admissible(fam: HypersurfaceFamily, max_points: Optional[int] = None) -> 
         f"admissibility undecided within {tried} parameter points")
 
 
-def _over_one_denominator(polys: Sequence[HPoly]):
-    """(q, numerators): q the monic lcm of the RatFunc denominators among the
-    polys' coefficients (None when there are none), and per poly its
-    coefficients times q, as ZPoly numerators (plain scalars when q is None)."""
+def _over_one_denominator(polys: Sequence[HPoly]) -> list:
+    """One side of an identity over one denominator in Gaussian integers:
+    D = d q, q the monic lcm of the RatFunc denominators among the polys'
+    coefficients (1 when there are none) and d the least integer that puts
+    the coefficients of q and of every q c in Z[i] (`linalg._split`).
+    Returns the terms of D, then per poly the terms of D times it, each term
+    ((exponents, power of z), (re, im)); D's exponents are ()."""
     dens = dict.fromkeys(c.den for p in polys for c in p.coeffs.values()
                          if isinstance(c, RatFunc))
     q = denominator_lcm(dens)
-    if q is None:
-        return None, [{e: c.num if isinstance(c, RatFunc) else c for e, c in p.coeffs.items()}
-                      for p in polys]
-    quotients = {den: q // den for den in dens}
-    return q, [{e: c.num * quotients[c.den] if isinstance(c, RatFunc) else q * c
-                for e, c in p.coeffs.items()} for p in polys]
+    quotients = {den: q // den for den in dens} if q is not None else {}
+    keys, flat = [], []
+    for k, p in enumerate(polys, 1):
+        for e, c in p.coeffs.items():
+            if isinstance(c, RatFunc):
+                c = c.num * quotients[c.den] if q is not None else c.num
+            elif q is not None:
+                c = q * c
+            cs = c.coeffs if isinstance(c, ZPoly) else (c,)
+            keys += [(k, e, j) for j in range(len(cs))]
+            flat += cs
+    own = q.coeffs if q is not None else (1,)
+    keys += [(0, (), j) for j in range(len(own))]
+    terms: list = [[] for _ in range(len(polys) + 1)]
+    for (k, e, j), v in zip(keys, _split(flat + list(own))[0]):
+        if v != (0, 0):
+            terms[k].append(((e, j), v))
+    return terms
+
+
+def _keyed(terms: list, base: int, zbase: int) -> dict:
+    """Terms as {key: (re, im)}, exponents e and power j of z keyed as
+    j + zbase * `_exponent_key`(e, base)."""
+    return {_exponent_key(e, base) * zbase + j: v for (e, j), v in terms}
+
+
+def _times(p: dict, q: dict, acc: Optional[dict] = None) -> dict:
+    """p * q added into acc, over keyed Gaussian-integer terms (`_keyed`):
+    a product adds keys, which adds exponents while no digit reaches its base."""
+    acc = {} if acc is None else acc
+    qs = list(q.items())
+    for k1, (a, b) in p.items():
+        for k2, (c, d) in qs:
+            k, re, im = k1 + k2, a * c - b * d, a * d + b * c
+            prev = acc.get(k)
+            acc[k] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
+    return acc
 
 
 def _reexpands(cofactors: Sequence[HPoly], gens: Sequence[HPoly], target: HPoly) -> bool:
     """Whether sum_j b_j * g_j == target, exactly.
 
     The cofactors, the generators and the target are each brought over one
-    denominator polynomial (q_b, q_g, q_t), so the products and sums run on
-    polynomial numerators, without the gcd a RatFunc operation costs; the
-    identity holds iff q_t * sum_j (q_b b_j)(q_g g_j) == q_b q_g (q_t target).
+    denominator D_b, D_g, D_t in Gaussian integers (`_over_one_denominator`),
+    so the identity holds iff D_t * sum_j (D_b b_j)(D_g g_j) == D_b D_g (D_t
+    target), an identity of polynomials in x and z over Z[i].  Each term is
+    one integer pair keyed by one integer (`_keyed`), in bases above every
+    exponent and every power of z a product can reach, so the products run on
+    integers, without the gcd a GaussRat or a RatFunc operation costs.
     """
-    q_b, bs = _over_one_denominator(cofactors)
-    q_g, gs = _over_one_denominator(gens)
-    q_t, (t,) = _over_one_denominator([target])
+    sides = [_over_one_denominator(side) for side in (cofactors, gens, [target])]
+    base = 1 + max([target.degree] + [b.degree + g.degree for b, g in zip(cofactors, gens)])
+    zbase = 1 + sum(max(j for ts in side for (_, j), _ in ts) for side in sides)
+    (d_b, *bs), (d_g, *gs), (d_t, t) = ([_keyed(ts, base, zbase) for ts in side]
+                                        for side in sides)
     acc: dict = {}
     for b, g in zip(bs, gs):
-        for e1, c1 in b.items():
-            for e2, c2 in g.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                prev = acc.get(e)
-                acc[e] = c1 * c2 if prev is None else prev + c1 * c2
-    for q in (q_b, q_g):
-        if q is not None:
-            t = {e: c * q for e, c in t.items()}
-    if q_t is not None:
-        acc = {e: c * q_t for e, c in acc.items()}
-    return {e: c for e, c in acc.items() if c} == t
+        _times(b, g, acc)
+    lhs, rhs = _times(d_t, acc), _times(_times(d_b, d_g), t)
+    return ({k: v for k, v in lhs.items() if v != (0, 0)}
+            == {k: v for k, v in rhs.items() if v != (0, 0)})
 
 
 def ideal_rows(gens: Sequence[HPoly], big_n: int) -> tuple[list, list]:
@@ -383,18 +426,20 @@ def ideal_rows(gens: Sequence[HPoly], big_n: int) -> tuple[list, list]:
     One row per generator g_j of degree at most N and monomial m of degree
     N - deg g_j, in that order: the coefficients of m * g_j by column index in
     monomials(nvars - 1, N).  A row is g_j with exponents shifted by m, so no
-    polynomial is multiplied.  Returns (labels, rows) with labels[k] = (j, m).
+    polynomial is multiplied, and a shift adds exponent keys (`_exponent_key`).
+    Returns (labels, rows) with labels[k] = (j, m).
     """
     nvars = gens[0].nvars
-    col_index = monomial_index(nvars - 1, big_n)
+    col_of = _column_keys(nvars - 1, big_n)
     labels, rows = [], []
     for j, g in enumerate(gens):
         if g.degree > big_n:
             continue
+        terms = [(_exponent_key(e, big_n + 1), c) for e, c in g.coeffs.items()]
         for m in monomials(nvars - 1, big_n - g.degree):
+            key = _exponent_key(m, big_n + 1)
             labels.append((j, m))
-            rows.append({col_index[tuple(a + b for a, b in zip(exp, m))]: c
-                         for exp, c in g.coeffs.items()})
+            rows.append({col_of[k + key]: c for k, c in terms})
     return labels, rows
 
 
@@ -451,7 +496,8 @@ class PowerCertificate:
     resultant: object
     cofactors: tuple[HPoly, ...]
     polys: tuple[HPoly, ...]
-    rank_paths: RankPaths        # one membership decision per level tried
+    rank_paths: RankPaths        # a proved probe at t - 1, then one membership
+                                 # decision per level tried
     value_paths: RankPaths       # the determinants behind a resultant computed
                                  # here, then one for the cofactors
     verified: bool               # the identity re-expanded exactly when built
@@ -480,23 +526,37 @@ def _macaulay_cofactors(polys: Sequence[HPoly], adj: Sequence, scale) -> tuple[H
     return tuple(HPoly(nvars, t - d, c) for c in coeffs)
 
 
+def _power_outside(polys: Sequence[HPoly], index: int, s: int) -> bool:
+    """Whether x_index^s is proved outside the degree-s piece of (polys), by
+    certified modular rank: the piece's rows and x_index^s reach the
+    complete-intersection rank plus one mod p, so the piece has that rank
+    exactly and x_index^s adds one to it.  False proves nothing."""
+    nvars = polys[0].nvars
+    power = tuple(s if k == index else 0 for k in range(nvars))
+    rows = ideal_rows(polys, s)[1] + [{monomial_index(nvars - 1, s)[power]: 1}]
+    bound = complete_intersection_rank((polys[0].degree,) * nvars, nvars, s) + 1
+    return modular_rank_reaches(rows, bound)
+
+
 def power_certificate(polys: Sequence[HPoly], index: int,
                       resultant=None) -> PowerCertificate:
     """Minimal s with x_index^s * R in the degree-s piece of (Q_0,...,Q_n).
 
-    The bound s <= (n+1)(d-1)+1 always suffices for families with nonzero
+    The bound s <= t = (n+1)(d-1)+1 always suffices for families with nonzero
     resultant (top socle degree of the complete-intersection quotient), so
-    failure up to the bound signals non-admissibility.  A level is ruled out
-    by certified modular rank when the piece's rows and x_index^s reach the
-    complete-intersection rank plus one mod p: the piece then has that rank
-    exactly and x_index^s lies outside it.  Any other level runs the exact
-    `ideal_membership`, except the critical degree t: its cofactors come from
-    the square Macaulay rows by Cramer's rule (`solve_transposed`,
-    multimodular with exact fallback), and `ideal_membership` only when
-    det M = 0 there or the check fails.  When the resultant is computed here,
-    that solve also gives det M in the given frame, so the Macaulay matrix is
-    built and eliminated once.  Either way the identity is re-expanded
-    exactly once, and `verified` records the outcome.
+    failure up to the bound signals non-admissibility.  The level search is
+    one probe at t - 1: an ideal is closed under multiplication by x_index, so
+    x_index^(t-1) proved outside the piece (`_power_outside`) puts every lower
+    power outside, and s = t.  When the probe proves nothing, the ascending
+    scan of s = d, ..., t is the fallback: a level below t - 1 is ruled out by
+    `_power_outside` or decided by the exact `ideal_membership`.  At t the
+    quotient is zero, so no rank test runs: the cofactors come from the
+    square Macaulay rows by Cramer's rule (`solve_transposed`, multimodular
+    with exact fallback), and `ideal_membership` only when det M = 0 there or
+    the check fails.  When the resultant is computed here, that solve also
+    gives det M in the given frame, so the Macaulay matrix is built and
+    eliminated once.  Either way the identity is re-expanded exactly once,
+    and `verified` records the outcome.
     """
     polys = tuple(polys)
     nvars = polys[0].nvars
@@ -515,16 +575,15 @@ def power_certificate(polys: Sequence[HPoly], index: int,
         r, solved = resultant, None
     if not r:
         raise NotAdmissibleError("family resultant vanishes; no certificate exists")
-    paths: list = []
-    for s in range(d, s_max + 1):
-        power = tuple(s if k == index else 0 for k in range(nvars))
-        rows = ideal_rows(polys, s)[1] + [{monomial_index(n, s)[power]: 1}]
-        bound = complete_intersection_rank((d,) * nvars, nvars, s) + 1
-        if modular_rank_reaches(rows, bound):
+    probe = s_max - 1 >= d and _power_outside(polys, index, s_max - 1)
+    paths: list = [True] if probe else []
+    for s in range(s_max if probe else d, s_max + 1):
+        # a failed probe already tested t - 1, and at t the quotient is zero
+        if s < s_max - 1 and _power_outside(polys, index, s):
             paths.append(True)
             continue
         paths.append(False)
-        target = HPoly.monomial(nvars, power, r)
+        target = HPoly.monomial(nvars, tuple(s if k == index else 0 for k in range(nvars)), r)
         verified = False
         if s == s_max:
             if solved is None:

@@ -595,10 +595,10 @@ def _seeds(f: ExpPoly, r: float) -> list:
     """Newton starts toward the zeros in |z| <= r of a two-term f = p e^{alpha z} +
     q e^{beta z}, or [] for any other f.  Its zeros solve e^{gamma z} = -p/q, gamma =
     beta - alpha, one on each branch (Log(-p/q) + 2 pi i m)/gamma far out.  The seeds
-    are the roots of p and q, and the points that three steps z <- z + (Log(-p/q) -
-    gamma z + 2 pi i k)/gamma, k the nearest branch, reach from 2 pi i (m +- 1/4)/gamma
-    on each branch m that reaches the disk and from circles out to the root bound of p
-    and q, merged (_merged)."""
+    are the float roots of p and q (np.roots), and the points that three steps
+    z <- z + (Log(-p/q) - gamma z + 2 pi i k)/gamma, k the nearest branch, reach from
+    2 pi i (m +- 1/4)/gamma on each branch m that reaches the disk and from circles
+    out to the root bound of p and q, merged (_merged)."""
     if len(f.terms) != 2:
         return []
     (alpha, p), (beta, q) = f.terms.items()
@@ -608,7 +608,8 @@ def _seeds(f: ExpPoly, r: float) -> list:
                  (g.float_image[0][1] for g in polys) if len(cs) > 1 and cs[0]), default=1.0)
     if not math.isfinite(bound):
         return []
-    seeds = [z for g in (p, q) for z, _ in zpoly_zeros(g, bound).points]
+    # a seed needs no certificate: the count and _winds_once decide its limit
+    seeds = [z for g in polys for z in np.roots(g.float_image[0][1]).tolist()]
     top = math.ceil(r * abs(gamma) / (2 * math.pi)) + 1
     branch = 2j * np.pi * np.arange(-top, top + 1)
     rings = bound * np.outer(2.0 ** -np.arange(4), np.exp(2j * np.pi * np.arange(8) / 8)).ravel()

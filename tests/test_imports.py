@@ -177,8 +177,10 @@ def test_one_float_evaluator_for_exponential_polynomials():
 
 
 def test_one_root_finder_and_one_root_certificate():
-    # float roots come from one np.roots call, and Yun's exact multiplicities
-    # are read only where each root is certified: no uncertified root path
+    # float roots come from np.roots where a certificate stands behind each:
+    # the certified path's inclusion disks, and the seeds, whose Newton limits
+    # count only when a winding square (_winds_once) and the disk winding agree;
+    # Yun's exact multiplicities are read only where each root is certified
     calls = {"roots": [], "yun_squarefree": []}
     for p in sorted(SRC.glob("*.py")):
         for top in ast.parse(p.read_text(), str(p)).body:
@@ -188,7 +190,7 @@ def test_one_root_finder_and_one_root_certificate():
                     if name in calls:
                         calls[name].append(f"{p.name}:{getattr(top, 'name', top.lineno)}")
     certified = ["zeros.py:_certified_zeros"]
-    assert calls == {"roots": certified, "yun_squarefree": certified}
+    assert calls == {"roots": certified + ["zeros.py:_seeds"], "yun_squarefree": certified}
 
 
 def test_one_newton_iteration():

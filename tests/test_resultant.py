@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -226,7 +227,8 @@ def test_power_certificate_matches_all_exact_path(monkeypatch):
         assert cert.cofactors == exact.cofactors
         assert [c.coeffs for c in cert.cofactors] == [c.coeffs for c in exact.cofactors]
         d = polys[0].degree
-        assert cert.rank_paths == RankPaths(modular=cert.s - d, exact=1)
+        # s = t for each: one proved probe at t - 1 when t - 1 >= d, then t
+        assert cert.rank_paths == RankPaths(modular=int(cert.s > d), exact=1)
         assert exact.rank_paths == RankPaths(modular=0, exact=cert.s - d + 1)
         assert exact.value_paths.modular == 0
         assert cert.verify()
@@ -257,7 +259,7 @@ def test_power_certificate_at_the_critical_degree_is_multimodular_cramer(monkeyp
     polys = _fixed_cubics(4242)
     cert = power_certificate(polys, 1)
     assert cert.s == 7
-    assert cert.rank_paths == RankPaths(modular=4, exact=1)
+    assert cert.rank_paths == RankPaths(modular=1, exact=1)   # the probe at 6, then 7
     assert cert.value_paths == RankPaths(modular=3, exact=0)   # det M, det M'', cofactors
     assert cert.verify()
     # with one prime the Hadamard bound is out of reach: the exact square solve
@@ -271,8 +273,9 @@ def test_power_certificate_at_the_critical_degree_is_multimodular_cramer(monkeyp
 
 
 def test_rank_tests_that_cannot_succeed_eliminate_nothing(monkeypatch):
-    # at s_max the piece has more rows than columns, and the bound exceeds the
-    # column count: no modular elimination can reach it
+    # at s_max the bound would exceed the column count, so the certificate
+    # runs no rank test there, and modular_rank_reaches refuses such a bound
+    # without eliminating
     eliminate = linalg._eliminate_mod
     shapes = []
 
@@ -282,7 +285,7 @@ def test_rank_tests_that_cannot_succeed_eliminate_nothing(monkeypatch):
 
     monkeypatch.setattr(linalg, "_eliminate_mod", counted)
     cert = power_certificate(_fixed_cubics(4242), 1)
-    assert cert.rank_paths == RankPaths(modular=4, exact=1)
+    assert cert.rank_paths == RankPaths(modular=1, exact=1)
     assert shapes and all(bound <= min(nrows, ncols) for nrows, ncols, bound in shapes)
     shapes.clear()
     rows = [{0: 1, 1: 2}, {0: 3, 1: 4}, {0: 5, 1: 7}]
@@ -290,6 +293,86 @@ def test_rank_tests_that_cannot_succeed_eliminate_nothing(monkeypatch):
     assert not linalg.modular_rank_reaches(rows[:2], 3)     # two rows
     assert shapes == []
     assert linalg.modular_rank_reaches(rows, 2) and len(shapes) == 1
+
+
+def _without_probe(monkeypatch, polys, index):
+    """The certificate of the ascending scan alone: x_index^(t-1) is never
+    proved outside, so level t - 1 falls to the exact membership test."""
+    nvars, d = polys[0].nvars, polys[0].degree
+    t = nvars * (d - 1) + 1
+    outside = resultant._power_outside
+    with monkeypatch.context() as m:
+        m.setattr(resultant, "_power_outside",
+                  lambda ps, i, s: s != t - 1 and outside(ps, i, s))
+        return power_certificate(polys, index)
+
+
+def _same_certificate(a, b):
+    return ((a.index, a.s, a.resultant, a.verified, a.value_paths)
+            == (b.index, b.s, b.resultant, b.verified, b.value_paths)
+            and [c.coeffs for c in a.cofactors] == [c.coeffs for c in b.cofactors])
+
+
+def test_power_probe_gives_the_ascending_scan_certificate(monkeypatch):
+    families = [_fixed_cubics(seed) for seed in (4242, 4243, 4244)]
+    families += [_moving_family(seed, 1, 3) for seed in (4244, 4245, 4246)]
+    for polys in families:
+        nvars, d = polys[0].nvars, polys[0].degree
+        t = nvars * (d - 1) + 1
+        for index in range(nvars):
+            cert = power_certificate(polys, index)
+            scan = _without_probe(monkeypatch, polys, index)
+            assert _same_certificate(cert, scan)
+            assert cert.verified and cert.s == t
+            assert cert.rank_paths == RankPaths(modular=1, exact=1)
+            # the scan proves d, ..., t - 2 outside and decides t - 1 exactly
+            assert scan.rank_paths == RankPaths(modular=t - 1 - d, exact=2)
+
+
+def test_power_probe_is_the_one_rank_elimination_below_the_critical_degree(monkeypatch):
+    polys = _fixed_cubics(4242)
+    eliminate, reaches = linalg._eliminate_mod, resultant.modular_rank_reaches
+    shapes, ranking = [], []
+
+    def counted(rows, ncols, m, bound):
+        if ranking:
+            shapes.append((ncols, len(rows), bound))     # the image is transposed
+        return eliminate(rows, ncols, m, bound)
+
+    def rank_test(rows, bound):
+        ranking.append(1)
+        try:
+            return reaches(rows, bound)
+        finally:
+            ranking.pop()
+
+    monkeypatch.setattr(linalg, "_eliminate_mod", counted)
+    monkeypatch.setattr(resultant, "modular_rank_reaches", rank_test)
+    cert = power_certificate(polys, 1)
+    assert cert.s == 7 and cert.verified
+    # 3 cubics times the 10 cubic monomials, plus x1^6, in the 28 sextic columns;
+    # the piece has the complete-intersection rank 27, and x1^6 adds one
+    assert shapes == [(31, 28, 28)]
+
+
+def test_least_powers_below_the_critical_degree_fall_back_to_the_scan(monkeypatch):
+    x0, x1, x2 = (HPoly.coordinate(3, k) for k in range(3))
+    cases = [([x2 ** 3 * 2 + x1 ** 3 + x0 * x1 * x1 * 2, x1 ** 3 * 2 + x0 * x0 * x2 * 2 + x0 ** 3,
+               x2 ** 3 * 2], 2, 3),
+             ([x0 ** 3 * 2, x1 * x2 * x2 * 2, x2 ** 3 + x1 ** 3 * 2], 1, 4)]
+    family = [x2 ** 3 + x1 ** 3 * 2, x0 ** 3 * 2 + x1 * x1 * x2 + x1 ** 3 * 2, x0 * x0 * x2]
+    cases += [(family, 0, 5), (family, 1, 6)]          # t = 7 for three cubics
+    for polys, index, s in cases:
+        cert = power_certificate(polys, index)
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "MODULI", ())
+            m.setattr(linalg, "PRIMES", ())
+            exact = power_certificate(polys, index)
+        assert cert.s == exact.s == s
+        assert (cert.resultant, cert.cofactors) == (exact.resultant, exact.cofactors)
+        assert cert.verified and cert.verify()
+        # the ascending scan: d, ..., s - 1 proved outside, s decided exactly
+        assert cert.rank_paths == RankPaths(modular=s - 3, exact=1)
 
 
 def test_power_certificate_with_singular_macaulay_matrix_uses_membership(monkeypatch):
@@ -386,6 +469,43 @@ def test_verified_reports_the_certificate_own_reexpansion(monkeypatch):
     assert checks == [1] and cert.verified is True
     checks.clear()
     assert cert.verify() and checks == [1]            # still public, and exact
+
+
+def test_reexpansion_matches_polynomial_arithmetic():
+    # the integer-keyed check against HPoly sums of products, on certificates
+    # over Q(i) and Q(i)(z) and on cofactors with one coefficient moved
+    rng = random.Random(29)
+    z = RatFunc(ZPoly((0, 1)))
+    families = [_fixed_cubics(4242), _moving_family(4244, 1, 3), _moving_family(4243, 2, 2)]
+    for polys in families:
+        nvars = polys[0].nvars
+        for index in range(nvars):
+            cert = power_certificate(polys, index)
+            target = HPoly.monomial(nvars, tuple(cert.s if k == index else 0
+                                                 for k in range(nvars)), cert.resultant)
+            for shift in (None, GaussRat(1), GaussRat(0, Fraction(1, 3)), z, 1 / (z + 2)):
+                cofactors = list(cert.cofactors)
+                if shift is not None:
+                    j = rng.randrange(nvars)
+                    e = rng.choice(sorted(cofactors[j].coeffs))
+                    moved = dict(cofactors[j].coeffs)
+                    moved[e] = moved[e] + shift
+                    cofactors[j] = HPoly(nvars, cofactors[j].degree, moved)
+                total = HPoly.zero(nvars, target.degree)
+                for b, g in zip(cofactors, polys):
+                    total = total + b * g
+                assert resultant._reexpands(cofactors, polys, target) == (total == target)
+                assert (total == target) == (shift is None)
+    # a key base of deg target + 1 = 2 would read x1^2 as x0, and a base for
+    # powers of z of one more than the largest on any side would read z^4 x1 as z x0
+    x0, x1 = HPoly.coordinate(2, 0), HPoly.coordinate(2, 1)
+    assert not resultant._reexpands([x1], [x1], x0)
+    assert resultant._reexpands([x1], [x1], x1 * x1)
+    z_squared = HPoly(2, 0, {(0, 0): z * z})
+    assert not resultant._reexpands([z_squared], [HPoly(2, 1, {(0, 1): z * z})],
+                                    HPoly(2, 1, {(1, 0): z}))
+    assert resultant._reexpands([z_squared], [HPoly(2, 1, {(0, 1): z * z})],
+                                HPoly(2, 1, {(0, 1): z ** 4}))
 
 
 def test_admissibility_report_matches_all_exact_path(monkeypatch):

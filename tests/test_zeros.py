@@ -487,6 +487,24 @@ def test_seeded_zeros_match_the_quadtree_on_seeded_two_term_inputs(monkeypatch):
     assert all(answered[:9]) and sum(answered) >= 0.9 * len(cases)
 
 
+def test_seeds_are_float_roots_and_run_no_newton_of_their_own(monkeypatch):
+    # the roots of p = z + 10 and q = z seed (z + 10) + z e^z uncertified: building
+    # the seeds runs no Newton batch, and the one search over all of them follows
+    f = ExpPoly.var() + 10 + ExpPoly.var() * ExpPoly.exp(1)
+    monkeypatch.setattr(zeros, "_newton", _refuse_newton)
+    seeds = zeros._seeds(f, 50.0)
+    assert seeds[:2] == [-10.0, 0.0]
+    monkeypatch.undo()
+    batches, newton = [], zeros._newton
+    monkeypatch.setattr(zeros, "_newton",
+                        lambda *args, **kwargs: batches.append(len(args[1])) or newton(*args, **kwargs))
+    assert _total(exppoly_zeros(f, 50.0)) == 17 and len(batches) == 1
+
+
+def _refuse_newton(*args, **kwargs):
+    raise AssertionError("seeds need no Newton of their own")
+
+
 def test_an_empty_disk_builds_no_seeds(monkeypatch):
     # (z + 10) + z e^z has no zero in |z| <= 1: the circle walk answers before any seed
     # is built, and at r = 50 its 17 zeros are found from one build
