@@ -42,8 +42,8 @@ from .filtration import build_filtration
 from .parsing import (CURVE_SCHEMA, InputError, ParseError, POLY_SCHEMA,
                       SCALAR_GRAMMAR, SYSTEM_SCHEMA, curve_from_json,
                       family_from_json, load_json_file, parse_ratfunc)
-from .resultant import (AdmissibilityUndecided, DegenerateResultantError, NotAdmissibleError,
-                        is_admissible, macaulay_resultant, power_certificate)
+from .resultant import (AdmissibilityUndecided, NotAdmissibleError, is_admissible,
+                        macaulay_resultant, power_certificate)
 
 
 def _loaded(module: str, *names: str) -> tuple:
@@ -155,7 +155,7 @@ def cmd_resultant(args) -> int:
     if fam.q != fam.n + 1:
         raise InputError(
             f"resultant needs exactly n+1 = {fam.n + 1} forms, got {fam.q}")
-    res = macaulay_resultant(fam.polys, seed=args.seed)
+    res = macaulay_resultant(fam.polys)
     _emit({"tool": "resultant", "version": __version__,
            "n": fam.n, "degrees": fam.degrees,
            "resultant": res, "is_zero": not res}, args.output)
@@ -388,8 +388,7 @@ _OUTPUT = (("-o", "--output"),
 # subcommand -> (handler, help, its add_argument calls, _OUTPUT where it writes a report)
 COMMANDS = {
     "resultant": (cmd_resultant, "Macaulay resultant of n+1 forms", (_OUTPUT,
-        (("system",), dict(help="system JSON file")),
-        (("--seed",), dict(type=int, default=1, help="specialization seed")))),
+        (("system",), dict(help="system JSON file")))),
     "admissible": (cmd_admissible, "general-position check for a family", (_OUTPUT,
         (("system",), {}),
         (("--max-points",), dict(type=int, default=None,
@@ -517,7 +516,7 @@ def _run(argv) -> int:
         # before ArithmeticError
         print(f"nevlab: numerical failure: {e}", file=sys.stderr)
         return 3
-    except (AdmissibilityUndecided, DegenerateResultantError) as e:
+    except AdmissibilityUndecided as e:
         print(f"nevlab: undecided: {e}", file=sys.stderr)
         return 3
     except ArithmeticError as e:          # includes violated margins

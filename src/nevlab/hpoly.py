@@ -194,22 +194,6 @@ class HPoly:
                 out[exp] = c
         return HPoly(self.nvars, self.degree, out)
 
-    def compose_linear(self, a: Sequence[Sequence[int]]) -> "HPoly":
-        """Substitute x_i -> sum_j a[i][j] x_j (a is (nvars x nvars))."""
-        forms = []
-        for row in a:
-            forms.append(HPoly(self.nvars, 1,
-                               {tuple(1 if j == k else 0 for j in range(self.nvars)): row[k]
-                                for k in range(self.nvars) if row[k]}))
-        out = HPoly.zero(self.nvars, self.degree)
-        for exp, c in self.coeffs.items():
-            term = HPoly(self.nvars, 0, {(0,) * self.nvars: c})
-            for form, e in zip(forms, exp):
-                if e:
-                    term = term * form ** e
-            out = out + term
-        return out
-
     # -- inspection -------------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -5,7 +5,8 @@ Three layers:
   sylvester_resultant   classical 2d x 2d determinant for binary forms (oracle)
   macaulay_resultant    n+1 forms of common degree d via the Macaulay quotient
                         det(M)/det(M''), built at critical degree
-                        t = (n+1)(d-1)+1; normalized so res(x_0^d,...,x_n^d)=1
+                        t = (n+1)(d-1)+1, or Canny's C(0) where det M'' = 0;
+                        normalized so res(x_0^d,...,x_n^d)=1
   is_admissible         every (n+1)-subset of a family has resultant not
                         identically zero, decided by certified modular rank
                         with exact fallback; returns a witness parameter point
@@ -27,24 +28,15 @@ critical degree, fixed or moving: Cramer's rule on the square Macaulay rows
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, lcm, prod
 from typing import Optional, Sequence
 
 from .fields import GaussRat, PoleError, RatFunc, ZPoly, denominator_lcm, simplify_scalar
 from .hpoly import HPoly, monomial_index, monomials
-from .linalg import (RankPaths, _split, det_sparse, modular_rank_reaches, solve_system,
-                     solve_transposed)
-
-
-# random coordinate frames macaulay_resultant tries after a 0/0 quotient
-FRAME_RETRIES = 5
-
-
-class DegenerateResultantError(RuntimeError):
-    """Macaulay numerator and minor both vanish after all retries."""
+from .linalg import (RankPaths, _split, certified_rank, det_sparse, modular_rank_reaches,
+                     solve_system, solve_transposed)
 
 
 class AdmissibilityUndecided(RuntimeError):
@@ -141,24 +133,12 @@ def _macaulay_dets(polys: Sequence[HPoly], d: int, paths: Optional[list],
     return det_m, det_minor, solved
 
 
-def random_unimodular(nvars: int, rng: random.Random) -> list[list[int]]:
-    """Product of shear matrices: integer entries, determinant exactly 1."""
-    a = [[1 if i == j else 0 for j in range(nvars)] for i in range(nvars)]
-    for _ in range(3):
-        i, j = rng.sample(range(nvars), 2)
-        c = rng.choice([-2, -1, 1, 2])
-        for k in range(nvars):
-            a[i][k] += c * a[j][k]
-    return a
-
-
-def macaulay_resultant(polys: Sequence[HPoly], seed: int = 1):
+def macaulay_resultant(polys: Sequence[HPoly]):
     """Resultant of n+1 forms of common degree d in n+1 variables.
 
     Vanishes exactly when the system has a nontrivial common zero; equals 1 on
-    (x_0^d, ..., x_n^d).  A degenerate 0/0 quotient is retried under up to
-    FRAME_RETRIES random unimodular coordinate changes (resultant invariant
-    since det = 1).
+    (x_0^d, ..., x_n^d).  Computed in the given coordinate frame
+    (`_resultant`).
     """
     polys = list(polys)
     nvars = polys[0].nvars
@@ -169,27 +149,61 @@ def macaulay_resultant(polys: Sequence[HPoly], seed: int = 1):
         raise ValueError("common degree must be >= 1")
     if any(p.degree != d or p.nvars != nvars for p in polys):
         raise ValueError("forms must share one degree and one variable count")
-    return _resultant(polys, d, seed, None)[0]
+    return _resultant(polys, d, None)[0]
 
 
-def _resultant(polys: Sequence[HPoly], d: int, seed: int, paths: Optional[list],
+def _resultant(polys: Sequence[HPoly], d: int, paths: Optional[list],
                col: Optional[int] = None):
-    """The Macaulay resultant, and the given frame's Cramer solve for `col`
-    as `_macaulay_dets` returns it.  A frame with det M'' = 0 has det M = 0
-    as well, so when the frame is retried that solve has no adjugate row."""
+    """The Macaulay resultant det M / det M'', and the Cramer solve for `col`
+    as `_macaulay_dets` returns it.  When det M'' = 0, det M = 0 as well and
+    that solve has no adjugate row; then the ideal's critical piece decides
+    whether Res = 0 (`_fills_critical_piece`), and Canny's C(0) gives a
+    nonzero Res (`_canny_at_zero`)."""
     det_m, det_minor, solved = _macaulay_dets(polys, d, paths, col)
     if det_minor:
         return simplify_scalar(det_m if det_minor == 1 else det_m / det_minor), solved
-    rng = random.Random(seed)
-    nvars = polys[0].nvars
-    for _ in range(FRAME_RETRIES):
-        a = random_unimodular(nvars, rng)
-        moved = [p.compose_linear(a) for p in polys]
+    if not _fills_critical_piece(polys, d, paths):
+        return Fraction(0), solved
+    return _canny_at_zero(polys, d, paths), solved
+
+
+def _fills_critical_piece(polys: Sequence[HPoly], d: int, paths: Optional[list]) -> bool:
+    """Res(polys) != 0 iff the ideal's piece of critical degree t is all of
+    V_t (Macaulay 1916; Cox, Little & O'Shea, Using Algebraic Geometry, ch. 3
+    §4), by `certified_rank`; `paths` gets whether the modular rank decided."""
+    t = len(polys) * (d - 1) + 1
+    size = len(monomials(len(polys) - 1, t))
+    rank, modular = certified_rank(ideal_rows(polys, t)[1], size)
+    if paths is not None:
+        paths.append(modular)
+    return rank == size
+
+
+def _canny_at_zero(polys: Sequence[HPoly], d: int, paths: Optional[list]):
+    """C(0) = Res(polys) for C(s) = Res(Q_i - s x_i^d), by interpolation.
+
+    Row gamma of M is x^(gamma - d e_i) Q_i (`_macaulay_row`), so Q_i -
+    s x_i^d puts -s on the diagonal of M and of M'': C(s) = det(M - sI) /
+    det(M'' - sI) where the denominator is nonzero (Canny, J. Symb. Comput.
+    9, 1990), of degree dim M - dim M'' = (n+1) d^n, the count of reduced
+    monomials.  The quotient is taken at s = 1, 2, ..., skipping the at most
+    dim M'' eigenvalues of M'', until there is one value more than that
+    degree, and Lagrange interpolation over the coefficient field gives C(0).
+    Each s adds det M and det M'' to `paths`.
+    """
+    nvars = len(polys)
+    nodes, values = [], []
+    s = 0
+    while len(nodes) <= nvars * d ** (nvars - 1):
+        s += 1
+        moved = [p - HPoly.monomial(nvars, [d * (k == i) for k in range(nvars)], s)
+                 for i, p in enumerate(polys)]
         det_m, det_minor, _ = _macaulay_dets(moved, d, paths)
         if det_minor:
-            return simplify_scalar(det_m / det_minor), solved
-    raise DegenerateResultantError(
-        f"Macaulay minor vanished in {FRAME_RETRIES} random coordinate frames")
+            nodes.append(s)
+            values.append(det_m / det_minor)
+    return simplify_scalar(sum((v * prod(Fraction(sj, sj - sk) for sj in nodes if sj != sk)
+                                for sk, v in zip(nodes, values)), Fraction(0)))
 
 
 @dataclass(frozen=True)
@@ -270,16 +284,15 @@ def _subset_zero_budget(lifted: Sequence[HPoly], subset: tuple[int, ...], d: int
 
 
 def _resultant_nonzero(polys: Sequence[HPoly], paths: list) -> bool:
-    """Res(polys) != 0, by certified modular rank with exact fallback.
-
-    det(M) = Res * det(M'') for the Macaulay matrix M, so M of full rank mod p
-    proves Res != 0; otherwise the exact resultant decides.  Appends to
-    `paths` whether the modular rank decided.
-    """
+    """Res(polys) != 0, by certified modular rank: det(M) = Res * det(M'')
+    for the Macaulay matrix M, so M of full rank mod p proves Res != 0; else
+    the ideal's critical piece decides (`_fills_critical_piece`), and no
+    resultant value is computed.  Appends whether a modular rank decided."""
     rows, _ = _macaulay_matrix(polys, polys[0].degree)
-    modular = modular_rank_reaches(rows, len(rows))
-    paths.append(modular)
-    return modular or bool(macaulay_resultant(polys))
+    if modular_rank_reaches(rows, len(rows)):
+        paths.append(True)
+        return True
+    return _fills_critical_piece(polys, polys[0].degree, paths)
 
 
 def is_admissible(fam: HypersurfaceFamily, max_points: Optional[int] = None) -> AdmissibilityReport:
@@ -499,7 +512,9 @@ class PowerCertificate:
     rank_paths: RankPaths        # a proved probe at t - 1, then one membership
                                  # decision per level tried
     value_paths: RankPaths       # the determinants behind a resultant computed
-                                 # here, then one for the cofactors
+                                 # here (where det M'' = 0 the critical piece's
+                                 # rank, then two per interpolation node), then
+                                 # one for the cofactors
     verified: bool               # the identity re-expanded exactly when built
 
     def verify(self) -> bool:
@@ -570,7 +585,7 @@ def power_certificate(polys: Sequence[HPoly], index: int,
     top = monomial_index(n, s_max)[tuple(s_max if k == index else 0 for k in range(nvars))]
     value_paths: list = []
     if resultant is None:
-        r, solved = _resultant(polys, d, 1, value_paths, top)
+        r, solved = _resultant(polys, d, value_paths, top)
     else:
         r, solved = resultant, None
     if not r:

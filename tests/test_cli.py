@@ -599,16 +599,30 @@ def test_undecided_admissibility_exits_3(paths, capsys):
     assert main(["admissible", str(moving), "--max-points", "2"]) == 0
 
 
-def test_degenerate_resultant_exits_3(paths, capsys, monkeypatch):
-    from nevlab import cli
-    from nevlab.resultant import DegenerateResultantError
+def _cubic(*terms):
+    return {"degree": 3, "terms": [{"exp": list(e), "coef": str(c)} for e, c in terms]}
 
-    def degenerate(*args, **kwargs):
-        raise DegenerateResultantError("Macaulay minor vanished in 5 random coordinate frames")
-    monkeypatch.setattr(cli, "macaulay_resultant", degenerate)
-    assert main(["resultant", paths["pair"]]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("nevlab: undecided: Macaulay minor") and err.count("\n") == 1
+
+def test_families_with_a_singular_macaulay_minor_are_decided(paths, capsys):
+    # forms sharing a factor vanish together and det M'' = 0 in the given frame;
+    # the resultant is data, and a certificate is a mathematical obstruction
+    families = [
+        [_cubic(((2, 1, 0), 1), ((3, 0, 0), 2)), _cubic(((3, 0, 0), 1)),
+         _cubic(((1, 1, 1), 1))],
+        [_cubic(((2, 1, 0), 2)), _cubic(((1, 1, 1), 2)), _cubic(((2, 0, 1), 2))],
+    ]
+    for k, polys in enumerate(families):
+        path = paths["tmp"] / f"shared{k}.json"
+        path.write_text(json.dumps({"n": 2, "polynomials": polys}))
+        assert main(["resultant", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["resultant"], doc["is_zero"]) == ("0", True)
+        assert main(["admissible", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["admissible"], doc["failing_subset"]) == (False, [0, 1, 2])
+        assert main(["certificate", str(path), "--index", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("nevlab: family resultant vanishes") and err.count("\n") == 1
 
 
 def test_bad_json_positioned(paths, capsys):

@@ -67,18 +67,6 @@ def test_moving_coefficients_specialize():
     assert not HPoly.coordinate(2, 0).is_moving()
 
 
-def test_compose_linear_identity_and_invertible():
-    rng = random.Random(11)
-    p = _rand_form(rng, 3, 2)
-    eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert p.compose_linear(eye) == p
-    shear = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
-    q = p.compose_linear(shear)
-    xs = [GaussRat(2), GaussRat(-1), GaussRat(3)]
-    sheared = [xs[0] + xs[1], xs[1], xs[2]]
-    assert q(xs) == p(sheared)
-
-
 def test_terms_desc_is_lex_sorted():
     rng = random.Random(13)
     p = _rand_form(rng, 3, 2)

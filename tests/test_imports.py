@@ -7,8 +7,9 @@ attribute, and the package has no assert statement, no private `fractions` API, 
 one call of `np.roots` and of `yun_squarefree`, both in the certified root
 routine, one float Newton loop, one boundary rule for the divisor paths, one
 trapezoid stop rule, which `circle_average` reaches only through
-`circle_averages`, `fields.py` imports only the standard library, importing
-the command line loads neither numpy nor mpmath, and its exact commands
+`circle_averages`, `fields.py` imports only the standard library, no module
+but the acceptance battery imports `random`, importing the command line
+loads neither numpy nor mpmath, and its exact commands
 (admissible, resultant, certificate, filtration, bounds, schema) load no
 numpy.  Every module of the package is imported, directly or through others,
 by the package or the command line, except `nevlab.mrat`, which holds only a
@@ -271,6 +272,23 @@ def test_fields_imports_only_the_standard_library():
             assert node.level == 0, "fields.py imports nothing from the package"
             modules.add(node.module.split(".")[0])
     assert modules and modules <= set(sys.stdlib_module_names)
+
+
+def test_only_the_acceptance_battery_imports_random():
+    # an exact result is a function of its input alone: nothing the package
+    # computes with is drawn at random, and the battery's inputs come from
+    # seeded generators
+    found = []
+    for p in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text(), str(p))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [p.name for name in names if name.split(".")[0] == "random"]
+    assert found == ["acceptance.py"]
 
 
 def _python(code: str, *args: str, cwd=None) -> str:

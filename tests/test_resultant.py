@@ -386,8 +386,65 @@ def test_power_certificate_with_singular_macaulay_matrix_uses_membership(monkeyp
     cert = power_certificate(polys, 0)
     assert calls == [(0, None, True)]                   # singular, decided mod m
     assert (cert.s, cert.resultant) == (4, 18)
-    assert cert.value_paths == RankPaths(modular=8, exact=1)   # four frames, membership
+    # the given frame's det M and det M'', the critical piece's rank, det M(s)
+    # and det M''(s) at s = 1, ..., 14 (13 nodes for C(s) of degree 12, one s
+    # an eigenvalue of M''), then membership
+    assert cert.value_paths == RankPaths(modular=31, exact=1)
     assert cert.verify()
+
+
+def _sparse_cubic_families(count, seed):
+    """Families of three cubic forms in P^2, each form 1-3 monomials with
+    coefficients 1 or 2."""
+    rng = random.Random(seed)
+    cubics = monomials(2, 3)
+    return [[HPoly(3, 3, {m: rng.choice((1, 2)) for m in rng.sample(cubics, rng.randint(1, 3))})
+             for _ in range(3)] for _ in range(count)]
+
+
+def test_sparse_cubics_are_decided_in_the_given_frame():
+    # det M'' = 0 in the given frame for most of these; the critical piece of
+    # the ideal decides Res = 0 there, and C(s) gives the nonzero values
+    singular = nonzero = 0
+    for polys in _sparse_cubic_families(180, 0):
+        res = macaulay_resultant(polys)
+        full = linalg.certified_rank(ideal_rows(polys, 7)[1], 36)[0] == 36
+        assert bool(res) == full
+        assert is_admissible(HypersurfaceFamily(2, polys)).admissible == full
+        det_m, det_minor, _ = resultant._macaulay_dets(polys, 3, None)
+        if det_minor:
+            assert resultant._canny_at_zero(polys, 3, None) == det_m / det_minor == res
+        singular += not det_minor
+        nonzero += full
+    assert (singular, nonzero) == (172, 15)
+    x0, x1, x2 = (HPoly.coordinate(3, k) for k in range(3))
+    # forms sharing a factor: C(s) vanishes at 0 as the rank says
+    for polys in ([x0 * x0 * x1 + x0 ** 3 * 2, x0 ** 3, x0 * x1 * x2],
+                  [x0 * x0 * x1 * 2, x0 * x1 * x2 * 2, x0 * x0 * x2 * 2]):
+        assert resultant._canny_at_zero(polys, 3, None) == 0 == macaulay_resultant(polys)
+    # nonzero with a singular frame: Res(F, G, 2 x1^3) = +-2^9 Res(F, G, x1)^3
+    # and Res(F, G, x1) = +-Res(F, G at x1 = 0)
+    f, g = x0 * x0 * x2 * 2 + x0 * x1 * x1 * 2 + x2 ** 3 * 2, x0 ** 3 * 2 + x0 * x0 * x2 + x2 ** 3
+    res = macaulay_resultant([f, g, x1 ** 3 * 2])
+    syl = sylvester_resultant(*(HPoly(2, 3, {(a, c): v for (a, b, c), v in h.coeffs.items()
+                                             if not b}) for h in (f, g)))
+    assert (res, syl) == (2 ** 27, -64) and abs(res) == 2 ** 9 * abs(syl) ** 3
+    polys = [x0 * x0 * x2 + x2 ** 3 * 2, x0 ** 3 * 2, x0 * x0 * x1 + x1 ** 3 + x1 * x1 * x2 * 2]
+    assert macaulay_resultant(polys) == 2 ** 18
+
+
+def test_moving_family_with_a_singular_frame_interpolates_c_of_s():
+    z = RatFunc(ZPoly((0, 1)))
+    x0, x1, x2 = (HPoly.coordinate(3, k) for k in range(3))
+    polys = [x0 * x1 + x2 * x2 * (z / (z + 3)), x0 * x0 + x1 * x1,
+             x1 * x2 + x0 * x2 * 2 + x0 * x0]
+    assert resultant._macaulay_dets(polys, 2, None)[1] == 0
+    res = macaulay_resultant(polys)
+    assert res == (z ** 4 * 18 + z ** 3 * 126 + z ** 2 * 225) / (z + 3) ** 4
+    for z0, want in ((1, Fraction(369, 256)), (2, Fraction(2196, 625)),
+                     (GaussRat(0, 1), GaussRat(Fraction(-4473, 2500), Fraction(2043, 1250)))):
+        assert macaulay_resultant([p.specialize(GaussRat.coerce(z0)) for p in polys]) == want
+        assert res(GaussRat.coerce(z0)) == want
 
 
 def test_power_certificate_beyond_the_prime_table_is_exact():
