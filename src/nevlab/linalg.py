@@ -9,15 +9,18 @@ solution and the determinant.
 
 The one modular image: `_gaussian_integer_rows` scales each row by a nonzero
 L_r to polynomials in z over Z[i], and `_image` sends them to Z/m with i and z
-sent to residues, a ring map under which every entry has an image.
-`certified_rank` reduces modulo the primes of `MODULI`, where a matrix can
-only lose rank, so a modular rank that reaches a known upper bound is the
-exact rank; else exact elimination decides.  `det_sparse` and
-`solve_transposed` (`_multimodular`) eliminate modulo a product of primes of
-`PRIMES` that exceeds twice a Hadamard-type bound at enough points z to
-interpolate the result, and lift the residues; over Q(i) one point suffices.
-When the table is too short, or too few points are usable, exact elimination
-decides.  See von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5.
+sent to residues, a ring map under which every entry has an image.  The one
+modular elimination, `_eliminate_mod`, reduces an entry mod m only where it
+is read.  `certified_rank` reduces modulo the word-size primes of `MODULI`,
+where a matrix can only lose rank, so a modular rank that reaches a known
+upper bound is the exact rank; else exact elimination decides.  Any prime
+certifies a rank, so primes of one CPython digit serve.
+`det_sparse` and `solve_transposed` (`_multimodular`) eliminate modulo a
+product of the 61-bit primes of `PRIMES` that exceeds twice a Hadamard-type
+bound at enough points z to interpolate the result, and lift the residues;
+over Q(i) one point suffices.  When the table is too short, or too few points
+are usable, exact elimination decides.  See von zur Gathen & Gerhard, Modern
+Computer Algebra, ch. 5.
 """
 
 from __future__ import annotations
@@ -277,7 +280,10 @@ def det_cofactor(mat):
 
 
 # Primes p = 1 (mod 4) below 2^61, each with a square root of -1 mod p (the
-# image of i), in the order the multimodular path draws them.
+# image of i), in the order the multimodular path draws them.  Their product
+# must exceed twice the Hadamard bound, and larger primes reach it in fewer
+# eliminations: a 36 x 36 Macaulay image over Q(i) needs the 122-bit product
+# of two, one elimination, where 30-bit primes taken apart would need four.
 PRIMES = (
     (2305843009213693921, 583529827753931384),
     (2305843009213693693, 966685122347009555),
@@ -297,53 +303,81 @@ PRIMES = (
     (2305843009213692937, 395191341510334577),
 )
 
-# The certified rank's moduli: the first two primes, each with a fixed
-# residue as the image of z, tried in this order.
-MODULI = tuple((p, i, z0) for (p, i), z0 in zip(PRIMES, (1234567891011, 1098765432101)))
+# The certified rank's moduli: the two largest primes p = 1 (mod 4) below
+# 2^30, each with a square root of -1 mod p and a fixed residue below p as
+# the image of z, tried in this order.
+MODULI = ((1073741789, 933053945, 123456789),
+          (1073741741, 784215820, 987654321))
 
 
 def _eliminate_mod(rows: list, ncols: int, m: int, bound: int) -> Optional[list]:
-    """Gaussian elimination over Z/m of integer rows (consumed), in columns
-    0..ncols-1.
+    """Gaussian elimination over Z/m of rows (consumed) of nonnegative
+    integers below m, in columns 0..ncols-1.
 
-    Column by column, the sparsest remaining row holding the column is the
-    pivot row: it is divided by its pivot entry and cleared from the other
-    remaining rows.  Returns the pivots in column order as (column, row,
-    entry, divided row), stopping once there are `bound`; None when an entry
-    is no unit mod m, which for m a product of primes means an unlucky one.
+    Column by column, one scan of the remaining rows reduces each entry of
+    the column mod m, drops those that vanish and picks the pivot row: the
+    sparsest row holding the column, the lowest index on a tie.  The pivot
+    row is divided by its pivot entry, which reduces it, and (m - f) times
+    it is added to each other row with f in the column, without reducing
+    the sums.  An entry is thus reduced only where it is read, in its
+    column's scan or in a pivot row, and every entry stays below
+    m + (#pivots) m^2, since each row update adds less than m^2: about
+    2^250 at the multimodular product of two 61-bit primes, and a few
+    digits at a word-size prime of `MODULI`, whose products fit in two.
+    Returns the pivots in column order as (column, row, entry, divided row),
+    the divided rows reduced and without zeros, stopping once there are
+    `bound`; None when a pivot entry is no unit mod m, which for m a product
+    of primes means an unlucky one.
     """
-    remaining = set(range(len(rows)))
+    remaining = list(range(len(rows)))
     pivots: list = []
     for col in range(ncols):
-        cand = [k for k in remaining if col in rows[k]]
-        if not cand:
+        hits, k, fewest, piv = [], -1, 0, 0
+        for j in remaining:
+            row = rows[j]
+            f = row.get(col)
+            if f is None:
+                continue
+            f %= m
+            if not f:
+                del row[col]
+                continue
+            hits.append((j, f))
+            if k < 0 or len(row) < fewest:
+                k, fewest, piv = j, len(row), f
+        if k < 0:
             continue
-        k = min(cand, key=lambda k: (len(rows[k]), k))
         remaining.remove(k)
-        piv = rows[k].pop(col)
+        del rows[k][col]
         try:
             inv = pow(piv, -1, m)
         except ValueError:
             return None
-        prow = {c: v * inv % m for c, v in rows[k].items()}
+        prow = {}
+        for c, v in rows[k].items():
+            v = v * inv % m
+            if v:
+                prow[c] = v
         pivots.append((col, k, piv, prow))
         if len(pivots) >= bound:
             break
-        for j in remaining:
-            row = rows[j]
-            f = row.pop(col, None)
-            if f:
+        for j, f in hits:
+            if j != k:
+                row = rows[j]
+                del row[col]
+                f = m - f
                 for c, v in prow.items():
-                    nv = (row.get(c, 0) - f * v) % m
-                    if nv:
-                        row[c] = nv
-                    else:
-                        row.pop(c, None)
+                    row[c] = row.get(c, 0) + f * v
     return pivots
 
 
 def modular_rank_reaches(rows: Sequence[dict], bound: int) -> bool:
     """True when the rows' rank modulo some prime of MODULI reaches `bound`.
+
+    The primes are below 2^30: a certified rank needs only some prime, and a
+    residue of one CPython digit keeps every product in two digits and every
+    reduction a division by one digit.  `PRIMES` stays 61-bit because the
+    multimodular modulus must pass a size bound, which a rank has not.
 
     Row r is scaled by L_r (`_gaussian_integer_rows`), which is nonzero, so
     the rank does not change.  Sending i and z to the prime's residues is a

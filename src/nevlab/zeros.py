@@ -536,7 +536,8 @@ def _certified_zeros(f: ExpPoly, r: float) -> Optional[Divisor]:
     """The divisor in |z| <= r of a polynomial f, or of f = e^{c0 z} P(e^{gamma z}),
     P(0) != 0, constant coefficients, frequency differences of lattice rank <= 1
     (`exponent_polys`), or None.  Yun's decomposition gives exact multiplicities,
-    np.roots and Newton a root x of each squarefree factor g, and `_inclusion_radii`
+    a root x of each squarefree factor g (a linear g's exact root -g_0/g_1, rounded
+    once; np.roots and Newton for any other), and `_inclusion_radii`
     a disk of radius rho about x holding a root of g: a polynomial's zero x is within
     delta = rho of the true one, f's zeros (Log x + 2 pi i m)/gamma within delta =
     -log(1 - rho/|x|)/|gamma|, plus rounding, and a zero that may lie in _reach(r) must
@@ -553,14 +554,17 @@ def _certified_zeros(f: ExpPoly, r: float) -> Optional[Divisor]:
         gamma = complex(basis[0]) if basis else 1.0     # no basis: P is constant
     tol, reach, located = 1e-10 * max(r, 1.0), _reach(r), []
     for g, mult in yun_squarefree(poly):
-        xs, dg, h = [], g.derivative(), ExpPoly.poly(g)
         try:
-            for x, step in zip(*(v.tolist() for v in _newton(h, np.roots(h.float_image[0][1])))):
-                # float Newton stalled short of the last ulp: one exact step
-                if step > math.ulp(max(1.0, abs(x))) and (w := _lift(x)) is not None and (den := dg(w)):
-                    x = complex(w - g(w) / den)
-                xs.append(x)
-        except OverflowError:       # a coefficient of g, or the exact step, past the float range
+            if g.degree == 1:       # the exact root, rounded once
+                xs = [complex(-g.coeffs[0] / g.coeffs[1])]
+            else:
+                xs, dg, h = [], g.derivative(), ExpPoly.poly(g)
+                for x, step in zip(*(v.tolist() for v in _newton(h, np.roots(h.float_image[0][1])))):
+                    # float Newton stalled short of the last ulp: one exact step
+                    if step > math.ulp(max(1.0, abs(x))) and (w := _lift(x)) is not None and (den := dg(w)):
+                        x = complex(w - g(w) / den)
+                    xs.append(x)
+        except OverflowError:       # a coefficient of g, its root or the exact step past the float range
             return None
         radii = _inclusion_radii(g, xs)
         if radii is None:

@@ -7,7 +7,8 @@ attribute, and the package has no assert statement, no private `fractions` API, 
 one call of `np.roots` and of `yun_squarefree`, both in the certified root
 routine, one float Newton loop, one boundary rule for the divisor paths, one
 trapezoid stop rule, which `circle_average` reaches only through
-`circle_averages`, `fields.py` imports only the standard library, no module
+`circle_averages`, one modular elimination, which the certified rank and the
+multimodular paths share, `fields.py` imports only the standard library, no module
 but the acceptance battery imports `random`, importing the command line
 loads neither numpy nor mpmath, and its exact commands
 (admissible, resultant, certificate, filtration, bounds, schema) load no
@@ -260,6 +261,20 @@ def test_one_trapezoid_stop_rule():
     assert len(stops) == 1
     assert callers == {"_stop": ["circle_averages"], "circle_averages": ["circle_average"]}
     assert len(body) == 1 and isinstance(body[0], ast.Return)
+
+
+def test_one_modular_elimination():
+    # the certified rank and the multimodular determinant and Cramer solve share
+    # one modular kernel: linalg defines one _eliminate* function, which both
+    # call, so no word-size rank kernel is forked beside the big-modulus one
+    tree = ast.parse((SRC / "linalg.py").read_text())
+    kernels = [top.name for top in tree.body
+               if isinstance(top, ast.FunctionDef) and top.name.startswith("_eliminate")]
+    callers = sorted({top.name for top in tree.body if isinstance(top, ast.FunctionDef)
+                      for node in ast.walk(top) if isinstance(node, ast.Call)
+                      and getattr(node.func, "id", None) in kernels})
+    assert kernels == ["_eliminate_mod"]
+    assert callers == ["_multimodular", "modular_rank_reaches"]
 
 
 def test_fields_imports_only_the_standard_library():

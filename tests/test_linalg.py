@@ -1,19 +1,23 @@
+import itertools
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
 
 from nevlab import fields, linalg
 from nevlab.fields import GaussRat, RatFunc, ZPoly
+from nevlab.filtration import build_filtration
 from nevlab.hpoly import HPoly, monomials
 from nevlab.linalg import (Inconsistent, RankPaths, RowReducer, certified_rank,
                            clear_denominators, det_cofactor, det_sparse,
                            modular_rank_reaches, solve_system, solve_transposed)
-from nevlab.resultant import _macaulay_matrix, complete_intersection_rank, ideal_rows
+from nevlab.resultant import (HypersurfaceFamily, _macaulay_matrix, complete_intersection_rank,
+                              ideal_rows, is_admissible, power_certificate)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -244,8 +248,177 @@ def test_prime_table():
     for p, i in linalg.PRIMES:
         assert _is_prime(p) and p % 4 == 1
         assert i * i % p == p - 1
-    assert [(p, i) for p, i, _ in linalg.MODULI] == list(linalg.PRIMES[:2])
-    assert len(linalg.MODULI) == 2
+    # the rank moduli: two distinct word-size primes p = 1 (mod 4), each with a
+    # root of -1 and a residue for z, below p
+    assert len(linalg.MODULI) == 2 and len({p for p, _, _ in linalg.MODULI}) == 2
+    for p, i, z0 in linalg.MODULI:
+        assert _is_prime(p) and p % 4 == 1 and p < 2 ** 30
+        assert i * i % p == p - 1
+        assert 0 <= z0 < p
+
+
+class _Row(dict):
+    """A row of integers that records each entry deleted while a nonzero
+    multiple of m: one an update left unreduced, dropped when read."""
+
+    def __init__(self, entries, m, dropped):
+        super().__init__(entries)
+        self.m, self.dropped = m, dropped
+
+    def __delitem__(self, c):
+        if self[c] and self[c] % self.m == 0:
+            self.dropped.append(c)
+        super().__delitem__(c)
+
+
+def _gauss_jordan_mod(dense, m):
+    """(rank, det, inverse) of a dense integer matrix mod m by plain
+    Gauss-Jordan on [A | I]: each column's pivot is the first row left with a
+    unit there; det is 0 and the inverse None unless A is square of full rank.
+    The moduli and matrices of the tests never leave a column whose nonzero
+    entries are all non-units."""
+    k = len(dense)
+    a = [[v % m for v in row] + [int(r == c) for c in range(k)] for r, row in enumerate(dense)]
+    rank, det = 0, 1
+    for col in range(len(dense[0]) if dense else 0):
+        piv = next((r for r in range(rank, k) if gcd(a[r][col], m) == 1), None)
+        if piv is None:
+            if any(a[r][col] for r in range(rank, k)):
+                raise ValueError("no unit pivot")
+            continue
+        if piv != rank:
+            a[piv], a[rank], det = a[rank], a[piv], -det
+        det = det * a[rank][col] % m
+        inv = pow(a[rank][col], -1, m)
+        a[rank] = [v * inv % m for v in a[rank]]
+        for r in range(k):
+            if r != rank and a[r][col]:
+                f = a[r][col]
+                a[r] = [(v - f * w) % m for v, w in zip(a[r], a[rank])]
+        rank += 1
+    full = rank == k == len(dense[0])
+    return rank, det % m if full else 0, [row[-k:] for row in a] if full else None
+
+
+def _dense_ints(rows, cols):
+    return [[row.get(c, 0) for c in range(cols)] for row in rows]
+
+
+def _rand_mod_matrix(rng, k, cols, m):
+    """Sparse rows of residues mod m.  Some rows are c times an earlier row
+    plus a few entries, or a combination of two earlier rows, mod m, so
+    eliminating with the earlier row leaves their shared entries as nonzero
+    multiples of m, and the second kind lowers the rank."""
+    rows = []
+    for _ in range(k):
+        kind = rng.randrange(4) if rows else 0
+        row = {c: rng.randrange(1, m) for c in range(cols) if rng.random() < 0.5}
+        if kind == 1:
+            c = rng.randrange(1, m)
+            base = rng.choice(rows)
+            row.update({j: (c * v + row.get(j, 0)) % m for j, v in base.items()})
+        elif kind == 2 and len(rows) > 1:
+            (a, ra), (b, rb) = [(rng.randrange(1, m), r) for r in rng.sample(rows, 2)]
+            row = {j: (a * ra.get(j, 0) + b * rb.get(j, 0)) % m for j in {*ra, *rb}}
+        rows.append({c: v for c, v in row.items() if v})
+    return rows
+
+
+def test_lazy_elimination_matches_dense_gauss_jordan():
+    # _eliminate_mod reduces an entry only where it is read, so updates leave
+    # unreduced multiples of m behind; rank, det and the adjugate column agree
+    # with plain Gauss-Jordan mod a word-size prime and mod the two-prime product
+    rng = random.Random(71)
+    p = linalg.MODULI[0][0]
+    product = linalg.PRIMES[0][0] * linalg.PRIMES[1][0]
+    dropped, deficient = [], 0
+    for m in (p, product):
+        for _ in range(60):
+            k, cols = rng.randint(1, 7), rng.randint(1, 7)
+            rows = _rand_mod_matrix(rng, k, cols, m)
+            rank, _, _ = _gauss_jordan_mod(_dense_ints(rows, cols), m)
+            pivots = linalg._eliminate_mod([_Row(r, m, dropped) for r in rows], cols, m, k + 1)
+            assert len(pivots) == rank
+            assert all(0 < v < m for _, _, _, prow in pivots for v in prow.values())
+            if rank > 1:
+                assert len(linalg._eliminate_mod([dict(r) for r in rows], cols, m, rank - 1)) == rank - 1
+            # square, with the right-hand side e_col as column k
+            rows = _rand_mod_matrix(rng, k, k, m)
+            rank, det, inv = _gauss_jordan_mod(_dense_ints(rows, k), m)
+            col = rng.randrange(k)
+            image = [_Row(r, m, dropped) for r in rows]
+            image[col][k] = 1
+            pivots = linalg._eliminate_mod(image, k, m, k)
+            want = None if inv is None else [det * row[col] % m for row in inv]
+            assert linalg._det_and_adjugate_row(pivots, k, m, col) == (det, want)
+            deficient += rank < k
+    assert len(dropped) > 20 and deficient > 10       # what the inputs are built to reach
+    # a pivot that is no unit mod the product, read as given or after an update
+    q = linalg.PRIMES[0][0]
+    assert linalg._eliminate_mod([{0: q, 1: 1}, {1: 1}], 2, product, 2) is None
+    assert linalg._eliminate_mod([{0: 1, 1: 1}, {0: 1, 1: 1 + q}], 2, product, 2) is None
+    assert len(linalg._eliminate_mod([{0: 1, 1: 1}, {0: 1, 1: 2}], 2, product, 2)) == 2
+    # each column's pivot row is the sparsest holding it, the lowest index on a tie
+    rows = [{0: 1, 1: 1, 2: 1}, {0: 2, 2: 1}, {0: 3, 1: 1}, {1: 5}]
+    assert [k for _, k, _, _ in linalg._eliminate_mod(rows, 3, p, 3)] == [1, 3, 0]
+
+
+# the rank moduli before they were word-size: two 61-bit primes of PRIMES
+OLD_MODULI = ((2305843009213693921, 583529827753931384, 1234567891011),
+              (2305843009213693693, 966685122347009555, 1098765432101))
+
+
+def _dense_cubic_families(seed, count, n, moving):
+    """Admissible dense cubic families of n + 1 forms with nonzero Gaussian-
+    integer coefficients in [-2, 2] + [-2, 2] i; if moving, the coefficient of
+    x0^3 in form 0 is c/(z + b), b in 1..9."""
+    rng = random.Random(seed)
+
+    def coef():
+        while not (c := GaussRat(rng.randint(-2, 2), rng.randint(-2, 2))):
+            pass
+        return c
+
+    families = []
+    while len(families) < count:
+        polys = [HPoly(n + 1, 3, {e: coef() for e in monomials(n, 3)}) for _ in range(n + 1)]
+        if moving:
+            coeffs = dict(polys[0].coeffs)
+            coeffs[(3,) + (0,) * n] = RatFunc(ZPoly((coef(),)), ZPoly((rng.randint(1, 9), 1)))
+            polys[0] = HPoly(n + 1, 3, coeffs)
+        family = HypersurfaceFamily(n, polys)
+        if is_admissible(family).admissible:
+            families.append(family)
+    return families
+
+
+def _certify_facts(family):
+    n = family.n
+    subsets = list(itertools.combinations(range(n + 1), n))
+    return (is_admissible(family),
+            [build_filtration(family, subset, big_n) for subset in subsets for big_n in (3, 6, 9)],
+            [power_certificate(family.polys, index) for index in range(n + 1)])
+
+
+def test_word_size_moduli_decide_every_certify_rank(monkeypatch):
+    # on families like the benchmark's, every rank the word-size primes are
+    # asked for is certified (a certificate's top level needs no rank, so its
+    # rank paths are the proved probe and that level), and the facts equal
+    # those under the former 61-bit moduli
+    families = (_dense_cubic_families(3701, 10, 2, False)
+                + _dense_cubic_families(3702, 10, 1, True))
+    for family in families:
+        report, tables, certs = _certify_facts(family)
+        assert report.rank_paths.exact == 0
+        assert all(table.rank_paths.exact == 0 for table in tables)
+        assert all(cert.rank_paths == RankPaths(modular=1, exact=1)
+                   and cert.value_paths.exact == 0 for cert in certs)
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "MODULI", OLD_MODULI)
+            old_report, old_tables, old_certs = _certify_facts(family)
+        assert report == old_report and tables == old_tables
+        assert ([(c.s, c.resultant, [b.coeffs for b in c.cofactors]) for c in certs]
+                == [(c.s, c.resultant, [b.coeffs for b in c.cofactors]) for c in old_certs])
 
 
 def _gauss(rng, h, den=3):

@@ -64,6 +64,24 @@ def test_zpoly_roots_with_multiplicity():
     assert all(abs(a - (round(a.real) if m == 1 else 1 / 3)) <= 3e-9 for a, m in div.points)
 
 
+def test_linear_factors_take_their_exact_root(monkeypatch):
+    # a linear squarefree factor's root is -g_0/g_1 rounded once: no np.roots and no
+    # Newton batch, and _inclusion_radii still certifies it, also for an exp sum
+    def refuse(*args, **kwargs):
+        raise AssertionError("a linear factor needs no float root finder")
+
+    monkeypatch.setattr(zeros, "_newton", refuse)
+    monkeypatch.setattr(zeros.np, "roots", refuse)
+    z = ZPoly.var()
+    third = Fraction(1, 3)
+    div = zeros._certified_zeros(ExpPoly.poly((z - third) ** 3 * (z - GaussRat(2, -5))), 10.0)
+    assert div is not None and set(div.points) == {(complex(third), 3), (2 - 5j, 1)}
+    # 1 + e^z: P(w) = 1 + w, zeros (2m + 1) pi i
+    f = ExpPoly({0: ZPoly.const(1), 1: ZPoly.const(1)})
+    div = zeros._certified_zeros(f, 10.0)
+    assert div is not None and sorted(round((x / (math.pi * 1j)).real) for x, _ in div.points) == [-3, -1, 1, 3]
+
+
 def _counting_scaled(monkeypatch) -> list:
     """Record every ExpPoly.scaled call from now on; returns the record."""
     calls, scaled = [], ExpPoly.scaled
