@@ -344,11 +344,12 @@ def cmd_smt(args) -> int:
 
 
 def cmd_characteristic(args) -> int:
-    from .nevanlinna import characteristic
+    from .nevanlinna import _log_norm_average, characteristic
     curve = _load_curve(args.curve)
     radii = _parse_floats(args.radii, "--radii")
     if any(r < 1.0 for r in radii):
         raise InputError("every radius must be at least 1")
+    _log_norm_average(curve, (1.0, *radii))         # the grid in one pass
     values = [characteristic(curve, r) for r in radii]
     _emit({"tool": "characteristic", "version": __version__,
            "components": list(curve.components),

@@ -10,18 +10,23 @@ from the certified bound chain, general position checked by resultants, and
 algebraic nondegeneracy decided in every degree by one exact Jacobian rank
 of the components over the lattice of their frequencies.
 
-Floats enter only through quadrature and through zero locations; divisor
+Floats enter only through circle means and through zero locations; divisor
 multiplicities, truncation levels, admissibility and nondegeneracy stay
 exact.  Circle integrands (log|f_i|, Jensen's log|num| - log|den|) and the
 zero finder read one float evaluator, ExpPoly.scaled, so neither T(r) nor
-N(r) overflows at any radius.  T on a radius grid is one circle_averages
-pass over all its radii and r = 1, with one log|f_i| row per component, and
-the quadrature splits each circle where the largest row changes, so the kinks
-of log max_i |f_i| are integrated as breakpoints, not sampled.
+N(r) overflows at any radius.  When every component is one term a z^m e^{cz},
+each log|f_i| on |z| = r is a constant plus a sinusoid, and the mean of their
+maximum is taken in closed form (`_max_sinusoid_mean`), with no quadrature and
+with log|a| read from the exact coefficient.  Otherwise T on a radius grid is
+one circle_averages pass over all its radii and r = 1, with one log|f_i| row
+per component, and the quadrature splits each circle where the largest row
+changes, so the kinks of log max_i |f_i| are integrated as breakpoints, not
+sampled.  Every command asks for a whole grid at once.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import operator
@@ -35,10 +40,10 @@ import numpy as np
 
 from .bounds import REPORT_DIGIT_BUDGET, compute_truncation_levels, report_repr
 from .expfunc import ExpPoly, exponent_polys, lattice_rows, wronskian
-from .fields import RatFunc, ZPoly, zpoly_gcd
+from .fields import GaussRat, RatFunc, ZPoly, zpoly_gcd
 from .hpoly import HPoly
 from .linalg import RowReducer
-from .quadrature import QuadResult, circle_average, circle_averages
+from .quadrature import TWO_PI, QuadResult, circle_average, circle_averages
 from .resultant import HypersurfaceFamily, is_admissible
 from .zeros import (ContourThroughZero, Divisor, exppoly_zeros, ratfunc_divisors,
                     zpoly_zeros)
@@ -86,7 +91,8 @@ class EntireCurve:
 
     Each circle mean that T(r) reads is kept on the curve, so a command that
     asks for T at many radii, for many targets, computes r = 1 and each radius
-    once, and a whole radius grid with r = 1 in one quadrature pass.
+    once, and a whole radius grid with r = 1 in one closed form or quadrature
+    pass (`_log_norm_average`).
     """
 
     __slots__ = ("components", "_means")
@@ -159,22 +165,111 @@ def as_curve(f: CurveLike) -> EntireCurve:
 
 
 def _log_norm_average(curve: EntireCurve, radii: Sequence[float]) -> list[QuadResult]:
-    # log max |f_i| = max log |f_i|, one row per component; the radii without a mean go
-    # in one pass, and a lone one through circle_average, whose calls perfbench counts
+    # log max |f_i| = max log |f_i|, one row per component; the radii without a mean
+    # take the closed form when every row is a sinusoid, else one quadrature pass
     missing = [r for r in dict.fromkeys(radii) if r not in curve._means]
-    rows = lambda zs: np.stack([comp.log_abs(zs) for comp in curve.components])
-    curve._means.update(zip(missing, [circle_average(rows, missing[0])] if len(missing) == 1
-                            else circle_averages(rows, missing)))
+    if missing:
+        sinusoids = _sinusoid_rows(curve.components)
+        if sinusoids is None:
+            rows = lambda zs: np.stack([comp.log_abs(zs) for comp in curve.components])
+            means = circle_averages(rows, missing)
+        else:
+            means = [_max_sinusoid_mean(sinusoids, r) for r in missing]
+        curve._means.update(zip(missing, means))
     return [curve._means[r] for r in radii]
+
+
+def _log_abs_exact(a: GaussRat) -> float:
+    """log|a| from the exact triple: |a|^2 = N/D with D = d^2 is scaled by a power of
+    2 into [1/2, 2), where int true division rounds it correctly, so neither a huge
+    nor a tiny a overflows and log|a| carries a relative error of a few ulps."""
+    num, den = a.a * a.a + a.b * a.b, a.d * a.d
+    e = num.bit_length() - den.bit_length()
+    q = num / (den << e) if e >= 0 else (num << -e) / den
+    return (math.log(q) + e * math.log(2.0)) / 2
+
+
+def _sinusoid_rows(components) -> Optional[list[tuple[float, int, complex]]]:
+    """(log|a|, m, c) for each nonzero component a z^m e^{cz}, whose log-modulus on
+    |z| = r is log|a| + m log r + Re(r c e^{i theta}); None when some component has
+    two terms or a coefficient with two monomials.  A zero component never leads."""
+    rows = []
+    for comp in components:
+        if len(comp.terms) > 1:
+            return None
+        for c, p in comp.terms.items():
+            if any(p.coeffs[:-1]):
+                return None
+            rows.append((_log_abs_exact(p.leading()), p.degree, complex(c)))
+    return rows
+
+
+def _max_sinusoid_mean(rows: Sequence[tuple[float, int, complex]], r: float) -> QuadResult:
+    """Mean over theta of max_j A_j + Re(C_j e^{i theta}), A_j = log|a_j| + m_j log r and
+    C_j = r c_j, in closed form: the mean of log max_j |a_j z^m_j e^{c_j z}| on |z| = r.
+
+    Rows j, k cross where A_j - A_k + |C_j - C_k| cos(theta + arg(C_j - C_k)) = 0, two
+    arccos angles when |C_j - C_k| > |A_j - A_k|, else never.  Between consecutive
+    crossings one row leads, read at the arc's midpoint; crossings where the leader does
+    not change are dropped, and the leader of an arc [s, t] integrates to
+    A (t - s) + Im(C e^{it}) - Im(C e^{is}), summed as A (t - s) + 2 sin((t - s)/2)
+    Re(C e^{i(s+t)/2}), which does not cancel.  With one leader the mean is its A,
+    exactly, since its sinusoid has mean 0.
+
+    The error is a rounding bound.  Let eps = 2^-52, S = max_j |log|a_j|| + m_j |log r|
+    + |C_j| and n the number of crossing angles.  Each A_j and C_j is within 4 eps S of
+    its value (`_log_abs_exact`), so each row is too, and so is their max.  At a
+    computed crossing the two rows differ by at most 20 eps S (the errors of A_j - A_k,
+    of |C_j - C_k| relative to it, and of the arccos and its argument); their difference
+    is monotone between it and the true crossing, which lie on one side of its
+    extremum, so the wrong row on that piece, at most pi long, costs at most 10 eps S in
+    the mean.  The arc sums lose at most 9 eps S more: an arc's two terms are each
+    within 9 eps S times its length.  So |error| <= 16 eps S (1 + n), which is doubled
+    for the ulps of the library's cos, sin and acos.  The result is a QuadResult with
+    samples = 0."""
+    log_r = math.log(r)
+    data = [(log_a + m * log_r, r * c) for log_a, m, c in rows]
+    scale = max(abs(log_a) + m * abs(log_r) + r * abs(c) for log_a, m, c in rows)
+    cuts = []
+    for (a_j, c_j), (a_k, c_k) in itertools.combinations(data, 2):
+        gap, amp = a_j - a_k, abs(c_j - c_k)
+        if amp > abs(gap):
+            phase, half = cmath.phase(c_j - c_k), math.acos(-gap / amp)
+            cuts += [(-phase - half) % TWO_PI, (-phase + half) % TWO_PI]
+    error = 32 * math.ulp(1.0) * scale * (1 + len(cuts))
+
+    def lead(theta: float) -> int:
+        u = complex(math.cos(theta), math.sin(theta))
+        return max(range(len(data)), key=lambda j: data[j][0] + (data[j][1] * u).real)
+
+    cuts.sort()
+    ends = cuts[1:] + [cuts[0] + TWO_PI] if cuts else []
+    leads = [lead((a + b) / 2) for a, b in zip(cuts, ends)] or [lead(0.0)]
+    # (angle, the row that leads from it on) where the leader changes
+    turns = [(t, after) for t, before, after in zip(cuts, leads[-1:] + leads[:-1], leads)
+             if before != after]
+    if not turns:
+        return QuadResult(data[leads[0]][0], error, 0, True)
+    parts = []
+    for (a, j), (b, _) in zip(turns, turns[1:] + [(turns[0][0] + TWO_PI, None)]):
+        a_j, c_j = data[j]
+        mid = (a + b) / 2
+        parts += [a_j * (b - a),
+                  2 * math.sin((b - a) / 2) * (c_j * complex(math.cos(mid), math.sin(mid))).real]
+    return QuadResult(math.fsum(parts) / TWO_PI, error, 0, True)
 
 
 def characteristic(f: CurveLike, r: float) -> float:
     """T(r): mean of log max_i |f_i| over |z| = r, minus the same mean at r = 1.
 
-    Nonnegative and nondecreasing in r >= 1 up to quadrature error; invariant
-    under scaling all components by a common nonzero constant; exactly
-    k*log r when the components are monomials with top degree k and the top
-    monomial has unit coefficient modulus.
+    Nonnegative and nondecreasing in r >= 1 up to the error of the means;
+    invariant under scaling all components by a common nonzero constant;
+    exactly k*log r when the components are monomials with top degree k and
+    the top monomial has unit coefficient modulus.  Each mean is kept on the
+    curve: in closed form, exact but for rounding, when every component is one
+    term a z^m e^{cz}, else by quadrature, which warns when a mean stops short
+    of its target.  A caller wanting T on a grid asks `_log_norm_average` for
+    (1.0, *radii) first, so the grid is one pass.
     """
     if r < 1:
         raise ValueError("the growth scale is normalized at r = 1; need r >= 1")

@@ -557,8 +557,8 @@ def test_flat_top_half_of_the_grid_is_an_rmax_error(paths, capsys, argv):
                                   ["defects"]])
 def test_growth_within_the_error_bar_of_t_is_flat(paths, capsys, argv):
     # on (1 : 10^300 e^z), log max |f_i| = 300 log 10 + Re z on |z| <= 690, so T(r) = 0
-    # there, and the means at r and at 1 read T of about 1e-13, within their rounding:
-    # the defects are not read off that noise.  The zeros of x0 + x1, 1 + 10^300 e^z,
+    # there, exactly in closed form and within rounding by quadrature: the defects are
+    # not read off a T within its error bar.  The zeros of x0 + x1, 1 + 10^300 e^z,
     # are found after the coefficients are scaled into the float range
     curve = paths["tmp"] / "flat.json"
     curve.write_text(json.dumps(_curve([("1", "0")], [(str(10 ** 300), "1")])))

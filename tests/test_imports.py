@@ -7,7 +7,9 @@ attribute, and the package has no assert statement, no private `fractions` API, 
 one call of `np.roots` and of `yun_squarefree`, both in the certified root
 routine, one float Newton loop, one boundary rule for the divisor paths, one
 trapezoid stop rule, which `circle_average` reaches only through
-`circle_averages`, one modular elimination, which the certified rank and the
+`circle_averages`, one way to a curve's circle means, which `_log_norm_average`
+takes through `circle_averages` or the closed form `_max_sinusoid_mean`, and
+nothing else calls, one modular elimination, which the certified rank and the
 multimodular paths share, `fields.py` imports only the standard library, no module
 but the acceptance battery imports `random`, importing the command line
 loads neither numpy nor mpmath, and its exact commands
@@ -16,9 +18,9 @@ numpy.  Every module of the package is imported, directly or through others,
 by the package or the command line, except `nevlab.mrat`, which holds only a
 docstring and which nothing imports.  Every functools cache sits in a module that `import nevlab` loads,
 so clearing the loaded modules' caches clears them all, while each command
-computes a curve's circle means once, counted in radii over `circle_average`
-and `circle_averages` (4 for `characteristic` on 3 radii, 4 for `defects`
-with 3 targets and `--grid 6`, steps + 1 for a fixed `smt`).  Every name of
+computes a curve's circle means once, counted in radii over `circle_average`,
+`circle_averages` and `_max_sinusoid_mean` (4 for `characteristic` on 3 radii,
+4 for `defects` with 3 targets and `--grid 6`, steps + 1 for a fixed `smt`).  Every name of
 `nevlab.__all__` resolves, on first use for the numeric ones, to its
 module's current object.
 
@@ -263,6 +265,23 @@ def test_one_trapezoid_stop_rule():
     assert len(body) == 1 and isinstance(body[0], ast.Return)
 
 
+def test_one_way_to_a_curves_circle_means():
+    # T reads a curve's circle means from _log_norm_average alone, which takes every
+    # missing radius in one circle_averages pass or through the closed form, and no
+    # other function asks for the closed form
+    calls = {"circle_average": [], "circle_averages": [], "_max_sinusoid_mean": []}
+    for p in sorted(SRC.glob("*.py")):
+        for top in ast.parse(p.read_text(), str(p)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    if name in calls:
+                        calls[name].append(f"{p.name}:{getattr(top, 'name', top.lineno)}")
+    assert "nevanlinna.py:_log_norm_average" in calls["circle_averages"]
+    assert "nevanlinna.py:_log_norm_average" not in calls["circle_average"]
+    assert calls["_max_sinusoid_mean"] == ["nevanlinna.py:_log_norm_average"]
+
+
 def test_one_modular_elimination():
     # the certified rank and the multimodular determinant and Cramer solve share
     # one modular kernel: linalg defines one _eliminate* function, which both
@@ -395,10 +414,13 @@ def test_every_functools_cache_loads_with_the_package(tmp_path, monkeypatch):
 
     radii = []
     single, batch = nevanlinna.circle_average, nevanlinna.circle_averages
+    closed = nevanlinna._max_sinusoid_mean
     monkeypatch.setattr(nevanlinna, "circle_average",
                         lambda fn, r, *args: radii.append(r) or single(fn, r, *args))
     monkeypatch.setattr(nevanlinna, "circle_averages",
                         lambda fn, rs, *args: radii.extend(rs) or batch(fn, rs, *args))
+    monkeypatch.setattr(nevanlinna, "_max_sinusoid_mean",
+                        lambda rows, r: radii.append(r) or closed(rows, r))
     curve, system, fixed, moving = (tmp_path / f"{name}.json"
                                     for name in ("curve", "system", "fixed", "moving"))
     curve.write_text(json.dumps({"components": [

@@ -5,6 +5,7 @@ target (1e-9) except where a genuine transcendental estimate is involved.
 
 import dataclasses
 import itertools
+import json
 import math
 import random
 import re
@@ -15,7 +16,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nevlab import bounds, linalg
+from nevlab import bounds, linalg, nevanlinna
+from nevlab.acceptance import _quadrature_t
+from nevlab.cli import main
 from nevlab.bounds import REPORT_DIGIT_BUDGET, compute_truncation_levels
 from nevlab.expfunc import ExpPoly
 from nevlab.fields import GaussRat, RatFunc, ZPoly
@@ -27,6 +30,7 @@ from nevlab.nevanlinna import (AdmissibilityError, DegeneracyError,
                                jensen_check, nondegeneracy_check,
                                normalize_target, quotient_zeros, smt_verify,
                                wronskian)
+from nevlab.quadrature import circle_averages
 from nevlab.zeros import Divisor
 
 ONE = ZPoly((1,))
@@ -158,8 +162,10 @@ def _hull_perimeter(points) -> float:
 def test_characteristic_of_exponential_curves_matches_hull_perimeter():
     # T(r) of (1 : e^{c_1 z} : ...) is (r - 1)/(2 pi) times the perimeter of
     # the convex hull of {0, c_k} (Cauchy's formula for the mean width); the
-    # kinks of log max_k |e^{c_k z}| sit at arbitrary angles, off any grid
+    # kinks of log max_k |e^{c_k z}| sit at arbitrary angles, off any grid, and
+    # both the closed form and the quadrature must find them
     rng = np.random.default_rng(20140101)
+    radii = (2.5, 37.3, 250.1, 1000.7, 5000.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for _ in range(40):
@@ -171,9 +177,10 @@ def test_characteristic_of_exponential_curves_matches_hull_perimeter():
                     freqs.add(c)
             curve = EntireCurve([ExpPoly.const(1)] + [ExpPoly.exp(c) for c in freqs])
             perimeter = _hull_perimeter([0j] + [complex(c) for c in freqs])
-            for r in (2.5, 37.3, 250.1, 1000.7, 5000.0):
+            for r, quad in zip(radii, _quadrature_t(curve, radii)):
                 exact = (r - 1) * perimeter / (2 * math.pi)
                 assert characteristic(curve, r) == pytest.approx(exact, abs=1e-9 * r)
+                assert quad == pytest.approx(exact, abs=1e-9 * r)
 
 
 def test_characteristic_finds_a_dominance_arc_between_grid_points():
@@ -189,6 +196,80 @@ def test_characteristic_finds_a_dominance_arc_between_grid_points():
     assert math.floor((centre - alpha) / step) == math.floor((centre + alpha) / step)
     exact = (r * math.sin(alpha) - alpha * level) / math.pi
     assert characteristic(curve, r) == pytest.approx(exact, abs=1e-13)
+    assert _quadrature_t(curve, (r,)) == pytest.approx([exact], abs=1e-13)
+
+
+def test_characteristic_finds_every_dominance_arc_on_a_sweep():
+    # the same curve from r = 9.2104, where the arc is 0.0072 rad wide and the
+    # trapezoid grids of the quadrature all miss it, to 9.3: T is read in closed form
+    c = GaussRat(Fraction(3, 5), Fraction(4, 5))
+    curve = EntireCurve((ExpPoly.const(1), ExpPoly.exp(c) * GaussRat(Fraction(1, 10**4))))
+    level = math.log(1e4)
+    for r in np.linspace(9.2104, 9.3, 91):
+        r = float(r)
+        alpha = math.acos(level / r)
+        exact = (r * math.sin(alpha) - alpha * level) / math.pi
+        assert abs(characteristic(curve, r) - exact) <= 1e-9 * r, r
+
+
+def test_closed_form_means_agree_with_the_quadrature():
+    # 2-4 components a z^m e^{cz}, m <= 3, Gaussian-rational a and c: the closed form
+    # and circle_averages agree within the sum of their stated errors, circle by circle
+    rng = random.Random(38)
+    gauss = lambda h, d: GaussRat(Fraction(rng.randint(-h, h), rng.randint(1, d)),
+                                  Fraction(rng.randint(-h, h), rng.randint(1, d)))
+    circles = 0
+    while circles < 240:
+        comps = [ExpPoly({gauss(12, 4): ZPoly((0,) * rng.randint(0, 3) + (gauss(9, 9) or 1,))})
+                 for _ in range(rng.randint(2, 4))]
+        try:
+            curve = EntireCurve(comps)
+        except DegeneracyError:             # z^m in every component
+            continue
+        radii = (1.0, rng.uniform(1.5, 4.0), rng.uniform(5.0, 30.0), rng.uniform(30.0, 200.0))
+        rows = lambda zs: np.stack([comp.log_abs(zs) for comp in curve.components])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            quad = circle_averages(rows, radii)
+        for r, closed, res in zip(radii, nevanlinna._log_norm_average(curve, radii), quad):
+            assert closed.samples == 0 and closed.converged
+            assert abs(closed.value - res.value) <= closed.error + res.error, (curve, r)
+        circles += len(radii)
+
+
+def test_one_term_curves_with_huge_coefficients(tmp_path, capsys):
+    # log|10^400| is read from the exact integer, not from a float; |f_1| < |f_0|
+    # nowhere below r = 400 log 10, so T = 0 exactly there, and past it T is the
+    # arc integral of r cos(theta) - 400 log 10
+    path = tmp_path / "curve.json"
+    path.write_text('{"components": [{"terms": [{"poly": "1"}]}, '
+                    '{"terms": [{"poly": "10^400", "exp_coef": "1"}]}]}')
+    assert main(["characteristic", str(path), "--radii", "2,10,1000"]) == 0
+    values = json.loads(capsys.readouterr().out)["values"]
+    level = 400 * math.log(10)
+    alpha = math.acos(level / 1000)
+    assert values[:2] == [0.0, 0.0]
+    assert values[2] == pytest.approx((1000 * math.sin(alpha) - alpha * level) / math.pi,
+                                      rel=1e-12)
+
+
+def test_a_radius_grid_is_one_pass_and_bit_identical_to_one_radius_at_a_time(tmp_path, capsys):
+    # smooth curves (1 : e^{cz} - b z) take the quadrature; the grid is one circle_averages
+    # pass, each circle of which gives the float it gives alone
+    radii = [2.0, 3.7, 11.25, 40.5, 97.0, 283.5]
+    for c, b in (("1", 1), ("i", 2), ("-1", 3)):
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps({"components": [
+            {"terms": [{"poly": "1"}]},
+            {"terms": [{"poly": "1", "exp_coef": c}, {"poly": f"-{b}z"}]}]}))
+        grid = ["characteristic", str(path), "--radii", ",".join(map(repr, radii))]
+        assert main(grid) == 0
+        together = json.loads(capsys.readouterr().out)["values"]
+        alone = []
+        for r in radii:
+            assert main(["characteristic", str(path), "--radii", repr(r)]) == 0
+            alone += json.loads(capsys.readouterr().out)["values"]
+        assert together == alone, (c, b)
 
 
 def test_characteristic_normalization_and_domain():
