@@ -19,8 +19,8 @@ failures), 1 a mathematical obstruction (degenerate curve, inadmissible family
 where admissibility is required, violated margin), 2 malformed input (an --rmax
 too low for T(r) to grow included), 3 a numerical failure (a zero-finder
 contour that cannot avoid a zero, floating-point overflow) or an undecided
-exact computation (an admissibility search capped by --max-points, a Macaulay
-minor vanishing in every frame).
+exact computation, which only an admissibility search capped by --max-points
+ends in.
 """
 
 from __future__ import annotations

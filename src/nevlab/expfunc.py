@@ -45,7 +45,7 @@ def _log_modulus(values):
 class ExpPoly:
     """sum over c of p_c(z) * exp(c*z), stored as {c: p_c} with p_c != 0."""
 
-    __slots__ = ("terms", "_image", "_derivative", "_table")
+    __slots__ = ("terms", "_image", "_derivative", "_table", "_majorant")
 
     def __init__(self, terms=None):
         clean = {}
@@ -63,6 +63,7 @@ class ExpPoly:
         object.__setattr__(self, "_image", None)
         object.__setattr__(self, "_derivative", None)
         object.__setattr__(self, "_table", None)
+        object.__setattr__(self, "_majorant", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExpPoly is immutable")
@@ -235,6 +236,41 @@ class ExpPoly:
         for (_, mags), e in zip(self._table, exps):
             bound += _horner(mags, az) * abs(e)
         return shift, fz, dfz, 1024 * math.ulp(1.0) * bound
+
+    def taylor_majorant(self, z, h, shift):
+        """(S2, E) at z, elementwise over numpy arrays, for the disk |w - z| <= h in the
+        frame of the shift M that scaled returned at z.  S2 = sum_k Q_k(|z| + h)
+        e^{Re(c_k z) - M + |c_k| h} bounds |f''| e^{-M} on the disk, Q_k(t) = sum |a| t^j
+        over the terms a z^j of p_k'' + 2 c_k p_k' + c_k^2 p_k; E = 1024 eps sum_k D_k(|z|)
+        e^{Re(c_k z) - M}, D_k likewise from p_k' + c_k p_k, bounds the rounding of
+        f' e^{-M} as scaled's floor bounds that of f e^{-M}.  With (M, F, F', floor) =
+        scaled(z, derivative=True), Taylor's theorem makes
+
+            (2 h (|F'| + E) + S2 h^2 + floor) (1 + 2^-30) < |F|
+
+        prove |f(w)/f(z) - 1| < 1/2 on the disk: f has no zero there, and between two of
+        its points arg f turns by the principal angle of their value ratio.  The factor
+        covers the rounding of the left side: sums and products of nonnegative floats,
+        each within (deg + 8) eps, and exponentials, moved by 4 eps times the moduli their
+        arguments are formed from, below 2^-31 in all while those and the degrees stay
+        below 2^18.  A bound past the float range is inf or nan: it fails, with no warning."""
+        if self._majorant is None:     # per term of f': c_k, |c_k|, D_k, and Q_k or None
+            first = self.derivative()
+            second = first.derivative()
+            twos = dict(zip(second.terms, second.float_image))
+            object.__setattr__(self, "_majorant", tuple(
+                (c, abs(c), tuple(map(abs, coeffs)),
+                 tuple(map(abs, twos[key][1])) if key in twos else None)
+                for key, (c, coeffs) in zip(first.terms, first.float_image)))
+        t = np.abs(z)
+        e1 = s2 = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c, size, ones, twos in self._majorant:
+                e = np.exp((c * z).real - shift)
+                e1 = e1 + _horner(ones, t) * e
+                if twos is not None:
+                    s2 = s2 + _horner(twos, t + h) * e * np.exp(size * h)
+        return s2, 1024 * math.ulp(1.0) * e1
 
     def _scaled_exps(self, z):
         """(M, e^{c_k z - M} per term of float_image) at a complex point or

@@ -232,6 +232,14 @@ def _quotient(a: int, b: int, d: int, c: int, e: int, f: int) -> GaussRat:
     return _reduced(f * (a * c + b * e), f * (b * c - a * e), d * n)
 
 
+def squared_modulus(a: GaussRat) -> tuple[int, int, int]:
+    """(N, D, e) with |a|^2 = N / D exactly, D = d^2, and e = bit length of N less that of
+    D, so that N / (D 2^e) lies in (1/2, 2): the exact reading of |a|^2 behind a binade
+    or a logarithm."""
+    num, den = a.a * a.a + a.b * a.b, a.d * a.d
+    return num, den, num.bit_length() - den.bit_length()
+
+
 _GR_ZERO = GaussRat(0)
 _GR_ONE = GaussRat(1)
 _GR_I = GaussRat(0, 1)

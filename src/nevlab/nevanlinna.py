@@ -40,7 +40,7 @@ import numpy as np
 
 from .bounds import REPORT_DIGIT_BUDGET, compute_truncation_levels, report_repr
 from .expfunc import ExpPoly, exponent_polys, lattice_rows, wronskian
-from .fields import GaussRat, RatFunc, ZPoly, zpoly_gcd
+from .fields import GaussRat, RatFunc, ZPoly, squared_modulus, zpoly_gcd
 from .hpoly import HPoly
 from .linalg import RowReducer
 from .quadrature import TWO_PI, QuadResult, circle_average, circle_averages
@@ -183,8 +183,7 @@ def _log_abs_exact(a: GaussRat) -> float:
     """log|a| from the exact triple: |a|^2 = N/D with D = d^2 is scaled by a power of
     2 into [1/2, 2), where int true division rounds it correctly, so neither a huge
     nor a tiny a overflows and log|a| carries a relative error of a few ulps."""
-    num, den = a.a * a.a + a.b * a.b, a.d * a.d
-    e = num.bit_length() - den.bit_length()
+    num, den, e = squared_modulus(a)
     q = num / (den << e) if e >= 0 else (num << -e) / den
     return (math.log(q) + e * math.log(2.0)) / 2
 
@@ -375,12 +374,15 @@ def jensen_check(phi, r: float) -> float:
     else:
         raise TypeError(f"no divisor support for {type(phi).__name__}")
     pts = list(zer.points)
-    n_count = counting_function(zer, r)
     if pol is not None:
         pts += [(a, -m) for a, m in pol.points]
-        n_count -= counting_function(pol, r)
-    hi, _ = log_modulus_average(log_ev, _nudge_radius(r, pts), pts)
-    lo, _ = log_modulus_average(log_ev, _nudge_radius(1.0, pts), pts)
+    # the means are taken on circles moved off the zeros and poles, and counted there
+    outer, inner = _nudge_radius(r, pts), _nudge_radius(1.0, pts)
+    n_count = counting_function(zer, outer) - counting_function(zer, inner)
+    if pol is not None:
+        n_count -= counting_function(pol, outer) - counting_function(pol, inner)
+    hi, _ = log_modulus_average(log_ev, outer, pts)
+    lo, _ = log_modulus_average(log_ev, inner, pts)
     return abs(n_count - (hi - lo))
 
 

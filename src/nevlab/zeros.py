@@ -26,8 +26,12 @@ refused.  A simple zero is placed within 1e-10 max(r, 1), a cluster of multiplic
 >= 2 within its exit box's half-diagonal plus the distance its polish moved it.
 Every value is read as f e^{-M} from ExpPoly.scaled, the one float evaluator, so no
 radius overflows, after f is divided by a power of two that brings its coefficients
-into the float range (_in_float_range).  The contour walk uses numpy core only: no set
-routine, whose np.unique loads numpy.ma.
+into the float range (_in_float_range).
+
+The contour walk (_walk) accepts a segment [a, b] by one inequality, that of
+ExpPoly.taylor_majorant, which puts no zero in the disk |z - a| <= |b - a|, so a walked
+side splits anywhere with no new test.  It uses numpy core only: no set routine, whose
+np.unique loads numpy.ma.
 
 One boundary rule: both paths locate the zeros out to _reach(r), each within its
 placement error, and _counted takes the circle r, or else the first of radius
@@ -47,7 +51,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .expfunc import ExpPoly, exponent_polys
-from .fields import GaussRat, RatFunc, ZPoly, zpoly_gcd
+from .fields import GaussRat, RatFunc, ZPoly, squared_modulus, zpoly_gcd
 
 class ContourThroughZero(ArithmeticError):
     """The argument-principle computation broke down: a contour walk hit a
@@ -154,117 +158,72 @@ def ratfunc_divisors(f: RatFunc, r: float) -> tuple[Divisor, Divisor]:
     return zpoly_zeros(f.num, r), zpoly_zeros(f.den, r)
 
 
-def _chord_mid(a, b):
-    return (a + b) / 2
+def _walk(f: ExpPoly, lines, midfn):
+    """The certified walk of polylines, each given by its vertices, with values from
+    f.scaled: (z, v, first, failed), where z[first[e]:first[e + 1]] are the points of
+    edge e (consecutive vertices), edge after edge and line after line, from its first
+    vertex to its last, v their values f e^{-M}, and failed[e] is set where the walk of
+    edge e broke down, its run then empty.  One edge's failure leaves the others
+    standing.
 
-
-def _edge_points(a: np.ndarray, b: np.ndarray, rate: float, midfn):
-    """The first sampling of the edges from a[i] to b[i]: one array holding,
-    edge after edge, each edge's points without its end, and the piece count
-    of each edge.
-
-    Each edge is halved through midfn until it has at least
-    |b - a| * rate / 0.5 pieces, so no piece can hide a full phase turn.  A
-    count of two or more is a power of two, so midfn(a, b), the first
-    halving, is the edge's middle point.  The edges that need the same
-    number of halvings are halved together.
-    """
-    steps = np.maximum(1.0, np.ceil(np.abs(b - a) * rate / 0.5))
-    halvings = np.frexp(steps - 1.0)[1]       # least k with 2^k >= steps
-    pieces = np.left_shift(1, halvings)
-    start = np.cumsum(pieces) - pieces         # where each edge's points go
-    out = np.empty(pieces.sum(), dtype=complex)
-    for k in sorted(set(halvings.tolist())):     # no numpy set routine: np.unique loads numpy.ma
-        idx = np.flatnonzero(halvings == k)
-        sub, end = a[idx, None], b[idx, None]
-        for _ in range(k):
-            right = np.concatenate((sub[:, 1:], end), axis=1)
-            finer = np.empty((len(idx), 2 * sub.shape[1]), dtype=complex)
-            finer[:, 0::2] = sub
-            finer[:, 1::2] = midfn(sub, right)
-            sub = finer
-        out[start[idx, None] + np.arange(sub.shape[1])] = sub
-    return out, pieces
-
-
-def _walk(f: ExpPoly, lines, rate: float, midfn):
-    """Certified increments of arg f along polylines, each given by its
-    vertices, with values from f.scaled.
-
-    Returns (inc, first, failed) over the edges (consecutive vertices), edge
-    after edge and line after line: inc[first[e]:first[e + 1]] holds the
-    increment over each first-sampling piece of edge e (_edge_points), and
-    failed[e] is set where the walk of edge e broke down, with |f| at or
-    below the noise floor at one of its points or its refinement exhausted;
-    its increments are then meaningless.  One edge's failure leaves the
-    others standing.
-
-    rate is an upper bound for |(log f)'| away from zeros; it sets the first
-    sampling.  Segments are refined through midfn, so a circle is walked
-    along its arcs, which matters when zeros sit closer to it than a chord's
-    sagitta.  Every segment of every edge is tested at once, as arrays: f
-    must clear the noise floor at its ends and midpoint, and its principal
-    phase change is accepted when both halves turn by less than 1, the halves
-    add up to the whole, and the step is short against the local |f'/f|.
-    The last keeps a segment from swallowing the near-2pi twist of a zero
-    close to the edge, which a one-level midpoint check cannot see.  Only
-    the rejected segments are halved and tested again, level by level, 56
-    levels deep.
+    Each pair of consecutive points of a run bounds a segment [a, b] accepted by one
+    inequality, ExpPoly.taylor_majorant's on the disk |z - a| <= |b - a|: f has no zero
+    on that disk, so arg f changes along the segment, or along any path in the disk,
+    by the principal angle of v(b)/v(a).  An arc of less than a half turn from a to b
+    lies in the disk too, so segments refined through midfn may follow a circle.  An
+    edge is first tested whole; only rejected segments are halved, through midfn, and
+    each new point is evaluated once, one f.scaled call per level over every edge.  A
+    point whose |f| is at or below the noise floor fails its edge at once, as does a
+    segment still rejected after 56 halvings.
     """
     def evaluate(zs):
-        """f e^{-M}, |f'/f| and the points where f does not clear the noise floor."""
-        _, fz, dfz, floor = f.scaled(zs, derivative=True)
-        bad = ~np.isfinite(fz)
-        if bad.any():
-            raise OverflowError(f"f e^-M is not finite on contour near {zs[bad.argmax()]}")
-        mag = np.abs(fz)
-        low = mag <= floor
-        return fz, np.abs(dfz) / np.where(low, 1.0, mag), low
+        """(M, f e^{-M}, f' e^{-M}, floor e^{-M}) at the array zs, each as an array."""
+        values = f.scaled(zs, derivative=True)
+        bad = ~np.isfinite(values[1])
+        if np.any(bad):
+            raise OverflowError(f"f e^-M is not finite on contour near {zs[np.argmax(bad)]}")
+        return [x if isinstance(x, np.ndarray) else np.full(zs.shape, x) for x in values]
 
     verts = [np.asarray(v, dtype=complex) for v in lines]
-    a = np.concatenate([v[:-1] for v in verts])
-    b = np.concatenate([v[1:] for v in verts])
-    samples, pieces = _edge_points(a, b, rate, midfn)
-    first = np.concatenate(([0], np.cumsum(pieces)))
-    # each line's last vertex follows the points of its last edge
-    last = np.cumsum([len(v) - 1 for v in verts]) - 1
-    pts = np.insert(samples, first[last + 1], b[last])
-    fp, rp, low = evaluate(pts)
-    is_start = np.ones(len(pts), dtype=bool)
-    is_start[first[last + 1] + np.arange(len(verts))] = False
-    start = np.flatnonzero(is_start)           # piece k runs from pts[start[k]] to the next point
-    edge = np.repeat(np.arange(len(a)), pieces)
-    failed = np.zeros(len(a), dtype=bool)
-    failed[edge[low[start] | low[start + 1]]] = True
-    keep = ~failed[edge]
-    a, fa, ra, b, fb, rb, slot = (v[keep] for v in (
-        pts[start], fp[start], rp[start], pts[start + 1], fp[start + 1], rp[start + 1],
-        np.arange(len(samples))))
-    inc = np.zeros(len(samples))
-    for _ in range(57):
-        m = midfn(a, b)
-        fm, rm, low = evaluate(m)
-        if low.any():
-            failed[edge[slot[low]]] = True
-            keep = ~failed[edge[slot]]
-            a, fa, ra, m, fm, rm, b, fb, rb, slot = (
-                v[keep] for v in (a, fa, ra, m, fm, rm, b, fb, rb, slot))
-        delta = np.angle(fb / fa)
-        d1, d2 = np.angle(fm / fa), np.angle(fb / fm)
-        ok = ((np.abs(delta) < 1.0) & (np.abs(d1) < 1.0) & (np.abs(d2) < 1.0)
-              & (np.abs(d1 + d2 - delta) < 1e-9)
-              & (np.abs(b - a) * np.maximum(np.maximum(ra, rm), rb) <= 1.0))
-        inc += np.bincount(slot[ok], delta[ok], len(inc))
+    pts = np.concatenate(verts)
+    shift, fz, dfz, floor = evaluate(pts)
+    low = np.abs(fz) <= floor
+    ends = np.cumsum([len(v) for v in verts]) - 1
+    start = np.delete(np.arange(len(pts)), ends)    # each edge's first vertex
+    n, span = len(start), 1 << 56                   # a position along an edge in 2^-56
+    failed = low[start] | low[start + 1]
+    # per segment: edge, position of a, and a, M, F, F' and floor at a, then b
+    seg = (np.arange(n), np.zeros(n, dtype=np.int64), pts[start], shift[start], fz[start],
+           dfz[start], floor[start], pts[start + 1])
+    # the accepted segments' starts as (edge, position, point, value); each edge's
+    # last vertex closes its run
+    kept = [(np.arange(n), np.full(n, span), pts[start + 1], fz[start + 1])]
+    for level in range(57):
+        live = ~failed[seg[0]]
+        if not live.all():
+            seg = [x[live] for x in seg]
+        edge, pos, a, sa, fa, da, na, b = seg
+        h = np.abs(b - a)
+        s2, e1 = f.taylor_majorant(a, h, sa)
+        with np.errstate(over="ignore"):        # a bound past the float range fails
+            ok = (2 * h * (np.abs(da) + e1) + s2 * h * h + na) * (1 + 2 ** -30) < np.abs(fa)
+        kept.append((edge[ok], pos[ok], a[ok], fa[ok]))
         if ok.all():
             break
-        a, fa, ra, m, fm, rm, b, fb, rb, slot = (
-            v[~ok] for v in (a, fa, ra, m, fm, rm, b, fb, rb, slot))
-        a, fa, ra, b, fb, rb = (np.concatenate(h) for h in (
-            (a, m), (fa, fm), (ra, rm), (m, b), (fm, fb), (rm, rb)))
-        slot = np.concatenate((slot, slot))
-    else:
-        failed[edge[slot]] = True
-    return inc, first, failed
+        rest = ~ok
+        edge, pos, a, sa, fa, da, na, b = (x[rest] for x in seg)
+        if level == 56:
+            failed[edge] = True
+            break
+        m = midfn(a, b)
+        sm, fm, dm, nm = evaluate(m)
+        failed[edge[np.abs(fm) <= nm]] = True
+        seg = [np.concatenate(x) for x in ((edge, edge), (pos, pos + (span >> (level + 1))),
+                                            (a, m), (sa, sm), (fa, fm), (da, dm), (na, nm), (m, b))]
+    edge, pos, z, v = (np.concatenate(x) for x in zip(*kept))
+    order = np.lexsort((pos, edge))
+    order = order[~failed[edge[order]]]
+    return z[order], v[order], np.searchsorted(edge[order], np.arange(n + 1)), failed
 
 
 def _whole_turns(increment: float) -> Optional[int]:
@@ -274,47 +233,25 @@ def _whole_turns(increment: float) -> Optional[int]:
     return round(w) if abs(w - round(w)) <= 0.25 else None
 
 
-def _windings(f: ExpPoly, contours, rate: float, midfn) -> list[Optional[int]]:
-    """Winding numbers of f over closed contours, each given by its vertices,
-    from one _walk over all of them; None for a contour whose walk broke down."""
-    lines = [np.append(np.asarray(c, dtype=complex), c[0]) for c in contours]
-    inc, first, failed = _walk(f, lines, rate, midfn)
-    owner = np.repeat(np.arange(len(lines)), [len(c) for c in contours])
-    total = np.bincount(np.repeat(owner, np.diff(first)), inc, len(lines))
-    broken = np.bincount(owner, failed, len(lines)) > 0
-    return [None if x else _whole_turns(t) for t, x in zip(total.tolist(), broken.tolist())]
-
-
-def phase_rate_bound(f: ExpPoly) -> float:
-    """Crude bound on |f'/f| on contours staying away from zeros."""
-    return sum((abs(c) + (len(coeffs) - 1) for c, coeffs in f.float_image), 1.0)
-
-
 def disk_winding(f: ExpPoly, r: float) -> int:
-    """Zero count (with multiplicity) of f in |z| < r by the argument principle."""
-    rate = phase_rate_bound(f)
-    samples = max(64, math.ceil(2 * math.pi * r * rate / 0.5))
-    verts = r * np.exp(2j * np.pi * np.arange(samples) / samples)
-
+    """Zero count (with multiplicity) of f in |z| < r by the argument principle, from a
+    walk of the circle that starts from its four quarter arcs."""
     def arc_mid(a, b):
         c = (a + b) / 2
         return r * c / abs(c)
 
-    w = _windings(f, [verts], rate, arc_mid)[0]
+    _, v, _, failed = _walk(f, [r * np.array([1, 1j, -1, -1j, 1])], arc_mid)
+    w = None if failed.any() else _whole_turns(np.angle(v[1:] / v[:-1]).sum())
     if w is None:
         raise ContourThroughZero(f"the walk of the circle |z| = {r} broke down")
     return w
 
 
-def _box(x0: float, x1: float, y0: float, y1: float) -> list[complex]:
-    return [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
-
-
 class _Box(NamedTuple):
     """A quadtree box with its zero count, its path from the root (child
     indices in the order SW, SE, NW, NE) and its sides (bottom, right, top,
-    left, each directed toward increasing x or y) as the certified increments
-    of arg f over their first-sampling pieces."""
+    left, each directed toward increasing x or y), each walked side as the
+    points of its run in _walk, their values and the change of arg f along it."""
 
     x0: float
     x1: float
@@ -325,37 +262,54 @@ class _Box(NamedTuple):
     sides: tuple
 
 
-def _edges(f: ExpPoly, lines, rate: float) -> list[Optional[np.ndarray]]:
-    """Per edge of the polylines, the increments of one chord-refined _walk,
-    or None where the walk of that edge failed."""
-    inc, first, failed = _walk(f, lines, rate, _chord_mid)
+def _edges(f: ExpPoly, lines) -> list[Optional[tuple]]:
+    """Per edge of the polylines, its points, their values and the change of arg f
+    along it from one chord-refined _walk, or None where the walk of that edge failed."""
+    z, v, first, failed = _walk(f, lines, lambda a, b: (a + b) / 2)
+    edge = np.repeat(np.arange(len(failed)), np.diff(first))
+    inner = edge[1:] == edge[:-1]
+    turns = np.bincount(edge[1:][inner], np.angle(v[1:][inner] / v[:-1][inner]), len(failed))
     first = first.tolist()
-    return [None if x else inc[i:j] for i, j, x in zip(first, first[1:], failed.tolist())]
+    return [None if x else (z[i:j], v[i:j], t)
+            for i, j, x, t in zip(first, first[1:], failed.tolist(), turns.tolist())]
+
+
+def _walked_sides(f: ExpPoly, boxes) -> list[list]:
+    """Per box (x0, x1, y0, y1), its sides bottom, right, top, left, each directed toward
+    increasing x or y, as _edges gives them, from one walk over every box."""
+    lines = []
+    for x0, x1, y0, y1 in boxes:
+        sw, se, ne, nw = complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)
+        lines += [[sw, se], [se, ne], [nw, ne], [sw, nw]]
+    sides = _edges(f, lines) if lines else []
+    return [sides[k:k + 4] for k in range(0, len(sides), 4)]
 
 
 def _turns(sides) -> Optional[int]:
-    """A box's winding number from the increments along its sides."""
+    """A box's winding number from the changes of arg f along its walked sides."""
     if any(s is None for s in sides):
         return None
-    bottom, right, top, left = (s.sum() for s in sides)
+    bottom, right, top, left = (turn for _, _, turn in sides)
     return _whole_turns(bottom + right - top - left)
 
 
-def _halves(side: np.ndarray, lo: float, hi: float, cut: float):
-    """The walked side from lo to hi as its two halves at cut, when cut is the
-    middle point of its walk: a power-of-two piece count and the very float
-    that the first halving (lo + hi) / 2 made; otherwise None."""
-    n = len(side)
-    if n >= 2 and cut == (lo + hi) / 2:
-        return side[:n // 2], side[n // 2:]
-    return None
+def _split(side, z: complex, v: complex, horizontal: bool):
+    """A walked side's two parts at its point z of value v.  z lies on one of the
+    side's accepted segments, and so within its certified disk: each part's
+    segments are certified as they stand, with no new test, and the change of arg f
+    along the second part is the side's less the first part's."""
+    zs, vs, turn = side
+    coord, t = (zs.real, z.real) if horizontal else (zs.imag, z.imag)
+    i, j = np.searchsorted(coord, t, "left"), np.searchsorted(coord, t, "right")
+    head = np.concatenate((vs[:i], [v]))
+    head_turn = np.angle(head[1:] / head[:-1]).sum()
+    return ((np.concatenate((zs[:i], [z])), head, head_turn),
+            (np.concatenate(([z], zs[j:])), np.concatenate(([v], vs[j:])), turn - head_turn))
 
 
 def _cut(box: _Box, attempt: int):
-    """One attempt at cutting a box: its quadrants, each side's halves where
-    the box's own walk provides them (None where not), and the polylines to
-    walk, each of three vertices: the vertical and the horizontal cut line,
-    then each side without halves, in the order bottom, right, top, left."""
+    """One attempt at cutting a box: its quadrants and the two cut lines to walk, each
+    of three vertices, the vertical then the horizontal one."""
     x0, x1, y0, y1 = box.x0, box.x1, box.y0, box.y1
     frac = 0.5 + 0.0371 * attempt
     xm = x0 + (x1 - x0) * frac
@@ -363,17 +317,21 @@ def _cut(box: _Box, attempt: int):
     quads = [(x0, xm, y0, ym), (xm, x1, y0, ym), (x0, xm, ym, y1), (xm, x1, ym, y1)]
     lines = [[complex(xm, y0), complex(xm, ym), complex(xm, y1)],
              [complex(x0, ym), complex(xm, ym), complex(x1, ym)]]
-    fresh = ([complex(x0, y0), complex(xm, y0), complex(x1, y0)],
-             [complex(x1, y0), complex(x1, ym), complex(x1, y1)],
-             [complex(x0, y1), complex(xm, y1), complex(x1, y1)],
-             [complex(x0, y0), complex(x0, ym), complex(x0, y1)])
-    halves = []
-    for side, span, line in zip(box.sides, ((x0, x1, xm), (y0, y1, ym)) * 2, fresh):
-        h = _halves(side, *span) if attempt == 0 else None
-        halves.append(h)
-        if h is None:
-            lines.append(line)
-    return quads, halves, lines
+    return quads, lines
+
+
+def _kids(sides, vert, horiz):
+    """The sides of a box's quadrants SW, SE, NW, NE from its walked sides and the two
+    halves of each walked cut line: each side is split where a cut line meets it, at
+    the cut line's end point and value."""
+    bottom, right, top, left = sides
+    (down, up), (west, east) = vert, horiz
+    bottom = _split(bottom, down[0][0], down[1][0], True)
+    top = _split(top, up[0][-1], up[1][-1], True)
+    left = _split(left, west[0][0], west[1][0], False)
+    right = _split(right, east[0][-1], east[1][-1], False)
+    return [(bottom[0], down, west, left[0]), (bottom[1], right[0], east, down),
+            (west, up, top[0], left[1]), (east, right[1], top[1], up)]
 
 
 def _newton_exits(f: ExpPoly, boxes: list, tol: float) -> list[Optional[complex]]:
@@ -393,26 +351,27 @@ def _newton_exits(f: ExpPoly, boxes: list, tol: float) -> list[Optional[complex]
     return [z if s <= h else None for z, s in zip(x.tolist(), step.tolist())]
 
 
-def _winds_once(f: ExpPoly, points, tol: float, rate: float) -> list[bool]:
+def _winds_once(f: ExpPoly, points, tol: float) -> list[bool]:
     """Per point, whether the square of side tol about it winds exactly once, from one
-    _windings call: it then holds one simple zero, within tol of the point."""
+    walk of every square's sides: it then holds one simple zero, within tol of the point."""
     h = tol / 2
-    squares = [_box(z.real - h, z.real + h, z.imag - h, z.imag + h) for z in points]
-    return [w == 1 for w in _windings(f, squares, rate, _chord_mid)] if squares else []
+    squares = [(z.real - h, z.real + h, z.imag - h, z.imag + h) for z in points]
+    return [_turns(sides) == 1 for sides in _walked_sides(f, squares)]
 
 
-def _subdivide(f: ExpPoly, root: _Box, tol: float, rate: float) -> list[tuple[complex, int, float]]:
+def _subdivide(f: ExpPoly, root: _Box, tol: float) -> list[tuple[complex, int, float]]:
     """The clusters of the quadtree under root as (point, multiplicity, bound), in
     depth-first order, each within bound of its true zeros: a Newton exit within tol,
     the point _polish_cluster moves a box's centre to within the box's half-diagonal
     plus the distance moved.
 
     The tree grows level by level: one _walk of the cut lines of every box a level
-    splits, one _winds_once of the squares of its Newton exits.  A box cut at its
-    midpoints takes the halves of its sides from its own walk (_halves); a side whose
-    middle point is not a sample of that walk, and every side of a sliding-cut retry,
-    is walked afresh.  So every edge is walked once, and every winding number is a
-    sum of certified increments.  A failed attempt is tried again at the next level.
+    splits, one _winds_once of the squares of its Newton exits.  A cut, at the
+    midpoints or slid off them on a retry, walks only its two cut lines: each side of
+    the box is split where a cut line meets it (_kids), at that line's end point and
+    value, and its parts keep their certified segments.  So every edge is walked once,
+    and every winding number is a sum of certified increments.  A failed attempt is
+    tried again at the next level.
     """
     found = []
 
@@ -448,24 +407,20 @@ def _subdivide(f: ExpPoly, root: _Box, tol: float, rate: float) -> list[tuple[co
             else:
                 exits.append((box, z))
         for box, attempt in splits:
-            quads, halves, new = _cut(box, attempt)
-            lines += new
-            jobs.append((box, attempt, quads, halves, len(new)))
-        walked = iter(_edges(f, lines, rate) if lines else ())
+            quads, cut_lines = _cut(box, attempt)
+            lines += cut_lines
+            jobs.append((box, attempt, quads))
+        walked = iter(_edges(f, lines) if lines else ())
         boxes, retries = [], []
-        for (box, z), once in zip(exits, _winds_once(f, [z for _, z in exits], tol, rate)):
+        for (box, z), once in zip(exits, _winds_once(f, [z for _, z in exits], tol)):
             if once:
                 found.append((box.path, z, 1, tol))
             else:
                 retries.append((box, 0))
-        for box, attempt, quads, halves, n in jobs:     # a cut: n lines of two edges each
-            cuts = [(next(walked), next(walked)) for _ in range(n)]
-            vert, horiz = cuts[0], cuts[1]
-            fresh = iter(cuts[2:])
-            bottom, right, top, left = (h if h is not None else next(fresh) for h in halves)
-            kids = [(bottom[0], vert[0], horiz[0], left[0]), (bottom[1], right[0], horiz[1], vert[0]),
-                    (horiz[0], vert[1], top[0], left[1]), (horiz[1], right[1], top[1], vert[1])]
-            winds = [_turns(sides) for sides in kids]
+        for box, attempt, quads in jobs:     # a cut: two lines of two edges each
+            vert, horiz = (next(walked), next(walked)), (next(walked), next(walked))
+            kids = None if None in vert + horiz else _kids(box.sides, vert, horiz)
+            winds = [None] if kids is None else [_turns(sides) for sides in kids]
             if None not in winds and sum(winds) == box.count:
                 boxes += [_Box(*qd, wq, box.path + (i,), sides)
                           for i, (qd, wq, sides) in enumerate(zip(quads, winds, kids))]
@@ -627,8 +582,7 @@ def _seeds(f: ExpPoly, r: float) -> list:
 
 def _binade(a: GaussRat) -> int:
     """floor(log2 |a|^2) of a nonzero a, exactly."""
-    num, den = a.a * a.a + a.b * a.b, a.d * a.d
-    e = num.bit_length() - den.bit_length()
+    num, den, e = squared_modulus(a)
     return e - ((num << max(-e, 0)) < (den << max(e, 0)))
 
 
@@ -671,7 +625,7 @@ def _quadtree_zeros(f: ExpPoly, r: float, seeds=None) -> Divisor:
     the zeros in a square about the disk (_subdivide), a simple zero within tol, a
     cluster within its bound, and the multiplicities located in the reach disk must add
     up to the count.  _counted takes the divisor."""
-    tol, rate, reach = 1e-10 * max(r, 1.0), phase_rate_bound(f), _reach(r)
+    tol, reach = 1e-10 * max(r, 1.0), _reach(r)
     total = disk_winding(f, reach)
     if total == 0:
         return Divisor(points=(), r=r)
@@ -684,19 +638,17 @@ def _quadtree_zeros(f: ExpPoly, r: float, seeds=None) -> Divisor:
         kept.append(x)
     corners = [x + complex(sx, sy) * h for x in kept for sx in (-1, 1) for sy in (-1, 1)]
     if len(kept) == total and all(abs(c) < reach for c in corners) and all(
-            _winds_once(f, kept, tol, rate)):
+            _winds_once(f, kept, tol)):
         return _counted([(x, 1, tol) for x in kept], r)
     # bounding square of the reach disk, stretched so edges miss zeros
     for attempt in range(6):
         pad = reach * (1 + 1e-6 * (1 + attempt) ** 2)
-        sw, se, ne, nw = _box(-pad, pad, -pad, pad)
-        sides = _edges(f, [[sw, se], [se, ne], [nw, ne], [sw, nw]], rate)
+        sides = _walked_sides(f, [(-pad, pad, -pad, pad)])[0]
         count = _turns(sides)
         if count is None:
             continue
         try:
-            found = _subdivide(f, _Box(-pad, pad, -pad, pad, count, (), tuple(sides)),
-                               tol, rate)
+            found = _subdivide(f, _Box(-pad, pad, -pad, pad, count, (), tuple(sides)), tol)
             break
         except ContourThroughZero:
             continue

@@ -5,7 +5,9 @@ so is every method of a public class other than a dunder, read as an
 attribute, and the package has no assert statement, no private `fractions` API, no
 `polyval` and no use of the scaling `ExpPoly._scaled_exps` outside `expfunc`,
 one call of `np.roots` and of `yun_squarefree`, both in the certified root
-routine, one float Newton loop, one boundary rule for the divisor paths, one
+routine, one float Newton loop, one segment test for the contour walk, the
+inequality of `ExpPoly.taylor_majorant`, with no rate bound, no first sampling
+and no halving check beside it, one boundary rule for the divisor paths, one
 trapezoid stop rule, which `circle_average` reaches only through
 `circle_averages`, one way to a curve's circle means, which `_log_norm_average`
 takes through `circle_averages` or the closed form `_max_sinusoid_mean`, and
@@ -213,8 +215,9 @@ def test_one_newton_iteration():
 def test_one_square_certificate():
     # the square of side tol about a Newton point is built and wound by one helper,
     # which the quadtree calls for its seeds' limits and for its Newton exits: no second
-    # square test
-    calls = {"_box": [], "_windings": [], "_winds_once": []}
+    # square test; a square, like the quadtree's root box, is wound from its sides as
+    # _walked_sides walks them
+    calls = {"_walked_sides": [], "_winds_once": []}
     for p in sorted(SRC.glob("*.py")):
         for top in ast.parse(p.read_text(), str(p)).body:
             for node in ast.walk(top):
@@ -223,9 +226,27 @@ def test_one_square_certificate():
                     if name in calls:
                         calls[name].append(f"{p.name}:{getattr(top, 'name', top.lineno)}")
     assert {k: sorted(v) for k, v in calls.items()} == {
-        "_box": ["zeros.py:_quadtree_zeros", "zeros.py:_winds_once"],
-        "_windings": ["zeros.py:_winds_once", "zeros.py:disk_winding"],
+        "_walked_sides": ["zeros.py:_quadtree_zeros", "zeros.py:_winds_once"],
         "_winds_once": ["zeros.py:_quadtree_zeros", "zeros.py:_subdivide"]}
+
+
+def test_one_segment_test():
+    # the contour walk accepts a segment only by the inequality of ExpPoly.taylor_majorant,
+    # which nothing but _walk calls; no rate bound is threaded through the zero finder,
+    # and the sampled rule's helpers (the rate bound, the first sampling of the edges,
+    # the check that a side's samples halve it) are gone from the package
+    callers, names = [], []
+    for p in sorted(SRC.glob("*.py")):
+        for top in ast.parse(p.read_text(), str(p)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "taylor_majorant":
+                    callers.append(f"{p.name}:{getattr(top, 'name', top.lineno)}")
+                name = getattr(node, "name", getattr(node, "attr", getattr(node, "id", None)))
+                if name in ("phase_rate_bound", "_edge_points", "_halves"):
+                    names.append(f"{p.name}:{node.lineno} {name}")
+    rates = [node.lineno for node in ast.walk(ast.parse((SRC / "zeros.py").read_text()))
+             if isinstance(node, ast.arg) and node.arg == "rate"]
+    assert callers == ["zeros.py:_walk"] and names == [] and rates == []
 
 
 def test_one_boundary_rule():

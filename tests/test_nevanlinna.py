@@ -317,6 +317,15 @@ def test_jensen_polynomial_and_rational():
     assert jensen_check(ExpPoly.exp(1), 10.0) < 1e-6
 
 
+@pytest.mark.parametrize("phi, r", [(ZPoly((-2, 1)), 2.0), (ZPoly((-1, 1)), 3.0),
+                                    (RatFunc(ZPoly((-3, 1)), ZPoly((2, 1))), 2.0)],
+                         ids=["zero-on-r", "zero-on-1", "pole-on-r"])
+def test_jensen_counts_on_the_circles_it_integrates(phi, r):
+    # a zero or pole on |z| = r or on |z| = 1 moves the circle of its mean; the count
+    # is taken on the moved circles too, which leaves the quadrature error alone
+    assert jensen_check(phi, r) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # wronskian and the divisor inequality
 

@@ -185,17 +185,15 @@ def test_disk_winding_resolves_a_zero_next_to_the_circle(scale, inside):
 
 def test_one_walk_over_four_boxes_matches_four_walks():
     f = ExpPoly.exp(1) - ExpPoly.var()        # zeros 0.318 +- 1.337i, 2.06 +- 7.59i, ...
-    rate = zeros.phase_rate_bound(f)
     quads = [(-3.0, 1.0, -9.0, -2.0), (1.0, 4.0, -9.0, -2.0),
              (-3.0, 1.0, -2.0, 9.0), (1.0, 4.0, -2.0, 9.0)]
-    one = zeros._windings(f, [zeros._box(*q) for q in quads], rate, zeros._chord_mid)
+    one = [zeros._turns(sides) for sides in zeros._walked_sides(f, quads)]
     assert one == [_fresh_box_winding(f, q) for q in quads] == [0, 1, 2, 1]
 
 
 def _fresh_box_winding(f, box):
     """The winding number of f around a box from a walk of that box alone."""
-    rate = zeros.phase_rate_bound(f)
-    return zeros._windings(f, [zeros._box(*box)], rate, zeros._chord_mid)[0]
+    return zeros._turns(zeros._walked_sides(f, [box])[0])
 
 
 def _dense_box_winding(f, x0, x1, y0, y1, per_edge=4000):
@@ -275,9 +273,9 @@ def test_refused_newton_certificate_falls_back_to_subdivision(monkeypatch):
     walk = zeros._walk
     refused = []
 
-    def no_certificate(f, lines, rate, midfn):
+    def no_certificate(f, lines, midfn):
         # every edge of a certificate square (side tol) is flagged as failed
-        inc, first, failed = walk(f, lines, rate, midfn)
+        z, v, first, failed = walk(f, lines, midfn)
         edge = 0
         for line in lines:
             sides = [abs(b - a) for a, b in zip(line, line[1:])]
@@ -285,28 +283,33 @@ def test_refused_newton_certificate_falls_back_to_subdivision(monkeypatch):
                 refused.append(line[0])
                 failed[edge:edge + len(sides)] = True
             edge += len(sides)
-        return inc, first, failed
+        return z, v, first, failed
 
     monkeypatch.setattr(zeros, "_walk", no_certificate)
     _same_divisor(zeros._quadtree_zeros(f, r), reference)
     assert len(refused) >= _total(reference)
 
 
-def test_edge_midpoint_is_the_sample_that_halves_reuse():
-    # a side walked with 2^k >= 2 pieces is cut at its midpoint without a new
-    # walk only if its sample at index 2^(k-1) is the float (lo + hi) / 2
+def test_a_walked_side_splits_anywhere():
+    # a box's walked sides, split where its cut lines meet them, at the midpoints or at
+    # a sliding retry's cut, give each quadrant the winding number of a fresh walk of it
+    f = ExpPoly.exp(1) - ExpPoly.var()        # zeros 0.318 +- 1.337i, 2.06 +- 7.59i, ...
     rng = random.Random(5)
+    boxes = []
     for _ in range(300):
-        lo = rng.uniform(-100, 100)
-        hi = lo + rng.uniform(1e-9, 50)
-        y = rng.uniform(-100, 100)
-        rate = rng.uniform(1.0, 200.0) / (hi - lo)
-        for a, b in ((complex(lo, y), complex(hi, y)), (complex(y, lo), complex(y, hi))):
-            pts, pieces = zeros._edge_points(np.array([a]), np.array([b]), rate, zeros._chord_mid)
-            mid = pts[pieces[0] // 2]
-            assert pieces[0] >= 2
-            assert (mid.real if a.imag == b.imag else mid.imag) == (lo + hi) / 2
-            assert (mid.imag if a.imag == b.imag else mid.real) == y
+        x0, y0 = rng.uniform(-4.0, 4.0), rng.uniform(-9.0, 9.0)
+        boxes.append(zeros._Box(x0, x0 + rng.uniform(1e-3, 6.0), y0, y0 + rng.uniform(1e-3, 6.0),
+                                0, (), ()))
+    sides = zeros._walked_sides(f, [box[:4] for box in boxes])
+    cuts = [zeros._cut(box, rng.randrange(10)) for box in boxes]
+    halves = zeros._edges(f, [line for _, lines in cuts for line in lines])
+    got, quads = [], []
+    for k, (_, (qs, _)) in enumerate(zip(boxes, cuts)):
+        vert, horiz = halves[4 * k:4 * k + 2], halves[4 * k + 2:4 * k + 4]
+        got += [zeros._turns(kid) for kid in zeros._kids(sides[k], vert, horiz)]
+        quads += qs
+    assert got == [zeros._turns(sides) for sides in zeros._walked_sides(f, quads)]
+    assert None not in got and max(got) >= 2
 
 
 @pytest.mark.parametrize("f, r", REFERENCE_CASES)
@@ -323,14 +326,14 @@ def test_shared_edge_windings_match_fresh_box_walks(f, r, monkeypatch):
     monkeypatch.setattr(zeros, "_Box", record)
     zeros._quadtree_zeros(f, r)
     assert len(boxes) > 20 and any(b.count >= 2 for b in boxes)
-    rate = zeros.phase_rate_bound(f)
-    fresh = zeros._windings(f, [zeros._box(*b[:4]) for b in boxes], rate, zeros._chord_mid)
+    fresh = [zeros._turns(sides) for sides in zeros._walked_sides(f, [b[:4] for b in boxes])]
     assert fresh == [b.count for b in boxes]
 
 
 def test_quadtree_walks_each_edge_once_and_batches_each_level(monkeypatch):
     # e^z + 1 at r = 50: 16 zeros; walking every box whole, and every Newton
-    # certificate and every split on its own, took 52 walks over 60,618 points
+    # certificate and every split on its own, took 52 walks over 60,618 points, and
+    # sampling each segment's phase from a first grid 13 walks over 26,269 points
     walks, points = [], []
     walk, scaled = zeros._walk, ExpPoly.scaled
 
@@ -346,7 +349,47 @@ def test_quadtree_walks_each_edge_once_and_batches_each_level(monkeypatch):
     monkeypatch.setattr(ExpPoly, "scaled", counted_scaled)
     monkeypatch.setattr(zeros, "_walk", counted_walk)
     assert _total(zeros._quadtree_zeros(ExpPoly.exp(1) + 1, 50.0)) == 16
-    assert len(walks) <= 52 // 3 and sum(points) <= 60618 // 2
+    assert len(walks) <= 13 and sum(points) <= 26269 // 3
+
+
+def _accepted_segments(monkeypatch) -> list:
+    """Record, from now on, the segments [a, b] that each _walk accepts, as (f, a, b)
+    with a and b arrays over the consecutive points of each edge's run; returns the
+    record."""
+    segments, walk = [], zeros._walk
+
+    def recorded(f, lines, midfn):
+        z, v, first, failed = walk(f, lines, midfn)
+        edge = np.repeat(np.arange(len(failed)), np.diff(first))
+        inner = edge[1:] == edge[:-1]
+        segments.append((f, z[:-1][inner], z[1:][inner]))
+        return z, v, first, failed
+
+    monkeypatch.setattr(zeros, "_walk", recorded)
+    return segments
+
+
+@pytest.mark.parametrize("f, r, entry", [
+    *((f, r, zeros._quadtree_zeros) for f, r in REFERENCE_CASES),
+    *((ExpPoly.var() * (1 + ExpPoly.exp(1)) + k, 50.0, exppoly_zeros) for k in range(6, 15)),
+    (1 + ExpPoly.exp(1) + ExpPoly.exp(GaussRat(0, 1)), 20.0, exppoly_zeros),
+    ((ExpPoly.exp(1) - 1) ** 2, 10.0, zeros._quadtree_zeros),
+    (ExpPoly.exp(1) + 1, 720.0, zeros._quadtree_zeros)])
+def test_every_accepted_segment_keeps_f_within_half_of_its_start(f, r, entry, monkeypatch):
+    # each segment [a, b] that a walk accepts has |f(z)/f(a) - 1| < 1/2 on the disk
+    # |z - a| <= |b - a|, which holds the segment: checked at 64 seeded points of each
+    # segment, with no warning past the overflow radius of e^z
+    segments = _accepted_segments(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        entry(f, r)
+    assert segments
+    rng = random.Random(39)
+    for g, a, b in segments:
+        shift, fa = g.scaled(a)
+        for _ in range(64):
+            at, fz = g.scaled(a + (b - a) * rng.random())
+            assert np.all(np.abs(fz / fa * np.exp(at - shift) - 1) < 0.5), (g, r)
 
 
 def test_the_quadtree_polishes_only_its_clusters(monkeypatch):
