@@ -36,7 +36,7 @@ def main(argv=None) -> int:
         targets = [HPoly.coordinate(k, j) for j in range(k)]
         targets.append(HPoly(k, 1, {tuple(1 if i == j else 0 for i in range(k)): 1
                                     for j in range(k)}))   # sum of coordinates
-        defects = [defect_estimate(curve, t, args.rmax) for t in targets]
+        defects = defect_estimate(curve, targets, args.rmax)
         total = sum(defects)
         bar = "#" * int(20 * total / (n + 1) + 0.5)
         print(f"{name:36s} sum {total:6.3f} / {n + 1}  |{bar:<20s}|")

@@ -34,12 +34,12 @@ __version__ = "0.1.0"
 # numeric name -> the module that defines it, imported on first access
 _NUMERIC = {name: module for module, names in (
     ("expfunc", ("ExpPoly", "wronskian")),
-    ("quadrature", ("QuadResult", "circle_average")),
+    ("quadrature", ("QuadResult", "circle_averages")),
     ("zeros", ("Divisor", "disk_winding", "exppoly_zeros", "ratfunc_divisors",
                "zpoly_zeros")),
     ("nevanlinna", ("AdmissibilityError", "DegeneracyError", "EntireCurve",
-                    "NevanlinnaProfile", "SmtReport", "build_profile",
-                    "characteristic", "counting_function", "defect_estimate",
+                    "NevanlinnaProfile", "SmtReport", "characteristic",
+                    "counting_function", "defect_estimate",
                     "divisor_bound_check", "jensen_check",
                     "nondegeneracy_check", "smt_verify")),
 ) for name in names}
@@ -70,11 +70,11 @@ __all__ = [
     "construct_psi_basis", "filtration_tuples", "quotient_dim", "tuple_count",
     "BoundReport", "MarginViolation", "a_lower_bound", "bound_t",
     "compute_truncation_levels", "verify_error_margin",
-    "QuadResult", "circle_average",
+    "QuadResult", "circle_averages",
     "Divisor", "disk_winding", "exppoly_zeros", "ratfunc_divisors",
     "zpoly_zeros",
     "AdmissibilityError", "DegeneracyError", "EntireCurve",
-    "NevanlinnaProfile", "SmtReport", "build_profile", "characteristic",
+    "NevanlinnaProfile", "SmtReport", "characteristic",
     "counting_function", "defect_estimate", "divisor_bound_check",
     "jensen_check", "nondegeneracy_check",
     "smt_verify", "wronskian",

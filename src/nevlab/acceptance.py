@@ -432,14 +432,16 @@ def check_characteristic_closed_forms() -> tuple[bool, str]:
     worst, bad = [[0.0, 0.0], [0.0, 0.0]], 0
     radii = (2.0, 5.0, 10.0, 30.0)
     for curve, k in cases:
-        for r, quad in zip(radii, _quadrature_t(curve, radii)):
-            for path, t in enumerate((characteristic(curve, r), quad)):
+        for r, closed, quad in zip(radii, characteristic(curve, radii),
+                                   _quadrature_t(curve, radii)):
+            for path, t in enumerate((closed.value, quad)):
                 err = abs(t - k * math.log(r))
                 worst[0][path] = max(worst[0][path], err)
                 bad += err > 1e-6
     radii = (10.0, 20.0, 30.0, 40.0, 50.0)
-    for r, quad in zip(radii, _quadrature_t(_EXP_LINE, radii)):
-        for path, t in enumerate((characteristic(_EXP_LINE, r), quad)):
+    for r, closed, quad in zip(radii, characteristic(_EXP_LINE, radii),
+                               _quadrature_t(_EXP_LINE, radii)):
+        for path, t in enumerate((closed.value, quad)):
             err = abs(t - (r - 1) / math.pi)
             worst[1][path] = max(worst[1][path], err)
             bad += err > 1e-9 * r

@@ -272,11 +272,10 @@ def cmd_defects(args) -> int:
     if fam.n != curve.n:
         raise InputError(
             f"system lives in dimension {fam.n} but the curve maps into {curve.n}")
-    rows = []
-    for qf in fam.polys:
-        delta = defect_estimate(curve, qf, args.rmax, level=args.level,
-                                grid_points=args.grid)
-        rows.append({"form": qf, "degree": qf.degree, "defect": delta})
+    deltas = defect_estimate(curve, fam.polys, args.rmax, level=args.level,
+                             grid_points=args.grid)
+    rows = [{"form": qf, "degree": qf.degree, "defect": delta}
+            for qf, delta in zip(fam.polys, deltas)]
     total = sum(r["defect"] for r in rows)
     _emit({"tool": "defects", "version": __version__,
            "rmax": args.rmax, "level": args.level,
@@ -344,13 +343,12 @@ def cmd_smt(args) -> int:
 
 
 def cmd_characteristic(args) -> int:
-    from .nevanlinna import _log_norm_average, characteristic
+    from .nevanlinna import characteristic
     curve = _load_curve(args.curve)
     radii = _parse_floats(args.radii, "--radii")
     if any(r < 1.0 for r in radii):
         raise InputError("every radius must be at least 1")
-    _log_norm_average(curve, (1.0, *radii))         # the grid in one pass
-    values = [characteristic(curve, r) for r in radii]
+    values = [t.value for t in characteristic(curve, radii)]
     _emit({"tool": "characteristic", "version": __version__,
            "components": list(curve.components),
            "radii": radii, "values": values}, args.output)

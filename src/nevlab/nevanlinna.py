@@ -21,7 +21,9 @@ with log|a| read from the exact coefficient.  Otherwise T on a radius grid is
 one circle_averages pass over all its radii and r = 1, with one log|f_i| row
 per component, and the quadrature splits each circle where the largest row
 changes, so the kinks of log max_i |f_i| are integrated as breakpoints, not
-sampled.  Every command asks for a whole grid at once.
+sampled.  T is asked for by grid: `characteristic(f, radii)` is the one way,
+and every command calls it once, so nothing is cached on the curve.  Jensen's
+two circles are one pass too.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .expfunc import ExpPoly, exponent_polys, lattice_rows, wronskian
 from .fields import GaussRat, RatFunc, ZPoly, squared_modulus, zpoly_gcd
 from .hpoly import HPoly
 from .linalg import RowReducer
-from .quadrature import TWO_PI, QuadResult, circle_average, circle_averages
+from .quadrature import TWO_PI, QuadResult, circle_averages
 from .resultant import HypersurfaceFamily, is_admissible
 from .zeros import (ContourThroughZero, Divisor, exppoly_zeros, ratfunc_divisors,
                     zpoly_zeros)
@@ -54,7 +56,7 @@ __all__ = [
     "log_modulus_average", "jensen_check", "wronskian",
     "DivisorBoundReport", "divisor_bound_check", "nondegeneracy_check",
     "normalize_target", "compose_target", "quotient_zeros",
-    "defect_estimate", "NevanlinnaProfile", "build_profile",
+    "defect_estimate", "NevanlinnaProfile",
     "TargetReport", "SmtReport", "smt_verify",
 ]
 
@@ -88,14 +90,9 @@ class EntireCurve:
     other tuple is rejected exactly when the coefficient polynomials p_c of
     all components share a factor, which decides polynomial tuples; other
     common zeros without a shared polynomial factor go undetected.
-
-    Each circle mean that T(r) reads is kept on the curve, so a command that
-    asks for T at many radii, for many targets, computes r = 1 and each radius
-    once, and a whole radius grid with r = 1 in one closed form or quadrature
-    pass (`_log_norm_average`).
     """
 
-    __slots__ = ("components", "_means")
+    __slots__ = ("components",)
 
     def __init__(self, components: Iterable):
         comps = tuple(ExpPoly._coerce(c) for c in components)
@@ -107,7 +104,6 @@ class EntireCurve:
         if all(c.is_zero() for c in comps):
             raise ValueError("all components vanish identically")
         object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "_means", {})
         self._check_reduced()
 
     def __setattr__(self, name, value):
@@ -162,21 +158,6 @@ def as_curve(f: CurveLike) -> EntireCurve:
 
 # ---------------------------------------------------------------------------
 # characteristic
-
-
-def _log_norm_average(curve: EntireCurve, radii: Sequence[float]) -> list[QuadResult]:
-    # log max |f_i| = max log |f_i|, one row per component; the radii without a mean
-    # take the closed form when every row is a sinusoid, else one quadrature pass
-    missing = [r for r in dict.fromkeys(radii) if r not in curve._means]
-    if missing:
-        sinusoids = _sinusoid_rows(curve.components)
-        if sinusoids is None:
-            rows = lambda zs: np.stack([comp.log_abs(zs) for comp in curve.components])
-            means = circle_averages(rows, missing)
-        else:
-            means = [_max_sinusoid_mean(sinusoids, r) for r in missing]
-        curve._means.update(zip(missing, means))
-    return [curve._means[r] for r in radii]
 
 
 def _log_abs_exact(a: GaussRat) -> float:
@@ -258,31 +239,43 @@ def _max_sinusoid_mean(rows: Sequence[tuple[float, int, complex]], r: float) -> 
     return QuadResult(math.fsum(parts) / TWO_PI, error, 0, True)
 
 
-def characteristic(f: CurveLike, r: float) -> float:
-    """T(r): mean of log max_i |f_i| over |z| = r, minus the same mean at r = 1.
+def characteristic(f: CurveLike, radii: Sequence[float]) -> tuple[QuadResult, ...]:
+    """T(r) at each radius r >= 1: the mean of log max_i |f_i| over |z| = r minus the
+    same mean at r = 1, with an error bar.
 
     Nonnegative and nondecreasing in r >= 1 up to the error of the means;
     invariant under scaling all components by a common nonzero constant;
     exactly k*log r when the components are monomials with top degree k and
-    the top monomial has unit coefficient modulus.  Each mean is kept on the
-    curve: in closed form, exact but for rounding, when every component is one
-    term a z^m e^{cz}, else by quadrature, which warns when a mean stops short
-    of its target.  A caller wanting T on a grid asks `_log_norm_average` for
-    (1.0, *radii) first, so the grid is one pass.
+    the top monomial has unit coefficient modulus.  The means at r = 1 and at
+    every radius come from one pass: in closed form, exact but for rounding, when
+    every component is one term a z^m e^{cz}, else one circle_averages pass, with
+    a warning for each mean that stops short of its target.  T(1) is exactly 0.0;
+    elsewhere the error is that of the means at r and at 1, each at least the
+    rounding floor 5e-16 (1 + |mean|) that the trapezoid rule states when its sums
+    stop changing, since a stop on two equal sums states 0.
     """
-    if r < 1:
+    rs = tuple(float(r) for r in radii)
+    if not all(r >= 1 for r in rs):
         raise ValueError("the growth scale is normalized at r = 1; need r >= 1")
     curve = as_curve(f)
-    if r == 1.0:
-        return 0.0
-    hi, = _log_norm_average(curve, (float(r),))
-    lo, = _log_norm_average(curve, (1.0,))
-    for res, rr in ((hi, r), (lo, 1.0)):
+    grid = tuple(dict.fromkeys((1.0, *rs)))
+    # log max |f_i| = max log |f_i|, one row per component
+    sinusoids = _sinusoid_rows(curve.components)
+    if sinusoids is None:
+        rows = lambda zs: np.stack([comp.log_abs(zs) for comp in curve.components])
+        means = dict(zip(grid, circle_averages(rows, grid)))
+    else:
+        means = {r: _max_sinusoid_mean(sinusoids, r) for r in grid}
+    for r, res in means.items():
         if not res.converged:
-            warnings.warn(
-                f"circle average at r={rr:g} stopped at error {res.error:.2e}",
-                stacklevel=2)
-    return hi.value - lo.value
+            warnings.warn(f"circle average at r={r:g} stopped at error {res.error:.2e}",
+                          stacklevel=2)
+    lo = means[1.0]
+    bar = lambda res: max(res.error, 5e-16 * (1 + abs(res.value)))
+    return tuple(QuadResult(0.0, 0.0, lo.samples, lo.converged) if r == 1.0 else
+                 QuadResult(means[r].value - lo.value, bar(means[r]) + bar(lo),
+                            means[r].samples + lo.samples, means[r].converged and lo.converged)
+                 for r in rs)
 
 
 # ---------------------------------------------------------------------------
@@ -331,16 +324,17 @@ def _nudge_radius(r: float, pts) -> float:
     return rr
 
 
-def log_modulus_average(log_ev, r: float, subtract=()) -> tuple[float, bool]:
-    """Mean of log|fn| over |z| = r with listed (point, mult) factors removed.
+def log_modulus_average(log_ev, radii: Sequence[float],
+                        subtract=()) -> list[tuple[float, bool]]:
+    """Mean of log|fn| over |z| = r with listed (point, mult) factors removed, as
+    (value, converged) at each radius r, from one circle_averages pass.
 
     Each factor (z - a)^m is divided out of the integrand and its exact mean
     m * log max(r, |a|) added back, so zeros and poles near (or on) the
     circle cost nothing in accuracy.  log_ev maps a numpy array of points to
-    log|fn| there, such as ExpPoly.log_abs.  Returns (value, converged).
+    log|fn| there, such as ExpPoly.log_abs.
     """
     pts = tuple(subtract)
-    base = math.fsum(m * math.log(max(r, abs(a))) for a, m in pts)
 
     def g(zs: np.ndarray) -> np.ndarray:
         out = log_ev(zs)
@@ -348,8 +342,8 @@ def log_modulus_average(log_ev, r: float, subtract=()) -> tuple[float, bool]:
             out -= m * np.log(np.abs(zs - a))
         return out
 
-    res = circle_average(g, r)
-    return base + res.value, res.converged
+    return [(math.fsum(m * math.log(max(r, abs(a))) for a, m in pts) + res.value, res.converged)
+            for r, res in zip(radii, circle_averages(g, radii))]
 
 
 def jensen_check(phi, r: float) -> float:
@@ -381,8 +375,7 @@ def jensen_check(phi, r: float) -> float:
     n_count = counting_function(zer, outer) - counting_function(zer, inner)
     if pol is not None:
         n_count -= counting_function(pol, outer) - counting_function(pol, inner)
-    hi, _ = log_modulus_average(log_ev, outer, pts)
-    lo, _ = log_modulus_average(log_ev, inner, pts)
+    (hi, _), (lo, _) = log_modulus_average(log_ev, (outer, inner), pts)
     return abs(n_count - (hi - lo))
 
 
@@ -564,43 +557,40 @@ def quotient_zeros(e_part: ExpPoly, d_part: ZPoly, r: float) -> Divisor:
 # defects and profiles
 
 
-def defect_estimate(f: CurveLike, qf: HPoly, r_max: float,
-                    level: Optional[int] = None, grid_points: int = 12) -> float:
-    """Numeric stand-in for the defect: min over the top half of a geometric
-    radius grid of 1 - N(r)/(deg(Q) T(r)).
+def defect_estimate(f: CurveLike, forms: Sequence[HPoly], r_max: float,
+                    level: Optional[int] = None, grid_points: int = 12) -> list[float]:
+    """Numeric stand-in for the defect of each form: min over the top half of a
+    geometric radius grid of 1 - N(r)/(deg(Q) T(r)).
 
     The true defect is a lim inf as r -> infinity; the top-half minimum on a
     finite grid converges to it from whatever transient the small radii
     carry.  Can dip slightly below 0 or sit slightly under 1 from quadrature
-    and grid effects.  The form is normalized first (`normalize_target`), as
+    and grid effects.  Each form is normalized first (`normalize_target`), as
     smt_verify does, so a coefficient factor that every term shares is not
-    counted as zeros.
+    counted as zeros.  T is computed once, on the top half, after the first
+    form's zeros.
     """
     curve = as_curve(f)
-    div = quotient_zeros(*compose_target(normalize_target(qf), curve), r_max * (1 + 1e-9))
     radii = [float(r) for r in np.geomspace(max(2.0, math.sqrt(r_max)), r_max, grid_points)]
-    _log_norm_average(curve, (1.0, *radii[len(radii) // 2:]))      # T where it is read
-    return _top_half_defect(qf.degree, radii, lambda r: (counting_function(div, r, level),
-                                                         characteristic(curve, r),
-                                                         _t_error(curve, r)))
+    top, ts, out = radii[len(radii) // 2:], None, []
+    for qf in forms:
+        div = quotient_zeros(*compose_target(normalize_target(qf), curve), r_max * (1 + 1e-9))
+        ts = ts or characteristic(curve, top)
+        out.append(_top_half_defect(qf.degree, top, [counting_function(div, r, level)
+                                                     for r in top], ts))
+    return out
 
 
-def _t_error(curve: EntireCurve, r: float) -> float:
-    """The error bar of T(r): the quadrature errors of its circle means at r and at 1,
-    each at least the rounding floor 5e-16 (1 + |mean|) that the trapezoid rule states
-    when its sums stop changing, since a stop on two equal sums states 0."""
-    return sum(max(res.error, 5e-16 * (1 + abs(res.value)))
-               for res in _log_norm_average(curve, (r, 1.0)))
-
-
-def _top_half_defect(degree: int, radii: Sequence[float], at) -> float:
-    """min over the top half of the radius grid, where T(r) exceeds its error bar, of
-    1 - N(r)/(degree T(r)), at(r) being (N(r), T(r), the error bar of T(r)); a T within
-    its error bar counts as 0, and FlatGrowthError says that T vanishes on all of it."""
-    vals = [1.0 - n / (degree * t) for n, t, err in map(at, radii[len(radii) // 2:]) if t > err]
+def _top_half_defect(degree: int, top: Sequence[float], counts: Sequence[float],
+                     ts: Sequence[QuadResult]) -> float:
+    """min over top, the top half of a radius grid, of 1 - N(r)/(degree T(r)) where T(r)
+    exceeds its error bar, counts holding N(r) and ts T(r) (`characteristic`) there; a T
+    within its error bar counts as 0, and FlatGrowthError says that T vanishes on all of
+    top."""
+    vals = [1.0 - n / (degree * t.value) for n, t in zip(counts, ts) if t.value > t.error]
     if not vals:
         raise FlatGrowthError(f"T(r) = 0 within its error bar on the top half of the radius "
-                              f"grid (r <= {radii[-1]:g})")
+                              f"grid (r <= {top[-1]:g})")
     return min(vals)
 
 
@@ -621,13 +611,6 @@ class NevanlinnaProfile:
         slack = 1e-6 * (1.0 + max(abs(t) for t in self.t_values))
         if any(b < a - slack for a, b in zip(self.t_values, self.t_values[1:])):
             raise ValueError("characteristic must be nondecreasing")
-
-
-def build_profile(f: CurveLike, radii: Sequence[float]) -> NevanlinnaProfile:
-    curve = as_curve(f)
-    rs = tuple(float(r) for r in radii)
-    _log_norm_average(curve, (1.0, *(r for r in rs if r > 1.0)))    # the grid in one pass
-    return NevanlinnaProfile(rs, tuple(characteristic(curve, r) for r in rs))
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +708,8 @@ def smt_verify(f: CurveLike, targets, eps, radii: Sequence[float]) -> SmtReport:
     chain = compute_truncation_levels(n, q, eps, fam.degrees, fixed=fixed,
                                       digit_budget=REPORT_DIGIT_BUDGET)
 
-    profile = build_profile(curve, rs)
+    ts = characteristic(curve, rs)
+    profile = NevanlinnaProfile(rs, tuple(t.value for t in ts))
     r_max = rs[-1]
 
     norms = [normalize_target(qf) for qf in fam.polys]
@@ -740,13 +724,11 @@ def smt_verify(f: CurveLike, targets, eps, radii: Sequence[float]) -> SmtReport:
     level_note = ("certified truncation levels exceed the digit budget; "
                   "counting untruncated") if None in binds else None
 
-    reports = []
-    t_errors = [_t_error(curve, r) for r in rs]
+    reports, half = [], len(rs) // 2
     for qf, norm, div, lev, lev_log10, bind in zip(fam.polys, norms, divs, levels,
                                                     chain.truncation_log10, binds):
         counts = tuple(counting_function(div, r, lev) for r in rs)
-        defect = _top_half_defect(qf.degree, rs,
-                                  dict(zip(rs, zip(counts, profile.t_values, t_errors))).get)
+        defect = _top_half_defect(qf.degree, rs[half:], counts[half:], ts[half:])
         reports.append(TargetReport(form=norm, degree=qf.degree, truncation=lev,
                                     truncation_log10=lev_log10, truncation_binds=bind,
                                     counts=counts, defect=defect))

@@ -25,12 +25,14 @@ whose two rules disagree by more than its share of the target is halved and
 retried, which also resolves a dominance interval the grid missed.
 
 The reported error is the last trapezoid correction, or the summed
-disagreement of the two rules over the arcs.  Non-convergence at the sample
-cap is flagged rather than raised so a caller can decide.
+disagreement of the two rules over the arcs, each arc's at least a rounding
+bound of its values and its sums, which the two rules share and so cancel in
+their disagreement.  Non-convergence at the sample cap is flagged rather than
+raised so a caller can decide.
 
-A radius grid is one circle_averages pass: each trapezoid level is one fn call
-over every open circle, and split circles step their brackets, then their arcs,
-as one array; the stop rules stay per circle.  circle_average is one radius.
+circle_averages is the one entry point, and a radius grid is one pass: each
+trapezoid level is one fn call over every open circle, and split circles step
+their brackets, then their arcs, as one array; the stop rules stay per circle.
 """
 
 from __future__ import annotations
@@ -105,16 +107,11 @@ def _stop(sums: list, n: int, target: float):
     return None
 
 
-def circle_average(fn: Callable[[np.ndarray], np.ndarray], r: float,
-                   target: float = 1e-9, cap: int = SAMPLE_CAP) -> QuadResult:
-    """Mean over |z| = r of fn, or of the maximum of its rows: circle_averages at r."""
-    return circle_averages(fn, (r,), target, cap)[0]
-
-
 def circle_averages(fn: Callable[[np.ndarray], np.ndarray], radii: Sequence[float],
                     target: float = 1e-9, cap: int = SAMPLE_CAP) -> tuple[QuadResult, ...]:
-    """circle_average at every radius, in one pass: each circle's first grid
-    has FIRST_GRID points, and cap bounds each circle's evaluated points."""
+    """The mean over |z| = r of fn, or of the maximum of its rows, at every radius r,
+    in one pass: each circle's first grid has FIRST_GRID points, and cap bounds each
+    circle's evaluated points."""
     radii = tuple(radii)
     if not radii:
         return ()
@@ -235,18 +232,21 @@ def _split(evaluate, circles: list, target: float, cap: int) -> list:
         fine = half * (f[:, 16:] * w32).sum(axis=1) / TWO_PI
         gap = np.abs(fine - coarse)
         ok = gap <= target * half / math.pi
+        # the two rules share the rounding of the values and of the sums, which their
+        # gap cancels: an arc states at least 32 eps times its share of max |f| on it
+        err = np.maximum(gap, 32 * math.ulp(1.0) * half / math.pi * np.abs(f).max(axis=1))
         more, kept, end = np.zeros(len(a), dtype=bool), [], 0
         for c, count in zip(owners, counts):
             arcs, end = slice(end, end + count), end + count
             good, bad = ok[arcs], count - int(np.count_nonzero(ok[arcs]))
             samples[c] += count * len(nodes)
             value[c] += math.fsum(fine[arcs][good])
-            error[c] += math.fsum(gap[arcs][good])
+            error[c] += math.fsum(err[arcs][good])
             if not bad:
                 out[c] = QuadResult(value[c], error[c], samples[c], True)
             elif samples[c] + 2 * bad * len(nodes) > cap:
                 out[c] = QuadResult(value[c] + math.fsum(fine[arcs][~good]),
-                                    error[c] + math.fsum(gap[arcs][~good]), samples[c], False)
+                                    error[c] + math.fsum(err[arcs][~good]), samples[c], False)
             else:
                 more[arcs] = ~good
                 kept.append((c, bad))

@@ -8,11 +8,12 @@ one call of `np.roots` and of `yun_squarefree`, both in the certified root
 routine, one float Newton loop, one segment test for the contour walk, the
 inequality of `ExpPoly.taylor_majorant`, with no rate bound, no first sampling
 and no halving check beside it, one boundary rule for the divisor paths, one
-trapezoid stop rule, which `circle_average` reaches only through
-`circle_averages`, one way to a curve's circle means, which `_log_norm_average`
-takes through `circle_averages` or the closed form `_max_sinusoid_mean`, and
-nothing else calls, one modular elimination, which the certified rank and the
-multimodular paths share, `fields.py` imports only the standard library, no module
+trapezoid stop rule, which only `circle_averages`, the one quadrature entry
+point, runs, one way to a curve's circle means, `characteristic`, which takes
+them through `circle_averages` or the closed form `_max_sinusoid_mean`, which
+nothing else calls, an `EntireCurve` that holds its components and nothing
+else, no private name of `nevanlinna` imported by another module, one modular
+elimination, which the certified rank and the multimodular paths share, `fields.py` imports only the standard library, no module
 but the acceptance battery imports `random`, importing the command line
 loads neither numpy nor mpmath, and its exact commands
 (admissible, resultant, certificate, filtration, bounds, schema) load no
@@ -20,9 +21,9 @@ numpy.  Every module of the package is imported, directly or through others,
 by the package or the command line, except `nevlab.mrat`, which holds only a
 docstring and which nothing imports.  Every functools cache sits in a module that `import nevlab` loads,
 so clearing the loaded modules' caches clears them all, while each command
-computes a curve's circle means once, counted in radii over `circle_average`,
+computes a curve's circle means once with no cache, counted in radii over
 `circle_averages` and `_max_sinusoid_mean` (4 for `characteristic` on 3 radii,
-4 for `defects` with 3 targets and `--grid 6`, steps + 1 for a fixed `smt`).  Every name of
+4 for `defects` with 3 targets and `--grid 6`, steps + 1 for each `smt`).  Every name of
 `nevlab.__all__` resolves, on first use for the numeric ones, to its
 module's current object.
 
@@ -272,35 +273,43 @@ def test_one_boundary_rule():
 
 def test_one_trapezoid_stop_rule():
     # every circle of a pass stops by the one rule, which circle_averages runs per
-    # radius, and circle_average only hands its one radius to circle_averages
+    # radius; it is the one public function of the module, with no one-radius wrapper
     tree = ast.parse((SRC / "quadrature.py").read_text())
     stops = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Compare) and ast.unparse(node) == "d2 == 0.0"]
     callers = {name: [getattr(top, "name", top.lineno) for top in tree.body for node in ast.walk(top)
                       if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name]
                for name in ("_stop", "circle_averages")}
-    single = next(top for top in tree.body if getattr(top, "name", None) == "circle_average")
-    body = single.body[1:] if isinstance(single.body[0].value, ast.Constant) else single.body
+    public = [top.name for top in tree.body
+              if isinstance(top, ast.FunctionDef) and not top.name.startswith("_")]
     assert len(stops) == 1
-    assert callers == {"_stop": ["circle_averages"], "circle_averages": ["circle_average"]}
-    assert len(body) == 1 and isinstance(body[0], ast.Return)
+    assert callers == {"_stop": ["circle_averages"], "circle_averages": []}
+    assert public == ["circle_averages"]
 
 
 def test_one_way_to_a_curves_circle_means():
-    # T reads a curve's circle means from _log_norm_average alone, which takes every
-    # missing radius in one circle_averages pass or through the closed form, and no
-    # other function asks for the closed form
-    calls = {"circle_average": [], "circle_averages": [], "_max_sinusoid_mean": []}
-    for p in sorted(SRC.glob("*.py")):
+    # T reads a curve's circle means in characteristic alone, in one circle_averages
+    # pass or through the closed form, which no other function asks for; the other
+    # passes are Jensen's means and the acceptance battery's check of the closed form.
+    # The curve keeps no means, and no module reaches into nevanlinna's private names
+    calls = {"circle_averages": [], "_max_sinusoid_mean": []}
+    private = []
+    for p in sorted(SRC.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")):
         for top in ast.parse(p.read_text(), str(p)).body:
             for node in ast.walk(top):
                 if isinstance(node, ast.Call):
                     name = getattr(node.func, "attr", getattr(node.func, "id", None))
                     if name in calls:
                         calls[name].append(f"{p.name}:{getattr(top, 'name', top.lineno)}")
-    assert "nevanlinna.py:_log_norm_average" in calls["circle_averages"]
-    assert "nevanlinna.py:_log_norm_average" not in calls["circle_average"]
-    assert calls["_max_sinusoid_mean"] == ["nevanlinna.py:_log_norm_average"]
+                elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("nevanlinna"):
+                    private += [f"{p.name}:{a.name}" for a in node.names if a.name.startswith("_")]
+    assert sorted(calls["circle_averages"]) == ["acceptance.py:_quadrature_t",
+                                                "nevanlinna.py:characteristic",
+                                                "nevanlinna.py:log_modulus_average"]
+    assert calls["_max_sinusoid_mean"] == ["nevanlinna.py:characteristic"]
+    assert private == []
+    from nevlab.nevanlinna import EntireCurve
+    assert EntireCurve.__slots__ == ("components",)
 
 
 def test_one_modular_elimination():
@@ -426,18 +435,15 @@ def test_every_functools_cache_loads_with_the_package(tmp_path, monkeypatch):
     loaded = _python("import sys, nevlab; print(' '.join(sys.modules))").split()
     assert homes and sorted(homes - set(loaded)) == []
 
-    # with no cache left, a curve keeps its circle means: each command computes
-    # the r = 1 mean once, and T once per radius across all targets, whether
-    # one radius at a time or a grid in one pass; a moving coefficient adds no
-    # mean, since slow movement follows from nondegeneracy over C(z)
+    # with no cache at all, each command computes the r = 1 mean once, and T once
+    # per radius across all targets, since it asks characteristic for its whole grid
+    # once; a moving coefficient adds no mean, since slow movement follows from
+    # nondegeneracy over C(z)
     from nevlab import nevanlinna
     from nevlab.cli import main
 
     radii = []
-    single, batch = nevanlinna.circle_average, nevanlinna.circle_averages
-    closed = nevanlinna._max_sinusoid_mean
-    monkeypatch.setattr(nevanlinna, "circle_average",
-                        lambda fn, r, *args: radii.append(r) or single(fn, r, *args))
+    batch, closed = nevanlinna.circle_averages, nevanlinna._max_sinusoid_mean
     monkeypatch.setattr(nevanlinna, "circle_averages",
                         lambda fn, rs, *args: radii.extend(rs) or batch(fn, rs, *args))
     monkeypatch.setattr(nevanlinna, "_max_sinusoid_mean",

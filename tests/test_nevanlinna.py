@@ -115,30 +115,30 @@ def test_curve_value_equality():
 
 def test_characteristic_rational_closed_forms():
     line = EntireCurve((ONE, Z))
-    for r in (2.0, 5.0, 10.0):
-        assert characteristic(line, r) == pytest.approx(math.log(r), abs=1e-8)
+    radii = (2.0, 5.0, 10.0)
+    for r, t in zip(radii, characteristic(line, radii)):
+        assert t.value == pytest.approx(math.log(r), abs=1e-8)
     conic = EntireCurve((ONE, Z, Z * Z))
-    for r in (2.0, 7.0):
-        assert characteristic(conic, r) == pytest.approx(2 * math.log(r), abs=1e-8)
+    radii = (2.0, 7.0)
+    for r, t in zip(radii, characteristic(conic, radii)):
+        assert t.value == pytest.approx(2 * math.log(r), abs=1e-8)
 
 
 def test_characteristic_exponential_growth():
     # T(r) = (r - 1)/pi for (1 : e^z)
-    fe = _exp_curve()
-    for r in (10.0, 25.0, 50.0):
-        assert characteristic(fe, r) == pytest.approx((r - 1) / math.pi, abs=1e-9 * r)
+    radii = (10.0, 25.0, 50.0)
+    for r, t in zip(radii, characteristic(_exp_curve(), radii)):
+        assert t.value == pytest.approx((r - 1) / math.pi, abs=1e-9 * r)
 
 
 def test_characteristic_beyond_the_overflow_radius():
-    fe = _exp_curve()
-    for r in (800.0, 2e3, 1e4):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            t = characteristic(fe, r)
-        assert t == pytest.approx((r - 1) / math.pi, abs=1e-9 * r)
+    radii = (800.0, 2e3, 1e4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert characteristic(fe, 800.0) == pytest.approx(799 / math.pi, abs=1e-9)
+        ts = characteristic(_exp_curve(), radii)
+    for r, t in zip(radii, ts):
+        assert t.value == pytest.approx((r - 1) / math.pi, abs=1e-9 * r)
+    assert ts[0].value == pytest.approx(799 / math.pi, abs=1e-9)
 
 
 def _hull_perimeter(points) -> float:
@@ -177,9 +177,10 @@ def test_characteristic_of_exponential_curves_matches_hull_perimeter():
                     freqs.add(c)
             curve = EntireCurve([ExpPoly.const(1)] + [ExpPoly.exp(c) for c in freqs])
             perimeter = _hull_perimeter([0j] + [complex(c) for c in freqs])
-            for r, quad in zip(radii, _quadrature_t(curve, radii)):
+            for r, t, quad in zip(radii, characteristic(curve, radii),
+                                  _quadrature_t(curve, radii)):
                 exact = (r - 1) * perimeter / (2 * math.pi)
-                assert characteristic(curve, r) == pytest.approx(exact, abs=1e-9 * r)
+                assert t.value == pytest.approx(exact, abs=1e-9 * r)
                 assert quad == pytest.approx(exact, abs=1e-9 * r)
 
 
@@ -195,7 +196,8 @@ def test_characteristic_finds_a_dominance_arc_between_grid_points():
     assert 2 * alpha < step
     assert math.floor((centre - alpha) / step) == math.floor((centre + alpha) / step)
     exact = (r * math.sin(alpha) - alpha * level) / math.pi
-    assert characteristic(curve, r) == pytest.approx(exact, abs=1e-13)
+    t, = characteristic(curve, (r,))
+    assert t.value == pytest.approx(exact, abs=1e-13)
     assert _quadrature_t(curve, (r,)) == pytest.approx([exact], abs=1e-13)
 
 
@@ -205,11 +207,11 @@ def test_characteristic_finds_every_dominance_arc_on_a_sweep():
     c = GaussRat(Fraction(3, 5), Fraction(4, 5))
     curve = EntireCurve((ExpPoly.const(1), ExpPoly.exp(c) * GaussRat(Fraction(1, 10**4))))
     level = math.log(1e4)
-    for r in np.linspace(9.2104, 9.3, 91):
-        r = float(r)
+    radii = [float(r) for r in np.linspace(9.2104, 9.3, 91)]
+    for r, t in zip(radii, characteristic(curve, radii)):
         alpha = math.acos(level / r)
         exact = (r * math.sin(alpha) - alpha * level) / math.pi
-        assert abs(characteristic(curve, r) - exact) <= 1e-9 * r, r
+        assert abs(t.value - exact) <= 1e-9 * r, r
 
 
 def test_closed_form_means_agree_with_the_quadrature():
@@ -231,7 +233,9 @@ def test_closed_form_means_agree_with_the_quadrature():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             quad = circle_averages(rows, radii)
-        for r, closed, res in zip(radii, nevanlinna._log_norm_average(curve, radii), quad):
+        sinusoids = nevanlinna._sinusoid_rows(curve.components)
+        for r, res in zip(radii, quad):
+            closed = nevanlinna._max_sinusoid_mean(sinusoids, r)
             assert closed.samples == 0 and closed.converged
             assert abs(closed.value - res.value) <= closed.error + res.error, (curve, r)
         circles += len(radii)
@@ -273,22 +277,25 @@ def test_a_radius_grid_is_one_pass_and_bit_identical_to_one_radius_at_a_time(tmp
 
 
 def test_characteristic_normalization_and_domain():
-    assert characteristic(_exp_curve(), 1.0) == 0.0
-    with pytest.raises(ValueError):
-        characteristic(_exp_curve(), 0.5)
+    one, ten = characteristic(_exp_curve(), (1.0, 10.0))
+    assert (one.value, one.error) == (0.0, 0.0) and one.converged
+    assert 0.0 < ten.error < 1e-12 and ten.converged
+    assert characteristic(_exp_curve(), ()) == ()
+    for radii in ((0.5,), (2.0, 0.5), (math.nan,)):
+        with pytest.raises(ValueError):
+            characteristic(_exp_curve(), radii)
     const = EntireCurve((ONE, ZPoly((GaussRat(2, 1),))))
-    assert abs(characteristic(const, 9.0)) < 1e-12
+    assert abs(characteristic(const, (9.0,))[0].value) < 1e-12
     # a zero component adds nothing to the norm, wherever it stands
     padded = EntireCurve((ExpPoly.zero(), ExpPoly.const(1), ExpPoly.exp(1)))
-    assert characteristic(padded, 10.0) == pytest.approx(9 / math.pi, abs=1e-9)
+    assert characteristic(padded, (10.0,))[0].value == pytest.approx(9 / math.pi, abs=1e-9)
 
 
 def test_characteristic_scaling_invariance():
     plain = EntireCurve((ONE, Z, Z * Z))
     scaled = EntireCurve((ONE * 7, Z * 7, Z * Z * 7))
-    for r in (3.0, 12.0):
-        assert characteristic(scaled, r) == pytest.approx(
-            characteristic(plain, r), abs=1e-8)
+    for a, b in zip(characteristic(scaled, (3.0, 12.0)), characteristic(plain, (3.0, 12.0))):
+        assert a.value == pytest.approx(b.value, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -588,11 +595,32 @@ def test_defect_extremes():
     fe = _exp_curve()
     x0 = HPoly.coordinate(2, 0)
     x1 = HPoly.coordinate(2, 1)
-    assert defect_estimate(fe, x0, 40.0) == pytest.approx(1.0, abs=1e-9)
-    line = EntireCurve((ONE, Z))
-    assert abs(defect_estimate(line, x1, 40.0)) < 1e-9
-    mixed = defect_estimate(fe, x0 + x1, 40.0)
+    omitted, mixed = defect_estimate(fe, (x0, x0 + x1), 40.0)
+    assert omitted == pytest.approx(1.0, abs=1e-9)
     assert 0.0 <= mixed < 0.1
+    line = EntireCurve((ONE, Z))
+    assert abs(defect_estimate(line, (x1,), 40.0)[0]) < 1e-9
+    assert defect_estimate(line, (), 40.0) == []
+
+
+def test_defects_of_many_forms_are_each_forms_alone():
+    # T is computed once for all the forms of a call, and each form's defect is the very
+    # float it gets alone: on the survey's curves against the coordinates and their sum,
+    # and on (1 : e^z) against the command line's fixed and moving lines
+    one, z, ez = ExpPoly.const(1), ExpPoly.var(), ExpPoly.exp(1)
+    plane = lambda coefs: HPoly(len(coefs), 1, {tuple(int(i == j) for i in range(len(coefs))): c
+                                                for j, c in enumerate(coefs) if c})
+    cases = [(EntireCurve((one, z)), [(1, 0), (0, 1), (1, 1)]),
+             (EntireCurve((one, z, z * z)), [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]),
+             (EntireCurve((one, ez)), [(1, 0), (0, 1), (1, 1), (1, -2), (1, GaussRat(3, 1)),
+                                       (1, RatFunc(ZPoly((0, 1)), ZPoly((10, 1))))]),
+             (EntireCurve((one, ez - z)), [(1, 0), (0, 1), (1, 1)])]
+    for curve, coefs in cases:
+        forms = [plane(c) for c in coefs]
+        for r_max, level, grid in ((60.0, None, 12), (30.0, 1, 5)):
+            together = defect_estimate(curve, forms, r_max, level, grid)
+            alone = [defect_estimate(curve, (qf,), r_max, level, grid)[0] for qf in forms]
+            assert together == alone, (curve, r_max)
 
 
 def test_profile_must_grow():
