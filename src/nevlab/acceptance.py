@@ -307,8 +307,7 @@ def check_jensen_residual() -> tuple[bool, str]:
     bad = 0
     corpus = _jensen_corpus()
     for phi in corpus:
-        for r in (2.0, 5.0, 10.0):
-            res = jensen_check(phi, r)
+        for res in jensen_check(phi, (2.0, 5.0, 10.0)):
             worst = max(worst, res)
             if res > 1e-6:
                 bad += 1

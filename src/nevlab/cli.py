@@ -236,7 +236,7 @@ def cmd_jensen(args) -> int:
     radii = _parse_floats(args.radii, "--radii")
     if any(r <= 1.0 for r in radii):
         raise InputError("every radius must exceed 1")
-    residuals = [jensen_check(phi, r) for r in radii]
+    residuals = jensen_check(phi, radii)
     _emit({"tool": "jensen", "version": __version__, "phi": phi,
            "radii": radii, "residuals": residuals,
            "max_residual": max(residuals)}, args.output)

@@ -346,16 +346,19 @@ def log_modulus_average(log_ev, radii: Sequence[float],
             for r, res in zip(radii, circle_averages(g, radii))]
 
 
-def jensen_check(phi, r: float) -> float:
-    """Residual |N_zeros(r) - N_poles(r) - (mean log|phi| at r minus at 1)|.
+def jensen_check(phi, radii: Sequence[float]) -> list[float]:
+    """Residual |N_zeros(r) - N_poles(r) - (mean log|phi| at r minus at 1)| at each r
+    of radii, from one divisor search on the disk of radius 1.5 max(radii) + 1.
 
-    Both circle means subtract every zero and pole analytically, leaving
-    smooth integrands; the residual therefore measures quadrature error plus
-    root placement error and should sit far below 1e-6 for honest inputs.
+    Every circle mean subtracts every zero and pole of that search analytically,
+    leaving smooth integrands, and all of them come from one circle_averages pass;
+    the residual therefore measures quadrature error plus root placement error and
+    should sit far below 1e-6 for honest inputs.
     """
-    if r < 1:
+    radii = tuple(radii)
+    if any(not r >= 1 for r in radii):
         raise ValueError("need r >= 1")
-    big = 1.5 * r + 1.0
+    big = 1.5 * max(radii, default=1.0) + 1.0
     if isinstance(phi, ZPoly):
         phi = RatFunc(phi)
     if isinstance(phi, RatFunc):
@@ -370,13 +373,17 @@ def jensen_check(phi, r: float) -> float:
     pts = list(zer.points)
     if pol is not None:
         pts += [(a, -m) for a, m in pol.points]
+
+    def count(outer: float, inner: float) -> float:
+        n = counting_function(zer, outer) - counting_function(zer, inner)
+        if pol is not None:
+            n -= counting_function(pol, outer) - counting_function(pol, inner)
+        return n
+
     # the means are taken on circles moved off the zeros and poles, and counted there
-    outer, inner = _nudge_radius(r, pts), _nudge_radius(1.0, pts)
-    n_count = counting_function(zer, outer) - counting_function(zer, inner)
-    if pol is not None:
-        n_count -= counting_function(pol, outer) - counting_function(pol, inner)
-    (hi, _), (lo, _) = log_modulus_average(log_ev, (outer, inner), pts)
-    return abs(n_count - (hi - lo))
+    inner, outers = _nudge_radius(1.0, pts), [_nudge_radius(r, pts) for r in radii]
+    *his, (lo, _) = log_modulus_average(log_ev, (*outers, inner), pts)
+    return [abs(count(outer, inner) - (hi - lo)) for outer, (hi, _) in zip(outers, his)]
 
 
 # ---------------------------------------------------------------------------

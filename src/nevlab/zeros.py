@@ -17,10 +17,12 @@ goes on, as a one-frequency f with deg P > 16 does.
 Quadtree path: the disk winding number of the reach circle is the total count.  When
 it is nonzero, seeds (_seeds) come from f = p e^{alpha z} + q e^{beta z}, on the
 branches of e^{(beta - alpha) z} = -p/q; their Newton limits are simple zeros within
-1e-10 max(r, 1) when each one's square of that side winds once inside the reach
-circle and they add up to the count.  Otherwise a quadtree of boxes, each counted by
-the certified phase increments along its sides (_walk, _subdivide), isolates the
-zeros, a box of count 1 ending in a Newton exit that a winding square certifies; the
+1e-10 max(r, 1) when each one is certified by one inequality at its point
+(_one_zero_disks: by Rouche, against f'(x)(w - x), the disk of radius half that about
+it holds exactly one simple zero), the disks lie inside the reach circle, and they
+add up to the count.  Otherwise a quadtree of boxes, each counted by the certified
+phase increments along its sides (_walk, _subdivide), isolates the zeros, a box of
+count 1 ending in a Newton exit that the same inequality certifies; the
 multiplicities located in the reach disk must add up to the count, or the radius is
 refused.  A simple zero is placed within 1e-10 max(r, 1), a cluster of multiplicity
 >= 2 within its exit box's half-diagonal plus the distance its polish moved it.
@@ -30,8 +32,9 @@ into the float range (_in_float_range).
 
 The contour walk (_walk) accepts a segment [a, b] by one inequality, that of
 ExpPoly.taylor_majorant, which puts no zero in the disk |z - a| <= |b - a|, so a walked
-side splits anywhere with no new test.  It uses numpy core only: no set routine, whose
-np.unique loads numpy.ma.
+side splits anywhere with no new test.  A rejected segment is cut into as many equal
+pieces as the largest step that the same majorant accepts at a asks for, all in one
+level.  It uses numpy core only: no set routine, whose np.unique loads numpy.ma.
 
 One boundary rule: both paths locate the zeros out to _reach(r), each within its
 placement error, and _counted takes the circle r, or else the first of radius
@@ -62,9 +65,10 @@ class ContourThroughZero(ArithmeticError):
 @dataclass(frozen=True)
 class Divisor:
     """Zeros with multiplicities inside |z| <= r, each within 1e-10 max(r, 1) of a true
-    one by a certified disk or a winding square, a quadtree cluster of multiplicity >= 2
-    within its bound from _subdivide; boundary_nudged when a zero within that error of
-    the circle moved it (_counted), by 1e-6 max(r, 1) at most."""
+    one by a certified disk (an inclusion disk of a root, or a Rouche disk about a
+    Newton limit, _one_zero_disks), a quadtree cluster of multiplicity >= 2 within its
+    bound from _subdivide; boundary_nudged when a zero within that error of the circle
+    moved it (_counted), by 1e-6 max(r, 1) at most."""
 
     points: tuple[tuple[complex, int], ...]
     r: float
@@ -158,7 +162,7 @@ def ratfunc_divisors(f: RatFunc, r: float) -> tuple[Divisor, Divisor]:
     return zpoly_zeros(f.num, r), zpoly_zeros(f.den, r)
 
 
-def _walk(f: ExpPoly, lines, midfn):
+def _walk(f: ExpPoly, lines, at):
     """The certified walk of polylines, each given by its vertices, with values from
     f.scaled: (z, v, first, failed), where z[first[e]:first[e + 1]] are the points of
     edge e (consecutive vertices), edge after edge and line after line, from its first
@@ -170,11 +174,16 @@ def _walk(f: ExpPoly, lines, midfn):
     inequality, ExpPoly.taylor_majorant's on the disk |z - a| <= |b - a|: f has no zero
     on that disk, so arg f changes along the segment, or along any path in the disk,
     by the principal angle of v(b)/v(a).  An arc of less than a half turn from a to b
-    lies in the disk too, so segments refined through midfn may follow a circle.  An
-    edge is first tested whole; only rejected segments are halved, through midfn, and
-    each new point is evaluated once, one f.scaled call per level over every edge.  A
-    point whose |f| is at or below the noise floor fails its edge at once, as does a
-    segment still rejected after 56 halvings.
+    lies in the disk too, so the points at(a, b, t) of a segment, t in (0, 1), may
+    follow a circle.  An edge is first tested whole.  A rejected segment is cut, in the
+    same level, by the inequality's own step: with S2 frozen at h = |b - a|, which
+    bounds it for every shorter step, S2 s^2 + 2 (|F'| + E) s < room = |F| / (1 + 2^-30)
+    - floor is a quadratic whose root is the largest step s accepted at a, and [a, b]
+    is cut at t = j / k into k = floor(h / s) + 1 equal pieces, 2 <= k <= 16, each then
+    accepted or cut in turn.  Each new point is evaluated once, one f.scaled call per
+    level over every edge.  An edge fails at a point whose |f| is at or below the noise
+    floor, at a rejected segment whose room leaves no step, where its points' positions
+    stop increasing, and at a segment still rejected after 56 cuts.
     """
     def evaluate(zs):
         """(M, f e^{-M}, f' e^{-M}, floor e^{-M}) at the array zs, each as an array."""
@@ -190,36 +199,55 @@ def _walk(f: ExpPoly, lines, midfn):
     low = np.abs(fz) <= floor
     ends = np.cumsum([len(v) for v in verts]) - 1
     start = np.delete(np.arange(len(pts)), ends)    # each edge's first vertex
-    n, span = len(start), 1 << 56                   # a position along an edge in 2^-56
+    n = len(start)
     failed = low[start] | low[start + 1]
-    # per segment: edge, position of a, and a, M, F, F' and floor at a, then b
-    seg = (np.arange(n), np.zeros(n, dtype=np.int64), pts[start], shift[start], fz[start],
-           dfz[start], floor[start], pts[start + 1])
+    # per segment: edge, a's position along the edge (0 to 1), a, M, F, F' and floor at
+    # a, then b and its position
+    seg = (np.arange(n), np.zeros(n), pts[start], shift[start], fz[start], dfz[start],
+           floor[start], pts[start + 1], np.ones(n))
     # the accepted segments' starts as (edge, position, point, value); each edge's
     # last vertex closes its run
-    kept = [(np.arange(n), np.full(n, span), pts[start + 1], fz[start + 1])]
+    kept = [(np.arange(n), np.ones(n), pts[start + 1], fz[start + 1])]
     for level in range(57):
         live = ~failed[seg[0]]
         if not live.all():
             seg = [x[live] for x in seg]
-        edge, pos, a, sa, fa, da, na, b = seg
+        edge, pos, a, sa, fa, da, na, b, pb = seg
         h = np.abs(b - a)
         s2, e1 = f.taylor_majorant(a, h, sa)
-        with np.errstate(over="ignore"):        # a bound past the float range fails
-            ok = (2 * h * (np.abs(da) + e1) + s2 * h * h + na) * (1 + 2 ** -30) < np.abs(fa)
+        slope, room = 2 * (np.abs(da) + e1), np.abs(fa) / (1 + 2 ** -30) - na
+        with np.errstate(all="ignore"):     # a bound past the float range fails
+            ok = (slope * h + s2 * h * h + na) * (1 + 2 ** -30) < np.abs(fa)
+            # h / s for the step s that solves the quadratic, s = 0 for an infinite S2
+            ratio = h * (slope + np.sqrt(slope * slope + 4 * s2 * room)) / (2 * room)
         kept.append((edge[ok], pos[ok], a[ok], fa[ok]))
         if ok.all():
             break
         rest = ~ok
-        edge, pos, a, sa, fa, da, na, b = (x[rest] for x in seg)
+        edge, pos, a, sa, fa, da, na, b, pb, room, ratio = (
+            x[rest] for x in (*seg, room, ratio))
+        failed[edge[~(room > 0)]] = True        # |F| is within the floor: no step
         if level == 56:
             failed[edge] = True
             break
-        m = midfn(a, b)
-        sm, fm, dm, nm = evaluate(m)
-        failed[edge[np.abs(fm) <= nm]] = True
-        seg = [np.concatenate(x) for x in ((edge, edge), (pos, pos + (span >> (level + 1))),
-                                            (a, m), (sa, sm), (fa, fm), (da, dm), (na, nm), (m, b))]
+        k = np.maximum(np.where(ratio < 16, np.floor(ratio) + 1, 16), 2).astype(np.int64)
+        # the new points t = j / k, j = 1 .. k - 1, of each cut segment, in order
+        m = k - 1
+        off = np.cumsum(m) - m                  # each segment's first new point
+        group = np.repeat(np.arange(len(k)), m)
+        t = (np.arange(len(group)) - off[group] + 1) / k[group]
+        z = at(a[group], b[group], t)
+        p = pos[group] + (pb[group] - pos[group]) * t
+        sm, fm, dm, nm = evaluate(z)
+        failed[edge[group][np.abs(fm) <= nm]] = True
+        # a piece from a to the first new point, and one from each new point to the
+        # next, or to b after the last
+        nxt = np.arange(1, len(group) + 1)
+        nxt[off + m - 1] = len(group) + np.arange(len(k))
+        seg = [np.concatenate(x) for x in (
+            (edge, edge[group]), (pos, p), (a, z), (sa, sm), (fa, fm), (da, dm), (na, nm),
+            (z[off], np.concatenate((z, b))[nxt]), (p[off], np.concatenate((p, pb))[nxt]))]
+        failed[seg[0][~(seg[1] < seg[8])]] = True   # positions order each run
     edge, pos, z, v = (np.concatenate(x) for x in zip(*kept))
     order = np.lexsort((pos, edge))
     order = order[~failed[edge[order]]]
@@ -236,11 +264,10 @@ def _whole_turns(increment: float) -> Optional[int]:
 def disk_winding(f: ExpPoly, r: float) -> int:
     """Zero count (with multiplicity) of f in |z| < r by the argument principle, from a
     walk of the circle that starts from its four quarter arcs."""
-    def arc_mid(a, b):
-        c = (a + b) / 2
-        return r * c / abs(c)
+    def arc_at(a, b, t):
+        return r * np.exp(1j * (np.angle(a) + t * np.angle(b / a)))
 
-    _, v, _, failed = _walk(f, [r * np.array([1, 1j, -1, -1j, 1])], arc_mid)
+    _, v, _, failed = _walk(f, [r * np.array([1, 1j, -1, -1j, 1])], arc_at)
     w = None if failed.any() else _whole_turns(np.angle(v[1:] / v[:-1]).sum())
     if w is None:
         raise ContourThroughZero(f"the walk of the circle |z| = {r} broke down")
@@ -265,7 +292,7 @@ class _Box(NamedTuple):
 def _edges(f: ExpPoly, lines) -> list[Optional[tuple]]:
     """Per edge of the polylines, its points, their values and the change of arg f
     along it from one chord-refined _walk, or None where the walk of that edge failed."""
-    z, v, first, failed = _walk(f, lines, lambda a, b: (a + b) / 2)
+    z, v, first, failed = _walk(f, lines, lambda a, b, t: a + (b - a) * t)
     edge = np.repeat(np.arange(len(failed)), np.diff(first))
     inner = edge[1:] == edge[:-1]
     turns = np.bincount(edge[1:][inner], np.angle(v[1:][inner] / v[:-1][inner]), len(failed))
@@ -337,9 +364,9 @@ def _kids(sides, vert, horiz):
 def _newton_exits(f: ExpPoly, boxes: list, tol: float) -> list[Optional[complex]]:
     """Per box of winding count 1, its candidate simple zero or None, from one _newton
     over the boxes' centres: each start's iterates kept where the square of side tol
-    about them lies in its own box, and its last step within that square.  The square
-    is to wind once: it then holds the box's one zero, so the point is within tol of
-    it, as a quadtree leaf's centre would be."""
+    about them lies in its own box, and its last step within that square.  The disk
+    inscribed in the square is to pass _one_zero_disks: it then holds the box's one
+    zero, so the point is within tol of it, as a quadtree leaf's centre would be."""
     if not boxes:
         return []
     h = tol / 2
@@ -351,12 +378,31 @@ def _newton_exits(f: ExpPoly, boxes: list, tol: float) -> list[Optional[complex]
     return [z if s <= h else None for z, s in zip(x.tolist(), step.tolist())]
 
 
-def _winds_once(f: ExpPoly, points, tol: float) -> list[bool]:
-    """Per point, whether the square of side tol about it winds exactly once, from one
-    walk of every square's sides: it then holds one simple zero, within tol of the point."""
-    h = tol / 2
-    squares = [(z.real - h, z.real + h, z.imag - h, z.imag + h) for z in points]
-    return [_turns(sides) == 1 for sides in _walked_sides(f, squares)]
+def _one_zero_disks(f: ExpPoly, points, tol: float) -> list[bool]:
+    """Per point x, whether the disk |w - x| <= rho = tol / 2, inscribed in the square of
+    side tol about x, holds exactly one zero of f, a simple one, from one inequality at
+    x, all points in one f.scaled and one ExpPoly.taylor_majorant call.  With (M, F, F',
+    floor) = f.scaled(x, derivative=True) and (S2, E) = f.taylor_majorant(x, rho, M),
+
+        (|F| + floor + S2 rho^2 / 2 + E rho) (1 + 2^-30) < |F'| rho
+
+    proves it: on the circle |w - x| = rho, Taylor's theorem puts f(w) e^{-M} within
+    |f(x)| e^{-M} + S2 rho^2 / 2 <= |F| + floor + S2 rho^2 / 2 of f'(x) e^{-M} (w - x),
+    whose modulus is at least (|F'| - E) rho, so by Rouche f has as many zeros in the
+    disk as f'(x)(w - x): one.  The factor covers the rounding of the left side, as in
+    ExpPoly.taylor_majorant, and that of the right side, |F'| and its product with rho,
+    an ulp or two.  A value past the float range is inf or nan: it fails, with no
+    warning."""
+    if not points:
+        return []
+    rho = tol / 2
+    x = np.array(points, dtype=complex)
+    with np.errstate(all="ignore"):
+        shift, fx, dfx, floor = f.scaled(x, derivative=True)
+        s2, e1 = f.taylor_majorant(x, rho, shift)
+        ok = ((np.abs(fx) + floor + s2 * rho * rho / 2 + e1 * rho) * (1 + 2 ** -30)
+              < np.abs(dfx) * rho)
+    return np.broadcast_to(ok, x.shape).tolist()
 
 
 def _subdivide(f: ExpPoly, root: _Box, tol: float) -> list[tuple[complex, int, float]]:
@@ -366,7 +412,7 @@ def _subdivide(f: ExpPoly, root: _Box, tol: float) -> list[tuple[complex, int, f
     plus the distance moved.
 
     The tree grows level by level: one _walk of the cut lines of every box a level
-    splits, one _winds_once of the squares of its Newton exits.  A cut, at the
+    splits, one _one_zero_disks of its Newton exits.  A cut, at the
     midpoints or slid off them on a retry, walks only its two cut lines: each side of
     the box is split where a cut line meets it (_kids), at that line's end point and
     value, and its parts keep their certified segments.  So every edge is walked once,
@@ -412,7 +458,7 @@ def _subdivide(f: ExpPoly, root: _Box, tol: float) -> list[tuple[complex, int, f
             jobs.append((box, attempt, quads))
         walked = iter(_edges(f, lines) if lines else ())
         boxes, retries = [], []
-        for (box, z), once in zip(exits, _winds_once(f, [z for _, z in exits], tol)):
+        for (box, z), once in zip(exits, _one_zero_disks(f, [z for _, z in exits], tol)):
             if once:
                 found.append((box.path, z, 1, tol))
             else:
@@ -567,7 +613,7 @@ def _seeds(f: ExpPoly, r: float) -> list:
                  (g.float_image[0][1] for g in polys) if len(cs) > 1 and cs[0]), default=1.0)
     if not math.isfinite(bound):
         return []
-    # a seed needs no certificate: the count and _winds_once decide its limit
+    # a seed needs no certificate: the count and _one_zero_disks decide its limit
     seeds = [z for g in polys for z in np.roots(g.float_image[0][1]).tolist()]
     top = math.ceil(r * abs(gamma) / (2 * math.pi)) + 1
     branch = 2j * np.pi * np.arange(-top, top + 1)
@@ -619,12 +665,13 @@ def exppoly_zeros(f: ExpPoly, r: float) -> Divisor:
 def _quadtree_zeros(f: ExpPoly, r: float, seeds=None) -> Divisor:
     """The disk winding number of the reach circle (_reach) is the total count.  When
     it is nonzero and a seed function is given, seeds(f, r) are built, and their
-    settled, distinct Newton limits (_newton) answer when each one's square
-    of side tol = 1e-10 max(r, 1) lies inside the reach circle and winds once
-    (_winds_once), and their number is the count; otherwise quadtree subdivision locates
-    the zeros in a square about the disk (_subdivide), a simple zero within tol, a
-    cluster within its bound, and the multiplicities located in the reach disk must add
-    up to the count.  _counted takes the divisor."""
+    settled, distinct Newton limits (_newton) answer when each one's disk of radius
+    tol / 2, tol = 1e-10 max(r, 1), lies inside the reach circle and holds one simple
+    zero by the point certificate (_one_zero_disks), and their number is the count;
+    otherwise quadtree subdivision locates the zeros in a square about the disk
+    (_subdivide), a simple zero within tol, a cluster within its bound, and the
+    multiplicities located in the reach disk must add up to the count.  _counted takes
+    the divisor."""
     tol, reach = 1e-10 * max(r, 1.0), _reach(r)
     total = disk_winding(f, reach)
     if total == 0:
@@ -632,13 +679,13 @@ def _quadtree_zeros(f: ExpPoly, r: float, seeds=None) -> Divisor:
     kept, h = [], tol / 2
     limits = zip(*(v.tolist() for v in _newton(f, seeds(f, r) if seeds else [])))
     for x, step in sorted(limits, key=lambda xs: (xs[0].real, xs[0].imag)):
-        if step > h or abs(x) - h * math.sqrt(2) > reach or any(
+        # kept limits differ by more than tol in a coordinate: their disks are disjoint
+        if step > h or abs(x) - h > reach or any(
                 abs(x.real - y.real) <= tol and abs(x.imag - y.imag) <= tol for y in kept):
             continue            # not settled, out of reach, or a zero already kept
         kept.append(x)
-    corners = [x + complex(sx, sy) * h for x in kept for sx in (-1, 1) for sy in (-1, 1)]
-    if len(kept) == total and all(abs(c) < reach for c in corners) and all(
-            _winds_once(f, kept, tol)):
+    if len(kept) == total and all(abs(x) + tol < reach for x in kept) and all(
+            _one_zero_disks(f, kept, tol)):
         return _counted([(x, 1, tol) for x in kept], r)
     # bounding square of the reach disk, stretched so edges miss zeros
     for attempt in range(6):

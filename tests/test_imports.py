@@ -5,9 +5,10 @@ so is every method of a public class other than a dunder, read as an
 attribute, and the package has no assert statement, no private `fractions` API, no
 `polyval` and no use of the scaling `ExpPoly._scaled_exps` outside `expfunc`,
 one call of `np.roots` and of `yun_squarefree`, both in the certified root
-routine, one float Newton loop, one segment test for the contour walk, the
-inequality of `ExpPoly.taylor_majorant`, with no rate bound, no first sampling
-and no halving check beside it, one boundary rule for the divisor paths, one
+routine, one float Newton loop, one segment test for the contour walk and one
+point certificate for Newton limits, each an inequality from `ExpPoly.taylor_majorant`,
+with no rate bound, no first sampling, no halving check and no walked square beside
+them, one boundary rule for the divisor paths, one
 trapezoid stop rule, which only `circle_averages`, the one quadrature entry
 point, runs, one way to a curve's circle means, `characteristic`, which takes
 them through `circle_averages` or the closed form `_max_sinusoid_mean`, which
@@ -186,7 +187,7 @@ def test_one_float_evaluator_for_exponential_polynomials():
 def test_one_root_finder_and_one_root_certificate():
     # float roots come from np.roots where a certificate stands behind each:
     # the certified path's inclusion disks, and the seeds, whose Newton limits
-    # count only when a winding square (_winds_once) and the disk winding agree;
+    # count only when the point certificate (_one_zero_disks) and the disk winding agree;
     # Yun's exact multiplicities are read only where each root is certified
     calls = {"roots": [], "yun_squarefree": []}
     for p in sorted(SRC.glob("*.py")):
@@ -201,8 +202,8 @@ def test_one_root_finder_and_one_root_certificate():
 
 
 def test_one_newton_iteration():
-    # f' is read from the evaluator only by the one float Newton loop and the
-    # array walk: every Newton caller goes through _newton
+    # f' is read from the evaluator only by the one float Newton loop, the array walk
+    # and the point certificate: every Newton caller goes through _newton
     calls = []
     for p in sorted(SRC.glob("*.py")):
         for top in ast.parse(p.read_text(), str(p)).body:
@@ -210,15 +211,14 @@ def test_one_newton_iteration():
                 if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "scaled"
                         and any(k.arg == "derivative" for k in node.keywords)):
                     calls.append(f"{p.name}:{getattr(top, 'name', top.lineno)}")
-    assert calls == ["zeros.py:_newton", "zeros.py:_walk"]
+    assert calls == ["zeros.py:_newton", "zeros.py:_walk", "zeros.py:_one_zero_disks"]
 
 
 def test_one_square_certificate():
-    # the square of side tol about a Newton point is built and wound by one helper,
-    # which the quadtree calls for its seeds' limits and for its Newton exits: no second
-    # square test; a square, like the quadtree's root box, is wound from its sides as
-    # _walked_sides walks them
-    calls = {"_walked_sides": [], "_winds_once": []}
+    # a Newton point is certified by one helper, one inequality at the point, which the
+    # quadtree calls for its seeds' limits and for its Newton exits: no square about a
+    # point is walked, and _walked_sides walks only the quadtree's root box
+    calls = {"_walked_sides": [], "_one_zero_disks": []}
     for p in sorted(SRC.glob("*.py")):
         for top in ast.parse(p.read_text(), str(p)).body:
             for node in ast.walk(top):
@@ -227,15 +227,17 @@ def test_one_square_certificate():
                     if name in calls:
                         calls[name].append(f"{p.name}:{getattr(top, 'name', top.lineno)}")
     assert {k: sorted(v) for k, v in calls.items()} == {
-        "_walked_sides": ["zeros.py:_quadtree_zeros", "zeros.py:_winds_once"],
-        "_winds_once": ["zeros.py:_quadtree_zeros", "zeros.py:_subdivide"]}
+        "_walked_sides": ["zeros.py:_quadtree_zeros"],
+        "_one_zero_disks": ["zeros.py:_quadtree_zeros", "zeros.py:_subdivide"]}
+    assert "_winds_once" not in (SRC / "zeros.py").read_text()
 
 
 def test_one_segment_test():
-    # the contour walk accepts a segment only by the inequality of ExpPoly.taylor_majorant,
-    # which nothing but _walk calls; no rate bound is threaded through the zero finder,
-    # and the sampled rule's helpers (the rate bound, the first sampling of the edges,
-    # the check that a side's samples halve it) are gone from the package
+    # the contour walk accepts a segment, and sizes the cut of a rejected one, only by
+    # the inequality of ExpPoly.taylor_majorant, which only _walk and the point
+    # certificate call; no rate bound is threaded through the zero finder, and the
+    # sampled rule's helpers (the rate bound, the first sampling of the edges, the check
+    # that a side's samples halve it) are gone from the package
     callers, names = [], []
     for p in sorted(SRC.glob("*.py")):
         for top in ast.parse(p.read_text(), str(p)).body:
@@ -247,7 +249,7 @@ def test_one_segment_test():
                     names.append(f"{p.name}:{node.lineno} {name}")
     rates = [node.lineno for node in ast.walk(ast.parse((SRC / "zeros.py").read_text()))
              if isinstance(node, ast.arg) and node.arg == "rate"]
-    assert callers == ["zeros.py:_walk"] and names == [] and rates == []
+    assert callers == ["zeros.py:_walk", "zeros.py:_one_zero_disks"] and names == [] and rates == []
 
 
 def test_one_boundary_rule():

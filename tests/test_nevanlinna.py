@@ -318,10 +318,9 @@ def test_counting_function_conventions():
 
 def test_jensen_polynomial_and_rational():
     for phi in (Z, RatFunc(ZPoly((-2, 1)), ZPoly((3, 1)))):
-        for r in (2.5, 5.0, 10.0):
-            assert jensen_check(phi, r) < 1e-6
-    assert jensen_check(ZPoly((-2, 1)), 2.0) < 1e-6     # zero on the circle
-    assert jensen_check(ExpPoly.exp(1), 10.0) < 1e-6
+        assert max(jensen_check(phi, (2.5, 5.0, 10.0))) < 1e-6
+    assert jensen_check(ZPoly((-2, 1)), (2.0,))[0] < 1e-6     # zero on the circle
+    assert jensen_check(ExpPoly.exp(1), (10.0,))[0] < 1e-6
 
 
 @pytest.mark.parametrize("phi, r", [(ZPoly((-2, 1)), 2.0), (ZPoly((-1, 1)), 3.0),
@@ -330,7 +329,7 @@ def test_jensen_polynomial_and_rational():
 def test_jensen_counts_on_the_circles_it_integrates(phi, r):
     # a zero or pole on |z| = r or on |z| = 1 moves the circle of its mean; the count
     # is taken on the moved circles too, which leaves the quadrature error alone
-    assert jensen_check(phi, r) < 1e-12
+    assert jensen_check(phi, (r,))[0] < 1e-12
 
 
 # ---------------------------------------------------------------------------

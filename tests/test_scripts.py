@@ -10,11 +10,11 @@ import pytest
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 
 
-def _run_script(name):
+def _run_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name)],
+    return subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name), *args],
                           capture_output=True, text=True, env=env, timeout=300)
 
 
@@ -28,3 +28,14 @@ def test_script_runs(name):
                 "over C(z) ==") in run.stdout
         assert "truncation levels: ['19', '19', '19']" in run.stdout
         assert "truncation levels: ['~10^12366', '~10^12366', '~10^12366']" in run.stdout
+
+
+def test_zero_costs_prints_the_same_counts_twice():
+    # the counts of one case are deterministic; only the process time below them varies
+    runs = [_run_script("zero_costs.py", "--case", "(z+10)+z e^z", "--rounds", "1") for _ in range(2)]
+    assert all(run.returncode == 0 for run in runs), runs[0].stderr
+    counts = [run.stdout.split("\n\n")[0].splitlines() for run in runs]
+    assert counts[0] == counts[1] and len(counts[0]) == 2
+    assert counts[0][0].split() == ["case", "r", "walks", "levels", "scaled", "points", "certified"]
+    assert counts[0][1].split()[:3] == ["(z+10)+z", "e^z", "50"]
+    assert "process time, best of 1 interleaved rounds" in runs[0].stdout

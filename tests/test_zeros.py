@@ -266,28 +266,58 @@ def test_newton_exit_matches_full_quadtree(f, r, monkeypatch):
 
 def test_refused_newton_certificate_falls_back_to_subdivision(monkeypatch):
     f, r = ExpPoly.exp(1) + 1, 20.0
-    tol = 1e-10 * r
     monkeypatch.setattr(zeros, "_newton_exits", lambda f, boxes, tol: [None] * len(boxes))
     reference = zeros._quadtree_zeros(f, r)
     monkeypatch.undo()
-    walk = zeros._walk
     refused = []
 
-    def no_certificate(f, lines, midfn):
-        # every edge of a certificate square (side tol) is flagged as failed
-        z, v, first, failed = walk(f, lines, midfn)
-        edge = 0
-        for line in lines:
-            sides = [abs(b - a) for a, b in zip(line, line[1:])]
-            if all(math.isclose(side, tol, rel_tol=1e-6) for side in sides):
-                refused.append(line[0])
-                failed[edge:edge + len(sides)] = True
-            edge += len(sides)
-        return z, v, first, failed
+    def no_certificate(f, points, tol):
+        # the point certificate refuses every Newton limit put to it
+        refused.extend(points)
+        return [False] * len(points)
 
-    monkeypatch.setattr(zeros, "_walk", no_certificate)
+    monkeypatch.setattr(zeros, "_one_zero_disks", no_certificate)
     _same_divisor(zeros._quadtree_zeros(f, r), reference)
     assert len(refused) >= _total(reference)
+
+
+@pytest.mark.parametrize("f, r", [
+    *REFERENCE_CASES, *((ExpPoly.var() * (1 + ExpPoly.exp(1)) + k, 50.0) for k in range(6, 15)),
+    (1 + ExpPoly.exp(1) + ExpPoly.exp(GaussRat(0, 1)), 20.0)])
+def test_the_point_certificate_accepts_the_newton_limits_of_simple_zeros(f, r):
+    # the seeded quadtree's points are Newton limits (of seeds or of count-1 boxes): each
+    # passes the point certificate, and the square of side tol about it, inside which
+    # its disk is inscribed, winds once when walked as the quadtree walks a box
+    tol = 1e-10 * max(r, 1.0)
+    div = _seeded(f, r)
+    points = [x for x, m in div.points]
+    assert points and all(m == 1 for _, m in div.points)
+    assert zeros._one_zero_disks(f, points, tol) == [True] * len(points)
+    squares = [(x.real - tol / 2, x.real + tol / 2, x.imag - tol / 2, x.imag + tol / 2) for x in points]
+    assert [zeros._turns(sides) for sides in zeros._walked_sides(f, squares)] == [1] * len(points)
+
+
+def test_the_point_certificate_refuses_where_no_single_simple_zero_is_proven():
+    r = 50.0
+    tol = 1e-10 * r
+    # midway between two zeros 1e-9 r apart, 3 +- 2.5e-8: the disk holds neither
+    half = Fraction(25, 10 ** 9)
+    assert zeros._one_zero_disks((ExpPoly.var() - 3) ** 2 - half * half, [3.0], tol) == [False]
+    # on one of two zeros 0.4 tol apart at r = 1, both inside its disk: only the S2
+    # term of the inequality tells them from one
+    z, gap = ExpPoly.var(), Fraction(1, 5 * 10 ** 10)
+    assert zeros._one_zero_disks(z * (z - gap), [0j], 1e-10) == [False]
+    # on the double zeros 0 and 2 pi i of (e^z - 1)^2
+    assert zeros._one_zero_disks((ExpPoly.exp(1) - 1) ** 2, [0j, 2j * math.pi], tol) == [False, False]
+    # 10 tol from the zero pi i of e^z + 1, and from every other: its square winds 0 times
+    x = 1j * math.pi + 10 * tol
+    assert zeros._one_zero_disks(ExpPoly.exp(1) + 1, [x], tol) == [False]
+    square = (x.real - tol / 2, x.real + tol / 2, x.imag - tol / 2, x.imag + tol / 2)
+    assert zeros._turns(zeros._walked_sides(ExpPoly.exp(1) + 1, [square])[0]) == 0
+    # 2x passes the float range, so the exponent of e^{2x} is inf: refused, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert zeros._one_zero_disks(ExpPoly.exp(2) + 1, [complex(1e308, 1e308)], tol) == [False]
 
 
 def test_a_walked_side_splits_anywhere():
@@ -332,12 +362,15 @@ def test_shared_edge_windings_match_fresh_box_walks(f, r, monkeypatch):
 
 def test_quadtree_walks_each_edge_once_and_batches_each_level(monkeypatch):
     # e^z + 1 at r = 50: 16 zeros; walking every box whole, and every Newton
-    # certificate and every split on its own, took 52 walks over 60,618 points, and
-    # sampling each segment's phase from a first grid 13 walks over 26,269 points
-    walks, points = [], []
+    # certificate and every split on its own, took 52 walks over 60,618 points, sampling
+    # each segment's phase from a first grid 13 walks over 26,269 points, and halving
+    # each rejected segment 13 walks, 145 ExpPoly.scaled calls and 6,308 points; the
+    # point certificate walks no square, and a rejected segment is cut by its own step
+    walks, calls, points = [], [], []
     walk, scaled = zeros._walk, ExpPoly.scaled
 
     def counted_scaled(f, z, *args, **kwargs):
+        calls.append(1)
         if isinstance(z, np.ndarray):
             points.append(z.size)
         return scaled(f, z, *args, **kwargs)
@@ -349,7 +382,7 @@ def test_quadtree_walks_each_edge_once_and_batches_each_level(monkeypatch):
     monkeypatch.setattr(ExpPoly, "scaled", counted_scaled)
     monkeypatch.setattr(zeros, "_walk", counted_walk)
     assert _total(zeros._quadtree_zeros(ExpPoly.exp(1) + 1, 50.0)) == 16
-    assert len(walks) <= 13 and sum(points) <= 26269 // 3
+    assert len(walks) <= 10 and len(calls) <= 76 and sum(points) <= 7300
 
 
 def _accepted_segments(monkeypatch) -> list:
@@ -589,7 +622,7 @@ def test_a_double_zero_leaves_the_seeded_path(monkeypatch):
 def test_a_withheld_or_displaced_limit_falls_back_to_the_quadtree(monkeypatch, move):
     # the Newton limits at one zero of (z + 10) + z e^z are withheld, which leaves the
     # count short of the disk winding, or moved off the zero, which keeps the count
-    # and leaves the refusal to its winding square; subdivision then answers once
+    # and leaves the refusal to the point certificate; subdivision then answers once
     f, r = ExpPoly.var() + 10 + ExpPoly.var() * ExpPoly.exp(1), 50.0
     subdivided = _subdivisions(monkeypatch)
     seeded = exppoly_zeros(f, r)
