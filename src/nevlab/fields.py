@@ -14,12 +14,39 @@ equal to one lower in the tower compares (and hashes) equal to it.
 ZPoly is the internal polynomial workhorse: immutable tuple of GaussRat
 coefficients in ascending degree order with no trailing zeros (the zero
 polynomial is the empty tuple, degree -1).
+
+A RatFunc is canonical when num and den are coprime, den is monic, and den is 1
+when num is 0; the form is unique, so how a value was reached never shows.
+The constructor `RatFunc(num, den)` reduces by one gcd of num and den
+(`zpoly_gcd`, Euclid, the only gcd).  Arithmetic keeps its gcds on the operands'
+own factors instead (P. Henrici, J. ACM 3 (1956); Knuth, TAOCP vol. 2, 4.5.1),
+for operands a/b and c/d in canonical form:
+
+  product     (a/g1)(c/g2) / ((b/g2)(d/g1)), g1 = gcd(a, d), g2 = gcd(c, b):
+              a/g1 is prime to b (as a is) and to d/g1, and c/g2 to d and b/g2,
+              and a quotient of monic polynomials is monic.  A quotient is the
+              product with c/d read as d/c, then divided by lc(c).
+  sum         g = gcd(b, d), b = g b', d = g d', t = a d' + c b', h = gcd(t, g):
+              (t/h) / ((g/h) b' d').  b' and d' are coprime, and t is prime to
+              both (modulo a prime p of b', t = a d', and p divides neither a
+              nor d'), so a common factor of t and g b' d' divides g.
+  negation    (-a)/b, with the same factors.
+  power       a^k / b^k, or b^k / a^k divided by lc(a)^k for k < 0: powers of
+              coprime polynomials are coprime.
+  constant    a constant den c gives num/c with no gcd, and a product or sum
+              asks none of an operand or den that is constant.
+  known       `over_known_factors(num, c, {f: e})` reduces num / (c prod f^e)
+  factors     against each monic f in turn, by a root test when f is linear, so
+              a value whose denominator's factors are known needs no gcd with
+              their product (see its docstring for why the result is reduced).
+
+`zpoly_gcd` returns 1 at once when an operand is a nonzero constant.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Optional, Union
 
 
@@ -433,8 +460,14 @@ class ZPoly:
         return format_zpoly(self)
 
 
+_ZP_ONE = ZPoly((1,))
+
+
 def zpoly_gcd(a: ZPoly, b: ZPoly) -> ZPoly:
-    """Monic gcd by the Euclidean algorithm (remainders kept monic)."""
+    """Monic gcd by the Euclidean algorithm (remainders kept monic); 1 at once
+    when an operand is a nonzero constant."""
+    if a.degree == 0 or b.degree == 0:
+        return _ZP_ONE
     while not b.is_zero():
         a, b = b, (a % b).monic()
     return a.monic()
@@ -487,24 +520,17 @@ class RatFunc:
         if not isinstance(num, ZPoly):
             num = ZPoly((num,)) if isinstance(num, (int, Fraction, GaussRat)) else ZPoly(num)
         if den is None:
-            den = ZPoly((1,))
+            den = _ZP_ONE
         elif not isinstance(den, ZPoly):
             den = ZPoly((den,)) if isinstance(den, (int, Fraction, GaussRat)) else ZPoly(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator in RatFunc")
         if num.is_zero():
-            den = ZPoly((1,))
+            den = _ZP_ONE
         else:
-            g = zpoly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-            lc = den.leading()
-            if lc != 1:
-                inv = lc.inverse()
-                num = num * inv
-                den = den * inv
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+            num, den = _monic(*_cancel(num, den))
+        _set_num(self, num)
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
@@ -517,14 +543,14 @@ class RatFunc:
         if isinstance(x, RatFunc):
             return x
         if isinstance(x, (int, Fraction, GaussRat)):
-            return RatFunc(ZPoly((x,)))
+            return _rf(ZPoly((x,)), _ZP_ONE)
         if isinstance(x, ZPoly):
-            return RatFunc(x)
+            return _rf(x, _ZP_ONE)
         raise TypeError(f"cannot coerce {x!r} to RatFunc")
 
     @staticmethod
     def var() -> "RatFunc":
-        return RatFunc(ZPoly.var())
+        return _rf(ZPoly.var(), _ZP_ONE)
 
     def _binary(self, other):
         if isinstance(other, RatFunc):
@@ -539,7 +565,7 @@ class RatFunc:
         o = self._binary(other)
         if o is None:
             return NotImplemented
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+        return _rf_sum(self.num, self.den, o.num, o.den)
 
     __radd__ = __add__
 
@@ -547,19 +573,19 @@ class RatFunc:
         o = self._binary(other)
         if o is None:
             return NotImplemented
-        return RatFunc(self.num * o.den - o.num * self.den, self.den * o.den)
+        return _rf_sum(self.num, self.den, -o.num, o.den)
 
     def __rsub__(self, other):
         o = self._binary(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return _rf_sum(o.num, o.den, -self.num, self.den)
 
     def __mul__(self, other):
         o = self._binary(other)
         if o is None:
             return NotImplemented
-        return RatFunc(self.num * o.num, self.den * o.den)
+        return _rf_product(self.num, self.den, o.num, o.den)
 
     __rmul__ = __mul__
 
@@ -569,7 +595,7 @@ class RatFunc:
             return NotImplemented
         if o.num.is_zero():
             raise ZeroDivisionError("division by zero RatFunc")
-        return RatFunc(self.num * o.den, self.den * o.num)
+        return _rf_product(self.num, self.den, o.den, o.num)
 
     def __rtruediv__(self, other):
         o = self._binary(other)
@@ -578,7 +604,7 @@ class RatFunc:
         return o / self
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return _rf(-self.num, self.den)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -586,8 +612,8 @@ class RatFunc:
         if k < 0:
             if self.num.is_zero():
                 raise ZeroDivisionError("negative power of zero RatFunc")
-            return RatFunc(self.den ** (-k), self.num ** (-k))
-        return RatFunc(self.num ** k, self.den ** k)
+            return _rf(*_monic(self.den ** (-k), self.num ** (-k)))
+        return _rf(self.num ** k, self.den ** k)
 
     def inverse(self) -> "RatFunc":
         return 1 / self
@@ -642,6 +668,94 @@ class RatFunc:
         if self.num.degree > 0 or ("+" in ntxt[1:]) or ("-" in ntxt[1:]):
             ntxt = f"({ntxt})"
         return f"{ntxt}/({dtxt})"
+
+
+_set_num, _set_den = RatFunc.num.__set__, RatFunc.den.__set__
+
+
+def _rf(num: ZPoly, den: ZPoly) -> RatFunc:
+    """num/den from a pair already canonical: coprime, den monic, den 1 when num is 0."""
+    x = _new(RatFunc)
+    _set_num(x, num)
+    _set_den(x, den)
+    return x
+
+
+def _monic(num: ZPoly, den: ZPoly) -> tuple[ZPoly, ZPoly]:
+    """num and den divided by den's leading coefficient."""
+    lc = den.coeffs[-1]
+    if lc != 1:
+        inv = lc.inverse()
+        num, den = num * inv, den * inv
+    return num, den
+
+
+def _cancel(a: ZPoly, b: ZPoly) -> tuple[ZPoly, ZPoly]:
+    """a and b divided by their monic gcd; none is sought when either is constant."""
+    if a.degree > 0 and b.degree > 0:
+        g = zpoly_gcd(a, b)
+        if g.degree > 0:
+            return a // g, b // g
+    return a, b
+
+
+def _rf_product(a: ZPoly, b: ZPoly, c: ZPoly, d: ZPoly) -> RatFunc:
+    """(a/b)(c/d) for coprime pairs (a, b) and (c, d), b monic, d nonzero (a quotient
+    passes a divisor's den and num as c and d): gcd(ac, bd) = gcd(a, d) gcd(c, b)."""
+    if not a or not c:
+        return _rf(ZPoly(), _ZP_ONE)
+    a, d = _cancel(a, d)
+    c, b = _cancel(c, b)
+    return _rf(*_monic(a * c, b * d))
+
+
+def _rf_sum(a: ZPoly, b: ZPoly, c: ZPoly, d: ZPoly) -> RatFunc:
+    """a/b + c/d for reduced operands (Henrici): with g = gcd(b, d), b = g b' and
+    d = g d', the sum is t / (g b' d') for t = a d' + c b', and gcd(t, g b' d') =
+    gcd(t, g), since t is prime to b' and to d'."""
+    if b == d:
+        t, g, rest = a + c, b, None
+    else:
+        g = zpoly_gcd(b, d) if b.degree > 0 and d.degree > 0 else _ZP_ONE
+        if g.degree > 0:
+            b, d = b // g, d // g
+        t, rest = a * d + c * b, b * d
+    if not t:
+        return _rf(t, _ZP_ONE)
+    t, g = _cancel(t, g)
+    return _rf(t, g if rest is None else g * rest)
+
+
+def over_known_factors(num: ZPoly, c, factors: dict) -> RatFunc:
+    """num / (c prod f^e) in lowest terms, for a nonzero constant c and monic
+    factors f of positive degree with multiplicities e (`factors`).
+
+    The copies of each f are cancelled against num one at a time: a linear f by
+    one exact root test (f divides num when num vanishes at its root), any other
+    by one gcd.  A copy that cancels nothing ends its factor, since the next would
+    meet the same num.  For each prime p the copies cancel min(v_p num, the sum of
+    their v_p), which is v_p of gcd(num, prod f^e), so what is left is reduced, and
+    a product of monic polynomials, monic.
+    """
+    if not num:
+        return _rf(num, _ZP_ONE)
+    parts = []
+    for f, e in factors.items():
+        for left in range(e, 0, -1):
+            if f.degree == 1:
+                g = f if not num(-f.coeffs[0]) else _ZP_ONE
+            else:
+                g = zpoly_gcd(num, f)
+            if g.degree <= 0:
+                parts.append(f ** left)
+                break
+            num = num // g
+            if g != f:
+                parts.append(f // g)
+    if c != 1:
+        inv = _GR_ONE / c
+        num = ZPoly(x * inv for x in num.coeffs)
+    return _rf(num, prod(parts[1:], start=parts[0]) if parts else _ZP_ONE)
 
 
 Scalar = Union[Fraction, GaussRat, RatFunc]

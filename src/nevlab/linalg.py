@@ -25,12 +25,13 @@ Computer Algebra, ch. 5.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Optional, Sequence
 
-from .fields import GaussRat, RatFunc, ZPoly, denominator_lcm
+from .fields import GaussRat, RatFunc, ZPoly, denominator_lcm, over_known_factors
 
 
 def _inv(s):
@@ -640,8 +641,11 @@ def _lift_polys(points: list, m: int, s: int) -> list:
 
 def _exact_values(big_d: list, ws: Optional[list], scales: list, constant: bool):
     """(det M, y) from the lifted D and w: det M = D / prod L_r and
-    y[r] = L_r w[r] / prod L_r (y None without w), as GaussRat values when no
-    entry depends on z and as canonical RatFunc values otherwise."""
+    y[r] = L_r w[r] / prod L_r = w[r] / ((c_all / c_r) prod_{s != r} l_s)
+    (y None without w), as GaussRat values when no entry depends on z and as
+    canonical RatFunc values otherwise.  The distinct l_r are the known factors
+    of every denominator, so each value is reduced against them
+    (`over_known_factors`), not by a gcd with the whole product."""
     c_all = prod(c for c, _ in scales)
     if constant:
         det = GaussRat(*(big_d[0] if big_d else (0, 0))) / c_all
@@ -650,11 +654,13 @@ def _exact_values(big_d: list, ws: Optional[list], scales: list, constant: bool)
             return det, None
         return det, [GaussRat(*(w[0] if w else (0, 0))) * Fraction(c, c_all)
                      for w, (c, _) in zip(ws, scales)]
-    den = prod((l for _, l in scales if l is not None), start=ZPoly((c_all,)))
-    det = RatFunc(ZPoly(GaussRat(a, b) for a, b in big_d), den)
+    poles = Counter(l for _, l in scales if l is not None)
+    det = over_known_factors(ZPoly(GaussRat(a, b) for a, b in big_d), c_all, poles)
     if ws is None:
         return det, None
-    return det, [RatFunc(ZPoly(GaussRat(a, b) for a, b in w) * (c if l is None else l * c), den)
+    # a Counter difference keeps positive counts only: without l_r, or unchanged when l_r is None
+    return det, [over_known_factors(ZPoly(GaussRat(a, b) for a, b in w), c_all // c,
+                                    poles - Counter((l,)))
                  for w, (c, l) in zip(ws, scales)]
 
 

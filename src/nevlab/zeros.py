@@ -679,9 +679,11 @@ def _quadtree_zeros(f: ExpPoly, r: float, seeds=None) -> Divisor:
     kept, h = [], tol / 2
     limits = zip(*(v.tolist() for v in _newton(f, seeds(f, r) if seeds else [])))
     for x, step in sorted(limits, key=lambda xs: (xs[0].real, xs[0].imag)):
-        # kept limits differ by more than tol in a coordinate: their disks are disjoint
+        # kept limits differ by more than tol in a coordinate: their disks are disjoint;
+        # kept ascends in real part, so only its tail within tol of x.real can be near x
         if step > h or abs(x) - h > reach or any(
-                abs(x.real - y.real) <= tol and abs(x.imag - y.imag) <= tol for y in kept):
+                abs(x.imag - y.imag) <= tol
+                for y in itertools.takewhile(lambda y: x.real - y.real <= tol, reversed(kept))):
             continue            # not settled, out of reach, or a zero already kept
         kept.append(x)
     if len(kept) == total and all(abs(x) + tol < reach for x in kept) and all(

@@ -132,6 +132,61 @@ def test_ratfunc_reduces_and_keeps_monic_denominator():
     assert str(f) == "1/2/(z)"
 
 
+_PLANTED = (ZPoly((-2, 1)), ZPoly((GaussRat(0, 1), 1)),            # z - 2, z + i
+            ZPoly((1, 0, 1)), ZPoly((GaussRat(1, -2), 3, 1)))    # z^2 + 1, z^2 + 3z + 1 - 2i
+
+
+def _planted_ratfunc(rng):
+    """A reduced RatFunc whose numerator and denominator carry planted linear and
+    quadratic factors, repeated ones too, over non-monic cofactors; the
+    denominator is constant a quarter of the time, the value 0 a tenth."""
+    def part():
+        while True:
+            p = ZPoly([_rand_gauss(rng) for _ in range(rng.randint(1, 3))])
+            if p:
+                break
+        for _ in range(rng.randint(0, 3)):
+            p = p * rng.choice(_PLANTED)
+        return p
+
+    num = ZPoly() if rng.random() < 0.1 else part()
+    den = ZPoly((_rand_gauss(rng) or 1,)) if rng.random() < 0.25 else part()
+    return RatFunc(num, den)
+
+
+def test_ratfunc_arithmetic_equals_the_full_gcd_construction():
+    # +, -, *, / and ** cancel against the operands' own factors (Henrici), and
+    # must give what one gcd of the whole unreduced result gives
+    rng = random.Random(29)
+    for _ in range(300):
+        a, b = _planted_ratfunc(rng), _planted_ratfunc(rng)
+        (n1, d1), (n2, d2) = (a.num, a.den), (b.num, b.den)
+        assert a + b == RatFunc(n1 * d2 + n2 * d1, d1 * d2)
+        assert a - b == RatFunc(n1 * d2 - n2 * d1, d1 * d2)
+        assert a * b == RatFunc(n1 * n2, d1 * d2)
+        assert -a == RatFunc(-n1, d1)
+        c = _rand_gauss(rng)
+        assert a * c == c * a == RatFunc(n1 * c, d1)
+        assert a + c == c + a == RatFunc(n1 + d1 * c, d1)
+        assert c - a == RatFunc(d1 * c - n1, d1)
+        if b:
+            assert a / b == RatFunc(n1 * d2, d1 * n2)
+        k = rng.randint(-3, 3)
+        if k >= 0:
+            assert a ** k == RatFunc(n1 ** k, d1 ** k)
+        elif a:
+            assert a ** k == RatFunc(d1 ** -k, n1 ** -k)
+        for x in (a + b, a * b, -a):
+            assert x.den.leading() == 1 and (not x.num or zpoly_gcd(x.num, x.den) == ZPoly((1,)))
+
+
+def test_zpoly_gcd_of_a_nonzero_constant_is_one():
+    p = ZPoly((1, 2, 3))
+    for c in (ZPoly((5,)), ZPoly((GaussRat(0, 1),))):
+        assert zpoly_gcd(p, c) == zpoly_gcd(c, p) == zpoly_gcd(c, ZPoly()) == ZPoly((1,))
+    assert zpoly_gcd(p, ZPoly()) == p.monic()
+
+
 def test_ratfunc_pole_evaluation():
     f = RatFunc(ZPoly((1,)), ZPoly((-2, 1)))
     with pytest.raises(PoleError):

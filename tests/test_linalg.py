@@ -4,7 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -693,6 +693,46 @@ def test_function_field_values_need_no_gcd_per_elimination_step(monkeypatch):
     monkeypatch.setattr(linalg, "PRIMES", ())
     assert det_sparse(rows) == det
     assert len(calls) > 4 * size               # what the guard tells apart
+
+
+def test_exact_values_equal_the_full_product_construction(monkeypatch):
+    # det M and y are reduced against the distinct row denominators l_r, by a
+    # root test for a linear one and a gcd otherwise; each must equal the one
+    # gcd over the whole product prod L_r.  Numerators carry planted factors of
+    # the l_r, repeated and overlapping ones too.
+    calls = []
+    gcd = fields.zpoly_gcd
+
+    def counted(a, b):
+        calls.append(1)
+        return gcd(a, b)
+
+    monkeypatch.setattr(fields, "zpoly_gcd", counted)
+    rows = _certify_shaped_moving_rows()        # one linear pole, z + 7
+    assert solve_transposed(rows, 0)[2] and not calls
+    rng = random.Random(31)
+    poles = (ZPoly((1, 1)), ZPoly((GaussRat(-2, 1), 1)), ZPoly((2, 3, 1)), ZPoly((1, 0, 1)),
+             ZPoly((1, 1)) ** 2, ZPoly((1, 1)) * ZPoly((2, 3, 1)))
+
+    def lifted(factors):
+        p = ZPoly([GaussRat(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(rng.randint(1, 4))])
+        for _ in range(rng.randint(0, 3)):
+            p = p * rng.choice(factors)
+        return [(c.a, c.b) for c in p.coeffs]
+
+    for _ in range(80):
+        scales = [(rng.randint(1, 6), rng.choice((*poles, None, None))) for _ in range(rng.randint(1, 4))]
+        used = [l for _, l in scales if l is not None] or [ZPoly((3, 1))]
+        big_d = lifted(used) if rng.random() < 0.9 else []
+        ws = [lifted(used) if rng.random() < 0.9 else [] for _ in scales]
+        det, ys = linalg._exact_values(big_d, ws, scales, False)
+        den = ZPoly((prod(c for c, _ in scales),))
+        for _, l in scales:
+            den = den if l is None else den * l
+        assert det == RatFunc(ZPoly(GaussRat(a, b) for a, b in big_d), den)
+        assert all(isinstance(y, RatFunc) for y in (det, *ys))
+        for y, w, (c, l) in zip(ys, ws, scales):
+            assert y == RatFunc(ZPoly(GaussRat(a, b) for a, b in w) * (c if l is None else l * c), den)
 
 
 def test_modular_rank_scales_each_row_shape_once(monkeypatch):

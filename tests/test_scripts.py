@@ -39,3 +39,15 @@ def test_zero_costs_prints_the_same_counts_twice():
     assert counts[0][0].split() == ["case", "r", "walks", "levels", "scaled", "points", "certified"]
     assert counts[0][1].split()[:3] == ["(z+10)+z", "e^z", "50"]
     assert "process time, best of 1 interleaved rounds" in runs[0].stdout
+
+
+def test_tower_costs_prints_the_same_counts_twice():
+    # gcd calls and RatFunc values per certificate are deterministic
+    runs = [_run_script("tower_costs.py", "--rounds", "0") for _ in range(2)]
+    assert all(run.returncode == 0 for run in runs), runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    lines = runs[0].stdout.splitlines()
+    assert lines[0].split() == ["seed", "index", "gcds", "ratfuncs"]
+    assert [line.split()[:2] for line in lines[1:]] == [[str(s), str(i)] for s in range(1, 6)
+                                                       for i in range(3)]
+    assert "process time" not in runs[0].stdout
