@@ -138,8 +138,8 @@ def check_certificate_exactness() -> tuple[bool, str]:
         r = macaulay_resultant(polys)
         if not r:
             continue
-        cert = power_certificate(polys, rng.randrange(n + 1), resultant=r)
-        if not cert.verify() or cert.s > (n + 1) * (d - 1) + 1:
+        cert = power_certificate(polys, rng.randrange(n + 1))
+        if cert.resultant != r or not cert.verify() or cert.s > (n + 1) * (d - 1) + 1:
             bad += 1
         max_s_seen = max(max_s_seen, cert.s)
         done += 1
@@ -180,7 +180,7 @@ def check_quotient_dimension() -> tuple[bool, str]:
         n, d = fam.n, fam.common_degree()
         gens = [fam.lifted()[j] for j in range(n)]
         for big_n in range(0, n_cap + 1):
-            got = quotient_dim(gens, big_n)
+            got = quotient_dim(gens, big_n)[0]
             want = tuple_count(big_n, d, n)
             checked += 1
             if got != want:
@@ -218,7 +218,7 @@ def check_filtration_identities() -> tuple[bool, str]:
                     prev = a_seen.setdefault(big_n, table.a_constant)
                     if prev != table.a_constant:
                         bad += 1
-                    basis = construct_psi_basis(fam, subset, big_n, table)
+                    basis = construct_psi_basis(fam, table)
                     if len(basis.polys) != table.m_total:
                         bad += 1
                     if not basis_is_independent(basis):

@@ -146,15 +146,22 @@ def _load_curve(path: str):
     return curve_from_json(load_json_file(path))
 
 
+def _load_square_family(path: str, what: str):
+    """The family at `path`, which must hold n+1 forms of one degree."""
+    fam = _load_family(path)
+    if fam.q != fam.n + 1:
+        raise InputError(f"{what} needs exactly n+1 = {fam.n + 1} forms, got {fam.q}")
+    if len(set(fam.degrees)) > 1:
+        raise InputError(f"{what} needs forms of one degree, got degrees {fam.degrees}")
+    return fam
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_resultant(args) -> int:
-    fam = _load_family(args.system)
-    if fam.q != fam.n + 1:
-        raise InputError(
-            f"resultant needs exactly n+1 = {fam.n + 1} forms, got {fam.q}")
+    fam = _load_square_family(args.system, "resultant")
     res = macaulay_resultant(fam.polys)
     _emit({"tool": "resultant", "version": __version__,
            "n": fam.n, "degrees": fam.degrees,
@@ -166,6 +173,8 @@ def cmd_admissible(args) -> int:
     if args.max_points is not None and args.max_points < 1:
         raise InputError(f"--max-points must be a positive integer, got {args.max_points}")
     fam = _load_family(args.system)
+    if fam.q < fam.n + 1:
+        raise InputError(f"admissible needs at least n+1 = {fam.n + 1} forms, got {fam.q}")
     rep = is_admissible(fam, max_points=args.max_points)
     doc = {"tool": "admissible", "version": __version__,
            "n": fam.n, "q": fam.q, "moving": fam.is_moving()}
@@ -175,10 +184,7 @@ def cmd_admissible(args) -> int:
 
 
 def cmd_certificate(args) -> int:
-    fam = _load_family(args.system)
-    if fam.q != fam.n + 1:
-        raise InputError(
-            f"certificate needs exactly n+1 = {fam.n + 1} forms, got {fam.q}")
+    fam = _load_square_family(args.system, "certificate")
     if not 0 <= args.index <= fam.n:
         raise InputError(f"--index must lie in 0..{fam.n}")
     cert = power_certificate(fam.polys, args.index)
@@ -201,6 +207,8 @@ def cmd_filtration(args) -> int:
     d = fam.common_degree()
     if args.level % d:
         raise InputError(f"--level must be a multiple of the common degree {d}")
+    if args.level < 0:
+        raise InputError(f"--level must be nonnegative, got {args.level}")
     table = build_filtration(fam, subset, args.level)
     _emit({"tool": "filtration", "version": __version__,
            "n": table.n, "d": table.d, "level": table.big_n,
@@ -330,6 +338,8 @@ def cmd_smt(args) -> int:
         raise InputError(f"--eps must be positive, got {args.eps}")
     if not 1.0 < args.rmin < args.rmax < math.inf or args.steps < 2:
         raise InputError("need 1 < rmin < rmax and at least 2 steps")
+    if fam.q < fam.n + 1:
+        raise InputError(f"smt needs at least n+1 = {fam.n + 1} forms, got {fam.q}")
     radii = [float(r) for r in np.linspace(args.rmin, args.rmax, args.steps)]
     rep = smt_verify(curve, fam.polys, eps, radii)
     doc = {"tool": "smt", "version": __version__,

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .hpoly import HPoly, monomial_index, monomials
 from .linalg import RankPaths, RowReducer, certified_rank
@@ -41,15 +41,15 @@ def tuple_count(big_n: int, d: int, n: int) -> int:
     return total
 
 
-def quotient_dim(gens: Sequence[HPoly], big_n: int, paths: Optional[list] = None) -> int:
-    """dim V_N / (gens) cap V_N, by certified modular rank with exact fallback.
+def quotient_dim(gens: Sequence[HPoly], big_n: int) -> tuple[int, bool]:
+    """dim V_N / (gens) cap V_N, by certified modular rank with exact
+    fallback, and whether the modular rank decided.
 
     With at most nvars generators the complete-intersection rank bounds the
     rank of the ideal's degree-N piece, and a modular rank reaching it is
     exact; that is the case for admissible families, where the dimension is
     tuple_count.  Otherwise (an inadmissible subset, more generators, or a
-    short modular rank) exact elimination decides.  `paths`, when given,
-    gets True appended when the modular rank decided and False otherwise.
+    short modular rank) exact elimination decides.
     """
     nvars = gens[0].nvars
     rows = ideal_rows(gens, big_n)[1]
@@ -57,9 +57,7 @@ def quotient_dim(gens: Sequence[HPoly], big_n: int, paths: Optional[list] = None
     if len(gens) <= nvars:
         bound = complete_intersection_rank([g.degree for g in gens], nvars, big_n)
     rank, modular = certified_rank(rows, bound)
-    if paths is not None:
-        paths.append(modular)
-    return len(monomials(nvars - 1, big_n)) - rank
+    return len(monomials(nvars - 1, big_n)) - rank, modular
 
 
 def filtration_tuples(t: int, n: int) -> tuple[tuple, ...]:
@@ -116,12 +114,13 @@ def build_filtration(fam: HypersurfaceFamily, subset: Sequence[int], big_n: int)
     gens = _subset_polys(fam, subset)
     tuples = filtration_tuples(big_n // d, n)
     dims_by_level: dict[int, int] = {}
-    paths: list = []
+    flags = []
     mults = []
     for idx in tuples:
         level = big_n - d * sum(idx)
         if level not in dims_by_level:
-            dim, want = quotient_dim(gens, level, paths), tuple_count(level, d, n)
+            (dim, modular), want = quotient_dim(gens, level), tuple_count(level, d, n)
+            flags.append(modular)
             if dim != want:
                 raise ArithmeticError(
                     f"quotient dimension {dim} at level {level} is not the "
@@ -131,7 +130,7 @@ def build_filtration(fam: HypersurfaceFamily, subset: Sequence[int], big_n: int)
     return FiltrationTable(n=n, d=d, big_n=big_n, subset=subset, tuples=tuples,
                            multiplicities=tuple(mults),
                            a_constant=sum(m * idx[0] for m, idx in zip(mults, tuples)),
-                           rank_paths=RankPaths.count(paths))
+                           rank_paths=RankPaths.count(flags))
 
 
 @dataclass(frozen=True)
@@ -151,12 +150,10 @@ class PsiBasis:
         return sum(self.table.tuples[k][s] for k, _ in self.factorizations)
 
 
-def construct_psi_basis(fam: HypersurfaceFamily, subset: Sequence[int], big_n: int,
-                        table: Optional[FiltrationTable] = None) -> PsiBasis:
-    """Greedy psi basis: per block, lex-descending monomial representatives
-    of the complete-intersection quotient, multiplied by Q_J^{I_k}."""
-    if table is None:
-        table = build_filtration(fam, subset, big_n)
+def construct_psi_basis(fam: HypersurfaceFamily, table: FiltrationTable) -> PsiBasis:
+    """Greedy psi basis for the filtration table of an n-subset of the
+    family: per block, lex-descending monomial representatives of the
+    complete-intersection quotient, multiplied by Q_J^{I_k}."""
     gens = _subset_polys(fam, table.subset)
     nvars = fam.n + 1
     d = table.d

@@ -15,12 +15,14 @@ is read.  `certified_rank` reduces modulo the word-size primes of `MODULI`,
 where a matrix can only lose rank, so a modular rank that reaches a known
 upper bound is the exact rank; else exact elimination decides.  Any prime
 certifies a rank, so primes of one CPython digit serve.
-`det_sparse` and `solve_transposed` (`_multimodular`) eliminate modulo a
-product of the 61-bit primes of `PRIMES` that exceeds twice a Hadamard-type
-bound at enough points z to interpolate the result, and lift the residues;
-over Q(i) one point suffices.  When the table is too short, or too few points
-are usable, exact elimination decides.  See von zur Gathen & Gerhard, Modern
-Computer Algebra, ch. 5.
+`det_sparse`, the one determinant entry, gives det M and, on request, a row
+of the adjugate, with the flag of the path that decided: `_multimodular`
+eliminates modulo a product of the 61-bit primes of `PRIMES` that exceeds
+twice a Hadamard-type bound at enough points z to interpolate the result,
+and lifts the residues; over Q(i) one point suffices.  When the table is too
+short, or too few points are usable, one exact elimination of the transposed
+matrix decides.  See von zur Gathen & Gerhard, Modern Computer Algebra,
+ch. 5.
 """
 
 from __future__ import annotations
@@ -189,41 +191,16 @@ def _odd(order: Sequence[int]) -> bool:
     return sum(1 for a in range(n) for b in range(a + 1, n) if order[a] > order[b]) % 2 == 1
 
 
-def det_sparse(rows: list[dict], paths: Optional[list] = None):
-    """Exact determinant of a square matrix given as its sparse rows.
+def det_sparse(rows: list[dict], col: Optional[int] = None) -> tuple[object, Optional[list], bool]:
+    """(det M, y, modular) for a square matrix M given as its sparse rows:
+    y is row `col` of the adjugate of M (sum_r y[r] * rows[r] == det M * e_col,
+    so y / det M is row `col` of M^-1), None when M is singular or no `col`
+    is given, and modular is whether the multimodular path decided.
 
-    A matrix over Q(i)(z) is tried multimodular first (`_multimodular`);
-    exact elimination (`_det_exact`) decides when that finds no certificate.
-    `paths`, when given, gets True appended when the multimodular path
-    decided and False otherwise.
-    """
-    found = _multimodular(rows)
-    if paths is not None:
-        paths.append(found is not None)
-    return _det_exact(rows) if found is None else found[0]
-
-
-def _det_exact(rows: list[dict]):
-    """Determinant of a square matrix by exact elimination (`RowReducer.det`),
-    stopping at the first row that does not raise the rank.  Rows are fed by
-    their first column, so the elimination of a banded matrix stays banded."""
-    order = sorted(range(len(rows)), key=lambda r: min(rows[r], default=0))
-    red = RowReducer()
-    for r in order:
-        if not red.add(rows[r]):
-            return Fraction(0)
-    return -red.det() if _odd(order) else red.det()
-
-
-def solve_transposed(rows: list[dict], col: int) -> tuple[object, Optional[list], bool]:
-    """det M of a square matrix M, row `col` of its adjugate (the y with
-    sum_r y[r] * rows[r] == det M * e_col, so y / det M is row `col` of
-    M^-1), and whether the multimodular path decided.
-
-    y is None when M is singular.  Multimodular Cramer (`_multimodular`)
-    first, else one exact elimination of the transposed system
-    M^T u = e_col, which gives det M^T = det M (`RowReducer.det`) and, when
-    it is nonzero, u = y / det M; both paths give the same values.
+    Multimodular first (`_multimodular`), else one exact elimination of the
+    transposed system M^T u = e_col (of M^T alone without `col`), which gives
+    det M^T = det M (`RowReducer.det`) and, when it is nonzero, u = y / det M;
+    both paths give the same values.
     """
     found = _multimodular(rows, col)
     if found is not None:
@@ -232,15 +209,15 @@ def solve_transposed(rows: list[dict], col: int) -> tuple[object, Optional[list]
     for r, row in enumerate(rows):
         for c, v in row.items():
             eqs[c][r] = v
-    red = RowReducer(track_rhs=True)
+    red = RowReducer(track_rhs=col is not None)
     try:
         for c, eq in enumerate(eqs):
-            if not red.add(eq, Fraction(int(c == col))):
+            if not red.add(eq, None if col is None else Fraction(int(c == col))):
                 break
     except Inconsistent:              # a dependent equation: M is singular
         pass
     det = red.det()
-    if not det:
+    if not det or col is None:
         return det, None, False
     sol = red.solution()
     return det, [det * sol[r] for r in range(len(rows))], False

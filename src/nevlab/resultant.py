@@ -20,9 +20,11 @@ s with x_i^s * R in the degree-s graded piece of the ideal generated by the
 family.
 
 Determinants of matrices over Q(i)(z) are multimodular with an exact
-fallback (`linalg.det_sparse`), and so are a family's cofactors at the
-critical degree, fixed or moving: Cramer's rule on the square Macaulay rows
-(`linalg.solve_transposed`).
+fallback, and so are a family's cofactors at the critical degree, fixed or
+moving: Cramer's rule on the square Macaulay rows; both come from the one
+determinant entry `linalg.det_sparse`.  Every certified decision returns
+whether its modular or multimodular path decided, next to its value, and
+the reports count those flags in `RankPaths`.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Optional, Sequence
 from .fields import GaussRat, PoleError, RatFunc, ZPoly, denominator_lcm, simplify_scalar
 from .hpoly import HPoly, monomial_index, monomials
 from .linalg import (RankPaths, _split, certified_rank, det_sparse, modular_rank_reaches,
-                     solve_system, solve_transposed)
+                     solve_system)
 
 
 class AdmissibilityUndecided(RuntimeError):
@@ -68,7 +70,7 @@ def sylvester_resultant(p: HPoly, q: HPoly):
         rows.append({i + j: pc[d - j] for j in range(d + 1) if pc[d - j]})
     for i in range(d):
         rows.append({i + j: qc[d - j] for j in range(d + 1) if qc[d - j]})
-    return simplify_scalar(det_sparse(rows))
+    return simplify_scalar(det_sparse(rows)[0])
 
 
 def _macaulay_row(gamma: tuple, d: int) -> tuple[int, tuple]:
@@ -110,27 +112,19 @@ def _macaulay_matrix(polys: Sequence[HPoly], d: int):
     return rows, nr
 
 
-def _macaulay_dets(polys: Sequence[HPoly], d: int, paths: Optional[list],
-                   col: Optional[int] = None):
-    """det(M) and det(M'') of the Macaulay construction at critical degree,
-    and the Cramer solve for column `col` as `solve_transposed` returns it:
-    given `col`, det M is taken from that solve; without it, the third value
-    is None."""
+def _macaulay_dets(polys: Sequence[HPoly], d: int, col: Optional[int] = None):
+    """(solved, det M'', flags) of the Macaulay construction at critical
+    degree: solved = (det M, row `col` of adj M, flag) as `det_sparse`
+    returns it, and the flags of det M and det M''.  An empty M'' (every
+    n = 1 family) has det 1 and no flag."""
     rows, nr = _macaulay_matrix(polys, d)
-    solved = None
-    if col is None:
-        det_m = det_sparse(rows, paths)
-    else:
-        solved = solve_transposed(rows, col)
-        det_m = solved[0]
-        paths.append(solved[2])
+    solved = det_sparse(rows, col)
+    if not nr:
+        return solved, Fraction(1), [solved[2]]
     nr_index = {k: j for j, k in enumerate(nr)}
-    sub_rows = []
-    for k in nr:
-        row = rows[k]
-        sub_rows.append({nr_index[c]: v for c, v in row.items() if c in nr_index})
-    det_minor = det_sparse(sub_rows, paths) if nr else Fraction(1)
-    return det_m, det_minor, solved
+    minor = [{nr_index[c]: v for c, v in rows[k].items() if c in nr_index} for k in nr]
+    det_minor, _, modular = det_sparse(minor)
+    return solved, det_minor, [solved[2], modular]
 
 
 def macaulay_resultant(polys: Sequence[HPoly]):
@@ -149,38 +143,42 @@ def macaulay_resultant(polys: Sequence[HPoly]):
         raise ValueError("common degree must be >= 1")
     if any(p.degree != d or p.nvars != nvars for p in polys):
         raise ValueError("forms must share one degree and one variable count")
-    return _resultant(polys, d, None)[0]
+    return _resultant(polys, d)[0]
 
 
-def _resultant(polys: Sequence[HPoly], d: int, paths: Optional[list],
-               col: Optional[int] = None):
-    """The Macaulay resultant det M / det M'', and the Cramer solve for `col`
-    as `_macaulay_dets` returns it.  When det M'' = 0, det M = 0 as well and
+def _resultant(polys: Sequence[HPoly], d: int, col: Optional[int] = None):
+    """(Res, solved, flags): the Macaulay resultant det M / det M'', the
+    solve for `col` as `_macaulay_dets` returns it, and the flag of every
+    determinant and rank behind Res.  When det M'' = 0, det M = 0 as well and
     that solve has no adjugate row; then the ideal's critical piece decides
     whether Res = 0 (`_fills_critical_piece`), and Canny's C(0) gives a
     nonzero Res (`_canny_at_zero`)."""
-    det_m, det_minor, solved = _macaulay_dets(polys, d, paths, col)
+    solved, det_minor, flags = _macaulay_dets(polys, d, col)
     if det_minor:
-        return simplify_scalar(det_m if det_minor == 1 else det_m / det_minor), solved
-    if not _fills_critical_piece(polys, d, paths):
-        return Fraction(0), solved
-    return _canny_at_zero(polys, d, paths), solved
+        det_m = solved[0]
+        return simplify_scalar(det_m if det_minor == 1 else det_m / det_minor), solved, flags
+    full, modular = _fills_critical_piece(polys, d)
+    flags.append(modular)
+    if not full:
+        return Fraction(0), solved, flags
+    value, nodes = _canny_at_zero(polys, d)
+    return value, solved, flags + nodes
 
 
-def _fills_critical_piece(polys: Sequence[HPoly], d: int, paths: Optional[list]) -> bool:
-    """Res(polys) != 0 iff the ideal's piece of critical degree t is all of
-    V_t (Macaulay 1916; Cox, Little & O'Shea, Using Algebraic Geometry, ch. 3
-    §4), by `certified_rank`; `paths` gets whether the modular rank decided."""
+def _fills_critical_piece(polys: Sequence[HPoly], d: int) -> tuple[bool, bool]:
+    """Whether Res(polys) != 0, that is whether the ideal's piece of critical
+    degree t is all of V_t (Macaulay 1916; Cox, Little & O'Shea, Using
+    Algebraic Geometry, ch. 3 §4), by `certified_rank`, and whether the
+    modular rank decided."""
     t = len(polys) * (d - 1) + 1
     size = len(monomials(len(polys) - 1, t))
     rank, modular = certified_rank(ideal_rows(polys, t)[1], size)
-    if paths is not None:
-        paths.append(modular)
-    return rank == size
+    return rank == size, modular
 
 
-def _canny_at_zero(polys: Sequence[HPoly], d: int, paths: Optional[list]):
-    """C(0) = Res(polys) for C(s) = Res(Q_i - s x_i^d), by interpolation.
+def _canny_at_zero(polys: Sequence[HPoly], d: int):
+    """C(0) = Res(polys) for C(s) = Res(Q_i - s x_i^d), by interpolation, and
+    the flags of det M and det M'' at each s.
 
     Row gamma of M is x^(gamma - d e_i) Q_i (`_macaulay_row`), so Q_i -
     s x_i^d puts -s on the diagonal of M and of M'': C(s) = det(M - sI) /
@@ -189,21 +187,21 @@ def _canny_at_zero(polys: Sequence[HPoly], d: int, paths: Optional[list]):
     monomials.  The quotient is taken at s = 1, 2, ..., skipping the at most
     dim M'' eigenvalues of M'', until there is one value more than that
     degree, and Lagrange interpolation over the coefficient field gives C(0).
-    Each s adds det M and det M'' to `paths`.
     """
     nvars = len(polys)
-    nodes, values = [], []
+    nodes, values, flags = [], [], []
     s = 0
     while len(nodes) <= nvars * d ** (nvars - 1):
         s += 1
         moved = [p - HPoly.monomial(nvars, [d * (k == i) for k in range(nvars)], s)
                  for i, p in enumerate(polys)]
-        det_m, det_minor, _ = _macaulay_dets(moved, d, paths)
+        (det_m, _, _), det_minor, more = _macaulay_dets(moved, d)
+        flags += more
         if det_minor:
             nodes.append(s)
             values.append(det_m / det_minor)
     return simplify_scalar(sum((v * prod(Fraction(sj, sj - sk) for sj in nodes if sj != sk)
-                                for sk, v in zip(nodes, values)), Fraction(0)))
+                                for sk, v in zip(nodes, values)), Fraction(0))), flags
 
 
 @dataclass(frozen=True)
@@ -283,16 +281,15 @@ def _subset_zero_budget(lifted: Sequence[HPoly], subset: tuple[int, ...], d: int
     return d ** n * total_h + 1
 
 
-def _resultant_nonzero(polys: Sequence[HPoly], paths: list) -> bool:
-    """Res(polys) != 0, by certified modular rank: det(M) = Res * det(M'')
-    for the Macaulay matrix M, so M of full rank mod p proves Res != 0; else
-    the ideal's critical piece decides (`_fills_critical_piece`), and no
-    resultant value is computed.  Appends whether a modular rank decided."""
+def _resultant_nonzero(polys: Sequence[HPoly]) -> tuple[bool, bool]:
+    """Whether Res(polys) != 0, by certified modular rank, and whether a
+    modular rank decided: det(M) = Res * det(M'') for the Macaulay matrix M,
+    so M of full rank mod p proves Res != 0; else the ideal's critical piece
+    decides (`_fills_critical_piece`), and no resultant value is computed."""
     rows, _ = _macaulay_matrix(polys, polys[0].degree)
     if modular_rank_reaches(rows, len(rows)):
-        paths.append(True)
-        return True
-    return _fills_critical_piece(polys, polys[0].degree, paths)
+        return True, True
+    return _fills_critical_piece(polys, polys[0].degree)
 
 
 def is_admissible(fam: HypersurfaceFamily, max_points: Optional[int] = None) -> AdmissibilityReport:
@@ -317,15 +314,17 @@ def is_admissible(fam: HypersurfaceFamily, max_points: Optional[int] = None) -> 
     fixed_subsets = [s for s in subsets if not any(lifted[j].is_moving() for j in s)]
     moving_subsets = [s for s in subsets if any(lifted[j].is_moving() for j in s)]
 
-    paths: list = []
+    flags: list = []
     for s in fixed_subsets:
-        if not _resultant_nonzero([lifted[j].specialize(0) for j in s], paths):
+        nonzero, modular = _resultant_nonzero([lifted[j].specialize(0) for j in s])
+        flags.append(modular)
+        if not nonzero:
             return AdmissibilityReport(False, None, s, len(subsets), 0,
-                                       RankPaths.count(paths))
+                                       RankPaths.count(flags))
 
     if not moving_subsets:
         return AdmissibilityReport(True, GaussRat(0), None, len(subsets), 1,
-                                   RankPaths.count(paths))
+                                   RankPaths.count(flags))
 
     budgets = {s: _subset_zero_budget(lifted, s, d, n) for s in moving_subsets}
     if max_points is None:
@@ -344,17 +343,19 @@ def is_admissible(fam: HypersurfaceFamily, max_points: Optional[int] = None) -> 
         tried += 1
         all_good = True
         for s in moving_subsets:
-            if _resultant_nonzero([specialized[j] for j in s], paths):
+            nonzero, modular = _resultant_nonzero([specialized[j] for j in s])
+            flags.append(modular)
+            if nonzero:
                 nonzero_seen[s] = True
             else:
                 all_good = False
                 zero_counts[s] += 1
                 if zero_counts[s] > budgets[s] and not nonzero_seen[s]:
                     return AdmissibilityReport(False, None, s, len(subsets), tried,
-                                               RankPaths.count(paths))
+                                               RankPaths.count(flags))
         if all_good:
             return AdmissibilityReport(True, z0, None, len(subsets), tried,
-                                       RankPaths.count(paths))
+                                       RankPaths.count(flags))
     # only reachable when the caller capped max_points below the zero budget
     raise AdmissibilityUndecided(
         f"admissibility undecided within {tried} parameter points")
@@ -511,10 +512,10 @@ class PowerCertificate:
     polys: tuple[HPoly, ...]
     rank_paths: RankPaths        # a proved probe at t - 1, then one membership
                                  # decision per level tried
-    value_paths: RankPaths       # the determinants behind a resultant computed
-                                 # here (where det M'' = 0 the critical piece's
-                                 # rank, then two per interpolation node), then
-                                 # one for the cofactors
+    value_paths: RankPaths       # the determinants behind the resultant (where
+                                 # det M'' = 0 the critical piece's rank, then
+                                 # two per interpolation node), then one for
+                                 # the cofactors
     verified: bool               # the identity re-expanded exactly when built
 
     def verify(self) -> bool:
@@ -553,8 +554,7 @@ def _power_outside(polys: Sequence[HPoly], index: int, s: int) -> bool:
     return modular_rank_reaches(rows, bound)
 
 
-def power_certificate(polys: Sequence[HPoly], index: int,
-                      resultant=None) -> PowerCertificate:
+def power_certificate(polys: Sequence[HPoly], index: int) -> PowerCertificate:
     """Minimal s with x_index^s * R in the degree-s piece of (Q_0,...,Q_n).
 
     The bound s <= t = (n+1)(d-1)+1 always suffices for families with nonzero
@@ -566,12 +566,12 @@ def power_certificate(polys: Sequence[HPoly], index: int,
     scan of s = d, ..., t is the fallback: a level below t - 1 is ruled out by
     `_power_outside` or decided by the exact `ideal_membership`.  At t the
     quotient is zero, so no rank test runs: the cofactors come from the
-    square Macaulay rows by Cramer's rule (`solve_transposed`, multimodular
-    with exact fallback), and `ideal_membership` only when det M = 0 there or
-    the check fails.  When the resultant is computed here, that solve also
-    gives det M in the given frame, so the Macaulay matrix is built and
-    eliminated once.  Either way the identity is re-expanded exactly once,
-    and `verified` records the outcome.
+    square Macaulay rows by Cramer's rule (`det_sparse`, multimodular with
+    exact fallback), and `ideal_membership` only when det M = 0 there or the
+    check fails.  That solve also gives det M in the given frame for the
+    resultant, so the Macaulay matrix is built and eliminated once.  Either
+    way the identity is re-expanded exactly once, and `verified` records the
+    outcome.
     """
     polys = tuple(polys)
     nvars = polys[0].nvars
@@ -583,26 +583,20 @@ def power_certificate(polys: Sequence[HPoly], index: int,
         raise ValueError(f"coordinate index {index} out of range")
     s_max = (n + 1) * (d - 1) + 1
     top = monomial_index(n, s_max)[tuple(s_max if k == index else 0 for k in range(nvars))]
-    value_paths: list = []
-    if resultant is None:
-        r, solved = _resultant(polys, d, value_paths, top)
-    else:
-        r, solved = resultant, None
+    r, solved, value_flags = _resultant(polys, d, top)
     if not r:
         raise NotAdmissibleError("family resultant vanishes; no certificate exists")
     probe = s_max - 1 >= d and _power_outside(polys, index, s_max - 1)
-    paths: list = [True] if probe else []
+    rank_flags = [True] if probe else []
     for s in range(s_max if probe else d, s_max + 1):
         # a failed probe already tested t - 1, and at t the quotient is zero
         if s < s_max - 1 and _power_outside(polys, index, s):
-            paths.append(True)
+            rank_flags.append(True)
             continue
-        paths.append(False)
+        rank_flags.append(False)
         target = HPoly.monomial(nvars, tuple(s if k == index else 0 for k in range(nvars)), r)
         verified = False
         if s == s_max:
-            if solved is None:
-                solved = solve_transposed(_macaulay_matrix(polys, d)[0], top)
             det_m, adj, modular = solved
             if adj is not None:
                 scale = 1 if r == det_m else simplify_scalar(r / det_m)
@@ -614,9 +608,9 @@ def power_certificate(polys: Sequence[HPoly], index: int,
             cofactors, modular = ideal_membership(target, polys), False
             verified = cofactors is not None
         if verified:
-            value_paths.append(modular)
-            return PowerCertificate(index, s, r, cofactors, polys, RankPaths.count(paths),
-                                    RankPaths.count(value_paths), verified)
+            value_flags.append(modular)
+            return PowerCertificate(index, s, r, cofactors, polys, RankPaths.count(rank_flags),
+                                    RankPaths.count(value_flags), verified)
     raise NotAdmissibleError(
         f"no power certificate up to the Macaulay bound s={s_max}; "
         "family is not in general position")

@@ -37,6 +37,12 @@ PAIR = {
 CONSTANT = {"n": 1, "polynomials": [SYSTEM["polynomials"][0],
                                     {"degree": 0, "terms": [{"exp": [0, 0], "coef": "1"}]}]}
 
+# schema-valid families the exact layer cannot take as they stand: one form
+# where n = 1 needs two, and n + 1 forms of different degrees
+SINGLE = {"n": 1, "polynomials": SYSTEM["polynomials"][:1]}
+MIXED = {"n": 1, "polynomials": [SYSTEM["polynomials"][0],
+                                 {"degree": 2, "terms": [{"exp": [0, 2], "coef": "1"}]}]}
+
 CURVE = {
     "components": [
         {"terms": [{"poly": "1"}]},
@@ -48,7 +54,8 @@ CURVE = {
 @pytest.fixture
 def paths(tmp_path):
     out = {}
-    for name, doc in (("system", SYSTEM), ("pair", PAIR), ("curve", CURVE), ("constant", CONSTANT)):
+    for name, doc in (("system", SYSTEM), ("pair", PAIR), ("curve", CURVE), ("constant", CONSTANT),
+                      ("single", SINGLE), ("mixed", MIXED)):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(doc))
         out[name] = str(p)
@@ -267,6 +274,23 @@ def test_malformed_numbers_are_input_errors(paths, capsys, cmd, extra):
     # extra is the rest of the command line, an input file named by its key in paths
     assert main([cmd, *(paths.get(arg, arg) for arg in extra)]) == 2
     assert "nevlab: input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["admissible", "single"], "admissible needs at least n+1 = 2 forms, got 1"),
+    (["smt", "curve", "single", "--rmin", "10", "--rmax", "20"],
+     "smt needs at least n+1 = 2 forms, got 1"),
+    (["resultant", "mixed"], "resultant needs forms of one degree, got degrees (1, 2)"),
+    (["certificate", "mixed", "--index", "0"],
+     "certificate needs forms of one degree, got degrees (1, 2)"),
+    (["filtration", "system", "--subset", "0", "--level", "-3"],
+     "--level must be nonnegative, got -3"),
+])
+def test_families_the_exact_layer_cannot_take_are_input_errors(paths, capsys, argv, message):
+    # each is rejected by its command before any computation: exit 2 and one
+    # stderr line, with no traceback
+    assert main([paths.get(arg, arg) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"nevlab: input error: {message}\n"
 
 
 def test_filtration_rejects_bad_subset(paths, capsys):

@@ -86,8 +86,8 @@ def test_quotient_dim_complete_intersection():
     x0, x1, x2 = _coords(2)
     gens = [x0 * x0, x1 * x1]
     for big_n in range(0, 7):
-        assert quotient_dim(gens, big_n) == tuple_count(big_n, 2, 2)
-    assert quotient_dim(gens, 6) == 4
+        assert quotient_dim(gens, big_n) == (tuple_count(big_n, 2, 2), True)
+    assert quotient_dim(gens, 6)[0] == 4
 
 
 def test_build_filtration_level_must_be_multiple():
@@ -103,7 +103,7 @@ def test_filtration_table_identities():
     assert len(table.tuples) == table.k_count == len(table.multiplicities)
     for idx, m in zip(table.tuples, table.multiplicities):
         assert m == quotient_dim([fam.lifted()[0], fam.lifted()[1]],
-                                 4 - 2 * sum(idx))
+                                 4 - 2 * sum(idx))[0]
     assert table.a_constant >= a_lower_bound(table.n, table.d, table.big_n)
 
 
@@ -126,7 +126,7 @@ def test_block_dims_equal_span_rank_drops():
 def test_psi_basis_counts_and_exponent_sums():
     fam = _fermat(1, 1, q=3)
     table = build_filtration(fam, (1,), 3)
-    basis = construct_psi_basis(fam, (1,), 3, table)
+    basis = construct_psi_basis(fam, table)
     assert len(basis.polys) == table.m_total
     assert basis_is_independent(basis)
     assert basis.exponent_sum(0) == table.a_constant
@@ -168,16 +168,12 @@ def _seeded_gens(seed):
 
 def test_modular_quotient_dim_matches_exact(monkeypatch):
     for n, d, gens in _seeded_gens(71):
-        paths = []
-        modular = [quotient_dim(gens, big_n, paths) for big_n in range(10)]
-        assert paths == [True] * 10
-        assert modular == [tuple_count(big_n, d, n) for big_n in range(10)]
+        modular = [quotient_dim(gens, big_n) for big_n in range(10)]
+        assert modular == [(tuple_count(big_n, d, n), True) for big_n in range(10)]
         with monkeypatch.context() as m:
             m.setattr(linalg, "MODULI", ())      # no prime: exact elimination
-            paths = []
-            exact = [quotient_dim(gens, big_n, paths) for big_n in range(10)]
-        assert paths == [False] * 10
-        assert modular == exact
+            exact = [quotient_dim(gens, big_n) for big_n in range(10)]
+        assert exact == [(dim, False) for dim, _ in modular]
 
 
 def _shared_factor_family():
@@ -191,9 +187,8 @@ def test_inadmissible_subset_falls_back_to_exact():
     fam = _shared_factor_family()
     gens = list(fam.lifted()[:2])
     for big_n, modular in ((2, True), (3, False), (6, False)):
-        paths = []
-        got = quotient_dim(gens, big_n, paths)
-        assert paths == [modular]
+        got, flag = quotient_dim(gens, big_n)
+        assert flag == modular
         red = RowReducer()
         for m in monomials(2, big_n - 2):
             for g in gens:
@@ -201,7 +196,7 @@ def test_inadmissible_subset_falls_back_to_exact():
                     (HPoly.monomial(3, m) * g).coeffs.get(e, 0)
                     for e in monomials(2, big_n)) if c})
         assert got == comb(big_n + 2, 2) - red.rank
-    assert quotient_dim(gens, 6) > tuple_count(6, 2, 2)
+    assert quotient_dim(gens, 6)[0] > tuple_count(6, 2, 2)
     with pytest.raises(ArithmeticError, match=r"\(is the family admissible\?\)"):
         build_filtration(fam, (0, 1), 6)
 
@@ -227,9 +222,9 @@ def test_unusable_first_modulus_retries_then_falls_back(monkeypatch):
     for moduli, modular in (((pole,), True), ((unlucky,), False), ((unlucky, good), True),
                             ((unlucky, unlucky_too), False)):
         monkeypatch.setattr(linalg, "MODULI", moduli)
-        paths = []
-        assert [quotient_dim(gens, big_n, paths) for big_n in range(7)] == want
-        assert paths[2:] == [modular] * 5
+        dims, flags = zip(*(quotient_dim(gens, big_n) for big_n in range(7)))
+        assert list(dims) == want
+        assert flags[2:] == (modular,) * 5
 
 
 def test_fallback_needs_no_assert():
@@ -244,8 +239,8 @@ def test_fallback_needs_no_assert():
         "mover = RatFunc(ZPoly((1,)), ZPoly((3, 1)))\n"
         "gens = [x0 * x0 + x1 * x1 * mover, x0 * x0 + x1 * x1 * 6]\n"
         "linalg.MODULI = ((5, 2, 3), (13, 5, 8))\n"
-        "paths = []\n"
-        "print(sys.flags.optimize, [quotient_dim(gens, n, paths) for n in range(7)], paths)\n")
+        "dims, flags = zip(*(quotient_dim(gens, n) for n in range(7)))\n"
+        "print(sys.flags.optimize, list(dims), list(flags))\n")
     env = dict(os.environ, PYTHONPATH=SRC)
     run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                          text=True, env=env, timeout=120)

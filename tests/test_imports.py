@@ -14,7 +14,10 @@ point, runs, one way to a curve's circle means, `characteristic`, which takes
 them through `circle_averages` or the closed form `_max_sinusoid_mean`, which
 nothing else calls, an `EntireCurve` that holds its components and nothing
 else, no private name of `nevanlinna` imported by another module, one modular
-elimination, which the certified rank and the multimodular paths share, `fields.py` imports only the standard library, no module
+elimination, which the certified rank and the multimodular paths share, one
+determinant entry, `det_sparse`, which alone reaches the multimodular path and
+`RowReducer.det`, no function with a `paths` parameter (a certified decision
+returns its flag), `fields.py` imports only the standard library, no module
 but the acceptance battery imports `random`, importing the command line
 loads neither numpy nor mpmath, and its exact commands
 (admissible, resultant, certificate, filtration, bounds, schema) load no
@@ -326,6 +329,30 @@ def test_one_modular_elimination():
                       and getattr(node.func, "id", None) in kernels})
     assert kernels == ["_eliminate_mod"]
     assert callers == ["_multimodular", "modular_rank_reaches"]
+
+
+def test_one_determinant_entry_and_no_paths_parameter():
+    # a certified decision returns which path decided with its value, so no function
+    # takes an output list `paths`; det_sparse is the one determinant entry, the only
+    # caller of the multimodular path and of the exact determinant, and the two
+    # entries it replaced are gone
+    params, gone = [], []
+    callers = {"_multimodular": [], "det": []}
+    for p in sorted(SRC.glob("*.py")):
+        for top in ast.parse(p.read_text(), str(p)).body:
+            for node in ast.walk(top):
+                where = f"{p.name}:{getattr(top, 'name', top.lineno)}"
+                if isinstance(node, ast.arg) and node.arg == "paths":
+                    params.append(where)
+                name = getattr(node, "name", getattr(node, "attr", getattr(node, "id", None)))
+                if name in ("solve_transposed", "_det_exact"):
+                    gone.append(f"{where} {name}")
+                if isinstance(node, ast.Call):
+                    called = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    if called in callers:
+                        callers[called].append(where)
+    assert params == [] and gone == []
+    assert callers == {"_multimodular": ["linalg.py:det_sparse"], "det": ["linalg.py:det_sparse"]}
 
 
 def test_fields_imports_only_the_standard_library():

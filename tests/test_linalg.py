@@ -15,7 +15,7 @@ from nevlab.filtration import build_filtration
 from nevlab.hpoly import HPoly, monomials
 from nevlab.linalg import (Inconsistent, RankPaths, RowReducer, certified_rank,
                            clear_denominators, det_cofactor, det_sparse,
-                           modular_rank_reaches, solve_system, solve_transposed)
+                           modular_rank_reaches, solve_system)
 from nevlab.resultant import (HypersurfaceFamily, _macaulay_matrix, complete_intersection_rank,
                               ideal_rows, is_admissible, power_certificate)
 
@@ -80,7 +80,7 @@ def test_det_sparse_matches_float_determinant():
         k = rng.randint(1, 5)
         mat = _rand_matrix(rng, k)
         rows = [{j: mat[i][j] for j in range(k) if mat[i][j]} for i in range(k)]
-        exact = det_sparse(rows)
+        exact = det_sparse(rows)[0]
         approx = np.linalg.det(np.array(mat, dtype=float)) if k else 1.0
         assert float(exact) == pytest.approx(approx, abs=1e-6)
 
@@ -91,7 +91,7 @@ def test_det_cofactor_agrees_with_det_sparse():
         k = rng.randint(1, 4)
         mat = _rand_matrix(rng, k)
         rows = [{j: mat[i][j] for j in range(k) if mat[i][j]} for i in range(k)]
-        assert det_cofactor(mat) == det_sparse(rows)
+        assert det_cofactor(mat) == det_sparse(rows)[0]
 
 
 def test_det_cofactor_over_polynomials():
@@ -438,9 +438,8 @@ def _gauss_matrix(rng, k, h=5):
 def _exact_det(monkeypatch, rows):
     with monkeypatch.context() as m:
         m.setattr(linalg, "PRIMES", ())       # no prime: exact elimination
-        paths = []
-        value = det_sparse(rows, paths)
-    assert paths == [False]
+        value, _, modular = det_sparse(rows)
+    assert not modular
     return value
 
 
@@ -450,16 +449,13 @@ def test_multimodular_det_matches_exact_elimination(monkeypatch):
     for trial in range(40):
         k = 1 if trial < 3 else rng.randint(2, 8)
         rows = _gauss_matrix(rng, k)
-        paths = []
-        got = det_sparse(rows, paths)
-        assert paths == [True]
+        got, adj, modular = det_sparse(rows)
+        assert modular and adj is None
         assert got == _exact_det(monkeypatch, rows)
         singular += not got
     assert singular >= 3
-    assert det_sparse([{0: GaussRat(Fraction(2, 3), -1)}]) == GaussRat(Fraction(2, 3), -1)
-    paths = []
-    assert det_sparse([{}, {0: Fraction(1)}], paths) == 0    # a zero row
-    assert paths == [True]
+    assert det_sparse([{0: GaussRat(Fraction(2, 3), -1)}])[0] == GaussRat(Fraction(2, 3), -1)
+    assert det_sparse([{}, {0: Fraction(1)}]) == (0, None, True)    # a zero row
 
 
 def test_multimodular_det_of_large_entries_uses_more_primes(monkeypatch):
@@ -468,47 +464,40 @@ def test_multimodular_det_of_large_entries_uses_more_primes(monkeypatch):
     rng = random.Random(44)
     big = 1 << 40
     rows = _gauss_matrix(rng, 8, big)
-    paths = []
-    got = det_sparse(rows, paths)
-    assert paths == [True]
+    got, _, modular = det_sparse(rows)
+    assert modular
     assert got == _exact_det(monkeypatch, rows)
     monkeypatch.setattr(linalg, "PRIMES", linalg.PRIMES[:2])
-    paths = []
-    assert det_sparse(rows, paths) == got
-    assert paths == [False]
+    assert det_sparse(rows) == (got, None, False)
 
 
 def test_det_beyond_the_prime_table_is_exact():
     big = Fraction(1 << 1000)                 # Hadamard bound near 2^2000
     rows = [{0: big, 1: GaussRat(1, 1)}, {0: GaussRat(0, 3), 1: big}]
-    paths = []
-    assert det_sparse(rows, paths) == big * big - GaussRat(1, 1) * GaussRat(0, 3)
-    assert paths == [False]
+    assert det_sparse(rows) == (big * big - GaussRat(1, 1) * GaussRat(0, 3), None, False)
 
 
 def test_det_at_an_unlucky_modulus_falls_back(monkeypatch):
     # the first pivot 5 is no unit mod 5 * 13
     monkeypatch.setattr(linalg, "PRIMES", ((5, 2), (13, 5)))
-    paths = []
-    assert det_sparse([{0: Fraction(5), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}],
-                      paths) == 4
-    assert paths == [False]
+    assert det_sparse([{0: Fraction(5), 1: Fraction(1)},
+                       {0: Fraction(1), 1: Fraction(1)}]) == (4, None, False)
 
 
-def test_solve_transposed_matches_exact_solve(monkeypatch):
+def test_adjugate_row_matches_exact_solve(monkeypatch):
     rng = random.Random(45)
     seen = set()
     for _ in range(25):
         k = rng.randint(1, 6)
         rows = _gauss_matrix(rng, k)
         col = rng.randrange(k)
-        det, adj, modular = solve_transposed(rows, col)
+        det, adj, modular = det_sparse(rows, col)
         assert modular
-        assert det == det_sparse(rows)
+        assert det == det_sparse(rows)[0]
         assert (adj is None) == (not det)
         with monkeypatch.context() as m:
             m.setattr(linalg, "PRIMES", ())
-            assert solve_transposed(rows, col) == (det, adj, False)
+            assert det_sparse(rows, col) == (det, adj, False)
         seen.add(adj is None)
         if adj is not None:
             for c in range(k):
@@ -557,39 +546,34 @@ def test_multimodular_det_over_function_field_matches_exact_elimination(monkeypa
     for trial in range(30):
         k = 1 if trial < 3 else rng.randint(2, 4)
         rows = _ratfunc_matrix(rng, k)
-        paths = []
-        got = det_sparse(rows, paths)
-        assert paths == [True]
+        got, adj, modular = det_sparse(rows)
+        assert modular and adj is None
         assert got == _exact_det(monkeypatch, rows)
         singular += not got
     assert singular >= 3
     # a zero row; z-degrees above 1 and a denominator vanishing at z = 0
     for rows in ([{0: Z, 1: Fraction(1)}, {}],
                  [{0: Z ** 3 - 1, 1: 1 / Z}, {0: Z ** 2 + GaussRat(0, 1), 1: Z ** 4}]):
-        paths = []
-        assert det_sparse(rows, paths) == _exact_det(monkeypatch, rows)
-        assert paths == [True]
-    paths = []
-    assert det_sparse([{0: (Z + 1) / (Z - 2)}], paths) == (Z + 1) / (Z - 2)
-    assert paths == [True]
+        assert det_sparse(rows) == (_exact_det(monkeypatch, rows), None, True)
+    assert det_sparse([{0: (Z + 1) / (Z - 2)}]) == ((Z + 1) / (Z - 2), None, True)
 
 
 def _exact_solve(monkeypatch, rows, col):
     with monkeypatch.context() as m:
         m.setattr(linalg, "PRIMES", ())
-        det, adj, modular = solve_transposed(rows, col)
+        det, adj, modular = det_sparse(rows, col)
     assert not modular
     return det, adj
 
 
-def test_solve_transposed_over_function_field_matches_exact_solve(monkeypatch):
+def test_adjugate_row_over_function_field_matches_exact_solve(monkeypatch):
     rng = random.Random(48)
     seen = set()
     for _ in range(20):
         k = rng.randint(1, 4)
         rows = _ratfunc_matrix(rng, k)
         col = rng.randrange(k)
-        det, adj, modular = solve_transposed(rows, col)
+        det, adj, modular = det_sparse(rows, col)
         assert modular
         assert (det, adj) == _exact_solve(monkeypatch, rows, col)
         seen.add(adj is None)
@@ -597,7 +581,7 @@ def test_solve_transposed_over_function_field_matches_exact_solve(monkeypatch):
     # D = z (z - 1) (z + 2) / (z + 2) vanishes at the points 0 and 1, which
     # the adjugate must skip
     rows = [{0: Z, 1: 1 / (Z + 2)}, {1: Z - 1}]
-    det, adj, modular = solve_transposed(rows, 1)
+    det, adj, modular = det_sparse(rows, 1)
     assert modular and det == Z * (Z - 1)
     assert adj == [0, Z] == _exact_solve(monkeypatch, rows, 1)[1]
 
@@ -610,18 +594,15 @@ def test_function_field_fallbacks_are_exact(monkeypatch):
     # differ by less than 5, too few for the degree bound 8
     monkeypatch.setattr(linalg, "PRIMES", ((5, 2), (13, 5), (17, 4), (29, 12), (37, 6),
                                            (41, 9), (53, 23), (61, 11)))
-    paths = []
-    assert det_sparse(rows, paths) == want
-    assert paths == [False]
-    assert solve_transposed(rows, 0) == (*want_solve, False)
+    assert det_sparse(rows) == (want, None, False)
+    assert det_sparse(rows, 0) == (*want_solve, False)
     monkeypatch.undo()
     # a 2^200 coefficient puts the bound beyond one prime
     big = [{0: Z * (1 << 200), 1: Fraction(1)}, {0: Fraction(1), 1: Z}]
     want = _exact_det(monkeypatch, big)
     monkeypatch.setattr(linalg, "PRIMES", linalg.PRIMES[:1])
-    paths = []
-    assert det_sparse(big, paths) == want == (Z * Z) * (1 << 200) - 1
-    assert paths == [False]
+    assert det_sparse(big) == (want, None, False)
+    assert want == (Z * Z) * (1 << 200) - 1
 
 
 def test_unusable_points_are_skipped_then_exhaust_the_budget(monkeypatch):
@@ -636,15 +617,11 @@ def test_unusable_points_are_skipped_then_exhaust_the_budget(monkeypatch):
         return None if len(calls) % 3 == 0 else eliminate(rows, ncols, m, bound)
 
     monkeypatch.setattr(linalg, "_eliminate_mod", unlucky_every_third)
-    paths = []
-    assert det_sparse(rows, paths) == want
-    assert paths == [True]
-    assert solve_transposed(rows, 1) == (*want_solve, True)
+    assert det_sparse(rows) == (want, None, True)
+    assert det_sparse(rows, 1) == (*want_solve, True)
     monkeypatch.setattr(linalg, "_eliminate_mod", lambda *args: None)
-    paths = []
-    assert det_sparse(rows, paths) == want
-    assert paths == [False]
-    assert solve_transposed(rows, 1) == (*want_solve, False)
+    assert det_sparse(rows) == (want, None, False)
+    assert det_sparse(rows, 1) == (*want_solve, False)
 
 
 def _certify_shaped_moving_polys(second_pole=False):
@@ -683,15 +660,14 @@ def test_function_field_values_need_no_gcd_per_elimination_step(monkeypatch):
         return gcd(a, b)
 
     monkeypatch.setattr(fields, "zpoly_gcd", counted)
-    paths = []
-    det = det_sparse(rows, paths)
-    assert paths == [True] and det and len(calls) <= 1
+    det, _, modular = det_sparse(rows)
+    assert modular and det and len(calls) <= 1
     calls.clear()
-    det_again, adj, modular = solve_transposed(rows, 0)
+    det_again, adj, modular = det_sparse(rows, 0)
     assert modular and det_again == det and len(calls) <= size + 1
     calls.clear()
     monkeypatch.setattr(linalg, "PRIMES", ())
-    assert det_sparse(rows) == det
+    assert det_sparse(rows) == (det, None, False)
     assert len(calls) > 4 * size               # what the guard tells apart
 
 
@@ -709,7 +685,7 @@ def test_exact_values_equal_the_full_product_construction(monkeypatch):
 
     monkeypatch.setattr(fields, "zpoly_gcd", counted)
     rows = _certify_shaped_moving_rows()        # one linear pole, z + 7
-    assert solve_transposed(rows, 0)[2] and not calls
+    assert det_sparse(rows, 0)[2] and not calls
     rng = random.Random(31)
     poles = (ZPoly((1, 1)), ZPoly((GaussRat(-2, 1), 1)), ZPoly((2, 3, 1)), ZPoly((1, 0, 1)),
              ZPoly((1, 1)) ** 2, ZPoly((1, 1)) * ZPoly((2, 3, 1)))
@@ -799,9 +775,9 @@ def test_rowreducer_det_matches_cofactor_expansion():
 
 
 def test_exact_fallbacks_are_one_elimination_pass(monkeypatch):
-    # with no primes both exact paths run on RowReducer: det_sparse feeds it
-    # the rows, and solve_transposed feeds it each transposed equation once,
-    # reading det M and the adjugate row from that one reducer
+    # with no primes det_sparse runs its one exact path on RowReducer: it
+    # feeds it each transposed equation once, reading det M and, when asked,
+    # the adjugate row from that one reducer
     monkeypatch.setattr(linalg, "PRIMES", ())
     calls = []
     add = RowReducer.add
@@ -819,10 +795,10 @@ def test_exact_fallbacks_are_one_elimination_pass(monkeypatch):
         col = rng.randrange(k)
         want = det_cofactor(_dense(rows, k))
         calls.clear()
-        assert det_sparse(rows) == want
+        assert det_sparse(rows) == (want, None, False)
         assert 0 < len(calls) <= k
         calls.clear()
-        det, adj, modular = solve_transposed(rows, col)
+        det, adj, modular = det_sparse(rows, col)
         assert len(calls) <= k and not modular and det == want
         assert (adj is None) == (not det)
         if adj is not None:
@@ -841,22 +817,26 @@ def test_multimodular_paths_need_no_assert():
         "import sys\n"
         "from fractions import Fraction\n"
         "from nevlab.fields import GaussRat, RatFunc, ZPoly\n"
-        "from nevlab.linalg import det_cofactor, det_sparse, solve_transposed\n"
-        "paths = []\n"
+        "from nevlab.linalg import det_cofactor, det_sparse\n"
+        "flags = []\n"
         "same = []\n"
+        "def det(rows):\n"
+        "    value, _, modular = det_sparse(rows)\n"
+        "    flags.append(modular)\n"
+        "    return value\n"
         "for big in (Fraction(7, 2), Fraction(1 << 1000)):\n"
         "    mat = [[big, GaussRat(1, 1)], [GaussRat(0, 3), big]]\n"
         "    rows = [dict(enumerate(row)) for row in mat]\n"
-        "    same.append(det_sparse(rows, paths) == det_cofactor(mat))\n"
+        "    same.append(det(rows) == det_cofactor(mat))\n"
         "z = RatFunc(ZPoly((0, 1)))\n"
         "for big in (3, 1 << 1000):\n"
         "    mat = [[z * big + 1, 1 / (z + 2)], [GaussRat(0, 3), z * z]]\n"
         "    rows = [dict(enumerate(row)) for row in mat]\n"
-        "    same.append(det_sparse(rows, paths) == det_cofactor(mat))\n"
-        "    det, adj, modular = solve_transposed(rows, 1)\n"
-        "    same.append(det == det_cofactor(mat) and adj == [-mat[1][0], mat[0][0]])\n"
-        "    paths.append(modular)\n"
-        "print(sys.flags.optimize, paths, same)\n")
+        "    same.append(det(rows) == det_cofactor(mat))\n"
+        "    value, adj, modular = det_sparse(rows, 1)\n"
+        "    same.append(value == det_cofactor(mat) and adj == [-mat[1][0], mat[0][0]])\n"
+        "    flags.append(modular)\n"
+        "print(sys.flags.optimize, flags, same)\n")
     env = dict(os.environ, PYTHONPATH=SRC)
     run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                          text=True, env=env, timeout=120)

@@ -380,11 +380,12 @@ def test_power_certificate_with_singular_macaulay_matrix_uses_membership(monkeyp
     x0, x1, x2 = (HPoly.coordinate(3, k) for k in range(3))
     polys = [x0 * x1 + x2 * x2, x0 * x0 + x1 * x1, x1 * x2 + x0 * x2 * 2 + x0 * x0]
     calls = []
-    solve = resultant.solve_transposed
-    monkeypatch.setattr(resultant, "solve_transposed",
-                        lambda rows, col: calls.append(solve(rows, col)) or calls[-1])
+    det = resultant.det_sparse
+    monkeypatch.setattr(resultant, "det_sparse",
+                        lambda rows, col=None: calls.append((col, det(rows, col))) or calls[-1][1])
     cert = power_certificate(polys, 0)
-    assert calls == [(0, None, True)]                   # singular, decided mod m
+    solves = [solved for col, solved in calls if col is not None]
+    assert solves == [(0, None, True)]                  # singular, decided mod m
     assert (cert.s, cert.resultant) == (4, 18)
     # the given frame's det M and det M'', the critical piece's rank, det M(s)
     # and det M''(s) at s = 1, ..., 14 (13 nodes for C(s) of degree 12, one s
@@ -411,9 +412,9 @@ def test_sparse_cubics_are_decided_in_the_given_frame():
         full = linalg.certified_rank(ideal_rows(polys, 7)[1], 36)[0] == 36
         assert bool(res) == full
         assert is_admissible(HypersurfaceFamily(2, polys)).admissible == full
-        det_m, det_minor, _ = resultant._macaulay_dets(polys, 3, None)
+        (det_m, _, _), det_minor, _ = resultant._macaulay_dets(polys, 3)
         if det_minor:
-            assert resultant._canny_at_zero(polys, 3, None) == det_m / det_minor == res
+            assert resultant._canny_at_zero(polys, 3)[0] == det_m / det_minor == res
         singular += not det_minor
         nonzero += full
     assert (singular, nonzero) == (172, 15)
@@ -421,7 +422,7 @@ def test_sparse_cubics_are_decided_in_the_given_frame():
     # forms sharing a factor: C(s) vanishes at 0 as the rank says
     for polys in ([x0 * x0 * x1 + x0 ** 3 * 2, x0 ** 3, x0 * x1 * x2],
                   [x0 * x0 * x1 * 2, x0 * x1 * x2 * 2, x0 * x0 * x2 * 2]):
-        assert resultant._canny_at_zero(polys, 3, None) == 0 == macaulay_resultant(polys)
+        assert resultant._canny_at_zero(polys, 3)[0] == 0 == macaulay_resultant(polys)
     # nonzero with a singular frame: Res(F, G, 2 x1^3) = +-2^9 Res(F, G, x1)^3
     # and Res(F, G, x1) = +-Res(F, G at x1 = 0)
     f, g = x0 * x0 * x2 * 2 + x0 * x1 * x1 * 2 + x2 ** 3 * 2, x0 ** 3 * 2 + x0 * x0 * x2 + x2 ** 3
@@ -438,7 +439,7 @@ def test_moving_family_with_a_singular_frame_interpolates_c_of_s():
     x0, x1, x2 = (HPoly.coordinate(3, k) for k in range(3))
     polys = [x0 * x1 + x2 * x2 * (z / (z + 3)), x0 * x0 + x1 * x1,
              x1 * x2 + x0 * x2 * 2 + x0 * x0]
-    assert resultant._macaulay_dets(polys, 2, None)[1] == 0
+    assert resultant._macaulay_dets(polys, 2)[1] == 0
     res = macaulay_resultant(polys)
     assert res == (z ** 4 * 18 + z ** 3 * 126 + z ** 2 * 225) / (z + 3) ** 4
     for z0, want in ((1, Fraction(369, 256)), (2, Fraction(2196, 625)),
@@ -504,16 +505,12 @@ def test_macaulay_matrix_is_built_and_eliminated_once_per_certificate(monkeypatc
     monkeypatch.setattr(resultant, "_macaulay_matrix",
                         lambda *args: built.append(1) or build(*args))
     monkeypatch.setattr(resultant, "det_sparse",
-                        lambda rows, paths=None: dets.append(len(rows)) or det(rows, paths))
+                        lambda rows, col=None: dets.append((len(rows), col)) or det(rows, col))
     cert = power_certificate(polys, 0)
     assert cert.s == 7 and len(built) == 1
-    assert dets == [9]                                 # det M'' only; det M is the solve's
-    # a resultant given by the caller: the solve builds the matrix once at s = t
-    built.clear()
-    dets.clear()
-    again = power_certificate(polys, 0, resultant=cert.resultant)
-    assert len(built) == 1 and dets == []
-    assert again.cofactors == cert.cofactors
+    # one solve gives det M and the cofactors' adjugate row (x0^7 is column 0),
+    # then det M''
+    assert dets == [(36, 0), (9, None)]
 
 
 def test_verified_reports_the_certificate_own_reexpansion(monkeypatch):
