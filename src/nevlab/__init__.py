@@ -16,8 +16,7 @@ from importlib import import_module
 
 from .fields import GaussRat, RatFunc, ZPoly, zpoly_gcd
 from .hpoly import HPoly, monomials
-from .resultant import (AdmissibilityReport, AdmissibilityUndecided,
-                        HypersurfaceFamily, NotAdmissibleError,
+from .resultant import (AdmissibilityReport, HypersurfaceFamily, NotAdmissibleError,
                         PowerCertificate, is_admissible, macaulay_resultant,
                         power_certificate, sylvester_resultant)
 from .filtration import (FiltrationTable, PsiBasis, basis_is_independent,
@@ -62,8 +61,7 @@ __all__ = [
     "GaussRat", "RatFunc", "ZPoly", "zpoly_gcd",
     "HPoly", "monomials",
     "ExpPoly",
-    "AdmissibilityReport", "AdmissibilityUndecided", "HypersurfaceFamily",
-    "NotAdmissibleError",
+    "AdmissibilityReport", "HypersurfaceFamily", "NotAdmissibleError",
     "PowerCertificate", "is_admissible", "macaulay_resultant",
     "power_certificate", "sylvester_resultant",
     "FiltrationTable", "PsiBasis", "basis_is_independent", "build_filtration",

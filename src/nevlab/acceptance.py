@@ -371,8 +371,7 @@ def check_divisor_bound() -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 # 9. main inequality harness
 
-# the exponential line (1 : e^z) of checks 9 and 10, one object, since a curve
-# keeps the circle means T(r) reads: the selftest computes each once
+# the exponential line (1 : e^z), which checks 9 and 10 both read
 _EXP_LINE = EntireCurve((ExpPoly.const(1), ExpPoly.exp(1)))
 
 

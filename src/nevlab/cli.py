@@ -8,7 +8,8 @@ leaves a half-written report; the report keeps an existing file's mode, and a
 new one gets the umask's.  -o follows symlinks and writes straight into
 devices and FIFOs, which must not be replaced; a path that names standard
 output itself (/dev/stdout, even when that is redirected to a regular file)
-is written through standard output.
+is written through standard output.  A report or plot that cannot be written
+where -o or --plot points is malformed input (exit 2).
 
 The exact commands (admissible, resultant, certificate, filtration, bounds,
 schema) never load numpy: the handlers that need the numeric layer import it,
@@ -17,10 +18,9 @@ and numpy with it, in their bodies.
 Exit codes: 0 the computation ran (verdicts like "not admissible" are data, not
 failures), 1 a mathematical obstruction (degenerate curve, inadmissible family
 where admissibility is required, violated margin), 2 malformed input (an --rmax
-too low for T(r) to grow included), 3 a numerical failure (a zero-finder
-contour that cannot avoid a zero, floating-point overflow) or an undecided
-exact computation, which only an admissibility search capped by --max-points
-ends in.
+too low for T(r) to grow and an output path that cannot be written included),
+3 a numerical failure (a zero-finder contour that cannot avoid a zero,
+floating-point overflow).
 """
 
 from __future__ import annotations
@@ -42,8 +42,7 @@ from .filtration import build_filtration
 from .parsing import (CURVE_SCHEMA, InputError, ParseError, POLY_SCHEMA,
                       SCALAR_GRAMMAR, SYSTEM_SCHEMA, curve_from_json,
                       family_from_json, load_json_file, parse_ratfunc)
-from .resultant import (AdmissibilityUndecided, NotAdmissibleError, is_admissible,
-                        macaulay_resultant, power_certificate)
+from .resultant import NotAdmissibleError, is_admissible, macaulay_resultant, power_certificate
 
 
 def _loaded(module: str, *names: str) -> tuple:
@@ -88,6 +87,13 @@ def _write(text: str, path: Optional[str]) -> None:
     if path is None or path == "-" or _is_stdout(path):
         sys.stdout.write(text)
         return
+    try:
+        _write_file(text, path)
+    except OSError as e:
+        raise InputError(f"{path}: cannot write file: {e.strerror}") from e
+
+
+def _write_file(text: str, path: str) -> None:
     # stat follows links, so a device or FIFO, or a link to one such as
     # /dev/stderr, is written in place; realpath would turn /proc/self/fd/2
     # into a "pipe:[N]" non-path
@@ -170,12 +176,10 @@ def cmd_resultant(args) -> int:
 
 
 def cmd_admissible(args) -> int:
-    if args.max_points is not None and args.max_points < 1:
-        raise InputError(f"--max-points must be a positive integer, got {args.max_points}")
     fam = _load_family(args.system)
     if fam.q < fam.n + 1:
         raise InputError(f"admissible needs at least n+1 = {fam.n + 1} forms, got {fam.q}")
-    rep = is_admissible(fam, max_points=args.max_points)
+    rep = is_admissible(fam)
     doc = {"tool": "admissible", "version": __version__,
            "n": fam.n, "q": fam.q, "moving": fam.is_moving()}
     doc.update(_plain(rep))
@@ -292,7 +296,7 @@ def cmd_defects(args) -> int:
     return 0
 
 
-def _plot_svg(path: str, radii, lhs, rhs) -> None:
+def _plot_svg(radii, lhs, rhs) -> str:
     w, h, pad = 640, 400, 48
     lo = min(min(lhs), min(rhs), 0.0)
     hi = max(max(lhs), max(rhs)) or 1.0
@@ -310,7 +314,7 @@ def _plot_svg(path: str, radii, lhs, rhs) -> None:
                      f'text-anchor="middle" font-size="11">{r:.1f}</text>')
         ticks.append(f'<text x="{pad - 6}" y="{sy(v):.0f}" '
                      f'text-anchor="end" font-size="11">{v:.1f}</text>')
-    svg = f"""<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" viewBox="0 0 {w} {h}">
+    return f"""<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" viewBox="0 0 {w} {h}">
 <rect width="{w}" height="{h}" fill="white"/>
 <rect x="{pad}" y="{pad}" width="{w - 2 * pad}" height="{h - 2 * pad}" fill="none" stroke="#999"/>
 {poly(lhs, "#1f6fb2")}
@@ -320,8 +324,6 @@ def _plot_svg(path: str, radii, lhs, rhs) -> None:
 <text x="{w - pad}" y="{pad + 6}" text-anchor="end" font-size="12" fill="#c23b22">(q - n - 1 - eps) T</text>
 </svg>
 """
-    with open(path, "w") as fh:
-        fh.write(svg)
 
 
 def cmd_smt(args) -> int:
@@ -348,7 +350,7 @@ def cmd_smt(args) -> int:
     doc.update(_plain(rep))
     _emit(doc, args.output)
     if args.plot:
-        _plot_svg(args.plot, rep.profile.radii, rep.lhs, rep.rhs)
+        _write(_plot_svg(rep.profile.radii, rep.lhs, rep.rhs), args.plot)
     return 0
 
 
@@ -399,10 +401,7 @@ COMMANDS = {
     "resultant": (cmd_resultant, "Macaulay resultant of n+1 forms", (_OUTPUT,
         (("system",), dict(help="system JSON file")))),
     "admissible": (cmd_admissible, "general-position check for a family", (_OUTPUT,
-        (("system",), {}),
-        (("--max-points",), dict(type=int, default=None,
-                                 help="cap (>= 1) on parameter points tried; exit 3 when no "
-                                      "verdict is proved within it")))),
+        (("system",), {}))),
     "certificate": (cmd_certificate,
                     "express a power of one coordinate inside the ideal of the family", (_OUTPUT,
         (("system",), {}),
@@ -524,9 +523,6 @@ def _run(argv) -> int:
     except (OverflowError, *_loaded("nevlab.zeros", "ContourThroughZero")) as e:
         # before ArithmeticError
         print(f"nevlab: numerical failure: {e}", file=sys.stderr)
-        return 3
-    except AdmissibilityUndecided as e:
-        print(f"nevlab: undecided: {e}", file=sys.stderr)
         return 3
     except ArithmeticError as e:          # includes violated margins
         print(f"nevlab: {e}", file=sys.stderr)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .fields import (GaussRat, PoleError, RatFunc, _pow_by_squaring, scalar_str,
+from .fields import (GaussRat, RatFunc, _pow_by_squaring, scalar_str,
                      simplify_scalar)
 
 ExponentTuple = tuple
@@ -180,20 +180,6 @@ class HPoly:
             return Fraction(0)
         return total
 
-    def specialize(self, z0) -> "HPoly":
-        """Evaluate every moving coefficient at z = z0."""
-        out = {}
-        for exp, c in self.coeffs.items():
-            if isinstance(c, RatFunc):
-                try:
-                    out[exp] = c(z0)
-                except PoleError:
-                    raise PoleError(
-                        f"coefficient {scalar_str(c)} of x^{exp} has a pole at z={z0}")
-            else:
-                out[exp] = c
-        return HPoly(self.nvars, self.degree, out)
-
     # -- inspection -------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -203,14 +189,6 @@ class HPoly:
         """True when some coefficient is a nonconstant rational function."""
         return any(isinstance(c, RatFunc) and not c.is_constant()
                    for c in self.coeffs.values())
-
-    def coeff_height(self) -> int:
-        """Max of num+den z-degrees over coefficients (0 for constants)."""
-        h = 0
-        for c in self.coeffs.values():
-            if isinstance(c, RatFunc):
-                h = max(h, c.num.degree + c.den.degree)
-        return h
 
     def terms_desc(self):
         """(exponent, coefficient) pairs in lexicographically descending order."""

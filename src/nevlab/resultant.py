@@ -8,10 +8,9 @@ Three layers:
                         t = (n+1)(d-1)+1, or Canny's C(0) where det M'' = 0;
                         normalized so res(x_0^d,...,x_n^d)=1
   is_admissible         every (n+1)-subset of a family has resultant not
-                        identically zero, decided by certified modular rank
-                        with exact fallback; returns a witness parameter point
-                        where all subset resultants are simultaneously
-                        nonzero, or the failing subset
+                        identically zero over the coefficient field, each
+                        decided once by certified modular rank with exact
+                        fallback; returns the first failing subset
 
 plus the rows of a graded piece of an ideal (ideal_rows) and the
 complete-intersection bound on their rank, graded ideal membership with exact
@@ -35,14 +34,10 @@ from fractions import Fraction
 from math import comb, lcm, prod
 from typing import Optional, Sequence
 
-from .fields import GaussRat, PoleError, RatFunc, ZPoly, denominator_lcm, simplify_scalar
+from .fields import GaussRat, RatFunc, ZPoly, denominator_lcm, simplify_scalar
 from .hpoly import HPoly, monomial_index, monomials
 from .linalg import (RankPaths, _split, certified_rank, det_sparse, modular_rank_reaches,
                      solve_system)
-
-
-class AdmissibilityUndecided(RuntimeError):
-    """A capped admissibility search ended before any verdict was proved."""
 
 
 class NotAdmissibleError(ValueError):
@@ -248,37 +243,11 @@ class HypersurfaceFamily:
 @dataclass(frozen=True)
 class AdmissibilityReport:
     admissible: bool
-    witness: Optional[GaussRat]
+    witness: Optional[GaussRat]  # always None: no parameter point is tried
     failing_subset: Optional[tuple[int, ...]]
     subsets_checked: int
-    points_tried: int
-    rank_paths: RankPaths        # one resultant nonvanishing test per subset and point
-
-
-def gaussian_point_stream():
-    """Deterministic distinct Gaussian rationals: small favorites then integers."""
-    favorites = [GaussRat(0), GaussRat(1), GaussRat(-1), GaussRat(2), GaussRat(-2),
-                 GaussRat(Fraction(1, 2)), GaussRat(Fraction(-1, 2)),
-                 GaussRat(0, 1), GaussRat(0, -1), GaussRat(1, 1),
-                 GaussRat(Fraction(1, 3)), GaussRat(Fraction(-1, 3))]
-    yield from favorites
-    k = 3
-    while True:
-        yield GaussRat(k)
-        yield GaussRat(-k)
-        yield GaussRat(Fraction(1, k + 1))
-        k += 1
-
-
-def _subset_zero_budget(lifted: Sequence[HPoly], subset: tuple[int, ...], d: int, n: int) -> int:
-    """Upper bound on distinct parameter zeros of the subset's resultant.
-
-    The resultant has degree d^n in each form's coefficients, so substituting
-    rational-function coefficients of height h_i yields a rational function of
-    the parameter with numerator degree at most d^n * sum(h_i).
-    """
-    total_h = sum(lifted[j].coeff_height() for j in subset)
-    return d ** n * total_h + 1
+    points_tried: int            # always 0
+    rank_paths: RankPaths        # one resultant nonvanishing test per subset tried
 
 
 def _resultant_nonzero(polys: Sequence[HPoly]) -> tuple[bool, bool]:
@@ -292,73 +261,29 @@ def _resultant_nonzero(polys: Sequence[HPoly]) -> tuple[bool, bool]:
     return _fills_critical_piece(polys, polys[0].degree)
 
 
-def is_admissible(fam: HypersurfaceFamily, max_points: Optional[int] = None) -> AdmissibilityReport:
+def is_admissible(fam: HypersurfaceFamily) -> AdmissibilityReport:
     """Exact general-position verdict for the family.
 
-    Every (n+1)-subset must have resultant (an element of the coefficient
-    field) not identically zero.  Moving coefficients are decided by
-    specialization at a deterministic stream of parameter points: one nonzero
-    value proves nonvanishing, while more distinct vanishing points than the
-    subset's zero budget proves identical vanishing.  Each nonvanishing test
-    is a certified modular rank with exact fallback (`_resultant_nonzero`);
-    the report counts which decided.  A `max_points` cap below what a verdict
-    needs raises AdmissibilityUndecided.
+    Every (n+1)-subset must have resultant, an element of the coefficient
+    field Q(i) or Q(i)(z), not identically zero.  Each subset of the lifted
+    forms is decided once, in `itertools.combinations` order, by a certified
+    modular rank with exact fallback over that field (`_resultant_nonzero`);
+    the first subset whose resultant vanishes is reported, and the report
+    counts which path decided each subset.  `witness` is always None and
+    `points_tried` always 0: no parameter point is tried.
     """
     n = fam.n
     if fam.q < n + 1:
         raise ValueError(f"admissibility needs q >= n+1, got q={fam.q}, n={n}")
-    d = fam.common_degree()
     lifted = fam.lifted()
     subsets = list(itertools.combinations(range(fam.q), n + 1))
-
-    fixed_subsets = [s for s in subsets if not any(lifted[j].is_moving() for j in s)]
-    moving_subsets = [s for s in subsets if any(lifted[j].is_moving() for j in s)]
-
     flags: list = []
-    for s in fixed_subsets:
-        nonzero, modular = _resultant_nonzero([lifted[j].specialize(0) for j in s])
+    for s in subsets:
+        nonzero, modular = _resultant_nonzero([lifted[j] for j in s])
         flags.append(modular)
         if not nonzero:
-            return AdmissibilityReport(False, None, s, len(subsets), 0,
-                                       RankPaths.count(flags))
-
-    if not moving_subsets:
-        return AdmissibilityReport(True, GaussRat(0), None, len(subsets), 1,
-                                   RankPaths.count(flags))
-
-    budgets = {s: _subset_zero_budget(lifted, s, d, n) for s in moving_subsets}
-    if max_points is None:
-        max_points = sum(budgets.values()) + 1
-    zero_counts = {s: 0 for s in moving_subsets}
-    nonzero_seen = {s: False for s in moving_subsets}
-    tried = 0
-    for z0 in gaussian_point_stream():
-        if tried >= max_points:
-            break
-        try:
-            specialized = {j: lifted[j].specialize(z0)
-                           for j in set(j for s in moving_subsets for j in s)}
-        except PoleError:
-            continue
-        tried += 1
-        all_good = True
-        for s in moving_subsets:
-            nonzero, modular = _resultant_nonzero([specialized[j] for j in s])
-            flags.append(modular)
-            if nonzero:
-                nonzero_seen[s] = True
-            else:
-                all_good = False
-                zero_counts[s] += 1
-                if zero_counts[s] > budgets[s] and not nonzero_seen[s]:
-                    return AdmissibilityReport(False, None, s, len(subsets), tried,
-                                               RankPaths.count(flags))
-        if all_good:
-            return AdmissibilityReport(True, z0, None, len(subsets), tried,
-                                       RankPaths.count(flags))
-    # only reachable when the caller capped max_points below the zero budget
-    raise AdmissibilityUndecided(
-        f"admissibility undecided within {tried} parameter points")
+            return AdmissibilityReport(False, None, s, len(subsets), 0, RankPaths.count(flags))
+    return AdmissibilityReport(True, None, None, len(subsets), 0, RankPaths.count(flags))
 
 
 def _over_one_denominator(polys: Sequence[HPoly]) -> list:

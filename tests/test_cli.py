@@ -138,6 +138,23 @@ def test_output_keeps_file_mode(paths, capsys):
     assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~umask
 
 
+@pytest.mark.parametrize("option", ["-o", "--plot"])
+@pytest.mark.parametrize("where", ["", "missing/x.out"])
+def test_a_path_that_cannot_be_written_is_malformed_input(paths, capsys, option, where):
+    # a directory, and a file in a directory that does not exist
+    target = paths["tmp"] / where if where else paths["tmp"]
+    if option == "-o":
+        argv = ["schema", "curve", "-o", str(target)]
+    else:
+        argv = ["smt", paths["curve"], paths["system"], "--rmin", "10", "--rmax", "30",
+                "--steps", "3", "--plot", str(target)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"nevlab: input error: {target}: cannot write file: ")
+    assert err.count("\n") == 1
+    assert not [p for p in paths["tmp"].iterdir() if p.suffix == ".part"]
+
+
 def _run_cli(args, stdout=subprocess.PIPE, cwd=None, flags=()):
     src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
     env = dict(os.environ)
@@ -602,25 +619,6 @@ def test_selftest_subset(paths, capsys):
     out = capsys.readouterr().out
     assert "PASS" in out and "1/1" in out
     assert main(["selftest", "--only", "nope"]) == 2
-
-
-@pytest.mark.parametrize("cap", ["0", "-3"])
-def test_admissible_rejects_nonpositive_max_points(paths, capsys, cap):
-    assert main(["admissible", paths["system"], "--max-points", cap]) == 2
-    assert "--max-points" in capsys.readouterr().err
-
-
-def test_undecided_admissibility_exits_3(paths, capsys):
-    moving = paths["tmp"] / "moving.json"
-    moving.write_text(json.dumps({"n": 1, "polynomials": [
-        {"degree": 1, "terms": [{"exp": [1, 0], "coef": "1"}]},
-        {"degree": 1, "terms": [{"exp": [0, 1], "coef": "1"}]},
-        {"degree": 1, "terms": [{"exp": [1, 0], "coef": "1"},
-                                {"exp": [0, 1], "coef": "z"}]}]}))
-    assert main(["admissible", str(moving), "--max-points", "1"]) == 3
-    err = capsys.readouterr().err
-    assert err == "nevlab: undecided: admissibility undecided within 1 parameter points\n"
-    assert main(["admissible", str(moving), "--max-points", "2"]) == 0
 
 
 def _cubic(*terms):

@@ -1,10 +1,9 @@
 import random
-from fractions import Fraction
 from math import comb
 
 import pytest
 
-from nevlab.fields import GaussRat, RatFunc, ZPoly
+from nevlab.fields import GaussRat
 from nevlab.hpoly import HPoly, monomials
 
 
@@ -55,16 +54,6 @@ def test_scalar_multiplication_both_sides():
     p = HPoly.coordinate(2, 1)
     assert 3 * p == p * 3 == p + p + p
     assert (p * GaussRat(0, 1)).coeffs[(0, 1)] == GaussRat(0, 1)
-
-
-def test_moving_coefficients_specialize():
-    mover = RatFunc(ZPoly((1,)), ZPoly((2, 1)))     # 1/(z+2)
-    p = HPoly.monomial(2, (1, 0), mover) + HPoly.coordinate(2, 1)
-    assert p.is_moving()
-    frozen = p.specialize(GaussRat(1))              # z = 1: coefficient 1/3
-    assert not frozen.is_moving()
-    assert frozen.coeffs[(1, 0)] == GaussRat(Fraction(1, 3))
-    assert not HPoly.coordinate(2, 0).is_moving()
 
 
 def test_terms_desc_is_lex_sorted():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,9 +10,8 @@ from nevlab.fields import GaussRat, RatFunc, ZPoly
 from nevlab.filtration import tuple_count
 from nevlab.hpoly import HPoly, monomials
 from nevlab.linalg import RankPaths
-from nevlab.resultant import (AdmissibilityUndecided, HypersurfaceFamily,
-                              NotAdmissibleError, complete_intersection_rank,
-                              gaussian_point_stream, ideal_membership,
+from nevlab.resultant import (HypersurfaceFamily, NotAdmissibleError,
+                              complete_intersection_rank, ideal_membership,
                               ideal_rows, is_admissible, macaulay_resultant,
                               power_certificate, sylvester_resultant)
 from nevlab.zeros import zpoly_zeros
@@ -181,12 +181,6 @@ def test_power_certificate_over_moving_family():
         assert not cert.resultant.is_constant()
         assert cert.verify()
         assert d <= cert.s <= (n + 1) * (d - 1) + 1
-
-
-def test_gaussian_point_stream_is_injective_prefix():
-    stream = gaussian_point_stream()
-    seen = [next(stream) for _ in range(50)]
-    assert len(set(seen)) == 50
 
 
 def _rand_form(rng, nvars, d, mover=None):
@@ -444,7 +438,10 @@ def test_moving_family_with_a_singular_frame_interpolates_c_of_s():
     assert res == (z ** 4 * 18 + z ** 3 * 126 + z ** 2 * 225) / (z + 3) ** 4
     for z0, want in ((1, Fraction(369, 256)), (2, Fraction(2196, 625)),
                      (GaussRat(0, 1), GaussRat(Fraction(-4473, 2500), Fraction(2043, 1250)))):
-        assert macaulay_resultant([p.specialize(GaussRat.coerce(z0)) for p in polys]) == want
+        at = GaussRat.coerce(z0)
+        frozen = [HPoly(3, 2, {e: c(at) if isinstance(c, RatFunc) else c
+                               for e, c in p.coeffs.items()}) for p in polys]
+        assert macaulay_resultant(frozen) == want
         assert res(GaussRat.coerce(z0)) == want
 
 
@@ -585,12 +582,55 @@ def test_admissibility_report_matches_all_exact_path(monkeypatch):
     assert is_admissible(families[1]).rank_paths.exact == 1
 
 
-def test_capped_admissibility_is_undecided():
+def _seeded_moving_families(seed):
+    """Moving families of n + 2 forms, n = 1 in degrees 1-3 and n = 2 in
+    degrees 1-2, each form with a moving coefficient at even draws; every
+    third family plants Q_2 = z/(z+1) Q_0, and every third after it two
+    proportional forms."""
+    rng = random.Random(seed)
+    z = RatFunc(ZPoly((0, 1)))
+    movers = (z, 1 / (z + 2), (z - 1) / (z + GaussRat(0, 1)), z * z / 3)
+    for n, degrees in ((1, (1, 2, 3)), (2, (1, 2))):
+        for k in range(24 if n == 1 else 12):
+            polys = []
+            while len(polys) < n + 2:
+                mover = rng.choice(movers) if (len(polys) + k) % 2 == 0 else None
+                p = _rand_form(rng, n + 1, rng.choice(degrees), mover)
+                if not p.is_zero():
+                    polys.append(p)
+            if k % 3 == 1:
+                polys[2] = polys[0] * (z / (z + 1))
+            elif k % 3 == 2:
+                i, j = rng.sample(range(n + 2), 2)
+                polys[j] = polys[i] * rng.choice((GaussRat(2, -1), z + 1, 1 / (z - 3)))
+            yield HypersurfaceFamily(n, polys)
+
+
+def test_admissibility_matches_the_exact_resultant_of_every_subset():
+    # the oracle is each subset's resultant over Q(i)(z), computed exactly;
+    # where several subsets vanish, the first in combinations order is named
+    verdicts, several = [], 0
+    for fam in _seeded_moving_families(4401):
+        lifted = fam.lifted()
+        zero = [s for s in itertools.combinations(range(fam.q), fam.n + 1)
+                if not macaulay_resultant([lifted[j] for j in s])]
+        rep = is_admissible(fam)
+        assert rep.admissible == (not zero)
+        assert rep.failing_subset == (zero[0] if zero else None)
+        assert (rep.witness, rep.points_tried) == (None, 0)
+        verdicts.append(rep.admissible)
+        several += len(zero) > 1
+    assert (len(verdicts), verdicts.count(False), several) == (36, 25, 8)
+
+
+def test_a_high_degree_moving_failure_is_decided_once_per_subset():
+    # Res(x0, z^2000 x0) = 0 over Q(i)(z); no parameter point is tried, so
+    # the degree of the coefficient costs nothing
     x0, x1 = HPoly.coordinate(2, 0), HPoly.coordinate(2, 1)
-    fam = HypersurfaceFamily(1, [x0, x1, x0 + x1 * RatFunc(ZPoly((0, 1)))])
-    with pytest.raises(AdmissibilityUndecided, match="within 1 parameter points"):
-        is_admissible(fam, max_points=1)
-    assert is_admissible(fam, max_points=2).admissible
+    z = RatFunc(ZPoly((0, 1)))
+    rep = is_admissible(HypersurfaceFamily(1, [x0, x1, x0 + x1, x0 * z ** 2000]))
+    assert (rep.admissible, rep.failing_subset, rep.points_tried) == (False, (0, 3), 0)
+    assert rep.rank_paths.modular + rep.rank_paths.exact == 3
 
 
 def test_complete_intersection_rank_matches_tuple_count():
