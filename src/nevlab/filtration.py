@@ -9,6 +9,15 @@ psi basis realizes the blocks as Q_J^{I_k}-multiples of greedy monomial
 representatives.  Quotient dimensions and the independence check of a psi
 basis take certified modular ranks with exact fallback (linalg); the greedy
 basis itself is found by exact elimination.
+
+For n <= 2 regularity decides every level of a table at once.  One nonzero
+form is a regular sequence, so an n = 1 table takes no rank.  Two forms f, g
+of degree d with a greatest common factor h of degree e >= 1 have the Koszul
+homology H_1 = (R/(h))(-(2d - e)), so dim (R/(f, g))_L exceeds the
+complete-intersection value exactly for L >= 2d - e (Eisenbud, Commutative
+Algebra, section 17): one certified quotient dimension equal to tuple_count
+at level min(N, 2d - 1) proves every level <= N, and in every other case
+each distinct level is decided in turn.
 """
 
 from __future__ import annotations
@@ -78,7 +87,8 @@ class FiltrationTable:
     tuples: tuple[tuple, ...]
     multiplicities: tuple[int, ...]
     a_constant: int
-    rank_paths: RankPaths        # one quotient dimension per distinct level
+    rank_paths: RankPaths        # quotient dimensions decided: none for n = 1, one for a
+                                 # regular n = 2 pair, else one per distinct level
 
     @property
     def k_count(self) -> int:
@@ -100,8 +110,10 @@ def build_filtration(fam: HypersurfaceFamily, subset: Sequence[int], big_n: int)
     Requires d | N where d is the family's common degree, and an admissible
     family: its n-subsets are then regular sequences, so every multiplicity
     is the complete-intersection quotient dimension tuple_count at its level,
-    and A is coordinate-independent because m_k depends on |I_k| alone.  A
-    level whose quotient dimension is not tuple_count (an inadmissible
+    and A is coordinate-independent because m_k depends on |I_k| alone.  For
+    n <= 2 regularity is decided once (module docstring); otherwise, and when
+    that test fails, each distinct level's quotient dimension is decided, and
+    the first (in tuple order) that is not tuple_count (an inadmissible
     subset) raises ArithmeticError.
     """
     n = fam.n
@@ -113,19 +125,27 @@ def build_filtration(fam: HypersurfaceFamily, subset: Sequence[int], big_n: int)
         raise ValueError(f"level N={big_n} is not a nonnegative multiple of d={d}")
     gens = _subset_polys(fam, subset)
     tuples = filtration_tuples(big_n // d, n)
-    dims_by_level: dict[int, int] = {}
     flags = []
+    regular = n == 1
+    if n == 2:
+        level = min(big_n, 2 * d - 1)
+        dim, modular = quotient_dim(gens, level)
+        flags.append(modular)
+        regular = dim == tuple_count(level, d, n)
+    dims_by_level: dict[int, int] = {}
     mults = []
     for idx in tuples:
         level = big_n - d * sum(idx)
         if level not in dims_by_level:
-            (dim, modular), want = quotient_dim(gens, level), tuple_count(level, d, n)
-            flags.append(modular)
-            if dim != want:
-                raise ArithmeticError(
-                    f"quotient dimension {dim} at level {level} is not the "
-                    f"complete-intersection {want} (is the family admissible?)")
-            dims_by_level[level] = dim
+            want = tuple_count(level, d, n)
+            if not regular:
+                dim, modular = quotient_dim(gens, level)
+                flags.append(modular)
+                if dim != want:
+                    raise ArithmeticError(
+                        f"quotient dimension {dim} at level {level} is not the "
+                        f"complete-intersection {want} (is the family admissible?)")
+            dims_by_level[level] = want
         mults.append(dims_by_level[level])
     return FiltrationTable(n=n, d=d, big_n=big_n, subset=subset, tuples=tuples,
                            multiplicities=tuple(mults),

@@ -11,10 +11,11 @@ The one modular image: `_gaussian_integer_rows` scales each row by a nonzero
 L_r to polynomials in z over Z[i], and `_image` sends them to Z/m with i and z
 sent to residues, a ring map under which every entry has an image.  The one
 modular elimination, `_eliminate_mod`, reduces an entry mod m only where it
-is read.  `certified_rank` reduces modulo the word-size primes of `MODULI`,
-where a matrix can only lose rank, so a modular rank that reaches a known
-upper bound is the exact rank; else exact elimination decides.  Any prime
-certifies a rank, so primes of one CPython digit serve.
+is read, and takes a point's two images of i together, with one inverse per
+pair of pivots.  `certified_rank` reduces modulo the word-size primes of
+`MODULI`, where a matrix can only lose rank, so a modular rank that reaches
+a known upper bound is the exact rank; else exact elimination decides.  Any
+prime certifies a rank, so primes of one CPython digit serve.
 `det_sparse`, the one determinant entry, gives det M and, on request, a row
 of the adjugate, with the flag of the path that decided: `_multimodular`
 eliminates modulo a product of the 61-bit primes of `PRIMES` that exceeds
@@ -288,9 +289,9 @@ MODULI = ((1073741789, 933053945, 123456789),
           (1073741741, 784215820, 987654321))
 
 
-def _eliminate_mod(rows: list, ncols: int, m: int, bound: int) -> Optional[list]:
+def _eliminate_mod(rows: list, ncols: int, m: int, bound: int, twin: Optional[list] = None):
     """Gaussian elimination over Z/m of rows (consumed) of nonnegative
-    integers below m, in columns 0..ncols-1.
+    integers below m, in columns 0..ncols-1, and of the `twin` rows alongside.
 
     Column by column, one scan of the remaining rows reduces each entry of
     the column mod m, drops those that vanish and picks the pivot row: the
@@ -302,51 +303,72 @@ def _eliminate_mod(rows: list, ncols: int, m: int, bound: int) -> Optional[list]
     m + (#pivots) m^2, since each row update adds less than m^2: about
     2^250 at the multimodular product of two 61-bit primes, and a few
     digits at a word-size prime of `MODULI`, whose products fit in two.
+    A twin (the multimodular path's second image of one point) is
+    eliminated by the same rule in the same column loop, so each of the two
+    gets the pivots it would get alone, and where both have a pivot one
+    `pow` inverts the product ab, whence a^-1 = b (ab)^-1 and b^-1 =
+    a (ab)^-1 (Montgomery, Math. Comp. 48 (1987)).
     Returns the pivots in column order as (column, row, entry, divided row),
     the divided rows reduced and without zeros, stopping once there are
-    `bound`; None when a pivot entry is no unit mod m, which for m a product
-    of primes means an unlucky one.
+    `bound`, or with a twin the pair of such lists; None when a pivot entry
+    is no unit mod m, which for m a product of primes means an unlucky one.
     """
-    remaining = list(range(len(rows)))
-    pivots: list = []
+    images = (rows,) if twin is None else (rows, twin)
+    remaining = [list(range(len(image))) for image in images]
+    pivots: list = [[] for _ in images]
     for col in range(ncols):
-        hits, k, fewest, piv = [], -1, 0, 0
-        for j in remaining:
-            row = rows[j]
-            f = row.get(col)
-            if f is None:
+        picked = []                   # (image, hits, pivot row, pivot entry)
+        for t, image in enumerate(images):
+            if len(pivots[t]) >= bound:
                 continue
-            f %= m
-            if not f:
-                del row[col]
-                continue
-            hits.append((j, f))
-            if k < 0 or len(row) < fewest:
-                k, fewest, piv = j, len(row), f
-        if k < 0:
+            hits, k, fewest, piv = [], -1, 0, 0
+            for j in remaining[t]:
+                row = image[j]
+                f = row.get(col)
+                if f is None:
+                    continue
+                f %= m
+                if not f:
+                    del row[col]
+                    continue
+                hits.append((j, f))
+                if k < 0 or len(row) < fewest:
+                    k, fewest, piv = j, len(row), f
+            if k >= 0:
+                picked.append((t, hits, k, piv))
+        if not picked:
             continue
-        remaining.remove(k)
-        del rows[k][col]
         try:
-            inv = pow(piv, -1, m)
+            if len(picked) == 1:
+                invs = (pow(picked[0][3], -1, m),)
+            else:
+                a, b = picked[0][3], picked[1][3]
+                inv = pow(a * b % m, -1, m)
+                invs = (inv * b % m, inv * a % m)
         except ValueError:
             return None
-        prow = {}
-        for c, v in rows[k].items():
-            v = v * inv % m
-            if v:
-                prow[c] = v
-        pivots.append((col, k, piv, prow))
-        if len(pivots) >= bound:
+        for (t, hits, k, piv), inv in zip(picked, invs):
+            image = images[t]
+            remaining[t].remove(k)
+            del image[k][col]
+            prow = {}
+            for c, v in image[k].items():
+                v = v * inv % m
+                if v:
+                    prow[c] = v
+            pivots[t].append((col, k, piv, prow))
+            if len(pivots[t]) >= bound:
+                continue
+            for j, f in hits:
+                if j != k:
+                    row = image[j]
+                    del row[col]
+                    f = m - f
+                    for c, v in prow.items():
+                        row[c] = row.get(c, 0) + f * v
+        if all(len(found) >= bound for found in pivots):
             break
-        for j, f in hits:
-            if j != k:
-                row = rows[j]
-                del row[col]
-                f = m - f
-                for c, v in prow.items():
-                    row[c] = row.get(c, 0) + f * v
-    return pivots
+    return pivots[0] if twin is None else tuple(pivots)
 
 
 def modular_rank_reaches(rows: Sequence[dict], bound: int) -> bool:
@@ -538,10 +560,11 @@ def _multimodular(rows: Sequence[dict], col: Optional[int] = None):
     H = prod_r (sum_c |e_rc|_1^2)^(1/2): the Hadamard bound when the entries
     are constants.  Modulo m > 2H + 1, a product of primes p = 1 (mod 4),
     i has the two images s and -s, and with z sent to a point z_k each is a
-    ring map from Z[i][z] (`_image`); eliminating the transposed image under
-    both gives a + bs and a - bs for D(z_k) = a + bi.  The points
-    z_k = 0, 1, 2, ... differ by less than the least prime, so deg + 1 of
-    them interpolate D mod m under each image (`_interpolate`), and the bound
+    ring map from Z[i][z] (`_image`); eliminating the transposed images under
+    both, as twins (`_eliminate_mod`), gives a + bs and a - bs for
+    D(z_k) = a + bi.  The points z_k = 0, 1, 2, ... differ by less than the
+    least prime, so deg + 1 of them interpolate D mod m under each image
+    (`_interpolate`), and the bound
     lifts its coefficients exactly (`_lift_polys`).  The same elimination
     solves M_s(z_k)^T u = e_col, so w = D u is row `col` of adj(M_s), a
     polynomial vector interpolated and lifted the same way, and
@@ -570,27 +593,25 @@ def _multimodular(rows: Sequence[dict], col: Optional[int] = None):
     w_points: list = []                # (z_k, w+(z_k), w-(z_k))
     big_d = None
     for z in range(min(2 * (deg + 1), least)):
-        values = []
-        for root in (s, m - s):
-            image = _image(scaled, size, z, root, m)
-            if col is not None:
+        images = [_image(scaled, size, z, root, m) for root in (s, m - s)]
+        if col is not None:
+            for image in images:
                 image[col][size] = 1   # the right-hand side e_col, as column `size`
-            pivots = _eliminate_mod(image, size, m, size)
-            if pivots is None:
-                break
-            values.append(_det_and_adjugate_row(pivots, size, m, col))
-        else:
-            (d_plus, w_plus), (d_minus, w_minus) = values
-            if big_d is None:
-                d_points.append((z, [d_plus], [d_minus]))
-            if w_plus is not None and w_minus is not None:
-                w_points.append((z, w_plus, w_minus))
-            if big_d is None and len(d_points) == deg + 1:
-                big_d = _lift_polys(d_points, m, s)[0]
-                if col is None or not big_d:
-                    return _exact_values(big_d, None, scales, constant)
-            if big_d is not None and len(w_points) == deg + 1:
-                return _exact_values(big_d, _lift_polys(w_points, m, s), scales, constant)
+        found = _eliminate_mod(images[0], size, m, size, images[1])
+        if found is None:
+            continue
+        (d_plus, w_plus), (d_minus, w_minus) = (_det_and_adjugate_row(pivots, size, m, col)
+                                                for pivots in found)
+        if big_d is None:
+            d_points.append((z, [d_plus], [d_minus]))
+        if w_plus is not None and w_minus is not None:
+            w_points.append((z, w_plus, w_minus))
+        if big_d is None and len(d_points) == deg + 1:
+            big_d = _lift_polys(d_points, m, s)[0]
+            if col is None or not big_d:
+                return _exact_values(big_d, None, scales, constant)
+        if big_d is not None and len(w_points) == deg + 1:
+            return _exact_values(big_d, _lift_polys(w_points, m, s), scales, constant)
     return None
 
 

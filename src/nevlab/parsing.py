@@ -11,6 +11,7 @@ rather than hunted for.
 from __future__ import annotations
 
 import json
+import re
 from typing import TYPE_CHECKING, Optional, Union
 
 from .fields import GaussRat, RatFunc, ZPoly
@@ -218,11 +219,22 @@ def _want(obj, key, kinds, path, kindname):
     return v
 
 
+# a Gaussian-integer literal: "-2", "1-2i", "i", "0+1i"; a real part must end
+# the string or meet the sign of an imaginary one, so "12i" is 12i
+_GAUSS_LITERAL = re.compile(r"([+-]?[0-9]+(?=[+-]|\Z))?(?:([+-]?)([0-9]*)i)?")
+
+
 def _coef_from_json(v, path):
     if isinstance(v, bool) or not isinstance(v, (int, str)):
         raise SchemaError(path, "coefficient must be an integer or a string")
     if isinstance(v, int):
         return v
+    # a literal is read as the grammar would read it; anything else is parsed
+    literal = _GAUSS_LITERAL.fullmatch(v)
+    if v and literal:
+        re_part, sign, im_digits = literal.groups()
+        im = 0 if sign is None else (-1 if sign == "-" else 1) * int(im_digits or 1)
+        return GaussRat(int(re_part or 0), im)
     try:
         r = _parse(v)
     except ParseError as e:

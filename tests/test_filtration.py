@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from nevlab import linalg
+from nevlab import filtration, linalg
 from nevlab.bounds import a_lower_bound
 from nevlab.fields import GaussRat, RatFunc, ZPoly
 from nevlab.filtration import (basis_is_independent, build_filtration,
@@ -174,6 +174,90 @@ def test_modular_quotient_dim_matches_exact(monkeypatch):
             m.setattr(linalg, "MODULI", ())      # no prime: exact elimination
             exact = [quotient_dim(gens, big_n) for big_n in range(10)]
         assert exact == [(dim, False) for dim, _ in modular]
+
+
+def _nonzero_form(rng, d, mover=None):
+    while True:
+        form = _rand_form(rng, 3, d, mover)
+        if not form.is_zero():
+            return form
+
+
+def _pairs(rng, d, moving):
+    """(e, f, g): n = 2 forms of degree d in 3 variables whose greatest common
+    factor has degree e: a coprime pair (e = 0), h f' and h g' for a planted h
+    of each degree e = 1..d, and a proportional pair (e = d).  Over Q(i)(z)
+    the planted factor, or the first form of a coprime pair, moves."""
+    mover = (lambda: RatFunc(ZPoly((rng.randint(1, 3),)), ZPoly((rng.randint(1, 5), 1)))
+             if moving else None)
+    out = [(0, _nonzero_form(rng, d, mover()), _nonzero_form(rng, d))]
+    for e in range(1, d + 1):
+        h = _nonzero_form(rng, e, mover())
+        out.append((e, h * _nonzero_form(rng, d - e), h * _nonzero_form(rng, d - e)))
+    f = _nonzero_form(rng, d, mover())
+    out.append((d, f, f * GaussRat(rng.randint(1, 3), rng.randint(-2, 2))))
+    return out
+
+
+def _per_level(dims, d, big_n):
+    """The multiplicities of an n = 2 table from the quotient dimension at
+    each distinct level, in tuple order, or the message raised at the first
+    level that is not the complete-intersection dimension."""
+    mults = []
+    for idx in filtration_tuples(big_n // d, 2):
+        level = big_n - d * sum(idx)
+        want = tuple_count(level, d, 2)
+        if dims[level] != want:
+            return (f"quotient dimension {dims[level]} at level {level} is not the "
+                    f"complete-intersection {want} (is the family admissible?)")
+        mults.append(dims[level])
+    return tuple(mults)
+
+
+@pytest.mark.parametrize("moving", [False, True])
+def test_regularity_decides_what_the_per_level_ranks_decide(moving):
+    rng = random.Random(4242 + moving)
+    for d in (1, 2, 3):
+        # over Q(i)(z) a failing level falls to exact elimination, about 2 s at level 12
+        # for d = 3, so there the levels stop at 2d + 1, past every first failure 2d - e
+        top = 2 * d + 1 if moving and d == 3 else 3 * d + 3
+        for e, f, g in _pairs(rng, d, moving):
+            # the pair misses the complete intersection exactly from level 2d - e on
+            dims = [quotient_dim([f, g], level)[0] for level in range(top + 1)]
+            first = 2 * d - e if e else top + 1
+            assert [dim != tuple_count(level, d, 2) for level, dim in enumerate(dims)] == \
+                [level >= first for level in range(top + 1)]
+            fam = HypersurfaceFamily(2, [f, g])
+            for big_n in range(0, top + 1, d):
+                want = _per_level(dims, d, big_n)
+                if isinstance(want, str):
+                    with pytest.raises(ArithmeticError) as exc:
+                        build_filtration(fam, (0, 1), big_n)
+                    assert str(exc.value) == want
+                    continue
+                table = build_filtration(fam, (0, 1), big_n)
+                assert table.multiplicities == want
+                assert table.rank_paths.modular + table.rank_paths.exact == 1
+
+
+def test_an_n1_table_decides_no_rank(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an n = 1 table decided a rank")
+
+    monkeypatch.setattr(linalg, "certified_rank", refuse)
+    monkeypatch.setattr(linalg, "modular_rank_reaches", refuse)
+    monkeypatch.setattr(filtration, "quotient_dim", refuse)
+    monkeypatch.setattr(filtration, "certified_rank", refuse)
+    rng = random.Random(71)
+    mover = RatFunc(ZPoly((2,)), ZPoly((3, 1)))
+    for d in (1, 2, 3):
+        fam = HypersurfaceFamily(1, [_rand_form(rng, 2, d), _rand_form(rng, 2, d, mover)])
+        for subset in ((0,), (1,)):
+            for big_n in range(0, 4 * d, d):
+                table = build_filtration(fam, subset, big_n)
+                assert table.multiplicities == tuple(tuple_count(big_n - d * t[0], d, 1)
+                                                     for t in table.tuples)
+                assert table.rank_paths == linalg.RankPaths(0, 0)
 
 
 def _shared_factor_family():

@@ -363,6 +363,51 @@ def test_lazy_elimination_matches_dense_gauss_jordan():
     assert [k for _, k, _, _ in linalg._eliminate_mod(rows, 3, p, 3)] == [1, 3, 0]
 
 
+def test_paired_elimination_matches_two_single_image_runs(monkeypatch):
+    # the images i -> s and i -> -s of one point, eliminated as twins, get the
+    # pivots each gets alone, hence the same det and adjugate residues, and
+    # where both have a pivot one inverse serves the column
+    rng = random.Random(4242)
+    m, s, _ = linalg._modulus(linalg.PRIMES[0][0])            # two 61-bit primes
+    cases = [[{j: v for j in range(k) if (v := _gauss(rng, 5, den=1))} for _ in range(k)]
+             for k in range(1, 9) for _ in range(4)]
+    for rows in cases[::5]:                                    # singular: a repeated row
+        rows[-1] = dict(rows[0])
+    cases += [_macaulay_matrix(family.polys, 3)[0]           # the certify 36 x 36 images
+              for family in _dense_cubic_families(3701, 2, 2, False)]
+    inverses = []
+    monkeypatch.setattr(linalg, "pow", lambda *args: inverses.append(1) or pow(*args),
+                        raising=False)
+    for rows in cases:
+        scaled, size = linalg._gaussian_integer_rows(rows)[0], len(rows)
+        for col, bound in ((None, size), (rng.randrange(size), size), (None, size - 1)):
+            def images():
+                out = [linalg._image(scaled, size, 0, root, m) for root in (s, m - s)]
+                if col is not None:
+                    for image in out:
+                        image[col][size] = 1
+                return out
+
+            singles = [linalg._eliminate_mod(image, size, m, bound) for image in images()]
+            plus, minus = images()
+            inverses.clear()
+            paired = linalg._eliminate_mod(plus, size, m, bound, minus)
+            assert paired == tuple(singles)
+            assert ([linalg._det_and_adjugate_row(p, size, m, col) for p in paired]
+                    == [linalg._det_and_adjugate_row(p, size, m, col) for p in singles])
+            columns = {c for pivots in singles for c, _, _, _ in pivots}
+            assert len(inverses) == len(columns)
+    assert len(cases[-1]) == 36
+    # a pivot divisible by one of the two primes, in either twin, read as given
+    # or after an update, leaves the point unusable
+    q = linalg.PRIMES[0][0]
+    good = [{0: 1, 1: 1}, {0: 1, 1: 2}]
+    for bad in ([{0: 3 * q, 1: 1}, {1: 1}], [{0: 1, 1: 1}, {0: 1, 1: 1 + q}]):
+        for a, b in ((good, bad), (bad, good)):
+            assert linalg._eliminate_mod([dict(r) for r in a], 2, m, 2,
+                                         [dict(r) for r in b]) is None
+
+
 # the rank moduli before they were word-size: two 61-bit primes of PRIMES
 OLD_MODULI = ((2305843009213693921, 583529827753931384, 1234567891011),
               (2305843009213693693, 966685122347009555, 1098765432101))
@@ -612,9 +657,10 @@ def test_unusable_points_are_skipped_then_exhaust_the_budget(monkeypatch):
     eliminate = linalg._eliminate_mod
     calls = []
 
-    def unlucky_every_third(rows, ncols, m, bound):
+    def unlucky_every_third(rows, ncols, m, bound, twin=None):
+        # one call eliminates both images of a point, so every third point is unusable
         calls.append(1)
-        return None if len(calls) % 3 == 0 else eliminate(rows, ncols, m, bound)
+        return None if len(calls) % 3 == 0 else eliminate(rows, ncols, m, bound, twin)
 
     monkeypatch.setattr(linalg, "_eliminate_mod", unlucky_every_third)
     assert det_sparse(rows) == (want, None, True)

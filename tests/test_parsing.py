@@ -1,13 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from nevlab import parsing
 from nevlab.expfunc import ExpPoly
 from nevlab.fields import GaussRat, RatFunc, ZPoly
-from nevlab.parsing import (ParseError, SchemaError, curve_from_json,
-                            family_from_json, hpoly_from_json, load_json_file,
-                            parse_ratfunc, parse_scalar, parse_zpoly)
+from nevlab.parsing import (ParseError, SchemaError, _coef_from_json, _parse,
+                            curve_from_json, family_from_json, hpoly_from_json,
+                            load_json_file, parse_ratfunc, parse_scalar, parse_zpoly)
 
 
 def test_scalar_forms():
@@ -100,6 +102,78 @@ def test_zpoly_str_round_trip(coeffs):
 def test_scalar_str_round_trip(re, im):
     s = GaussRat(re, im)
     assert parse_scalar(str(s)) == s
+
+
+def _literal_spellings(rng):
+    """Gaussian-integer literals as a JSON system spells them, "a" or "a+bi"
+    with a sign on b, and random ones: signs on either part, leading zeros,
+    a bare or signed "i", and integers of up to 60 digits."""
+    out = []
+    for a in range(-3, 4):
+        for b in range(-3, 4):
+            out.append(str(a) if b == 0 else f"{a}{'+' if b > 0 else '-'}{abs(b)}i")
+
+    def digits():
+        width = rng.choice((1, 1, 2, 60))
+        return "0" * rng.randint(0, 2) + str(rng.randrange(10 ** width))
+
+    for _ in range(400):
+        real = rng.choice(("", "-", "+")) + digits()
+        imag = rng.choice(("", "-", "+")) + rng.choice(("", digits())) + "i"
+        kind = rng.randrange(3)
+        if kind == 0:
+            out.append(real)
+        elif kind == 1:
+            out.append(imag)
+        else:
+            out.append(real + (imag if imag[0] in "+-" else "+" + imag))
+    return out
+
+
+def _counting_parser(monkeypatch):
+    built = []
+
+    class Counted(parsing._Parser):
+        def __init__(self, src):
+            built.append(src)
+            super().__init__(src)
+
+    monkeypatch.setattr(parsing, "_Parser", Counted)
+    return built
+
+
+def test_coefficient_literals_read_as_the_grammar_reads_them(monkeypatch):
+    spellings = _literal_spellings(random.Random(4242))
+    want = [_parse(s) for s in spellings]
+    built = _counting_parser(monkeypatch)
+    got = [_coef_from_json(s, "coef") for s in spellings]
+    assert built == []                    # no literal reaches the grammar
+    assert got == want
+    assert [type(g) for g in got] == [type(w) for w in want] == [GaussRat] * len(want)
+    assert _coef_from_json("12i", "coef") == GaussRat(0, 12)
+
+
+def test_other_coefficients_still_reach_the_grammar(monkeypatch):
+    valid = [" 1 + 2i", "i2", "+-1", "1/2", "(1+2i)", "1+2", "ii", "2i+1", "1-2i\n", "\u0663",
+             "i^2", "z/(z+1)"]
+    broken = ["", "1+", "2i)", "1 ++", "3x", "1/0", "1-2i)", "(1", "1+2j", "--"]
+    want = [_parse(s) for s in valid]
+    errors = []
+    for s in broken:
+        with pytest.raises(ParseError) as exc:
+            _parse(s)
+        errors.append(exc.value)
+    built = _counting_parser(monkeypatch)
+    assert [_coef_from_json(s, "p.coef") for s in valid] == [
+        w if isinstance(w, GaussRat) or not w.is_constant() else w.constant_value() for w in want]
+    for s, err in zip(broken, errors):
+        with pytest.raises(SchemaError) as exc:
+            _coef_from_json(s, "p.coef")
+        assert exc.value.path == "p.coef"
+        assert exc.value.message == str(err)
+        assert isinstance(exc.value.__cause__, ParseError)
+        assert exc.value.__cause__.caret() == err.caret()
+    assert built == valid + broken
 
 
 def _sys_doc():

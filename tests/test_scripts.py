@@ -51,3 +51,21 @@ def test_tower_costs_prints_the_same_counts_twice():
     assert [line.split()[:2] for line in lines[1:]] == [[str(s), str(i)] for s in range(1, 6)
                                                        for i in range(3)]
     assert "process time" not in runs[0].stdout
+
+
+def test_certify_costs_prints_the_same_counts_twice():
+    # eliminations, pivot inverses and rank decisions per command are deterministic
+    runs = [_run_script("certify_costs.py", "--rounds", "0") for _ in range(2)]
+    assert all(run.returncode == 0 for run in runs), runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    lines = runs[0].stdout.splitlines()
+    assert lines[0].split() == ["seed", "class", "command", "eliminations", "inverses", "ranks"]
+    labels = ["admissible", "resultant", "certificate",
+              "filtration:3", "filtration:6", "filtration:9"]
+    assert [line.split()[:3] for line in lines[1:]] == [[str(s), cls, label] for s in range(1, 6)
+                                                       for cls in ("fixed", "moving")
+                                                       for label in labels]
+    # a filtration decides one rank for a fixed n = 2 pair and none for n = 1
+    ranks = {tuple(line.split()[1:3]): line.split()[-1] for line in lines[1:]}
+    assert ranks["fixed", "filtration:9"] == "1" and ranks["moving", "filtration:9"] == "0"
+    assert "process time" not in runs[0].stdout
