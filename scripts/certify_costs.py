@@ -16,7 +16,7 @@ the benchmark: the functools caches of `nevlab.hpoly`, nevlab's only ones,
 are cleared first.
 
     python3 scripts/certify_costs.py --rounds 5
-    python3 scripts/certify_costs.py --seed 1 --rounds 0
+    python3 scripts/certify_costs.py --rounds 0
 """
 
 import argparse
@@ -105,8 +105,6 @@ def best_times(cases: dict, rounds: int) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", type=int, action="append", choices=SEEDS,
-                    help="a family seed to run (repeatable; default: every seed)")
     ap.add_argument("--rounds", type=int, default=5,
                     help="interleaved timing rounds; 0 prints the counts only")
     args = ap.parse_args(argv)
@@ -114,7 +112,7 @@ def main(argv=None) -> int:
         ap.error("--rounds must be >= 0")
     with tempfile.TemporaryDirectory() as tmp:
         cases = {}
-        for seed in args.seed or SEEDS:
+        for seed in SEEDS:
             for cls, n, moving in CLASSES:
                 path = os.path.join(tmp, f"{cls}{seed}.json")
                 with open(path, "w") as fh:

@@ -112,9 +112,9 @@ def build_filtration(fam: HypersurfaceFamily, subset: Sequence[int], big_n: int)
     is the complete-intersection quotient dimension tuple_count at its level,
     and A is coordinate-independent because m_k depends on |I_k| alone.  For
     n <= 2 regularity is decided once (module docstring); otherwise, and when
-    that test fails, each distinct level's quotient dimension is decided, and
-    the first (in tuple order) that is not tuple_count (an inadmissible
-    subset) raises ArithmeticError.
+    that test fails, each distinct level's quotient dimension is decided once,
+    the test's level not again, and the first (in tuple order) that is not
+    tuple_count (an inadmissible subset) raises ArithmeticError.
     """
     n = fam.n
     subset = tuple(subset)
@@ -126,27 +126,26 @@ def build_filtration(fam: HypersurfaceFamily, subset: Sequence[int], big_n: int)
     gens = _subset_polys(fam, subset)
     tuples = filtration_tuples(big_n // d, n)
     flags = []
+    dims: dict[int, int] = {}          # quotient dimensions decided, by level
     regular = n == 1
     if n == 2:
         level = min(big_n, 2 * d - 1)
-        dim, modular = quotient_dim(gens, level)
+        dims[level], modular = quotient_dim(gens, level)
         flags.append(modular)
-        regular = dim == tuple_count(level, d, n)
-    dims_by_level: dict[int, int] = {}
+        regular = dims[level] == tuple_count(level, d, n)
     mults = []
     for idx in tuples:
         level = big_n - d * sum(idx)
-        if level not in dims_by_level:
-            want = tuple_count(level, d, n)
-            if not regular:
-                dim, modular = quotient_dim(gens, level)
+        want = tuple_count(level, d, n)
+        if not regular:
+            if level not in dims:
+                dims[level], modular = quotient_dim(gens, level)
                 flags.append(modular)
-                if dim != want:
-                    raise ArithmeticError(
-                        f"quotient dimension {dim} at level {level} is not the "
-                        f"complete-intersection {want} (is the family admissible?)")
-            dims_by_level[level] = want
-        mults.append(dims_by_level[level])
+            if dims[level] != want:
+                raise ArithmeticError(
+                    f"quotient dimension {dims[level]} at level {level} is not the "
+                    f"complete-intersection {want} (is the family admissible?)")
+        mults.append(want)
     return FiltrationTable(n=n, d=d, big_n=big_n, subset=subset, tuples=tuples,
                            multiplicities=tuple(mults),
                            a_constant=sum(m * idx[0] for m, idx in zip(mults, tuples)),

@@ -289,31 +289,30 @@ MODULI = ((1073741789, 933053945, 123456789),
           (1073741741, 784215820, 987654321))
 
 
-def _eliminate_mod(rows: list, ncols: int, m: int, bound: int, twin: Optional[list] = None):
-    """Gaussian elimination over Z/m of rows (consumed) of nonnegative
-    integers below m, in columns 0..ncols-1, and of the `twin` rows alongside.
+def _eliminate_mod(images: Sequence[list], ncols: int, m: int, bound: int):
+    """Gaussian elimination over Z/m of each image in `images`: rows
+    (consumed) of nonnegative integers below m, in columns 0..ncols-1.
 
-    Column by column, one scan of the remaining rows reduces each entry of
-    the column mod m, drops those that vanish and picks the pivot row: the
-    sparsest row holding the column, the lowest index on a tie.  The pivot
-    row is divided by its pivot entry, which reduces it, and (m - f) times
-    it is added to each other row with f in the column, without reducing
-    the sums.  An entry is thus reduced only where it is read, in its
-    column's scan or in a pivot row, and every entry stays below
-    m + (#pivots) m^2, since each row update adds less than m^2: about
-    2^250 at the multimodular product of two 61-bit primes, and a few
+    Column by column, one scan of an image's remaining rows reduces each
+    entry of the column mod m, drops those that vanish and picks the pivot
+    row: the sparsest row holding the column, the lowest index on a tie.
+    The pivot row is divided by its pivot entry, which reduces it, and
+    (m - f) times it is added to each other row with f in the column,
+    without reducing the sums.  An entry is thus reduced only where it is
+    read, in its column's scan or in a pivot row, and every entry stays
+    below m + (#pivots) m^2, since each row update adds less than m^2:
+    about 2^250 at the multimodular product of two 61-bit primes, and a few
     digits at a word-size prime of `MODULI`, whose products fit in two.
-    A twin (the multimodular path's second image of one point) is
-    eliminated by the same rule in the same column loop, so each of the two
-    gets the pivots it would get alone, and where both have a pivot one
-    `pow` inverts the product ab, whence a^-1 = b (ab)^-1 and b^-1 =
-    a (ab)^-1 (Montgomery, Math. Comp. 48 (1987)).
-    Returns the pivots in column order as (column, row, entry, divided row),
-    the divided rows reduced and without zeros, stopping once there are
-    `bound`, or with a twin the pair of such lists; None when a pivot entry
-    is no unit mod m, which for m a product of primes means an unlucky one.
+    The images share the column loop but not their pivots, so each gets the
+    pivots it would get alone, and one `pow` inverts the column's pivots of
+    every image: the inverse of their product, multiplied back through the
+    prefix products (Montgomery, Math. Comp. 48 (1987)); the multimodular
+    path passes a point's two images of i.
+    Returns per image the pivots in column order as (column, row, entry,
+    divided row), the divided rows reduced and without zeros, stopping once
+    there are `bound`; None when a pivot entry is no unit mod m, which for
+    m a product of primes means an unlucky one.
     """
-    images = (rows,) if twin is None else (rows, twin)
     remaining = [list(range(len(image))) for image in images]
     pivots: list = [[] for _ in images]
     for col in range(ncols):
@@ -338,22 +337,21 @@ def _eliminate_mod(rows: list, ncols: int, m: int, bound: int, twin: Optional[li
                 picked.append((t, hits, k, piv))
         if not picked:
             continue
+        prefix = [1]
+        for *_, piv in picked:
+            prefix.append(prefix[-1] * piv % m)
         try:
-            if len(picked) == 1:
-                invs = (pow(picked[0][3], -1, m),)
-            else:
-                a, b = picked[0][3], picked[1][3]
-                inv = pow(a * b % m, -1, m)
-                invs = (inv * b % m, inv * a % m)
+            inv = pow(prefix[-1], -1, m)
         except ValueError:
             return None
-        for (t, hits, k, piv), inv in zip(picked, invs):
+        for (t, hits, k, piv), before in zip(reversed(picked), reversed(prefix[:-1])):
             image = images[t]
+            inv, piv_inv = inv * piv % m, inv * before % m
             remaining[t].remove(k)
             del image[k][col]
             prow = {}
             for c, v in image[k].items():
-                v = v * inv % m
+                v = v * piv_inv % m
                 if v:
                     prow[c] = v
             pivots[t].append((col, k, piv, prow))
@@ -368,7 +366,7 @@ def _eliminate_mod(rows: list, ncols: int, m: int, bound: int, twin: Optional[li
                         row[c] = row.get(c, 0) + f * v
         if all(len(found) >= bound for found in pivots):
             break
-    return pivots[0] if twin is None else tuple(pivots)
+    return pivots
 
 
 def modular_rank_reaches(rows: Sequence[dict], bound: int) -> bool:
@@ -396,7 +394,7 @@ def modular_rank_reaches(rows: Sequence[dict], bound: int) -> bool:
     if found is None:
         return False
     scaled = found[0]
-    return any(len(_eliminate_mod(_image(scaled, ncols, z0, i, p), len(rows), p, bound)) >= bound
+    return any(len(_eliminate_mod([_image(scaled, ncols, z0, i, p)], len(rows), p, bound)[0]) >= bound
                for p, i, z0 in MODULI)
 
 
@@ -561,7 +559,7 @@ def _multimodular(rows: Sequence[dict], col: Optional[int] = None):
     are constants.  Modulo m > 2H + 1, a product of primes p = 1 (mod 4),
     i has the two images s and -s, and with z sent to a point z_k each is a
     ring map from Z[i][z] (`_image`); eliminating the transposed images under
-    both, as twins (`_eliminate_mod`), gives a + bs and a - bs for
+    both together (`_eliminate_mod`) gives a + bs and a - bs for
     D(z_k) = a + bi.  The points z_k = 0, 1, 2, ... differ by less than the
     least prime, so deg + 1 of them interpolate D mod m under each image
     (`_interpolate`), and the bound
@@ -597,7 +595,7 @@ def _multimodular(rows: Sequence[dict], col: Optional[int] = None):
         if col is not None:
             for image in images:
                 image[col][size] = 1   # the right-hand side e_col, as column `size`
-        found = _eliminate_mod(images[0], size, m, size, images[1])
+        found = _eliminate_mod(images, size, m, size)
         if found is None:
             continue
         (d_plus, w_plus), (d_minus, w_minus) = (_det_and_adjugate_row(pivots, size, m, col)

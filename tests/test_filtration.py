@@ -215,7 +215,10 @@ def _per_level(dims, d, big_n):
 
 
 @pytest.mark.parametrize("moving", [False, True])
-def test_regularity_decides_what_the_per_level_ranks_decide(moving):
+def test_regularity_decides_what_the_per_level_ranks_decide(moving, monkeypatch):
+    decided = []
+    monkeypatch.setattr(filtration, "quotient_dim",
+                        lambda gens, level: decided.append(level) or quotient_dim(gens, level))
     rng = random.Random(4242 + moving)
     for d in (1, 2, 3):
         # over Q(i)(z) a failing level falls to exact elimination, about 2 s at level 12
@@ -230,14 +233,18 @@ def test_regularity_decides_what_the_per_level_ranks_decide(moving):
             fam = HypersurfaceFamily(2, [f, g])
             for big_n in range(0, top + 1, d):
                 want = _per_level(dims, d, big_n)
+                decided.clear()
                 if isinstance(want, str):
                     with pytest.raises(ArithmeticError) as exc:
                         build_filtration(fam, (0, 1), big_n)
                     assert str(exc.value) == want
+                    # the failed test's level, then N unless N is that level
+                    assert decided == sorted({min(big_n, 2 * d - 1), big_n})
                     continue
                 table = build_filtration(fam, (0, 1), big_n)
                 assert table.multiplicities == want
                 assert table.rank_paths.modular + table.rank_paths.exact == 1
+                assert decided == [min(big_n, 2 * d - 1)]
 
 
 def test_an_n1_table_decides_no_rank(monkeypatch):

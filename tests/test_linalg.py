@@ -337,36 +337,36 @@ def test_lazy_elimination_matches_dense_gauss_jordan():
             k, cols = rng.randint(1, 7), rng.randint(1, 7)
             rows = _rand_mod_matrix(rng, k, cols, m)
             rank, _, _ = _gauss_jordan_mod(_dense_ints(rows, cols), m)
-            pivots = linalg._eliminate_mod([_Row(r, m, dropped) for r in rows], cols, m, k + 1)
+            pivots = linalg._eliminate_mod([[_Row(r, m, dropped) for r in rows]], cols, m, k + 1)[0]
             assert len(pivots) == rank
             assert all(0 < v < m for _, _, _, prow in pivots for v in prow.values())
             if rank > 1:
-                assert len(linalg._eliminate_mod([dict(r) for r in rows], cols, m, rank - 1)) == rank - 1
+                assert len(linalg._eliminate_mod([[dict(r) for r in rows]], cols, m, rank - 1)[0]) == rank - 1
             # square, with the right-hand side e_col as column k
             rows = _rand_mod_matrix(rng, k, k, m)
             rank, det, inv = _gauss_jordan_mod(_dense_ints(rows, k), m)
             col = rng.randrange(k)
             image = [_Row(r, m, dropped) for r in rows]
             image[col][k] = 1
-            pivots = linalg._eliminate_mod(image, k, m, k)
+            pivots = linalg._eliminate_mod([image], k, m, k)[0]
             want = None if inv is None else [det * row[col] % m for row in inv]
             assert linalg._det_and_adjugate_row(pivots, k, m, col) == (det, want)
             deficient += rank < k
     assert len(dropped) > 20 and deficient > 10       # what the inputs are built to reach
     # a pivot that is no unit mod the product, read as given or after an update
     q = linalg.PRIMES[0][0]
-    assert linalg._eliminate_mod([{0: q, 1: 1}, {1: 1}], 2, product, 2) is None
-    assert linalg._eliminate_mod([{0: 1, 1: 1}, {0: 1, 1: 1 + q}], 2, product, 2) is None
-    assert len(linalg._eliminate_mod([{0: 1, 1: 1}, {0: 1, 1: 2}], 2, product, 2)) == 2
+    assert linalg._eliminate_mod([[{0: q, 1: 1}, {1: 1}]], 2, product, 2) is None
+    assert linalg._eliminate_mod([[{0: 1, 1: 1}, {0: 1, 1: 1 + q}]], 2, product, 2) is None
+    assert len(linalg._eliminate_mod([[{0: 1, 1: 1}, {0: 1, 1: 2}]], 2, product, 2)[0]) == 2
     # each column's pivot row is the sparsest holding it, the lowest index on a tie
     rows = [{0: 1, 1: 1, 2: 1}, {0: 2, 2: 1}, {0: 3, 1: 1}, {1: 5}]
-    assert [k for _, k, _, _ in linalg._eliminate_mod(rows, 3, p, 3)] == [1, 3, 0]
+    assert [k for _, k, _, _ in linalg._eliminate_mod([rows], 3, p, 3)[0]] == [1, 3, 0]
 
 
 def test_paired_elimination_matches_two_single_image_runs(monkeypatch):
-    # the images i -> s and i -> -s of one point, eliminated as twins, get the
-    # pivots each gets alone, hence the same det and adjugate residues, and
-    # where both have a pivot one inverse serves the column
+    # the images i -> s and i -> -s of one point, eliminated together, get
+    # the pivots each gets alone, hence the same det and adjugate residues,
+    # and where both have a pivot one inverse serves the column
     rng = random.Random(4242)
     m, s, _ = linalg._modulus(linalg.PRIMES[0][0])            # two 61-bit primes
     cases = [[{j: v for j in range(k) if (v := _gauss(rng, 5, den=1))} for _ in range(k)]
@@ -388,24 +388,23 @@ def test_paired_elimination_matches_two_single_image_runs(monkeypatch):
                         image[col][size] = 1
                 return out
 
-            singles = [linalg._eliminate_mod(image, size, m, bound) for image in images()]
-            plus, minus = images()
+            singles = [linalg._eliminate_mod([image], size, m, bound)[0] for image in images()]
             inverses.clear()
-            paired = linalg._eliminate_mod(plus, size, m, bound, minus)
-            assert paired == tuple(singles)
+            paired = linalg._eliminate_mod(images(), size, m, bound)
+            assert paired == singles
             assert ([linalg._det_and_adjugate_row(p, size, m, col) for p in paired]
                     == [linalg._det_and_adjugate_row(p, size, m, col) for p in singles])
             columns = {c for pivots in singles for c, _, _, _ in pivots}
             assert len(inverses) == len(columns)
     assert len(cases[-1]) == 36
-    # a pivot divisible by one of the two primes, in either twin, read as given
+    # a pivot divisible by one of the two primes, in either image, read as given
     # or after an update, leaves the point unusable
     q = linalg.PRIMES[0][0]
     good = [{0: 1, 1: 1}, {0: 1, 1: 2}]
     for bad in ([{0: 3 * q, 1: 1}, {1: 1}], [{0: 1, 1: 1}, {0: 1, 1: 1 + q}]):
         for a, b in ((good, bad), (bad, good)):
-            assert linalg._eliminate_mod([dict(r) for r in a], 2, m, 2,
-                                         [dict(r) for r in b]) is None
+            assert linalg._eliminate_mod([[dict(r) for r in a], [dict(r) for r in b]],
+                                         2, m, 2) is None
 
 
 # the rank moduli before they were word-size: two 61-bit primes of PRIMES
@@ -657,10 +656,10 @@ def test_unusable_points_are_skipped_then_exhaust_the_budget(monkeypatch):
     eliminate = linalg._eliminate_mod
     calls = []
 
-    def unlucky_every_third(rows, ncols, m, bound, twin=None):
+    def unlucky_every_third(images, ncols, m, bound):
         # one call eliminates both images of a point, so every third point is unusable
         calls.append(1)
-        return None if len(calls) % 3 == 0 else eliminate(rows, ncols, m, bound, twin)
+        return None if len(calls) % 3 == 0 else eliminate(images, ncols, m, bound)
 
     monkeypatch.setattr(linalg, "_eliminate_mod", unlucky_every_third)
     assert det_sparse(rows) == (want, None, True)

@@ -273,9 +273,9 @@ def test_rank_tests_that_cannot_succeed_eliminate_nothing(monkeypatch):
     eliminate = linalg._eliminate_mod
     shapes = []
 
-    def counted(rows, ncols, m, bound, twin=None):
-        shapes.append((len(rows), ncols, bound))
-        return eliminate(rows, ncols, m, bound, twin)
+    def counted(images, ncols, m, bound):
+        shapes.extend((len(rows), ncols, bound) for rows in images)
+        return eliminate(images, ncols, m, bound)
 
     monkeypatch.setattr(linalg, "_eliminate_mod", counted)
     cert = power_certificate(_fixed_cubics(4242), 1)
@@ -328,10 +328,10 @@ def test_power_probe_is_the_one_rank_elimination_below_the_critical_degree(monke
     eliminate, reaches = linalg._eliminate_mod, resultant.modular_rank_reaches
     shapes, ranking = [], []
 
-    def counted(rows, ncols, m, bound, twin=None):
+    def counted(images, ncols, m, bound):
         if ranking:
-            shapes.append((ncols, len(rows), bound))     # the image is transposed
-        return eliminate(rows, ncols, m, bound, twin)
+            shapes.extend((ncols, len(rows), bound) for rows in images)   # transposed
+        return eliminate(images, ncols, m, bound)
 
     def rank_test(rows, bound):
         ranking.append(1)
