@@ -15,9 +15,11 @@ form is a regular sequence, so an n = 1 table takes no rank.  Two forms f, g
 of degree d with a greatest common factor h of degree e >= 1 have the Koszul
 homology H_1 = (R/(h))(-(2d - e)), so dim (R/(f, g))_L exceeds the
 complete-intersection value exactly for L >= 2d - e (Eisenbud, Commutative
-Algebra, section 17): one certified quotient dimension equal to tuple_count
-at level min(N, 2d - 1) proves every level <= N, and in every other case
-each distinct level is decided in turn.
+Algebra, section 17): one certified quotient dimension at level
+L0 = min(N, 2d - 1) decides every level <= N.  Equal to tuple_count, it
+proves them all; otherwise the pair has a common factor, so level N >= L0
+fails too, and the table is refused at L0 alone.  For n >= 3 each distinct
+level is decided in turn.
 """
 
 from __future__ import annotations
@@ -87,8 +89,8 @@ class FiltrationTable:
     tuples: tuple[tuple, ...]
     multiplicities: tuple[int, ...]
     a_constant: int
-    rank_paths: RankPaths        # quotient dimensions decided: none for n = 1, one for a
-                                 # regular n = 2 pair, else one per distinct level
+    rank_paths: RankPaths        # quotient dimensions decided: none for n = 1, one for
+                                 # n = 2, else one per distinct level
 
     @property
     def k_count(self) -> int:
@@ -111,10 +113,10 @@ def build_filtration(fam: HypersurfaceFamily, subset: Sequence[int], big_n: int)
     family: its n-subsets are then regular sequences, so every multiplicity
     is the complete-intersection quotient dimension tuple_count at its level,
     and A is coordinate-independent because m_k depends on |I_k| alone.  For
-    n <= 2 regularity is decided once (module docstring); otherwise, and when
-    that test fails, each distinct level's quotient dimension is decided once,
-    the test's level not again, and the first (in tuple order) that is not
-    tuple_count (an inadmissible subset) raises ArithmeticError.
+    n <= 2 regularity is decided at one level at most (module docstring);
+    for n >= 3 each distinct level's quotient dimension is decided once, in
+    tuple order.  A decided dimension that is not tuple_count (an inadmissible
+    subset) raises ArithmeticError naming its level.
     """
     n = fam.n
     subset = tuple(subset)
@@ -125,27 +127,22 @@ def build_filtration(fam: HypersurfaceFamily, subset: Sequence[int], big_n: int)
         raise ValueError(f"level N={big_n} is not a nonnegative multiple of d={d}")
     gens = _subset_polys(fam, subset)
     tuples = filtration_tuples(big_n // d, n)
+    mults = [tuple_count(big_n - d * sum(idx), d, n) for idx in tuples]
+    if n == 1:
+        levels = ()
+    elif n == 2:
+        levels = (min(big_n, 2 * d - 1),)
+    else:
+        levels = dict.fromkeys(big_n - d * sum(idx) for idx in tuples)   # distinct, in order
     flags = []
-    dims: dict[int, int] = {}          # quotient dimensions decided, by level
-    regular = n == 1
-    if n == 2:
-        level = min(big_n, 2 * d - 1)
-        dims[level], modular = quotient_dim(gens, level)
+    for level in levels:
+        dim, modular = quotient_dim(gens, level)
         flags.append(modular)
-        regular = dims[level] == tuple_count(level, d, n)
-    mults = []
-    for idx in tuples:
-        level = big_n - d * sum(idx)
         want = tuple_count(level, d, n)
-        if not regular:
-            if level not in dims:
-                dims[level], modular = quotient_dim(gens, level)
-                flags.append(modular)
-            if dims[level] != want:
-                raise ArithmeticError(
-                    f"quotient dimension {dims[level]} at level {level} is not the "
-                    f"complete-intersection {want} (is the family admissible?)")
-        mults.append(want)
+        if dim != want:
+            raise ArithmeticError(
+                f"quotient dimension {dim} at level {level} is not the "
+                f"complete-intersection {want} (is the family admissible?)")
     return FiltrationTable(n=n, d=d, big_n=big_n, subset=subset, tuples=tuples,
                            multiplicities=tuple(mults),
                            a_constant=sum(m * idx[0] for m, idx in zip(mults, tuples)),

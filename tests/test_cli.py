@@ -210,7 +210,8 @@ def test_reports_say_which_path_decided_each_rank(paths, capsys):
     assert doc["rank_paths"] == {"modular": doc["power"] - 2, "exact": 1}
     # Q_0 and Q_1 share the factor x0 + x1: above level 2 the certificate
     # fails, exact elimination gives larger quotient dimensions than a
-    # complete intersection has, and the filtration is refused
+    # complete intersection has, and the filtration is refused at its one
+    # regularity level, min(N, 2d - 1) = 3
     shared = paths["tmp"] / "shared.json"
     shared.write_text(json.dumps({"n": 2, "polynomials": [
         {"degree": 2, "terms": [{"exp": [1, 0, 1], "coef": "-1"}, {"exp": [2, 0, 0], "coef": "1"},
@@ -222,7 +223,7 @@ def test_reports_say_which_path_decided_each_rank(paths, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert [line for line in err.splitlines() if "(is the family admissible?)" in line] == \
-        ["nevlab: quotient dimension 8 at level 6 is not the complete-intersection 4 "
+        ["nevlab: quotient dimension 5 at level 3 is not the complete-intersection 4 "
          "(is the family admissible?)"]
 
 

@@ -30,42 +30,44 @@ def test_script_runs(name):
         assert "truncation levels: ['~10^12366', '~10^12366', '~10^12366']" in run.stdout
 
 
-def test_zero_costs_prints_the_same_counts_twice():
-    # the counts of one case are deterministic; only the process time below them varies
-    runs = [_run_script("zero_costs.py", "--case", "(z+10)+z e^z", "--rounds", "1") for _ in range(2)]
-    assert all(run.returncode == 0 for run in runs), runs[0].stderr
-    counts = [run.stdout.split("\n\n")[0].splitlines() for run in runs]
-    assert counts[0] == counts[1] and len(counts[0]) == 2
-    assert counts[0][0].split() == ["case", "r", "walks", "levels", "scaled", "points", "certified"]
-    assert counts[0][1].split()[:3] == ["(z+10)+z", "e^z", "50"]
-    assert "process time, best of 1 interleaved rounds" in runs[0].stdout
+COSTS = {  # table: (label columns, count columns)
+    "certify": (["seed", "class", "command"], ["eliminations", "inverses", "ranks"]),
+    "tower": (["seed", "index"], ["gcds", "ratfuncs"]),
+    "zeros": (["case", "r"], ["walks", "levels", "scaled", "points", "certified"]),
+}
 
 
-def test_tower_costs_prints_the_same_counts_twice():
-    # gcd calls and RatFunc values per certificate are deterministic
-    runs = [_run_script("tower_costs.py", "--rounds", "0") for _ in range(2)]
+@pytest.mark.parametrize("table", sorted(COSTS))
+def test_costs_prints_the_same_counts_twice(table):
+    # the counts of each case are deterministic; only the process time below them varies
+    runs = [_run_script("costs.py", table, "--rounds", "0") for _ in range(2)]
     assert all(run.returncode == 0 for run in runs), runs[0].stderr
     assert runs[0].stdout == runs[1].stdout
-    lines = runs[0].stdout.splitlines()
-    assert lines[0].split() == ["seed", "index", "gcds", "ratfuncs"]
-    assert [line.split()[:2] for line in lines[1:]] == [[str(s), str(i)] for s in range(1, 6)
-                                                       for i in range(3)]
     assert "process time" not in runs[0].stdout
-
-
-def test_certify_costs_prints_the_same_counts_twice():
-    # eliminations, pivot inverses and rank decisions per command are deterministic
-    runs = [_run_script("certify_costs.py", "--rounds", "0") for _ in range(2)]
-    assert all(run.returncode == 0 for run in runs), runs[0].stderr
-    assert runs[0].stdout == runs[1].stdout
+    labels, counts = COSTS[table]
     lines = runs[0].stdout.splitlines()
-    assert lines[0].split() == ["seed", "class", "command", "eliminations", "inverses", "ranks"]
-    labels = ["admissible", "resultant", "certificate",
-              "filtration:3", "filtration:6", "filtration:9"]
-    assert [line.split()[:3] for line in lines[1:]] == [[str(s), cls, label] for s in range(1, 6)
-                                                       for cls in ("fixed", "moving")
-                                                       for label in labels]
-    # a filtration decides one rank for a fixed n = 2 pair and none for n = 1
-    ranks = {tuple(line.split()[1:3]): line.split()[-1] for line in lines[1:]}
-    assert ranks["fixed", "filtration:9"] == "1" and ranks["moving", "filtration:9"] == "0"
-    assert "process time" not in runs[0].stdout
+    assert lines[0].split() == labels + counts
+    rows = [line.split() for line in lines[1:]]
+    # a library change that stops calling a wrapped function would read 0 in its column
+    for k, column in enumerate(counts):
+        assert any(row[len(row) - len(counts) + k] not in ("0", "-") for row in rows), column
+    if table == "certify":
+        commands = ["admissible", "resultant", "certificate",
+                    "filtration:3", "filtration:6", "filtration:9"]
+        assert [row[:3] for row in rows] == [[str(s), cls, command] for s in range(1, 6)
+                                             for cls in ("fixed", "moving")
+                                             for command in commands]
+        # a filtration decides one rank for a fixed n = 2 pair and none for n = 1
+        ranks = {tuple(row[1:3]): row[-1] for row in rows}
+        assert ranks["fixed", "filtration:9"] == "1" and ranks["moving", "filtration:9"] == "0"
+    elif table == "tower":
+        assert [row[:2] for row in rows] == [[str(s), str(i)] for s in range(1, 6)
+                                             for i in range(3)]
+    else:
+        assert [row[:-len(counts)] for row in rows] == [
+            ["e^z+1", "50"], ["e^z-z", "30"], ["1+e^z+e^iz", "50"], ["(z+10)+z", "e^z", "50"]]
+        timed = _run_script("costs.py", table, "--rounds", "1")
+        assert timed.returncode == 0, timed.stderr
+        assert timed.stdout.startswith(
+            runs[0].stdout + "\nprocess time, best of 1 interleaved rounds\n")
+        assert len(timed.stdout.splitlines()) == len(lines) + 2 + len(rows)
