@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Count and time the work of nevlab's exact layer and zero search, table by table.
+"""Tabulate nevlab's bounds, defects and main inequality, and count and time its work.
 
-Each table runs its cases once under counting wrappers and prints the
-deterministic counts, one row per case; then, unless --rounds is 0, the best
-process time of each case over that many rounds, the cases interleaved.
+Each table runs its cases once and prints one row per case: the columns its run
+returns ("-": none) and the counts of its counting wrappers; then, unless
+--rounds is 0, the best process time of each case over that many rounds, the
+cases interleaved.
 
 certify  The certify benchmark's families (perfbench's `Certify.admissible_family`,
          seeds 1-5): fixed n = 2 cubics over Q(i) and moving n = 1 cubics over
@@ -19,10 +20,27 @@ zeros    The quadtree zero search on fixed cases, each on a freshly built
          target.  Counts: contour walks (`zeros._walk` calls), walk levels (their
          `ExpPoly.taylor_majorant` calls), `ExpPoly.scaled` calls, the array
          points they evaluate, and the points certified by `_one_zero_disks`.
+bounds   The truncation-level chain for q = n + 2 forms of degree d, n, d in 1..3,
+         eps in 1/4, 1/2, 3/4: the constant-coefficient chain's graded level N,
+         block count M, margin and level, and the digits of the moving chain's
+         level, which is seldom worth building.
+defects  Defect estimates (r up to 60) of a small curve zoo against the
+         coordinate hyperplanes and their sum, and each curve's defect sum
+         against the budget n + 1.  The exponential line omits two values (both
+         defects 1, saturating the budget); rational curves show partial defects
+         where a target meets the image with multiplicity below the degree.
+smt      The main inequality at eps = 1/2 on the exponential line (1 : e^z) over
+         20 radii in [10, 50], against x0, x1 and x0 + x1 (fixed) or
+         x0 + x1/(z + 10) (moving): per radius both sides and their margin, per
+         target its truncation level and defect.  Exits nonzero if a margin is
+         negative.
 
-    python3 scripts/costs.py certify --rounds 5
-    python3 scripts/costs.py tower --rounds 0
-    python3 scripts/costs.py zeros --rounds 21
+    python3 scripts/tables.py certify --rounds 5
+    python3 scripts/tables.py tower --rounds 0
+    python3 scripts/tables.py zeros --rounds 21
+    python3 scripts/tables.py bounds --rounds 0
+    python3 scripts/tables.py defects --rounds 0
+    python3 scripts/tables.py smt --rounds 3
 """
 
 import argparse
@@ -31,11 +49,13 @@ import collections
 import contextlib
 import io
 import json
+import math
 import os
 import random
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -45,7 +65,10 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 from perfbench.workloads import Certify  # noqa: E402  (the benchmark's family generator)
 
 from nevlab import cli, fields, hpoly, linalg, zeros as zeros_module  # noqa: E402
+from nevlab.bounds import compute_truncation_levels  # noqa: E402
 from nevlab.expfunc import ExpPoly  # noqa: E402
+from nevlab.hpoly import HPoly  # noqa: E402
+from nevlab.nevanlinna import EntireCurve, defect_estimate, smt_verify  # noqa: E402
 from nevlab.parsing import family_from_json  # noqa: E402
 from nevlab.resultant import power_certificate  # noqa: E402
 
@@ -57,10 +80,10 @@ def once(*args, **kwargs) -> int:
 
 
 class Table(NamedTuple):
-    head: tuple        # the label columns, then the count columns
+    head: tuple        # the label columns, then the value columns
     cases: dict        # row labels (strings) -> the case
     counters: tuple    # (owner, name, column, weight of one call, name it counts only inside)
-    run: Callable      # runs one case; returns the count columns it reports itself
+    run: Callable      # runs one case; returns the value columns it reports itself
 
 
 @contextlib.contextmanager
@@ -170,7 +193,81 @@ def zeros(tmp: str) -> Table:
                  cases, counters, run)
 
 
-TABLES = {"certify": certify, "tower": tower, "zeros": zeros}
+def bounds(tmp: str) -> Table:
+    def run(case) -> dict:
+        n, q, eps, degrees = case
+        fixed = compute_truncation_levels(n, q, eps, degrees, fixed=True)
+        moving = compute_truncation_levels(n, q, eps, degrees)
+        return {"N": fixed.big_n, "M": fixed.m_count, "margin": fixed.margin,
+                "fixed_level": fixed.truncations[0],
+                "moving_digits": int(moving.level_log10) + 1}
+
+    cases = {}
+    for n in (1, 2, 3):
+        for d in (1, 2, 3):
+            for eps in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
+                cases[str(n), str(d), str(n + 2), str(eps)] = (n, n + 2, eps, (d,) * (n + 2))
+    return Table(("n", "d", "q", "eps", "N", "M", "margin", "fixed_level", "moving_digits"),
+                 cases, (), run)
+
+
+def defects(tmp: str) -> Table:
+    def run(case) -> dict:
+        curve, targets, budget = case
+        return {"defect": f"{sum(defect_estimate(curve, targets, 60.0)):.4f}", "budget": budget}
+
+    one, z, ez = ExpPoly.const(1), ExpPoly.var(), ExpPoly.exp(1)
+    zoo = {"(1:z)": (one, z), "(1:z:z^2)": (one, z, z * z), "(1:e^z)": (one, ez),
+           "(1:e^z-z)": (one, ez - z)}
+    cases = {}
+    for name, components in zoo.items():
+        curve, k = EntireCurve(components), len(components)
+        targets = [HPoly.coordinate(k, j) for j in range(k)]
+        targets.append(sum(targets[1:], targets[0]))
+        # a target's row sums its defect alone, the very float it gets among the others
+        cases.update(((name, str(t)), (curve, [t], "-")) for t in targets)
+        cases[name, "sum"] = (curve, targets, k)
+    return Table(("curve", "target", "defect", "budget"), cases, (), run)
+
+
+def smt(tmp: str) -> Table:
+    curve = EntireCurve((ExpPoly.const(1), ExpPoly.exp(1)))
+    radii = [float(r) for r in np.linspace(10.0, 50.0, 20)]
+
+    def level(target) -> str:
+        # a huge level is only worth its order of magnitude, which is all the
+        # report gives of a level it did not build
+        if target.truncation is not None and target.truncation < 10 ** 9:
+            return str(target.truncation)
+        return f"~10^{math.floor(target.truncation_log10)}"
+
+    def run(case) -> dict:
+        targets, kind, k = case
+        rep = smt_verify(curve, targets, Fraction(1, 2), radii)
+        if not rep.holds_everywhere:
+            raise SystemExit(f"inequality violated: least margin {min(rep.margins):.4f}")
+        if kind == "radius":
+            return {"lhs": f"{rep.lhs[k]:.4f}", "rhs": f"{rep.rhs[k]:.4f}",
+                    "margin": f"{rep.margins[k]:.4f}"}
+        if kind == "target":
+            return {"level": level(rep.targets[k]), "defect": f"{rep.targets[k].defect:.4f}"}
+        return {"defect": f"{rep.defect_sum:.4f}", "budget": rep.n + 1}
+
+    x0, x1 = HPoly.coordinate(2, 0), HPoly.coordinate(2, 1)
+    # smt_verify returns only once the curve is nondegenerate over C(z), which makes
+    # T_f(r)/log r unbounded while T(r, 1/(z+10)) = O(log r): the target moves slowly
+    mover = HPoly.monomial(2, (0, 1), fields.RatFunc(fields.ZPoly((1,)), fields.ZPoly((10, 1))))
+    cases = {}
+    for system, targets in (("fixed", (x0, x1, x0 + x1)), ("moving", (x0, x1, x0 + mover))):
+        cases.update(((system, str(t)), (targets, "target", k)) for k, t in enumerate(targets))
+        cases[system, "sum"] = (targets, "sum", None)
+        cases.update(((system, f"{r:.2f}"), (targets, "radius", k)) for k, r in enumerate(radii))
+    return Table(("system", "at", "lhs", "rhs", "margin", "level", "defect", "budget"),
+                 cases, (), run)
+
+
+TABLES = {"certify": certify, "tower": tower, "zeros": zeros,
+          "bounds": bounds, "defects": defects, "smt": smt}
 
 
 def best_times(table: Table, rounds: int) -> dict:
@@ -196,7 +293,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("table", choices=TABLES)
     ap.add_argument("--rounds", type=int, default=5,
-                    help="interleaved timing rounds; 0 prints the counts only")
+                    help="interleaved timing rounds; 0 prints the rows only")
     args = ap.parse_args(argv)
     if args.rounds < 0:
         ap.error("--rounds must be >= 0")
@@ -205,7 +302,9 @@ def main(argv=None) -> int:
         labels = len(next(iter(table.cases)))
         rows = [list(table.head)]
         for label, case in table.cases.items():
-            with counting(table.counters, dict.fromkeys(table.head[labels:], 0)) as tally:
+            tally = dict.fromkeys(table.head[labels:], "-")
+            tally.update((counter[2], 0) for counter in table.counters)
+            with counting(table.counters, tally):
                 tally.update(table.run(case))
             rows.append([*label, *map(str, tally.values())])
         show(rows, labels)

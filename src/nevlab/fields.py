@@ -272,27 +272,23 @@ _GR_ONE = GaussRat(1)
 _GR_I = GaussRat(0, 1)
 
 
-def _fmt_frac(q: Fraction) -> str:
-    return str(q)
-
-
 def format_rational_like(x) -> str:
     """Canonical string for a Fraction or GaussRat: "p/q", "a+bi", "-i", ..."""
     if isinstance(x, (int, Fraction)):
         return str(x)
     re, im = x.re, x.im
     if im == 0:
-        return _fmt_frac(re)
+        return str(re)
     if im == 1:
         imtxt = "i"
     elif im == -1:
         imtxt = "-i"
     else:
-        imtxt = f"{_fmt_frac(im)}i"
+        imtxt = f"{im}i"
     if re == 0:
         return imtxt
     sign = "+" if im > 0 else ""
-    return f"{_fmt_frac(re)}{sign}{imtxt}"
+    return f"{re}{sign}{imtxt}"
 
 
 class ZPoly:

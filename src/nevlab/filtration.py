@@ -120,8 +120,9 @@ def build_filtration(fam: HypersurfaceFamily, subset: Sequence[int], big_n: int)
     """
     n = fam.n
     subset = tuple(subset)
-    if len(subset) != n or len(set(subset)) != n:
-        raise ValueError(f"subset must pick {n} distinct forms")
+    if len(subset) != n or len(set(subset)) != n or not all(0 <= j < fam.q for j in subset):
+        raise ValueError(f"subset must pick {n} distinct form indices in 0..{fam.q - 1}, "
+                         f"got {subset}")
     d = fam.common_degree()
     if big_n < 0 or big_n % d:
         raise ValueError(f"level N={big_n} is not a nonnegative multiple of d={d}")

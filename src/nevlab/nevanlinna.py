@@ -255,8 +255,8 @@ def characteristic(f: CurveLike, radii: Sequence[float]) -> tuple[QuadResult, ..
     stop changing, since a stop on two equal sums states 0.
     """
     rs = tuple(float(r) for r in radii)
-    if not all(r >= 1 for r in rs):
-        raise ValueError("the growth scale is normalized at r = 1; need r >= 1")
+    if not all(1 <= r < math.inf for r in rs):
+        raise ValueError("the growth scale is normalized at r = 1; need finite radii r >= 1")
     curve = as_curve(f)
     grid = tuple(dict.fromkeys((1.0, *rs)))
     # log max |f_i| = max log |f_i|, one row per component
@@ -356,8 +356,8 @@ def jensen_check(phi, radii: Sequence[float]) -> list[float]:
     should sit far below 1e-6 for honest inputs.
     """
     radii = tuple(radii)
-    if any(not r >= 1 for r in radii):
-        raise ValueError("need r >= 1")
+    if not all(1 <= r < math.inf for r in radii):
+        raise ValueError("need finite radii r >= 1")
     big = 1.5 * max(radii, default=1.0) + 1.0
     if isinstance(phi, ZPoly):
         phi = RatFunc(phi)
@@ -577,6 +577,10 @@ def defect_estimate(f: CurveLike, forms: Sequence[HPoly], r_max: float,
     counted as zeros.  T is computed once, on the top half, after the first
     form's zeros.
     """
+    if not 2.0 <= r_max < math.inf:
+        raise ValueError(f"r_max must be a finite number >= 2, got {r_max}")
+    if grid_points < 1:
+        raise ValueError(f"grid_points must be a positive integer, got {grid_points}")
     curve = as_curve(f)
     radii = [float(r) for r in np.geomspace(max(2.0, math.sqrt(r_max)), r_max, grid_points)]
     top, ts, out = radii[len(radii) // 2:], None, []
@@ -698,8 +702,8 @@ def smt_verify(f: CurveLike, targets, eps, radii: Sequence[float]) -> SmtReport:
     if fam.n != curve.n:
         raise ValueError("family and curve dimensions differ")
     rs = tuple(float(r) for r in radii)
-    if len(rs) < 2 or any(r <= 1.0 for r in rs) or list(rs) != sorted(set(rs)):
-        raise ValueError("need a strictly increasing grid of radii > 1")
+    if len(rs) < 2 or not all(1.0 < r < math.inf for r in rs) or list(rs) != sorted(set(rs)):
+        raise ValueError("need a strictly increasing grid of finite radii > 1")
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")

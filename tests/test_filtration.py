@@ -96,6 +96,13 @@ def test_build_filtration_level_must_be_multiple():
         build_filtration(fam, (0,), 3)
 
 
+@pytest.mark.parametrize("subset", [(-1,), (3,), (5,)])
+def test_build_filtration_subset_must_index_the_forms(subset):
+    # at q = 3, (-1,) once built the table of the last form and (5,) raised IndexError
+    with pytest.raises(ValueError, match=r"in 0\.\.2"):
+        build_filtration(_fermat(1, 2, q=3), subset, 2)
+
+
 def test_filtration_table_identities():
     fam = _fermat(2, 2, q=4)
     table = build_filtration(fam, (0, 1), 4)

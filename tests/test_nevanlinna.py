@@ -291,6 +291,23 @@ def test_characteristic_normalization_and_domain():
     assert characteristic(padded, (10.0,))[0].value == pytest.approx(9 / math.pi, abs=1e-9)
 
 
+@pytest.mark.parametrize("call, argument", [
+    (lambda: characteristic(_exp_curve(), [math.inf]), "radii"),
+    (lambda: smt_verify(_exp_curve(), (HPoly.coordinate(2, 0), HPoly.coordinate(2, 1),
+                                       HPoly.coordinate(2, 0) + HPoly.coordinate(2, 1)),
+                        Fraction(1, 2), [10.0, math.inf]), "radii"),
+    (lambda: jensen_check(ExpPoly.exp(1) - 1, [math.inf]), "radii"),
+    (lambda: defect_estimate(_exp_curve(), [HPoly.coordinate(2, 0)], 60.0, grid_points=0),
+     "grid_points"),
+    (lambda: defect_estimate(_exp_curve(), [HPoly.coordinate(2, 0)], math.inf), "r_max"),
+], ids=["characteristic", "smt_verify", "jensen_check", "defect_grid", "defect_rmax"])
+def test_entry_points_name_a_non_finite_or_empty_argument(call, argument):
+    # an infinite radius once gave T = nan marked converged, an OverflowError or a
+    # contour error, and an empty defect grid an IndexError
+    with pytest.raises(ValueError, match=argument):
+        call()
+
+
 def test_characteristic_scaling_invariance():
     plain = EntireCurve((ONE, Z, Z * Z))
     scaled = EntireCurve((ONE * 7, Z * 7, Z * Z * 7))
