@@ -14,7 +14,8 @@ then, and each access returns that module's current attribute.
 
 from importlib import import_module
 
-from .fields import GaussRat, RatFunc, ZPoly, zpoly_gcd
+from .fields import (GaussRat, InputError, NumericalFailure, Obstruction, RatFunc, ZPoly,
+                     zpoly_gcd)
 from .hpoly import HPoly, monomials
 from .resultant import (AdmissibilityReport, HypersurfaceFamily, NotAdmissibleError,
                         PowerCertificate, is_admissible, macaulay_resultant,
@@ -24,7 +25,7 @@ from .filtration import (FiltrationTable, PsiBasis, basis_is_independent,
                          filtration_tuples, quotient_dim, tuple_count)
 from .bounds import (BoundReport, MarginViolation, a_lower_bound, bound_t,
                      compute_truncation_levels, verify_error_margin)
-from .parsing import (InputError, ParseError, SchemaError, curve_from_json,
+from .parsing import (ParseError, SchemaError, curve_from_json,
                       family_from_json, hpoly_from_json, load_json_file,
                       parse_ratfunc, parse_scalar, parse_zpoly)
 
@@ -58,6 +59,7 @@ def __dir__():
 
 
 __all__ = [
+    "InputError", "Obstruction", "NumericalFailure",
     "GaussRat", "RatFunc", "ZPoly", "zpoly_gcd",
     "HPoly", "monomials",
     "ExpPoly",
@@ -76,7 +78,7 @@ __all__ = [
     "counting_function", "defect_estimate", "divisor_bound_check",
     "jensen_check", "nondegeneracy_check",
     "smt_verify", "wronskian",
-    "InputError", "ParseError", "SchemaError", "curve_from_json",
+    "ParseError", "SchemaError", "curve_from_json",
     "family_from_json", "hpoly_from_json", "load_json_file", "parse_ratfunc",
     "parse_scalar", "parse_zpoly",
     "__version__",

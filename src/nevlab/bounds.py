@@ -18,6 +18,8 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Optional, Sequence, Union
 
+from .fields import InputError, NumericalFailure, Obstruction
+
 RationalLike = Union[Fraction, int, str]
 
 DEFAULT_DIGIT_BUDGET = 50_000
@@ -29,7 +31,7 @@ REPORT_DIGIT_BUDGET = 4_300
 EPS_CAP = Fraction(1) - Fraction(1, 2 ** 20)
 
 
-class MarginViolation(ArithmeticError):
+class MarginViolation(Obstruction):
     """The exact eps/2 inequality failed; the constants do not certify."""
 
 
@@ -59,7 +61,7 @@ def clamp_eps(eps: RationalLike) -> Fraction:
     """Return eps, capped just below 1.  The bound formulas assume eps < 1."""
     eps = _as_fraction(eps)
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise InputError("eps must be positive")
     if eps >= 1:
         warnings.warn(f"eps={eps} clamped to 1 - 2^-20; formulas assume eps < 1",
                       RuntimeWarning, stacklevel=3)
@@ -73,7 +75,7 @@ def compute_constants(n: int, d: int, eps: RationalLike) -> tuple[int, int, int]
     M = C(N+n, n) and K = C(N/d+n, n).  N is divisible by d by construction.
     """
     if n < 1 or d < 1:
-        raise ValueError("need n >= 1 and d >= 1")
+        raise InputError("need n >= 1 and d >= 1")
     eps = clamp_eps(eps)
     arg = Fraction(2 * (n + 1) * (2 ** n - 1) * (n * d + 1)) / eps + n + 1
     big_n = d * math.floor(arg)
@@ -89,7 +91,7 @@ def certified_floor(build) -> int:
     build receives the mpmath.iv context and must return an interval value.
     Precision doubles from 128 bits until both endpoints floor to the same
     integer; the quantities fed through here are provably non-integers, so
-    this terminates before the cap of 2^16 bits.
+    this terminates before the cap of 2^16 bits, else NumericalFailure.
     """
     import mpmath        # imported here: most commands never need it
     from mpmath import iv
@@ -107,7 +109,7 @@ def certified_floor(build) -> int:
             prec *= 2
     finally:
         iv.prec = saved
-    raise ArithmeticError(f"floor not certified below precision {_FLOOR_MAX_PREC}")
+    raise NumericalFailure(f"floor not certified below precision {_FLOOR_MAX_PREC}")
 
 
 def _b_constant(n: int, big_n: int, q: int) -> int:
@@ -122,7 +124,7 @@ def compute_p0(n: int, big_n: int, q: int, eps: RationalLike) -> int:
     always decidable.
     """
     if q < n + 1:
-        raise ValueError("need q >= n + 1")
+        raise InputError("need q >= n + 1")
     eps = clamp_eps(eps)
     m_count = comb(n + big_n, n)
     b = _b_constant(n, big_n, q)
@@ -153,10 +155,10 @@ def bound_t(p: int, n: int, big_n: int, q: int,
 
     Values longer than the digit budget come back as None with the log10
     estimate still filled in.  When both materialize, binomial <= power is
-    checked exactly; a failed check raises ArithmeticError.
+    checked exactly, else in log10; a failed check is a NumericalFailure.
     """
     if p < 1:
-        raise ValueError("need p >= 1")
+        raise InputError("need p >= 1")
     budget = DEFAULT_DIGIT_BUDGET if digit_budget is None else digit_budget
     b = _b_constant(n, big_n, q)
     binom_log10 = _log10_binomial(b + p, b - 1)
@@ -168,7 +170,7 @@ def bound_t(p: int, n: int, big_n: int, q: int,
     else:
         holds = binom_log10 <= power_log10 + 1e-6
     if not holds:
-        raise ArithmeticError(f"C({b + p}, {b - 1}) exceeds ({b + p})^{b - 1}")
+        raise NumericalFailure(f"C({b + p}, {b - 1}) exceeds ({b + p})^{b - 1}")
     return binom, power, binom_log10, power_log10
 
 
@@ -190,7 +192,7 @@ def verify_error_margin(n: int, d: int, eps: RationalLike,
     if a_lower is None:
         a_lower = a_lower_bound(n, d, big_n)
     if a_lower <= 0:
-        raise ValueError("A lower bound must be positive (requires N/d > n)")
+        raise InputError("A lower bound must be positive (requires N/d > n)")
     slack = eps / 2 - d * (Fraction(m_count * big_n, d) / a_lower - n - 1)
     if slack < 0:
         raise MarginViolation(f"margin {slack} < 0 at n={n}, d={d}, eps={eps}")
@@ -260,9 +262,9 @@ def compute_truncation_levels(n: int, q: int, eps: RationalLike,
     """
     degrees = tuple(degrees)
     if len(degrees) != q:
-        raise ValueError(f"expected {q} degrees, got {len(degrees)}")
+        raise InputError(f"expected {q} degrees, got {len(degrees)}")
     if any(dj < 1 for dj in degrees):
-        raise ValueError("degrees must be positive")
+        raise InputError("degrees must be positive")
     eps_requested = _as_fraction(eps)
     eps_used = clamp_eps(eps_requested)
     d = lcm(*degrees)
@@ -273,8 +275,8 @@ def compute_truncation_levels(n: int, q: int, eps: RationalLike,
         # t_p = 1 for every p; the selection property t_{p+1}/t_p < 1 + eps/(2MN)
         # then holds already at p = 1, strictly.
         if not Fraction(1) < 1 + eps_used / (2 * m_count * big_n):
-            raise ArithmeticError("the fixed-target selection property t_2/t_1 "
-                                  "< 1 + eps/(2MN) fails")
+            raise Obstruction("the fixed-target selection property t_2/t_1 "
+                              "< 1 + eps/(2MN) fails")
         t, t_power, t_log10, t_power_log10 = 1, 1, 0.0, 0.0
     else:
         t, t_power, t_log10, t_power_log10 = bound_t(p0, n, big_n, q, digit_budget)

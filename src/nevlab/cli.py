@@ -15,12 +15,12 @@ The exact commands (admissible, resultant, certificate, filtration, bounds,
 schema) never load numpy: the handlers that need the numeric layer import it,
 and numpy with it, in their bodies.
 
-Exit codes: 0 the computation ran (verdicts like "not admissible" are data, not
-failures), 1 a mathematical obstruction (degenerate curve, inadmissible family
-where admissibility is required, violated margin), 2 malformed input (an --rmax
-too low for T(r) to grow and an output path that cannot be written included),
-3 a numerical failure (a zero-finder contour that cannot avoid a zero,
-floating-point overflow).
+Exit codes, one per failure class of `fields`: 0 the computation ran (verdicts
+like "not admissible" are data, not failures), 1 an `Obstruction` (degenerate
+curve, inadmissible family where admissibility is required, violated margin), 2
+an `InputError` (an --rmax too low for T(r) to grow and an unwritable output
+path included), 3 a `NumericalFailure` (a contour through a zero, an uncertified
+floor, a falling T) or a floating-point overflow.
 """
 
 from __future__ import annotations
@@ -38,11 +38,12 @@ from typing import Optional
 
 from . import __version__
 from .bounds import a_lower_bound, compute_truncation_levels
+from .fields import InputError, NumericalFailure
 from .filtration import build_filtration
-from .parsing import (CURVE_SCHEMA, InputError, ParseError, POLY_SCHEMA,
-                      SCALAR_GRAMMAR, SYSTEM_SCHEMA, curve_from_json,
-                      family_from_json, load_json_file, parse_ratfunc)
-from .resultant import NotAdmissibleError, is_admissible, macaulay_resultant, power_certificate
+from .parsing import (CURVE_SCHEMA, ParseError, POLY_SCHEMA, SCALAR_GRAMMAR,
+                      SYSTEM_SCHEMA, curve_from_json, family_from_json,
+                      load_json_file, parse_ratfunc)
+from .resultant import is_admissible, macaulay_resultant, power_certificate
 
 
 def _loaded(module: str, *names: str) -> tuple:
@@ -502,8 +503,6 @@ def main(argv=None) -> int:
 
 def _run(argv) -> int:
     args = _parse_args(argv)
-    # the analytic modules load on first use: their exceptions are caught only
-    # once loaded, for none of them can be raised before
     try:
         return args.func(args)
     except ParseError as e:
@@ -512,19 +511,10 @@ def _run(argv) -> int:
     except InputError as e:
         print(f"nevlab: input error: {e}", file=sys.stderr)
         return 2
-    except _loaded("nevlab.nevanlinna", "FlatGrowthError") as e:
-        # smt and defects read T on the grid's top half
-        print(f"nevlab: input error: {e}; raise --rmax", file=sys.stderr)
-        return 2
-    except (NotAdmissibleError,
-            *_loaded("nevlab.nevanlinna", "DegeneracyError", "AdmissibilityError")) as e:
-        print(f"nevlab: {e}", file=sys.stderr)
-        return 1
-    except (OverflowError, *_loaded("nevlab.zeros", "ContourThroughZero")) as e:
-        # before ArithmeticError
+    except (NumericalFailure, OverflowError) as e:
         print(f"nevlab: numerical failure: {e}", file=sys.stderr)
         return 3
-    except ArithmeticError as e:          # includes violated margins
+    except ArithmeticError as e:          # every Obstruction, and what no class claims
         print(f"nevlab: {e}", file=sys.stderr)
         return 1
 

@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .fields import GaussRat, ZPoly, _pow_by_squaring, format_zpoly, scalar_str
+from .fields import GaussRat, InputError, ZPoly, _pow_by_squaring, format_zpoly, scalar_str
 from .linalg import det_cofactor
 
 ScalarLike = Union[int, "GaussRat"]
@@ -390,14 +390,14 @@ def wronskian(fns: Iterable, orders: Optional[Sequence[int]] = None) -> object:
     """
     fns = [f if e is None else e for f, e in ((f, ExpPoly._coerce(f)) for f in fns)]
     if not fns:
-        raise ValueError("need at least one function")
+        raise InputError("need at least one function")
     if orders is None:
         orders = range(len(fns))
     orders = tuple(orders)
     if len(orders) != len(fns):
-        raise ValueError("need as many derivative orders as functions")
+        raise InputError("need as many derivative orders as functions")
     if len(set(orders)) != len(orders) or any(k < 0 for k in orders):
-        raise ValueError("orders must be distinct and nonnegative")
+        raise InputError("orders must be distinct and nonnegative")
     rows = [fns]
     for _ in range(max(orders)):
         rows.append([g.derivative() for g in rows[-1]])

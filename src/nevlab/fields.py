@@ -40,7 +40,8 @@ for operands a/b and c/d in canonical form:
               a value whose denominator's factors are known needs no gcd with
               their product (see its docstring for why the result is reduced).
 
-`zpoly_gcd` returns 1 at once when an operand is a nonzero constant.
+`zpoly_gcd` returns 1 at once when an operand is a nonzero constant.  The
+package's three failure classes live here, where every module reaches them.
 """
 
 from __future__ import annotations
@@ -48,6 +49,18 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, prod
 from typing import Iterable, Optional, Union
+
+
+class InputError(ValueError):
+    """Malformed input: an argument, expression or file that no computation takes."""
+
+
+class Obstruction(ArithmeticError):
+    """Well-formed input that the mathematics refuses (a degenerate curve, say)."""
+
+
+class NumericalFailure(ArithmeticError):
+    """A float or interval computation that reached no certified answer."""
 
 
 class PoleError(ZeroDivisionError):
@@ -424,15 +437,13 @@ class ZPoly:
         return ZPoly(tuple(c * k for k, c in enumerate(self.coeffs) if k))
 
     def __call__(self, z0):
-        """Evaluate by Horner; exact for GaussRat-like z0, float for complex."""
-        if isinstance(z0, (int, Fraction, GaussRat)):
-            acc = _GR_ZERO
-            for c in reversed(self.coeffs):
-                acc = acc * z0 + c
-            return acc
-        acc = 0j
+        """Exact evaluation by Horner at an int, Fraction or GaussRat z0; float values
+        come from expfunc's one evaluator, ExpPoly.scaled."""
+        if not isinstance(z0, (int, Fraction, GaussRat)):
+            raise TypeError(f"ZPoly evaluates at exact points only, got {type(z0).__name__}")
+        acc = _GR_ZERO
         for c in reversed(self.coeffs):
-            acc = acc * z0 + complex(c)
+            acc = acc * z0 + c
         return acc
 
     # -- structure -----------------------------------------------------------
@@ -620,14 +631,11 @@ class RatFunc:
                        self.den * self.den)
 
     def __call__(self, z0):
-        """Exact evaluation at GaussRat-like z0; complex path for numerics."""
-        if isinstance(z0, (int, Fraction, GaussRat)):
-            dv = self.den(z0)
-            if not dv:
-                raise PoleError(f"evaluation at pole z={z0} of {self}")
-            return self.num(z0) * dv.inverse()
+        """Exact evaluation at an int, Fraction or GaussRat z0 (ZPoly.__call__)."""
         dv = self.den(z0)
-        return self.num(z0) / dv
+        if not dv:
+            raise PoleError(f"evaluation at pole z={z0} of {self}")
+        return self.num(z0) * dv.inverse()
 
     # -- structure -----------------------------------------------------------
 

@@ -30,6 +30,7 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
+from .fields import InputError, Obstruction
 from .hpoly import HPoly, monomial_index, monomials
 from .linalg import RankPaths, RowReducer, certified_rank
 from .resultant import HypersurfaceFamily, complete_intersection_rank, ideal_rows
@@ -116,16 +117,16 @@ def build_filtration(fam: HypersurfaceFamily, subset: Sequence[int], big_n: int)
     n <= 2 regularity is decided at one level at most (module docstring);
     for n >= 3 each distinct level's quotient dimension is decided once, in
     tuple order.  A decided dimension that is not tuple_count (an inadmissible
-    subset) raises ArithmeticError naming its level.
+    subset) raises Obstruction naming its level.
     """
     n = fam.n
     subset = tuple(subset)
     if len(subset) != n or len(set(subset)) != n or not all(0 <= j < fam.q for j in subset):
-        raise ValueError(f"subset must pick {n} distinct form indices in 0..{fam.q - 1}, "
+        raise InputError(f"subset must pick {n} distinct form indices in 0..{fam.q - 1}, "
                          f"got {subset}")
     d = fam.common_degree()
     if big_n < 0 or big_n % d:
-        raise ValueError(f"level N={big_n} is not a nonnegative multiple of d={d}")
+        raise InputError(f"level N={big_n} is not a nonnegative multiple of d={d}")
     gens = _subset_polys(fam, subset)
     tuples = filtration_tuples(big_n // d, n)
     mults = [tuple_count(big_n - d * sum(idx), d, n) for idx in tuples]
@@ -141,7 +142,7 @@ def build_filtration(fam: HypersurfaceFamily, subset: Sequence[int], big_n: int)
         flags.append(modular)
         want = tuple_count(level, d, n)
         if dim != want:
-            raise ArithmeticError(
+            raise Obstruction(
                 f"quotient dimension {dim} at level {level} is not the "
                 f"complete-intersection {want} (is the family admissible?)")
     return FiltrationTable(n=n, d=d, big_n=big_n, subset=subset, tuples=tuples,
@@ -195,13 +196,13 @@ def construct_psi_basis(fam: HypersurfaceFamily, table: FiltrationTable) -> PsiB
                 facts.append((k, m))
                 taken += 1
         if taken != mk:
-            raise ArithmeticError(f"block {k} found {taken} representatives, expected {mk} "
-                                  "(is the family admissible?)")
+            raise Obstruction(f"block {k} found {taken} representatives, expected {mk} "
+                              "(is the family admissible?)")
     basis = PsiBasis(table=table, polys=tuple(psis), factorizations=tuple(facts))
     for s in range(table.n):
         if basis.exponent_sum(s) != table.a_constant:
-            raise ArithmeticError("psi exponent sum disagrees with A "
-                                  "(is the family admissible?)")
+            raise Obstruction("psi exponent sum disagrees with A "
+                              "(is the family admissible?)")
     return basis
 
 

@@ -42,16 +42,17 @@ import numpy as np
 
 from .bounds import REPORT_DIGIT_BUDGET, compute_truncation_levels, report_repr
 from .expfunc import ExpPoly, exponent_polys, lattice_rows, wronskian
-from .fields import GaussRat, RatFunc, ZPoly, squared_modulus, zpoly_gcd
+from .fields import (GaussRat, InputError, NumericalFailure, Obstruction, RatFunc, ZPoly,
+                     squared_modulus, zpoly_gcd)
 from .hpoly import HPoly
 from .linalg import RowReducer
 from .quadrature import TWO_PI, QuadResult, circle_averages
-from .resultant import HypersurfaceFamily, is_admissible
+from .resultant import HypersurfaceFamily, NotAdmissibleError, is_admissible
 from .zeros import (ContourThroughZero, Divisor, exppoly_zeros, ratfunc_divisors,
                     zpoly_zeros)
 
 __all__ = [
-    "AdmissibilityError", "DegeneracyError", "FlatGrowthError", "EntireCurve", "as_curve",
+    "AdmissibilityError", "DegeneracyError", "EntireCurve", "as_curve",
     "characteristic", "counting_function",
     "log_modulus_average", "jensen_check", "wronskian",
     "DivisorBoundReport", "divisor_bound_check", "nondegeneracy_check",
@@ -61,16 +62,12 @@ __all__ = [
 ]
 
 
-class DegeneracyError(ValueError):
+class DegeneracyError(Obstruction, ValueError):
     """A curve or composed target fails a required nondegeneracy condition."""
 
 
-class AdmissibilityError(ValueError):
-    """The target family is not in general position."""
-
-
-class FlatGrowthError(ValueError):
-    """T(r) vanishes on the top half of a radius grid, where defects are read."""
+class AdmissibilityError(NotAdmissibleError):
+    """The target family of the main inequality is not in general position."""
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +253,7 @@ def characteristic(f: CurveLike, radii: Sequence[float]) -> tuple[QuadResult, ..
     """
     rs = tuple(float(r) for r in radii)
     if not all(1 <= r < math.inf for r in rs):
-        raise ValueError("the growth scale is normalized at r = 1; need finite radii r >= 1")
+        raise InputError("the growth scale is normalized at r = 1; need finite radii r >= 1")
     curve = as_curve(f)
     grid = tuple(dict.fromkeys((1.0, *rs)))
     # log max |f_i| = max log |f_i|, one row per component
@@ -292,11 +289,11 @@ def counting_function(div: Divisor, r: float,
     no cap.
     """
     if r < 1:
-        raise ValueError("counting is normalized at radius 1; need r >= 1")
+        raise InputError("counting is normalized at radius 1; need r >= 1")
     if r > div.r * (1 + 1e-12):
-        raise ValueError(f"divisor only known out to |z| <= {div.r:g}")
+        raise InputError(f"divisor only known out to |z| <= {div.r:g}")
     if level is not None and level < 1:
-        raise ValueError("truncation level must be a positive integer")
+        raise InputError("truncation level must be a positive integer")
     total = 0.0
     for a, m in div.points:
         if level is not None:
@@ -357,7 +354,7 @@ def jensen_check(phi, radii: Sequence[float]) -> list[float]:
     """
     radii = tuple(radii)
     if not all(1 <= r < math.inf for r in radii):
-        raise ValueError("need finite radii r >= 1")
+        raise InputError("need finite radii r >= 1")
     big = 1.5 * max(radii, default=1.0) + 1.0
     if isinstance(phi, ZPoly):
         phi = RatFunc(phi)
@@ -578,9 +575,9 @@ def defect_estimate(f: CurveLike, forms: Sequence[HPoly], r_max: float,
     form's zeros.
     """
     if not 2.0 <= r_max < math.inf:
-        raise ValueError(f"r_max must be a finite number >= 2, got {r_max}")
+        raise InputError(f"r_max must be a finite number >= 2, got {r_max}")
     if grid_points < 1:
-        raise ValueError(f"grid_points must be a positive integer, got {grid_points}")
+        raise InputError(f"grid_points must be a positive integer, got {grid_points}")
     curve = as_curve(f)
     radii = [float(r) for r in np.geomspace(max(2.0, math.sqrt(r_max)), r_max, grid_points)]
     top, ts, out = radii[len(radii) // 2:], None, []
@@ -596,18 +593,19 @@ def _top_half_defect(degree: int, top: Sequence[float], counts: Sequence[float],
                      ts: Sequence[QuadResult]) -> float:
     """min over top, the top half of a radius grid, of 1 - N(r)/(degree T(r)) where T(r)
     exceeds its error bar, counts holding N(r) and ts T(r) (`characteristic`) there; a T
-    within its error bar counts as 0, and FlatGrowthError says that T vanishes on all of
-    top."""
+    within its error bar counts as 0, and an InputError naming --rmax says that T vanishes
+    on all of top."""
     vals = [1.0 - n / (degree * t.value) for n, t in zip(counts, ts) if t.value > t.error]
     if not vals:
-        raise FlatGrowthError(f"T(r) = 0 within its error bar on the top half of the radius "
-                              f"grid (r <= {top[-1]:g})")
+        raise InputError(f"T(r) = 0 within its error bar on the top half of the radius "
+                         f"grid (r <= {top[-1]:g}); raise --rmax")
     return min(vals)
 
 
 @dataclass(frozen=True)
 class NevanlinnaProfile:
-    """Characteristic sampled on an increasing radius grid."""
+    """Characteristic sampled on an increasing radius grid.  T is nondecreasing, so
+    samples that fall by more than rounding are a numerical failure."""
 
     radii: tuple[float, ...]
     t_values: tuple[float, ...]
@@ -621,7 +619,7 @@ class NevanlinnaProfile:
             raise ValueError("profile radii must increase")
         slack = 1e-6 * (1.0 + max(abs(t) for t in self.t_values))
         if any(b < a - slack for a, b in zip(self.t_values, self.t_values[1:])):
-            raise ValueError("characteristic must be nondecreasing")
+            raise NumericalFailure("characteristic must be nondecreasing")
 
 
 # ---------------------------------------------------------------------------
@@ -700,13 +698,13 @@ def smt_verify(f: CurveLike, targets, eps, radii: Sequence[float]) -> SmtReport:
     fam = (targets if isinstance(targets, HypersurfaceFamily)
            else HypersurfaceFamily(curve.n, tuple(targets)))
     if fam.n != curve.n:
-        raise ValueError("family and curve dimensions differ")
+        raise InputError("family and curve dimensions differ")
     rs = tuple(float(r) for r in radii)
     if len(rs) < 2 or not all(1.0 < r < math.inf for r in rs) or list(rs) != sorted(set(rs)):
-        raise ValueError("need a strictly increasing grid of finite radii > 1")
+        raise InputError("need a strictly increasing grid of finite radii > 1")
     eps = Fraction(eps)
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise InputError("eps must be positive")
 
     adm = is_admissible(fam)
     if not adm.admissible:

@@ -14,16 +14,12 @@ import json
 import re
 from typing import TYPE_CHECKING, Optional, Union
 
-from .fields import GaussRat, RatFunc, ZPoly
+from .fields import GaussRat, InputError, RatFunc, ZPoly
 from .hpoly import HPoly
 from .resultant import HypersurfaceFamily
 
 if TYPE_CHECKING:
     from .nevanlinna import EntireCurve
-
-
-class InputError(ValueError):
-    """Common base so a caller can map every bad-input condition to one exit."""
 
 
 class ParseError(InputError):

@@ -34,14 +34,15 @@ from fractions import Fraction
 from math import comb, lcm, prod
 from typing import Optional, Sequence
 
-from .fields import GaussRat, RatFunc, ZPoly, denominator_lcm, simplify_scalar
+from .fields import (GaussRat, InputError, Obstruction, RatFunc, ZPoly, denominator_lcm,
+                     simplify_scalar)
 from .hpoly import HPoly, monomial_index, monomials
 from .linalg import (RankPaths, _split, certified_rank, det_sparse, modular_rank_reaches,
                      solve_system)
 
 
-class NotAdmissibleError(ValueError):
-    """A certificate was requested for a family whose resultant vanishes."""
+class NotAdmissibleError(Obstruction, ValueError):
+    """The family is not in general position where a computation needs it to be."""
 
 
 def sylvester_resultant(p: HPoly, q: HPoly):
@@ -132,12 +133,12 @@ def macaulay_resultant(polys: Sequence[HPoly]):
     polys = list(polys)
     nvars = polys[0].nvars
     if len(polys) != nvars:
-        raise ValueError(f"need {nvars} forms in {nvars} variables, got {len(polys)}")
+        raise InputError(f"need {nvars} forms in {nvars} variables, got {len(polys)}")
     d = polys[0].degree
     if d < 1:
-        raise ValueError("common degree must be >= 1")
+        raise InputError("common degree must be >= 1")
     if any(p.degree != d or p.nvars != nvars for p in polys):
-        raise ValueError("forms must share one degree and one variable count")
+        raise InputError("forms must share one degree and one variable count")
     return _resultant(polys, d)[0]
 
 
@@ -274,7 +275,7 @@ def is_admissible(fam: HypersurfaceFamily) -> AdmissibilityReport:
     """
     n = fam.n
     if fam.q < n + 1:
-        raise ValueError(f"admissibility needs q >= n+1, got q={fam.q}, n={n}")
+        raise InputError(f"admissibility needs q >= n+1, got q={fam.q}, n={n}")
     lifted = fam.lifted()
     subsets = list(itertools.combinations(range(fam.q), n + 1))
     flags: list = []
@@ -503,9 +504,9 @@ def power_certificate(polys: Sequence[HPoly], index: int) -> PowerCertificate:
     n = nvars - 1
     d = polys[0].degree
     if any(p.degree != d for p in polys) or len(polys) != nvars:
-        raise ValueError("need n+1 forms of one degree in n+1 variables")
+        raise InputError("need n+1 forms of one degree in n+1 variables")
     if not (0 <= index < nvars):
-        raise ValueError(f"coordinate index {index} out of range")
+        raise InputError(f"coordinate index {index} out of range")
     s_max = (n + 1) * (d - 1) + 1
     top = monomial_index(n, s_max)[tuple(s_max if k == index else 0 for k in range(nvars))]
     r, solved, value_flags = _resultant(polys, d, top)

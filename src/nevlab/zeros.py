@@ -54,9 +54,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .expfunc import ExpPoly, exponent_polys
-from .fields import GaussRat, RatFunc, ZPoly, squared_modulus, zpoly_gcd
+from .fields import GaussRat, NumericalFailure, RatFunc, ZPoly, squared_modulus, zpoly_gcd
 
-class ContourThroughZero(ArithmeticError):
+class ContourThroughZero(NumericalFailure):
     """The argument-principle computation broke down: a contour walk hit a
     (near-)zero of the function, or the located zeros do not add up to the
     winding count."""

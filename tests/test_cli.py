@@ -430,6 +430,30 @@ def test_exit_code_numerical_failure(paths, capsys, monkeypatch):
         assert "numerical failure" in capsys.readouterr().err
 
 
+def test_an_uncertified_floor_is_a_numerical_failure(capsys, monkeypatch):
+    # p_0's floor that interval arithmetic cannot decide below its precision cap is a
+    # failed float computation, not an obstruction
+    from nevlab import bounds
+
+    monkeypatch.setattr(bounds, "_FLOOR_MAX_PREC", 64)
+    assert main(["bounds", "--n", "1", "--eps", "1/2", "--degrees", "1,1,1"]) == 3
+    assert capsys.readouterr().err == \
+        "nevlab: numerical failure: floor not certified below precision 64\n"
+
+
+def test_a_falling_characteristic_is_a_numerical_failure(paths, capsys, monkeypatch):
+    # T is nondecreasing, so smt refuses a profile whose samples fall, in one line
+    from nevlab import nevanlinna
+    from nevlab.quadrature import QuadResult
+
+    monkeypatch.setattr(nevanlinna, "characteristic",
+                        lambda f, radii: tuple(QuadResult(100.0 - r, 0.0, 1, True) for r in radii))
+    assert main(["smt", paths["curve"], paths["system"], "--rmin", "10", "--rmax", "20",
+                 "--steps", "2"]) == 3
+    assert capsys.readouterr().err == \
+        "nevlab: numerical failure: characteristic must be nondecreasing\n"
+
+
 def test_zero_count_mismatch_is_numerical_failure(paths, capsys, monkeypatch):
     # the quadtree's count check: one located point is pushed out of the disk, and a
     # moving target, which its seeds answer, is sent to subdivision without them

@@ -119,10 +119,14 @@ def test_zpoly_gcd_divides_both():
 
 
 def test_zpoly_evaluation_matches_horner():
+    # evaluation is exact; float values come from ExpPoly.scaled alone
     p = ZPoly((1, -2, 0, GaussRat(0, 1)))
-    z0 = 1.5 - 0.25j
-    direct = 1 - 2 * z0 + 1j * z0 ** 3
-    assert complex(p(z0)) == pytest.approx(direct)
+    z0 = GaussRat(Fraction(3, 2), Fraction(-1, 4))
+    assert p(z0) == 1 - 2 * z0 + GaussRat(0, 1) * z0 ** 3
+    with pytest.raises(TypeError):
+        p(1.5 - 0.25j)
+    with pytest.raises(TypeError):
+        RatFunc(p, ZPoly((1, 1)))(1.5 - 0.25j)
 
 
 def test_ratfunc_reduces_and_keeps_monic_denominator():

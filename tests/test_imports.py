@@ -21,7 +21,11 @@ returns its flag), `fields.py` imports only the standard library, no module
 but the acceptance battery imports `random`, importing the command line
 loads neither numpy nor mpmath, and its exact commands
 (admissible, resultant, certificate, filtration, bounds, schema) load no
-numpy.  Every module of the package is imported, directly or through others,
+numpy.  Every exception class of the package derives from one of the three
+failure bases of `fields` (but for `linalg.Inconsistent` and
+`fields.PoleError`), and the command line's `_run` catches those bases, the
+parse error and `OverflowError`, and no class of a module loaded on first
+use.  Every module of the package is imported, directly or through others,
 by the package or the command line, except `nevlab.mrat`, which holds only a
 docstring and which nothing imports.  Every functools cache sits in a module that `import nevlab` loads,
 so clearing the loaded modules' caches clears them all, while each command
@@ -353,6 +357,40 @@ def test_one_determinant_entry_and_no_paths_parameter():
                         callers[called].append(where)
     assert params == [] and gone == []
     assert callers == {"_multimodular": ["linalg.py:det_sparse"], "det": ["linalg.py:det_sparse"]}
+
+
+def test_one_failure_class_per_exception():
+    # every exception class of the package derives from exactly one of the three
+    # failure bases of fields, but for the two that never reach a caller of a command:
+    # linalg's Inconsistent, caught inside the exact solve, and fields' PoleError
+    from nevlab.fields import InputError, NumericalFailure, Obstruction
+
+    classes = {}
+    for p in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"nevlab.{p.stem}" if p.stem != "__init__" else "nevlab")
+        classes.update({f"{p.stem}.{name}": obj for name, obj in vars(module).items()
+                        if isinstance(obj, type) and issubclass(obj, BaseException)
+                        and obj.__module__ == module.__name__})
+    bases = (InputError, Obstruction, NumericalFailure)
+    wrong = sorted(name for name, cls in classes.items()
+                   if sum(issubclass(cls, base) for base in bases) != 1)
+    assert len(classes) >= 12
+    assert wrong == ["fields.PoleError", "linalg.Inconsistent"]
+
+
+def test_one_exit_code_per_failure_class():
+    # the command line maps classes, not modules, to exit codes: _run catches the
+    # parse error (for its caret), the three bases and OverflowError by name, and
+    # looks none up in a module loaded on first use
+    tree = ast.parse((SRC / "cli.py").read_text())
+    run = next(node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_run")
+    caught = [[elt.id for elt in getattr(h.type, "elts", [h.type])]
+              for node in ast.walk(run) if isinstance(node, ast.Try) for h in node.handlers]
+    assert caught == [["ParseError"], ["InputError"], ["NumericalFailure", "OverflowError"],
+                      ["ArithmeticError"]]
+    assert not any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_loaded"
+                   for node in ast.walk(run))
 
 
 def test_fields_imports_only_the_standard_library():

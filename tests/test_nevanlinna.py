@@ -21,7 +21,8 @@ from nevlab.acceptance import _quadrature_t
 from nevlab.cli import main
 from nevlab.bounds import REPORT_DIGIT_BUDGET, compute_truncation_levels
 from nevlab.expfunc import ExpPoly
-from nevlab.fields import GaussRat, RatFunc, ZPoly
+from nevlab.fields import GaussRat, InputError, NumericalFailure, Obstruction, RatFunc, ZPoly
+from nevlab.filtration import build_filtration
 from nevlab.hpoly import HPoly, monomials
 from nevlab.nevanlinna import (AdmissibilityError, DegeneracyError,
                                EntireCurve, NevanlinnaProfile, characteristic,
@@ -31,7 +32,8 @@ from nevlab.nevanlinna import (AdmissibilityError, DegeneracyError,
                                normalize_target, quotient_zeros, smt_verify,
                                wronskian)
 from nevlab.quadrature import circle_averages
-from nevlab.zeros import Divisor
+from nevlab.resultant import HypersurfaceFamily
+from nevlab.zeros import ContourThroughZero, Divisor
 
 ONE = ZPoly((1,))
 Z = ZPoly((0, 1))
@@ -639,9 +641,30 @@ def test_defects_of_many_forms_are_each_forms_alone():
             assert together == alone, (curve, r_max)
 
 
+def test_input_obstruction_and_numerical_failure_are_told_apart():
+    # each failure class has a base of its own in the exact layer, so a library caller
+    # tells them apart by `except InputError`, `except Obstruction` and
+    # `except NumericalFailure`, as the command line's exit codes do
+    x0, x1 = HPoly.coordinate(2, 0), HPoly.coordinate(2, 1)
+    with pytest.raises(InputError) as exc:
+        defect_estimate(_exp_curve(), (x0, x1, x0 + x1), r_max=1.5)
+    assert not isinstance(exc.value, Obstruction)
+    with pytest.raises(Obstruction, match="z = 0") as exc:
+        EntireCurve((ExpPoly.exp(1) - 1, ExpPoly.var()))
+    assert isinstance(exc.value, ValueError) and not isinstance(exc.value, InputError)
+    y0, y1, y2 = (HPoly.coordinate(3, k) for k in range(3))
+    shared = HypersurfaceFamily(2, (y0 * y1, y0 * y2, y1 * y2))     # the first two share y0
+    with pytest.raises(Obstruction, match=r"\(is the family admissible\?\)"):
+        build_filtration(shared, (0, 1), 4)
+    assert issubclass(ContourThroughZero, NumericalFailure)
+    assert not issubclass(ContourThroughZero, (InputError, Obstruction))
+
+
 def test_profile_must_grow():
+    # a falling T is a numerical failure, for T is nondecreasing; a grid that does not
+    # increase is a bad argument
     NevanlinnaProfile((2.0, 4.0), (1.0, 2.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalFailure):
         NevanlinnaProfile((2.0, 4.0), (2.0, 1.0))
     with pytest.raises(ValueError):
         NevanlinnaProfile((4.0, 2.0), (1.0, 2.0))

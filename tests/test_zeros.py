@@ -477,8 +477,14 @@ def test_simple_zero_where_the_exponential_term_overflows():
 
 
 def _cmath_value(f: ExpPoly, x: complex) -> complex:
-    """sum_c p_c(x) e^{cx} term by term, with ZPoly's own Horner and cmath.exp."""
-    return sum(p(x) * cmath.exp(complex(c) * x) for c, p in f.terms.items())
+    """sum_c p_c(x) e^{cx} term by term, with complex Horner and cmath.exp."""
+    total = 0j
+    for c, p in f.terms.items():
+        acc = 0j
+        for a in reversed(p.coeffs):
+            acc = acc * x + complex(a)
+        total += acc * cmath.exp(complex(c) * x)
+    return total
 
 
 def test_scaled_pass_matches_f_and_its_derivative():
