@@ -61,7 +61,7 @@ def clamp_eps(eps: RationalLike) -> Fraction:
     """Return eps, capped just below 1.  The bound formulas assume eps < 1."""
     eps = _as_fraction(eps)
     if eps <= 0:
-        raise InputError("eps must be positive")
+        raise InputError(f"eps must be positive, got {eps}")
     if eps >= 1:
         warnings.warn(f"eps={eps} clamped to 1 - 2^-20; formulas assume eps < 1",
                       RuntimeWarning, stacklevel=3)
@@ -75,7 +75,7 @@ def compute_constants(n: int, d: int, eps: RationalLike) -> tuple[int, int, int]
     M = C(N+n, n) and K = C(N/d+n, n).  N is divisible by d by construction.
     """
     if n < 1 or d < 1:
-        raise InputError("need n >= 1 and d >= 1")
+        raise InputError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     eps = clamp_eps(eps)
     arg = Fraction(2 * (n + 1) * (2 ** n - 1) * (n * d + 1)) / eps + n + 1
     big_n = d * math.floor(arg)
@@ -124,7 +124,7 @@ def compute_p0(n: int, big_n: int, q: int, eps: RationalLike) -> int:
     always decidable.
     """
     if q < n + 1:
-        raise InputError("need q >= n + 1")
+        raise InputError(f"need q >= n + 1, got q={q}, n={n}")
     eps = clamp_eps(eps)
     m_count = comb(n + big_n, n)
     b = _b_constant(n, big_n, q)
@@ -158,7 +158,7 @@ def bound_t(p: int, n: int, big_n: int, q: int,
     checked exactly, else in log10; a failed check is a NumericalFailure.
     """
     if p < 1:
-        raise InputError("need p >= 1")
+        raise InputError(f"need p >= 1, got {p}")
     budget = DEFAULT_DIGIT_BUDGET if digit_budget is None else digit_budget
     b = _b_constant(n, big_n, q)
     binom_log10 = _log10_binomial(b + p, b - 1)
@@ -264,7 +264,7 @@ def compute_truncation_levels(n: int, q: int, eps: RationalLike,
     if len(degrees) != q:
         raise InputError(f"expected {q} degrees, got {len(degrees)}")
     if any(dj < 1 for dj in degrees):
-        raise InputError("degrees must be positive")
+        raise InputError(f"degrees must be positive, got {degrees}")
     eps_requested = _as_fraction(eps)
     eps_used = clamp_eps(eps_requested)
     d = lcm(*degrees)

@@ -15,6 +15,11 @@ The exact commands (admissible, resultant, certificate, filtration, bounds,
 schema) never load numpy: the handlers that need the numeric layer import it,
 and numpy with it, in their bodies.
 
+Each input is checked once.  Parsing checks expressions and the shape of the
+JSON inputs; the library entry point a command calls checks the ranges (form
+counts and degrees, indices, levels, eps, radii, derivative orders); the
+handlers here check only --steps and --only, which no library function sees.
+
 Exit codes, one per failure class of `fields`: 0 the computation ran (verdicts
 like "not admissible" are data, not failures), 1 an `Obstruction` (degenerate
 curve, inadmissible family where admissibility is required, violated margin), 2
@@ -153,22 +158,12 @@ def _load_curve(path: str):
     return curve_from_json(load_json_file(path))
 
 
-def _load_square_family(path: str, what: str):
-    """The family at `path`, which must hold n+1 forms of one degree."""
-    fam = _load_family(path)
-    if fam.q != fam.n + 1:
-        raise InputError(f"{what} needs exactly n+1 = {fam.n + 1} forms, got {fam.q}")
-    if len(set(fam.degrees)) > 1:
-        raise InputError(f"{what} needs forms of one degree, got degrees {fam.degrees}")
-    return fam
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_resultant(args) -> int:
-    fam = _load_square_family(args.system, "resultant")
+    fam = _load_family(args.system)
     res = macaulay_resultant(fam.polys)
     _emit({"tool": "resultant", "version": __version__,
            "n": fam.n, "degrees": fam.degrees,
@@ -178,8 +173,6 @@ def cmd_resultant(args) -> int:
 
 def cmd_admissible(args) -> int:
     fam = _load_family(args.system)
-    if fam.q < fam.n + 1:
-        raise InputError(f"admissible needs at least n+1 = {fam.n + 1} forms, got {fam.q}")
     rep = is_admissible(fam)
     doc = {"tool": "admissible", "version": __version__,
            "n": fam.n, "q": fam.q, "moving": fam.is_moving()}
@@ -189,9 +182,7 @@ def cmd_admissible(args) -> int:
 
 
 def cmd_certificate(args) -> int:
-    fam = _load_square_family(args.system, "certificate")
-    if not 0 <= args.index <= fam.n:
-        raise InputError(f"--index must lie in 0..{fam.n}")
+    fam = _load_family(args.system)
     cert = power_certificate(fam.polys, args.index)
     _emit({"tool": "certificate", "version": __version__,
            "n": fam.n, "index": cert.index, "power": cert.s,
@@ -204,17 +195,7 @@ def cmd_certificate(args) -> int:
 
 def cmd_filtration(args) -> int:
     fam = _load_family(args.system)
-    subset = _parse_ints(args.subset, "--subset")
-    if (len(subset) != fam.n or len(set(subset)) != fam.n
-            or not all(0 <= j < fam.q for j in subset)):
-        raise InputError(f"--subset must name {fam.n} distinct form indices "
-                         f"in 0..{fam.q - 1}, got {args.subset!r}")
-    d = fam.common_degree()
-    if args.level % d:
-        raise InputError(f"--level must be a multiple of the common degree {d}")
-    if args.level < 0:
-        raise InputError(f"--level must be nonnegative, got {args.level}")
-    table = build_filtration(fam, subset, args.level)
+    table = build_filtration(fam, _parse_ints(args.subset, "--subset"), args.level)
     _emit({"tool": "filtration", "version": __version__,
            "n": table.n, "d": table.d, "level": table.big_n,
            "subset": table.subset, "tuples": table.tuples,
@@ -228,9 +209,6 @@ def cmd_filtration(args) -> int:
 def cmd_bounds(args) -> int:
     eps = _parse_fraction(args.eps)
     degrees = _parse_ints(args.degrees, "--degrees")
-    if args.n < 1 or eps <= 0 or len(degrees) < args.n + 1 or min(degrees) < 1:
-        raise InputError("need --n >= 1, --eps > 0 and at least n + 1 positive --degrees, "
-                         f"got {args.n}, {args.eps} and {args.degrees}")
     rep = compute_truncation_levels(args.n, len(degrees), eps, degrees,
                                     fixed=args.fixed,
                                     digit_budget=args.digit_budget)
@@ -244,11 +222,7 @@ def cmd_bounds(args) -> int:
 def cmd_jensen(args) -> int:
     from .nevanlinna import jensen_check
     phi = parse_ratfunc(args.phi)
-    if phi.num.is_zero():
-        raise InputError(f"--phi is identically zero and has no divisor: {args.phi!r}")
     radii = _parse_floats(args.radii, "--radii")
-    if any(r <= 1.0 for r in radii):
-        raise InputError("every radius must exceed 1")
     residuals = jensen_check(phi, radii)
     _emit({"tool": "jensen", "version": __version__, "phi": phi,
            "radii": radii, "residuals": residuals,
@@ -260,9 +234,6 @@ def cmd_wronskian(args) -> int:
     from .expfunc import wronskian
     curve = _load_curve(args.curve)
     orders = _parse_ints(args.orders, "--orders") if args.orders else None
-    k = len(curve.components)
-    if orders is not None and (len(orders) != k or len(set(orders)) != k or min(orders) < 0):
-        raise InputError(f"--orders must be {k} distinct nonnegative integers, got {args.orders!r}")
     w = wronskian(curve.components, orders=orders)
     _emit({"tool": "wronskian", "version": __version__,
            "components": list(curve.components),
@@ -273,18 +244,8 @@ def cmd_wronskian(args) -> int:
 
 def cmd_defects(args) -> int:
     from .nevanlinna import defect_estimate
-    # the radius grid starts at max(2, sqrt(rmax)), so rmax below 2 has none
-    if not 2.0 <= args.rmax < math.inf:
-        raise InputError(f"--rmax must be a finite number >= 2, got {args.rmax}")
-    if args.grid < 1:
-        raise InputError(f"--grid must be a positive integer, got {args.grid}")
-    if args.level is not None and args.level < 1:
-        raise InputError(f"--level must be a positive integer, got {args.level}")
     curve = _load_curve(args.curve)
     fam = _load_family(args.system)
-    if fam.n != curve.n:
-        raise InputError(
-            f"system lives in dimension {fam.n} but the curve maps into {curve.n}")
     deltas = defect_estimate(curve, fam.polys, args.rmax, level=args.level,
                              grid_points=args.grid)
     rows = [{"form": qf, "degree": qf.degree, "defect": delta}
@@ -333,18 +294,12 @@ def cmd_smt(args) -> int:
     from .nevanlinna import smt_verify
     curve = _load_curve(args.curve)
     fam = _load_family(args.system)
-    if fam.n != curve.n:
-        raise InputError(
-            f"system lives in dimension {fam.n} but the curve maps into {curve.n}")
     eps = _parse_fraction(args.eps)
-    if eps <= 0:
-        raise InputError(f"--eps must be positive, got {args.eps}")
-    if not 1.0 < args.rmin < args.rmax < math.inf or args.steps < 2:
-        raise InputError("need 1 < rmin < rmax and at least 2 steps")
-    if fam.q < fam.n + 1:
-        raise InputError(f"smt needs at least n+1 = {fam.n + 1} forms, got {fam.q}")
-    radii = [float(r) for r in np.linspace(args.rmin, args.rmax, args.steps)]
-    rep = smt_verify(curve, fam.polys, eps, radii)
+    if args.steps < 2:
+        raise InputError(f"--steps must be at least 2, got {args.steps}")
+    with np.errstate(invalid="ignore"):     # smt_verify refuses a non-finite grid
+        radii = [float(r) for r in np.linspace(args.rmin, args.rmax, args.steps)]
+    rep = smt_verify(curve, fam, eps, radii)
     doc = {"tool": "smt", "version": __version__,
            "holds_everywhere": rep.holds_everywhere,
            "holds_eventually": rep.holds_eventually}
@@ -359,8 +314,6 @@ def cmd_characteristic(args) -> int:
     from .nevanlinna import characteristic
     curve = _load_curve(args.curve)
     radii = _parse_floats(args.radii, "--radii")
-    if any(r < 1.0 for r in radii):
-        raise InputError("every radius must be at least 1")
     values = [t.value for t in characteristic(curve, radii)]
     _emit({"tool": "characteristic", "version": __version__,
            "components": list(curve.components),

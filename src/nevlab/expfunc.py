@@ -395,9 +395,9 @@ def wronskian(fns: Iterable, orders: Optional[Sequence[int]] = None) -> object:
         orders = range(len(fns))
     orders = tuple(orders)
     if len(orders) != len(fns):
-        raise InputError("need as many derivative orders as functions")
+        raise InputError(f"need {len(fns)} derivative orders, one per function, got {orders}")
     if len(set(orders)) != len(orders) or any(k < 0 for k in orders):
-        raise InputError("orders must be distinct and nonnegative")
+        raise InputError(f"orders must be distinct and nonnegative, got {orders}")
     rows = [fns]
     for _ in range(max(orders)):
         rows.append([g.derivative() for g in rows[-1]])

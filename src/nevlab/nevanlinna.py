@@ -97,9 +97,9 @@ class EntireCurve:
             raise TypeError(f"component {comps.index(None)} is not an exponential "
                             "polynomial, a polynomial or an exact constant")
         if len(comps) < 2:
-            raise ValueError("a projective curve needs at least two components")
+            raise InputError(f"a projective curve needs at least two components, got {len(comps)}")
         if all(c.is_zero() for c in comps):
-            raise ValueError("all components vanish identically")
+            raise InputError("all components vanish identically")
         object.__setattr__(self, "components", comps)
         self._check_reduced()
 
@@ -494,7 +494,7 @@ def normalize_target(qf: HPoly) -> HPoly:
     """
     items = qf.terms_desc()
     if not items:
-        raise ValueError("zero form")
+        raise InputError("zero form")
     pick = next((c for _, c in items if not (isinstance(c, RatFunc) and not c.is_constant())),
                 items[0][1])
     return qf * (1 / pick)
@@ -509,8 +509,7 @@ def compose_target(qf: HPoly, f: CurveLike) -> tuple[ExpPoly, ZPoly]:
     """
     curve = as_curve(f)
     if qf.nvars != curve.n + 1:
-        raise ValueError(
-            f"form in {qf.nvars} variables against a curve in {curve.n + 1}")
+        raise InputError(f"form in {qf.nvars} variables against a curve in {curve.n + 1}")
     parts = [(exp, RatFunc.coerce(c)) for exp, c in qf.terms_desc()]
     d_total = reduce(operator.mul, (c.den for _, c in parts), ZPoly((1,)))
     total = ExpPoly.zero()
@@ -578,6 +577,8 @@ def defect_estimate(f: CurveLike, forms: Sequence[HPoly], r_max: float,
         raise InputError(f"r_max must be a finite number >= 2, got {r_max}")
     if grid_points < 1:
         raise InputError(f"grid_points must be a positive integer, got {grid_points}")
+    if level is not None and level < 1:
+        raise InputError(f"level must be a positive integer, got {level}")
     curve = as_curve(f)
     radii = [float(r) for r in np.geomspace(max(2.0, math.sqrt(r_max)), r_max, grid_points)]
     top, ts, out = radii[len(radii) // 2:], None, []
@@ -698,13 +699,13 @@ def smt_verify(f: CurveLike, targets, eps, radii: Sequence[float]) -> SmtReport:
     fam = (targets if isinstance(targets, HypersurfaceFamily)
            else HypersurfaceFamily(curve.n, tuple(targets)))
     if fam.n != curve.n:
-        raise InputError("family and curve dimensions differ")
+        raise InputError(f"family in dimension {fam.n} against a curve in dimension {curve.n}")
     rs = tuple(float(r) for r in radii)
     if len(rs) < 2 or not all(1.0 < r < math.inf for r in rs) or list(rs) != sorted(set(rs)):
         raise InputError("need a strictly increasing grid of finite radii > 1")
     eps = Fraction(eps)
     if eps <= 0:
-        raise InputError("eps must be positive")
+        raise InputError(f"eps must be positive, got {eps}")
 
     adm = is_admissible(fam)
     if not adm.admissible:

@@ -138,7 +138,9 @@ def macaulay_resultant(polys: Sequence[HPoly]):
     if d < 1:
         raise InputError("common degree must be >= 1")
     if any(p.degree != d or p.nvars != nvars for p in polys):
-        raise InputError("forms must share one degree and one variable count")
+        raise InputError("forms must share one degree and one variable count, got degrees "
+                         f"{tuple(p.degree for p in polys)} and variable counts "
+                         f"{tuple(p.nvars for p in polys)}")
     return _resultant(polys, d)[0]
 
 
@@ -210,14 +212,14 @@ class HypersurfaceFamily:
     def __init__(self, n: int, polys: Sequence[HPoly]):
         polys = tuple(polys)
         if not polys:
-            raise ValueError("empty family")
-        for p in polys:
+            raise InputError("empty family")
+        for k, p in enumerate(polys):
             if p.nvars != n + 1:
-                raise ValueError(f"form has {p.nvars} variables, expected {n + 1}")
+                raise InputError(f"form {k} has {p.nvars} variables, expected {n + 1}")
             if p.is_zero():
-                raise ValueError("zero form in family")
+                raise InputError(f"form {k} is zero")
             if p.degree < 1:
-                raise ValueError("form of degree 0 in family")
+                raise InputError(f"form {k} has degree 0")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "polys", polys)
 
@@ -504,9 +506,10 @@ def power_certificate(polys: Sequence[HPoly], index: int) -> PowerCertificate:
     n = nvars - 1
     d = polys[0].degree
     if any(p.degree != d for p in polys) or len(polys) != nvars:
-        raise InputError("need n+1 forms of one degree in n+1 variables")
+        raise InputError(f"need n+1 = {nvars} forms of one degree, got degrees "
+                         f"{tuple(p.degree for p in polys)}")
     if not (0 <= index < nvars):
-        raise InputError(f"coordinate index {index} out of range")
+        raise InputError(f"coordinate index must lie in 0..{n}, got {index}")
     s_max = (n + 1) * (d - 1) + 1
     top = monomial_index(n, s_max)[tuple(s_max if k == index else 0 for k in range(nvars))]
     r, solved, value_flags = _resultant(polys, d, top)

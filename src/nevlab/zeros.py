@@ -54,7 +54,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .expfunc import ExpPoly, exponent_polys
-from .fields import GaussRat, NumericalFailure, RatFunc, ZPoly, squared_modulus, zpoly_gcd
+from .fields import (GaussRat, InputError, NumericalFailure, RatFunc, ZPoly, squared_modulus,
+                     zpoly_gcd)
 
 class ContourThroughZero(NumericalFailure):
     """The argument-principle computation broke down: a contour walk hit a
@@ -158,7 +159,7 @@ def zpoly_zeros(p: ZPoly, r: float) -> Divisor:
 def ratfunc_divisors(f: RatFunc, r: float) -> tuple[Divisor, Divisor]:
     """(zeros, poles) of a reduced rational function in |z| <= r."""
     if f.num.is_zero():
-        raise ValueError("zero function")
+        raise InputError("the zero function has no divisor")
     return zpoly_zeros(f.num, r), zpoly_zeros(f.den, r)
 
 
@@ -656,7 +657,7 @@ def exppoly_zeros(f: ExpPoly, r: float) -> Divisor:
     (`_seeds`) when the disk holds a zero; f is first divided by a power of two that
     brings its coefficients into the float range (`_in_float_range`)."""
     if f.is_zero():
-        raise ValueError("zero function has no divisor")
+        raise InputError("the zero function has no divisor")
     f = _in_float_range(f)
     div = _certified_zeros(f, r)
     return div if div is not None else _quadtree_zeros(f, r, _seeds)

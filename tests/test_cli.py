@@ -295,19 +295,23 @@ def test_malformed_numbers_are_input_errors(paths, capsys, cmd, extra):
     assert "nevlab: input error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["admissible", "single"], "admissible needs at least n+1 = 2 forms, got 1"),
+@pytest.mark.parametrize("argv, case, message", [
+    (["admissible", "single"], "admissible needs at least n+1 forms",
+     "admissibility needs q >= n+1, got q=1, n=1"),
     (["smt", "curve", "single", "--rmin", "10", "--rmax", "20"],
-     "smt needs at least n+1 = 2 forms, got 1"),
-    (["resultant", "mixed"], "resultant needs forms of one degree, got degrees (1, 2)"),
-    (["certificate", "mixed", "--index", "0"],
-     "certificate needs forms of one degree, got degrees (1, 2)"),
+     "smt needs at least n+1 forms", "admissibility needs q >= n+1, got q=1, n=1"),
+    (["resultant", "mixed"], "resultant needs forms of one degree",
+     "forms must share one degree and one variable count, got degrees (1, 2) "
+     "and variable counts (2, 2)"),
+    (["certificate", "mixed", "--index", "0"], "certificate needs forms of one degree",
+     "need n+1 = 2 forms of one degree, got degrees (1, 2)"),
     (["filtration", "system", "--subset", "0", "--level", "-3"],
-     "--level must be nonnegative, got -3"),
+     "--level must be nonnegative", "level N=-3 is not a nonnegative multiple of d=1"),
 ])
-def test_families_the_exact_layer_cannot_take_are_input_errors(paths, capsys, argv, message):
-    # each is rejected by its command before any computation: exit 2 and one
-    # stderr line, with no traceback
+def test_families_the_exact_layer_cannot_take_are_input_errors(paths, capsys, argv, case,
+                                                               message):
+    # each is rejected by the library entry point its command calls, before any
+    # computation: exit 2 and one stderr line, with no traceback
     assert main([paths.get(arg, arg) for arg in argv]) == 2
     assert capsys.readouterr().err == f"nevlab: input error: {message}\n"
 
@@ -317,7 +321,21 @@ def test_filtration_rejects_bad_subset(paths, capsys):
     for subset in ("0,0", "0,1", "5", "-1"):
         assert main(["filtration", paths["system"], "--subset", subset,
                      "--level", "1"]) == 2
-        assert "--subset" in capsys.readouterr().err
+        assert "subset must pick 1 distinct form indices in 0..2" in capsys.readouterr().err
+
+
+def test_a_curve_whose_components_all_vanish_is_malformed_input(paths, capsys):
+    # EntireCurve once refused it with a bare ValueError, which left a traceback
+    zero = paths["tmp"] / "zero.json"
+    zero.write_text(json.dumps(_curve([("0", "0")], [("0", "1")])))
+    assert main(["characteristic", str(zero)]) == 2
+    assert capsys.readouterr().err == "nevlab: input error: all components vanish identically\n"
+
+
+def test_jensen_takes_the_unit_circle(capsys):
+    # jensen_check normalizes at r = 1, so the residual there is 0
+    assert main(["jensen", "--phi", "z-3", "--radii", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["residuals"] == [0.0]
 
 
 def test_exit_code_math_failure(paths, capsys):

@@ -9,7 +9,7 @@ import pytest
 
 from nevlab import filtration, linalg
 from nevlab.bounds import a_lower_bound
-from nevlab.fields import GaussRat, RatFunc, ZPoly
+from nevlab.fields import GaussRat, InputError, RatFunc, ZPoly
 from nevlab.filtration import (basis_is_independent, build_filtration,
                                construct_psi_basis, filtration_tuples,
                                quotient_dim, tuple_count)
@@ -92,14 +92,15 @@ def test_quotient_dim_complete_intersection():
 
 def test_build_filtration_level_must_be_multiple():
     fam = _fermat(1, 2, q=3)
-    with pytest.raises(ValueError):
-        build_filtration(fam, (0,), 3)
+    for big_n in (3, -2):
+        with pytest.raises(InputError, match=f"level N={big_n}"):
+            build_filtration(fam, (0,), big_n)
 
 
-@pytest.mark.parametrize("subset", [(-1,), (3,), (5,)])
+@pytest.mark.parametrize("subset", [(-1,), (3,), (5,), (0, 1)])
 def test_build_filtration_subset_must_index_the_forms(subset):
     # at q = 3, (-1,) once built the table of the last form and (5,) raised IndexError
-    with pytest.raises(ValueError, match=r"in 0\.\.2"):
+    with pytest.raises(InputError, match=r"in 0\.\.2"):
         build_filtration(_fermat(1, 2, q=3), subset, 2)
 
 

@@ -25,7 +25,9 @@ numpy.  Every exception class of the package derives from one of the three
 failure bases of `fields` (but for `linalg.Inconsistent` and
 `fields.PoleError`), and the command line's `_run` catches those bases, the
 parse error and `OverflowError`, and no class of a module loaded on first
-use.  Every module of the package is imported, directly or through others,
+use; the command line raises `InputError` only where it parses a string, writes
+a file, or reads `smt --steps` or `selftest --only`, since the library entry
+points check every other range.  Every module of the package is imported, directly or through others,
 by the package or the command line, except `nevlab.mrat`, which holds only a
 docstring and which nothing imports.  Every functools cache sits in a module that `import nevlab` loads,
 so clearing the loaded modules' caches clears them all, while each command
@@ -391,6 +393,22 @@ def test_one_exit_code_per_failure_class():
                       ["ArithmeticError"]]
     assert not any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_loaded"
                    for node in ast.walk(run))
+
+
+def test_the_command_line_checks_only_what_no_library_function_sees():
+    # each range is checked by the library entry point a command calls; the command
+    # line raises InputError only where it parses a string (_parse_*), writes a file
+    # (_write), or reads a flag no library function takes (smt --steps, selftest --only)
+    tree = ast.parse((SRC / "cli.py").read_text())
+    raising = {}
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                exc = getattr(node, "exc", None) if isinstance(node, ast.Raise) else None
+                if getattr(getattr(exc, "func", exc), "id", None) == "InputError":
+                    raising[fn.name] = raising.get(fn.name, 0) + 1
+    assert raising == {"_write": 1, "_parse_fraction": 1, "_parse_ints": 1,
+                       "_parse_floats": 1, "cmd_smt": 1, "cmd_selftest": 1}
 
 
 def test_fields_imports_only_the_standard_library():

@@ -32,7 +32,8 @@ from nevlab.nevanlinna import (AdmissibilityError, DegeneracyError,
                                normalize_target, quotient_zeros, smt_verify,
                                wronskian)
 from nevlab.quadrature import circle_averages
-from nevlab.resultant import HypersurfaceFamily
+from nevlab.resultant import (HypersurfaceFamily, is_admissible, macaulay_resultant,
+                              power_certificate)
 from nevlab.zeros import ContourThroughZero, Divisor
 
 ONE = ZPoly((1,))
@@ -48,9 +49,9 @@ def _exp_curve():
 
 
 def test_curve_needs_substance():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         EntireCurve((ONE,))                      # one component
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         EntireCurve((ExpPoly.zero(), ExpPoly.zero()))
     with pytest.raises(DegeneracyError):
         EntireCurve((Z, Z * Z))                  # shared factor z
@@ -293,20 +294,54 @@ def test_characteristic_normalization_and_domain():
     assert characteristic(padded, (10.0,))[0].value == pytest.approx(9 / math.pi, abs=1e-9)
 
 
+X0, X1 = HPoly.coordinate(2, 0), HPoly.coordinate(2, 1)
+LINES = (X0, X1, X0 + X1)
+
+
 @pytest.mark.parametrize("call, argument", [
     (lambda: characteristic(_exp_curve(), [math.inf]), "radii"),
-    (lambda: smt_verify(_exp_curve(), (HPoly.coordinate(2, 0), HPoly.coordinate(2, 1),
-                                       HPoly.coordinate(2, 0) + HPoly.coordinate(2, 1)),
-                        Fraction(1, 2), [10.0, math.inf]), "radii"),
+    (lambda: smt_verify(_exp_curve(), LINES, Fraction(1, 2), [10.0, math.inf]), "radii"),
     (lambda: jensen_check(ExpPoly.exp(1) - 1, [math.inf]), "radii"),
-    (lambda: defect_estimate(_exp_curve(), [HPoly.coordinate(2, 0)], 60.0, grid_points=0),
-     "grid_points"),
-    (lambda: defect_estimate(_exp_curve(), [HPoly.coordinate(2, 0)], math.inf), "r_max"),
-], ids=["characteristic", "smt_verify", "jensen_check", "defect_grid", "defect_rmax"])
+    (lambda: defect_estimate(_exp_curve(), [X0], 60.0, grid_points=0), "grid_points"),
+    (lambda: defect_estimate(_exp_curve(), [X0], math.inf), "r_max"),
+    # one case per range the command line used to check as well
+    (lambda: macaulay_resultant(LINES), "2 forms in 2 variables, got 3"),
+    (lambda: macaulay_resultant((X0, X1 * X1)), r"degrees \(1, 2\)"),
+    (lambda: power_certificate(LINES, 0), r"2 forms of one degree, got degrees \(1, 1, 1\)"),
+    (lambda: power_certificate((X0, X1 * X1), 0), r"degrees \(1, 2\)"),
+    (lambda: power_certificate((X0, X1), 2), "index must lie in 0..1, got 2"),
+    (lambda: is_admissible(HypersurfaceFamily(1, [X0])), r"q >= n\+1, got q=1"),
+    (lambda: build_filtration(HypersurfaceFamily(1, LINES), (0, 1), 1), r"subset.*\(0, 1\)"),
+    (lambda: build_filtration(HypersurfaceFamily(1, LINES), (0,), -3), "level N=-3"),
+    (lambda: compute_truncation_levels(0, 3, Fraction(1, 2), (1, 1, 1)), "n=0"),
+    (lambda: compute_truncation_levels(1, 3, Fraction(0), (1, 1, 1)), "eps .*got 0"),
+    (lambda: compute_truncation_levels(1, 3, Fraction(1, 2), (0, 1, 1)), r"degrees .*\(0, 1, 1\)"),
+    (lambda: compute_truncation_levels(2, 2, Fraction(1, 2), (1, 1)), r"q >= n \+ 1, got q=2"),
+    (lambda: wronskian(_exp_curve().components, (0,)), r"orders, .*got \(0,\)"),
+    (lambda: wronskian(_exp_curve().components, (0, 0)), r"orders .*got \(0, 0\)"),
+    (lambda: jensen_check(ZPoly(()), [2.0]), "zero function"),
+    (lambda: jensen_check(ExpPoly.zero(), [2.0]), "zero function"),
+    (lambda: jensen_check(Z - 3, [0.5]), "radii"),
+    (lambda: characteristic(_exp_curve(), [0.5]), "radii"),
+    (lambda: defect_estimate(_exp_curve(), [HPoly.coordinate(3, 0)], 60.0), "3 variables"),
+    (lambda: defect_estimate(_exp_curve(), [X0], 60.0, level=0), "level .*got 0"),
+    (lambda: smt_verify(_exp_curve(), LINES, Fraction(0), [10.0, 20.0]), "eps .*got 0"),
+    (lambda: smt_verify(_exp_curve(), HypersurfaceFamily(2, [HPoly.coordinate(3, 0)]),
+                        Fraction(1, 2), [10.0, 20.0]), "dimension 2"),
+    (lambda: smt_verify(_exp_curve(), LINES, Fraction(1, 2), [1.0, 2.0]), "radii"),
+    (lambda: EntireCurve((ExpPoly.zero(), ExpPoly.zero())), "components"),
+], ids=["characteristic", "smt_verify", "jensen_check", "defect_grid", "defect_rmax",
+        "resultant_arity", "resultant_degrees", "certificate_arity", "certificate_degrees",
+        "certificate_index", "admissible_q", "filtration_subset", "filtration_level",
+        "bounds_n", "bounds_eps", "bounds_degrees", "bounds_q", "wronskian_count",
+        "wronskian_distinct", "jensen_zero_ratfunc", "jensen_zero_exppoly", "jensen_radius",
+        "characteristic_radius", "defect_dimension", "defect_level", "smt_eps",
+        "smt_dimension", "smt_radius", "curve_all_zero"])
 def test_entry_points_name_a_non_finite_or_empty_argument(call, argument):
     # an infinite radius once gave T = nan marked converged, an OverflowError or a
-    # contour error, and an empty defect grid an IndexError
-    with pytest.raises(ValueError, match=argument):
+    # contour error, and an empty defect grid an IndexError; each other range is
+    # checked here alone, and the command line passes the refusal on (exit 2)
+    with pytest.raises(InputError, match=argument):
         call()
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from nevlab import linalg, resultant
-from nevlab.fields import GaussRat, RatFunc, ZPoly
+from nevlab.fields import GaussRat, InputError, RatFunc, ZPoly
 from nevlab.filtration import tuple_count
 from nevlab.hpoly import HPoly, monomials
 from nevlab.linalg import RankPaths
@@ -108,10 +108,14 @@ def test_macaulay_matches_sylvester_for_pairs():
 
 def test_family_validation():
     x0 = HPoly.coordinate(2, 0)
-    with pytest.raises(ValueError):
-        HypersurfaceFamily(2, [x0, x0, x0])     # nvars mismatch
-    with pytest.raises(ValueError, match="degree 0"):
+    with pytest.raises(InputError, match="form 0 has 2 variables, expected 3"):
+        HypersurfaceFamily(2, [x0, x0, x0])
+    with pytest.raises(InputError, match="form 1 has degree 0"):
         HypersurfaceFamily(1, [x0, HPoly(2, 0, {(0, 0): 1})])
+    with pytest.raises(InputError, match="form 1 is zero"):
+        HypersurfaceFamily(1, [x0, x0 - x0])
+    with pytest.raises(InputError, match="empty"):
+        HypersurfaceFamily(1, [])
     fam = HypersurfaceFamily(1, [x0, HPoly.coordinate(2, 1), x0 + x0])
     assert fam.q == 3 and fam.degrees == (1, 1, 1)
     assert not fam.is_moving()
