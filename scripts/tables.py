@@ -34,6 +34,12 @@ smt      The main inequality at eps = 1/2 on the exponential line (1 : e^z) over
          x0 + x1/(z + 10) (moving): per radius both sides and their margin, per
          target its truncation level and defect.  Exits nonzero if a margin is
          negative.
+quad     One circle_averages pass over r = 1 and 20, 200 or 2000 radii in [2, 300],
+         with `characteristic`'s rows log|f_i|, on a smooth curve (1 : e^{-z} - 3z),
+         one of whose rows leads on every circle r >= 2, and a kinked one
+         (1 : e^z - z : e^{iz}), whose circles all split.  Counts: the integrand's calls
+         and points, counted by the integrand itself, and the tracemalloc peak of
+         the pass in MB (the first run of a case is traced, the timing rounds are not).
 
     python3 scripts/tables.py certify --rounds 5
     python3 scripts/tables.py tower --rounds 0
@@ -41,6 +47,7 @@ smt      The main inequality at eps = 1/2 on the exponential line (1 : e^z) over
     python3 scripts/tables.py bounds --rounds 0
     python3 scripts/tables.py defects --rounds 0
     python3 scripts/tables.py smt --rounds 3
+    python3 scripts/tables.py quad --rounds 3
 """
 
 import argparse
@@ -55,6 +62,7 @@ import random
 import sys
 import tempfile
 import time
+import tracemalloc
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -70,6 +78,7 @@ from nevlab.expfunc import ExpPoly  # noqa: E402
 from nevlab.hpoly import HPoly  # noqa: E402
 from nevlab.nevanlinna import EntireCurve, defect_estimate, smt_verify  # noqa: E402
 from nevlab.parsing import family_from_json  # noqa: E402
+from nevlab.quadrature import circle_averages  # noqa: E402
 from nevlab.resultant import power_certificate  # noqa: E402
 
 SEEDS = (1, 2, 3, 4, 5)
@@ -266,8 +275,35 @@ def smt(tmp: str) -> Table:
                  cases, (), run)
 
 
+def quad(tmp: str) -> Table:
+    def run(case) -> dict:
+        components, grid, peaks = case
+        counts = dict.fromkeys(("calls", "points"), 0)
+
+        def rows(zs):
+            counts["calls"] += 1
+            counts["points"] += zs.size
+            return np.stack([comp.log_abs(zs) for comp in components])
+
+        first = not peaks       # the timing rounds are not traced
+        if first:
+            tracemalloc.start()
+        circle_averages(rows, grid)
+        if first:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        return {**counts, "peak_mb": f"{peaks[0] / 1e6:.2f}"}
+
+    one, z = ExpPoly.const(1), ExpPoly.var()
+    curves = {"smooth": (one, ExpPoly.exp(-1) - 3 * z),
+              "kinked": (one, ExpPoly.exp(1) - z, ExpPoly.exp(fields.GaussRat(0, 1)))}
+    cases = {(name, str(count)): (components, (1.0, *np.linspace(2.0, 300.0, count).tolist()), [])
+             for name, components in curves.items() for count in (20, 200, 2000)}
+    return Table(("curve", "radii", "calls", "points", "peak_mb"), cases, (), run)
+
+
 TABLES = {"certify": certify, "tower": tower, "zeros": zeros,
-          "bounds": bounds, "defects": defects, "smt": smt}
+          "bounds": bounds, "defects": defects, "smt": smt, "quad": quad}
 
 
 def best_times(table: Table, rounds: int) -> dict:

@@ -411,7 +411,7 @@ def divisor_bound_check(f: CurveLike, r: float) -> DivisorBoundReport:
     """
     curve = as_curve(f)
     if not curve.is_polynomial():
-        raise ValueError("exact order comparison needs polynomial components")
+        raise InputError("exact order comparison needs polynomial components")
     n = curve.n
     w = wronskian(curve.components)
     if w.is_zero():

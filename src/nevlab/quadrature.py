@@ -30,13 +30,18 @@ bound of its values and its sums, which the two rules share and so cancel in
 their disagreement.  Non-convergence at the sample cap is flagged rather than
 raised so a caller can decide.
 
-circle_averages is the one entry point, and a radius grid is one pass: each
-trapezoid level is one fn call over every open circle, and split circles step
-their brackets, then their arcs, as one array; the stop rules stay per circle.
+circle_averages is the one entry point, and a radius grid is one pass whose
+working set does not grow with the grid: each trapezoid level goes to fn in groups
+of open circles of at most GROUP_POINTS points, a wider level on one circle in
+pieces, and each circle's level row is summed whole.  No level is kept: a circle
+that splits has its levels evaluated again from the same points.  Split circles
+step their brackets, then their arcs, together, through the same groups of calls;
+the stop rules stay per circle.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -46,31 +51,51 @@ import numpy as np
 TWO_PI = 2 * math.pi
 
 SAMPLE_CAP = 1 << 20
+# the most points in one call of fn: a group of circles' trapezoid levels, or of
+# brackets, or of arcs; a wider level goes in pieces of a quarter turn or less
+GROUP_POINTS = 1 << 13
 
 # the first trapezoid grid, a multiple of 4 for the quarter-turn batches
 FIRST_GRID = 64
-# the first quarter turn of each level up to 4096 points, built once for every circle
+# the first quarter turn of each level up to GROUP_POINTS points, built once for every
+# circle: the first grid's, then each grid's midpoints
 _TURNS = {(w, o): np.exp(1j * (TWO_PI * (np.arange(w // 4) + o) / w))
-          for w in (FIRST_GRID << k for k in range(7)) for o in (0.0, 0.5)}
+          for w, o in ((FIRST_GRID, 0.0), *((FIRST_GRID << k, 0.5) for k in range(8)))}
 
 # breakpoint brackets are narrowed to this width in radians before the secant
 # step, whose error is then about the square of it
 BRACKET_WIDTH = 2.0 ** -14
 _CUTS = np.arange(1, 16) / 16          # a bracket's inner points, in its length
 
-# a constant built on first use, not a functools cache: perfbench clears
-# those before every op, and building the rules takes about 1 ms
-_GAUSS_LEGENDRE: list = []
+# the 16- and 32-node Gauss-Legendre rules on [-1, 1], the nodes in (0, 1) and their
+# weights, as numpy.polynomial.legendre.leggauss gives them (which is symmetric
+# bit for bit); written out so that splitting a circle loads no numpy.polynomial
+_HALF_16 = ((0.09501250983763744, 0.18945061045506864), (0.2816035507792589, 0.18260341504492364),
+            (0.45801677765722737, 0.16915651939500265), (0.6178762444026438, 0.1495959888165767),
+            (0.755404408355003, 0.12462897125553407), (0.8656312023878318, 0.0951585116824926),
+            (0.9445750230732326, 0.062253523938647456), (0.9894009349916499, 0.027152459411754176))
+_HALF_32 = ((0.048307665687738324, 0.09654008851472766), (0.1444719615827965, 0.09563872007927471),
+            (0.23928736225213706, 0.09384439908080451), (0.33186860228212767, 0.09117387869576378),
+            (0.42135127613063533, 0.08765209300440378), (0.5068999089322294, 0.08331192422694671),
+            (0.5877157572407623, 0.07819389578707023), (0.6630442669302152, 0.07234579410884834),
+            (0.7321821187402897, 0.06582222277636168), (0.7944837959679424, 0.058684093478535565),
+            (0.84936761373257, 0.05099805926237609), (0.8963211557660521, 0.042835898022226836),
+            (0.9349060759377397, 0.034273862913021765), (0.9647622555875064, 0.025392065309262024),
+            (0.9856115115452684, 0.016274394730905743), (0.9972638618494816, 0.007018610009470506))
 
 
 def _gauss_legendre():
-    """The 16- and 32-node Gauss-Legendre rules on [-1, 1], as (nodes of
-    both, weights of the 16, weights of the 32), built on first use: a
-    program that never splits a circle does not load numpy.polynomial."""
-    if not _GAUSS_LEGENDRE:
-        (x16, w16), (x32, w32) = (np.polynomial.legendre.leggauss(m) for m in (16, 32))
-        _GAUSS_LEGENDRE.extend((np.concatenate((x16, x32)), w16, w32))
-    return _GAUSS_LEGENDRE
+    """The 16- and 32-node Gauss-Legendre rules on [-1, 1] as (nodes of both,
+    weights of the 16, weights of the 32), each rule's nodes ascending."""
+    rules = []
+    for half in (_HALF_16, _HALF_32):
+        x, w = np.array(half).T
+        rules.append((np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))))
+    (x16, w16), (x32, w32) = rules
+    return np.concatenate((x16, x32)), w16, w32
+
+
+_NODES, _W16, _W32 = _gauss_legendre()
 
 
 @dataclass(frozen=True)
@@ -107,6 +132,43 @@ def _stop(sums: list, n: int, target: float):
     return None
 
 
+def _level(radii: np.ndarray, width: int, offset: float):
+    """The points of one trapezoid level of width points on each circle |z| = r, r in
+    radii, in angular order, in pieces of at most GROUP_POINTS points: one quarter
+    turn, then the other three by multiplying with i, -1 and -i, which is exact in
+    floating point.  A level of GROUP_POINTS or fewer is one piece over all the circles;
+    a wider one, on one circle, goes a quarter turn or GROUP_POINTS points at a time."""
+    if width <= GROUP_POINTS:
+        w = radii[:, None] * _TURNS[width, offset]
+        yield np.concatenate((w, 1j * w, -w, -1j * w), axis=1).ravel()
+        return
+    w = (radii[:, None] * np.exp(1j * (TWO_PI * (np.arange(width // 4) + offset) / width)))[0]
+    step = min(GROUP_POINTS, len(w))
+    for rotate in (lambda w: w, lambda w: 1j * w, lambda w: -w, lambda w: -1j * w):
+        yield from (rotate(w[start:start + step]) for start in range(0, len(w), step))
+
+
+def _rows(evaluate, pieces, shape: tuple) -> np.ndarray:
+    """fn's rows at the points of pieces, one call each, as one array (K, *shape)."""
+    rows, start = None, 0
+    for zs in pieces:
+        values = evaluate(zs)
+        if rows is None:
+            if zs.size == math.prod(shape):
+                return values.reshape(-1, *shape)
+            rows = np.empty((len(values), math.prod(shape)), values.dtype)
+        rows[:, start:start + zs.size] = values
+        start += zs.size
+    return rows.reshape(-1, *shape)
+
+
+def _lines(zs: np.ndarray):
+    """The points zs, shape (m, L), in pieces of whole lines, at most GROUP_POINTS
+    points each."""
+    step = max(1, GROUP_POINTS // zs.shape[1])
+    return (zs[start:start + step].ravel() for start in range(0, len(zs), step))
+
+
 def circle_averages(fn: Callable[[np.ndarray], np.ndarray], radii: Sequence[float],
                     target: float = 1e-9, cap: int = SAMPLE_CAP) -> tuple[QuadResult, ...]:
     """The mean over |z| = r of fn, or of the maximum of its rows, at every radius r,
@@ -118,36 +180,31 @@ def circle_averages(fn: Callable[[np.ndarray], np.ndarray], radii: Sequence[floa
     if min(radii) <= 0:
         raise ValueError("radius must be positive")
     evaluate = lambda zs: np.atleast_2d(fn(zs))
-    rs = np.array(radii, dtype=float)[:, None]          # the open circles' radii
-    out, sums, levels, split = [None] * len(radii), [[] for _ in radii], [[] for _ in radii], []
-    open_, width, offset = list(range(len(radii))), FIRST_GRID, 0.0
+    rs = np.array(radii, dtype=float)                   # the open circles' radii
+    out, sums, lead, split = [None] * len(radii), [[] for _ in radii], [0] * len(radii), []
+    open_, done, width, offset = list(range(len(radii))), [], FIRST_GRID, 0.0
     while True:
-        # a level of width points per open circle: one quarter turn, then the
-        # other three by multiplying with i, -1 and -i, which is exact in
-        # floating point; each circle's points keep their angular order
         n = 2 * width if offset else width              # each circle's points so far
-        turn = _TURNS.get((width, offset))
-        if turn is None:
-            turn = np.exp(1j * (TWO_PI * (np.arange(width // 4) + offset) / width))
-        w = rs * turn
-        zs = np.concatenate((w, 1j * w, -w, -1j * w), axis=1)
-        level = evaluate(zs.ravel()).reshape(-1, len(rs), width)
-        if not offset:
-            lead = level[:, :, 0].argmax(axis=0).tolist()
-        stay = []
-        for j, i in enumerate(open_):
-            rows = level[:, j]
-            if len(rows) > 1:       # only a stack of rows can reach _split
-                levels[i].append(rows)
-                if np.count_nonzero(rows <= rows[lead[j]]) < rows.size:   # or a NaN
-                    split.append(i)
+        done.append((width, offset))                    # the levels evaluated so far
+        group, stay = max(1, GROUP_POINTS // width), []
+        for start in range(0, len(open_), group):
+            at = rs[start:start + group]
+            level = _rows(evaluate, _level(at, width, offset), (len(at), width))
+            for j in range(start, start + level.shape[1]):
+                i, rows = open_[j], level[:, j - start]
+                if not offset:
+                    lead[i] = int(rows[:, 0].argmax())
+                # only a stack of rows can reach _split
+                if len(rows) > 1 and np.count_nonzero(rows <= rows[lead[i]]) < rows.size:
+                    split.append((i, tuple(done)))        # a second leading row, or a NaN
                     continue
-            s = float(rows[lead[j]].sum()) / width
-            sums[i].append((sums[i][-1] + s) / 2 if sums[i] else s)
-            out[i] = _stop(sums[i], n, target)
-            if out[i] is None:
-                stay.append(j)
-        open_, lead = [open_[j] for j in stay], [lead[j] for j in stay]
+                s = float(rows[lead[i]].sum()) / width
+                sums[i].append((sums[i][-1] + s) / 2 if sums[i] else s)
+                out[i] = _stop(sums[i], n, target)
+                if out[i] is None:
+                    stay.append(j)
+            del level, rows         # before the next group's values are made
+        open_ = [open_[j] for j in stay]
         if not open_ or n >= cap:
             break
         rs = rs[stay] if len(stay) < len(rs) else rs
@@ -155,39 +212,66 @@ def circle_averages(fn: Callable[[np.ndarray], np.ndarray], radii: Sequence[floa
     for i in open_:                 # stopped at the cap
         err = abs(sums[i][-1] - sums[i][-2]) if len(sums[i]) > 1 else math.inf
         out[i] = QuadResult(sums[i][-1], err, n, err <= target)
-    circles = [(radii[i], levels[i]) for i in split]
-    for i, res in zip(split, _split(evaluate, circles, target, cap) if split else ()):
+    circles = [(radii[i], levels) for i, levels in split]
+    for (i, _), res in zip(split, _split(evaluate, circles, target, cap) if split else ()):
         out[i] = res
     return tuple(out)
 
 
+def _grids(evaluate, circles: list):
+    """(c, rows of circle c on its whole trapezoid grid) for the circles
+    [(r, trapezoid levels as (width, offset))], each level evaluated again and the
+    levels interleaved, for as many circles at a time as GROUP_POINTS holds."""
+    for levels, run in itertools.groupby(range(len(circles)), key=lambda c: circles[c][1]):
+        run = list(run)
+        group = max(1, GROUP_POINTS // (FIRST_GRID << (len(levels) - 1)))
+        for start in range(0, len(run), group):
+            cs = run[start:start + group]
+            radii, grid = np.array([circles[c][0] for c in cs]), None
+            for width, offset in levels:
+                level = _rows(evaluate, _level(radii, width, offset), (len(cs), width))
+                if grid is not None:
+                    both = np.empty(level.shape[:2] + (2 * width,))
+                    both[..., 0::2], both[..., 1::2] = grid, level
+                    level = both
+                grid = level
+            yield from ((c, grid[:, j]) for j, c in enumerate(cs))
+
+
 def _split(evaluate, circles: list, target: float, cap: int) -> list:
-    """The means of the row maximum on the circles [(r, trapezoid levels)] that split."""
-    nodes, w16, w32 = _gauss_legendre()
-    out, samples, parts = [None] * len(circles), [0] * len(circles), []
-    for c, (r, levels) in enumerate(circles):
-        grid = levels[0]
-        for mid in levels[1:]:
-            both = np.empty((len(grid), 2 * grid.shape[1]))
-            both[:, 0::2], both[:, 1::2] = grid, mid
-            grid = both
+    """The means of the row maximum on the circles [(r, trapezoid levels as (width,
+    offset))] that split, their breakpoints placed and their arcs integrated in
+    batches of as many circles as hold GROUP_POINTS Gauss-Legendre nodes in all."""
+    out, parts, kinks = {}, [], 0
+    for c, grid in _grids(evaluate, circles):
         n = grid.shape[1]
         lead = grid.argmax(axis=0)
         k = np.flatnonzero(lead != np.concatenate((lead[1:], lead[:1])))
         steps = max(0, math.ceil(math.log2(TWO_PI / n / BRACKET_WIDTH) / 4))
-        if not len(k) or n + len(k) * (steps * len(_CUTS) + len(nodes)) > cap:
+        if not len(k) or n + len(k) * (steps * len(_CUTS) + len(_NODES)) > cap:
             # the grid argmax never changes (NaN rows), or the cap is too small
             out[c] = QuadResult(float(np.mean(_top(grid))), math.inf, n, False)
             continue
-        samples[c] = n + len(k) * steps * len(_CUTS)
-        parts.append((steps, c, r, len(k), TWO_PI * k / n, TWO_PI * (k + 1) / n, lead[k],
+        if parts and (kinks + len(k)) * len(_NODES) > GROUP_POINTS:
+            out.update(_arcs(evaluate, parts, target, cap))
+            parts, kinks = [], 0
+        kinks += len(k)
+        parts.append((steps, c, circles[c][0], len(k), n + len(k) * steps * len(_CUTS),
+                      TWO_PI * k / n, TWO_PI * (k + 1) / n, lead[k],
                       grid[:, k], grid[:, (k + 1) % n]))
-    if not parts:
-        return out
+    out.update(_arcs(evaluate, parts, target, cap) if parts else ())
+    return [out[c] for c in range(len(circles))]
+
+
+def _arcs(evaluate, parts: list, target: float, cap: int):
+    """(c, mean) for each circle c of parts [(bracket steps, c, r, breakpoint count,
+    samples so far, brackets' lower and upper angles, leading row at the lower, rows
+    at the lower, rows at the upper)]: the brackets narrowed, each breakpoint placed
+    by a secant step, and the arcs between them integrated."""
     # every bracket [lo, hi] is led by row_lo at lo and by another row at hi; each step
     # cuts it at 15 inner points (four bisections at once) and keeps the first piece that
     # still changes the leading row; more steps first, brackets past their last are held
-    steps, owners, radii, counts, *arrays = zip(*sorted(parts, key=lambda part: -part[0]))
+    steps, owners, radii, counts, spent, *arrays = zip(*sorted(parts, key=lambda part: -part[0]))
     lo, hi, row_lo, v_lo, v_hi = (np.concatenate(x, axis=-1) if x[1:] else x[0] for x in arrays)
     rad = np.repeat(radii, counts)
     held, cols, r_at, led_by = [], np.arange(len(lo)), rad, row_lo
@@ -198,7 +282,8 @@ def _split(evaluate, circles: list, target: float, cap: int) -> list:
             lo, hi, v_lo, v_hi, cols, r_at, led_by = (
                 x[..., :m] for x in (lo, hi, v_lo, v_hi, cols, r_at, led_by))
         t = lo[:, None] + (hi - lo)[:, None] * _CUTS
-        v = evaluate((r_at[:, None] * np.exp(1j * t)).ravel()).reshape(len(v_lo), m, -1)
+        zs = r_at[:, None] * np.exp(1j * t)
+        v = _rows(evaluate, _lines(zs), zs.shape)
         t = np.concatenate((lo[:, None], t, hi[:, None]), axis=1)
         v = np.concatenate((v_lo[:, :, None], v, v_hi[:, :, None]), axis=2)
         led = v.argmax(axis=0) == led_by[:, None]
@@ -222,14 +307,16 @@ def _split(evaluate, circles: list, target: float, cap: int) -> list:
     for count in counts:
         end += count
         b[end - 1] = cut[end - count] + TWO_PI
-    value, error = [0.0] * len(circles), [0.0] * len(circles)
+    value, error = dict.fromkeys(owners, 0.0), dict.fromkeys(owners, 0.0)
+    samples = dict(zip(owners, spent))
     while True:
         half = (b - a) / 2
-        theta = ((a + b) / 2)[:, None] + half[:, None] * nodes
-        f = _top(evaluate((rad[:, None] * np.exp(1j * theta)).ravel())).reshape(theta.shape)
+        theta = ((a + b) / 2)[:, None] + half[:, None] * _NODES
+        zs = rad[:, None] * np.exp(1j * theta)
+        f = _top(_rows(evaluate, _lines(zs), zs.shape))
         # row by row, so that an arc's sum does not depend on how many arcs are batched
-        coarse = half * (f[:, :16] * w16).sum(axis=1) / TWO_PI
-        fine = half * (f[:, 16:] * w32).sum(axis=1) / TWO_PI
+        coarse = half * (f[:, :16] * _W16).sum(axis=1) / TWO_PI
+        fine = half * (f[:, 16:] * _W32).sum(axis=1) / TWO_PI
         gap = np.abs(fine - coarse)
         ok = gap <= target * half / math.pi
         # the two rules share the rounding of the values and of the sums, which their
@@ -239,19 +326,19 @@ def _split(evaluate, circles: list, target: float, cap: int) -> list:
         for c, count in zip(owners, counts):
             arcs, end = slice(end, end + count), end + count
             good, bad = ok[arcs], count - int(np.count_nonzero(ok[arcs]))
-            samples[c] += count * len(nodes)
+            samples[c] += count * len(_NODES)
             value[c] += math.fsum(fine[arcs][good])
             error[c] += math.fsum(err[arcs][good])
             if not bad:
-                out[c] = QuadResult(value[c], error[c], samples[c], True)
-            elif samples[c] + 2 * bad * len(nodes) > cap:
-                out[c] = QuadResult(value[c] + math.fsum(fine[arcs][~good]),
+                yield c, QuadResult(value[c], error[c], samples[c], True)
+            elif samples[c] + 2 * bad * len(_NODES) > cap:
+                yield c, QuadResult(value[c] + math.fsum(fine[arcs][~good]),
                                     error[c] + math.fsum(err[arcs][~good]), samples[c], False)
             else:
                 more[arcs] = ~good
                 kept.append((c, bad))
         if not kept:
-            return out
+            return
         owners, bads = zip(*kept)
         a, b, rad = a[more], b[more], rad[more]
         halfway = (a + b) / 2

@@ -131,6 +131,8 @@ def macaulay_resultant(polys: Sequence[HPoly]):
     (`_resultant`).
     """
     polys = list(polys)
+    if not polys:
+        raise InputError("need n+1 forms in n+1 variables, got none")
     nvars = polys[0].nvars
     if len(polys) != nvars:
         raise InputError(f"need {nvars} forms in {nvars} variables, got {len(polys)}")
@@ -502,6 +504,8 @@ def power_certificate(polys: Sequence[HPoly], index: int) -> PowerCertificate:
     outcome.
     """
     polys = tuple(polys)
+    if not polys:
+        raise InputError("need n+1 forms of one degree, got none")
     nvars = polys[0].nvars
     n = nvars - 1
     d = polys[0].degree

@@ -21,7 +21,8 @@ returns its flag), `fields.py` imports only the standard library, no module
 but the acceptance battery imports `random`, importing the command line
 loads neither numpy nor mpmath, and its exact commands
 (admissible, resultant, certificate, filtration, bounds, schema) load no
-numpy.  Every exception class of the package derives from one of the three
+numpy, and a split circle loads no `numpy.polynomial`.  Every exception class
+of the package derives from one of the three
 failure bases of `fields` (but for `linalg.Inconsistent` and
 `fields.PoleError`), and the command line's `_run` catches those bases, the
 parse error and `OverflowError`, and no class of a module loaded on first
@@ -301,7 +302,8 @@ def test_one_trapezoid_stop_rule():
 def test_one_way_to_a_curves_circle_means():
     # T reads a curve's circle means in characteristic alone, in one circle_averages
     # pass or through the closed form, which no other function asks for; the other
-    # passes are Jensen's means and the acceptance battery's check of the closed form.
+    # passes are Jensen's means, the acceptance battery's check of the closed form and
+    # the quad table, which counts the quadrature's work on an integrand of its own.
     # The curve keeps no means, and no module reaches into nevanlinna's private names
     calls = {"circle_averages": [], "_max_sinusoid_mean": []}
     private = []
@@ -316,7 +318,8 @@ def test_one_way_to_a_curves_circle_means():
                     private += [f"{p.name}:{a.name}" for a in node.names if a.name.startswith("_")]
     assert sorted(calls["circle_averages"]) == ["acceptance.py:_quadrature_t",
                                                 "nevanlinna.py:characteristic",
-                                                "nevanlinna.py:log_modulus_average"]
+                                                "nevanlinna.py:log_modulus_average",
+                                                "tables.py:quad"]
     assert calls["_max_sinusoid_mean"] == ["nevanlinna.py:characteristic"]
     assert private == []
     from nevlab.nevanlinna import EntireCurve
@@ -508,6 +511,32 @@ def test_the_analytic_commands_load_no_masked_arrays(tmp_path):
                   cwd=tmp_path)
     lines = [json.loads(line) for line in out.splitlines() if line.startswith("[")]
     assert lines[1:] == [[argv[0], 0, True, False] for argv in argvs]
+
+
+SPLIT = """
+import sys
+import nevlab.cli
+from nevlab import quadrature
+split = quadrature._split
+
+def spy(evaluate, circles, *args):
+    print("split", *(r for r, _ in circles))
+    return split(evaluate, circles, *args)
+
+quadrature._split = spy
+print("code", nevlab.cli.main(["characteristic", "curve.json", "--radii", "2,5", "-o", "out.json"]))
+print("numpy.polynomial", "numpy.polynomial" in sys.modules)
+"""
+
+
+def test_a_split_circle_loads_no_numpy_polynomial(tmp_path):
+    # the Gauss-Legendre rules are written out: the r = 1 circle of (1 : e^z - z), on
+    # which |e^z - z| = 1 twice, splits without loading numpy.polynomial (1.8 MB)
+    curve = {"components": [{"terms": [{"poly": "1"}]},
+                            {"terms": [{"poly": "1", "exp_coef": "1"}, {"poly": "-z"}]}]}
+    (tmp_path / "curve.json").write_text(json.dumps(curve))
+    assert _python(SPLIT, cwd=tmp_path).split() == [
+        "split", "1.0", "code", "0", "numpy.polynomial", "False"]
 
 
 def test_every_functools_cache_loads_with_the_package(tmp_path, monkeypatch):

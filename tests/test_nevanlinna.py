@@ -310,6 +310,8 @@ LINES = (X0, X1, X0 + X1)
     (lambda: power_certificate(LINES, 0), r"2 forms of one degree, got degrees \(1, 1, 1\)"),
     (lambda: power_certificate((X0, X1 * X1), 0), r"degrees \(1, 2\)"),
     (lambda: power_certificate((X0, X1), 2), "index must lie in 0..1, got 2"),
+    (lambda: macaulay_resultant(()), r"forms in n\+1 variables, got none"),
+    (lambda: power_certificate([], 0), "forms of one degree, got none"),
     (lambda: is_admissible(HypersurfaceFamily(1, [X0])), r"q >= n\+1, got q=1"),
     (lambda: build_filtration(HypersurfaceFamily(1, LINES), (0, 1), 1), r"subset.*\(0, 1\)"),
     (lambda: build_filtration(HypersurfaceFamily(1, LINES), (0,), -3), "level N=-3"),
@@ -330,13 +332,15 @@ LINES = (X0, X1, X0 + X1)
                         Fraction(1, 2), [10.0, 20.0]), "dimension 2"),
     (lambda: smt_verify(_exp_curve(), LINES, Fraction(1, 2), [1.0, 2.0]), "radii"),
     (lambda: EntireCurve((ExpPoly.zero(), ExpPoly.zero())), "components"),
+    (lambda: divisor_bound_check(_exp_curve(), 5.0), "needs polynomial components"),
 ], ids=["characteristic", "smt_verify", "jensen_check", "defect_grid", "defect_rmax",
         "resultant_arity", "resultant_degrees", "certificate_arity", "certificate_degrees",
-        "certificate_index", "admissible_q", "filtration_subset", "filtration_level",
-        "bounds_n", "bounds_eps", "bounds_degrees", "bounds_q", "wronskian_count",
-        "wronskian_distinct", "jensen_zero_ratfunc", "jensen_zero_exppoly", "jensen_radius",
-        "characteristic_radius", "defect_dimension", "defect_level", "smt_eps",
-        "smt_dimension", "smt_radius", "curve_all_zero"])
+        "certificate_index", "resultant_empty", "certificate_empty", "admissible_q",
+        "filtration_subset", "filtration_level", "bounds_n", "bounds_eps", "bounds_degrees",
+        "bounds_q", "wronskian_count", "wronskian_distinct", "jensen_zero_ratfunc",
+        "jensen_zero_exppoly", "jensen_radius", "characteristic_radius", "defect_dimension",
+        "defect_level", "smt_eps", "smt_dimension", "smt_radius", "curve_all_zero",
+        "divisor_bound_exponential"])
 def test_entry_points_name_a_non_finite_or_empty_argument(call, argument):
     # an infinite radius once gave T = nan marked converged, an OverflowError or a
     # contour error, and an empty defect grid an IndexError; each other range is

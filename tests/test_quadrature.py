@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -125,6 +126,7 @@ _SMOOTH = (
     (lambda zs: np.log(np.abs(zs - 1.5j)), 3.0, 1e-9),
     (lambda zs: np.log(np.abs(zs - (4.0 + 3.0j))), 2.0, 1e-9),
     (lambda zs: np.log(np.abs(zs - 1.95)), 2.0, 1e-9),       # zero near the circle
+    (lambda zs: np.log(np.abs(zs - 1.999)), 2.0, 1e-9),      # levels wider than a group
     (lambda zs: np.cos(zs.real) * np.exp(-np.abs(zs)), 3.0, 1e-9),
     (lambda zs: np.abs(zs.real) ** 1.5, 1.0, 1e-3),
     (lambda zs: np.abs(zs.real) ** 1.5, 1.0, 1e-10),
@@ -268,3 +270,50 @@ def test_a_split_circle_states_at_least_its_rounding():
             for r, res in zip(radii, means):
                 exact = per * (mpmath.mpf(r) - 1) / (2 * mpmath.pi)
                 assert abs(res.value - lo.value - exact) <= res.error + lo.error, (c, k % 2, r)
+
+
+def test_every_call_of_fn_is_at_most_a_group_of_points():
+    # circles go to fn in groups, a level wider than GROUP_POINTS in pieces, and split
+    # circles' brackets and arcs in groups too; no piece is a lone point
+    sizes = []
+
+    def counted(fn):
+        def each(zs):
+            sizes.append(zs.size)
+            return fn(zs)
+        return each
+
+    wide = lambda zs: np.stack((np.log(np.abs(zs - 1.999)), np.log(np.abs(zs - 1.999)) - 1.0))
+    radii = [float(r) for r in np.linspace(1.0, 160.0, 400)]
+    for fn, rs in ((_arc, radii), (wide, (2.0, 3.0, 2.0))):
+        sizes.clear()
+        batch = circle_averages(counted(fn), rs)
+        assert 64 <= min(sizes) and max(sizes) == quadrature.GROUP_POINTS, sizes
+        _same_as_alone(fn, rs[::37], batch[::37])
+    assert batch[0].samples == 1 << 15 and batch[0] == batch[2]
+
+
+def test_a_pass_holds_a_bounded_working_set():
+    # no trapezoid level is kept and every call of fn is bounded, so ten times the radii
+    # add only their results to the peak; a pass that held every level of every circle
+    # grew about tenfold here
+    kinked = lambda zs: np.stack((zs.real, np.zeros(zs.shape)))
+    peaks = []
+    for count in (100, 1000):
+        radii = [float(r) for r in np.linspace(1.0, 3.0, count)]
+        circle_averages(kinked, radii[:2])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            circle_averages(kinked, radii)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 3e6 and peaks[1] < 2 * peaks[0], peaks
+
+
+def test_gauss_legendre_rules_are_numpys_bit_for_bit():
+    nodes, w16, w32 = quadrature._gauss_legendre()
+    (x16, v16), (x32, v32) = (np.polynomial.legendre.leggauss(m) for m in (16, 32))
+    for got, want in ((nodes, np.concatenate((x16, x32))), (w16, v16), (w32, v32)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

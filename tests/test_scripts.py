@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from nevlab.quadrature import GROUP_POINTS
+
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 
 
@@ -74,3 +76,36 @@ def test_costs_prints_the_same_counts_twice(table):
         # a level of 10^9 or more prints as its order of magnitude
         for system, level in (("fixed", "19"), ("moving", "~10^12366")):
             assert [row[-3] for row in rows if row[0] == system and row[-3] != "-"] == [level] * 3
+
+
+SMALL_QUAD = """
+import runpy, sys
+tables = runpy.run_path(sys.argv[1])
+full = tables["TABLES"]["quad"]
+
+def small(tmp):
+    table = full(tmp)
+    return table._replace(cases={label: case for label, case in table.cases.items()
+                                 if label[1] != "2000"})
+
+tables["TABLES"]["quad"] = small
+sys.exit(tables["main"](["quad", "--rounds", "0"]))
+"""
+
+
+def test_quad_counts_its_integrand_on_the_small_grids():
+    # the 2000-radius rows take seconds; the small grids show the columns
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    script = os.path.join(ROOT, "scripts", "tables.py")
+    run = subprocess.run([sys.executable, "-c", SMALL_QUAD, script],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0].split() == ["curve", "radii", "calls", "points", "peak_mb"]
+    rows = [line.split() for line in lines[1:]]
+    assert [row[:2] for row in rows] == [[curve, count] for curve in ("smooth", "kinked")
+                                         for count in ("20", "200")]
+    for curve, count, calls, points, peak in rows:
+        # each circle's first grid is 64 points, and no call of fn holds more than a group
+        assert 64 * (int(count) + 1) <= int(points) <= GROUP_POINTS * int(calls), (curve, count)
+        assert 0 < float(peak) < 20
