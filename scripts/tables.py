@@ -38,8 +38,10 @@ quad     One circle_averages pass over r = 1 and 20, 200 or 2000 radii in [2, 30
          with `characteristic`'s rows log|f_i|, on a smooth curve (1 : e^{-z} - 3z),
          one of whose rows leads on every circle r >= 2, and a kinked one
          (1 : e^z - z : e^{iz}), whose circles all split.  Counts: the integrand's calls
-         and points, counted by the integrand itself, and the tracemalloc peak of
-         the pass in MB (the first run of a case is traced, the timing rounds are not).
+         and points, counted by the integrand itself, the samples the pass reports
+         (summed over its circles; equal to points when no point is evaluated twice),
+         and the tracemalloc peak of the pass in MB (the first run of a case is
+         traced, the timing rounds are not).
 
     python3 scripts/tables.py certify --rounds 5
     python3 scripts/tables.py tower --rounds 0
@@ -288,18 +290,18 @@ def quad(tmp: str) -> Table:
         first = not peaks       # the timing rounds are not traced
         if first:
             tracemalloc.start()
-        circle_averages(rows, grid)
+        samples = sum(res.samples for res in circle_averages(rows, grid))
         if first:
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
-        return {**counts, "peak_mb": f"{peaks[0] / 1e6:.2f}"}
+        return {**counts, "samples": samples, "peak_mb": f"{peaks[0] / 1e6:.2f}"}
 
     one, z = ExpPoly.const(1), ExpPoly.var()
     curves = {"smooth": (one, ExpPoly.exp(-1) - 3 * z),
               "kinked": (one, ExpPoly.exp(1) - z, ExpPoly.exp(fields.GaussRat(0, 1)))}
     cases = {(name, str(count)): (components, (1.0, *np.linspace(2.0, 300.0, count).tolist()), [])
              for name, components in curves.items() for count in (20, 200, 2000)}
-    return Table(("curve", "radii", "calls", "points", "peak_mb"), cases, (), run)
+    return Table(("curve", "radii", "calls", "points", "samples", "peak_mb"), cases, (), run)
 
 
 TABLES = {"certify": certify, "tower": tower, "zeros": zeros,

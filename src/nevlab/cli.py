@@ -25,7 +25,7 @@ like "not admissible" are data, not failures), 1 an `Obstruction` (degenerate
 curve, inadmissible family where admissibility is required, violated margin), 2
 an `InputError` (an --rmax too low for T(r) to grow and an unwritable output
 path included), 3 a `NumericalFailure` (a contour through a zero, an uncertified
-floor, a falling T) or a floating-point overflow.
+floor, a falling T, an unconverged Jensen mean) or a floating-point overflow.
 """
 
 from __future__ import annotations

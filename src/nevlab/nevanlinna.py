@@ -350,7 +350,8 @@ def jensen_check(phi, radii: Sequence[float]) -> list[float]:
     Every circle mean subtracts every zero and pole of that search analytically,
     leaving smooth integrands, and all of them come from one circle_averages pass;
     the residual therefore measures quadrature error plus root placement error and
-    should sit far below 1e-6 for honest inputs.
+    should sit far below 1e-6 for honest inputs.  A mean that does not converge, or
+    is not finite, as on a circle through a multiple zero, is a NumericalFailure.
     """
     radii = tuple(radii)
     if not all(1 <= r < math.inf for r in radii):
@@ -379,8 +380,11 @@ def jensen_check(phi, radii: Sequence[float]) -> list[float]:
 
     # the means are taken on circles moved off the zeros and poles, and counted there
     inner, outers = _nudge_radius(1.0, pts), [_nudge_radius(r, pts) for r in radii]
-    *his, (lo, _) = log_modulus_average(log_ev, (*outers, inner), pts)
-    return [abs(count(outer, inner) - (hi - lo)) for outer, (hi, _) in zip(outers, his)]
+    *his, lo = means = log_modulus_average(log_ev, (*outers, inner), pts)
+    for r, (mean, converged) in zip((*radii, 1.0), means):
+        if not (converged and math.isfinite(mean)):
+            raise NumericalFailure(f"the mean of log|phi| on |z| = {r:g} did not converge")
+    return [abs(count(outer, inner) - (hi - lo[0])) for outer, (hi, _) in zip(outers, his)]
 
 
 # ---------------------------------------------------------------------------

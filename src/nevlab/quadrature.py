@@ -15,10 +15,10 @@ algebraic order, which the extrapolation handles.
 
 A kink is different: a trapezoid sum sees it only through the grid, and one
 that falls between grid points leaves the sums converging to a wrong value.
-So as soon as a grid shows two maximizing rows, the circle is split.  Every
-change of the maximizing row between neighbouring grid points is bracketed
-by bisection on the row index, four halvings per step (15 inner points)
-and all breakpoints stepping at once as one array, then placed by one
+So as soon as a trapezoid level shows two maximizing rows, the circle is split.
+Every change of the maximizing row between neighbouring points of that level is
+bracketed by bisection on the row index, four halvings per step (15 inner
+points) and all breakpoints stepping at once as one array, then placed by one
 secant step on the difference of the two rows.  Each arc between breakpoints
 is then smooth and is integrated by 16- and 32-node Gauss-Legendre; an arc
 whose two rules disagree by more than its share of the target is halved and
@@ -33,15 +33,16 @@ raised so a caller can decide.
 circle_averages is the one entry point, and a radius grid is one pass whose
 working set does not grow with the grid: each trapezoid level goes to fn in groups
 of open circles of at most GROUP_POINTS points, a wider level on one circle in
-pieces, and each circle's level row is summed whole.  No level is kept: a circle
-that splits has its levels evaluated again from the same points.  Split circles
-step their brackets, then their arcs, together, through the same groups of calls;
-the stop rules stay per circle.
+pieces, and each circle's level row is summed whole.  No level is kept and no point
+is evaluated twice: a circle splits on the first level that shows a second leading
+row, every earlier point having one leader, and takes its brackets from that level's
+own points, at the angles 2pi (k + offset) / width.  The circles that split on one
+level step their brackets, then their arcs, together, in batches of at most
+GROUP_POINTS Gauss-Legendre nodes; the stop rules stay per circle.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -181,12 +182,14 @@ def circle_averages(fn: Callable[[np.ndarray], np.ndarray], radii: Sequence[floa
         raise ValueError("radius must be positive")
     evaluate = lambda zs: np.atleast_2d(fn(zs))
     rs = np.array(radii, dtype=float)                   # the open circles' radii
-    out, sums, lead, split = [None] * len(radii), [[] for _ in radii], [0] * len(radii), []
-    open_, done, width, offset = list(range(len(radii))), [], FIRST_GRID, 0.0
+    out, sums, lead = [None] * len(radii), [[] for _ in radii], [0] * len(radii)
+    open_, width, offset = list(range(len(radii))), FIRST_GRID, 0.0
     while True:
         n = 2 * width if offset else width              # each circle's points so far
-        done.append((width, offset))                    # the levels evaluated so far
-        group, stay = max(1, GROUP_POINTS // width), []
+        # the circles that split on this level, their brackets narrowed from 2pi/width
+        # to BRACKET_WIDTH by steps of 16 pieces, go to _arcs together in batches
+        steps = max(0, math.ceil(math.log2(TWO_PI / width / BRACKET_WIDTH) / 4))
+        group, stay, parts, kinks = max(1, GROUP_POINTS // width), [], [], 0
         for start in range(0, len(open_), group):
             at = rs[start:start + group]
             level = _rows(evaluate, _level(at, width, offset), (len(at), width))
@@ -194,16 +197,26 @@ def circle_averages(fn: Callable[[np.ndarray], np.ndarray], radii: Sequence[floa
                 i, rows = open_[j], level[:, j - start]
                 if not offset:
                     lead[i] = int(rows[:, 0].argmax())
-                # only a stack of rows can reach _split
-                if len(rows) > 1 and np.count_nonzero(rows <= rows[lead[i]]) < rows.size:
-                    split.append((i, tuple(done)))        # a second leading row, or a NaN
+                # only a stack of rows can split
+                if len(rows) <= 1 or np.count_nonzero(rows <= rows[lead[i]]) == rows.size:
+                    s = float(rows[lead[i]].sum()) / width
+                    sums[i].append((sums[i][-1] + s) / 2 if sums[i] else s)
+                    out[i] = _stop(sums[i], n, target)
+                    if out[i] is None:
+                        stay.append(j)
                     continue
-                s = float(rows[lead[i]].sum()) / width
-                sums[i].append((sums[i][-1] + s) / 2 if sums[i] else s)
-                out[i] = _stop(sums[i], n, target)
-                if out[i] is None:
-                    stay.append(j)
+                part = _split(rows, offset, n, steps, cap)   # a second leading row, or a NaN
+                if part is None:
+                    out[i] = QuadResult(float(np.mean(_top(rows))), math.inf, n, False)
+                    continue
+                if parts and (kinks + len(part[1])) * len(_NODES) > GROUP_POINTS:
+                    _arcs(evaluate, parts, steps, target, cap, out)
+                    parts, kinks = [], 0
+                parts.append((i, radii[i], *part))
+                kinks += len(part[1])
             del level, rows         # before the next group's values are made
+        if parts:
+            _arcs(evaluate, parts, steps, target, cap, out)
         open_ = [open_[j] for j in stay]
         if not open_ or n >= cap:
             break
@@ -212,87 +225,46 @@ def circle_averages(fn: Callable[[np.ndarray], np.ndarray], radii: Sequence[floa
     for i in open_:                 # stopped at the cap
         err = abs(sums[i][-1] - sums[i][-2]) if len(sums[i]) > 1 else math.inf
         out[i] = QuadResult(sums[i][-1], err, n, err <= target)
-    circles = [(radii[i], levels) for i, levels in split]
-    for (i, _), res in zip(split, _split(evaluate, circles, target, cap) if split else ()):
-        out[i] = res
     return tuple(out)
 
 
-def _grids(evaluate, circles: list):
-    """(c, rows of circle c on its whole trapezoid grid) for the circles
-    [(r, trapezoid levels as (width, offset))], each level evaluated again and the
-    levels interleaved, for as many circles at a time as GROUP_POINTS holds."""
-    for levels, run in itertools.groupby(range(len(circles)), key=lambda c: circles[c][1]):
-        run = list(run)
-        group = max(1, GROUP_POINTS // (FIRST_GRID << (len(levels) - 1)))
-        for start in range(0, len(run), group):
-            cs = run[start:start + group]
-            radii, grid = np.array([circles[c][0] for c in cs]), None
-            for width, offset in levels:
-                level = _rows(evaluate, _level(radii, width, offset), (len(cs), width))
-                if grid is not None:
-                    both = np.empty(level.shape[:2] + (2 * width,))
-                    both[..., 0::2], both[..., 1::2] = grid, level
-                    level = both
-                grid = level
-            yield from ((c, grid[:, j]) for j, c in enumerate(cs))
+def _split(rows: np.ndarray, offset: float, spent: int, steps: int, cap: int):
+    """One circle's brackets on its trapezoid level rows (K, width), at the angles
+    2pi (k + offset) / width, after spent points: (its points once bracketed, lower and
+    upper angles, leading row at the lower, rows at the lower, rows at the upper), one
+    column for each pair of neighbours led by two rows; None when no pair is (NaN
+    rows) or the brackets and one round of arcs would pass cap."""
+    width = rows.shape[1]
+    lead = rows.argmax(axis=0)
+    k = np.flatnonzero(lead != np.concatenate((lead[1:], lead[:1])))
+    if not len(k) or spent + len(k) * (steps * len(_CUTS) + len(_NODES)) > cap:
+        return None
+    return (spent + len(k) * steps * len(_CUTS), TWO_PI * (k + offset) / width,
+            TWO_PI * (k + 1 + offset) / width, lead[k], rows[:, k], rows[:, (k + 1) % width])
 
 
-def _split(evaluate, circles: list, target: float, cap: int) -> list:
-    """The means of the row maximum on the circles [(r, trapezoid levels as (width,
-    offset))] that split, their breakpoints placed and their arcs integrated in
-    batches of as many circles as hold GROUP_POINTS Gauss-Legendre nodes in all."""
-    out, parts, kinks = {}, [], 0
-    for c, grid in _grids(evaluate, circles):
-        n = grid.shape[1]
-        lead = grid.argmax(axis=0)
-        k = np.flatnonzero(lead != np.concatenate((lead[1:], lead[:1])))
-        steps = max(0, math.ceil(math.log2(TWO_PI / n / BRACKET_WIDTH) / 4))
-        if not len(k) or n + len(k) * (steps * len(_CUTS) + len(_NODES)) > cap:
-            # the grid argmax never changes (NaN rows), or the cap is too small
-            out[c] = QuadResult(float(np.mean(_top(grid))), math.inf, n, False)
-            continue
-        if parts and (kinks + len(k)) * len(_NODES) > GROUP_POINTS:
-            out.update(_arcs(evaluate, parts, target, cap))
-            parts, kinks = [], 0
-        kinks += len(k)
-        parts.append((steps, c, circles[c][0], len(k), n + len(k) * steps * len(_CUTS),
-                      TWO_PI * k / n, TWO_PI * (k + 1) / n, lead[k],
-                      grid[:, k], grid[:, (k + 1) % n]))
-    out.update(_arcs(evaluate, parts, target, cap) if parts else ())
-    return [out[c] for c in range(len(circles))]
-
-
-def _arcs(evaluate, parts: list, target: float, cap: int):
-    """(c, mean) for each circle c of parts [(bracket steps, c, r, breakpoint count,
-    samples so far, brackets' lower and upper angles, leading row at the lower, rows
-    at the lower, rows at the upper)]: the brackets narrowed, each breakpoint placed
-    by a secant step, and the arcs between them integrated."""
+def _arcs(evaluate, parts: list, steps: int, target: float, cap: int, out: list) -> None:
+    """Write into out[c] the mean of each circle c of parts [(c, r, samples so far,
+    brackets' lower and upper angles, leading row at the lower, rows at the lower, rows
+    at the upper)]: the brackets narrowed by steps, each breakpoint placed by a secant
+    step, and the arcs between them integrated."""
+    owners, radii, spent, *arrays = zip(*parts)
+    counts = [len(lo) for lo in arrays[0]]
+    lo, hi, row_lo, v_lo, v_hi = (np.concatenate(x, axis=-1) for x in arrays)
+    rad, cols = np.repeat(radii, counts), np.arange(len(lo))
     # every bracket [lo, hi] is led by row_lo at lo and by another row at hi; each step
     # cuts it at 15 inner points (four bisections at once) and keeps the first piece that
-    # still changes the leading row; more steps first, brackets past their last are held
-    steps, owners, radii, counts, spent, *arrays = zip(*sorted(parts, key=lambda part: -part[0]))
-    lo, hi, row_lo, v_lo, v_hi = (np.concatenate(x, axis=-1) if x[1:] else x[0] for x in arrays)
-    rad = np.repeat(radii, counts)
-    held, cols, r_at, led_by = [], np.arange(len(lo)), rad, row_lo
-    for step in range(steps[0]):
-        m = sum(count for k, count in zip(steps, counts) if k > step)
-        if m < len(lo):
-            held.insert(0, [x[..., m:] for x in (lo, hi, v_lo, v_hi)])
-            lo, hi, v_lo, v_hi, cols, r_at, led_by = (
-                x[..., :m] for x in (lo, hi, v_lo, v_hi, cols, r_at, led_by))
+    # still changes the leading row
+    for _ in range(steps):
         t = lo[:, None] + (hi - lo)[:, None] * _CUTS
-        zs = r_at[:, None] * np.exp(1j * t)
+        zs = rad[:, None] * np.exp(1j * t)
         v = _rows(evaluate, _lines(zs), zs.shape)
         t = np.concatenate((lo[:, None], t, hi[:, None]), axis=1)
         v = np.concatenate((v_lo[:, :, None], v, v_hi[:, :, None]), axis=2)
-        led = v.argmax(axis=0) == led_by[:, None]
+        led = v.argmax(axis=0) == row_lo[:, None]
         led[:, 0], led[:, -1] = True, False
         j = led.argmin(axis=1)
         lo, hi, v_lo, v_hi = t[cols, j - 1], t[cols, j], v[:, cols, j - 1], v[:, cols, j]
-    if held:
-        lo, hi, v_lo, v_hi = (np.concatenate(x, axis=-1) for x in zip((lo, hi, v_lo, v_hi), *held))
-    cols = np.arange(len(lo))
     row_hi = v_hi.argmax(axis=0)
     # one secant step on the difference of the two rows, which is smooth
     # and changes sign in the bracket; it may be infinite or flat there
@@ -330,9 +302,9 @@ def _arcs(evaluate, parts: list, target: float, cap: int):
             value[c] += math.fsum(fine[arcs][good])
             error[c] += math.fsum(err[arcs][good])
             if not bad:
-                yield c, QuadResult(value[c], error[c], samples[c], True)
+                out[c] = QuadResult(value[c], error[c], samples[c], True)
             elif samples[c] + 2 * bad * len(_NODES) > cap:
-                yield c, QuadResult(value[c] + math.fsum(fine[arcs][~good]),
+                out[c] = QuadResult(value[c] + math.fsum(fine[arcs][~good]),
                                     error[c] + math.fsum(err[arcs][~good]), samples[c], False)
             else:
                 more[arcs] = ~good

@@ -233,6 +233,13 @@ def test_jensen_command(paths, capsys):
     assert doc["max_residual"] < 1e-6
 
 
+def test_an_unconverged_jensen_mean_is_a_numerical_failure(capsys):
+    assert main(["jensen", "--phi", "(z-1)^2/(z+1)", "--radii", "1,2"]) == 3
+    out, err = capsys.readouterr()
+    assert not out and err == \
+        "nevlab: numerical failure: the mean of log|phi| on |z| = 1 did not converge\n"
+
+
 def test_wronskian_command(paths, capsys):
     assert main(["wronskian", paths["curve"]]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -517,13 +517,13 @@ SPLIT = """
 import sys
 import nevlab.cli
 from nevlab import quadrature
-split = quadrature._split
+arcs = quadrature._arcs
 
-def spy(evaluate, circles, *args):
-    print("split", *(r for r, _ in circles))
-    return split(evaluate, circles, *args)
+def spy(evaluate, parts, *args):
+    print("split", *(r for _, r, *_ in parts))
+    return arcs(evaluate, parts, *args)
 
-quadrature._split = spy
+quadrature._arcs = spy
 print("code", nevlab.cli.main(["characteristic", "curve.json", "--radii", "2,5", "-o", "out.json"]))
 print("numpy.polynomial", "numpy.polynomial" in sys.modules)
 """

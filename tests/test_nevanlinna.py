@@ -390,6 +390,15 @@ def test_jensen_counts_on_the_circles_it_integrates(phi, r):
     assert jensen_check(phi, (r,))[0] < 1e-12
 
 
+def test_jensen_refuses_a_mean_that_does_not_converge():
+    # the double zero and the pole of (z-1)^2/(z+1) lie on |z| = 1, and the moved circle
+    # passes 4e-9 off them, where log|z^2 - 2z + 1| is -inf: no residual reads that mean
+    phi = RatFunc(ZPoly((1, -2, 1)), ZPoly((1, 1)))
+    for radii in ((2.0,), (1.0, 2.0)):
+        with pytest.raises(NumericalFailure, match=r"on \|z\| = 1 did not converge"):
+            jensen_check(phi, radii)
+
+
 # ---------------------------------------------------------------------------
 # wronskian and the divisor inequality
 

@@ -186,8 +186,7 @@ def _arc(zs):
     3e-4 off a point of the 512-point grid and off every coarser grid by 0.012 or
     more, and the other row's trapezoid sums need over 1000 points; so the arc
     shows first on the 64-point grid for |z| < 16, on the 128-point one for
-    16 < |z| < 50, and on the 512-point one beyond, whose brackets take one step
-    fewer."""
+    16 < |z| < 50, and on the 512-point one beyond, whose 256 new points bracket it."""
     u = np.exp(1j * (11 * 2 * math.pi / 512 + 3e-4))
     rho = np.abs(zs)
     return np.stack(((zs / u).real, rho * np.cos(0.6 / rho) + 0.05 * (
@@ -201,20 +200,34 @@ def _same_as_alone(fn, radii, batch, target=1e-9, cap=1 << 20):
         assert got == circle_averages(fn, (r,), target, cap)[0], r
 
 
+def _counted_once(fn, radii, *args):
+    # the points fn receives add up to the samples of the pass: no point is
+    # evaluated twice, and each is counted on its circle
+    sizes = []
+    batch = circle_averages(lambda zs: sizes.append(zs.size) or fn(zs), radii, *args)
+    assert sum(sizes) == sum(res.samples for res in batch)
+    return batch
+
+
 def test_a_radius_grid_in_one_pass_is_each_radius_alone(monkeypatch):
-    calls, levels = [], []
-    split = quadrature._split
+    levels, batches = [], []
+    split, arcs = quadrature._split, quadrature._arcs
 
-    def spy(evaluate, circles, *args):
-        calls.append(len(circles))
-        levels.extend(len(grids) for _, grids in circles)
-        return split(evaluate, circles, *args)
+    def split_spy(rows, offset, spent, *args):
+        levels.append(int(math.log2(spent // quadrature.FIRST_GRID)) + 1)
+        return split(rows, offset, spent, *args)
 
-    monkeypatch.setattr(quadrature, "_split", spy)
+    def arcs_spy(evaluate, parts, *args):
+        batches.append(len(parts))
+        return arcs(evaluate, parts, *args)
+
+    monkeypatch.setattr(quadrature, "_split", split_spy)
+    monkeypatch.setattr(quadrature, "_arcs", arcs_spy)
     radii = (2.0, 30.0, 100.0, 2.0, 45.0, 10.0, 150.0)
-    batch = circle_averages(_arc, radii)
-    # every circle splits, in one _split call, after 1, 2 or 4 trapezoid levels
-    assert calls == [len(radii)] and sorted(set(levels)) == [1, 2, 4]
+    batch = _counted_once(_arc, radii)
+    # every circle splits after 1, 2 or 4 trapezoid levels, and the circles that split
+    # on one level go to _arcs in one batch
+    assert levels == [1, 1, 1, 2, 2, 4, 4] and batches == [3, 2, 2]
     assert batch[0] == batch[3]                     # a repeated radius
     _same_as_alone(_arc, radii, batch)
 
@@ -238,10 +251,18 @@ def test_one_row_and_leading_row_circles_in_one_pass_are_bit_for_bit():
             assert (batch[0].value, batch[0].samples) == _trapezoid(fn, r, target)
 
 
+def test_no_point_is_evaluated_twice():
+    one, z = ExpPoly.const(1), ExpPoly.var()
+    grid = (1.0, *np.linspace(2.0, 300.0, 60).tolist())
+    for comps in ((one, ExpPoly.exp(1) - z, ExpPoly.exp(GaussRat(0, 1))),   # kinked
+                  (one, ExpPoly.exp(-1) - 3 * z)):                           # smooth
+        _counted_once(lambda zs: np.stack([comp.log_abs(zs) for comp in comps]), grid)
+
+
 def test_a_capped_kinked_pass_and_bad_radii():
     fn = lambda zs: np.stack((-np.sqrt(np.abs(zs.real)), np.full(zs.shape, -0.9)))
     radii = (1.0, 0.5, 1.7, 1.0)
-    batch = circle_averages(fn, radii, target=1e-12, cap=1 << 12)
+    batch = _counted_once(fn, radii, 1e-12, 1 << 12)
     assert not any(res.converged for res in batch)
     assert all(res.samples <= 1 << 12 for res in batch)
     _same_as_alone(fn, radii, batch, target=1e-12, cap=1 << 12)

@@ -101,11 +101,13 @@ def test_quad_counts_its_integrand_on_the_small_grids():
                          capture_output=True, text=True, env=env, timeout=300)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
-    assert lines[0].split() == ["curve", "radii", "calls", "points", "peak_mb"]
+    assert lines[0].split() == ["curve", "radii", "calls", "points", "samples", "peak_mb"]
     rows = [line.split() for line in lines[1:]]
     assert [row[:2] for row in rows] == [[curve, count] for curve in ("smooth", "kinked")
                                          for count in ("20", "200")]
-    for curve, count, calls, points, peak in rows:
+    for curve, count, calls, points, samples, peak in rows:
         # each circle's first grid is 64 points, and no call of fn holds more than a group
         assert 64 * (int(count) + 1) <= int(points) <= GROUP_POINTS * int(calls), (curve, count)
+        # every point the integrand receives is one sample of one circle
+        assert points == samples, (curve, count)
         assert 0 < float(peak) < 20
