@@ -380,11 +380,12 @@ def jensen_check(phi, radii: Sequence[float]) -> list[float]:
 
     # the means are taken on circles moved off the zeros and poles, and counted there
     inner, outers = _nudge_radius(1.0, pts), [_nudge_radius(r, pts) for r in radii]
-    *his, lo = means = log_modulus_average(log_ev, (*outers, inner), pts)
+    means = log_modulus_average(log_ev, (*outers, inner), pts)
     for r, (mean, converged) in zip((*radii, 1.0), means):
         if not (converged and math.isfinite(mean)):
             raise NumericalFailure(f"the mean of log|phi| on |z| = {r:g} did not converge")
-    return [abs(count(outer, inner) - (hi - lo[0])) for outer, (hi, _) in zip(outers, his)]
+    *his, lo = (mean for mean, _ in means)
+    return [abs(count(outer, inner) - (hi - lo)) for outer, hi in zip(outers, his)]
 
 
 # ---------------------------------------------------------------------------
