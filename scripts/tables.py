@@ -39,9 +39,9 @@ quad     One circle_averages pass over r = 1 and 20, 200 or 2000 radii in [2, 30
          one of whose rows leads on every circle r >= 2, and a kinked one
          (1 : e^z - z : e^{iz}), whose circles all split.  Counts: the integrand's calls
          and points, counted by the integrand itself, the samples the pass reports
-         (summed over its circles; equal to points when no point is evaluated twice),
-         and the tracemalloc peak of the pass in MB (the first run of a case is
-         traced, the timing rounds are not).
+         (summed over its circles; equal to points, as every point read counts on
+         its circle), and the tracemalloc peak of the pass in MB (the first run of
+         a case is traced, the timing rounds are not).
 
     python3 scripts/tables.py certify --rounds 5
     python3 scripts/tables.py tower --rounds 0

@@ -33,12 +33,12 @@ raised so a caller can decide.
 circle_averages is the one entry point, and a radius grid is one pass whose
 working set does not grow with the grid: each trapezoid level goes to fn in groups
 of open circles of at most GROUP_POINTS points, a wider level on one circle in
-pieces, and each circle's level row is summed whole.  No level is kept and no point
-is evaluated twice: a circle splits on the first level that shows a second leading
-row, every earlier point having one leader, and takes its brackets from that level's
-own points, at the angles 2pi (k + offset) / width.  The circles that split on one
-level step their brackets, then their arcs, together, in batches of at most
-GROUP_POINTS Gauss-Legendre nodes; the stop rules stay per circle.
+pieces, and each circle's level row is summed whole.  No level is kept: a split
+circle's brackets lie between its split level's own points, at the angles
+2pi (k + offset) / width, unless an earlier point lies between two that its row leads
+neither of; then the circle reads its earlier points again and brackets both levels.
+The circles that split on one level step their brackets, then their arcs, together, in
+batches of at most GROUP_POINTS Gauss-Legendre nodes; the stop rules stay per circle.
 """
 
 from __future__ import annotations
@@ -139,11 +139,13 @@ def _level(radii: np.ndarray, width: int, offset: float):
     turn, then the other three by multiplying with i, -1 and -i, which is exact in
     floating point.  A level of GROUP_POINTS or fewer is one piece over all the circles;
     a wider one, on one circle, goes a quarter turn or GROUP_POINTS points at a time."""
+    turn = _TURNS.get((width, offset))  # None for a wider level or a split level's earlier points
+    w = radii[:, None] * (np.exp(1j * (TWO_PI * (np.arange(width // 4) + offset) / width))
+                          if turn is None else turn)
     if width <= GROUP_POINTS:
-        w = radii[:, None] * _TURNS[width, offset]
         yield np.concatenate((w, 1j * w, -w, -1j * w), axis=1).ravel()
         return
-    w = (radii[:, None] * np.exp(1j * (TWO_PI * (np.arange(width // 4) + offset) / width)))[0]
+    w = w[0]
     step = min(GROUP_POINTS, len(w))
     for rotate in (lambda w: w, lambda w: 1j * w, lambda w: -w, lambda w: -1j * w):
         yield from (rotate(w[start:start + step]) for start in range(0, len(w), step))
@@ -205,7 +207,7 @@ def circle_averages(fn: Callable[[np.ndarray], np.ndarray], radii: Sequence[floa
                     if out[i] is None:
                         stay.append(j)
                     continue
-                part = _split(rows, offset, n, steps, cap)   # a second leading row, or a NaN
+                part = _split(evaluate, radii[i], rows, lead[i], offset, n, steps, cap)
                 if part is None:
                     out[i] = QuadResult(float(np.mean(_top(rows))), math.inf, n, False)
                     continue
@@ -228,18 +230,26 @@ def circle_averages(fn: Callable[[np.ndarray], np.ndarray], radii: Sequence[floa
     return tuple(out)
 
 
-def _split(rows: np.ndarray, offset: float, spent: int, steps: int, cap: int):
-    """One circle's brackets on its trapezoid level rows (K, width), at the angles
-    2pi (k + offset) / width, after spent points: (its points once bracketed, lower and
-    upper angles, leading row at the lower, rows at the lower, rows at the upper), one
-    column for each pair of neighbours led by two rows; None when no pair is (NaN
-    rows) or the brackets and one round of arcs would pass cap."""
-    width = rows.shape[1]
-    lead = rows.argmax(axis=0)
+def _split(evaluate, r: float, rows: np.ndarray, before: int, offset: float, spent: int,
+           steps: int, cap: int):
+    """The brackets of |z| = r on its trapezoid level rows (K, width) at the angles
+    2pi (k + offset) / width, after spent points, row before having led every earlier
+    point: (its points once bracketed, lower and upper angles, leading row at the lower,
+    rows at the lower, rows at the upper), one column per pair of neighbours led by two
+    rows; None when no pair is (NaN rows) or they and one round of arcs would pass cap."""
+    width, lead, again = rows.shape[1], rows.argmax(axis=0), 0
+    if offset and np.any((lead != before) & (np.concatenate((lead[1:], lead[:1])) != before)):
+        # an earlier point between two midpoints that row before leads neither of hides two
+        # changes of leader: the earlier points are read again and the levels interleaved
+        lead = np.stack((np.full(width, before), lead), axis=1).ravel()
+        again, width, offset = width, 2 * width, 0.0
     k = np.flatnonzero(lead != np.concatenate((lead[1:], lead[:1])))
-    if not len(k) or spent + len(k) * (steps * len(_CUTS) + len(_NODES)) > cap:
+    if not len(k) or spent + again + len(k) * (steps * len(_CUTS) + len(_NODES)) > cap:
         return None
-    return (spent + len(k) * steps * len(_CUTS), TWO_PI * (k + offset) / width,
+    if again:
+        earlier = _rows(evaluate, _level(np.array([r]), again, 0.0), (again,))
+        rows = np.stack((earlier, rows), axis=2).reshape(len(rows), width)
+    return (spent + again + len(k) * steps * len(_CUTS), TWO_PI * (k + offset) / width,
             TWO_PI * (k + 1 + offset) / width, lead[k], rows[:, k], rows[:, (k + 1) % width])
 
 

@@ -13,6 +13,7 @@ import sys
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -202,6 +203,18 @@ def test_characteristic_finds_a_dominance_arc_between_grid_points():
     t, = characteristic(curve, (r,))
     assert t.value == pytest.approx(exact, abs=1e-13)
     assert _quadrature_t(curve, (r,)) == pytest.approx([exact], abs=1e-13)
+
+
+def test_characteristic_finds_changes_of_leader_between_two_levels():
+    # on |z| = 1, 1 - z^64 vanishes on the 64-point grid, where the row of 1 leads, and is 2
+    # at each midpoint of it: every change of leader lies between the two levels' points.
+    # The r = 1 mean is Cl_2(pi/3)/pi and, by Jensen, the r = 2 mean is 64 log 2
+    curve = EntireCurve((ONE, ZPoly((1,) + (0,) * 63 + (-1,))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t, = characteristic(curve, (2.0,))
+    exact = 64 * math.log(2) - float(mpmath.clsin(2, mpmath.pi / 3) / mpmath.pi)
+    assert t.value == pytest.approx(exact, abs=1e-12) and t.error <= 1e-9
 
 
 def test_characteristic_finds_every_dominance_arc_on_a_sweep():

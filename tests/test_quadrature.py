@@ -171,6 +171,30 @@ def test_kinked_maximum_is_split_at_its_breakpoints():
     assert res.value == pytest.approx(exact, abs=1e-12 * r)
 
 
+def test_a_row_that_leads_every_new_midpoint_is_split():
+    # on |z| = 1, z^(64 m) is 1 on the 64-point grid, where the first row leads, and -1 at
+    # each of its midpoints, where the second does: the midpoints alone show no change of
+    # leader, and the points between them, read again, give two changes per midpoint
+    clausen = float(mpmath.clsin(2, mpmath.pi / 3) / mpmath.pi)
+    for m in (1, 3):
+        fn = lambda zs: np.stack((np.zeros(zs.shape), -(zs ** (64 * m)).real))
+        res = _counted_once(fn, (1.0,))[0]
+        assert res.converged and res.value == pytest.approx(1 / math.pi, abs=1e-12)
+        # log|1 - e^{i phi}| > 0 for pi/3 < phi < 5pi/3: the mean is Cl_2(pi/3) / pi
+        fn = lambda zs: np.stack((np.zeros(zs.shape), np.log(np.abs(1 - zs ** (64 * m)))))
+        with np.errstate(divide="ignore"):                 # 1 - z^(64 m) = 0 on the grid
+            res = _counted_once(fn, (1.0, 2.0))[0]
+        assert res.converged and res.error <= 1e-9
+        assert res.value == pytest.approx(clausen, abs=1e-12)
+    # z^n for n = 128 and 1024 splits on the level of width n, whose earlier points are
+    # read again as one level: the max of -Re z^n and a small row near 0 has mean near 1/pi
+    for n in (128, 1024):
+        fn = lambda zs: np.stack((0.01 * np.log(np.abs(zs - 0.99)), -(zs ** n).real))
+        res = _counted_once(fn, (1.0,))[0]
+        assert res.converged and res.error <= 1e-9
+        assert res.value == pytest.approx(1 / math.pi, abs=1e-4)
+
+
 def test_kinked_integrand_at_the_cap_is_not_converged():
     # -sqrt|x| leads around x = 0 and is not smooth there: halving the arcs
     # cannot reach 1e-12 within 4096 evaluations
@@ -201,8 +225,8 @@ def _same_as_alone(fn, radii, batch, target=1e-9, cap=1 << 20):
 
 
 def _counted_once(fn, radii, *args):
-    # the points fn receives add up to the samples of the pass: no point is
-    # evaluated twice, and each is counted on its circle
+    # the points fn receives add up to the samples of the pass: each is counted on
+    # its circle, the earlier points that a split circle reads again too
     sizes = []
     batch = circle_averages(lambda zs: sizes.append(zs.size) or fn(zs), radii, *args)
     assert sum(sizes) == sum(res.samples for res in batch)
@@ -213,9 +237,9 @@ def test_a_radius_grid_in_one_pass_is_each_radius_alone(monkeypatch):
     levels, batches = [], []
     split, arcs = quadrature._split, quadrature._arcs
 
-    def split_spy(rows, offset, spent, *args):
+    def split_spy(evaluate, r, rows, before, offset, spent, *args):
         levels.append(int(math.log2(spent // quadrature.FIRST_GRID)) + 1)
-        return split(rows, offset, spent, *args)
+        return split(evaluate, r, rows, before, offset, spent, *args)
 
     def arcs_spy(evaluate, parts, *args):
         batches.append(len(parts))
