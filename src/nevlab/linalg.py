@@ -4,7 +4,9 @@ and multimodular values.
 Vectors are dicts {column index: nonzero scalar}; matrices are lists of such
 rows.  The one exact elimination, `RowReducer`, divides by pivots (exact, with
 canonical results, in Fraction/GaussRat/RatFunc) after scaling a row with
-rational-function entries by a common denominator; one pass gives the rank, a
+rational-function entries by a common denominator.  It has one mode: every fed
+row carries a right-hand side, 0 when none is given, a row that reduces to
+0 = nonzero clears its `consistent` flag, and one pass gives the rank, a
 solution and the determinant.
 
 The one modular image: `_gaussian_integer_rows` scales each row by a nonzero
@@ -32,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .fields import GaussRat, RatFunc, ZPoly, denominator_lcm, over_known_factors
 
@@ -60,47 +62,47 @@ def _complexity(s) -> int:
     return 1 << 30
 
 
-def clear_denominators(vec: dict, rhs=None):
-    """Scale a row (and optional rhs) by the lcm of RatFunc denominators:
+def clear_denominators(vec: dict, rhs):
+    """Scale a row and its right-hand side by the lcm of RatFunc denominators:
     (row, rhs, multiplier), the multiplier a RatFunc, or None when there is
-    nothing to clear."""
+    nothing to clear; a zero rhs is returned as it is."""
     mult = denominator_lcm(v.den for v in (*vec.values(), rhs) if isinstance(v, RatFunc))
     if mult is None:
         return vec, rhs, None
     m = RatFunc(mult)
-    return {c: m * v for c, v in vec.items()}, None if rhs is None else m * rhs, m
-
-
-class Inconsistent(Exception):
-    """A linear system has no solution."""
+    return {c: m * v for c, v in vec.items()}, m * rhs if rhs else rhs, m
 
 
 class RowReducer:
-    """Incremental exact Gaussian elimination.
+    """Incremental exact Gaussian elimination of equations, each fed row with
+    its right-hand side (0 when none is given).
 
-    A stored pivot row is normalized (pivot entry 1) and reduced against the
-    pivot rows stored before it, so a fed row is reduced against them in that
-    order, `rank` is just the pivot count, and a solution of the fed
-    equations (free variables set to zero) is read off by back-substitution.
-    `steps` logs (column, entry before normalizing, row multiplier or None)
-    per pivot.
+    A stored pivot row is normalized (pivot entry 1), reduced against the
+    pivot rows stored before it and kept with its own right-hand side, so a
+    fed row is reduced against them in that order, `rank` is just the pivot
+    count, and while `consistent` holds a solution of the fed equations (free
+    variables set to zero) is read off by back-substitution.  A right-hand
+    side is reduced only against pivot rows whose own is nonzero, so rows fed
+    without one cost no right-hand-side arithmetic.  A row that reduces to
+    0 = nonzero clears `consistent`.  `steps` logs (column, entry before
+    normalizing, row multiplier or None) per pivot.
     """
 
-    def __init__(self, track_rhs: bool = False):
-        self.pivots: dict[int, dict] = {}
-        self.rhs: dict[int, object] = {}
-        self.track_rhs = track_rhs
+    def __init__(self):
+        self.pivots: dict[int, tuple[dict, object]] = {}   # column: (row, rhs)
         self.steps: list[tuple] = []
         self.singular = False          # some fed row did not raise the rank
+        self.consistent = True         # no fed row reduced to 0 = nonzero
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, vec: dict, rhs=None):
-        """Residual of vec (and rhs) after eliminating all known pivots."""
-        res = dict(vec)
-        for col, prow in self.pivots.items():
+    def add(self, vec: dict, rhs=Fraction(0)) -> bool:
+        """Feed one equation sum(vec[c] * x_c) = rhs.  True if the rank grew."""
+        res = {c: v for c, v in vec.items() if v}
+        res, rhs, mult = clear_denominators(res, rhs)
+        for col, (prow, prhs) in self.pivots.items():
             coef = res.pop(col, None)
             if not coef:
                 continue
@@ -113,44 +115,26 @@ class RowReducer:
                     res[c2] = nv
                 elif c2 in res:
                     del res[c2]
-            if rhs is not None:
-                rhs = rhs - coef * self.rhs[col]
-        return res, rhs
-
-    def add(self, vec: dict, rhs=None) -> bool:
-        """Feed one row (equation).  True if the rank grew.
-
-        With track_rhs, an inconsistent equation (0 = nonzero) raises
-        Inconsistent.
-        """
-        if self.track_rhs and rhs is None:
-            rhs = Fraction(0)
-        vec = {c: v for c, v in vec.items() if v}
-        vec, rhs, mult = clear_denominators(vec, rhs)
-        res, rhs = self.reduce(vec, rhs)
+            if prhs:
+                rhs = rhs - coef * prhs
         if not res:
             self.singular = True
-            if self.track_rhs and rhs:
-                raise Inconsistent("zero row with nonzero right-hand side")
+            self.consistent = self.consistent and not rhs
             return False
         col = min(res, key=lambda c: (_complexity(res[c]), c))
         self.steps.append((col, res[col], mult))
         inv = _inv(res[col])
         row = {c: v * inv for c, v in res.items()}
         row[col] = Fraction(1)
-        self.pivots[col] = row
-        if self.track_rhs:
-            self.rhs[col] = rhs * inv if rhs else Fraction(0)
+        self.pivots[col] = row, rhs * inv if rhs else Fraction(0)
         return True
 
     def solution(self) -> dict:
-        """Pivot-variable values solving the fed equations (free vars = 0),
-        by back-substitution from the last pivot row."""
-        if not self.track_rhs:
-            raise ValueError("reducer was built without rhs tracking")
+        """Pivot-variable values solving the fed equations when they are
+        consistent (free vars = 0), by back-substitution from the last pivot
+        row."""
         sol: dict = {}
-        for col, prow in reversed(self.pivots.items()):
-            x = self.rhs[col]
+        for col, (prow, x) in reversed(self.pivots.items()):
             for c, v in prow.items():
                 if c in sol:
                     x = x - v * sol[c]
@@ -171,21 +155,6 @@ class RowReducer:
         return -det if _odd([col for col, _, _ in self.steps]) else det
 
 
-def solve_system(rows: Iterable[tuple[dict, object]]) -> Optional[dict]:
-    """One exact solution {col: value} of the equations, or None if none exists.
-
-    Each item is (row, rhs) representing sum(row[c] * x_c) = rhs.  Unmentioned
-    variables are free and set to zero.
-    """
-    red = RowReducer(track_rhs=True)
-    try:
-        for row, rhs in rows:
-            red.add(row, rhs)
-    except Inconsistent:
-        return None
-    return red.solution()
-
-
 def _odd(order: Sequence[int]) -> bool:
     """Whether the permutation listed by `order` is odd."""
     n = len(order)
@@ -199,7 +168,7 @@ def det_sparse(rows: list[dict], col: Optional[int] = None) -> tuple[object, Opt
     is given, and modular is whether the multimodular path decided.
 
     Multimodular first (`_multimodular`), else one exact elimination of the
-    transposed system M^T u = e_col (of M^T alone without `col`), which gives
+    transposed system M^T u = e_col (M^T u = 0 without `col`), which gives
     det M^T = det M (`RowReducer.det`) and, when it is nonzero, u = y / det M;
     both paths give the same values.
     """
@@ -210,25 +179,15 @@ def det_sparse(rows: list[dict], col: Optional[int] = None) -> tuple[object, Opt
     for r, row in enumerate(rows):
         for c, v in row.items():
             eqs[c][r] = v
-    red = RowReducer(track_rhs=col is not None)
-    try:
-        for c, eq in enumerate(eqs):
-            if not red.add(eq, None if col is None else Fraction(int(c == col))):
-                break
-    except Inconsistent:              # a dependent equation: M is singular
-        pass
+    red = RowReducer()
+    for c, eq in enumerate(eqs):
+        if not red.add(eq, Fraction(int(c == col))):
+            break                     # a dependent equation: M is singular
     det = red.det()
     if not det or col is None:
         return det, None, False
     sol = red.solution()
     return det, [det * sol[r] for r in range(len(rows))], False
-
-
-def _entry_is_zero(e) -> bool:
-    probe = getattr(e, "is_zero", None)
-    if probe is not None:
-        return probe()
-    return not e
 
 
 def det_cofactor(mat):
@@ -245,7 +204,7 @@ def det_cofactor(mat):
         return mat[0][0]
     total = None
     for j, e in enumerate(mat[0]):
-        if _entry_is_zero(e):
+        if not e:
             continue
         minor = [row[:j] + row[j + 1:] for row in mat[1:]]
         term = e * det_cofactor(minor)

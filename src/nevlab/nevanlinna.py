@@ -246,7 +246,8 @@ def characteristic(f: CurveLike, radii: Sequence[float]) -> tuple[QuadResult, ..
     the top monomial has unit coefficient modulus.  The means at r = 1 and at
     every radius come from one pass: in closed form, exact but for rounding, when
     every component is one term a z^m e^{cz}, else one circle_averages pass, with
-    a warning for each mean that stops short of its target.  T(1) is exactly 0.0;
+    a warning for each mean that stops short of its target; a mean that is not
+    finite, as where a component overflows, is a NumericalFailure.  T(1) is exactly 0.0;
     elsewhere the error is that of the means at r and at 1, each at least the
     rounding floor 5e-16 (1 + |mean|) that the trapezoid rule states when its sums
     stop changing, since a stop on two equal sums states 0.
@@ -264,6 +265,8 @@ def characteristic(f: CurveLike, radii: Sequence[float]) -> tuple[QuadResult, ..
     else:
         means = {r: _max_sinusoid_mean(sinusoids, r) for r in grid}
     for r, res in means.items():
+        if not math.isfinite(res.value):
+            raise NumericalFailure(f"the circle mean of log max |f_i| at r = {r:g} is not finite")
         if not res.converged:
             warnings.warn(f"circle average at r={r:g} stopped at error {res.error:.2e}",
                           stacklevel=2)

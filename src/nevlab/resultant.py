@@ -37,8 +37,8 @@ from typing import Optional, Sequence
 from .fields import (GaussRat, InputError, Obstruction, RatFunc, ZPoly, denominator_lcm,
                      simplify_scalar)
 from .hpoly import HPoly, monomial_index, monomials
-from .linalg import (RankPaths, _split, certified_rank, det_sparse, modular_rank_reaches,
-                     solve_system)
+from .linalg import (RankPaths, RowReducer, _split, certified_rank, det_sparse,
+                     modular_rank_reaches)
 
 
 class NotAdmissibleError(Obstruction, ValueError):
@@ -409,8 +409,11 @@ def ideal_membership(p: HPoly, gens: Sequence[HPoly]) -> Optional[tuple[HPoly, .
     ideal (gens) of degree deg p; None when p is not in that piece.
 
     Each unknown is a coefficient of some b_j, and the equations are the
-    columns of `ideal_rows`.  A generator of degree above deg p gets the zero
-    cofactor.  The identity is re-expanded exactly before it is returned.
+    columns of `ideal_rows`, fed to one `RowReducer` with p's coefficients as
+    right-hand sides; the first equation that reduces to 0 = nonzero (the
+    reducer no longer `consistent`) gives None.  A generator of degree above
+    deg p gets the zero cofactor.  The identity is re-expanded exactly before
+    it is returned.
     """
     nvars, big_n = p.nvars, p.degree
     labels, rows = ideal_rows(gens, big_n)
@@ -419,9 +422,12 @@ def ideal_membership(p: HPoly, gens: Sequence[HPoly]) -> Optional[tuple[HPoly, .
     for v, row in enumerate(rows):
         for col, c in row.items():
             eqs[col][v] = c
-    sol = solve_system((eq, p.coeffs.get(mono, Fraction(0))) for eq, mono in zip(eqs, cols))
-    if sol is None:
-        return None
+    red = RowReducer()
+    for eq, mono in zip(eqs, cols):
+        red.add(eq, p.coeffs.get(mono, Fraction(0)))
+        if not red.consistent:
+            return None
+    sol = red.solution()
     cofactors = tuple(HPoly(nvars, max(big_n - g.degree, 0),
                             {m: sol[v] for v, (i, m) in enumerate(labels)
                              if i == j and sol.get(v)})

@@ -625,6 +625,20 @@ def test_characteristic_past_the_overflow_radius(paths, capsys):
     assert all(isinstance(v, float) and math.isfinite(v) for v in doc["values"])
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_circle_mean_past_the_polynomial_overflow_is_a_numerical_failure(paths, capsys):
+    # |z|^192 leaves the float range beyond r of about 40: the mean at r = 50 is not
+    # finite, which is exit 3 naming the radius, not a "nan" in the report
+    curve = paths["tmp"] / "power.json"
+    curve.write_text(json.dumps({"components": [{"terms": [{"poly": "1"}]},
+                                                {"terms": [{"poly": "1 - z^192"}]}]}))
+    assert main(["characteristic", str(curve), "--radii", "50"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("nevlab: numerical failure:") and "r = 50 " in err
+    assert main(["characteristic", str(curve), "--radii", "39"]) == 0
+    assert json.loads(capsys.readouterr().out)["values"] == [703.0807701096727]
+
+
 def test_smt_and_defects_past_the_exp_overflow_radius(paths, capsys):
     assert main(["smt", paths["curve"], paths["system"], "--rmin", "700",
                  "--rmax", "720", "--steps", "3"]) == 0

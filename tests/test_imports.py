@@ -21,10 +21,13 @@ returns its flag), `fields.py` imports only the standard library, no module
 but the acceptance battery imports `random`, importing the command line
 loads neither numpy nor mpmath, and its exact commands
 (admissible, resultant, certificate, filtration, bounds, schema) load no
-numpy, and a split circle loads no `numpy.polynomial`.  Every exception class
-of the package derives from one of the three
-failure bases of `fields` (but for `linalg.Inconsistent` and
-`fields.PoleError`), and the command line's `_run` catches those bases, the
+numpy, and a split circle loads no `numpy.polynomial`.  The one exact
+elimination, `RowReducer`, has one mode: it takes no argument, every fed row
+carries a right-hand side, and an inconsistent row clears its `consistent`
+flag, so no solve wrapper, no mode flag and no exception for an unsolvable
+system remain.  Every exception class of the package derives from one of the
+three failure bases of `fields` (but for `fields.PoleError`), and the command
+line's `_run` catches those bases, the
 parse error and `OverflowError`, and no class of a module loaded on first
 use; the command line raises `InputError` only where it parses a string, writes
 a file, or reads `smt --steps` or `selftest --only`, since the library entry
@@ -44,6 +47,7 @@ imports and the package __init__, which exists to re-export, are exempt.
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import pathlib
@@ -364,10 +368,27 @@ def test_one_determinant_entry_and_no_paths_parameter():
     assert callers == {"_multimodular": ["linalg.py:det_sparse"], "det": ["linalg.py:det_sparse"]}
 
 
+def test_one_exact_elimination_in_one_mode():
+    # RowReducer takes no argument and always carries a right-hand side: the mode flag,
+    # the solve wrapper, the exception for an unsolvable system and the cofactor
+    # expansion's zero probe are gone from the package and its scripts
+    from nevlab.linalg import RowReducer
+
+    assert list(inspect.signature(RowReducer.__init__).parameters) == ["self"]
+    names = []
+    for p in sorted(SRC.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text(), str(p))):
+            name = getattr(node, "name", getattr(node, "attr", getattr(node, "id",
+                                                                       getattr(node, "arg", None))))
+            if name in ("solve_system", "Inconsistent", "track_rhs", "_entry_is_zero"):
+                names.append(f"{p.name}:{node.lineno} {name}")
+    assert names == []
+
+
 def test_one_failure_class_per_exception():
     # every exception class of the package derives from exactly one of the three
-    # failure bases of fields, but for the two that never reach a caller of a command:
-    # linalg's Inconsistent, caught inside the exact solve, and fields' PoleError
+    # failure bases of fields, but for fields' PoleError, which never reaches a caller
+    # of a command
     from nevlab.fields import InputError, NumericalFailure, Obstruction
 
     classes = {}
@@ -379,8 +400,8 @@ def test_one_failure_class_per_exception():
     bases = (InputError, Obstruction, NumericalFailure)
     wrong = sorted(name for name, cls in classes.items()
                    if sum(issubclass(cls, base) for base in bases) != 1)
-    assert len(classes) >= 12
-    assert wrong == ["fields.PoleError", "linalg.Inconsistent"]
+    assert len(classes) >= 11
+    assert wrong == ["fields.PoleError"]
 
 
 def test_one_exit_code_per_failure_class():

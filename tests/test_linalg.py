@@ -13,9 +13,8 @@ from nevlab import fields, linalg
 from nevlab.fields import GaussRat, RatFunc, ZPoly
 from nevlab.filtration import build_filtration
 from nevlab.hpoly import HPoly, monomials
-from nevlab.linalg import (Inconsistent, RankPaths, RowReducer, certified_rank,
-                           clear_denominators, det_cofactor, det_sparse,
-                           modular_rank_reaches, solve_system)
+from nevlab.linalg import (RankPaths, RowReducer, certified_rank, clear_denominators,
+                           det_cofactor, det_sparse, modular_rank_reaches)
 from nevlab.resultant import (HypersurfaceFamily, _macaulay_matrix, complete_intersection_rank,
                               ideal_rows, is_admissible, power_certificate)
 
@@ -44,19 +43,21 @@ def test_rowreducer_incremental_rank():
     assert red.rank == 2
 
 
-def test_solve_system_roundtrip():
+def test_rowreducer_solution_roundtrip():
     rng = random.Random(31)
     for _ in range(25):
         k = rng.randint(1, 4)
         mat = _rand_matrix(rng, k)
         x = [Fraction(rng.randint(-3, 3)) for _ in range(k)]
         rows = []
+        red = RowReducer()
         for i in range(k):
             vec = {j: mat[i][j] for j in range(k) if mat[i][j]}
             rhs = sum((mat[i][j] * x[j] for j in range(k)), Fraction(0))
             rows.append((vec, rhs))
-        sol = solve_system(rows)
-        assert sol is not None
+            red.add(vec, rhs)
+        assert red.consistent
+        sol = red.solution()
         # the found solution must satisfy every equation (it may differ from
         # x when the matrix is singular)
         for vec, rhs in rows:
@@ -64,14 +65,18 @@ def test_solve_system_roundtrip():
                        Fraction(0)) == rhs
 
 
-def test_solve_system_detects_inconsistency():
-    rows = [({0: Fraction(1)}, Fraction(1)),
-            ({0: Fraction(1)}, Fraction(2))]
-    assert solve_system(rows) is None
-    red = RowReducer(track_rhs=True)
-    red.add({0: Fraction(1)}, Fraction(1))
-    with pytest.raises(Inconsistent):
-        red.add({0: Fraction(1)}, Fraction(2))
+def test_rowreducer_clears_consistent_on_an_inconsistent_row():
+    red = RowReducer()
+    assert red.add({0: Fraction(1), 1: Fraction(1)}, Fraction(1))
+    # a row fed without a right-hand side is reduced against one that has one
+    assert red.add({0: Fraction(1)})
+    assert red.consistent and red.solution() == {0: 0, 1: 1}
+    assert not red.add({1: Fraction(2)}, Fraction(2))
+    assert red.consistent and red.singular
+    assert not red.add({0: Fraction(1), 1: Fraction(1)}, Fraction(2))
+    assert not red.consistent
+    assert not red.add({0: Fraction(3)})             # 0 = 0 does not restore it
+    assert not red.consistent and red.rank == 2
 
 
 def test_det_sparse_matches_float_determinant():

@@ -205,6 +205,24 @@ def test_kinked_integrand_at_the_cap_is_not_converged():
     assert 1e-12 < res.error < 1e-3
 
 
+@pytest.mark.parametrize("case", ["cap", "nan"])
+def test_a_split_circle_that_cannot_be_bracketed_is_refused(case):
+    # a circle whose first level shows a second leading row is refused, with an infinite
+    # error, when bracketing its changes of leader would pass the cap, and when its rows
+    # are NaN, so that no pair of neighbours shows two leaders
+    seen = []
+    if case == "cap":
+        fn = lambda zs: seen.append(zs) or np.stack((zs.real, np.zeros(zs.shape)))
+        res = circle_averages(fn, (1.0,), cap=100)[0]
+        assert res.samples == 64 and len(seen) == 1
+        assert res.value == np.mean(np.maximum(seen[0].real, 0.0))
+    else:
+        fn = lambda zs: np.where(zs.imag > 0, np.nan, np.stack((np.zeros(zs.shape),
+                                                                np.full(zs.shape, -1.0))))
+        res = circle_averages(fn, (1.0,))[0]
+    assert res.converged is False and res.error == math.inf
+
+
 def _arc(zs):
     """Two rows: a tilted plane leads on an arc of half-width about 0.6/|z|, centred
     3e-4 off a point of the 512-point grid and off every coarser grid by 0.012 or

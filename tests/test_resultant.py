@@ -9,7 +9,7 @@ from nevlab import linalg, resultant
 from nevlab.fields import GaussRat, InputError, RatFunc, ZPoly
 from nevlab.filtration import tuple_count
 from nevlab.hpoly import HPoly, monomials
-from nevlab.linalg import RankPaths
+from nevlab.linalg import RankPaths, RowReducer
 from nevlab.resultant import (HypersurfaceFamily, NotAdmissibleError,
                               complete_intersection_rank, ideal_membership,
                               ideal_rows, is_admissible, macaulay_resultant,
@@ -174,9 +174,9 @@ def test_ideal_membership_positive_and_negative():
 
 def test_ideal_membership_failed_reexpansion_raises(monkeypatch):
     x0, x1, x2 = (HPoly.coordinate(3, k) for k in range(3))
-    solve = resultant.solve_system
-    monkeypatch.setattr(resultant, "solve_system",
-                        lambda eqs: {v: 2 * c for v, c in solve(eqs).items()})
+    solve = RowReducer.solution
+    monkeypatch.setattr(RowReducer, "solution",
+                        lambda red: {v: 2 * c for v, c in solve(red).items()})
     with pytest.raises(ArithmeticError):
         ideal_membership(x0 * x2 + x1 * x1, [x0, x1 * x1])
 
