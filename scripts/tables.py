@@ -4,7 +4,7 @@
 Each table runs its cases once and prints one row per case: the columns its run
 returns ("-": none) and the counts of its counting wrappers; then, unless
 --rounds is 0, the best process time of each case over that many rounds, the
-cases interleaved.
+cases interleaved (the best wall time for `cold`).
 
 certify  The certify benchmark's families (perfbench's `Certify.admissible_family`,
          seeds 1-5): fixed n = 2 cubics over Q(i) and moving n = 1 cubics over
@@ -42,6 +42,14 @@ quad     One circle_averages pass over r = 1 and 20, 200 or 2000 radii in [2, 30
          (summed over its circles; equal to points, as every point read counts on
          its circle), and the tracemalloc peak of the pass in MB (the first run of
          a case is traced, the timing rounds are not).
+cold     One command line each of bounds, resultant, characteristic, smt and
+         schema, each run in a fresh interpreter (`python -c`, the caller's
+         environment, so PYTHONDONTWRITEBYTECODE is honoured), as a command-line
+         user starts it: whether the command loaded numpy and mpmath, and its
+         wall time from start to exit.  bounds takes n = 2, eps = 1/2, degrees
+         1,1,1,1; resultant the certify benchmark's fixed cubic family of seed 1;
+         characteristic (1 : e^z - z) at r = 2, 10, 50; smt the smt benchmark's
+         moving target x0 + z/(z+10) x1 on (1 : e^z).
 
     python3 scripts/tables.py certify --rounds 5
     python3 scripts/tables.py tower --rounds 0
@@ -50,6 +58,7 @@ quad     One circle_averages pass over r = 1 and 20, 200 or 2000 radii in [2, 30
     python3 scripts/tables.py defects --rounds 0
     python3 scripts/tables.py smt --rounds 3
     python3 scripts/tables.py quad --rounds 3
+    python3 scripts/tables.py cold --rounds 12
 """
 
 import argparse
@@ -61,6 +70,7 @@ import json
 import math
 import os
 import random
+import subprocess
 import sys
 import tempfile
 import time
@@ -72,8 +82,9 @@ import numpy as np
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-from perfbench.workloads import Certify  # noqa: E402  (the benchmark's family generator)
+from perfbench.workloads import SMT_GRID, Certify  # noqa: E402  (the benchmark's inputs)
 
+import nevlab  # noqa: E402
 from nevlab import cli, fields, hpoly, linalg, zeros as zeros_module  # noqa: E402
 from nevlab.bounds import compute_truncation_levels  # noqa: E402
 from nevlab.expfunc import ExpPoly  # noqa: E402
@@ -95,6 +106,7 @@ class Table(NamedTuple):
     cases: dict        # row labels (strings) -> the case
     counters: tuple    # (owner, name, column, weight of one call, name it counts only inside)
     run: Callable      # runs one case; returns the value columns it reports itself
+    clock: str = "process"     # what the timing rounds measure: "process" or "wall" time
 
 
 @contextlib.contextmanager
@@ -304,18 +316,67 @@ def quad(tmp: str) -> Table:
     return Table(("curve", "radii", "calls", "points", "samples", "peak_mb"), cases, (), run)
 
 
-TABLES = {"certify": certify, "tower": tower, "zeros": zeros,
-          "bounds": bounds, "defects": defects, "smt": smt, "quad": quad}
+# run by `python -c` with the command line as its arguments
+COLD = """
+import sys
+import nevlab.cli
+code = nevlab.cli.main(sys.argv[1:])
+print(code, *("yes" if name in sys.modules else "no" for name in ("numpy", "mpmath")))
+"""
+
+
+def cold(tmp: str) -> Table:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        os.path.dirname(os.path.dirname(os.path.abspath(nevlab.__file__))), env.get("PYTHONPATH")]))
+    out = os.path.join(tmp, "out.json")
+
+    def run(argv: list) -> dict:
+        child = subprocess.run([sys.executable, "-c", COLD, *argv, "-o", out],
+                               capture_output=True, text=True, env=env)
+        if child.returncode or not child.stdout.startswith("0 "):
+            raise SystemExit(f"command failed: {' '.join(argv)}\n{child.stderr}")
+        _, numpy, mpmath = child.stdout.split()
+        return {"numpy": numpy, "mpmath": mpmath}
+
+    def write(name: str, doc) -> str:
+        path = os.path.join(tmp, name)
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        return path
+
+    one = {"terms": [{"poly": "1"}]}
+    ez = {"terms": [{"poly": "1", "exp_coef": "1"}]}
+    hyperplanes = [{"degree": 1, "terms": [{"exp": [1, 0], "coef": "1"}]},
+                   {"degree": 1, "terms": [{"exp": [0, 1], "coef": "1"}]},
+                   {"degree": 1, "terms": [{"exp": [1, 0], "coef": "1"},
+                                           {"exp": [0, 1], "coef": "z/(z+10)"}]}]
+    cases = {
+        ("bounds",): ["bounds", "--n", "2", "--eps", "1/2", "--degrees", "1,1,1,1"],
+        ("resultant",): ["resultant", write("family.json", Certify().admissible_family(
+            random.Random(1), 2, False))],
+        ("characteristic",): ["characteristic", write("kinked.json", {"components": [
+            one, {"terms": ez["terms"] + [{"poly": "-z"}]}]}), "--radii", "2,10,50"],
+        ("smt",): ["smt", write("line.json", {"components": [one, ez]}),
+                   write("moving.json", {"n": 1, "polynomials": hyperplanes}), *SMT_GRID],
+        ("schema",): ["schema", "system"],
+    }
+    return Table(("command", "numpy", "mpmath"), cases, (), run, "wall")
+
+
+TABLES = {"certify": certify, "tower": tower, "zeros": zeros, "bounds": bounds,
+          "defects": defects, "smt": smt, "quad": quad, "cold": cold}
 
 
 def best_times(table: Table, rounds: int) -> dict:
-    """Per case, the least process time of one run over the rounds, in seconds."""
+    """Per case, the least process (or wall) time of one run over the rounds, in seconds."""
+    clock = time.perf_counter if table.clock == "wall" else time.process_time
     best = dict.fromkeys(table.cases, float("inf"))
     for _ in range(rounds):
         for label, case in table.cases.items():
-            start = time.process_time()
+            start = clock()
             table.run(case)
-            best[label] = min(best[label], time.process_time() - start)
+            best[label] = min(best[label], clock() - start)
     return best
 
 
@@ -347,7 +408,7 @@ def main(argv=None) -> int:
             rows.append([*label, *map(str, tally.values())])
         show(rows, labels)
         if args.rounds:
-            print(f"\nprocess time, best of {args.rounds} interleaved rounds")
+            print(f"\n{table.clock} time, best of {args.rounds} interleaved rounds")
             show([[*label, f"{1e3 * t:.2f} ms"]
                   for label, t in best_times(table, args.rounds).items()], labels)
     return 0

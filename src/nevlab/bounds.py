@@ -1,11 +1,13 @@
 """Explicit constants for the truncated inequality: N, M, K, p_0, t, L_j.
 
-Everything here is integer or rational arithmetic.  The only transcendental
-step is the log ratio inside p_0, which is evaluated with interval arithmetic
-at escalating precision until the floor is certified.  t-bounds can be
-astronomically large for moving families; values whose decimal length exceeds
-a digit budget are reported by their log10 size instead of materialized,
-and each unbuilt truncation level keeps an exact, cheap floor.
+Everything here is integer or rational arithmetic but for two logarithms,
+both from the standard library.  The log ratio inside p_0 is bounded outward
+in decimal, with explicit contexts, at doubling precision until its floor is
+certified.  The log10 size of a t-bound comes from Stirling's series in binary
+fixed point.  t-bounds can be astronomically large for moving families; values
+whose decimal length exceeds a digit budget are reported by their log10 size
+instead of materialized, and each unbuilt truncation level keeps an exact,
+cheap floor.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
+from decimal import (MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal,
+                     DivisionByZero, InvalidOperation, Overflow)
 from fractions import Fraction
 from math import comb, lcm
 from typing import Optional, Sequence, Union
@@ -85,30 +89,33 @@ def compute_constants(n: int, d: int, eps: RationalLike) -> tuple[int, int, int]
 _FLOOR_MAX_PREC = 1 << 16
 
 
+def _context(bits: int, rounding: str) -> Context:
+    # every field explicit, so neither the thread's context nor DefaultContext
+    # can change a result
+    return Context(prec=math.ceil(bits * math.log10(2)), rounding=rounding,
+                   Emin=MIN_EMIN, Emax=MAX_EMAX, capitals=1, clamp=0, flags=[],
+                   traps=[InvalidOperation, DivisionByZero, Overflow])
+
+
 def certified_floor(build) -> int:
-    """floor of build(iv) certified by interval arithmetic.
+    """floor of a positive real x, certified by outward-rounded bounds.
 
-    build receives the mpmath.iv context and must return an interval value.
-    Precision doubles from 128 bits until both endpoints floor to the same
-    integer; the quantities fed through here are provably non-integers, so
-    this terminates before the cap of 2^16 bits, else NumericalFailure.
+    build(down, up) receives two decimal contexts at the same precision,
+    rounding toward -inf and toward +inf, and returns Decimals lo <= x <= hi,
+    or None when that precision bounds x too loosely to use.  The precision
+    doubles from 128 bits until both bounds floor to the same integer; the
+    quantities fed through here are provably non-integers, so this terminates
+    before the cap of 2^16 bits, else NumericalFailure.
     """
-    import mpmath        # imported here: most commands never need it
-    from mpmath import iv
-
-    prec = 128
-    saved = iv.prec
-    try:
-        while prec <= _FLOOR_MAX_PREC:
-            iv.prec = prec
-            val = build(iv)
-            lo = mpmath.floor(val.a)
-            hi = mpmath.floor(val.b)
+    bits = 128
+    while bits <= _FLOOR_MAX_PREC:
+        down, up = _context(bits, ROUND_FLOOR), _context(bits, ROUND_CEILING)
+        bounds = build(down, up)
+        if bounds is not None:
+            lo, hi = (v.to_integral_value(context=down) for v in bounds)
             if lo == hi:
                 return int(lo)
-            prec *= 2
-    finally:
-        iv.prec = saved
+        bits *= 2
     raise NumericalFailure(f"floor not certified below precision {_FLOOR_MAX_PREC}")
 
 
@@ -129,24 +136,114 @@ def compute_p0(n: int, big_n: int, q: int, eps: RationalLike) -> int:
     m_count = comb(n + big_n, n)
     b = _b_constant(n, big_n, q)
     ratio = eps / (2 * m_count * big_n)
+    b_minus_1, num, den = Decimal(b - 1), Decimal(ratio.numerator), Decimal(ratio.denominator)
+    # 1 + ratio is known to one unit in its last digit, which alone spreads x
+    # by about x / (ratio 10^(digits - 1)): a level of no more digits than
+    # log10(x / ratio) cannot certify, so it takes no logarithm
+    hopeless = (math.log10(b) + math.log10(math.log(b))
+                + 2 * (math.log10(ratio.denominator) - math.log10(ratio.numerator)))
 
-    def build(ctx):
-        num = (b - 1) * ctx.log(b)
-        den = ctx.log(1 + ctx.mpf(ratio.numerator) / ratio.denominator)
-        return num / den + 1
+    def build(down, up):
+        step_lo = down.add(1, down.divide(num, den))    # 1 + ratio, rounded each way
+        step_hi = up.add(1, up.divide(num, den))
+        if step_lo == 1 or down.prec <= hopeless:
+            return None
+        # ln is correctly rounded whatever the rounding mode, so its two
+        # neighbours enclose the true value
+        ln_b = down.ln(b)
+        ln_step = down.ln(step_lo)
+        # ln(step_hi) <= ln(step_lo) + (step_hi - step_lo), as step_lo >= 1
+        ln_step_hi = up.add(ln_step.next_plus(up), up.subtract(step_hi, step_lo))
+        lo = down.add(down.divide(down.multiply(b_minus_1, ln_b.next_minus(down)),
+                                  ln_step_hi), 1)
+        hi = up.add(up.divide(up.multiply(b_minus_1, ln_b.next_plus(up)),
+                              ln_step.next_minus(down)), 1)
+        return lo, hi
 
     return certified_floor(build) ** 2
 
 
-def _log10_binomial(top: int, bottom: int) -> float:
-    # math.lgamma cancels catastrophically when bottom << top (the huge-p_0
-    # regime), so evaluate at precision scaled to the operand size.
-    import mpmath
+# log10 of a t-bound in binary fixed point: Python ints scaled by 2^_BITS
+_BITS = 160
+_GUARD = 24         # extra bits inside _ln, which loses up to 2^_ROOTS units to its roots
+_ROOTS = 8          # square roots taken before the atanh series
+_EXACT_FACTORIAL_BELOW = 128
 
-    with mpmath.workprec(max(128, 2 * top.bit_length() + 64)):
-        ln = (mpmath.loggamma(top + 1) - mpmath.loggamma(bottom + 1)
-              - mpmath.loggamma(top - bottom + 1))
-        return float(ln / mpmath.log(10))
+
+def _atanh_sum(w2: int, prec: int) -> int:
+    """sum_j w^(2j) / (2j + 1) at prec bits, for w^2 <= 1/9 at prec bits."""
+    total, term, j = 0, 1 << prec, 1
+    while term:
+        total += term // j
+        term = term * w2 >> prec
+        j += 2
+    return total
+
+
+_LN2 = 2 * _atanh_sum((1 << _BITS + _GUARD) // 9, _BITS + _GUARD) // 3    # 2 atanh(1/3)
+
+
+def _ln(num: int, den: int = 1) -> int:
+    """ln(num/den) at _BITS bits, for num >= den >= 1, within a few units."""
+    p = _BITS + _GUARD
+    k = num.bit_length() - den.bit_length()
+    if num < den << k:
+        k -= 1
+    m = (num << p) // (den << k)            # num/den / 2^k in [1, 2)
+    for _ in range(_ROOTS):
+        m = math.isqrt(m << p)
+    one = 1 << p
+    w = ((m - one) << p) // (m + one)       # ln m = 2^(_ROOTS + 1) atanh w
+    return (k * _LN2 + (w * _atanh_sum(w * w >> p, p) >> p - _ROOTS - 1)) >> _GUARD
+
+
+_LN10 = _ln(10)
+_HALF_LN_2PI = int(Fraction(
+    "0.918938533204672741780329736405617639861397473637783412817151540482765695927260")
+    * 2 ** _BITS)
+# B_2k / (2k (2k - 1)) for k = 1..15, the coefficients of Stirling's series
+_STIRLING = tuple(int(Fraction(b) / (2 * k * (2 * k - 1)) * 2 ** _BITS) for k, b in enumerate((
+    "1/6", "-1/30", "1/42", "-1/30", "5/66", "-691/2730", "7/6", "-3617/510", "43867/798",
+    "-174611/330", "854513/138", "-236364091/2730", "8553103/6", "-23749461029/870",
+    "8615841276005/14322"), 1))
+
+
+def _stirling_remainder(x: int) -> int:
+    """ln x! - (x + 1/2) ln x + x at _BITS bits, for x >= 1.
+
+    Below 128 it comes from the exact x!.  From 128 up Stirling's series
+    stops at its first term below one unit, which bounds the tail; at 160 bits
+    that happens by k = 13, inside the table.
+    """
+    if x < _EXACT_FACTORIAL_BELOW:
+        return _ln(math.factorial(x)) - ((2 * x + 1) * _ln(x) >> 1) + (x << _BITS)
+    total, power = _HALF_LN_2PI, x
+    for c in _STIRLING:
+        term = abs(c) // power
+        if not term:
+            break
+        total += term if c > 0 else -term
+        power *= x * x
+    return total
+
+
+def _log10_binomial(top: int, bottom: int) -> float:
+    # log10 C(top, a), a = min(bottom, top - bottom) and b = top - a, from
+    #   a ln(top/a) + (b + 1/2) ln(top/b) - (ln a)/2 + R(top) - R(a) - R(b)
+    # with R the Stirling remainder.  math.lgamma cancels catastrophically when
+    # a << b; here the first two terms are positive and the second is
+    # (2b + 1) w atanh-sum(w^2) with w = a/(2b + a), so every error stays
+    # relative, and the float is the nearest one but in a near-tie of relative
+    # width about 2^-140
+    a = min(bottom, top - bottom)
+    if a == 0:
+        return 0.0
+    b = top - a
+    wide = 2 * b + a
+    b_term = (2 * b + 1) * a * _atanh_sum((a * a << _BITS) // (wide * wide), _BITS) // wide
+    ln = (a * _ln(top, a) + b_term - (_ln(a) >> 1)
+          + _stirling_remainder(top) - _stirling_remainder(a) - _stirling_remainder(b))
+    return ln / _LN10
 
 
 def bound_t(p: int, n: int, big_n: int, q: int,

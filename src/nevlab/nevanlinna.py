@@ -261,7 +261,9 @@ def characteristic(f: CurveLike, radii: Sequence[float]) -> tuple[QuadResult, ..
     sinusoids = _sinusoid_rows(curve.components)
     if sinusoids is None:
         rows = lambda zs: np.stack([comp.log_abs(zs) for comp in curve.components])
-        means = dict(zip(grid, circle_averages(rows, grid)))
+        # a component past the float range gives a non-finite mean, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            means = dict(zip(grid, circle_averages(rows, grid)))
     else:
         means = {r: _max_sinusoid_mean(sinusoids, r) for r in grid}
     for r, res in means.items():

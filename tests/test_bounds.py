@@ -1,4 +1,7 @@
+import decimal
+import json
 import math
+import random
 import sys
 import warnings
 from fractions import Fraction
@@ -164,10 +167,75 @@ def test_levels_shrink_as_eps_grows():
     assert small.truncations[0] > large.truncations[0]
 
 
+def _reference_p0(n, big_n, q, eps):
+    # the floor argument at 1,300 bits, floored under that same precision
+    m = comb(big_n + n, n)
+    b = m * m * comb(q, n)
+    ratio = eps / (2 * m * big_n)
+    with mpmath.workprec(1300):
+        step = mpmath.log1p(mpmath.mpf(ratio.numerator) / ratio.denominator)
+        return int(mpmath.floor((b - 1) * mpmath.log(b) / step + 1)) ** 2
+
+
+def test_p0_is_exact_past_the_double_range():
+    # 324 tuples; in 234 of them the floor argument passes 2^53, where flooring
+    # at double precision got 231 wrong
+    past = 0
+    for n in (1, 2, 3):
+        for q in range(n + 1, n + 4):
+            for eps in map(Fraction, ("1/2", "1/3", "1/4", "3/4", "1/10", "9/10")):
+                for d in (1, 2, 3, 6, 12, 60):
+                    big_n = compute_constants(n, d, eps)[0]
+                    p0 = compute_p0(n, big_n, q, eps)
+                    assert p0 == _reference_p0(n, big_n, q, eps), (n, q, eps, d)
+                    past += p0 >= 2 ** 106
+    assert past == 234
+
+
+def test_bounds_prints_the_exact_p0(capsys):
+    from nevlab.cli import main
+
+    assert main(["bounds", "--n", "1", "--eps", "1/4", "--degrees", "1,2,3,4", "--fixed"]) == 0
+    # the floor argument is 22030373376785795.41309...
+    assert json.loads(capsys.readouterr().out)["p0"] == 22030373376785795 ** 2
+
+
+def _reference_log10_binomial(top, bottom):
+    with mpmath.workprec(max(128, 2 * top.bit_length() + 64)):
+        ln = (mpmath.loggamma(top + 1) - mpmath.loggamma(bottom + 1)
+              - mpmath.loggamma(top - bottom + 1))
+        return float(ln / mpmath.log(10))
+
+
+def test_log10_binomial_is_the_nearest_float():
+    # a seeded sweep against loggamma at twice the operand size: bottom = 1, a
+    # small top - bottom, random splits, bottom << top, and every small pair
+    rng = random.Random(20261022)
+    cases = [(top, bottom) for top in range(2, 30) for bottom in range(top + 1)]
+    for _ in range(150):
+        top = rng.randrange(3, 2 ** rng.randrange(2, 400))
+        cases += [(top, 1), (top, top - rng.randrange(1, min(top, 200)))]
+    for _ in range(300):
+        top = rng.randrange(2, 2 ** rng.randrange(2, 1000))
+        cases.append((top, rng.randrange(1, top)))
+        bottom = rng.randrange(1, 2 ** rng.randrange(1, 140))
+        cases.append((bottom + rng.randrange(1, 2 ** rng.randrange(1, 500)), bottom))
+    for top, bottom in cases:
+        assert bounds._log10_binomial(top, bottom) == _reference_log10_binomial(top, bottom), \
+            (top, bottom)
+
+
 def test_p0_certified_floor_is_deterministic():
     a = compute_p0(2, 12, 4, Fraction(1, 3))
+    chain = compute_truncation_levels(1, 3, Fraction(1, 4), (1, 2, 3))
     b = compute_p0(2, 12, 4, Fraction(1, 3))
     assert a == b
     with mpmath.workdps(80):
         pass    # context switching elsewhere must not change the result
     assert compute_p0(2, 12, 4, Fraction(1, 3)) == a
+    # nor the thread's decimal context, however coarse or trapping
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.rounding, ctx.Emax = 3, decimal.ROUND_UP, 10
+        ctx.traps[decimal.Inexact] = True
+        assert compute_p0(2, 12, 4, Fraction(1, 3)) == a
+        assert compute_truncation_levels(1, 3, Fraction(1, 4), (1, 2, 3)) == chain

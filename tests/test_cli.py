@@ -639,6 +639,18 @@ def test_a_circle_mean_past_the_polynomial_overflow_is_a_numerical_failure(paths
     assert json.loads(capsys.readouterr().out)["values"] == [703.0807701096727]
 
 
+def test_a_curve_that_overflows_writes_one_stderr_line(tmp_path):
+    # numpy's overflow warnings from the polynomial evaluation stay silent: the
+    # failure is the one line, as for every other failure
+    curve = tmp_path / "power.json"
+    curve.write_text(json.dumps({"components": [{"terms": [{"poly": "1"}]},
+                                                {"terms": [{"poly": "1 - z^192"}]}]}))
+    run = _run_cli(["characteristic", str(curve), "--radii", "50"])
+    assert run.returncode == 3
+    assert run.stderr.decode() == ("nevlab: numerical failure: the circle mean of "
+                                   "log max |f_i| at r = 50 is not finite\n")
+
+
 def test_smt_and_defects_past_the_exp_overflow_radius(paths, capsys):
     assert main(["smt", paths["curve"], paths["system"], "--rmin", "700",
                  "--rmax", "720", "--steps", "3"]) == 0

@@ -9,7 +9,7 @@ import pytest
 
 from nevlab import filtration, linalg
 from nevlab.bounds import a_lower_bound
-from nevlab.fields import GaussRat, InputError, RatFunc, ZPoly
+from nevlab.fields import GaussRat, InputError, Obstruction, RatFunc, ZPoly
 from nevlab.filtration import (basis_is_independent, build_filtration,
                                construct_psi_basis, filtration_tuples,
                                quotient_dim, tuple_count)
@@ -271,6 +271,36 @@ def test_an_n1_table_decides_no_rank(monkeypatch):
                 assert table.multiplicities == tuple(tuple_count(big_n - d * t[0], d, 1)
                                                      for t in table.tuples)
                 assert table.rank_paths == linalg.RankPaths(0, 0)
+
+
+def test_an_n3_table_decides_each_distinct_level_once(monkeypatch):
+    # from n = 3 on there is no one-level regularity test: each distinct level
+    # N - d|I| is decided once, in tuple order
+    decided = []
+    monkeypatch.setattr(filtration, "quotient_dim",
+                        lambda gens, level: decided.append(level) or quotient_dim(gens, level))
+    fam = _fermat(3, 2)
+    for big_n, levels in ((4, [4, 2, 0]), (6, [6, 4, 2, 0])):
+        decided.clear()
+        table = build_filtration(fam, (0, 1, 2), big_n)
+        assert table.multiplicities == tuple(tuple_count(big_n - 2 * sum(t), 2, 3)
+                                             for t in table.tuples)
+        assert decided == levels
+        assert table.rank_paths == linalg.RankPaths(len(levels), 0)
+
+
+def test_an_n3_subset_with_a_common_factor_names_its_level():
+    # Q_0 and Q_1 share x0 + x1, so their syzygy of degree 4 raises the quotient
+    # dimension at level 4, the first level decided
+    x0, x1, x2, x3 = (HPoly.coordinate(4, k) for k in range(4))
+    common = x0 + x1
+    fam = HypersurfaceFamily(3, [common * (x0 - x3), common * (x1 + x3), x2 * x2, x3 * x3])
+    with pytest.raises(Obstruction) as exc:
+        build_filtration(fam, (0, 1, 2), 4)
+    assert str(exc.value) == ("quotient dimension 11 at level 4 is not the complete-"
+                              "intersection 8 (is the family admissible?)")
+    assert build_filtration(fam, (0, 2, 3), 4).multiplicities == \
+        build_filtration(_fermat(3, 2), (0, 2, 3), 4).multiplicities
 
 
 def _shared_factor_family():

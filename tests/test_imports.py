@@ -18,10 +18,11 @@ elimination, which the certified rank and the multimodular paths share, one
 determinant entry, `det_sparse`, which alone reaches the multimodular path and
 `RowReducer.det`, no function with a `paths` parameter (a certified decision
 returns its flag), `fields.py` imports only the standard library, no module
-but the acceptance battery imports `random`, importing the command line
-loads neither numpy nor mpmath, and its exact commands
-(admissible, resultant, certificate, filtration, bounds, schema) load no
-numpy, and a split circle loads no `numpy.polynomial`.  The one exact
+but the acceptance battery imports `random`, no module imports mpmath (a test
+dependency only), importing the command line loads neither numpy nor mpmath,
+its exact commands (admissible, resultant, certificate, filtration, bounds,
+schema) load neither, its curve commands (smt, defects) load no mpmath, and a
+split circle loads no `numpy.polynomial`.  The one exact
 elimination, `RowReducer`, has one mode: it takes no argument, every fed row
 carries a right-hand side, and an inconsistent row clears its `consistent`
 flag, so no solve wrapper, no mode flag and no exception for an unsolvable
@@ -447,10 +448,8 @@ def test_fields_imports_only_the_standard_library():
     assert modules and modules <= set(sys.stdlib_module_names)
 
 
-def test_only_the_acceptance_battery_imports_random():
-    # an exact result is a function of its input alone: nothing the package
-    # computes with is drawn at random, and the battery's inputs come from
-    # seeded generators
+def _importers(module: str) -> list:
+    """The package modules that import `module`, one entry per import."""
     found = []
     for p in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(p.read_text(), str(p))):
@@ -460,8 +459,22 @@ def test_only_the_acceptance_battery_imports_random():
                 names = [node.module]
             else:
                 continue
-            found += [p.name for name in names if name.split(".")[0] == "random"]
-    assert found == ["acceptance.py"]
+            found += [p.name for name in names if name.split(".")[0] == module]
+    return found
+
+
+def test_only_the_acceptance_battery_imports_random():
+    # an exact result is a function of its input alone: nothing the package
+    # computes with is drawn at random, and the battery's inputs come from
+    # seeded generators
+    assert _importers("random") == ["acceptance.py"]
+
+
+def test_no_module_imports_mpmath():
+    # p_0's certified floor takes decimal's correctly rounded logarithm and a
+    # t-bound's size takes Stirling's series in integers: mpmath is a test
+    # dependency only
+    assert _importers("mpmath") == []
 
 
 def _python(code: str, *args: str, cwd=None) -> str:
@@ -486,14 +499,15 @@ for argv in json.loads(sys.argv[1]):
         code = nevlab.cli.main(argv)
     except SystemExit as e:             # --version
         code = e.code
-    print(json.dumps([argv[0], code, "numpy" in sys.modules, "numpy.ma" in sys.modules]))
+    print(json.dumps([argv[0], code,
+                      *(name in sys.modules for name in ("numpy", "numpy.ma", "mpmath"))]))
 """
 
 
 def test_what_the_cli_and_its_exact_commands_load(tmp_path):
-    # importing the command line loads neither numpy nor mpmath (only the p_0
-    # floor and huge t-bounds need mpmath; bounds.py imports it there), and the
-    # exact commands run one after another in that process never load numpy
+    # importing the command line loads neither numpy nor mpmath, and the exact
+    # commands run one after another in that process, bounds among them, never
+    # load either
     family = tmp_path / "family.json"
     family.write_text(json.dumps(MOVING_PAIR))
     commands = [["admissible", str(family)], ["resultant", str(family)],
@@ -504,7 +518,7 @@ def test_what_the_cli_and_its_exact_commands_load(tmp_path):
     argvs = [["--version"]] + [argv + ["-o", f"{argv[0]}.json"] for argv in commands]
     out = _python(LOADED, json.dumps(argvs), cwd=tmp_path)
     lines = [json.loads(line) for line in out.splitlines() if line.startswith("[")]
-    assert lines == [["import", []]] + [[argv[0], 0, False, False] for argv in argvs]
+    assert lines == [["import", []]] + [[argv[0], 0, False, False, False] for argv in argvs]
     assert json.loads((tmp_path / "resultant.json").read_text())["is_zero"] is False
 
 
@@ -512,7 +526,8 @@ def test_the_analytic_commands_load_no_masked_arrays(tmp_path):
     # the zero finder uses numpy core only: no numpy set routine, whose np.unique loads
     # numpy.ma (13-18 ms and 1.2 MB per process), after smt and defects with the moving
     # target x0 + z/(z+41/4) x1 on (1 : e^z), seeded, and defects of x0 + x1 + x2 on
-    # (1 : e^z : e^{iz}), a quadtree search of 1 + e^z + e^{iz}
+    # (1 : e^z : e^{iz}), a quadtree search of 1 + e^z + e^{iz}; nor does any load
+    # mpmath
     line = {"components": [{"terms": [{"poly": "1"}]}, {"terms": [{"poly": "1", "exp_coef": "1"}]}]}
     plane = {"components": line["components"] + [{"terms": [{"poly": "1", "exp_coef": "i"}]}]}
     x0 = MOVING_PAIR["polynomials"][0]
@@ -531,7 +546,7 @@ def test_the_analytic_commands_load_no_masked_arrays(tmp_path):
     out = _python(LOADED, json.dumps([argv + ["-o", f"{k}.json"] for k, argv in enumerate(argvs)]),
                   cwd=tmp_path)
     lines = [json.loads(line) for line in out.splitlines() if line.startswith("[")]
-    assert lines[1:] == [[argv[0], 0, True, False] for argv in argvs]
+    assert lines[1:] == [[argv[0], 0, True, False, False] for argv in argvs]
 
 
 SPLIT = """

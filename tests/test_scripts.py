@@ -27,6 +27,7 @@ TABLES = {  # table: (label columns, value columns)
     "bounds": (["n", "d", "q", "eps"], ["N", "M", "margin", "fixed_level", "moving_digits"]),
     "defects": (["curve", "target"], ["defect", "budget"]),
     "smt": (["system", "at"], ["lhs", "rhs", "margin", "level", "defect", "budget"]),
+    "cold": (["command"], ["numpy", "mpmath"]),
 }
 COUNTING = {"certify", "tower", "zeros"}   # the tables whose value columns count work
 
@@ -69,6 +70,14 @@ def test_costs_prints_the_same_counts_twice(table):
     elif table == "bounds":
         assert len(rows) == 27
         assert ["1", "1", "3", "1/2", "18", "19", "1/68", "19", "12367"] in rows
+    elif table == "cold":
+        # in a fresh interpreter only the curve commands load numpy, and none loads mpmath
+        assert rows == [["bounds", "no", "no"], ["resultant", "no", "no"],
+                        ["characteristic", "yes", "no"], ["smt", "yes", "no"],
+                        ["schema", "no", "no"]]
+        timed = _run_tables(table, "--rounds", "1")
+        assert timed.returncode == 0, timed.stderr
+        assert timed.stdout.startswith(runs[0].stdout + "\nwall time, best of 1 interleaved rounds\n")
     elif table == "defects":
         # the exponential line omits the values 0 and infinity
         assert ["(1:e^z)", "x0", "1.0000", "-"] in rows and ["(1:e^z)", "x1", "1.0000", "-"] in rows
